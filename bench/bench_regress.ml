@@ -104,7 +104,7 @@ let crash_general_sims ~seeds () =
           |> Exec.with_latency (Latency.jittered (Prng.create seed))
           |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0)
         in
-        (Crash_general.run ~opts inst).Problem.ok)
+        (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok)
       (List.init seeds (fun i -> Int64.of_int (i + 1)))
   in
   assert (List.for_all Fun.id ok);
@@ -118,7 +118,7 @@ let byz_2cycle_sims ~seeds () =
           Problem.random_instance ~seed ~model:Problem.Byzantine ~k:64 ~n:4096 ~t:8 ()
         in
         let opts = Exec.with_latency (Latency.jittered (Prng.create seed)) Exec.default in
-        (Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Near_miss inst).Problem.ok)
+        (Exec.run_core ~opts (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()) inst).Problem.ok)
       (List.init seeds (fun i -> Int64.of_int (i + 1)))
   in
   ignore ok;

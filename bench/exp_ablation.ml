@@ -24,7 +24,8 @@ let rho_ablation () =
         (fun seed ->
           let inst = byz_inst ~seed ~k ~n ~t () in
           let opts = Exec.with_latency (jitter seed) Exec.default in
-          let r = Byz_2cycle.run_with ~opts ~attack:(Byz_2cycle.Flood 16) ~segments:4 ~rho inst in
+          let core = Byz_2cycle.core ~attack:(Byz_2cycle.Flood 16) ~segments:4 ~rho () in
+          let r = Exec.run_core ~opts core inst in
           if r.Problem.ok then begin
             incr ok;
             qsum := !qsum + r.Problem.q_max
@@ -60,7 +61,7 @@ let latency_ablation () =
         |> Exec.with_latency (mk_latency inst)
         |> Exec.with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.5 ~gap:2.0)
       in
-      let r = Crash_general.run ~opts inst in
+      let r = Exec.run_core ~opts (Crash_general.core ()) inst in
       Table.add_row table
         [
           label;
@@ -93,7 +94,7 @@ let message_bound_ablation () =
         |> Exec.with_link_rate (float_of_int b)
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:2)
       in
-      let r = Crash_general.run ~opts inst in
+      let r = Exec.run_core ~opts (Crash_general.core ()) inst in
       Table.add_row table
         [
           string_of_int b;
@@ -130,7 +131,8 @@ let exploration () =
   in
   let balanced_inst = Problem.random_instance ~seed:5L ~k:2 ~n:2 ~t:0 () in
   row "balanced" (fun ~arbiter ->
-      (Balanced.run ~opts:(Exec.with_arbiter arbiter Exec.default) balanced_inst).Problem.ok)
+      (Exec.run_core ~opts:(Exec.with_arbiter arbiter Exec.default)
+         (Balanced.core ()) balanced_inst).Problem.ok)
     2 2 "none" 100_000;
   let single_inst =
     let x = Bitarray.random (Dr_engine.Prng.create 3L) 3 in
@@ -142,7 +144,7 @@ let exploration () =
         |> Exec.with_crash (Crash_plan.mid_broadcast single_inst.Problem.fault ~after_sends:1)
         |> Exec.with_arbiter arbiter
       in
-      (Crash_single.run ~opts single_inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_single.core ()) single_inst).Problem.ok)
     3 3 "after 1 send" 4_000;
   let general_inst =
     let x = Bitarray.random (Dr_engine.Prng.create 7L) 4 in
@@ -154,7 +156,7 @@ let exploration () =
         |> Exec.with_crash (Crash_plan.mid_broadcast general_inst.Problem.fault ~after_sends:2)
         |> Exec.with_arbiter arbiter
       in
-      (Crash_general.run ~opts general_inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_general.core ()) general_inst).Problem.ok)
     4 4 "after 2 sends" 4_000;
   Table.print table;
   note

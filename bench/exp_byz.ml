@@ -20,9 +20,8 @@ let committee_crossover () =
     (fun t ->
       let inst = byz_inst ~seed:21L ~k ~n ~t () in
       let r =
-        Committee.run_with
-          ~opts:(Exec.with_latency (jitter 21L) Exec.default)
-          ~attack:Committee.Equivocate inst
+        Exec.run_core ~opts:(Exec.with_latency (jitter 21L) Exec.default)
+          (Committee.core ~attack:Committee.Equivocate ()) inst
       in
       let theory = ((2 * t) + 1) * n / k in
       Table.add_row table
@@ -52,9 +51,8 @@ let two_cycle_regimes () =
       let s, rho = Byz_2cycle.plan ~k ~n ~t in
       let case = if s = 1 then "3 (naive)" else if s >= n then "2" else "1" in
       let r =
-        Byz_2cycle.run_with
-          ~opts:(Exec.with_latency (jitter 23L) Exec.default)
-          ~attack:Byz_2cycle.Near_miss inst
+        Exec.run_core ~opts:(Exec.with_latency (jitter 23L) Exec.default)
+          (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()) inst
       in
       Table.add_row table
         [
@@ -88,7 +86,8 @@ let two_cycle_whp () =
       (fun seed ->
         let inst = byz_inst ~seed ~k ~n ~t () in
         let opts = Exec.with_latency (jitter seed) Exec.default in
-        (Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Consistent_lie inst).Problem.ok)
+        (Exec.run_core ~opts
+           (Byz_2cycle.core ~attack:Byz_2cycle.Consistent_lie ()) inst).Problem.ok)
       (List.init runs (fun i -> Int64.of_int (i + 1)))
   in
   let failures = ref (List.length (List.filter not outcomes)) in
@@ -114,9 +113,12 @@ let multicycle_vs_two_cycle () =
         let inst = byz_inst ~seed ~k ~n ~t () in
         let opts = Exec.with_latency (jitter seed) Exec.default in
         match proto with
-        | `Two -> Byz_2cycle.run_with ~opts ~attack:(Byz_2cycle.Flood 32) ~segments:s ~rho:1 inst
+        | `Two ->
+          Exec.run_core ~opts
+            (Byz_2cycle.core ~attack:(Byz_2cycle.Flood 32) ~segments:s ~rho:1 ()) inst
         | `Multi ->
-          Byz_multicycle.run_with ~opts ~attack:(Byz_multicycle.Flood 32) ~segments:s ~rho:1 inst)
+          Exec.run_core ~opts
+            (Byz_multicycle.core ~attack:(Byz_multicycle.Flood 32) ~segments:s ~rho:1 ()) inst)
   in
   let r2 = runs `Two and rm = runs `Multi in
   let table =
@@ -157,7 +159,7 @@ let attack_catalog () =
     (fun (label, attack) ->
       let inst = byz_inst ~seed:31L ~k ~n ~t () in
       let opts = Exec.with_latency (jitter 31L) Exec.default in
-      let r = Byz_2cycle.run_with ~opts ~attack inst in
+      let r = Exec.run_core ~opts (Byz_2cycle.core ~attack ()) inst in
       Table.add_row table
         [
           label;

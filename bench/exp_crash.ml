@@ -23,7 +23,7 @@ let algorithm1 () =
             |> Exec.with_latency (jitter 11L)
             |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
           in
-          let r = Crash_single.run ~opts inst in
+          let r = Exec.run_core ~opts (Crash_single.core ()) inst in
           let bound = ((n + k - 1) / k) + ((((n + k - 1) / k) + k - 2) / (k - 1)) in
           Table.add_row table
             [
@@ -48,7 +48,7 @@ let algorithm2_beta_sweep () =
   List.iter
     (fun t ->
       let inst = crash_inst ~seed:13L ~k ~n ~t () in
-      let r = Crash_general.run ~opts:(silent_opts inst 13L) inst in
+      let r = Exec.run_core ~opts:(silent_opts inst 13L) (Crash_general.core ()) inst in
       let gamma = Problem.gamma inst in
       let theory = (float_of_int n /. (gamma *. float_of_int k)) +. float_of_int (n / k) in
       Table.add_row table
@@ -73,7 +73,7 @@ let algorithm2_n_sweep () =
   List.iter
     (fun n ->
       let inst = crash_inst ~seed:17L ~k ~n ~t () in
-      let r = Crash_general.run ~opts:(silent_opts inst 17L) inst in
+      let r = Exec.run_core ~opts:(silent_opts inst 17L) (Crash_general.core ()) inst in
       Table.add_row table
         [
           string_of_int n;
@@ -106,7 +106,7 @@ let fast_path () =
   let table = Table.create [ "variant"; "T"; "Q"; "ok" ] in
   List.iter
     (fun (label, fast_path) ->
-      let r = Crash_general.run_with ~opts ~fast_path inst in
+      let r = Exec.run_core ~opts (Crash_general.core ~fast_path ()) inst in
       Table.add_row table
         [
           label;

@@ -10,7 +10,9 @@ module Rand_lower = Dr_lowerbound.Rand_lower
 
 let deterministic () =
   section "E-3.1: Theorem 3.1 — the two-execution construction, machine-checked";
-  let run ?opts inst = Committee.run_with ?opts ~committee_size:6 ~threshold:2 inst in
+  let run ?opts inst =
+    Exec.run_core ?opts (Committee.core ~committee_size:6 ~threshold:2 ()) inst
+  in
   match Det_lower.demonstrate ~run ~f_set:[ 5; 6; 7 ] ~b:72 ~k:8 ~n:256 () with
   | Error e -> note "construction failed: %s\n" e
   | Ok ev ->
@@ -38,7 +40,8 @@ let randomized () =
     Dr_stats.Par.map
       (fun s ->
         let run ?opts inst =
-          Byz_2cycle.run_with ?opts ~attack:Byz_2cycle.Mirror ~segments:s ~rho:1 inst
+          Exec.run_core ?opts
+            (Byz_2cycle.core ~attack:Byz_2cycle.Mirror ~segments:s ~rho:1 ()) inst
         in
         let seeds = List.init 150 (fun i -> Int64.of_int ((s * 1000) + i + 1)) in
         (s, Rand_lower.attack ~run ~f_count:4 ~k:21 ~n ~seeds ()))

@@ -43,12 +43,14 @@ let rows () =
   let push r = acc := r :: !acc in
   (* --- Baselines --- *)
   let base = crash_inst ~seed:1L ~k:32 ~n:16384 ~t:0 () in
-  push (mk_row ~setting:"async" ~model:"none" ~theory:(float_of_int 16384) base (Naive.run base));
+  push
+    (mk_row ~setting:"async" ~model:"none" ~theory:(float_of_int 16384) base
+       (Exec.run_core (Naive.core ()) base));
   push
     (mk_row ~setting:"async" ~model:"none"
        ~theory:(float_of_int (ideal_q base))
        base
-       (Balanced.run ~opts:(Exec.with_latency (jitter 2L) Exec.default) base));
+       (Exec.run_core ~opts:(Exec.with_latency (jitter 2L) Exec.default) (Balanced.core ()) base));
   (* --- This paper, crash rows (Theorem 2.13): Q = O(n/(gamma k)). --- *)
   List.iter
     (fun t ->
@@ -56,7 +58,7 @@ let rows () =
       let inst = crash_inst ~seed:3L ~k ~n ~t () in
       let gamma = Problem.gamma inst in
       let theory = (float_of_int n /. (gamma *. float_of_int k)) +. float_of_int (n / k) in
-      let r = Crash_general.run ~opts:(silent_opts inst 3L) inst in
+      let r = Exec.run_core ~opts:(silent_opts inst 3L) (Crash_general.core ()) inst in
       push (mk_row ~setting:"async" ~model:"crash" ~theory inst r))
     [ 1; 8; 16; 24 ];
   (* --- This paper, deterministic Byzantine (Theorem 3.4): Q = (2t+1)n/k. --- *)
@@ -66,9 +68,8 @@ let rows () =
       let inst = byz_inst ~seed:4L ~k ~n ~t () in
       let theory = float_of_int (((2 * t) + 1) * n) /. float_of_int k in
       let r =
-        Committee.run_with
-          ~opts:(Exec.with_latency (jitter 4L) Exec.default)
-          ~attack:Committee.Equivocate inst
+        Exec.run_core ~opts:(Exec.with_latency (jitter 4L) Exec.default)
+          (Committee.core ~attack:Committee.Equivocate ()) inst
       in
       push (mk_row ~setting:"async" ~model:"byzantine" ~theory inst r))
     [ 2; 4; 8; 12 ];
@@ -82,8 +83,9 @@ let rows () =
       let opts = Exec.with_latency (jitter 5L) Exec.default in
       let r =
         match proto with
-        | `Two -> Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Near_miss inst
-        | `Multi -> Byz_multicycle.run_with ~opts ~attack:Byz_multicycle.Near_miss inst
+        | `Two -> Exec.run_core ~opts (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()) inst
+        | `Multi ->
+          Exec.run_core ~opts (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ()) inst
       in
       push (mk_row ~setting:"async" ~model:"byzantine" ~theory inst r))
     [ (8, `Two); (16, `Two); (32, `Two); (8, `Multi); (16, `Multi); (32, `Multi) ];
@@ -94,7 +96,7 @@ let rows () =
       let k = 32 and n = 16384 in
       let inst = byz_inst ~seed:6L ~k ~n ~t () in
       let theory = float_of_int (((2 * t) + 1) * n) /. float_of_int k in
-      let r = Committee.run_with ~attack:Committee.Equivocate inst in
+      let r = Exec.run_core (Committee.core ~attack:Committee.Equivocate ()) inst in
       push (mk_row ~setting:"sync" ~model:"byzantine" ~theory inst r))
     [ 4; 8 ];
   List.iter
@@ -103,7 +105,7 @@ let rows () =
       let inst = byz_inst ~seed:7L ~k ~n ~t () in
       let s, _ = Byz_2cycle.plan ~k ~n ~t in
       let theory = (float_of_int n /. float_of_int s) +. float_of_int k in
-      let r = Byz_2cycle.run_with ~attack:Byz_2cycle.Near_miss inst in
+      let r = Exec.run_core (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()) inst in
       push (mk_row ~setting:"sync" ~model:"byzantine" ~theory inst r))
     [ 8; 32 ];
   List.rev !acc

@@ -15,7 +15,6 @@ let sections =
     ("lowerbound", Exp_lowerbound.run, "E-3.1 / E-3.2: Byzantine-majority lower bounds");
     ("oracle", Exp_oracle.run, "E-4: blockchain-oracle application");
     ("ablation", Exp_ablation.run, "A-1 .. A-3: design-choice ablations");
-    ("bechamel", Bench_micro.run, "wall-clock microbenches");
   ]
 
 let () =

@@ -107,15 +107,8 @@ let client_config ~net_retries ~request_timeout =
         request_timeout = Option.value request_timeout ~default:d.request_timeout;
       }
 
-let run_net ~protocol ~attack ~segments ~crash ~source ~timeout ~chaos ~net_retries
+let run_net ~entry ~attack ~segments ~crash ~source ~timeout ~chaos ~net_retries
     ~request_timeout inst =
-  let entry =
-    match protocol with
-    | "auto" ->
-      let (module P : Exec.PROTOCOL) = Select.for_instance inst in
-      Cli_args.resolve_protocol P.name
-    | name -> Cli_args.resolve_protocol name
-  in
   let core = entry.Registry.core ~attack ?segments inst in
   let crash = Cli_args.crash_plan ~fault:inst.Problem.fault crash in
   Dr_net.Runner.run_detailed ~timeout ?source:(parse_source source)
@@ -137,19 +130,21 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
   else if n < k then `Error (false, "need n >= k")
   else begin
     let inst = Problem.random_instance ~seed ?b:msg_bits ~model ~k ~n ~t () in
-    (* Validate the attack name up front where the entry is known ("auto"
-       resolves later; its net path is caught below, its sim path takes no
-       attack), so a typo is a usage error, not a crash. *)
-    let attack_check =
-      if String.equal protocol "auto" then Ok ()
-      else
-        match Cli_args.resolve_protocol protocol with
-        | e -> Registry.validate_attack e attack
-        | exception Failure msg -> Error msg
+    (* Resolve the protocol once ("auto" picks by regime) and validate the
+       attack against that entry, so the simulator, --explore and the net
+       runtime all run the same entry with the same attack, and a typo is a
+       usage error, not a crash. *)
+    let resolved =
+      match
+        if String.equal protocol "auto" then Select.for_instance inst
+        else Cli_args.resolve_protocol protocol
+      with
+      | entry -> Result.map (fun () -> entry) (Registry.validate_attack entry attack)
+      | exception Failure msg -> Error msg
     in
-    match attack_check with
+    match resolved with
     | Error msg -> `Error (false, msg)
-    | Ok () ->
+    | Ok entry ->
     match transport with
     | `Net ->
       if trace_flag || matrix_flag || trace_out <> None then
@@ -158,7 +153,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
         `Error (false, "--explore drives the simulator's schedule arbiter; not available with --transport net")
       else begin
         match
-          run_net ~protocol ~attack ~segments ~crash ~source ~timeout:net_timeout ~chaos
+          run_net ~entry ~attack ~segments ~crash ~source ~timeout:net_timeout ~chaos
             ~net_retries ~request_timeout inst
         with
         | exception (Registry.Unknown_attack _ as e) -> `Error (false, Printexc.to_string e)
@@ -181,14 +176,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
     | Some budget ->
       let run_protocol ~arbiter =
         let opts = Exec.(opts |> with_arbiter arbiter |> without_trace) in
-        let (module P : Exec.PROTOCOL) =
-          if protocol = "auto" then Select.for_instance inst
-          else
-            match Select.by_name protocol with
-            | Some p -> p
-            | None -> failwith ("unknown protocol: " ^ protocol)
-        in
-        (P.run ~opts inst).Problem.ok
+        (entry.Registry.run ~opts ~attack ?segments inst).Problem.ok
       in
       let r = Dr_engine.Explore.dfs ~budget ~run:run_protocol in
       Printf.printf "schedules explored: %d%s\n" r.Dr_engine.Explore.schedules_run
@@ -202,15 +190,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       | None -> ());
       if r.Dr_engine.Explore.failures = 0 then `Ok () else `Error (false, "schedule failures")
     | None ->
-    let report =
-      match protocol with
-      | "auto" ->
-        let (module P : Exec.PROTOCOL) = Select.for_instance inst in
-        P.run ~opts inst
-      | name ->
-        let e = Cli_args.resolve_protocol name in
-        e.Registry.run ~opts ~attack ?segments inst
-    in
+    let report = entry.Registry.run ~opts ~attack ?segments inst in
     (match trace with
     | Some tr ->
       (match trace_out with

@@ -12,7 +12,9 @@ let runs = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Seeds for the random
 
 let det k n =
   print_endline "=== Theorem 3.1: deterministic lower bound (mirror construction) ===";
-  let run ?opts inst = Committee.run_with ?opts ~committee_size:6 ~threshold:2 inst in
+  let run ?opts inst =
+    Exec.run_core ?opts (Committee.core ~committee_size:6 ~threshold:2 ()) inst
+  in
   let f_set = List.init ((k / 2) - 1) (fun i -> k - 1 - i) in
   match Det_lower.demonstrate ~run ~f_set ~b:72 ~k ~n () with
   | Error e -> Printf.printf "construction not applicable: %s\n" e
@@ -29,7 +31,9 @@ let det k n =
 
 let rand k n runs =
   print_endline "\n=== Theorem 3.2: randomized lower bound (mirror adversary over seeds) ===";
-  let run ?opts inst = Byz_2cycle.run_with ?opts ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 inst in
+  let run ?opts inst =
+    Exec.run_core ?opts (Byz_2cycle.core ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 ()) inst
+  in
   let seeds = List.init runs (fun i -> Int64.of_int (i + 1)) in
   let r = Rand_lower.attack ~run ~f_count:4 ~k ~n ~seeds () in
   Printf.printf "runs:                  %d\n" r.Rand_lower.runs;

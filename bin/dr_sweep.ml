@@ -38,7 +38,7 @@ let latency_arg = Cli_args.latency_arg ~default:"jitter"
 
 let run axis values protocol k n beta t b seeds crash latency =
   let entry = Cli_args.resolve_protocol protocol in
-  let (module P : Exec.PROTOCOL) = entry.Registry.proto in
+  let name = Registry.name entry in
   print_endline "protocol,k,n,t,beta,B,seed,ok,q_max,q_mean,q_total,time,msgs,bits,max_msg";
   List.iter
     (fun value ->
@@ -65,8 +65,8 @@ let run axis values protocol k n beta t b seeds crash latency =
           else Cli_args.crash_plan ~fault:inst.Problem.fault crash
         in
         let opts = Exec.make_opts ~latency:lat ~crash:crash_plan () in
-        let r = P.run ~opts inst in
-        Printf.printf "%s,%d,%d,%d,%.4f,%d,%Ld,%b,%d,%.1f,%d,%.2f,%d,%d,%d\n" P.name k n t
+        let r = entry.Registry.run ~opts inst in
+        Printf.printf "%s,%d,%d,%d,%.4f,%d,%Ld,%b,%d,%.1f,%d,%.2f,%d,%d,%d\n" name k n t
           (float_of_int t /. float_of_int k)
           inst.Problem.b seed r.Problem.ok r.Problem.q_max r.Problem.q_mean r.Problem.q_total
           r.Problem.time r.Problem.msgs r.Problem.bits_sent r.Problem.max_msg_bits

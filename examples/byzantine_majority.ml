@@ -22,14 +22,16 @@ let () =
          ~eps:0.01)
       Exec.default
   in
-  let r = Committee.run_with ~opts ~attack:Committee.Collude inst in
+  let r = Exec.run_core ~opts (Committee.core ~attack:Committee.Collude ()) inst in
   Format.printf "beta = 4/9 (minority), colluding + rushing Byzantine members:@.  %a@.@."
     Problem.pp_report r;
   assert r.Problem.ok;
 
   (* --- At the boundary: the deterministic mirror construction. --- *)
   print_endline "beta >= 1/2: Theorem 3.1's two-execution construction against a cheap protocol:";
-  let cheap ?opts inst = Committee.run_with ?opts ~committee_size:6 ~threshold:2 inst in
+  let cheap ?opts inst =
+    Exec.run_core ?opts (Committee.core ~committee_size:6 ~threshold:2 ()) inst
+  in
   (match Det_lower.demonstrate ~run:cheap ~f_set:[ 5; 6; 7 ] ~b:72 ~k:8 ~n:256 () with
   | Error e -> failwith e
   | Ok ev ->
@@ -46,7 +48,7 @@ let () =
   (* --- And the randomized version: failure probability ~ 1 - q/n. --- *)
   print_endline "Theorem 3.2 against the randomized 2-cycle protocol (beta = 16/21):";
   let run ?opts inst =
-    Byz_2cycle.run_with ?opts ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 inst
+    Exec.run_core ?opts (Byz_2cycle.core ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 ()) inst
   in
   let seeds = List.init 100 (fun i -> Int64.of_int (i + 1)) in
   let res = Rand_lower.attack ~run ~f_count:4 ~k:21 ~n:512 ~seeds () in

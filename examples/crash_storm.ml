@@ -24,7 +24,7 @@ let () =
     |> Exec.with_latency (Latency.jittered (Dr_engine.Prng.create 3L))
     |> Exec.with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.5 ~gap:2.0)
   in
-  let r = Crash_general.run ~opts:storm inst in
+  let r = Exec.run_core ~opts:storm (Crash_general.core ()) inst in
   Format.printf "storm result: %a@.@." Problem.pp_report r;
   assert r.Problem.ok;
   let gamma = Problem.gamma inst in
@@ -53,7 +53,7 @@ let () =
     |> Exec.with_link_rate (float_of_int inst2.Problem.b)
     |> Exec.with_crash crash
   in
-  let t_fast = (Crash_general.run_with ~opts ~fast_path:true inst2).Problem.time in
-  let t_slow = (Crash_general.run_with ~opts ~fast_path:false inst2).Problem.time in
+  let t_fast = (Exec.run_core ~opts (Crash_general.core ~fast_path:true ()) inst2).Problem.time in
+  let t_slow = (Exec.run_core ~opts (Crash_general.core ~fast_path:false ()) inst2).Problem.time in
   Printf.printf "time with Theorem 2.13 fast path: %.1f; without: %.1f\n" t_fast t_slow;
   assert (t_fast < t_slow)

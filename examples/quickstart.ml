@@ -23,15 +23,15 @@ let () =
   in
 
   (* 3. Pick the protocol the paper recommends for this regime and run. *)
-  let (module P : Exec.PROTOCOL) = Select.for_instance inst in
-  Printf.printf "selected protocol: %s\n\n" P.name;
-  let report = P.run ~opts inst in
+  let entry = Select.for_instance inst in
+  Printf.printf "selected protocol: %s\n\n" (Registry.name entry);
+  let report = entry.Registry.run ~opts inst in
   Format.printf "%a@.@." Problem.pp_report report;
 
   (* 4. Compare against the two baselines. *)
-  let naive = Naive.run ~opts inst in
+  let naive = Exec.run_core ~opts (Naive.core ()) inst in
   Printf.printf "queries per peer: %s needs Q=%d, naive needs Q=%d (%.1fx saving)\n"
-    P.name report.Problem.q_max naive.Problem.q_max
+    (Registry.name entry) report.Problem.q_max naive.Problem.q_max
     (float_of_int naive.Problem.q_max /. float_of_int (max 1 report.Problem.q_max));
   let ideal = (Problem.n inst + inst.Problem.k - 1) / inst.Problem.k in
   Printf.printf "ideal fault-free share would be n/k = %d: the protocol pays %.2fx that\n" ideal

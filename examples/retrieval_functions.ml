@@ -28,7 +28,7 @@ let () =
   in
   let eval : type a. a Retrieve.problem -> string * string * bool =
    fun problem ->
-    let r = Retrieve.solve (module Crash_general) ~opts inst problem in
+    let r = Retrieve.solve (Crash_general.core ()) ~opts inst problem in
     match r.Retrieve.value with
     | Some v -> (problem.Retrieve.name, problem.Retrieve.describe v, Retrieve.check problem inst r)
     | None -> (problem.Retrieve.name, "download failed", false)
@@ -50,7 +50,7 @@ let () =
   let readings = Array.init 64 (fun i -> 20_000 + (137 * i mod 997)) in
   let fault = Fault.choose ~k:9 (Fault.Spread 2) in
   let winst = Word.make ~seed:13L ~width:16 ~k:9 ~values:readings fault in
-  let wr = Word.run (module Committee) winst in
+  let wr = Word.run (Committee.core ()) winst in
   Printf.printf "\nword-valued download: 64 x 16-bit readings among 9 peers (2 Byzantine)\n";
   Printf.printf "  ok=%b, per-peer word queries=%d (naive would pay 64)\n" wr.Word.ok
     wr.Word.words_max;

@@ -67,12 +67,7 @@ let core () : (module Transport.CORE) =
     module Process = Process
   end)
 
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run ?(opts = Exec.default) inst =
-  let cfg = Exec.build_config inst opts in
-  Exec.finish ~protocol:"lazy-gossip" inst (ST.run_sim cfg (SP.run inst))
+let run ?opts inst = Exec.run_core ?opts (core ()) inst
 
 let () =
   (* A jittered asynchronous run with serialized links. *)

@@ -6,7 +6,5 @@
     peer corrupts every honest output. It exists as the β = 0 baseline and
     as the failure demo motivating everything else. *)
 
-include Exec.PROTOCOL
-
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

@@ -39,7 +39,7 @@ let plan ~k ~n ~t =
   (s, rho)
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
-  let run_with ?(attack = Near_miss) ?segments ?rho inst i =
+  let run ?(attack = Near_miss) ?segments ?rho inst i =
     let n = Problem.n inst in
     let k = inst.Problem.k in
     let t = Problem.t inst in
@@ -157,15 +157,6 @@ let core ?attack ?segments ?rho () : (module Transport.CORE) =
     module Process (T : Transport.S with type msg = Msg.t) = struct
       module P = Process (T)
 
-      let run inst i = P.run_with ?attack ?segments ?rho inst i
+      let run inst i = P.run ?attack ?segments ?rho inst i
     end
   end)
-
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run_with ?(opts = Exec.default) ?attack ?segments ?rho inst =
-  let cfg = Exec.build_config inst opts in
-  Exec.finish ~protocol:name inst (ST.run_sim cfg (SP.run_with ?attack ?segments ?rho inst))
-
-let run ?opts inst = run_with ?opts inst

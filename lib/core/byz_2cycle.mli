@@ -19,8 +19,6 @@
     assumption for this protocol); the instance's B bound is not used to
     packetize. *)
 
-include Exec.PROTOCOL
-
 type attack =
   | Silent  (** faulty peers send nothing (coverage attack) *)
   | Near_miss
@@ -47,19 +45,11 @@ type attack =
           comes entirely from the simulated source the lower-bound adversary
           feeds them via [query_override] *)
 
-val run_with :
-  ?opts:Exec.opts ->
-  ?attack:attack ->
-  ?segments:int ->
-  ?rho:int ->
-  Problem.instance ->
-  Problem.report
-(** Defaults: [attack = Near_miss]; [segments]/[rho] per the case analysis
-    (overridable for the ρ-ablation bench). *)
-
 val core : ?attack:attack -> ?segments:int -> ?rho:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the
-    attack and plan overrides baked in. *)
+    attack and plan overrides baked in. Defaults: [attack = Near_miss];
+    [segments]/[rho] per the case analysis (overridable for the ρ-ablation
+    bench). *)
 
 val plan : k:int -> n:int -> t:int -> int * int
 (** [(s, rho)] the case analysis would choose — exposed for tests and for

@@ -40,7 +40,7 @@ let plan ~k ~n ~t =
   (s1, 1 + log2 0 1)
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
-  let run_with ?(attack = Near_miss) ?segments ?rho inst i =
+  let run ?(attack = Near_miss) ?segments ?rho inst i =
     let n = Problem.n inst in
     let k = inst.Problem.k in
     let t = Problem.t inst in
@@ -196,15 +196,6 @@ let core ?attack ?segments ?rho () : (module Transport.CORE) =
     module Process (T : Transport.S with type msg = Msg.t) = struct
       module P = Process (T)
 
-      let run inst i = P.run_with ?attack ?segments ?rho inst i
+      let run inst i = P.run ?attack ?segments ?rho inst i
     end
   end)
-
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run_with ?(opts = Exec.default) ?attack ?segments ?rho inst =
-  let cfg = Exec.build_config inst opts in
-  Exec.finish ~protocol:name inst (ST.run_sim cfg (SP.run_with ?attack ?segments ?rho inst))
-
-let run ?opts inst = run_with ?opts inst

@@ -16,8 +16,6 @@
     query bound Õ(n/(γk)). Correct w.h.p. for β < 1/2. Message size grows to
     Θ(n) in the final cycle, as in the paper. *)
 
-include Exec.PROTOCOL
-
 type attack =
   | Silent
   | Near_miss
@@ -29,21 +27,13 @@ type attack =
           segment) with one bit flipped — see {!Dr_adversary.Adaptive} *)
 (** Same attack catalog as {!Byz_2cycle}, applied in every cycle. *)
 
-val run_with :
-  ?opts:Exec.opts ->
-  ?attack:attack ->
-  ?segments:int ->
-  ?rho:int ->
-  Problem.instance ->
-  Problem.report
-(** [segments] overrides s₁ (rounded down to a power of two); [rho]
-    overrides the cycle-1 frequency threshold (later cycles double it as
-    the segment count halves). Defaults: [attack = Near_miss], s₁ and ρ
-    from the same case analysis as the 2-cycle protocol. *)
-
 val core : ?attack:attack -> ?segments:int -> ?rho:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the
-    attack and plan overrides baked in. *)
+    attack and plan overrides baked in. [segments] overrides s₁ (rounded
+    down to a power of two); [rho] overrides the cycle-1 frequency threshold
+    (later cycles double it as the segment count halves). Defaults:
+    [attack = Near_miss], s₁ and ρ from the same case analysis as the
+    2-cycle protocol. *)
 
 val plan : k:int -> n:int -> t:int -> int * int
 (** [(s₁, cycles)]: the initial segment count (a power of two) and the

@@ -32,7 +32,7 @@ module Strmap = Map.Make (struct
 end)
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
-  let run_with ?(attack = Equivocate) ?committee_size ?threshold inst i =
+  let run ?(attack = Equivocate) ?committee_size ?threshold inst i =
     let n = Problem.n inst in
     let k = inst.Problem.k in
     let t = Problem.t inst in
@@ -140,16 +140,6 @@ let core ?attack ?committee_size ?threshold () : (module Transport.CORE) =
     module Process (T : Transport.S with type msg = Msg.t) = struct
       module P = Process (T)
 
-      let run inst i = P.run_with ?attack ?committee_size ?threshold inst i
+      let run inst i = P.run ?attack ?committee_size ?threshold inst i
     end
   end)
-
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run_with ?(opts = Exec.default) ?attack ?committee_size ?threshold inst =
-  let cfg = Exec.build_config inst opts in
-  Exec.finish ~protocol:name inst
-    (ST.run_sim cfg (SP.run_with ?attack ?committee_size ?threshold inst))
-
-let run ?opts inst = run_with ?opts inst

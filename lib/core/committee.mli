@@ -16,8 +16,6 @@
     demonstration (Theorem 3.1) can run the protocol {e outside} its safe
     region β < 1/2 and exhibit the forced failure. *)
 
-include Exec.PROTOCOL
-
 type attack =
   | Honest_but_silent  (** faulty peers never send (pure omission) *)
   | Flip  (** members broadcast their block with every bit flipped *)
@@ -29,20 +27,11 @@ type attack =
           comes entirely from the simulated source the lower-bound adversary
           feeds them via [query_override] *)
 
-val run_with :
-  ?opts:Exec.opts ->
-  ?attack:attack ->
-  ?committee_size:int ->
-  ?threshold:int ->
-  Problem.instance ->
-  Problem.report
-(** Defaults: [attack = Equivocate], [committee_size = 2t+1] (clamped to k),
-    [threshold = t+1]. *)
-
 val core :
   ?attack:attack -> ?committee_size:int -> ?threshold:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the
-    attack and committee overrides baked in. *)
+    attack and committee overrides baked in. Defaults: [attack = Equivocate],
+    [committee_size = 2t+1] (clamped to k), [threshold = t+1]. *)
 
 val committee : k:int -> size:int -> int -> int list
 (** [committee ~k ~size j] is the member list of block [j]'s committee

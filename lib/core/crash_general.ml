@@ -72,7 +72,7 @@ let reassign_rule ~k ~phase b =
   Prng.int h k
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
-  let run_with ?(fast_path = true) ?monitor inst me =
+  let run ?(fast_path = true) ?monitor inst me =
     let n = Problem.n inst in
     let k = inst.Problem.k in
     let t = Problem.t inst in
@@ -361,7 +361,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     phase_loop ()
 end
 
-let core ?(fast_path = true) () : (module Transport.CORE) =
+let core ?(fast_path = true) ?monitor () : (module Transport.CORE) =
   (module struct
     let name = if fast_path then name else name ^ "-nofp"
     let supports = supports
@@ -371,16 +371,6 @@ let core ?(fast_path = true) () : (module Transport.CORE) =
     module Process (T : Transport.S with type msg = Msg.t) = struct
       module P = Process (T)
 
-      let run inst me = P.run_with ~fast_path inst me
+      let run inst me = P.run ~fast_path ?monitor inst me
     end
   end)
-
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run_with ?(opts = Exec.default) ?(fast_path = true) ?monitor inst =
-  let cfg = Exec.build_config inst opts in
-  let protocol = if fast_path then name else name ^ "-nofp" in
-  Exec.finish ~protocol inst (ST.run_sim cfg (SP.run_with ~fast_path ?monitor inst))
-
-let run ?opts inst = run_with ?opts ~fast_path:true inst

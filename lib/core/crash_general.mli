@@ -26,24 +26,18 @@
     re-assignment the surviving index sets are stride-periodic and any
     affine rule would collapse them onto one peer. *)
 
-include Exec.PROTOCOL
-
-val run_with :
-  ?opts:Exec.opts ->
+val core :
   ?fast_path:bool ->
   ?monitor:(peer:int -> phase:int -> assign:int array -> know:bool array -> unit) ->
-  Problem.instance ->
-  Problem.report
-(** [run] with the Theorem 2.13 fast path switchable for the ablation bench.
+  unit ->
+  (module Transport.CORE)
+(** The transport-generic protocol core (see {!Transport.CORE}); the
+    packaged name is ["crash-general"], or ["crash-general-nofp"] with
+    [~fast_path:false] (the fast path is switchable for the ablation bench).
     [monitor] is an observation hook fired by every peer at the start of
     each phase with copies of its assignment map and knowledge vector — the
     test suite uses it to check Claims 1 and 4 of the paper's analysis on
     live executions. *)
-
-val core : ?fast_path:bool -> unit -> (module Transport.CORE)
-(** The transport-generic protocol core (see {!Transport.CORE}); the
-    packaged name is ["crash-general"], or ["crash-general-nofp"] with
-    [~fast_path:false]. *)
 
 val phases_upper_bound : k:int -> t:int -> int
 (** The r* cap on the number of phases: ⌈log k / log (1/β)⌉ + 2, the point

@@ -11,7 +11,5 @@
 
     Q = ⌈n/k⌉ + ⌈n/(k(k−1))⌉ + O(1); tolerates exactly t ≤ 1 crash. *)
 
-include Exec.PROTOCOL
-
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

@@ -97,8 +97,7 @@ let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
     status = outcome.Dr_engine.Sim.status;
   }
 
-module type PROTOCOL = sig
-  val name : string
-  val supports : Problem.instance -> (unit, string) result
-  val run : ?opts:opts -> Problem.instance -> Problem.report
-end
+let run_core ?(opts = default) (module C : Transport.CORE) inst =
+  let module ST = Sim_transport.Make (C.Msg) in
+  let module P = C.Process (ST) in
+  finish ~protocol:C.name inst (ST.run_sim (build_config inst opts) (P.run inst))

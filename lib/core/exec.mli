@@ -75,12 +75,8 @@ val finish :
     the paper's definitions of Q and M. A nonfaulty peer with a missing
     output (deadlocked) counts as wrong. *)
 
-module type PROTOCOL = sig
-  val name : string
-
-  val supports : Problem.instance -> (unit, string) result
-  (** Whether the protocol's resilience precondition holds for the
-      instance (e.g. the committee protocol needs [2t + 1 <= k]). *)
-
-  val run : ?opts:opts -> Problem.instance -> Problem.report
-end
+val run_core : ?opts:opts -> (module Transport.CORE) -> Problem.instance -> Problem.report
+(** Run a protocol core on the simulator: instantiate {!Sim_transport} for
+    its message type, execute every peer's [Process.run] under
+    {!build_config}, and {!finish} the outcome under the core's [name]. The
+    registry's [run] field is this applied to the entry's [core]. *)

@@ -28,10 +28,3 @@ let core () : (module Transport.CORE) =
     module Msg = Msg
     module Process = Process
   end)
-
-module ST = Sim_transport.Make (Msg)
-module SP = Process (ST)
-
-let run ?(opts = Exec.default) inst =
-  let cfg = Exec.build_config inst opts in
-  Exec.finish ~protocol:name inst (ST.run_sim cfg (SP.run inst))

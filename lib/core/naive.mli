@@ -5,7 +5,5 @@
     deterministic option once half the peers can be Byzantine. It is the
     baseline every other protocol is compared against. *)
 
-include Exec.PROTOCOL
-
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

@@ -1,5 +1,4 @@
 type entry = {
-  proto : (module Exec.PROTOCOL);
   model : Problem.fault_model;
   beta_sup : float;
   spec : Spec.bounds;
@@ -37,11 +36,10 @@ let cycle_attacks = [ "nearmiss"; "silent"; "lie"; "equivocate"; "flood"; "adapt
 let unknown ~protocol ~known attack =
   raise (Unknown_attack { protocol; attack; known = "default" :: known })
 
-(* One parser per Byzantine attack vocabulary, shared by [run] (simulator
-   convenience runner) and [core] (transport-generic constructor) so the two
-   can never drift. An out-of-catalog name raises {!Unknown_attack} — a
-   structured error the CLIs turn into a clean usage message — never a bare
-   [Failure]. *)
+(* One parser per Byzantine attack vocabulary, used by the entry's [core]
+   constructor (and so by the [run] derived from it). An out-of-catalog name
+   raises {!Unknown_attack} — a structured error the CLIs turn into a clean
+   usage message — never a bare [Failure]. *)
 let committee_attack = function
   | "default" | "equivocate" -> Committee.Equivocate
   | "silent" -> Committee.Honest_but_silent
@@ -69,88 +67,49 @@ let byz_multicycle_attack ~t = function
   | "splitcast" -> Byz_multicycle.Adaptive Dr_adversary.Adaptive.Split_brain
   | other -> unknown ~protocol:"byz-multicycle" ~known:cycle_attacks other
 
-(* Protocols without an attack surface accept (and ignore) any attack name,
-   matching the CLI's historical behavior of only routing --attack to the
-   Byzantine protocols. *)
-let plain (module P : Exec.PROTOCOL) ~core ~model ~beta_sup ~spec =
+(* The one entry constructor: [run] is always [core] executed on the
+   simulator, so the two faces cannot drift. *)
+let entry ~model ~beta_sup ~spec ~attacks core =
   {
-    proto = (module P);
     model;
     beta_sup;
     spec;
-    attacks = [ "default" ];
-    run = (fun ?opts ?attack:_ ?segments:_ ?rho:_ inst -> P.run ?opts inst);
-    core = (fun ?attack:_ ?segments:_ ?rho:_ _inst -> core ());
+    attacks;
+    run =
+      (fun ?opts ?attack ?segments ?rho inst ->
+        Exec.run_core ?opts (core ?attack ?segments ?rho inst) inst);
+    core;
   }
 
-let committee_entry =
-  {
-    proto = (module Committee : Exec.PROTOCOL);
-    model = Problem.Byzantine;
-    beta_sup = 0.5;
-    spec = Spec.committee;
-    attacks = committee_attacks;
-    run =
-      (fun ?opts ?(attack = "default") ?segments:_ ?rho:_ inst ->
-        Committee.run_with ?opts ~attack:(committee_attack attack) inst);
-    core =
-      (fun ?(attack = "default") ?segments:_ ?rho:_ _inst ->
-        Committee.core ~attack:(committee_attack attack) ());
-  }
-
-let byz_2cycle_entry =
-  {
-    proto = (module Byz_2cycle : Exec.PROTOCOL);
-    model = Problem.Byzantine;
-    beta_sup = 0.5;
-    spec = Spec.byz_2cycle;
-    attacks = cycle_attacks;
-    run =
-      (fun ?opts ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_2cycle_attack ~t:(Problem.t inst) attack in
-        Byz_2cycle.run_with ?opts ~attack ?segments ?rho inst);
-    core =
-      (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_2cycle_attack ~t:(Problem.t inst) attack in
-        Byz_2cycle.core ~attack ?segments ?rho ());
-  }
-
-let byz_multicycle_entry =
-  {
-    proto = (module Byz_multicycle : Exec.PROTOCOL);
-    model = Problem.Byzantine;
-    beta_sup = 0.5;
-    spec = Spec.byz_multicycle;
-    attacks = cycle_attacks;
-    run =
-      (fun ?opts ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_multicycle_attack ~t:(Problem.t inst) attack in
-        Byz_multicycle.run_with ?opts ~attack ?segments ?rho inst);
-    core =
-      (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_multicycle_attack ~t:(Problem.t inst) attack in
-        Byz_multicycle.core ~attack ?segments ?rho ());
-  }
+(* Protocols without an attack surface accept (and ignore) any attack name,
+   matching the CLI's historical behavior of only routing --attack to the
+   Byzantine protocols. *)
+let plain core ~model ~beta_sup ~spec =
+  entry ~model ~beta_sup ~spec ~attacks:[ "default" ]
+    (fun ?attack:_ ?segments:_ ?rho:_ _inst -> core ())
 
 let all =
   [
-    plain (module Naive) ~core:Naive.core ~model:Problem.Crash ~beta_sup:1. ~spec:Spec.naive;
-    plain (module Balanced) ~core:Balanced.core ~model:Problem.Crash ~beta_sup:0.
-      ~spec:Spec.balanced;
-    plain (module Crash_single) ~core:Crash_single.core ~model:Problem.Crash ~beta_sup:0.
-      ~spec:Spec.crash_single;
+    plain Naive.core ~model:Problem.Crash ~beta_sup:1. ~spec:Spec.naive;
+    plain Balanced.core ~model:Problem.Crash ~beta_sup:0. ~spec:Spec.balanced;
+    plain Crash_single.core ~model:Problem.Crash ~beta_sup:0. ~spec:Spec.crash_single;
     plain
-      (module Crash_general)
-      ~core:(fun () -> Crash_general.core ())
+      (fun () -> Crash_general.core ())
       ~model:Problem.Crash ~beta_sup:1. ~spec:Spec.crash_general;
-    committee_entry;
-    byz_2cycle_entry;
-    byz_multicycle_entry;
+    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.committee ~attacks:committee_attacks
+      (fun ?(attack = "default") ?segments:_ ?rho:_ _inst ->
+        Committee.core ~attack:(committee_attack attack) ());
+    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_2cycle ~attacks:cycle_attacks
+      (fun ?(attack = "default") ?segments ?rho inst ->
+        let attack = byz_2cycle_attack ~t:(Problem.t inst) attack in
+        Byz_2cycle.core ~attack ?segments ?rho ());
+    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_multicycle ~attacks:cycle_attacks
+      (fun ?(attack = "default") ?segments ?rho inst ->
+        let attack = byz_multicycle_attack ~t:(Problem.t inst) attack in
+        Byz_multicycle.core ~attack ?segments ?rho ());
   ]
 
-let name e =
-  let (module P : Exec.PROTOCOL) = e.proto in
-  P.name
+let name e = e.spec.Spec.protocol
 
 let randomized e = e.spec.Spec.randomized
 let attacks e = e.attacks
@@ -167,10 +126,9 @@ let validate_attack e attack =
     else Error (attack_error ~protocol:(name e) ~attack ~known:("default" :: known))
 
 let admits e inst =
-  let (module P : Exec.PROTOCOL) = e.proto in
-  P.supports inst
+  let (module C : Transport.CORE) = e.core inst in
+  C.supports inst
 
-let protocols = List.map (fun e -> e.proto) all
 let names = List.map name all
 let specs = List.map (fun e -> e.spec) all
 let spec_of n = Option.map (fun e -> e.spec) (find n)

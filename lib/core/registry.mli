@@ -1,15 +1,14 @@
 (** The protocol registry: one entry per Download protocol.
 
     Single source of truth for the set of protocols in the library. Each
-    entry bundles the first-class module with its fault model, fault-fraction
-    supremum, paper bounds ({!Spec.bounds}) and a uniform runner that parses
-    the CLI attack vocabulary for the protocols that take an adversary
-    strategy. Anything that needs "all protocols" — selection, CLIs, sweeps,
+    entry bundles the protocol's transport-generic core constructor with its
+    fault model, fault-fraction supremum, paper bounds ({!Spec.bounds}) and
+    a simulator runner derived from the core; both parse the CLI attack
+    vocabulary for the protocols that take an adversary strategy. Anything that needs "all protocols" — selection, CLIs, sweeps,
     the experiment harness, the spec tests — goes through this table; no
     other hand-maintained protocol list exists. *)
 
 type entry = {
-  proto : (module Exec.PROTOCOL);
   model : Problem.fault_model;
       (** the fault model the protocol is designed against (the model a
           sweep should instantiate when running it) *)
@@ -32,7 +31,8 @@ type entry = {
     ?rho:int ->
     Problem.instance ->
     Problem.report;
-      (** run the protocol; [attack] is the CLI attack name ("default",
+      (** run the protocol on the simulator: [Exec.run_core ?opts (core ?attack
+          ?segments ?rho inst) inst]. [attack] is the CLI attack name ("default",
           "silent", "flip", "equivocate", "collude", "nearmiss", "lie",
           "flood", "adaptive", "splitcast") — protocols without an attack
           surface ignore it, the Byzantine ones raise {!Unknown_attack} on a
@@ -45,13 +45,13 @@ type entry = {
     ?rho:int ->
     Problem.instance ->
     (module Transport.CORE);
-      (** the transport-generic constructor: same parameter vocabulary as
-          [run] (the instance is consulted only to scale attack parameters
-          such as the flood group count), but instead of executing on the
-          simulator it packages the protocol core for instantiation over any
-          {!Transport.S}. [run] is the simulator shortcut; [core] is what
-          transport-agnostic drivers ([dr_download --transport net], the
-          conformance tests) use. *)
+      (** the transport-generic constructor, the entry's one protocol value:
+          it packages the protocol core, with the attack and plan overrides
+          baked in, for instantiation over any {!Transport.S} (the instance
+          is consulted only to scale attack parameters such as the flood
+          group count). [run] executes it on the simulator; transport-agnostic
+          drivers ([dr_download --transport net], the conformance tests)
+          instantiate it themselves. *)
 }
 
 exception
@@ -72,21 +72,23 @@ val all : entry list
 (** Every protocol, baselines included, in presentation order. *)
 
 val find : string -> entry option
-(** Lookup by [Exec.PROTOCOL.name]. *)
+(** Lookup by protocol name ({!name}). *)
 
 val find_exn : string -> entry
 (** @raise Failure on an unknown name. *)
 
 val name : entry -> string
+(** The protocol name: [spec.protocol], which is also the name the entry's
+    core reports. *)
+
 val randomized : entry -> bool
 
 val attacks : entry -> string list
 (** The [attacks] catalog field. *)
 
 val admits : entry -> Problem.instance -> (unit, string) result
-(** The protocol's own [supports] precondition. *)
+(** The protocol's own [supports] precondition (from its default core). *)
 
-val protocols : (module Exec.PROTOCOL) list
 val names : string list
 
 val specs : Spec.bounds list

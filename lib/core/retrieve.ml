@@ -73,8 +73,8 @@ let slice ~pos ~len =
 
 type 'a result = { download : Problem.report; value : 'a option }
 
-let solve (module P : Exec.PROTOCOL) ?opts inst problem =
-  let download = P.run ?opts inst in
+let solve core ?opts inst problem =
+  let download = Exec.run_core ?opts core inst in
   (* Download's correctness guarantee is exactly Y_i = X for every nonfaulty
      peer, so all nonfaulty peers evaluate f on the same array and agree. *)
   let value = if download.Problem.ok then Some (problem.compute inst.Problem.x) else None in

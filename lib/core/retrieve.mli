@@ -45,7 +45,7 @@ type 'a result = {
 }
 
 val solve :
-  (module Exec.PROTOCOL) ->
+  (module Transport.CORE) ->
   ?opts:Exec.opts ->
   Problem.instance ->
   'a problem ->

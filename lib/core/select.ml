@@ -1,24 +1,21 @@
 type preference = Deterministic | Randomized
 
-(* Every module reference goes through the registry: this file holds the
+(* Every protocol reference goes through the registry: this file holds the
    regime case analysis only, not a protocol list. *)
-let proto n = (Registry.find_exn n).Registry.proto
-
-let all = Registry.protocols
-let by_name n = Option.map (fun e -> e.Registry.proto) (Registry.find n)
+let entry = Registry.find_exn
 
 let for_instance ?(prefer = Randomized) inst =
   let t = Problem.t inst in
   match inst.Problem.model with
   | Problem.Crash ->
-    if t = 0 then proto "balanced"
-    else if t = 1 then proto "crash-single"
-    else proto "crash-general"
+    if t = 0 then entry "balanced"
+    else if t = 1 then entry "crash-single"
+    else entry "crash-general"
   | Problem.Byzantine ->
-    if t = 0 then proto "balanced"
+    if t = 0 then entry "balanced"
     else if 2 * t < inst.Problem.k then begin
       match prefer with
-      | Deterministic -> proto "byz-committee"
-      | Randomized -> proto "byz-2cycle"
+      | Deterministic -> entry "byz-committee"
+      | Randomized -> entry "byz-2cycle"
     end
-    else proto "naive"
+    else entry "naive"

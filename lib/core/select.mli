@@ -8,15 +8,8 @@
 
 type preference = Deterministic | Randomized
 
-val for_instance : ?prefer:preference -> Problem.instance -> (module Exec.PROTOCOL)
-(** The protocol whose [supports] accepts the instance and whose query
+val for_instance : ?prefer:preference -> Problem.instance -> Registry.entry
+(** The registry entry whose protocol accepts the instance and whose query
     complexity is the best the paper offers for the regime.
     [prefer] breaks the deterministic/randomized tie for β < 1/2 Byzantine
     instances (default [Randomized], the asymptotically better choice). *)
-
-val all : (module Exec.PROTOCOL) list
-(** Every Download protocol in the library, baselines included
-    (= [Registry.protocols]). *)
-
-val by_name : string -> (module Exec.PROTOCOL) option
-(** Registry lookup by protocol name. *)

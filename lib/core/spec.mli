@@ -7,7 +7,7 @@
     (with the constants the analysis allows). *)
 
 type bounds = {
-  protocol : string;  (** matches [Exec.PROTOCOL.name] *)
+  protocol : string;  (** the protocol name ({!Transport.CORE.name}) *)
   theorem : string;  (** provenance in the paper *)
   resilience : k:int -> t:int -> bool;  (** the regime where the bound holds *)
   q_bound : k:int -> n:int -> t:int -> b:int -> float;

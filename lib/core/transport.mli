@@ -13,7 +13,8 @@
       and querying a standalone data-source server ([dr_source_server]).
 
     {!CORE} packages a protocol as a first-class transport-generic
-    constructor; {!Registry.entry.core} exposes one per protocol. *)
+    constructor; {!Registry.entry.core} exposes one per protocol, and
+    {!Exec.run_core} runs any of them on the simulator. *)
 
 (** Message vocabulary of one protocol: payload type plus the accounting and
     tracing views. Identical to {!Dr_engine.Sim.MESSAGE}, so a protocol's
@@ -80,7 +81,11 @@ end
     and the peer id. *)
 module type CORE = sig
   val name : string
+  (** The protocol name reported in {!Problem.report} (the registry name). *)
+
   val supports : Problem.instance -> (unit, string) result
+  (** Whether the protocol's resilience precondition holds for the
+      instance (e.g. the committee protocol needs [2t + 1 <= k]). *)
 
   module Msg : MSG
 

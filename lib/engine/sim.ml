@@ -111,6 +111,35 @@ module Make (M : MESSAGE) = struct
     | Ev_query_reply of { peer : int; value : bool }
     | Ev_wake of int
 
+  (* The arbiter's pending pool: a growable array holding events in the
+     order they were drained from the heap. Removal keeps the others'
+     relative order, so the arbiter sees the same indices the committed
+     repro scripts were recorded against. *)
+  type pool = { choose : arbiter; mutable items : event array; mutable len : int }
+
+  let drain heap pool =
+    while not (Heap.is_empty heap) do
+      let ev = Heap.pop_min heap in
+      if pool.len = Array.length pool.items then begin
+        let grown = Array.make (max 16 (2 * pool.len)) ev in
+        Array.blit pool.items 0 grown 0 pool.len;
+        pool.items <- grown
+      end;
+      pool.items.(pool.len) <- ev;
+      pool.len <- pool.len + 1
+    done
+
+  (* Remove the arbiter's pick (out-of-range falls back to 0), shifting the
+     tail down one slot. *)
+  let take pool =
+    let count = pool.len in
+    let idx = pool.choose count in
+    let idx = if idx < 0 || idx >= count then 0 else idx in
+    let ev = pool.items.(idx) in
+    Array.blit pool.items (idx + 1) pool.items idx (count - idx - 1);
+    pool.len <- count - 1;
+    ev
+
   let run cfg proc =
     let master = Prng.create cfg.seed in
     let peers =
@@ -363,60 +392,39 @@ module Make (M : MESSAGE) = struct
         status := Deadlock blocked
       end
     in
-    (match cfg.arbiter with
-    | None ->
-      (* Hot path: pull straight off the heap with no option/tuple boxing. *)
-      let max_events = cfg.max_events in
-      let rec loop () =
-        if !events_done >= max_events then status := Event_limit_reached
-        else if Heap.is_empty heap then deadlock_check ()
-        else begin
-          clock.(0) <- Heap.min_time heap;
-          let ev = Heap.pop_min heap in
-          incr events_done;
-          if obs_on then notify ev;
-          handle ev;
-          loop ()
-        end
-      in
-      loop ()
-    | Some choose ->
-      (* Under an arbiter, events live in a plain list and the arbiter picks
-         which fires next; times are purely decorative (monotone counter). *)
-      let pending : event list ref = ref [] in
-      let next_event () =
-        (* Drain freshly scheduled events from the heap into the pool. *)
-        let rec drain () =
-          match Heap.pop heap with
-          | Some (_, ev) ->
-            pending := !pending @ [ ev ];
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        let count = List.length !pending in
-        if count = 0 then None
-        else begin
-          let idx = choose count in
-          let idx = if idx < 0 || idx >= count then 0 else idx in
-          let ev = List.nth !pending idx in
-          pending := List.filteri (fun i _ -> i <> idx) !pending;
-          Some ev
-        end
-      in
-      let rec loop () =
-        if !events_done >= cfg.max_events then status := Event_limit_reached
-        else
-          match next_event () with
-          | None -> deadlock_check ()
-          | Some ev ->
+    (* One scheduler loop over a pending pool chosen once. Without an
+       arbiter the heap fires the earliest event, with no option/tuple
+       boxing. Under an arbiter, freshly scheduled events drain into the
+       pool and the arbiter picks which fires next; times are purely
+       decorative (a monotone counter). *)
+    let pool = Option.map (fun choose -> { choose; items = [||]; len = 0 }) cfg.arbiter in
+    let max_events = cfg.max_events in
+    let rec loop () =
+      if !events_done >= max_events then status := Event_limit_reached
+      else if
+        match pool with
+        | None -> Heap.is_empty heap
+        | Some p ->
+          drain heap p;
+          p.len = 0
+      then deadlock_check ()
+      else begin
+        let ev =
+          match pool with
+          | None ->
+            clock.(0) <- Heap.min_time heap;
+            Heap.pop_min heap
+          | Some p ->
             clock.(0) <- clock.(0) +. 1.;
-            incr events_done;
-            if obs_on then notify ev;
-            handle ev;
-            loop ()
-      in
-      loop ());
+            take p
+        in
+        incr events_done;
+        if obs_on then notify ev;
+        handle ev;
+        loop ()
+      end
+    in
+    loop ();
     {
       outputs;
       metrics;

@@ -49,7 +49,10 @@ type status =
 type arbiter = int -> int
 (** Schedule arbiter for systematic exploration: called with the number of
     currently pending events, returns the index (0-based) of the one to fire
-    next. When set, event {e times} are ignored — any pending event may fire
+    next; an index outside [[0, count)] falls back to 0. Pending events are
+    indexed in the order they were scheduled (heap order within one drain),
+    and removing one keeps the others' relative order. When set, event
+    {e times} are ignored — any pending event may fire
     in any order, which is exactly the asynchronous adversary's power over
     message delays, start times and source replies. Sound for protocols that
     never read the clock (all honest protocol logic here). Timed crashes

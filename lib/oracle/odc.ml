@@ -114,12 +114,13 @@ let download_based ?(protocol = `Committee) p =
         in
         let trace = Dr_engine.Trace.create () in
         let opts = Exec.with_trace trace Exec.default in
-        let report =
+        let core =
           match protocol with
-          | `Committee -> Committee.run_with ~opts ~attack:Committee.Equivocate inst
-          | `Two_cycle -> Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Near_miss inst
-          | `Naive -> Naive.run ~opts inst
+          | `Committee -> Committee.core ~attack:Committee.Equivocate ()
+          | `Two_cycle -> Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()
+          | `Naive -> Naive.core ()
         in
+        let report = Exec.run_core ~opts core inst in
         if not report.Problem.ok then download_ok := false;
         total_bit_queries := !total_bit_queries + report.Problem.q_total;
         for i = 0 to p.peers - 1 do

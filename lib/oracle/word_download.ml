@@ -48,12 +48,12 @@ type report = {
   bits : Problem.report;
 }
 
-let run (module P : Exec.PROTOCOL) ?opts inst =
+let run core ?opts inst =
   let x = encode ~width:inst.width inst.values in
   let bit_inst =
     Problem.make ~seed:inst.seed ~model:inst.model ~k:inst.k ~x inst.fault
   in
-  let bits = match opts with Some opts -> P.run ~opts bit_inst | None -> P.run bit_inst in
+  let bits = Exec.run_core ?opts core bit_inst in
   let to_words q = (q + inst.width - 1) / inst.width in
   {
     ok = bits.Problem.ok;

@@ -36,7 +36,7 @@ type report = {
 }
 
 val run :
-  (module Dr_core.Exec.PROTOCOL) ->
+  (module Dr_core.Transport.CORE) ->
   ?opts:Dr_core.Exec.opts ->
   instance ->
   report

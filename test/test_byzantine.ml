@@ -148,14 +148,14 @@ let test_committee_membership () =
 
 let test_committee_no_attack () =
   let inst = byz_instance ~k:9 ~n:300 ~t:4 () in
-  let r = Committee.run_with ~attack:Committee.Honest_but_silent inst in
+  let r = Exec.run_core (Committee.core ~attack:Committee.Honest_but_silent ()) inst in
   assert_ok "silent byz" r
 
 let test_committee_all_attacks () =
   List.iter
     (fun (label, attack) ->
       let inst = byz_instance ~k:9 ~n:300 ~t:4 () in
-      assert_ok label (Committee.run_with ~attack inst))
+      assert_ok label (Exec.run_core (Committee.core ~attack ()) inst))
     [
       ("silent", Committee.Honest_but_silent);
       ("flip", Committee.Flip);
@@ -167,7 +167,7 @@ let test_committee_query_complexity () =
   (* Q ~= (2t+1) * n/k. *)
   let k = 10 and n = 1000 and t = 2 in
   let inst = byz_instance ~k ~n ~t ~b:(64 + 10) () in
-  let r = Committee.run_with ~attack:Committee.Flip inst in
+  let r = Exec.run_core (Committee.core ~attack:Committee.Flip ()) inst in
   assert_ok "committee Q run" r;
   let per_block = 10 in
   let blocks = n / per_block in
@@ -184,7 +184,7 @@ let test_committee_under_jitter () =
       let opts = Exec.(with_latency (jitter seed) default) in
       assert_ok
         (Printf.sprintf "jitter %Ld" seed)
-        (Committee.run_with ~opts ~attack:Committee.Equivocate inst))
+        (Exec.run_core ~opts (Committee.core ~attack:Committee.Equivocate ()) inst))
     [ 1L; 2L; 3L; 4L; 5L ]
 
 let test_committee_rushing_byzantine () =
@@ -192,7 +192,7 @@ let test_committee_rushing_byzantine () =
   let inst = byz_instance ~k:9 ~n:90 ~t:4 () in
   let fast i = Fault.is_faulty inst.Problem.fault i in
   let opts = Exec.(with_latency (Latency.rushing ~fast ~eps:0.01) default) in
-  assert_ok "rushing" (Committee.run_with ~opts ~attack:Committee.Collude inst)
+  assert_ok "rushing" (Exec.run_core ~opts (Committee.core ~attack:Committee.Collude ()) inst)
 
 let test_committee_breaks_at_majority () =
   (* Theorem 3.1 made concrete: with beta = 1/2 a colluding committee
@@ -207,17 +207,19 @@ let test_committee_breaks_at_majority () =
   let fast i = Fault.is_faulty fault i in
   let opts = Exec.(with_latency (Latency.rushing ~fast ~eps:0.01) default) in
   let r =
-    Committee.run_with ~opts ~attack:Committee.Collude ~committee_size:5 ~threshold:3 inst
+    Exec.run_core ~opts
+      (Committee.core ~attack:Committee.Collude ~committee_size:5 ~threshold:3 ()) inst
   in
   checkb "fails under byzantine majority" false r.Problem.ok
 
 let test_committee_supports () =
+  let committee = Registry.find_exn "byz-committee" in
   checkb "rejects beta >= 1/2" true
-    (match Committee.supports (byz_instance ~k:8 ~n:16 ~t:4 ()) with
+    (match Registry.admits committee (byz_instance ~k:8 ~n:16 ~t:4 ()) with
     | Error _ -> true
     | Ok () -> false);
   checkb "accepts beta < 1/2" true
-    (match Committee.supports (byz_instance ~k:9 ~n:16 ~t:4 ()) with
+    (match Registry.admits committee (byz_instance ~k:9 ~n:16 ~t:4 ()) with
     | Ok () -> true
     | Error _ -> false)
 
@@ -235,7 +237,7 @@ let test_2cycle_plan_cases () =
 
 let test_2cycle_case3_naive () =
   let inst = byz_instance ~k:8 ~n:64 ~t:3 () in
-  let r = Byz_2cycle.run inst in
+  let r = Exec.run_core (Byz_2cycle.core ()) inst in
   assert_ok "case 3" r;
   checki "Q = n" 64 r.Problem.q_max
 
@@ -243,7 +245,7 @@ let test_2cycle_attacks () =
   List.iter
     (fun (label, attack) ->
       let inst = byz_instance ~seed:11L ~k:12 ~n:120 ~t:2 () in
-      let r = Byz_2cycle.run_with ~attack ~segments:2 ~rho:2 inst in
+      let r = Exec.run_core (Byz_2cycle.core ~attack ~segments:2 ~rho:2 ()) inst in
       assert_ok label r)
     [
       ("silent", Byz_2cycle.Silent);
@@ -256,7 +258,8 @@ let test_2cycle_query_savings () =
   (* With s segments, honest peers query ~n/s + trees, well below n. *)
   let n = 3000 in
   let inst = byz_instance ~seed:7L ~k:24 ~n ~t:4 () in
-  let r = Byz_2cycle.run_with ~attack:Byz_2cycle.Near_miss ~segments:4 ~rho:2 inst in
+  let r = Exec.run_core
+            (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ~segments:4 ~rho:2 ()) inst in
   assert_ok "savings" r;
   checkb
     (Printf.sprintf "Q=%d < n=%d" r.Problem.q_max n)
@@ -270,7 +273,8 @@ let test_2cycle_jitter_sweep () =
       let opts = Exec.(with_latency (jitter seed) default) in
       assert_ok
         (Printf.sprintf "2cycle jitter %Ld" seed)
-        (Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Near_miss ~segments:2 ~rho:2 inst))
+        (Exec.run_core ~opts
+           (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ~segments:2 ~rho:2 ()) inst))
     [ 1L; 2L; 3L; 4L; 5L; 6L ]
 
 let test_2cycle_rushing_forgeries () =
@@ -278,13 +282,14 @@ let test_2cycle_rushing_forgeries () =
   let inst = byz_instance ~seed:21L ~k:12 ~n:72 ~t:2 () in
   let fast i = Fault.is_faulty inst.Problem.fault i in
   let opts = Exec.(with_latency (Latency.rushing ~fast ~eps:0.01) default) in
-  let r = Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Consistent_lie ~segments:2 ~rho:2 inst in
+  let r = Exec.run_core ~opts
+            (Byz_2cycle.core ~attack:Byz_2cycle.Consistent_lie ~segments:2 ~rho:2 ()) inst in
   assert_ok "rushing lie" r
 
 let test_2cycle_rho_too_high_deadlocks () =
   (* Ablation A-1: an over-strict threshold can starve the wait condition. *)
   let inst = byz_instance ~seed:3L ~k:10 ~n:40 ~t:2 () in
-  let r = Byz_2cycle.run_with ~attack:Byz_2cycle.Silent ~segments:2 ~rho:9 inst in
+  let r = Exec.run_core (Byz_2cycle.core ~attack:Byz_2cycle.Silent ~segments:2 ~rho:9 ()) inst in
   checkb "deadlock" true
     (match r.Problem.status with Dr_engine.Sim.Deadlock _ -> true | _ -> false)
 
@@ -299,13 +304,13 @@ let test_multicycle_plan () =
 
 let test_multicycle_small_naive () =
   let inst = byz_instance ~k:8 ~n:64 ~t:3 () in
-  assert_ok "cycles=1 fallback" (Byz_multicycle.run inst)
+  assert_ok "cycles=1 fallback" (Exec.run_core (Byz_multicycle.core ()) inst)
 
 let test_multicycle_attacks () =
   List.iter
     (fun (label, attack) ->
       let inst = byz_instance ~seed:5L ~k:20 ~n:160 ~t:2 () in
-      let r = Byz_multicycle.run_with ~attack ~segments:2 inst in
+      let r = Exec.run_core (Byz_multicycle.core ~attack ~segments:2 ()) inst in
       assert_ok label r)
     [
       ("silent", Byz_multicycle.Silent);
@@ -316,7 +321,8 @@ let test_multicycle_attacks () =
 
 let test_multicycle_deeper () =
   let inst = byz_instance ~seed:13L ~k:48 ~n:480 ~t:8 () in
-  let r = Byz_multicycle.run_with ~attack:Byz_multicycle.Near_miss ~segments:4 inst in
+  let r = Exec.run_core
+            (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:4 ()) inst in
   assert_ok "s1=4 (3 cycles)" r;
   checkb "Q well below n" true (r.Problem.q_max < 480)
 
@@ -327,7 +333,8 @@ let test_multicycle_jitter () =
       let opts = Exec.(with_latency (jitter seed) default) in
       assert_ok
         (Printf.sprintf "multicycle jitter %Ld" seed)
-        (Byz_multicycle.run_with ~opts ~attack:Byz_multicycle.Near_miss ~segments:2 inst))
+        (Exec.run_core ~opts
+           (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:2 ()) inst))
     [ 1L; 2L; 3L; 4L ]
 
 let test_combined_adversary_committee () =
@@ -342,7 +349,8 @@ let test_combined_adversary_committee () =
       ~start_time:(fun i -> float_of_int (i mod 3) *. 0.4)
       ()
   in
-  assert_ok "combined adversary" (Committee.run_with ~opts ~attack:Committee.Collude inst)
+  assert_ok "combined adversary"
+    (Exec.run_core ~opts (Committee.core ~attack:Committee.Collude ()) inst)
 
 let test_2cycle_under_serialized_links () =
   let inst = byz_instance ~seed:43L ~k:16 ~n:160 ~t:3 () in
@@ -352,13 +360,15 @@ let test_2cycle_under_serialized_links () =
     |> Exec.with_link_rate 4096.
   in
   assert_ok "2cycle + link rate"
-    (Byz_2cycle.run_with ~opts ~attack:Byz_2cycle.Consistent_lie ~segments:2 ~rho:2 inst)
+    (Exec.run_core ~opts
+       (Byz_2cycle.core ~attack:Byz_2cycle.Consistent_lie ~segments:2 ~rho:2 ()) inst)
 
 let test_multicycle_under_serialized_links () =
   let inst = byz_instance ~seed:47L ~k:24 ~n:240 ~t:4 () in
   let opts = Exec.with_link_rate 8192. Exec.default in
   assert_ok "multicycle + link rate"
-    (Byz_multicycle.run_with ~opts ~attack:Byz_multicycle.Near_miss ~segments:2 inst)
+    (Exec.run_core ~opts
+       (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:2 ()) inst)
 
 let test_committee_explored_schedules () =
   (* Schedule exploration with an actual Byzantine peer in the mix: a
@@ -369,7 +379,8 @@ let test_committee_explored_schedules () =
   let r =
     Dr_engine.Explore.dfs ~budget:2_000 ~run:(fun ~arbiter ->
         let opts = Exec.with_arbiter arbiter Exec.default in
-        (Committee.run_with ~opts ~attack:Committee.Honest_but_silent inst).Problem.ok)
+        (Exec.run_core ~opts
+           (Committee.core ~attack:Committee.Honest_but_silent ()) inst).Problem.ok)
   in
   checki "no failing schedule" 0 r.Dr_engine.Explore.failures
 

@@ -24,7 +24,7 @@ let jitter seed = Latency.jittered (Dr_engine.Prng.create seed)
 
 let test_naive_correct () =
   let inst = instance ~k:5 ~n:100 ~t:0 () in
-  let r = Naive.run inst in
+  let r = Exec.run_core (Naive.core ()) inst in
   assert_ok "naive" r;
   checki "Q = n" 100 r.Problem.q_max;
   checki "no messages" 0 r.Problem.msgs
@@ -33,12 +33,12 @@ let test_naive_survives_byzantine_majority () =
   (* Naive ignores the network entirely, so any fault pattern is fine. *)
   let inst = instance ~k:6 ~n:64 ~t:4 () in
   let inst = { inst with Problem.model = Problem.Byzantine } in
-  assert_ok "naive byz" (Naive.run inst)
+  assert_ok "naive byz" (Exec.run_core (Naive.core ()) inst)
 
 let test_naive_survives_crashes () =
   let inst = instance ~k:4 ~n:32 ~t:2 () in
   let opts = Exec.(with_crash (Crash_plan.all_at inst.Problem.fault 0.0) default) in
-  let r = Naive.run ~opts inst in
+  let r = Exec.run_core ~opts (Naive.core ()) inst in
   assert_ok "naive with crashes" r
 
 (* ------------------------------------------------------------------ *)
@@ -47,35 +47,35 @@ let test_naive_survives_crashes () =
 
 let test_balanced_correct () =
   let inst = instance ~k:8 ~n:256 ~t:0 () in
-  let r = Balanced.run inst in
+  let r = Exec.run_core (Balanced.core ()) inst in
   assert_ok "balanced" r;
   checki "Q = n/k" 32 r.Problem.q_max
 
 let test_balanced_unbalanced_sizes () =
   (* n not divisible by k. *)
   let inst = instance ~k:7 ~n:100 ~t:0 () in
-  let r = Balanced.run inst in
+  let r = Exec.run_core (Balanced.core ()) inst in
   assert_ok "balanced uneven" r;
   checkb "Q <= ceil(n/k)" true (r.Problem.q_max <= 15)
 
 let test_balanced_more_peers_than_bits () =
   let inst = instance ~k:10 ~n:4 ~t:0 () in
-  assert_ok "k > n" (Balanced.run inst)
+  assert_ok "k > n" (Exec.run_core (Balanced.core ()) inst)
 
 let test_balanced_single_peer () =
   let inst = instance ~k:1 ~n:16 ~t:0 () in
-  let r = Balanced.run inst in
+  let r = Exec.run_core (Balanced.core ()) inst in
   assert_ok "k = 1" r;
   checki "queries all" 16 r.Problem.q_max
 
 let test_balanced_jittered_latency () =
   let inst = instance ~k:6 ~n:120 ~t:0 () in
   let opts = Exec.(with_latency (jitter 3L) default) in
-  assert_ok "balanced under jitter" (Balanced.run ~opts inst)
+  assert_ok "balanced under jitter" (Exec.run_core ~opts (Balanced.core ()) inst)
 
 let test_balanced_small_b_packetizes () =
   let inst = instance ~k:4 ~n:64 ~b:80 ~t:0 () in
-  let r = Balanced.run inst in
+  let r = Exec.run_core (Balanced.core ()) inst in
   assert_ok "packetized" r;
   checkb "respects B" true (r.Problem.max_msg_bits <= 80)
 
@@ -86,14 +86,16 @@ let test_balanced_dies_on_crash () =
   let opts =
     Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) default)
   in
-  let r = Balanced.run ~opts inst in
+  let r = Exec.run_core ~opts (Balanced.core ()) inst in
   checkb "not ok" false r.Problem.ok;
   checkb "deadlocked" true
     (match r.Problem.status with Dr_engine.Sim.Deadlock _ -> true | _ -> false)
 
 let test_balanced_supports () =
   checkb "rejects t>0" true
-    (match Balanced.supports (instance ~k:4 ~n:16 ~t:1 ()) with Error _ -> true | Ok () -> false)
+    (match Registry.admits (Registry.find_exn "balanced") (instance ~k:4 ~n:16 ~t:1 ()) with
+    | Error _ -> true
+    | Ok () -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-single (Algorithm 1)                                          *)
@@ -101,14 +103,14 @@ let test_balanced_supports () =
 
 let test_crash_single_no_crash () =
   let inst = instance ~k:6 ~n:120 ~t:1 () in
-  let r = Crash_single.run inst in
+  let r = Exec.run_core (Crash_single.core ()) inst in
   assert_ok "no actual crash" r
 
 let test_crash_single_silent_peer () =
   (* The faulty peer crashes before sending anything. *)
   let inst = instance ~k:6 ~n:120 ~t:1 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) default) in
-  let r = Crash_single.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_single.core ()) inst in
   assert_ok "silent crash" r
 
 let test_crash_single_partial_broadcast () =
@@ -119,7 +121,7 @@ let test_crash_single_partial_broadcast () =
     let opts =
       Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends) default)
     in
-    let r = Crash_single.run ~opts inst in
+    let r = Exec.run_core ~opts (Crash_single.core ()) inst in
     assert_ok (Printf.sprintf "partial broadcast (%d sends)" after_sends) r
   done
 
@@ -127,7 +129,7 @@ let test_crash_single_late_crash () =
   (* Crash after the whole phase 1 share went out. *)
   let inst = instance ~k:5 ~n:100 ~t:1 () in
   let opts = Exec.(with_crash (Crash_plan.all_at inst.Problem.fault 1.5) default) in
-  assert_ok "late crash" (Crash_single.run ~opts inst)
+  assert_ok "late crash" (Exec.run_core ~opts (Crash_single.core ()) inst)
 
 let test_crash_single_each_victim () =
   (* Whichever peer crashes, the others still download. *)
@@ -136,7 +138,7 @@ let test_crash_single_each_victim () =
     let x = Bitarray.random (Dr_engine.Prng.create 31L) 60 in
     let inst = Problem.make ~k:5 ~x fault in
     let opts = Exec.(with_crash (Crash_plan.mid_broadcast fault ~after_sends:2) default) in
-    assert_ok (Printf.sprintf "victim %d" victim) (Crash_single.run ~opts inst)
+    assert_ok (Printf.sprintf "victim %d" victim) (Exec.run_core ~opts (Crash_single.core ()) inst)
   done
 
 let test_crash_single_query_bound () =
@@ -144,7 +146,7 @@ let test_crash_single_query_bound () =
   let k = 8 and n = 800 in
   let inst = instance ~k ~n ~t:1 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:3) default) in
-  let r = Crash_single.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_single.core ()) inst in
   assert_ok "bound run" r;
   let bound = ((n + k - 1) / k) + ((n / k / (k - 1)) + 2) in
   checkb (Printf.sprintf "Q=%d <= %d" r.Problem.q_max bound) true (r.Problem.q_max <= bound)
@@ -152,7 +154,7 @@ let test_crash_single_query_bound () =
 let test_crash_single_no_fault_query_optimal () =
   let k = 10 and n = 1000 in
   let inst = instance ~k ~n ~t:0 () in
-  let r = Crash_single.run inst in
+  let r = Exec.run_core (Crash_single.core ()) inst in
   assert_ok "fault-free" r;
   checki "Q = n/k exactly" (n / k) r.Problem.q_max
 
@@ -166,7 +168,9 @@ let test_crash_single_jitter_sweep () =
         |> Exec.with_latency (jitter seed)
         |> Exec.with_crash (Crash_plan.all_at inst.Problem.fault 1.1)
       in
-      assert_ok (Printf.sprintf "jitter seed %Ld" seed) (Crash_single.run ~opts inst))
+      assert_ok
+        (Printf.sprintf "jitter seed %Ld" seed)
+        (Exec.run_core ~opts (Crash_single.core ()) inst))
     [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ]
 
 let test_crash_single_slow_victim_not_crashed () =
@@ -175,24 +179,24 @@ let test_crash_single_slow_victim_not_crashed () =
   let inst = instance ~k:5 ~n:100 ~t:1 () in
   let slow i = Fault.is_faulty inst.Problem.fault i in
   let opts = Exec.(with_latency (Latency.targeted ~slow ~delay:500.) default) in
-  let r = Crash_single.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_single.core ()) inst in
   assert_ok "slow peer" r
 
 let test_crash_single_two_peers () =
   let inst = instance ~k:2 ~n:10 ~t:1 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) default) in
-  let r = Crash_single.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_single.core ()) inst in
   assert_ok "k=2" r;
   (* The survivor must fetch everything itself. *)
   checki "survivor queries all" 10 r.Problem.q_max
 
 let test_crash_single_supports () =
   checkb "rejects t=2" true
-    (match Crash_single.supports (instance ~k:6 ~n:16 ~t:2 ()) with
+    (match Registry.admits (Registry.find_exn "crash-single") (instance ~k:6 ~n:16 ~t:2 ()) with
     | Error _ -> true
     | Ok () -> false);
   checkb "accepts t=1" true
-    (match Crash_single.supports (instance ~k:6 ~n:16 ~t:1 ()) with
+    (match Registry.admits (Registry.find_exn "crash-single") (instance ~k:6 ~n:16 ~t:1 ()) with
     | Ok () -> true
     | Error _ -> false)
 

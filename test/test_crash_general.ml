@@ -21,14 +21,14 @@ let jitter seed = Latency.jittered (Dr_engine.Prng.create seed)
 let test_no_crash_optimal () =
   let k = 10 and n = 1000 in
   let inst = instance ~k ~n ~t:0 () in
-  let r = Crash_general.run inst in
+  let r = Exec.run_core (Crash_general.core ()) inst in
   assert_ok "no crash" r;
   checki "Q = n/k" (n / k) r.Problem.q_max
 
 let test_silent_crashes () =
   let inst = instance ~k:8 ~n:240 ~t:3 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) default) in
-  assert_ok "silent" (Crash_general.run ~opts inst)
+  assert_ok "silent" (Exec.run_core ~opts (Crash_general.core ()) inst)
 
 let test_partial_broadcast_sweep () =
   for after_sends = 0 to 6 do
@@ -36,7 +36,9 @@ let test_partial_broadcast_sweep () =
     let opts =
       Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends) default)
     in
-    assert_ok (Printf.sprintf "partial %d" after_sends) (Crash_general.run ~opts inst)
+    assert_ok
+      (Printf.sprintf "partial %d" after_sends)
+      (Exec.run_core ~opts (Crash_general.core ()) inst)
   done
 
 let test_staggered_crashes () =
@@ -45,32 +47,32 @@ let test_staggered_crashes () =
   let opts =
     Exec.(with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.5 ~gap:4.0) default)
   in
-  assert_ok "staggered" (Crash_general.run ~opts inst)
+  assert_ok "staggered" (Exec.run_core ~opts (Crash_general.core ()) inst)
 
 let test_crash_after_queries () =
   (* Faulty peers pay for queries and die before sharing. *)
   let inst = instance ~k:6 ~n:120 ~t:2 () in
   let opts = Exec.(with_crash (Crash_plan.after_queries inst.Problem.fault 5) default) in
-  assert_ok "after queries" (Crash_general.run ~opts inst)
+  assert_ok "after queries" (Exec.run_core ~opts (Crash_general.core ()) inst)
 
 let test_majority_crash () =
   (* beta = 3/4: a crash majority, which no Byzantine protocol could take. *)
   let inst = instance ~k:8 ~n:160 ~t:6 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:2) default) in
-  assert_ok "beta=3/4" (Crash_general.run ~opts inst)
+  assert_ok "beta=3/4" (Exec.run_core ~opts (Crash_general.core ()) inst)
 
 let test_all_but_one_crash () =
   let k = 6 in
   let inst = instance ~k ~n:60 ~t:(k - 1) () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) default) in
-  let r = Crash_general.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_general.core ()) inst in
   assert_ok "t = k-1" r;
   (* The lone survivor ends up querying everything. *)
   checki "survivor queries n" 60 r.Problem.q_max
 
 let test_single_peer () =
   let inst = instance ~k:1 ~n:32 ~t:0 () in
-  let r = Crash_general.run inst in
+  let r = Exec.run_core (Crash_general.core ()) inst in
   assert_ok "k=1" r;
   checki "queries all" 32 r.Problem.q_max
 
@@ -79,7 +81,7 @@ let test_query_bound () =
   let k = 10 and n = 2000 and t = 5 in
   let inst = instance ~k ~n ~t () in
   let opts = Exec.(with_crash (Crash_plan.staggered inst.Problem.fault ~first:1.0 ~gap:3.0) default) in
-  let r = Crash_general.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_general.core ()) inst in
   assert_ok "bound run" r;
   let gamma = float_of_int (k - t) /. float_of_int k in
   let bound =
@@ -97,7 +99,9 @@ let test_jitter_and_crashes_sweep () =
         |> Exec.with_crash
              (Crash_plan.staggered inst.Problem.fault ~first:0.3 ~gap:1.7)
       in
-      assert_ok (Printf.sprintf "seed %Ld" seed) (Crash_general.run ~opts inst))
+      assert_ok
+        (Printf.sprintf "seed %Ld" seed)
+        (Exec.run_core ~opts (Crash_general.core ()) inst))
     [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L; 9L; 10L ]
 
 let test_slow_peers_not_crashed () =
@@ -106,13 +110,13 @@ let test_slow_peers_not_crashed () =
   let inst = instance ~k:6 ~n:90 ~t:2 () in
   let slow i = Fault.is_faulty inst.Problem.fault i in
   let opts = Exec.(with_latency (Latency.targeted ~slow ~delay:200.) default) in
-  assert_ok "slow peers" (Crash_general.run ~opts inst)
+  assert_ok "slow peers" (Exec.run_core ~opts (Crash_general.core ()) inst)
 
 let test_fast_path_correct_both_ways () =
   let inst = instance ~k:6 ~n:120 ~t:2 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:3) default) in
-  assert_ok "fast path on" (Crash_general.run_with ~opts ~fast_path:true inst);
-  assert_ok "fast path off" (Crash_general.run_with ~opts ~fast_path:false inst)
+  assert_ok "fast path on" (Exec.run_core ~opts (Crash_general.core ~fast_path:true ()) inst);
+  assert_ok "fast path off" (Exec.run_core ~opts (Crash_general.core ~fast_path:false ()) inst)
 
 (* Theorem 2.13's scenario: peer 0 is honest but slow — slow enough to be
    "missing" in phase 1 for everyone, and slowest of all towards peer 1.
@@ -137,8 +141,8 @@ let fast_path_scenario () =
 
 let test_fast_path_improves_time_with_slow_responder () =
   let inst, opts = fast_path_scenario () in
-  let fast = Crash_general.run_with ~opts ~fast_path:true inst in
-  let slow = Crash_general.run_with ~opts ~fast_path:false inst in
+  let fast = Exec.run_core ~opts (Crash_general.core ~fast_path:true ()) inst in
+  let slow = Exec.run_core ~opts (Crash_general.core ~fast_path:false ()) inst in
   assert_ok "fast" fast;
   assert_ok "slow" slow;
   checkb
@@ -156,7 +160,7 @@ let test_phase_bound_respected () =
 let test_message_bound_respected () =
   let inst = instance ~k:6 ~n:200 ~b:96 ~t:2 () in
   let opts = Exec.(with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:1) default) in
-  let r = Crash_general.run ~opts inst in
+  let r = Exec.run_core ~opts (Crash_general.core ()) inst in
   assert_ok "small B" r;
   checkb
     (Printf.sprintf "max msg %d <= B=96" r.Problem.max_msg_bits)
@@ -169,14 +173,14 @@ let test_deterministic_report () =
     |> Exec.with_latency (jitter 5L)
     |> Exec.with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.5 ~gap:2.0)
   in
-  let a = Crash_general.run ~opts inst in
+  let a = Exec.run_core ~opts (Crash_general.core ()) inst in
   (* Rebuild opts: the jitter PRNG is stateful, so a fresh one is needed. *)
   let opts =
     Exec.default
     |> Exec.with_latency (jitter 5L)
     |> Exec.with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.5 ~gap:2.0)
   in
-  let b = Crash_general.run ~opts inst in
+  let b = Exec.run_core ~opts (Crash_general.core ()) inst in
   checkb "same verdict" true (a.Problem.ok = b.Problem.ok);
   checki "same Q" a.Problem.q_max b.Problem.q_max;
   checki "same M" a.Problem.msgs b.Problem.msgs;
@@ -185,13 +189,13 @@ let test_deterministic_report () =
 let test_supports () =
   checkb "rejects t=k" true
     (match
-       Crash_general.supports
+       Registry.admits (Registry.find_exn "crash-general")
          { (instance ~k:4 ~n:16 ~t:0 ()) with Problem.fault = Fault.choose ~k:4 (Fault.First 4) }
      with
     | Error _ -> true
     | Ok () -> false);
   checkb "accepts t=k-1" true
-    (match Crash_general.supports (instance ~k:4 ~n:16 ~t:3 ()) with
+    (match Registry.admits (Registry.find_exn "crash-general") (instance ~k:4 ~n:16 ~t:3 ()) with
     | Ok () -> true
     | Error _ -> false)
 

@@ -646,6 +646,64 @@ let test_sim_after_queries_crash () =
   checkb "died at the second query" true (outcome.Sim.outputs.(0) = None);
   checki "exactly 2 queries counted" 2 (Metrics.peer outcome.Sim.metrics 0).Metrics.queries
 
+(* The arbiter's pending pool, pinned directly: a k=4 storm of two broadcasts
+   per peer, observed as (kind, peer, tag) under three arbiters. Events join
+   the pool in heap order and keep their relative order when one is removed;
+   an out-of-range pick falls back to index 0. The expected sequences are
+   those of the original list-based pool, so committed repro files (which
+   record arbiter choices by index) keep replaying. *)
+let arbiter_storm arbiter =
+  let seen = Buffer.create 256 in
+  let observer o =
+    let kind =
+      match o.Sim.obs_kind with
+      | Sim.Obs_start -> "S"
+      | Sim.Obs_deliver -> "D"
+      | Sim.Obs_crash -> "C"
+      | Sim.Obs_query_reply -> "Q"
+      | Sim.Obs_wake -> "W"
+    in
+    if Buffer.length seen > 0 then Buffer.add_char seen ' ';
+    Buffer.add_string seen (Printf.sprintf "%s%d%s" kind o.Sim.obs_peer o.Sim.obs_tag)
+  in
+  let cfg =
+    {
+      (Sim.default_config ~k:4 ~query_bit) with
+      arbiter = Some arbiter;
+      observer = Some observer;
+    }
+  in
+  let outcome =
+    S.run cfg (fun i ->
+        S.broadcast (Smsg.Ping i);
+        S.broadcast (Smsg.Ping (10 + i));
+        for _ = 1 to 6 do
+          ignore (S.receive ())
+        done)
+  in
+  checkb "completed" true (outcome.Sim.status = Sim.Completed);
+  Buffer.contents seen
+
+let test_sim_arbiter_pool_order () =
+  let checks = Alcotest.(check string) in
+  checks "last pending"
+    "S3 D2ping(13) D1ping(13) D0ping(13) D2ping(3) D1ping(3) D0ping(3) S2 D3ping(12) \
+     D1ping(12) D0ping(12) D3ping(2) D1ping(2) D0ping(2) S1 D3ping(11) D2ping(11) D0ping(11) \
+     D3ping(1) D2ping(1) D0ping(1) S0 D3ping(10) D2ping(10) D1ping(10) D3ping(0) D2ping(0) \
+     D1ping(0)"
+    (arbiter_storm (fun count -> count - 1));
+  checks "middle pending"
+    "S2 D1ping(2) D3ping(2) D0ping(2) D0ping(12) S3 D1ping(3) D0ping(3) D2ping(3) D3ping(12) \
+     D0ping(13) D1ping(12) D1ping(13) S1 D3ping(1) D2ping(1) D0ping(11) D0ping(1) D2ping(11) \
+     D2ping(13) D3ping(11) S0 D1ping(10) D3ping(0) D2ping(10) D2ping(0) D3ping(10) D1ping(0)"
+    (arbiter_storm (fun count -> count / 2));
+  checks "out of range falls back to 0"
+    "S0 S1 S2 S3 D1ping(0) D2ping(0) D3ping(0) D1ping(10) D2ping(10) D3ping(10) D0ping(1) \
+     D2ping(1) D3ping(1) D0ping(11) D2ping(11) D3ping(11) D0ping(2) D1ping(2) D3ping(2) \
+     D0ping(12) D1ping(12) D3ping(12) D0ping(3) D1ping(3) D2ping(3) D0ping(13) D1ping(13) \
+     D2ping(13)"
+    (arbiter_storm (fun count -> count))
+
 let test_trace_stats_matrices () =
   let trace = Trace.create () in
   let cfg = { (Sim.default_config ~k:3 ~query_bit) with trace = Some trace } in
@@ -804,6 +862,7 @@ let suite =
     ("sim crash during query wait", `Quick, test_sim_crash_during_query_wait);
     ("sim crash before start", `Quick, test_sim_crash_before_start);
     ("sim after-queries crash", `Quick, test_sim_after_queries_crash);
+    ("sim arbiter pool order", `Quick, test_sim_arbiter_pool_order);
     ("trace stats matrices", `Quick, test_trace_stats_matrices);
     ("trace save/load roundtrip", `Quick, test_trace_save_load_roundtrip);
     ("trace load rejects garbage", `Quick, test_trace_load_rejects_garbage);

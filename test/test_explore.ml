@@ -87,7 +87,7 @@ let check_crash_single ~budget ~k ~n ~after_sends =
       |> Exec.with_crash (Crash_plan.mid_broadcast fault ~after_sends)
       |> Exec.with_arbiter arbiter
     in
-    (Crash_single.run ~opts inst).Problem.ok
+    (Exec.run_core ~opts (Crash_single.core ()) inst).Problem.ok
   in
   Explore.dfs ~budget ~run
 
@@ -115,7 +115,7 @@ let test_crash_general_schedule_prefix () =
       |> Exec.with_crash (Crash_plan.mid_broadcast fault ~after_sends:1)
       |> Exec.with_arbiter arbiter
     in
-    (Crash_general.run ~opts inst).Problem.ok
+    (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok
   in
   let r = Explore.dfs ~budget:1_200 ~run in
   checki "no failing schedule" 0 r.Explore.failures
@@ -124,7 +124,10 @@ let test_balanced_exhaustive_two_peers () =
   (* Fault-free balanced download with 2 peers / 2 bits: tiny enough to
      exhaust the whole schedule tree. *)
   let inst = Problem.random_instance ~seed:5L ~k:2 ~n:2 ~t:0 () in
-  let run ~arbiter = (Balanced.run ~opts:(Exec.with_arbiter arbiter Exec.default) inst).Problem.ok in
+  let run ~arbiter =
+    (Exec.run_core ~opts:(Exec.with_arbiter arbiter Exec.default) (Balanced.core ()) inst)
+      .Problem.ok
+  in
   let r = Explore.dfs ~budget:50_000 ~run in
   checkb "exhausted" true r.Explore.exhausted;
   checki "no failures" 0 r.Explore.failures
@@ -139,7 +142,7 @@ let test_random_arbiter_fuzz () =
       |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:2)
       |> Exec.with_arbiter (Explore.random (Prng.create (Int64.of_int seed)))
     in
-    if not (Crash_general.run ~opts inst).Problem.ok then ok := false
+    if not (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok then ok := false
   done;
   checkb "all random schedules correct" true !ok
 

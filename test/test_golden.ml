@@ -31,44 +31,48 @@ let jitter_only () = Exec.with_latency (Latency.jittered (Prng.create 5L)) Exec.
 let crash () = Problem.random_instance ~seed:1234L ~k:12 ~n:1200 ~t:4 ()
 
 let test_naive () =
-  expect "naive" { ok = true; q_max = 1200; msgs = 0; bits = 0; time = 0. } (Naive.run (crash ()))
+  expect "naive"
+    { ok = true; q_max = 1200; msgs = 0; bits = 0; time = 0. }
+    (Exec.run_core (Naive.core ()) (crash ()))
 
 let test_balanced () =
   let inst = { (crash ()) with Problem.fault = Fault.choose ~k:12 Fault.None_faulty } in
   expect "balanced"
     { ok = true; q_max = 100; msgs = 132; bits = 21648; time = 1.0 }
-    (Balanced.run inst)
+    (Exec.run_core (Balanced.core ()) inst)
 
 let test_crash_single () =
   let inst = { (crash ()) with Problem.fault = Fault.choose ~k:12 (Fault.Explicit [ 7 ]) } in
   expect "crash-single"
     { ok = true; q_max = 100; msgs = 538; bits = 192132; time = 1.687 }
-    (Crash_single.run ~opts:(jopts inst) inst)
+    (Exec.run_core ~opts:(jopts inst) (Crash_single.core ()) inst)
 
 let test_crash_general () =
   let inst = crash () in
   expect "crash-general"
     { ok = true; q_max = 203; msgs = 1690; bits = 429918; time = 10.467 }
-    (Crash_general.run ~opts:(jopts inst) inst)
+    (Exec.run_core ~opts:(jopts inst) (Crash_general.core ()) inst)
 
 let test_committee () =
   let inst = Problem.random_instance ~seed:1234L ~model:Problem.Byzantine ~k:12 ~n:1200 ~t:4 () in
   expect "byz-committee"
     { ok = true; q_max = 1200; msgs = 132; bits = 87648; time = 0.764 }
-    (Committee.run_with ~opts:(jitter_only ()) ~attack:Committee.Equivocate inst)
+    (Exec.run_core ~opts:(jitter_only ()) (Committee.core ~attack:Committee.Equivocate ()) inst)
 
 let byz_big () = Problem.random_instance ~seed:1234L ~model:Problem.Byzantine ~k:40 ~n:1200 ~t:6 ()
 
 let test_2cycle () =
   expect "byz-2cycle"
     { ok = true; q_max = 600; msgs = 1326; bits = 880464; time = 0.906 }
-    (Byz_2cycle.run_with ~opts:(jitter_only ()) ~attack:Byz_2cycle.Near_miss ~segments:2 ~rho:2
+    (Exec.run_core ~opts:(jitter_only ())
+       (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ~segments:2 ~rho:2 ())
        (byz_big ()))
 
 let test_multicycle () =
   expect "byz-multicycle"
     { ok = true; q_max = 600; msgs = 2652; bits = 2556528; time = 0.913 }
-    (Byz_multicycle.run_with ~opts:(jitter_only ()) ~attack:Byz_multicycle.Near_miss ~segments:2
+    (Exec.run_core ~opts:(jitter_only ())
+       (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:2 ())
        (byz_big ()))
 
 (* Full-report determinism: two runs with identical seeds/opts must agree on

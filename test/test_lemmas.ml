@@ -46,7 +46,7 @@ let collect_snapshots ~k ~n ~t ~seed ~after_sends =
     |> Exec.with_latency (Latency.jittered (Prng.create seed))
     |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
   in
-  let report = Crash_general.run_with ~opts ~monitor inst in
+  let report = Exec.run_core ~opts (Crash_general.core ~monitor ()) inst in
   (inst, snaps, report)
 
 let phases_of snaps =

@@ -10,7 +10,10 @@ let checki = Alcotest.(check int)
 (* The cheap deterministic protocol under attack: committees of 6 with
    threshold 2 on 8 peers — terminates with F = {5,6,7} crashed and leaves
    bits unqueried, exactly what Theorem 3.1 needs. *)
-let cheap_committee ?opts inst = Committee.run_with ?opts ~committee_size:6 ~threshold:2 inst
+let cheap_committee ?opts inst =
+  Exec.run_core ?opts (Committee.core ~committee_size:6 ~threshold:2 ()) inst
+
+let naive ?opts inst = Exec.run_core ?opts (Naive.core ()) inst
 
 let test_det_lower_fools_victim () =
   match
@@ -28,7 +31,7 @@ let test_det_lower_fools_victim () =
 let test_det_lower_rejects_naive () =
   (* Against the naive protocol the construction must report that no bit is
      unqueried: the lower bound is tight. *)
-  match Det_lower.demonstrate ~run:Naive.run ~f_set:[ 5; 6; 7 ] ~k:8 ~n:32 () with
+  match Det_lower.demonstrate ~run:naive ~f_set:[ 5; 6; 7 ] ~k:8 ~n:32 () with
   | Error e -> checkb "explains tightness" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "naive should not be attackable"
 
@@ -49,7 +52,9 @@ let test_rand_lower_failure_rate () =
   (* 21 peers, |F| = 4 slow, |C| = 16 corrupted (beta = 16/21 > 1/2). The
      2-cycle protocol with s = 3 queries ~n/3 bits, so the mirror adversary
      wins about 2/3 of the time. *)
-  let run ?opts inst = Byz_2cycle.run_with ?opts ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 inst in
+  let run ?opts inst =
+    Exec.run_core ?opts (Byz_2cycle.core ~attack:Byz_2cycle.Mirror ~segments:3 ~rho:1 ()) inst
+  in
   let seeds = List.init 60 (fun i -> Int64.of_int (i + 1)) in
   let r = Rand_lower.attack ~run ~f_count:4 ~k:21 ~n:60 ~seeds () in
   checki "all runs executed" 60 r.Rand_lower.runs;
@@ -69,7 +74,7 @@ let test_rand_lower_failure_rate () =
 let test_rand_lower_naive_never_fails () =
   (* Querying everything defeats the mirror adversary — the bound is tight. *)
   let seeds = List.init 10 (fun i -> Int64.of_int (i + 1)) in
-  let r = Rand_lower.attack ~run:Naive.run ~f_count:4 ~k:9 ~n:40 ~seeds () in
+  let r = Rand_lower.attack ~run:naive ~f_count:4 ~k:9 ~n:40 ~seeds () in
   checki "no failures" 0 r.Rand_lower.failures;
   checkb "hit every time" true (r.Rand_lower.victim_hit_rate = 1.)
 
@@ -77,7 +82,9 @@ let test_rand_lower_more_queries_fewer_failures () =
   (* Sweeping s downward (more queries per peer) lowers the failure rate:
      the q/n tradeoff of Theorem 3.2, measured. *)
   let rate s =
-    let run ?opts inst = Byz_2cycle.run_with ?opts ~attack:Byz_2cycle.Mirror ~segments:s ~rho:1 inst in
+    let run ?opts inst =
+      Exec.run_core ?opts (Byz_2cycle.core ~attack:Byz_2cycle.Mirror ~segments:s ~rho:1 ()) inst
+    in
     let seeds = List.init 40 (fun i -> Int64.of_int (100 + i)) in
     (Rand_lower.attack ~run ~f_count:4 ~k:21 ~n:60 ~seeds ()).Rand_lower.failure_rate
   in

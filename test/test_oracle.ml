@@ -174,7 +174,7 @@ let test_dynamic_data_breaks_download_odc () =
     if !queries_so_far > 60 && i < n / 4 then not original else original
   in
   let opts = Exec.make_opts ~query_override:dynamic ~max_events:200_000 () in
-  let r = Committee.run_with ~opts ~attack:Committee.Honest_but_silent inst in
+  let r = Exec.run_core ~opts (Committee.core ~attack:Committee.Honest_but_silent ()) inst in
   checkb "dynamic data defeats the static-source protocol" false r.Dr_core.Problem.ok
 
 let suite =

@@ -39,7 +39,7 @@ let test_word_download_via_committee () =
   let fault = Fault.choose ~k (Fault.Spread t) in
   let values = Array.init 40 (fun i -> 1000 + (i * i)) in
   let inst = Word.make ~seed:3L ~width:16 ~k ~values fault in
-  let r = Word.run (module Committee) inst in
+  let r = Word.run (Committee.core ()) inst in
   checkb "ok" true r.Word.ok;
   (match r.Word.decoded with
   | Some d -> Alcotest.(check (array int)) "decoded values" values d
@@ -58,7 +58,7 @@ let test_word_download_crash_model () =
   let opts =
     Exec.with_crash (Dr_adversary.Crash_plan.mid_broadcast fault ~after_sends:1) Exec.default
   in
-  let r = Word.run (module Crash_general) ~opts inst in
+  let r = Word.run (Crash_general.core ()) ~opts inst in
   checkb "ok under crashes" true r.Word.ok
 
 (* ------------------------------------------------------------------ *)

@@ -198,7 +198,7 @@ let prop_crash_general_always_correct =
         |> Exec.with_latency (Latency.jittered (Prng.create seed))
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
-      (Crash_general.run ~opts inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok)
 
 let prop_crash_general_q_bound =
   QCheck.Test.make ~name:"crash-general: Q <= n/(gamma k) + n/k + slack" ~count:40
@@ -208,7 +208,7 @@ let prop_crash_general_q_bound =
       let opts =
         Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends) Exec.default
       in
-      let r = Crash_general.run ~opts inst in
+      let r = Exec.run_core ~opts (Crash_general.core ()) inst in
       let gamma = float_of_int (k - t) /. float_of_int k in
       let bound =
         int_of_float (float_of_int n /. (gamma *. float_of_int k)) + (n / k) + (2 * k) + 2
@@ -250,7 +250,7 @@ let prop_balanced_correct =
     QCheck.(pair (int_range 1 12) (int_range 1 200))
     (fun (k, n) ->
       let inst = Problem.random_instance ~seed:(Int64.of_int (k + n)) ~k ~n ~t:0 () in
-      (Balanced.run inst).Problem.ok)
+      (Exec.run_core (Balanced.core ()) inst).Problem.ok)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -297,7 +297,7 @@ let prop_crash_single_always_correct =
         |> Exec.with_latency (Latency.jittered (Prng.create seed64))
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
-      (Crash_single.run ~opts inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_single.core ()) inst).Problem.ok)
 
 (* Heterogeneous WAN: each ordered link gets its own constant delay, drawn
    once. Deterministic protocols must not care. *)
@@ -322,7 +322,7 @@ let prop_crash_general_heterogeneous_wan =
         |> Exec.with_latency (heterogeneous_links seed64)
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
-      (Crash_general.run ~opts inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok)
 
 let prop_crash_general_link_serialized =
   QCheck.Test.make ~name:"crash-general: correct with B-limited serialized links" ~count:30
@@ -334,7 +334,7 @@ let prop_crash_general_link_serialized =
         |> Exec.with_link_rate (float_of_int inst.Problem.b)
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
-      (Crash_general.run ~opts inst).Problem.ok)
+      (Exec.run_core ~opts (Crash_general.core ()) inst).Problem.ok)
 
 (* The 2-cycle protocol on parameters where coverage is essentially certain
    (rho = 1, many honest peers per segment): any catalog attack, any
@@ -381,7 +381,7 @@ let prop_spec_bound_crash_general =
         |> Exec.with_latency (Latency.jittered (Prng.create seed64))
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
-      let r = Crash_general.run ~opts inst in
+      let r = Exec.run_core ~opts (Crash_general.core ()) inst in
       r.Problem.ok
       && Spec.within Spec.crash_general ~k ~n ~t ~b:inst.Problem.b ~measured:r.Problem.q_max)
 
@@ -392,7 +392,7 @@ let prop_spec_bound_committee =
       let seed64 = Int64.of_int seed in
       let inst = Problem.random_instance ~seed:seed64 ~model:Problem.Byzantine ~k ~n ~t () in
       let opts = Exec.with_latency (Latency.jittered (Prng.create seed64)) Exec.default in
-      let r = Committee.run_with ~opts ~attack:Committee.Equivocate inst in
+      let r = Exec.run_core ~opts (Committee.core ~attack:Committee.Equivocate ()) inst in
       r.Problem.ok
       && Spec.within Spec.committee ~k ~n ~t ~b:inst.Problem.b ~measured:r.Problem.q_max)
 
@@ -405,7 +405,7 @@ let prop_naive_unconditional =
       let inst =
         Problem.random_instance ~seed:(Int64.of_int (seed + 1)) ~model:Problem.Byzantine ~k ~n ~t ()
       in
-      (Naive.run inst).Problem.ok)
+      (Exec.run_core (Naive.core ()) inst).Problem.ok)
 
 (* ------------------------------------------------------------------ *)
 (* Registry matrix: every protocol x every catalog attack              *)

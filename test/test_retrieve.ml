@@ -47,7 +47,7 @@ let test_solve_via_crash_protocol () =
   let inst = Problem.random_instance ~seed:5L ~k:8 ~n:200 ~t:3 () in
   let opts = Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:1) Exec.default in
   let check_problem name problem =
-    let r = Retrieve.solve (module Crash_general) ~opts inst problem in
+    let r = Retrieve.solve (Crash_general.core ()) ~opts inst problem in
     checkb (name ^ " download ok") true r.Retrieve.download.Problem.ok;
     checkb (name ^ " value correct") true (Retrieve.check problem inst r)
   in
@@ -58,7 +58,7 @@ let test_solve_via_crash_protocol () =
 
 let test_solve_via_byzantine_protocol () =
   let inst = Problem.random_instance ~seed:6L ~model:Problem.Byzantine ~k:9 ~n:120 ~t:4 () in
-  let r = Retrieve.solve (module Committee) inst Retrieve.popcount in
+  let r = Retrieve.solve (Committee.core ()) inst Retrieve.popcount in
   checkb "value present" true (r.Retrieve.value <> None);
   checkb "correct" true (Retrieve.check Retrieve.popcount inst r)
 
@@ -66,7 +66,7 @@ let test_solve_failure_yields_no_value () =
   (* Balanced deadlocks under a crash: the reduction must report no value. *)
   let inst = Problem.random_instance ~seed:7L ~k:6 ~n:60 ~t:1 () in
   let opts = Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0) Exec.default in
-  let r = Retrieve.solve (module Balanced) ~opts inst Retrieve.parity in
+  let r = Retrieve.solve (Balanced.core ()) ~opts inst Retrieve.parity in
   checkb "no value" true (r.Retrieve.value = None);
   checkb "check false" false (Retrieve.check Retrieve.parity inst r)
 

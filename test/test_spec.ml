@@ -11,15 +11,20 @@ let checks = Alcotest.(check string)
 let checki = Alcotest.(check int)
 
 let test_spec_covers_registry () =
-  (* Each entry's spec names its own protocol, and lookup round-trips. *)
+  (* Each entry's spec names the protocol its core (and so its derived
+     runner) reports, and lookup round-trips. *)
+  let inst = Problem.random_instance ~model:Problem.Byzantine ~k:9 ~n:64 ~t:2 () in
   List.iter
     (fun e ->
-      checks (Registry.name e ^ " spec name") (Registry.name e) e.Registry.spec.Spec.protocol;
+      let (module C : Transport.CORE) = e.Registry.core inst in
+      checks (Registry.name e ^ " core name") e.Registry.spec.Spec.protocol C.name;
+      checks (Registry.name e ^ " report name") C.name
+        (e.Registry.run inst).Problem.protocol;
       checkb (Registry.name e ^ " spec lookup") true
         (Registry.spec_of (Registry.name e) <> None))
     Registry.all;
   checkb "no orphan specs" true
-    (List.for_all (fun b -> Select.by_name b.Spec.protocol <> None) Registry.specs)
+    (List.for_all (fun b -> Registry.find b.Spec.protocol <> None) Registry.specs)
 
 let test_registry_entries () =
   checki "seven entries" 7 (List.length Registry.all);
@@ -56,29 +61,28 @@ let test_registry_attack_dispatch () =
     ((Registry.find_exn "crash-general").Registry.run ~attack:"flip" crash).Problem.ok
 
 let test_resilience_matches_supports () =
-  (* Spec.resilience and PROTOCOL.supports must agree across a grid. *)
+  (* Spec.resilience and the core's supports must agree across a grid. *)
   List.iter
-    (fun (module P : Exec.PROTOCOL) ->
-      match Registry.spec_of P.name with
-      | None -> Alcotest.fail "missing spec"
-      | Some b ->
-        for k = 2 to 10 do
-          for t = 0 to k - 1 do
-            let model =
-              if P.name = "naive" || String.length P.name >= 3 && String.sub P.name 0 3 = "byz"
-              then Problem.Byzantine
-              else Problem.Crash
-            in
-            let inst = Problem.random_instance ~k ~n:32 ~t ~model () in
-            let supported = P.supports inst = Ok () in
-            let spec_ok = b.Spec.resilience ~k ~t in
-            (* supports may be stricter about the model; where both are in
-               their model, the resilience conditions must coincide. *)
-            if supported <> spec_ok then
-              Alcotest.failf "%s: supports=%b spec=%b at k=%d t=%d" P.name supported spec_ok k t
-          done
-        done)
-    [ (module Naive : Exec.PROTOCOL); (module Crash_general); (module Committee) ]
+    (fun name ->
+      let e = Registry.find_exn name in
+      let b = e.Registry.spec in
+      for k = 2 to 10 do
+        for t = 0 to k - 1 do
+          let model =
+            if name = "naive" || String.length name >= 3 && String.sub name 0 3 = "byz" then
+              Problem.Byzantine
+            else Problem.Crash
+          in
+          let inst = Problem.random_instance ~k ~n:32 ~t ~model () in
+          let supported = Registry.admits e inst = Ok () in
+          let spec_ok = b.Spec.resilience ~k ~t in
+          (* supports may be stricter about the model; where both are in
+             their model, the resilience conditions must coincide. *)
+          if supported <> spec_ok then
+            Alcotest.failf "%s: supports=%b spec=%b at k=%d t=%d" name supported spec_ok k t
+        done
+      done)
+    [ "naive"; "crash-general"; "byz-committee" ]
 
 let test_bounds_hold_on_live_runs () =
   (* Crash protocols under silent crashes: measured Q <= bound. *)
@@ -90,7 +94,7 @@ let test_bounds_hold_on_live_runs () =
         |> Exec.with_latency (Latency.jittered (Prng.create seed))
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0)
       in
-      let r = Crash_general.run ~opts inst in
+      let r = Exec.run_core ~opts (Crash_general.core ()) inst in
       checkb
         (Printf.sprintf "crash-general within bound (k=%d n=%d t=%d)" k n t)
         true
@@ -101,7 +105,7 @@ let test_bounds_hold_committee () =
   List.iter
     (fun (k, n, t, seed) ->
       let inst = Problem.random_instance ~seed ~model:Problem.Byzantine ~k ~n ~t () in
-      let r = Committee.run_with ~attack:Committee.Equivocate inst in
+      let r = Exec.run_core (Committee.core ~attack:Committee.Equivocate ()) inst in
       checkb
         (Printf.sprintf "committee within bound (k=%d n=%d t=%d)" k n t)
         true
@@ -112,7 +116,7 @@ let test_bounds_hold_2cycle () =
   List.iter
     (fun (k, n, t, seed) ->
       let inst = Problem.random_instance ~seed ~model:Problem.Byzantine ~k ~n ~t () in
-      let r = Byz_2cycle.run_with ~attack:Byz_2cycle.Near_miss inst in
+      let r = Exec.run_core (Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()) inst in
       checkb
         (Printf.sprintf "2cycle within bound (k=%d n=%d t=%d)" k n t)
         true

@@ -125,7 +125,7 @@ let test_par_runs_simulations () =
   let open Dr_core in
   let job seed =
     let inst = Problem.random_instance ~seed ~k:5 ~n:40 ~t:1 () in
-    let r = Crash_general.run inst in
+    let r = Exec.run_core (Crash_general.core ()) inst in
     (r.Problem.ok, r.Problem.q_max)
   in
   let seeds = List.init 12 (fun i -> Int64.of_int (i + 1)) in
@@ -137,9 +137,7 @@ let test_par_runs_simulations () =
 (* Select (protocol dispatch)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let name_of m =
-  let (module P : Dr_core.Exec.PROTOCOL) = m in
-  P.name
+let name_of = Dr_core.Registry.name
 
 let test_select_regimes () =
   let open Dr_core in
@@ -154,21 +152,22 @@ let test_select_regimes () =
   checks "byz majority" "naive" (name_of (Select.for_instance (byz ~k:8 ~t:4)))
 
 let test_select_by_name () =
-  checkb "found" true (Dr_core.Select.by_name "crash-general" <> None);
-  checkb "missing" true (Dr_core.Select.by_name "nope" = None);
-  checki "seven protocols" 7 (List.length Dr_core.Select.all)
+  checkb "found" true (Dr_core.Registry.find "crash-general" <> None);
+  checkb "missing" true (Dr_core.Registry.find "nope" = None);
+  checki "seven protocols" 7 (List.length Dr_core.Registry.all)
 
 let test_selected_protocol_actually_works () =
   let open Dr_core in
   List.iter
     (fun (k, t, model) ->
       let inst = Problem.random_instance ~seed:3L ~model ~k ~n:128 ~t () in
-      let (module P : Exec.PROTOCOL) = Select.for_instance inst in
+      let e = Select.for_instance inst in
       checkb
-        (Printf.sprintf "%s supports its own regime" P.name)
+        (Printf.sprintf "%s supports its own regime" (Registry.name e))
         true
-        (P.supports inst = Ok ());
-      checkb (Printf.sprintf "%s solves it" P.name) true (P.run inst).Problem.ok)
+        (Registry.admits e inst = Ok ());
+      checkb (Printf.sprintf "%s solves it" (Registry.name e)) true
+        (e.Registry.run inst).Problem.ok)
     [
       (8, 0, Problem.Crash);
       (8, 1, Problem.Crash);
@@ -191,7 +190,7 @@ let test_printers_smoke () =
   checkb "rule renders" true
     (List.length (String.split_on_char '\n' (Table.render t)) >= 5);
   let inst = Dr_core.Problem.random_instance ~k:3 ~n:8 ~t:1 () in
-  let r = Dr_core.Naive.run inst in
+  let r = Dr_core.Exec.run_core (Dr_core.Naive.core ()) inst in
   let rendered = Format.asprintf "%a" Dr_core.Problem.pp_report r in
   checkb "report pp mentions protocol" true
     (String.length rendered > 0
