@@ -1,4 +1,4 @@
-.PHONY: all build test lint race bench bench-check bench-diff check check-smoke soak net-smoke net-chaos clean
+.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos clean
 
 all: build
 
@@ -21,23 +21,6 @@ lint:
 race:
 	dune build @race
 
-# Full benchmark run: writes BENCH_engine.json / BENCH_protocols.json in the
-# working directory (several minutes).
-bench:
-	dune exec bench/bench_regress.exe
-
-# Fast smoke pass of the same harness (small sizes, few repeats) — the CI
-# guard that the bench path itself keeps working.
-bench-check:
-	dune build @bench-smoke
-
-# Compare a previous run against the committed reference numbers:
-#   make bench && make bench-diff OLD=path/to/old
-OLD ?= .
-bench-diff:
-	dune exec bin/dr_bench_diff.exe -- $(OLD)/BENCH_engine.json BENCH_engine.json
-	dune exec bin/dr_bench_diff.exe -- $(OLD)/BENCH_protocols.json BENCH_protocols.json
-
 # Model checker: schedule-fuzz every registry protocol against the invariant
 # oracle (agreement / termination / spec-bound). `make check` is the real
 # budget; check-smoke is the fast fixed-seed CI gate.
@@ -51,7 +34,7 @@ check-smoke:
 
 # Coverage-guided campaign soak (dr_check --campaign over every protocol,
 # bounded budget): fails on any violation and leaves the deterministic
-# campaign statistics in CHECK_CAMPAIGN.json next to the BENCH_*.json files.
+# campaign statistics in CHECK_CAMPAIGN.json at the repo root.
 soak:
 	dune build @check-soak
 	cp _build/default/bin/check_campaign.json CHECK_CAMPAIGN.json

@@ -360,7 +360,7 @@ let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
   }
 
 let campaign_stats_json c =
-  let module Json = Dr_stats.Bench_io.Json in
+  let module Json = Dr_stats.Json in
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"dr-campaign/1\",\n";

@@ -27,8 +27,8 @@ type target = {
           randomized/resilience gating) *)
   pool : (int * int * int) list;
       (** admissible [(k, n, t)] instance parameters the fuzzer draws from;
-          must be small — under an arbiter the simulator's event pool is a
-          list, and every schedule re-executes the protocol *)
+          must be small, because every schedule re-executes the protocol
+          from the start *)
   run :
     ?observer:(Dr_engine.Sim.obs -> unit) ->
     attack:string ->

@@ -11,7 +11,7 @@
    File numbering is admission order, so saving the same campaign twice
    produces identical directories. *)
 
-module Json = Dr_stats.Bench_io.Json
+module Json = Dr_stats.Json
 module Crash_plan = Dr_adversary.Crash_plan
 
 type entry = { scenario : Repro.scenario; script : int list; new_signatures : int }

@@ -1,4 +1,4 @@
-module Json = Dr_stats.Bench_io.Json
+module Json = Dr_stats.Json
 module Crash_plan = Dr_adversary.Crash_plan
 
 type scenario = {

@@ -4,8 +4,7 @@
     the scenario (protocol, attack name, instance parameters, seed, crash
     plan) plus the minimized choice script, and what is expected to happen
     (which invariant fails, at which event index). The JSON is written and
-    parsed with the same machinery as the bench files
-    ({!Dr_stats.Bench_io.Json}); no external dependency.
+    parsed with {!Dr_stats.Json}; no external dependency.
 
     {v
     {

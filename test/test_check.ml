@@ -324,7 +324,7 @@ let test_repro_rejects_garbage () =
     | _ -> Alcotest.fail (label ^ ": expected Failure")
     | exception Failure _ -> ()
   in
-  expect_failure "wrong schema" "{ \"schema\": \"dr-bench/1\" }";
+  expect_failure "wrong schema" "{ \"schema\": \"dr-campaign/1\" }";
   expect_failure "bad crash" "{ \"schema\": \"dr-check/1\", \"protocol\": \"x\", \"attack\": \"a\", \"k\": 1, \"n\": 1, \"t\": 0, \"seed\": \"1\", \"crash\": \"at-time:3\", \"script\": [], \"invariant\": \"agreement\", \"event\": 0, \"detail\": \"\" }";
   expect_failure "fractional script" "{ \"schema\": \"dr-check/1\", \"protocol\": \"x\", \"attack\": \"a\", \"k\": 1, \"n\": 1, \"t\": 0, \"seed\": \"1\", \"crash\": \"none\", \"script\": [1.5], \"invariant\": \"agreement\", \"event\": 0, \"detail\": \"\" }"
 

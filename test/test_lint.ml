@@ -103,7 +103,7 @@ let ctx_of_path () =
   let c = Rules.ctx_of_path "../lib/stats/table.ml" in
   Alcotest.(check bool) "relative paths still resolve lib/" true c.Rules.in_lib;
   Alcotest.(check bool) "stats is not fiber zone" false c.Rules.in_core_engine;
-  let c = Rules.ctx_of_path "bench/bench_regress.ml" in
+  let c = Rules.ctx_of_path "bench/main.ml" in
   Alcotest.(check bool) "bench is outside lib/" false c.Rules.in_lib;
   let c = Rules.ctx_of_path "lib/net/runner.ml" in
   Alcotest.(check bool) "net is the socket runtime" true c.Rules.in_net;

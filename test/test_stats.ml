@@ -202,62 +202,54 @@ let test_printers_smoke () =
     (String.length (Format.asprintf "%a" Dr_engine.Metrics.pp_summary summary) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Bench_io (BENCH_*.json schema)                                      *)
+(* Quartiles and the Json reader (the "bench_io:" test names predate   *)
+(* the move of this code into Summary and Json)                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_bench_io_quantiles () =
-  let q25, med, q75 = Bench_io.quantiles [ 4.; 1.; 3.; 2. ] in
+let test_quartiles () =
+  let quartiles samples =
+    let a = Array.of_list samples in
+    Array.sort Float.compare a;
+    (Summary.percentile a 0.25, Summary.percentile a 0.5, Summary.percentile a 0.75)
+  in
+  let q25, med, q75 = quartiles [ 4.; 1.; 3.; 2. ] in
   checkf 1e-9 "q25" 1.75 q25;
   checkf 1e-9 "median" 2.5 med;
   checkf 1e-9 "q75" 3.25 q75;
-  let q25, med, q75 = Bench_io.quantiles [ 42. ] in
+  let q25, med, q75 = quartiles [ 42. ] in
   checkf 1e-9 "single q25" 42. q25;
   checkf 1e-9 "single median" 42. med;
   checkf 1e-9 "single q75" 42. q75;
-  Alcotest.check_raises "empty" (Invalid_argument "Bench_io.quantiles: empty sample")
-    (fun () -> ignore (Bench_io.quantiles []))
+  Alcotest.check_raises "empty" (Invalid_argument "Summary.percentile: empty") (fun () ->
+      ignore (Summary.percentile [||] 0.5))
 
-let test_bench_io_roundtrip () =
-  let b1 = Bench_io.of_samples ~name:"engine/storm" ~unit_:"events_per_sec" [ 10.; 30.; 20. ] in
-  checki "runs" 3 b1.Bench_io.runs;
-  checkf 1e-9 "median" 20. b1.Bench_io.median;
-  let file =
-    {
-      Bench_io.suite = "engine";
-      benches =
-        [
-          b1;
-          {
-            Bench_io.name = "engine/other";
-            unit_ = "sims_per_sec";
-            runs = 5;
-            median = 123456.789;
-            iqr_lo = 120000.5;
-            iqr_hi = 130000.25;
-          };
-        ];
-    }
+let test_json_roundtrip () =
+  let v =
+    Json.parse
+      " { \"name\": \"a \\\"b\\\" \\\\ c\\n\", \"xs\": [1, -2.5e3, []], \"o\": {} }\n"
   in
-  let back = Bench_io.of_json (Bench_io.to_json file) in
-  checkb "roundtrip exact" true (back = file);
-  checkb "find hit" true (Bench_io.find back "engine/other" <> None);
-  checkb "find miss" true (Bench_io.find back "nope" = None);
-  let path = Filename.temp_file "dr_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Bench_io.write ~path file;
-      checkb "file roundtrip" true (Bench_io.read path = file))
+  checks "string with escapes" "a \"b\" \\ c\n" (Json.str v "name");
+  checkb "array" true
+    (Json.member v "xs" = Some (Json.Arr [ Json.Num 1.; Json.Num (-2500.); Json.Arr [] ]));
+  checkb "empty object" true (Json.member v "o" = Some (Json.Obj []));
+  checkb "missing key" true (Json.member v "nope" = None);
+  checkf 1e-9 "number field" 7. (Json.num (Json.parse "{\"n\": 7}") "n");
+  let raw = "q\"uote \\ back\nnewline" in
+  checks "escape" "q\\\"uote \\\\ back\\nnewline" (Json.escape raw);
+  checks "escape round-trips" raw (Json.str (Json.parse ("{\"s\": \"" ^ Json.escape raw ^ "\"}")) "s")
 
-let test_bench_io_rejects_garbage () =
-  checkb "garbage rejected" true
-    (match Bench_io.of_json "{ \"schema\": \"nope\" }" with
-    | _ -> false
-    | exception Failure _ -> true);
-  checkb "truncated rejected" true
-    (match Bench_io.of_json "{ \"schema\": \"dr-bench/1\", \"suite\": \"x\"" with
-    | _ -> false
-    | exception Failure _ -> true)
+let test_json_rejects_garbage () =
+  let rejected label f =
+    checkb label true (match f () with _ -> false | exception Failure _ -> true)
+  in
+  rejected "truncated" (fun () -> Json.parse "{ \"schema\": \"x\", \"suite\": \"x\"");
+  rejected "wrong type" (fun () -> Json.str (Json.parse "{ \"schema\": 1 }") "schema");
+  rejected "missing field" (fun () -> Json.num (Json.parse "{}") "runs");
+  rejected "trailing bytes" (fun () -> Json.parse "{\"a\": 1} trailing junk {");
+  rejected "second value" (fun () -> Json.parse "[1] [2]");
+  Alcotest.check_raises "trailing bytes position"
+    (Failure "Json: trailing bytes after the value at byte 9") (fun () ->
+      ignore (Json.parse "{\"a\": 1} trailing junk {"))
 
 let test_lanes_smoke () =
   let trace = Dr_engine.Trace.create () in
@@ -291,9 +283,9 @@ let suite =
     ("par: runs simulations", `Quick, test_par_runs_simulations);
     ("select: regimes", `Quick, test_select_regimes);
     ("select: by name", `Quick, test_select_by_name);
-    ("bench_io: quantiles", `Quick, test_bench_io_quantiles);
-    ("bench_io: json roundtrip", `Quick, test_bench_io_roundtrip);
-    ("bench_io: rejects garbage", `Quick, test_bench_io_rejects_garbage);
+    ("bench_io: quantiles", `Quick, test_quartiles);
+    ("bench_io: json roundtrip", `Quick, test_json_roundtrip);
+    ("bench_io: rejects garbage", `Quick, test_json_rejects_garbage);
     ("select: chosen protocol works", `Quick, test_selected_protocol_actually_works);
     ("printers smoke", `Quick, test_printers_smoke);
     ("lane view smoke", `Quick, test_lanes_smoke);
