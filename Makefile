@@ -1,4 +1,4 @@
-.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos clean
+.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos perfbench-smoke clean
 
 all: build
 
@@ -50,6 +50,16 @@ net-smoke:
 # assumptions, so every run must still verify with the right verdict.
 net-chaos:
 	dune build @net-chaos
+
+# The benchmark end to end: a short run of every BENCHMARK.json workload,
+# through set-up, verification of every Download and the full timed loop.
+# Fails on the first non-zero exit (a failed verification, a crash, a
+# build error) — what the determinism self-test's few-input pass cannot see.
+perfbench-smoke:
+	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  echo "perfbench-smoke: $$w"; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

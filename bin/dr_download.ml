@@ -111,7 +111,7 @@ let run_net ~entry ~attack ~segments ~crash ~source ~timeout ~chaos ~net_retries
     ~request_timeout inst =
   let core = entry.Registry.core ~attack ?segments inst in
   let crash = Cli_args.crash_plan ~fault:inst.Problem.fault crash in
-  Dr_net.Runner.run_detailed ~timeout ?source:(parse_source source)
+  Dr_net.Runner.run_counted ~timeout ?source:(parse_source source)
     ?chaos:(parse_chaos chaos)
     ?client_cfg:(client_config ~net_retries ~request_timeout)
     ~crash core inst
@@ -159,8 +159,12 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
         | exception (Registry.Unknown_attack _ as e) -> `Error (false, Printexc.to_string e)
         | exception Dr_net.Source_client.Unreachable msg -> `Error (false, msg)
         | exception Failure msg -> `Error (false, msg)
-        | report, outcomes ->
+        | report, outcomes, faults ->
           Format.printf "%a@." Problem.pp_report report;
+          if chaos <> None then
+            Printf.printf "faults: reconnects=%d replay_hits=%d retransmissions=%d corrupt_frames=%d\n"
+              faults.Dr_net.Runner.reconnects faults.Dr_net.Runner.replay_hits
+              faults.Dr_net.Runner.retransmissions faults.Dr_net.Runner.corrupt_frames;
           pp_outcomes outcomes;
           if report.Problem.ok then `Ok () else `Error (false, "download failed")
       end

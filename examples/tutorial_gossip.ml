@@ -29,9 +29,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let y = Bitarray.create n in
     let have = Array.make spec.Segment.s false in
     let pos, len = Segment.bounds spec i in
-    for r = 0 to len - 1 do
-      Bitarray.set y (pos + r) (T.query (pos + r))
-    done;
+    Bitarray.blit ~src:(T.query_range ~pos ~len) ~dst:y ~pos;
     have.(i) <- true;
     T.broadcast (Want { seg = (i + 1) mod spec.Segment.s });
     let missing = ref (spec.Segment.s - 1) in

@@ -28,7 +28,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let mine =
       if i < spec.Segment.s then begin
         let pos, len = Segment.bounds spec i in
-        let mine = Bitarray.init len (fun j -> T.query (pos + j)) in
+        let mine = T.query_range ~pos ~len in
         Bitarray.blit ~src:mine ~dst:y ~pos;
         Some mine
       end

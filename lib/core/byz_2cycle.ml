@@ -49,7 +49,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let spec = Segment.make ~n ~s in
     let query_segment j =
       let pos, len = Segment.bounds spec j in
-      Bitarray.init len (fun r -> T.query (pos + r))
+      T.query_range ~pos ~len
     in
     let honest i =
       let prng = T.rng () in

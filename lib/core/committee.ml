@@ -44,7 +44,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let member j i = List.mem i (committee ~k ~size:c j) in
     let query_block j =
       let pos, len = Segment.bounds spec j in
-      Bitarray.init len (fun r -> T.query (pos + r))
+      T.query_range ~pos ~len
     in
     let honest i =
       let y = Bitarray.create n in

@@ -1,5 +1,3 @@
-module Bitarray = Dr_source.Bitarray
-
 module Msg = struct
   type t = unit
 
@@ -11,13 +9,7 @@ let name = "naive"
 let supports _ = Ok ()
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
-  let run inst _i =
-    let n = Problem.n inst in
-    let y = Bitarray.create n in
-    for j = 0 to n - 1 do
-      Bitarray.set y j (T.query j)
-    done;
-    y
+  let run inst _i = T.query_range ~pos:0 ~len:(Problem.n inst)
 end
 
 let core () : (module Transport.CORE) =

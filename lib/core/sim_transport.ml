@@ -1,7 +1,9 @@
 (* The simulator transport: a thin renaming of Dr_engine.Sim.Make to the
-   Transport.S vocabulary. Every function is a direct alias, so protocol
-   cores instantiated over it execute the exact same effect sequence as the
-   pre-transport code — the golden determinism tests pin this bit-exactly. *)
+   Transport.S vocabulary. Every function but [query_range] is a direct
+   alias; [query_range] packs the simulator's per-bit range read into a
+   Bitarray. Protocol cores instantiated over it execute the exact same
+   effect sequence as the pre-transport code — the golden determinism tests
+   pin this bit-exactly. *)
 
 module Make (M : Transport.MSG) = struct
   module S = Dr_engine.Sim.Make (M)
@@ -14,6 +16,12 @@ module Make (M : Transport.MSG) = struct
   let broadcast = S.broadcast
   let receive = S.receive
   let query = S.query
+
+  let query_range ~pos ~len =
+    let bits = Dr_source.Bitarray.create len in
+    S.query_range ~pos ~len (fun r v -> if v then Dr_source.Bitarray.set bits r true);
+    bits
+
   let clock = S.now
   let rng = S.rng
   let sleep = S.sleep

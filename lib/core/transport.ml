@@ -19,6 +19,7 @@ module type S = sig
   val broadcast : msg -> unit
   val receive : unit -> int * msg
   val query : int -> bool
+  val query_range : pos:int -> len:int -> Dr_source.Bitarray.t
   val clock : unit -> float
   val rng : unit -> Dr_engine.Prng.t
   val sleep : float -> unit

@@ -51,6 +51,16 @@ module type S = sig
   (** Read one bit from the external source (counted in Q — every transport
       must meter this through {!Dr_source.Data_source} accounting). *)
 
+  val query_range : pos:int -> len:int -> Dr_source.Bitarray.t
+  (** [query_range ~pos ~len] reads bits [pos .. pos+len-1] as one
+      transport operation: one simulator effect, or one source round trip
+      on sockets. Q is still charged per bit — [len] queries, each metered,
+      traced and crash-checked ([After_queries]) exactly like {!query} — so
+      a range read is indistinguishable in cost and outcome from the loop
+      [Bitarray.init len (fun r -> query (pos + r))]. Use it only for
+      non-adaptive contiguous reads; a read whose next index depends on
+      earlier answers ([Decision_tree.determine]) stays on {!query}. *)
+
   val clock : unit -> float
   (** Elapsed time: virtual in the simulator, wall-clock in the net runtime.
       Only for Byzantine strategies and instrumentation — honest protocol

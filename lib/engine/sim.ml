@@ -62,6 +62,7 @@ module Make (M : MESSAGE) = struct
     | E_send : int * M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
     | E_query : int -> bool Effect.t
+    | E_query_range : int * int * (int -> bool -> unit) -> unit Effect.t
     | E_now : float Effect.t
     | E_me : int Effect.t
     | E_k : int Effect.t
@@ -82,15 +83,27 @@ module Make (M : MESSAGE) = struct
 
   let receive () = Effect.perform E_receive
   let query i = Effect.perform (E_query i)
+  let query_range ~pos ~len set = Effect.perform (E_query_range (pos, len, set))
   let rng () = Effect.perform E_rng
   let sleep d = Effect.perform (E_sleep d)
   let note text = Effect.perform (E_note text)
   let die () = raise Halted
 
+  (* A range read in progress: bits [pos, pos+len) of which the first
+     [next] are charged, each handed to [set] as it is read. *)
+  type range = {
+    rk : (unit, unit) Effect.Deep.continuation;
+    pos : int;
+    len : int;
+    set : int -> bool -> unit;
+    mutable next : int;
+  }
+
   type wait =
     | Idle
     | On_receive of (int * M.t, unit) Effect.Deep.continuation
     | On_query_reply of (bool, unit) Effect.Deep.continuation
+    | On_range_reply of range
     | On_wake of (unit, unit) Effect.Deep.continuation
 
   type pstate = {
@@ -189,9 +202,56 @@ module Make (M : MESSAGE) = struct
         | On_query_reply k ->
           p.wait <- Idle;
           Effect.Deep.discontinue k Crashed
+        | On_range_reply r ->
+          p.wait <- Idle;
+          Effect.Deep.discontinue r.rk Crashed
         | On_wake k ->
           p.wait <- Idle;
           Effect.Deep.discontinue k Crashed
+      end
+    in
+    (* A peer crashing inside one of its own operations: it dies, and the
+       operation unwinds its fiber. *)
+    let crash_in p k =
+      p.alive <- false;
+      if trace_on then tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
+      Effect.Deep.discontinue k Crashed
+    in
+    (* Charge one source query of bit [i] to [p]: metrics, the source
+       itself and the trace. [E_query] and every bit of [E_query_range] go
+       through here, then through [query_crashes]. *)
+    let charge_query p i =
+      Metrics.on_query metrics p.id;
+      p.queries <- p.queries + 1;
+      let value = cfg.query_bit ~peer:p.id i in
+      if trace_on then
+        tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
+      value
+    in
+    let query_crashes p =
+      match Array.unsafe_get crash_spec p.id with
+      | After_queries j -> p.queries >= j
+      | Never | At_time _ | After_sends _ -> false
+    in
+    (* Read the rest of a range, bit by bit. Under a positive query latency
+       each bit suspends on its own [Ev_query_reply], whose handler resumes
+       here — so the events, and the arbiter's pool, are those of the
+       equivalent loop of [E_query]. *)
+    let rec range_step p r =
+      if r.next >= r.len then Effect.Deep.continue r.rk ()
+      else begin
+        let value = charge_query p (r.pos + r.next) in
+        r.set r.next value;
+        r.next <- r.next + 1;
+        if query_crashes p then crash_in p r.rk
+        else begin
+          let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
+          if delay <= 0. then range_step p r
+          else begin
+            p.wait <- On_range_reply r;
+            Heap.push heap ~time:(clock.(0) +. delay) (Ev_query_reply { peer = p.id; value })
+          end
+        end
       end
     in
     let handler_for p =
@@ -220,12 +280,7 @@ module Make (M : MESSAGE) = struct
                   | After_sends j -> p.sends >= j
                   | Never | At_time _ | After_queries _ -> false
                 in
-                if crash_now then begin
-                  p.alive <- false;
-                  if trace_on then
-                    tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
-                  discontinue k Crashed
-                end
+                if crash_now then crash_in p k
                 else begin
                   let size_bits = M.size_bits msg in
                   let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
@@ -265,22 +320,8 @@ module Make (M : MESSAGE) = struct
         | E_query i ->
           Some
             (fun k ->
-              Metrics.on_query metrics p.id;
-              p.queries <- p.queries + 1;
-              let value = cfg.query_bit ~peer:p.id i in
-              if trace_on then
-                tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
-              let crash_now =
-                match Array.unsafe_get crash_spec p.id with
-                | After_queries j -> p.queries >= j
-                | Never | At_time _ | After_sends _ -> false
-              in
-              if crash_now then begin
-                p.alive <- false;
-                if trace_on then
-                  tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
-                discontinue k Crashed
-              end
+              let value = charge_query p i in
+              if query_crashes p then crash_in p k
               else begin
                 let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
                 if delay <= 0. then continue k value
@@ -290,6 +331,11 @@ module Make (M : MESSAGE) = struct
                     (Ev_query_reply { peer = p.id; value })
                 end
               end)
+        | E_query_range (pos, len, set) ->
+          Some
+            (fun k ->
+              if len < 0 then discontinue k (Invalid_argument "Sim.query_range: negative length")
+              else range_step p { rk = k; pos; len; set; next = 0 })
         | E_sleep d ->
           Some
             (fun k ->
@@ -360,7 +406,8 @@ module Make (M : MESSAGE) = struct
             p.wait <- Idle;
             Metrics.on_wakeup metrics dst;
             Effect.Deep.continue k (src, msg)
-          | Idle | On_query_reply _ | On_wake _ -> Ring.push p.mailbox (src, msg)
+          | Idle | On_query_reply _ | On_range_reply _ | On_wake _ ->
+            Ring.push p.mailbox (src, msg)
         end
       | Ev_crash i -> kill peers.(i)
       | Ev_query_reply { peer; value } ->
@@ -370,6 +417,9 @@ module Make (M : MESSAGE) = struct
           | On_query_reply k ->
             p.wait <- Idle;
             Effect.Deep.continue k value
+          | On_range_reply r ->
+            p.wait <- Idle;
+            range_step p r
           | Idle | On_receive _ | On_wake _ -> ()
         end
       | Ev_wake i ->
@@ -379,7 +429,7 @@ module Make (M : MESSAGE) = struct
           | On_wake k ->
             p.wait <- Idle;
             Effect.Deep.continue k ()
-          | Idle | On_receive _ | On_query_reply _ -> ()
+          | Idle | On_receive _ | On_query_reply _ | On_range_reply _ -> ()
         end
     in
     let deadlock_check () =

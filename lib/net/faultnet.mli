@@ -19,7 +19,8 @@
                            client, forcing a same-sequence retry that the
                            server must answer from its replay cache)
     source_blackout=N@qJ   source requests J..J+N-1 (0-based, per peer) are
-                           refused before reaching the wire
+                           refused before reaching the wire; a range read
+                           is one request, however many bits it charges
     source_blackout=D@tT   requests issued in the wall-clock window
                            [T, T+D) from peer start are refused
     v}
@@ -94,8 +95,8 @@ type source_action = {
 }
 
 val on_source_request : t -> elapsed:float -> source_action
-(** Decision for the next logical source request (advances the op and query
-    counters). [elapsed] is seconds since peer start, used only by the
+(** Decision for the next logical source request — one [Query] or one
+    whole [Query_range] (advances the op and request counters). [elapsed] is seconds since peer start, used only by the
     [@tT] blackout form. *)
 
 val in_blackout : t -> elapsed:float -> bool

@@ -192,6 +192,26 @@ end) : Transport.S with type msg = M.t = struct
     | _ -> ());
     v
 
+  (* Under [After_queries j] a range charges only the bits the equivalent
+     [query] loop would have issued before crashing: [min len (j - done)],
+     and at least the first one (the loop crashes after, not before, the
+     j-th query). A [len = 0] range issues no request, like an empty loop. *)
+  let query_range ~pos ~len =
+    let charged =
+      match e.crash with
+      | Dr_engine.Sim.After_queries j when len > 0 -> min len (max 1 (j - e.counters.queries))
+      | _ -> len
+    in
+    let bits =
+      if charged = 0 then Dr_source.Bitarray.create 0
+      else Source_client.query_range e.source ~pos ~len:charged
+    in
+    e.counters.queries <- e.counters.queries + charged;
+    (match e.crash with
+    | Dr_engine.Sim.After_queries j when charged > 0 && e.counters.queries >= j -> raise Crashed
+    | _ -> ());
+    bits
+
   let clock () = Unix.gettimeofday () -. e.start
   let rng () = e.prng
   let sleep d = if d > 0. then Thread.delay d

@@ -32,6 +32,7 @@ type child_result = {
   wakeups : int;
   retrans : int;
   corrupt_rx : int;
+  reconnects : int;
   outcome : outcome;
 }
 
@@ -44,6 +45,7 @@ let failed_result outcome =
     wakeups = 0;
     retrans = 0;
     corrupt_rx = 0;
+    reconnects = 0;
     outcome;
   }
 
@@ -150,6 +152,7 @@ let child_main (module C : Transport.CORE) ~inst ~me ~host ~source_port ~listene
       wakeups = c.Net_transport.wakeups;
       retrans = c.Net_transport.retrans;
       corrupt_rx = c.Net_transport.corrupt_rx;
+      reconnects = Source_client.reconnects source;
       outcome;
     }
   in
@@ -190,7 +193,14 @@ let collect_results ~k ~deadline ~pids read_ends =
   done;
   results
 
-let run_detailed ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none) ?chaos
+type fault_counters = {
+  reconnects : int;
+  replay_hits : int;
+  retransmissions : int;
+  corrupt_frames : int;
+}
+
+let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none) ?chaos
     ?(client_cfg = Source_client.default_config) (module C : Transport.CORE) inst =
   (match C.supports inst with
   | Ok () -> ()
@@ -220,7 +230,7 @@ let run_detailed ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none
       ~cfg:client_cfg ()
   in
   (* Stats are deltas so an external long-running server works too. *)
-  let base_stats, _, _ = Source_client.stats control in
+  let base_stats, _, base_replays = Source_client.stats control in
   let listeners_ports = Array.init k (fun _ -> listener ()) in
   let listeners = Array.map fst listeners_ports in
   let ports = Array.map snd listeners_ports in
@@ -265,7 +275,7 @@ let run_detailed ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none
       | _ -> ()
       | exception Unix.Unix_error _ -> ())
     pids;
-  let final_stats, _, _ = Source_client.stats control in
+  let final_stats, _, final_replays = Source_client.stats control in
   (match server with
   | Some s ->
     Source_client.shutdown control;
@@ -330,6 +340,19 @@ let run_detailed ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none
         (if !timed_out = [] then Dr_engine.Sim.Completed else Dr_engine.Sim.Deadlock !timed_out);
     }
   in
+  let sum f = Array.fold_left (fun acc r -> match r with Some r -> acc + f r | None -> acc) 0 results in
+  let counters =
+    {
+      reconnects = sum (fun r -> r.reconnects);
+      replay_hits = final_replays - base_replays;
+      retransmissions = sum (fun r -> r.retrans);
+      corrupt_frames = sum (fun r -> r.corrupt_rx);
+    }
+  in
+  (report, outcomes, counters)
+
+let run_detailed ?timeout ?source ?crash ?chaos ?client_cfg core inst =
+  let report, outcomes, _ = run_counted ?timeout ?source ?crash ?chaos ?client_cfg core inst in
   (report, outcomes)
 
 let run ?timeout ?source ?crash ?chaos ?client_cfg core inst =

@@ -64,6 +64,29 @@ val run :
     {!Source_client.Unreachable} when an external source cannot be reached
     at all. *)
 
+type fault_counters = {
+  reconnects : int;  (** source connections the peers' clients re-established *)
+  replay_hits : int;  (** source requests answered from the server's replay cache *)
+  retransmissions : int;  (** injected-fault retransmissions on peer links *)
+  corrupt_frames : int;  (** corrupted frames receivers discarded by CRC *)
+}
+(** What the infrastructure faults of one run cost, summed over every peer
+    that reported (faulty ones included): the evidence that each {!chaos}
+    clause actually fired. [reconnects] counts blackouts, forced
+    disconnects and lost replies; [replay_hits] lost replies; the other two
+    drops and corruption. All zero without [chaos]. *)
+
+val run_counted :
+  ?timeout:float ->
+  ?source:source ->
+  ?crash:Dr_adversary.Crash_plan.t ->
+  ?chaos:chaos ->
+  ?client_cfg:Source_client.config ->
+  (module Dr_core.Transport.CORE) ->
+  Dr_core.Problem.instance ->
+  Dr_core.Problem.report * outcome array * fault_counters
+(** Like {!run_detailed}, also returning the run's {!fault_counters}. *)
+
 val run_detailed :
   ?timeout:float ->
   ?source:source ->

@@ -128,7 +128,10 @@ let connect ?(host = "127.0.0.1") ~port ~peer ?(cfg = default_config) ?chaos () 
   t.reconnects <- 0;
   t
 
-let query t i =
+(* One sequenced request ([Query] or [Query_range]): a fresh [seq], the
+   chaos decision for this logical request, then attempts under that one
+   [seq] until a response arrives. An [Err] response raises [Failure]. *)
+let sequenced t ~what (request : int -> Source_proto.request) : Source_proto.response =
   t.seq <- t.seq + 1;
   let seq = t.seq in
   let action =
@@ -138,7 +141,7 @@ let query t i =
   in
   if action.Faultnet.drop_link then drop_connection t;
   let lose_reply = ref action.Faultnet.lose_reply in
-  with_retries t ~what:(Printf.sprintf "Query(%d)" i) (fun attempt fd ->
+  with_retries t ~what (fun attempt fd ->
       let refused =
         match t.chaos with
         | None -> false
@@ -147,7 +150,7 @@ let query t i =
           || Faultnet.in_blackout c ~elapsed:(elapsed t)
       in
       if refused then raise (simulated_failure "source blackout");
-      Frame.send_value fd (Source_proto.Query { seq; index = i });
+      Frame.send_value fd (request seq);
       let resp : Source_proto.response = Frame.recv_value fd in
       if !lose_reply then begin
         (* The reply arrived and the server has charged (and cached) this
@@ -157,9 +160,24 @@ let query t i =
         raise (simulated_failure "injected reply loss")
       end;
       match resp with
-      | Source_proto.Bit v -> v
       | Source_proto.Err e -> failwith ("source: " ^ e)
-      | _ -> failwith "source: protocol violation (expected Bit)")
+      | r -> r)
+
+let query t i =
+  match
+    sequenced t ~what:(Printf.sprintf "Query(%d)" i) (fun seq ->
+        Source_proto.Query { seq; index = i })
+  with
+  | Source_proto.Bit v -> v
+  | _ -> failwith "source: protocol violation (expected Bit)"
+
+let query_range t ~pos ~len =
+  match
+    sequenced t ~what:(Printf.sprintf "Query_range(%d, %d)" pos len) (fun seq ->
+        Source_proto.Query_range { seq; pos; len })
+  with
+  | Source_proto.Bits b when Int.equal (Dr_source.Bitarray.length b) len -> b
+  | _ -> failwith "source: protocol violation (expected Bits of the range's length)"
 
 (* Unsequenced idempotent requests (control plane): same retry discipline,
    no replay-cache interaction. *)

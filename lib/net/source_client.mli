@@ -38,6 +38,12 @@ val query : t -> int -> bool
     Raises [Failure] on a server-side error, {!Unreachable} on retry
     exhaustion. *)
 
+val query_range : t -> pos:int -> len:int -> Dr_source.Bitarray.t
+(** [Query_range]: bits [pos .. pos+len-1] in one round trip, charged [len]
+    bits by the server, with the same sequence-number and retry discipline
+    as {!query} (a retried range is charged once). Raises [Failure] if the
+    server rejects the range, {!Unreachable} on retry exhaustion. *)
+
 val describe : t -> int * int
 (** [(n, k)] of the served instance. *)
 

@@ -49,12 +49,12 @@ let stats t =
 let total_queries t = locked t (fun () -> Data_source.total_queries t.source)
 let replay_hits t = locked t (fun () -> t.replays)
 
-(* Answer one Query under the lock: either replay the cached response for a
-   sequence number already processed (a transport retry — charged nothing),
-   or consult the metered Data_source and cache the result. This call is the
-   net runtime's whole Q-accounting boundary (lint rule L4 confines
-   [Data_source.query] here). *)
-let answer_query t ~peer ~seq ~index : Source_proto.response =
+(* Answer one sequenced request under the lock: either replay the cached
+   response for a sequence number already processed (a transport retry —
+   charged nothing), or run [charge], which consults the metered
+   Data_source, and cache the result. This call is the net runtime's whole
+   Q-accounting boundary (lint rule L4 confines [Data_source.query] here). *)
+let answer_query t ~peer ~seq charge : Source_proto.response =
   locked t (fun () ->
       match t.replay.(peer) with
       | Some (s, cached) when Int.equal s seq ->
@@ -63,13 +63,23 @@ let answer_query t ~peer ~seq ~index : Source_proto.response =
       | Some (s, _) when seq < s ->
         Source_proto.Err (Printf.sprintf "stale sequence %d (last processed %d)" seq s)
       | _ ->
-        let resp : Source_proto.response =
-          match Data_source.query t.source ~peer index with
-          | v -> Bit v
-          | exception Invalid_argument e -> Err e
-        in
+        let resp = charge () in
         t.replay.(peer) <- Some (seq, resp);
         resp)
+
+let query_bit t ~peer index () : Source_proto.response =
+  match Data_source.query t.source ~peer index with
+  | v -> Bit v
+  | exception Invalid_argument e -> Err e
+
+(* A range is checked whole before any bit is read, so a bad one charges
+   nothing; a good one charges each bit as its own [Query] would. *)
+let query_range t ~peer ~pos ~len () : Source_proto.response =
+  let n = Data_source.n t.source in
+  if pos < 0 || len < 0 || pos > n - len then
+    Err (Printf.sprintf "range (pos %d, len %d) outside the %d-bit input" pos len n)
+  else
+    Bits (Dr_source.Bitarray.init len (fun r -> Data_source.query t.source ~peer (pos + r)))
 
 let handle t fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -77,11 +87,17 @@ let handle t fd =
   (try
      match (Frame.recv_value fd : Source_proto.request) with
      | Hello peer when peer >= -1 && peer < t.k ->
+       let sequenced seq charge =
+         if peer < 0 then reply (Err "control connection cannot query")
+         else reply (answer_query t ~peer ~seq charge)
+       in
        let rec loop () =
          match (Frame.recv_value fd : Source_proto.request) with
          | Query { seq; index } ->
-           (if peer < 0 then reply (Err "control connection cannot query")
-            else reply (answer_query t ~peer ~seq ~index));
+           sequenced seq (query_bit t ~peer index);
+           loop ()
+         | Query_range { seq; pos; len } ->
+           sequenced seq (query_range t ~peer ~pos ~len);
            loop ()
          | Stats ->
            reply

@@ -7,9 +7,11 @@
 
     Queries are answered through a per-peer replay cache keyed on the
     client's monotonically-increasing sequence number: a retried [Query]
-    (after a reconnect or a lost reply) returns the cached response and is
-    charged to the peer's meter {e exactly once} — transport faults can
-    never inflate the paper's central cost metric. *)
+    or [Query_range] (after a reconnect or a lost reply) returns the cached
+    response and is charged to the peer's meter {e exactly once} — [1] bit
+    or [len] bits — so transport faults can never inflate the paper's
+    central cost metric. A request for an index or range outside the input
+    is answered [Err] and charged nothing. *)
 
 type t
 

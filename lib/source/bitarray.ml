@@ -51,15 +51,52 @@ let of_string s =
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
 
+(* Byte-level copying. [read8 src at w] is the [w <= 8] bits of [src]
+   starting at bit [at], packed from bit 0; [write8 dst at w v] stores them
+   at bit [at] of [dst], touching no other bit. Every bit of [dst] outside
+   the written range, its zero padding included, is left as it was. *)
+let read8 src at w =
+  let q = at lsr 3 and sh = at land 7 in
+  let v = Char.code (Bytes.get src.data q) lsr sh in
+  let v = if sh + w > 8 then v lor (Char.code (Bytes.get src.data (q + 1)) lsl (8 - sh)) else v in
+  v land ((1 lsl w) - 1)
+
+let write8 dst at w v =
+  let q = at lsr 3 and sh = at land 7 in
+  let mask = ((1 lsl w) - 1) lsl sh and v = v lsl sh in
+  let put q mask v =
+    let old = Char.code (Bytes.get dst.data q) in
+    Bytes.set dst.data q (Char.unsafe_chr ((old land lnot mask) lor (v land mask)))
+  in
+  put q (mask land 0xff) (v land 0xff);
+  if sh + w > 8 then put (q + 1) (mask lsr 8) (v lsr 8)
+
+(* Copy bits [src_pos, src_pos+len) of [src] to [dst_pos..] of [dst]: one
+   [Bytes.blit] when both ends are byte-aligned, else one shifted byte at a
+   time; only a trailing partial byte is merged under a mask. *)
+let blit_bits ~src ~src_pos ~dst ~dst_pos ~len =
+  let full = len lsr 3 in
+  let aligned = src_pos land 7 = 0 && dst_pos land 7 = 0 in
+  if aligned then Bytes.blit src.data (src_pos lsr 3) dst.data (dst_pos lsr 3) full
+  else
+    for j = 0 to full - 1 do
+      write8 dst (dst_pos + (8 * j)) 8 (read8 src (src_pos + (8 * j)) 8)
+    done;
+  let w = len land 7 in
+  if w > 0 then begin
+    let off = 8 * full in
+    write8 dst (dst_pos + off) w (read8 src (src_pos + off) w)
+  end
+
 let sub t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Bitarray.sub";
-  init len (fun i -> get t (pos + i))
+  if pos < 0 || len < 0 || pos > t.len - len then invalid_arg "Bitarray.sub";
+  let r = create len in
+  blit_bits ~src:t ~src_pos:pos ~dst:r ~dst_pos:0 ~len;
+  r
 
 let blit ~src ~dst ~pos =
-  if pos < 0 || pos + src.len > dst.len then invalid_arg "Bitarray.blit";
-  for i = 0 to src.len - 1 do
-    set dst (pos + i) (get src i)
-  done
+  if pos < 0 || pos > dst.len - src.len then invalid_arg "Bitarray.blit";
+  blit_bits ~src ~src_pos:0 ~dst ~dst_pos:pos ~len:src.len
 
 let append a b =
   let t = create (a.len + b.len) in

@@ -9,6 +9,8 @@ let n t = Bitarray.length t.bits
 
 let query t ~peer i =
   if peer < 0 || peer >= Array.length t.counts then invalid_arg "Data_source.query: bad peer";
+  if i < 0 || i >= Bitarray.length t.bits then invalid_arg "Data_source.query: bad index";
+  (* Validate first: a rejected query reads nothing, so it costs nothing. *)
   t.counts.(peer) <- t.counts.(peer) + 1;
   Bitarray.get t.bits i
 

@@ -19,7 +19,7 @@ val n : t -> int
 
 val query : t -> peer:int -> int -> bool
 (** Answer a query and charge it to [peer]. Raises [Invalid_argument] on an
-    out-of-range index or peer. *)
+    out-of-range index or peer, before charging anything. *)
 
 val query_fn : t -> peer:int -> int -> bool
 (** Same, shaped for {!Dr_engine.Sim.Make}'s [query_bit] field. *)

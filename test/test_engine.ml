@@ -819,6 +819,103 @@ let test_metrics_max_msg_bits_per_peer () =
   checki "summary max excludes deselected" 500
     (Metrics.summarize ~select:(fun i -> i = 0) m).Metrics.max_msg_bits
 
+(* ------------------------------------------------------------------ *)
+(* Range queries                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [query_range] must be indistinguishable from the per-bit loop it
+   replaces: same trace records, same observer stream, same metrics and the
+   same outputs — under crashes placed before, inside and after the range,
+   and with a query latency that suspends on every bit. *)
+let range_input = Array.init 40 (fun i -> i mod 3 = 0 || i mod 7 = 2)
+let range_query_bit ~peer:_ i = range_input.(i)
+
+type range_run = {
+  records : Trace.event list;
+  observed : (Sim.obs_kind * int * string * int) list;
+  counters : Metrics.peer list;
+  outcome : (bool list * bool) Sim.outcome;
+}
+
+let range_scenario ~use_range ~crash ~query_latency ~arbiter =
+  let trace = Trace.create () in
+  let seen = ref [] in
+  let observer o = seen := (o.Sim.obs_kind, o.Sim.obs_peer, o.Sim.obs_tag, o.Sim.obs_step) :: !seen in
+  let cfg =
+    {
+      (Sim.default_config ~k:3 ~query_bit:range_query_bit) with
+      crash;
+      query_latency = (fun ~peer:_ ~time:_ -> query_latency);
+      trace = Some trace;
+      observer = Some observer;
+      arbiter;
+    }
+  in
+  let read ~pos ~len =
+    if use_range then begin
+      let buf = Array.make len false in
+      S.query_range ~pos ~len (fun r v -> buf.(r) <- v);
+      buf
+    end
+    else Array.init len (fun r -> S.query (pos + r))
+  in
+  let outcome =
+    S.run cfg (fun i ->
+        S.send ((i + 1) mod 3) (Smsg.Ping i);
+        let mine = read ~pos:(i * 9) ~len:13 in
+        ignore (read ~pos:0 ~len:0);
+        S.broadcast (Smsg.Value mine.(0));
+        let extra = S.query 39 in
+        for _ = 1 to 3 do
+          ignore (S.receive ())
+        done;
+        (Array.to_list mine, extra))
+  in
+  {
+    records = Trace.events trace;
+    observed = List.rev !seen;
+    counters = List.init 3 (Metrics.peer outcome.Sim.metrics);
+    outcome;
+  }
+
+let test_query_range_matches_loop () =
+  let peer1 spec i = if i = 1 then spec else Sim.Never in
+  let crashes =
+    [
+      ("no crash", fun _ -> Sim.Never);
+      ("crash before", peer1 (Sim.After_queries 0));
+      ("crash inside", peer1 (Sim.After_queries 5));
+      ("crash on the last bit", peer1 (Sim.After_queries 13));
+      ("crash after", peer1 (Sim.After_queries 14));
+    ]
+  in
+  let arbiters = [ ("timed", None); ("arbiter", Some (fun count -> count / 2)) ] in
+  List.iter
+    (fun (cname, crash) ->
+      List.iter
+        (fun query_latency ->
+          List.iter
+            (fun (aname, arbiter) ->
+              let loop = range_scenario ~use_range:false ~crash ~query_latency ~arbiter in
+              let range = range_scenario ~use_range:true ~crash ~query_latency ~arbiter in
+              let what = Printf.sprintf "%s, query latency %g, %s" cname query_latency aname in
+              checkb (what ^ ": trace records") true (loop.records = range.records);
+              checkb (what ^ ": observer stream") true (loop.observed = range.observed);
+              checkb (what ^ ": metrics") true (loop.counters = range.counters);
+              checkb (what ^ ": outputs") true (loop.outcome.Sim.outputs = range.outcome.Sim.outputs);
+              checkb (what ^ ": status, events, end time") true
+                (loop.outcome.Sim.status = range.outcome.Sim.status
+                && loop.outcome.Sim.events = range.outcome.Sim.events
+                && loop.outcome.Sim.end_time = range.outcome.Sim.end_time))
+            arbiters)
+        [ 0.; 0.25 ])
+    crashes;
+  (* The scenarios are not vacuous: peer 1 really dies mid-range. *)
+  let inside = range_scenario ~use_range:true ~crash:(peer1 (Sim.After_queries 5))
+      ~query_latency:0.25 ~arbiter:None in
+  checki "crashed peer charged exactly 5 bits" 5 (List.nth inside.counters 1).Metrics.queries;
+  checkb "crashed peer has no output" true (inside.outcome.Sim.outputs.(1) = None)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -871,4 +968,5 @@ let suite =
     ("metrics summary selection", `Quick, test_metrics_summary_selection);
     ("metrics receives and wakeups", `Quick, test_metrics_receives_and_wakeups);
     ("metrics per-peer max msg", `Quick, test_metrics_max_msg_bits_per_peer);
+    ("query_range is the per-bit loop", `Quick, test_query_range_matches_loop);
   ]

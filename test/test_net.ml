@@ -160,7 +160,8 @@ let test_faultnet_deterministic_schedule () =
 (* Every reply is lost once ([reply_loss=1]): each logical query is sent
    twice under one sequence number across a forced reconnect, the server
    answers the retry from its replay cache, and the peer's Q meter — the
-   paper's central cost — is charged exactly once per logical query. *)
+   paper's central cost — is charged exactly once per logical query: one
+   bit for a [Query], [len] bits for a [Query_range]. *)
 let test_source_client_replay_charged_once () =
   let n = 64 in
   let x = Dr_source.Bitarray.random (Dr_engine.Prng.create 5L) n in
@@ -180,16 +181,63 @@ let test_source_client_replay_charged_once () =
       (Dr_source.Bitarray.get x i)
       (Dr_net.Source_client.query client i)
   done;
-  checki "client issued one sequence number per logical query" logical
+  let ranges = [ (3, 20); (40, 24) ] in
+  List.iter
+    (fun (pos, len) ->
+      checkb
+        (Printf.sprintf "Query_range(%d, %d) answers correctly despite the lost reply" pos len)
+        true
+        (Dr_source.Bitarray.equal (Dr_source.Bitarray.sub x ~pos ~len)
+           (Dr_net.Source_client.query_range client ~pos ~len)))
+    ranges;
+  let range_bits = List.fold_left (fun acc (_, len) -> acc + len) 0 ranges in
+  let requests = logical + List.length ranges in
+  checki "client issued one sequence number per logical request" requests
     (Dr_net.Source_client.sequence client);
   checkb "lost replies forced reconnects" true (Dr_net.Source_client.reconnects client > 0);
   let control =
     Dr_net.Source_client.connect ~port ~peer:Dr_net.Source_proto.control_peer ()
   in
   let per_peer, total, replays = Dr_net.Source_client.stats control in
-  checki "Q charged exactly once per logical query" logical per_peer.(0);
-  checki "total matches" logical total;
-  checki "every retry hit the replay cache" logical replays;
+  checki "Q charged exactly once per logical query, len bits per range"
+    (logical + range_bits) per_peer.(0);
+  checki "total matches" (logical + range_bits) total;
+  checki "every retry hit the replay cache" requests replays;
+  Dr_net.Source_client.close client;
+  Dr_net.Source_client.shutdown control;
+  Dr_net.Source_client.close control;
+  Dr_net.Source_server.stop server
+
+(* A query or range outside the input is answered [Err] — a [Failure] at
+   the client — and charged nothing; the connection stays usable. *)
+let test_source_rejects_without_charging () =
+  let n = 32 in
+  let x = Dr_source.Bitarray.random (Dr_engine.Prng.create 3L) n in
+  let server = Dr_net.Source_server.create ~k:1 x in
+  Dr_net.Source_server.start server;
+  let port = Dr_net.Source_server.port server in
+  let client = Dr_net.Source_client.connect ~port ~peer:0 () in
+  let rejected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s must be rejected" what
+    | exception Failure _ -> ()
+  in
+  rejected "Query(n)" (fun () -> ignore (Dr_net.Source_client.query client n));
+  rejected "Query(-1)" (fun () -> ignore (Dr_net.Source_client.query client (-1)));
+  List.iter
+    (fun (pos, len) ->
+      rejected (Printf.sprintf "Query_range(%d, %d)" pos len) (fun () ->
+          ignore (Dr_net.Source_client.query_range client ~pos ~len)))
+    [ (-1, 4); (0, -1); (0, n + 1); (n - 3, 4); (max_int, 2); (1, max_int) ];
+  let control =
+    Dr_net.Source_client.connect ~port ~peer:Dr_net.Source_proto.control_peer ()
+  in
+  let per_peer, _, _ = Dr_net.Source_client.stats control in
+  checki "rejected requests charged nothing" 0 per_peer.(0);
+  checkb "a good range still answers" true
+    (Dr_source.Bitarray.equal x (Dr_net.Source_client.query_range client ~pos:0 ~len:n));
+  let per_peer, _, _ = Dr_net.Source_client.stats control in
+  checki "the good range charged n bits" n per_peer.(0);
   Dr_net.Source_client.close client;
   Dr_net.Source_client.shutdown control;
   Dr_net.Source_client.close control;
@@ -213,4 +261,5 @@ let suite =
     ("faultnet schedule is seed-deterministic", `Quick, test_faultnet_deterministic_schedule);
     ("lost replies: replay cache charges Q once", `Quick, test_source_client_replay_charged_once);
     ("retry exhaustion raises Unreachable", `Quick, test_source_client_unreachable);
+    ("rejected query and range are not charged", `Quick, test_source_rejects_without_charging);
   ]

@@ -66,6 +66,46 @@ let prop_bits_flip_involution =
       let i = i mod String.length s in
       Bitarray.equal (Bitarray.flip (Bitarray.flip a i) i) a)
 
+(* The byte-level copy kernels against a bit-by-bit model on '0'/'1'
+   strings. Each case tries every (pos mod 8, len mod 8) pair, [len = 0]
+   included, once with the range inside the array and once on an array cut
+   to end exactly on the range's last bit. A blit lands on random and on
+   all-ones destinations, so a write outside [pos, pos+len) shows. Results
+   are compared with [Bitarray.equal] against [of_string] of the model,
+   which also requires the padding bits to be zero. *)
+let prop_bits_kernels_match_model =
+  let gen =
+    QCheck.Gen.(
+      let bits = string_size ~gen:(oneofl [ '0'; '1' ]) (int_range 62 130) in
+      quad bits bits (int_range 0 3) (int_range 0 3))
+  in
+  let print (s, d, q, q') = Printf.sprintf "s=%s d=%s q=%d q'=%d" s d q q' in
+  QCheck.Test.make ~name:"bitarray: blit/sub/append match a per-bit model" ~count:100
+    (QCheck.make ~print gen)
+    (fun (s, d, q, q') ->
+      let same got want = Bitarray.equal got (Bitarray.of_string want) in
+      let ok = ref true in
+      for pm = 0 to 7 do
+        for lm = 0 to 7 do
+          let pos = (8 * q) + pm and len = (8 * q') + lm in
+          let src = String.sub s 0 len in
+          List.iter
+            (fun arr ->
+              ok := !ok && same (Bitarray.sub (Bitarray.of_string arr) ~pos ~len) (String.sub arr pos len))
+            [ s; String.sub s 0 (pos + len) ];
+          List.iter
+            (fun dst ->
+              let got = Bitarray.of_string dst in
+              Bitarray.blit ~src:(Bitarray.of_string src) ~dst:got ~pos;
+              let rest = String.length dst - pos - len in
+              ok := !ok && same got (String.sub dst 0 pos ^ src ^ String.sub dst (pos + len) rest))
+            [ d; String.make (String.length d) '1'; String.sub d 0 (pos + len) ];
+          let a = String.sub s 0 ((8 * q) + pm) and b = String.sub d 0 len in
+          ok := !ok && same (Bitarray.append (Bitarray.of_string a) (Bitarray.of_string b)) (a ^ b)
+        done
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Segment                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -458,6 +498,7 @@ let suite =
       prop_bits_first_diff;
       prop_bits_append_sub;
       prop_bits_flip_involution;
+      prop_bits_kernels_match_model;
       prop_segment_tiles;
       prop_segment_of_bit;
       prop_segment_children_concat;

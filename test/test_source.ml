@@ -178,6 +178,19 @@ let test_source_repeat_queries_counted () =
   done;
   checki "repeats count" 5 (Data_source.queries_by src 0)
 
+(* A query the source rejects reads no bit, so it must not be charged. *)
+let test_source_rejected_query_not_charged () =
+  let src = Data_source.create ~k:2 (Bitarray.of_string "1010") in
+  ignore (Data_source.query src ~peer:1 2);
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "index %d rejected" i)
+        (Invalid_argument "Data_source.query: bad index") (fun () ->
+          ignore (Data_source.query src ~peer:1 i)))
+    [ -1; 4; max_int ];
+  checki "rejected queries charged nothing" 1 (Data_source.queries_by src 1);
+  checki "other peer untouched" 0 (Data_source.queries_by src 0)
+
 (* ------------------------------------------------------------------ *)
 (* Wire                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -317,6 +330,7 @@ let suite =
     ("segment invalid args", `Quick, test_segment_invalid);
     ("source query counting", `Quick, test_source_counts);
     ("source repeats counted", `Quick, test_source_repeat_queries_counted);
+    ("data source: rejected query not charged", `Quick, test_source_rejected_query_not_charged);
     ("wire split sizes", `Quick, test_wire_split_sizes);
     ("wire roundtrip", `Quick, test_wire_roundtrip);
     ("wire empty payload", `Quick, test_wire_empty);

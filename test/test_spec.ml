@@ -131,6 +131,73 @@ let test_bound_is_not_vacuous () =
   checkb "2cycle bound < n" true
     (Spec.byz_2cycle.Spec.q_bound ~k:128 ~n:32768 ~t:8 ~b < 32768.)
 
+(* [query_range] changes how a segment read travels, not what it costs.
+   Every registry protocol, under every attack, with and without an
+   [After_queries] crash landing inside a read, and with and without query
+   latency, charges each peer — faulty ones included — exactly the Q it
+   charges when every range is the per-bit loop it replaced, and records
+   the same trace. *)
+module Per_bit (T : Transport.S) = struct
+  include T
+
+  let query_range ~pos ~len = Dr_source.Bitarray.init len (fun r -> T.query (pos + r))
+end
+
+let run_reading ~per_bit (module C : Transport.CORE) inst opts =
+  let module ST = Sim_transport.Make (C.Msg) in
+  let trace = Dr_engine.Trace.create () in
+  let cfg = Exec.build_config inst (Exec.with_trace trace opts) in
+  let outcome =
+    if per_bit then
+      let module P = C.Process (Per_bit (ST)) in
+      ST.run_sim cfg (P.run inst)
+    else
+      let module P = C.Process (ST) in
+      ST.run_sim cfg (P.run inst)
+  in
+  ( Array.init inst.Problem.k (fun i ->
+        (Dr_engine.Metrics.peer outcome.Dr_engine.Sim.metrics i).Dr_engine.Metrics.queries),
+    Dr_engine.Trace.events trace,
+    Exec.finish ~protocol:C.name inst outcome )
+
+let test_range_reads_charge_per_bit () =
+  List.iter
+    (fun e ->
+      let admitted =
+        List.filter_map
+          (fun t ->
+            let inst =
+              Problem.random_instance ~seed:11L ~model:e.Registry.model ~k:9 ~n:200 ~t ()
+            in
+            if Registry.admits e inst = Ok () then Some inst else None)
+          [ 3; 2; 1; 0 ]
+      in
+      let inst = List.hd admitted in
+      List.iter
+        (fun attack ->
+          let core = e.Registry.core ~attack inst in
+          List.iter
+            (fun (cname, crash) ->
+              List.iter
+                (fun query_latency ->
+                  let opts = Exec.make_opts ~crash ~query_latency () in
+                  let q_range, tr_range, rep_range = run_reading ~per_bit:false core inst opts in
+                  let q_loop, tr_loop, rep_loop = run_reading ~per_bit:true core inst opts in
+                  let what =
+                    Printf.sprintf "%s/%s, %s, query latency %g" (Registry.name e) attack cname
+                      query_latency
+                  in
+                  Alcotest.(check (array int)) (what ^ ": per-peer Q") q_loop q_range;
+                  checkb (what ^ ": trace") true (tr_loop = tr_range);
+                  checkb (what ^ ": report") true (rep_loop = rep_range))
+                [ 0.; 0.25 ])
+            [
+              ("no crash", Crash_plan.none);
+              ("crash after 7 queries", Crash_plan.after_queries inst.Problem.fault 7);
+            ])
+        e.Registry.attacks)
+    Registry.all
+
 let suite =
   [
     ("spec covers the registry", `Quick, test_spec_covers_registry);
@@ -141,4 +208,5 @@ let suite =
     ("committee bound holds live", `Quick, test_bounds_hold_committee);
     ("2cycle bound holds live", `Quick, test_bounds_hold_2cycle);
     ("bounds are not vacuous", `Quick, test_bound_is_not_vacuous);
+    ("range reads charge Q per bit", `Quick, test_range_reads_charge_per_bit);
   ]

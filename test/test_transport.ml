@@ -25,23 +25,25 @@ let entry name =
 
 (* [crash] is a function of the instance so the plan can target its fault
    set. 30s of wall clock is an order of magnitude above what these tiny
-   instances need; it only bounds the damage of a hung child. *)
-let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ~protocol ~k ~n ~t
-    ~model ~seed () =
+   instances need; it only bounds the damage of a hung child. Each
+   [(clause, counter)] of [fires] must read nonzero on the net run. *)
+let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ?(fires = [])
+    ~protocol ~k ~n ~t ~model ~seed () =
   let e = entry protocol in
   let inst = Problem.random_instance ~seed ~model ~k ~n ~t () in
   let crash = crash inst in
   let sim =
     e.Registry.run ~opts:(Exec.make_opts ~crash ()) ~attack inst
   in
-  let net =
-    Dr_net.Runner.run ~timeout:30. ~crash ?chaos (e.Registry.core ~attack inst) inst
+  let net, _, faults =
+    Dr_net.Runner.run_counted ~timeout:30. ~crash ?chaos (e.Registry.core ~attack inst) inst
   in
   checkb "sim verdict ok" true sim.Problem.ok;
   checkb "net verdict matches" sim.Problem.ok net.Problem.ok;
   checki "q_max matches" sim.Problem.q_max net.Problem.q_max;
   checki "q_total matches" sim.Problem.q_total net.Problem.q_total;
-  Alcotest.(check (float 1e-9)) "q_mean matches" sim.Problem.q_mean net.Problem.q_mean
+  Alcotest.(check (float 1e-9)) "q_mean matches" sim.Problem.q_mean net.Problem.q_mean;
+  List.iter (fun (clause, counter) -> checkb (clause ^ " fired") true (counter faults > 0)) fires
 
 let test_crash_general_faultfree () =
   conform ~protocol:"crash-general" ~k:5 ~n:256 ~t:0 ~model:Problem.Crash ~seed:7L ()
@@ -59,7 +61,10 @@ let test_byz_2cycle_silent () =
    lost replies, a blackout window) sit below the reliability the protocols
    assume, so a chaotic net run must still agree with the pristine
    simulator on the verdict and on every query count — the replay cache
-   keeps retried queries off the Q meter. *)
+   keeps retried queries off the Q meter. Each run's fault counters show
+   its clauses really fired: the specs count source {e requests}, and a
+   range read is one request, so a trigger aimed past a peer's last
+   request would pass vacuously. *)
 let chaos spec =
   match Dr_net.Faultnet.parse_seeded spec with
   | Ok (chaos_seed, plan) -> { Dr_net.Runner.chaos_seed; plan }
@@ -68,13 +73,66 @@ let chaos spec =
 let test_chaos_conformance_crash_general () =
   conform ~protocol:"crash-general" ~k:5 ~n:256 ~t:0 ~model:Problem.Crash ~seed:7L
     ~chaos:(chaos "13:drop=0.1,corrupt=0.05,reply_loss=0.25")
+    ~fires:
+      [
+        ("drop/corrupt", fun f -> f.Dr_net.Runner.retransmissions);
+        ("reply_loss", fun f -> f.Dr_net.Runner.replay_hits);
+      ]
     ()
 
+(* With one segment each honest peer makes a single source request, so the
+   blackout targets request 0. *)
 let test_chaos_conformance_byz_2cycle () =
   conform ~protocol:"byz-2cycle" ~attack:"silent" ~k:6 ~n:512 ~t:2 ~model:Problem.Byzantine
     ~seed:3L
-    ~chaos:(chaos "5:drop=0.05,source_blackout=3@q2,stall=1ms@p1")
+    ~chaos:(chaos "5:drop=0.2,source_blackout=3@q0,stall=1ms@p1")
+    ~fires:
+      [
+        ("drop", fun f -> f.Dr_net.Runner.retransmissions);
+        ("source_blackout", fun f -> f.Dr_net.Runner.reconnects);
+      ]
     ()
+
+(* An [After_queries] crash landing mid-segment. At k = 6, t = 2 byz-2cycle
+   has one segment, so each peer reads all 512 bits in one range; the
+   faulty peers run the honest code ([Mirror]) and die after 100 of those
+   bits. Both runtimes must charge every peer the same Q — the crashed ones
+   exactly 100 bits, which on sockets means the range request was cut to
+   the bits the per-bit loop would have issued. A standalone server
+   exposes the faulty peers' meters, which the report leaves out. *)
+let test_byz_2cycle_crash_mid_segment () =
+  let k = 6 and j = 100 in
+  let inst = Problem.random_instance ~seed:3L ~model:Problem.Byzantine ~k ~n:512 ~t:2 () in
+  let core = Dr_core.Byz_2cycle.core ~attack:Dr_core.Byz_2cycle.Mirror () in
+  let crash = Crash_plan.after_queries inst.Problem.fault j in
+  let sim_q, sim_ok =
+    let (module C : Dr_core.Transport.CORE) = core in
+    let module ST = Dr_core.Sim_transport.Make (C.Msg) in
+    let module P = C.Process (ST) in
+    let outcome = ST.run_sim (Exec.build_config inst (Exec.make_opts ~crash ())) (P.run inst) in
+    ( Array.init k (fun i -> (Dr_engine.Metrics.peer outcome.Dr_engine.Sim.metrics i).queries),
+      (Exec.finish ~protocol:C.name inst outcome).Problem.ok )
+  in
+  let server = Dr_net.Source_server.create ~k inst.Problem.x in
+  Dr_net.Source_server.start server;
+  let source = { Dr_net.Runner.host = "127.0.0.1"; port = Dr_net.Source_server.port server } in
+  let net = Dr_net.Runner.run ~timeout:30. ~source ~crash core inst in
+  let net_q = Dr_net.Source_server.stats server in
+  let control =
+    Dr_net.Source_client.connect ~port:source.Dr_net.Runner.port
+      ~peer:Dr_net.Source_proto.control_peer ()
+  in
+  Dr_net.Source_client.shutdown control;
+  Dr_net.Source_client.close control;
+  Dr_net.Source_server.stop server;
+  checkb "sim verdict ok" true sim_ok;
+  checkb "net verdict ok" true net.Problem.ok;
+  Array.iteri
+    (fun i q ->
+      let want = if Problem.honest inst i then 512 else j in
+      checki (Printf.sprintf "sim: peer %d charged" i) want q)
+    sim_q;
+  Alcotest.(check (array int)) "per-peer Q, sim = net" sim_q net_q
 
 let test_net_rejects_at_time_crash () =
   let e = entry "crash-general" in
@@ -92,4 +150,5 @@ let suite =
     ("crash-general sim=net under chaos", `Quick, test_chaos_conformance_crash_general);
     ("byz-2cycle sim=net under chaos", `Quick, test_chaos_conformance_byz_2cycle);
     ("net rejects At_time crash plans", `Quick, test_net_rejects_at_time_crash);
+    ("byz-2cycle mid-segment query crash sim=net", `Quick, test_byz_2cycle_crash_mid_segment);
   ]
