@@ -24,10 +24,7 @@ let infer_k events =
     (fun acc ev ->
       match ev with
       | Trace.Sent { src; dst; _ } | Trace.Delivered { src; dst; _ } -> max acc (max src dst + 1)
-      | Trace.Queried { peer; _ }
-      | Trace.Crashed { peer; _ }
-      | Trace.Terminated { peer; _ }
-      | Trace.Note { peer; _ } ->
+      | Trace.Queried { peer; _ } | Trace.Crashed { peer; _ } | Trace.Terminated { peer; _ } ->
         max acc (peer + 1)
       | Trace.Deadlocked { blocked; _ } ->
         List.fold_left (fun acc p -> max acc (p + 1)) acc blocked)
@@ -42,8 +39,7 @@ let summary trace =
     | Trace.Queried { time; _ }
     | Trace.Crashed { time; _ }
     | Trace.Terminated { time; _ }
-    | Trace.Deadlocked { time; _ }
-    | Trace.Note { time; _ } ->
+    | Trace.Deadlocked { time; _ } ->
       time
   in
   let span =

@@ -25,7 +25,6 @@ module Make (M : Transport.MSG) = struct
   let clock = S.now
   let rng = S.rng
   let sleep = S.sleep
-  let note = S.note
   let die = S.die
 
   let run_sim = S.run

@@ -23,7 +23,6 @@ module type S = sig
   val clock : unit -> float
   val rng : unit -> Dr_engine.Prng.t
   val sleep : float -> unit
-  val note : string -> unit
   val die : unit -> 'a
 end
 

@@ -48,16 +48,19 @@ module type S = sig
       arrives. *)
 
   val query : int -> bool
-  (** Read one bit from the external source (counted in Q — every transport
-      must meter this through {!Dr_source.Data_source} accounting). *)
+  (** The model's [Query(i)]: read one bit from the external source. Both
+      transports implement it as the one-bit [query_range ~pos:i ~len:1],
+      so it is charged, traced and crash-checked on the same path. *)
 
   val query_range : pos:int -> len:int -> Dr_source.Bitarray.t
   (** [query_range ~pos ~len] reads bits [pos .. pos+len-1] as one
       transport operation: one simulator effect, or one source round trip
-      on sockets. Q is still charged per bit — [len] queries, each metered,
-      traced and crash-checked ([After_queries]) exactly like {!query} — so
-      a range read is indistinguishable in cost and outcome from the loop
-      [Bitarray.init len (fun r -> query (pos + r))]. Use it only for
+      on sockets. This is the only way a transport reads the source. Q is
+      still charged per bit — [len] queries, each metered through
+      {!Dr_source.Data_source} accounting, traced and crash-checked
+      ([After_queries]) on its own — so a range read is indistinguishable
+      in cost and outcome from the loop
+      [Bitarray.init len (fun r -> query (pos + r))]. Use it for
       non-adaptive contiguous reads; a read whose next index depends on
       earlier answers ([Decision_tree.determine]) stays on {!query}. *)
 
@@ -73,9 +76,6 @@ module type S = sig
 
   val sleep : float -> unit
   (** Wait for a duration. Only for Byzantine/adversarial code. *)
-
-  val note : string -> unit
-  (** Free-form trace annotation (a no-op where there is no trace). *)
 
   val die : unit -> 'a
   (** The crashable hook: stop executing this peer immediately (voluntary

@@ -49,6 +49,8 @@ let[@inline] bump t i field =
   let idx = (i * stride) + field in
   Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + 1)
 
+let[@inline] queries t i = Array.unsafe_get t.data ((i * stride) + f_queries)
+let[@inline] msgs_sent t i = Array.unsafe_get t.data ((i * stride) + f_msgs_sent)
 let[@inline] on_query t i = bump t i f_queries
 
 let on_send t i ~size_bits =

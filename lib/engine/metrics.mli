@@ -28,6 +28,12 @@ val peer : t -> int -> peer
 
 val peer_count : t -> int
 
+val queries : t -> int -> int
+val msgs_sent : t -> int -> int
+(** One peer's query / send count, read without allocating (unchecked
+    index): what the simulator's [After_queries] / [After_sends] crash
+    checks compare against. *)
+
 val on_query : t -> int -> unit
 val on_send : t -> int -> size_bits:int -> unit
 val on_receive : t -> int -> unit

@@ -61,14 +61,12 @@ module Make (M : MESSAGE) = struct
   type _ Effect.t +=
     | E_send : int * M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
-    | E_query : int -> bool Effect.t
     | E_query_range : int * int * (int -> bool -> unit) -> unit Effect.t
     | E_now : float Effect.t
     | E_me : int Effect.t
     | E_k : int Effect.t
     | E_rng : Prng.t Effect.t
     | E_sleep : float -> unit Effect.t
-    | E_note : string -> unit Effect.t
 
   let me () = Effect.perform E_me
   let peer_count () = Effect.perform E_k
@@ -82,11 +80,15 @@ module Make (M : MESSAGE) = struct
     done
 
   let receive () = Effect.perform E_receive
-  let query i = Effect.perform (E_query i)
   let query_range ~pos ~len set = Effect.perform (E_query_range (pos, len, set))
+
+  let query i =
+    let value = ref false in
+    query_range ~pos:i ~len:1 (fun _ v -> value := v);
+    !value
+
   let rng () = Effect.perform E_rng
   let sleep d = Effect.perform (E_sleep d)
-  let note text = Effect.perform (E_note text)
   let die () = raise Halted
 
   (* A range read in progress: bits [pos, pos+len) of which the first
@@ -102,7 +104,6 @@ module Make (M : MESSAGE) = struct
   type wait =
     | Idle
     | On_receive of (int * M.t, unit) Effect.Deep.continuation
-    | On_query_reply of (bool, unit) Effect.Deep.continuation
     | On_range_reply of range
     | On_wake of (unit, unit) Effect.Deep.continuation
 
@@ -113,15 +114,13 @@ module Make (M : MESSAGE) = struct
     mailbox : (int * M.t) Ring.t;
     mutable wait : wait;
     prng : Prng.t;
-    mutable sends : int;
-    mutable queries : int;
   }
 
   type event =
     | Ev_start of int
     | Ev_deliver of { dst : int; src : int; msg : M.t }
     | Ev_crash of int
-    | Ev_query_reply of { peer : int; value : bool }
+    | Ev_query_reply of int
     | Ev_wake of int
 
   (* The arbiter's pending pool: a growable array holding events in the
@@ -164,8 +163,6 @@ module Make (M : MESSAGE) = struct
             mailbox = Ring.create ();
             wait = Idle;
             prng = Prng.split master;
-            sends = 0;
-            queries = 0;
           })
     in
     let heap = Heap.create () in
@@ -199,9 +196,6 @@ module Make (M : MESSAGE) = struct
         | On_receive k ->
           p.wait <- Idle;
           Effect.Deep.discontinue k Crashed
-        | On_query_reply k ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue k Crashed
         | On_range_reply r ->
           p.wait <- Idle;
           Effect.Deep.discontinue r.rk Crashed
@@ -217,39 +211,34 @@ module Make (M : MESSAGE) = struct
       if trace_on then tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
       Effect.Deep.discontinue k Crashed
     in
-    (* Charge one source query of bit [i] to [p]: metrics, the source
-       itself and the trace. [E_query] and every bit of [E_query_range] go
-       through here, then through [query_crashes]. *)
-    let charge_query p i =
-      Metrics.on_query metrics p.id;
-      p.queries <- p.queries + 1;
-      let value = cfg.query_bit ~peer:p.id i in
-      if trace_on then
-        tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
-      value
-    in
-    let query_crashes p =
-      match Array.unsafe_get crash_spec p.id with
-      | After_queries j -> p.queries >= j
-      | Never | At_time _ | After_sends _ -> false
-    in
-    (* Read the rest of a range, bit by bit. Under a positive query latency
-       each bit suspends on its own [Ev_query_reply], whose handler resumes
-       here — so the events, and the arbiter's pool, are those of the
-       equivalent loop of [E_query]. *)
+    (* Read the rest of a range, bit by bit: the only place a source query
+       is charged (metrics, the source itself, the trace, the [After_queries]
+       check). Under a positive query latency each bit suspends on its own
+       [Ev_query_reply], whose handler resumes here — so a range runs the
+       same events, and fills the arbiter's pool the same way, as the loop of
+       one-bit reads that {!query} performs. *)
     let rec range_step p r =
       if r.next >= r.len then Effect.Deep.continue r.rk ()
       else begin
-        let value = charge_query p (r.pos + r.next) in
+        let i = r.pos + r.next in
+        Metrics.on_query metrics p.id;
+        let value = cfg.query_bit ~peer:p.id i in
+        if trace_on then
+          tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
         r.set r.next value;
         r.next <- r.next + 1;
-        if query_crashes p then crash_in p r.rk
+        let crash_now =
+          match Array.unsafe_get crash_spec p.id with
+          | After_queries j -> Metrics.queries metrics p.id >= j
+          | Never | At_time _ | After_sends _ -> false
+        in
+        if crash_now then crash_in p r.rk
         else begin
           let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
           if delay <= 0. then range_step p r
           else begin
             p.wait <- On_range_reply r;
-            Heap.push heap ~time:(clock.(0) +. delay) (Ev_query_reply { peer = p.id; value })
+            Heap.push heap ~time:(clock.(0) +. delay) (Ev_query_reply p.id)
           end
         end
       end
@@ -261,12 +250,6 @@ module Make (M : MESSAGE) = struct
         | E_k -> Some (fun k -> continue k cfg.k)
         | E_now -> Some (fun k -> continue k clock.(0))
         | E_rng -> Some (fun k -> continue k p.prng)
-        | E_note text ->
-          Some
-            (fun k ->
-              if trace_on then
-                tr (fun () -> Trace.Note { time = clock.(0); peer = p.id; text });
-              continue k ())
         | E_send (dst, msg) ->
           Some
             (fun k ->
@@ -277,7 +260,7 @@ module Make (M : MESSAGE) = struct
                    dies attempting the next one, so that send is lost. *)
                 let crash_now =
                   match Array.unsafe_get crash_spec p.id with
-                  | After_sends j -> p.sends >= j
+                  | After_sends j -> Metrics.msgs_sent metrics p.id >= j
                   | Never | At_time _ | After_queries _ -> false
                 in
                 if crash_now then crash_in p k
@@ -307,7 +290,6 @@ module Make (M : MESSAGE) = struct
                       end
                     in
                     Heap.push heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
-                    p.sends <- p.sends + 1;
                     continue k ()
                   end
                 end
@@ -317,20 +299,6 @@ module Make (M : MESSAGE) = struct
             (fun k ->
               if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
               else p.wait <- On_receive k)
-        | E_query i ->
-          Some
-            (fun k ->
-              let value = charge_query p i in
-              if query_crashes p then crash_in p k
-              else begin
-                let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
-                if delay <= 0. then continue k value
-                else begin
-                  p.wait <- On_query_reply k;
-                  Heap.push heap ~time:(clock.(0) +. delay)
-                    (Ev_query_reply { peer = p.id; value })
-                end
-              end)
         | E_query_range (pos, len, set) ->
           Some
             (fun k ->
@@ -386,7 +354,7 @@ module Make (M : MESSAGE) = struct
           | Ev_start i -> (Obs_start, i, "")
           | Ev_deliver { dst; msg; _ } -> (Obs_deliver, dst, M.tag msg)
           | Ev_crash i -> (Obs_crash, i, "")
-          | Ev_query_reply { peer; _ } -> (Obs_query_reply, peer, "")
+          | Ev_query_reply i -> (Obs_query_reply, i, "")
           | Ev_wake i -> (Obs_wake, i, "")
         in
         f { obs_kind; obs_peer; obs_tag; obs_step = !events_done - 1 }
@@ -406,17 +374,14 @@ module Make (M : MESSAGE) = struct
             p.wait <- Idle;
             Metrics.on_wakeup metrics dst;
             Effect.Deep.continue k (src, msg)
-          | Idle | On_query_reply _ | On_range_reply _ | On_wake _ ->
+          | Idle | On_range_reply _ | On_wake _ ->
             Ring.push p.mailbox (src, msg)
         end
       | Ev_crash i -> kill peers.(i)
-      | Ev_query_reply { peer; value } ->
-        let p = Array.unsafe_get peers peer in
+      | Ev_query_reply i ->
+        let p = Array.unsafe_get peers i in
         if p.alive then begin
           match p.wait with
-          | On_query_reply k ->
-            p.wait <- Idle;
-            Effect.Deep.continue k value
           | On_range_reply r ->
             p.wait <- Idle;
             range_step p r
@@ -429,7 +394,7 @@ module Make (M : MESSAGE) = struct
           | On_wake k ->
             p.wait <- Idle;
             Effect.Deep.continue k ()
-          | Idle | On_receive _ | On_query_reply _ | On_range_reply _ -> ()
+          | Idle | On_receive _ | On_range_reply _ -> ()
         end
     in
     let deadlock_check () =

@@ -136,26 +136,23 @@ module Make (M : MESSAGE) : sig
       arrives. Protocols keep their own buffers for out-of-phase messages,
       as in the paper. *)
 
-  val query : int -> bool
-  (** Read one bit from the source (counted in Q). *)
-
   val query_range : pos:int -> len:int -> (int -> bool -> unit) -> unit
   (** [query_range ~pos ~len set] reads bits [pos .. pos+len-1] in order,
-      calling [set r v] with the value [v] of bit [pos + r]. One effect, but
-      every bit is charged exactly as a {!query} of it would be: one
-      [query_bit] call, one Q unit, one [Trace.Queried] record, one
+      calling [set r v] with the value [v] of bit [pos + r]. This one effect
+      is the simulator's only source read, and it charges every bit on its
+      own: one [query_bit] call, one Q unit, one [Trace.Queried] record, one
       [After_queries] crash check and, under a positive query latency, one
       [Obs_query_reply] event — so the run is indistinguishable from the
       loop [for r = 0 to len - 1 do set r (query (pos + r)) done]. *)
+
+  val query : int -> bool
+  (** [query i] reads bit [i] (counted in Q): [query_range ~pos:i ~len:1]. *)
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)
 
   val sleep : float -> unit
   (** Wait for a duration. Only for Byzantine/adversarial code. *)
-
-  val note : string -> unit
-  (** Free-form trace annotation. *)
 
   val die : unit -> 'a
   (** Stop executing this peer immediately (Byzantine strategies). *)

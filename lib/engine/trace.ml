@@ -5,13 +5,12 @@ type event =
   | Crashed of { time : float; peer : int }
   | Terminated of { time : float; peer : int }
   | Deadlocked of { time : float; blocked : int list }
-  | Note of { time : float; peer : int; text : string }
 
 type t = { mutable items : event array; mutable len : int }
 
 let create ?(capacity = 256) () =
   let capacity = max capacity 1 in
-  { items = Array.make capacity (Note { time = 0.; peer = -1; text = "" }); len = 0 }
+  { items = Array.make capacity (Terminated { time = 0.; peer = -1 }); len = 0 }
 
 let record t ev =
   if t.len = Array.length t.items then begin
@@ -27,9 +26,7 @@ let length t = t.len
 
 let involves peer = function
   | Sent { src; dst; _ } | Delivered { src; dst; _ } -> src = peer || dst = peer
-  | Queried { peer = p; _ } | Crashed { peer = p; _ }
-  | Terminated { peer = p; _ } | Note { peer = p; _ } ->
-    p = peer
+  | Queried { peer = p; _ } | Crashed { peer = p; _ } | Terminated { peer = p; _ } -> p = peer
   | Deadlocked { blocked; _ } -> List.mem peer blocked
 
 let events_of_peer t peer = List.filter (involves peer) (events t)
@@ -60,7 +57,6 @@ let pp_event ppf = function
   | Deadlocked { time; blocked } ->
     Format.fprintf ppf "%8.3f DEADLOCK blocked=[%s]" time
       (String.concat "," (List.map string_of_int blocked))
-  | Note { time; peer; text } -> Format.fprintf ppf "%8.3f note  %3d %s" time peer text
 
 let pp ppf t =
   List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) (events t)
@@ -79,7 +75,6 @@ let event_to_line = function
   | Terminated { time; peer } -> Printf.sprintf "done %.9g %d" time peer
   | Deadlocked { time; blocked } ->
     Printf.sprintf "deadlock %.9g %s" time (String.concat "," (List.map string_of_int blocked))
-  | Note { time; peer; text } -> Printf.sprintf "note %.9g %d %s" time peer text
 
 let split_n line n =
   (* First n space-separated fields, then the rest of the line verbatim. *)
@@ -125,10 +120,6 @@ let event_of_line line =
     | [ t; blocked ] ->
       Deadlocked
         { time = f t; blocked = List.map i (String.split_on_char ',' blocked) }
-    | _ -> fail ())
-  | [ "note" ], rest -> (
-    match split_n rest 2 with
-    | [ t; peer ], text -> Note { time = f t; peer = i peer; text }
     | _ -> fail ())
   | _ -> fail ()
 

@@ -1,8 +1,8 @@
 (** Structured execution traces.
 
     A trace records the externally visible history of a simulated execution:
-    sends, deliveries, source queries, crashes, terminations and free-form
-    protocol notes. Traces are what the lower-bound constructions compare when
+    sends, deliveries, source queries, crashes, terminations and
+    deadlocks. Traces are what the lower-bound constructions compare when
     arguing that two executions are indistinguishable to a peer, and what the
     tests inspect to check scheduling properties. Tracing is opt-in; benches
     run without one. *)
@@ -14,7 +14,6 @@ type event =
   | Crashed of { time : float; peer : int }
   | Terminated of { time : float; peer : int }
   | Deadlocked of { time : float; blocked : int list }
-  | Note of { time : float; peer : int; text : string }
 
 type t
 
@@ -45,8 +44,8 @@ val pp : Format.formatter -> t -> unit
 (** {2 Persistence}
 
     A simple line-oriented text format, one event per line, so traces can be
-    saved from a run and analysed offline (see the [dr_trace] CLI). Free-form
-    text (tags, notes) must not contain newlines. *)
+    saved from a run and analysed offline (see the [dr_trace] CLI). Message
+    tags must not contain newlines. *)
 
 val save : t -> string -> unit
 (** Write to a file (overwrites). *)

@@ -102,9 +102,6 @@ let pp_lanes ?(max_events = 200) ~k ppf trace =
           | Trace.Deadlocked { time; blocked } ->
             List.iter (fun p -> cell p "...." cells) blocked;
             time
-          | Trace.Note { time; peer; _ } ->
-            cell peer "note" cells;
-            time
         in
         Format.fprintf ppf "%8.3f" time;
         Array.iter

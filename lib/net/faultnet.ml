@@ -189,9 +189,11 @@ let bernoulli rng p = p > 0. && Prng.float rng 1.0 < p
 
 let max_pre_drops = 16
 
+(* The op counter steps by one, so the clause trips exactly once: when the
+   M-th op completes ([@msg0] trips on the first op, like [@msg1]). *)
 let check_disconnect t =
   match t.plan.disconnect with
-  | Some (peer, op) when Int.equal peer t.peer && t.ops >= op && not t.tripped ->
+  | Some (peer, op) when Int.equal peer t.peer && Int.equal t.ops (max op 1) ->
     t.tripped <- true
   | _ -> ()
 

@@ -14,7 +14,7 @@
                            with @pN); DUR = 50ms | 2s | 1.5
     disconnect=peerN@msgM  peer N's source connection is torn down when its
                            M-th outbound operation (sends + source requests)
-                           completes; the client must reconnect
+                           completes, once; the client must reconnect
     reply_loss=P           P(a source reply is delivered but lost by the
                            client, forcing a same-sequence retry that the
                            server must answer from its replay cache)
@@ -95,9 +95,10 @@ type source_action = {
 }
 
 val on_source_request : t -> elapsed:float -> source_action
-(** Decision for the next logical source request — one [Query] or one
-    whole [Query_range] (advances the op and request counters). [elapsed] is seconds since peer start, used only by the
-    [@tT] blackout form. *)
+(** Decision for the next logical source request — one whole
+    [Query_range], one bit or many (advances the op and request counters).
+    [elapsed] is seconds since peer start, used only by the [@tT] blackout
+    form. *)
 
 val in_blackout : t -> elapsed:float -> bool
 (** Is the wall-clock blackout window active? (Used to keep {e retries} of

@@ -184,18 +184,12 @@ end) : Transport.S with type msg = M.t = struct
     let src, payload = next () in
     (src, (Marshal.from_bytes payload 0 : M.t))
 
-  let query i =
-    let v = Source_client.query e.source i in
-    e.counters.queries <- e.counters.queries + 1;
-    (match e.crash with
-    | Dr_engine.Sim.After_queries j when e.counters.queries >= j -> raise Crashed
-    | _ -> ());
-    v
-
-  (* Under [After_queries j] a range charges only the bits the equivalent
-     [query] loop would have issued before crashing: [min len (j - done)],
-     and at least the first one (the loop crashes after, not before, the
-     j-th query). A [len = 0] range issues no request, like an empty loop. *)
+  (* The only source read ([query] is its one-bit case), so the
+     [After_queries] rule lives here. Under [After_queries j] a range
+     charges only the bits the equivalent loop of one-bit reads would have
+     issued before crashing: [min len (j - done)], and at least the first
+     one (the loop crashes after, not before, the j-th query). A [len = 0]
+     range issues no request, like an empty loop. *)
   let query_range ~pos ~len =
     let charged =
       match e.crash with
@@ -212,9 +206,10 @@ end) : Transport.S with type msg = M.t = struct
     | _ -> ());
     bits
 
+  let query i = Dr_source.Bitarray.get (query_range ~pos:i ~len:1) 0
+
   let clock () = Unix.gettimeofday () -. e.start
   let rng () = e.prng
   let sleep d = if d > 0. then Thread.delay d
-  let note _ = ()
   let die () = raise Dr_engine.Sim.Halted
 end

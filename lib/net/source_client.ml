@@ -128,10 +128,10 @@ let connect ?(host = "127.0.0.1") ~port ~peer ?(cfg = default_config) ?chaos () 
   t.reconnects <- 0;
   t
 
-(* One sequenced request ([Query] or [Query_range]): a fresh [seq], the
-   chaos decision for this logical request, then attempts under that one
-   [seq] until a response arrives. An [Err] response raises [Failure]. *)
-let sequenced t ~what (request : int -> Source_proto.request) : Source_proto.response =
+(* One logical request: a fresh [seq], the chaos decision for it, then
+   attempts under that one [seq] until a response arrives. An [Err]
+   response raises [Failure]. *)
+let query_range t ~pos ~len =
   t.seq <- t.seq + 1;
   let seq = t.seq in
   let action =
@@ -141,6 +141,7 @@ let sequenced t ~what (request : int -> Source_proto.request) : Source_proto.res
   in
   if action.Faultnet.drop_link then drop_connection t;
   let lose_reply = ref action.Faultnet.lose_reply in
+  let what = Printf.sprintf "Query_range(%d, %d)" pos len in
   with_retries t ~what (fun attempt fd ->
       let refused =
         match t.chaos with
@@ -150,7 +151,7 @@ let sequenced t ~what (request : int -> Source_proto.request) : Source_proto.res
           || Faultnet.in_blackout c ~elapsed:(elapsed t)
       in
       if refused then raise (simulated_failure "source blackout");
-      Frame.send_value fd (request seq);
+      Frame.send_value fd (Source_proto.Query_range { seq; pos; len });
       let resp : Source_proto.response = Frame.recv_value fd in
       if !lose_reply then begin
         (* The reply arrived and the server has charged (and cached) this
@@ -160,24 +161,11 @@ let sequenced t ~what (request : int -> Source_proto.request) : Source_proto.res
         raise (simulated_failure "injected reply loss")
       end;
       match resp with
+      | Source_proto.Bits b when Int.equal (Dr_source.Bitarray.length b) len -> b
       | Source_proto.Err e -> failwith ("source: " ^ e)
-      | r -> r)
+      | _ -> failwith "source: protocol violation (expected Bits of the range's length)")
 
-let query t i =
-  match
-    sequenced t ~what:(Printf.sprintf "Query(%d)" i) (fun seq ->
-        Source_proto.Query { seq; index = i })
-  with
-  | Source_proto.Bit v -> v
-  | _ -> failwith "source: protocol violation (expected Bit)"
-
-let query_range t ~pos ~len =
-  match
-    sequenced t ~what:(Printf.sprintf "Query_range(%d, %d)" pos len) (fun seq ->
-        Source_proto.Query_range { seq; pos; len })
-  with
-  | Source_proto.Bits b when Int.equal (Dr_source.Bitarray.length b) len -> b
-  | _ -> failwith "source: protocol violation (expected Bits of the range's length)"
+let query t i = Dr_source.Bitarray.get (query_range t ~pos:i ~len:1) 0
 
 (* Unsequenced idempotent requests (control plane): same retry discipline,
    no replay-cache interaction. *)

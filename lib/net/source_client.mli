@@ -33,16 +33,15 @@ val connect :
     accounting/control connection. [chaos] injects the {!Faultnet} fault
     schedule into every subsequent query. Raises {!Unreachable}. *)
 
-val query : t -> int -> bool
-(** [Query(i)], retried across reconnects under one sequence number.
-    Raises [Failure] on a server-side error, {!Unreachable} on retry
-    exhaustion. *)
-
 val query_range : t -> pos:int -> len:int -> Dr_source.Bitarray.t
 (** [Query_range]: bits [pos .. pos+len-1] in one round trip, charged [len]
-    bits by the server, with the same sequence-number and retry discipline
-    as {!query} (a retried range is charged once). Raises [Failure] if the
-    server rejects the range, {!Unreachable} on retry exhaustion. *)
+    bits by the server, retried across reconnects under one sequence number
+    (a retried range is charged once). Raises [Failure] if the server
+    rejects the range, {!Unreachable} on retry exhaustion. *)
+
+val query : t -> int -> bool
+(** The model's [Query(i)]: the one-bit range [query_range t ~pos:i ~len:1],
+    so still one request under one sequence number. *)
 
 val describe : t -> int * int
 (** [(n, k)] of the served instance. *)

@@ -16,23 +16,19 @@ type request =
   | Hello of int
       (** peer id in [0, k); {!control_peer} opens an accounting/control
           connection that may not query *)
-  | Query of { seq : int; index : int }
-      (** the model's [Query(i)]: read bit [index] of the input. [seq] is
-          the peer's monotonically-increasing request number; a repeat of
-          the last processed [seq] is answered from the replay cache and
-          charged nothing, a [seq] older than that is a protocol error. *)
   | Query_range of { seq : int; pos : int; len : int }
-      (** bits [pos .. pos+len-1] in one round trip, charged as [len]
-          queries — bit by bit, under the same [seq] discipline and replay
-          cache as [Query], so a range costs Q exactly what the equivalent
-          [Query] loop would. A range outside the input is rejected before
-          any bit is charged. *)
+      (** the only source read: bits [pos .. pos+len-1] in one round trip,
+          charged as [len] of the model's [Query(i)], bit by bit. The
+          model's single-bit [Query(i)] is the range [(i, 1)]. [seq] is the
+          peer's monotonically-increasing request number; a repeat of the
+          last processed [seq] is answered from the replay cache and charged
+          nothing, a [seq] older than that is a protocol error. A range
+          outside the input is rejected before any bit is charged. *)
   | Stats  (** per-peer query counters *)
   | Describe  (** the served instance's dimensions *)
   | Shutdown  (** stop the server (control connections only) *)
 
 type response =
-  | Bit of bool
   | Bits of Dr_source.Bitarray.t  (** answers [Query_range] *)
   | Stats_reply of { per_peer : int array; total : int; replays : int }
       (** [replays] counts queries answered from the replay cache — retries

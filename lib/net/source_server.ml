@@ -7,7 +7,7 @@ type t = {
   port : int;
   lock : Mutex.t;
   replay : (int * Source_proto.response) option array;
-      (* per peer: last processed Query seq and its response. Sequence
+      (* per peer: last processed Query_range seq and its response. Sequence
          numbers increase monotonically per peer, and a retry always
          re-sends the highest one, so one slot per peer suffices. *)
   mutable replays : int;
@@ -49,12 +49,21 @@ let stats t =
 let total_queries t = locked t (fun () -> Data_source.total_queries t.source)
 let replay_hits t = locked t (fun () -> t.replays)
 
-(* Answer one sequenced request under the lock: either replay the cached
+(* A range is checked whole before any bit is read, so a bad one charges
+   nothing; a good one charges each bit as a one-bit read of it would. *)
+let query_range t ~peer ~pos ~len : Source_proto.response =
+  let n = Data_source.n t.source in
+  if pos < 0 || len < 0 || pos > n - len then
+    Err (Printf.sprintf "range (pos %d, len %d) outside the %d-bit input" pos len n)
+  else
+    Bits (Dr_source.Bitarray.init len (fun r -> Data_source.query t.source ~peer (pos + r)))
+
+(* Answer one [Query_range] under the lock: either replay the cached
    response for a sequence number already processed (a transport retry —
-   charged nothing), or run [charge], which consults the metered
-   Data_source, and cache the result. This call is the net runtime's whole
-   Q-accounting boundary (lint rule L4 confines [Data_source.query] here). *)
-let answer_query t ~peer ~seq charge : Source_proto.response =
+   charged nothing), or read the range from the metered Data_source and
+   cache the result. This call is the net runtime's whole Q-accounting
+   boundary (lint rule L4 confines [Data_source.query] here). *)
+let answer_query t ~peer ~seq ~pos ~len : Source_proto.response =
   locked t (fun () ->
       match t.replay.(peer) with
       | Some (s, cached) when Int.equal s seq ->
@@ -63,23 +72,9 @@ let answer_query t ~peer ~seq charge : Source_proto.response =
       | Some (s, _) when seq < s ->
         Source_proto.Err (Printf.sprintf "stale sequence %d (last processed %d)" seq s)
       | _ ->
-        let resp = charge () in
+        let resp = query_range t ~peer ~pos ~len in
         t.replay.(peer) <- Some (seq, resp);
         resp)
-
-let query_bit t ~peer index () : Source_proto.response =
-  match Data_source.query t.source ~peer index with
-  | v -> Bit v
-  | exception Invalid_argument e -> Err e
-
-(* A range is checked whole before any bit is read, so a bad one charges
-   nothing; a good one charges each bit as its own [Query] would. *)
-let query_range t ~peer ~pos ~len () : Source_proto.response =
-  let n = Data_source.n t.source in
-  if pos < 0 || len < 0 || pos > n - len then
-    Err (Printf.sprintf "range (pos %d, len %d) outside the %d-bit input" pos len n)
-  else
-    Bits (Dr_source.Bitarray.init len (fun r -> Data_source.query t.source ~peer (pos + r)))
 
 let handle t fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -87,17 +82,11 @@ let handle t fd =
   (try
      match (Frame.recv_value fd : Source_proto.request) with
      | Hello peer when peer >= -1 && peer < t.k ->
-       let sequenced seq charge =
-         if peer < 0 then reply (Err "control connection cannot query")
-         else reply (answer_query t ~peer ~seq charge)
-       in
        let rec loop () =
          match (Frame.recv_value fd : Source_proto.request) with
-         | Query { seq; index } ->
-           sequenced seq (query_bit t ~peer index);
-           loop ()
          | Query_range { seq; pos; len } ->
-           sequenced seq (query_range t ~peer ~pos ~len);
+           if peer < 0 then reply (Err "control connection cannot query")
+           else reply (answer_query t ~peer ~seq ~pos ~len);
            loop ()
          | Stats ->
            reply

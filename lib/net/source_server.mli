@@ -1,4 +1,5 @@
-(** The standalone external data source: [Query(i)] over TCP.
+(** The standalone external data source: [Query_range] (and so the
+    model's [Query(i)], a range of one bit) over TCP.
 
     Serves one input array to [k] peers with per-peer query accounting —
     the socket-transport incarnation of {!Dr_source.Data_source} (which it
@@ -6,12 +7,12 @@
     connections speak {!Source_proto} in {!Frame}s.
 
     Queries are answered through a per-peer replay cache keyed on the
-    client's monotonically-increasing sequence number: a retried [Query]
-    or [Query_range] (after a reconnect or a lost reply) returns the cached
-    response and is charged to the peer's meter {e exactly once} — [1] bit
-    or [len] bits — so transport faults can never inflate the paper's
-    central cost metric. A request for an index or range outside the input
-    is answered [Err] and charged nothing. *)
+    client's monotonically-increasing sequence number: a retried
+    [Query_range] (after a reconnect or a lost reply) returns the cached
+    response and is charged to the peer's meter {e exactly once} — [len]
+    bits — so transport faults can never inflate the paper's central cost
+    metric. A range outside the input is answered [Err] and charged
+    nothing. *)
 
 type t
 

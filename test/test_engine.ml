@@ -752,7 +752,6 @@ let test_trace_save_load_roundtrip () =
       Trace.Crashed { time = 1.5; peer = 3 };
       Trace.Terminated { time = 2.25; peer = 0 };
       Trace.Deadlocked { time = 3.; blocked = [ 1; 2 ] };
-      Trace.Note { time = 3.5; peer = 1; text = "seg 1 candidates: 01|10" };
     ];
   let path = Filename.temp_file "dr_trace" ".txt" in
   Fun.protect

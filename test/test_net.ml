@@ -161,7 +161,7 @@ let test_faultnet_deterministic_schedule () =
    twice under one sequence number across a forced reconnect, the server
    answers the retry from its replay cache, and the peer's Q meter — the
    paper's central cost — is charged exactly once per logical query: one
-   bit for a [Query], [len] bits for a [Query_range]. *)
+   bit for a [query], [len] bits for a [query_range]. *)
 let test_source_client_replay_charged_once () =
   let n = 64 in
   let x = Dr_source.Bitarray.random (Dr_engine.Prng.create 5L) n in
@@ -203,6 +203,34 @@ let test_source_client_replay_charged_once () =
     (logical + range_bits) per_peer.(0);
   checki "total matches" (logical + range_bits) total;
   checki "every retry hit the replay cache" requests replays;
+  Dr_net.Source_client.close client;
+  Dr_net.Source_client.shutdown control;
+  Dr_net.Source_client.close control;
+  Dr_net.Source_server.stop server
+
+(* [disconnect=peerN@msgM] is one forced disconnect: the M-th request
+   drops the link and every later request reuses the redialled one. *)
+let test_disconnect_fires_once () =
+  let n = 16 in
+  let x = Dr_source.Bitarray.random (Dr_engine.Prng.create 2L) n in
+  let server = Dr_net.Source_server.create ~k:1 x in
+  Dr_net.Source_server.start server;
+  let plan =
+    match Faultnet.parse "disconnect=peer0@msg1" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse failed: %s" e
+  in
+  let chaos = Faultnet.make ~seed:1L ~peer:0 plan in
+  let port = Dr_net.Source_server.port server in
+  let client = Dr_net.Source_client.connect ~port ~peer:0 ~chaos () in
+  for i = 0 to 9 do
+    checkb (Printf.sprintf "Query(%d) answers" i) (Dr_source.Bitarray.get x i)
+      (Dr_net.Source_client.query client i)
+  done;
+  checki "one disconnect, one reconnect" 1 (Dr_net.Source_client.reconnects client);
+  let control =
+    Dr_net.Source_client.connect ~port ~peer:Dr_net.Source_proto.control_peer ()
+  in
   Dr_net.Source_client.close client;
   Dr_net.Source_client.shutdown control;
   Dr_net.Source_client.close control;
@@ -260,6 +288,7 @@ let suite =
     ("faultnet spec parse/describe round-trip", `Quick, test_faultnet_parse_roundtrip);
     ("faultnet schedule is seed-deterministic", `Quick, test_faultnet_deterministic_schedule);
     ("lost replies: replay cache charges Q once", `Quick, test_source_client_replay_charged_once);
+    ("disconnect=peerN@msgM fires once", `Quick, test_disconnect_fires_once);
     ("retry exhaustion raises Unreachable", `Quick, test_source_client_unreachable);
     ("rejected query and range are not charged", `Quick, test_source_rejects_without_charging);
   ]

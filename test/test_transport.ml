@@ -6,9 +6,11 @@
    [Dr_net.Runner] (k forked OS processes over loopback, querying a real
    source server) — and asserts identical verdicts and query counts. Message
    and timing totals are NOT compared: they depend on the delivery schedule,
-   which the network does not replay. The scenarios below are chosen so the
+   which the network does not replay. Most scenarios below are chosen so the
    per-peer query counts are schedule-invariant (deterministic query plans,
-   crash/attack behavior not keyed on arrival order). *)
+   crash/attack behavior not keyed on arrival order); a scenario whose Q
+   follows arrival order instead checks that both runtimes stay within the
+   paper's bound. *)
 
 module Problem = Dr_core.Problem
 module Registry = Dr_core.Registry
@@ -26,9 +28,11 @@ let entry name =
 (* [crash] is a function of the instance so the plan can target its fault
    set. 30s of wall clock is an order of magnitude above what these tiny
    instances need; it only bounds the damage of a hung child. Each
-   [(clause, counter)] of [fires] must read nonzero on the net run. *)
+   [(clause, counter)] of [fires] must read nonzero on the net run.
+   [~q_exact:false] replaces the equal-Q checks with the protocol's [Spec]
+   bound on each runtime, for scenarios whose Q depends on the schedule. *)
 let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ?(fires = [])
-    ~protocol ~k ~n ~t ~model ~seed () =
+    ?(q_exact = true) ~protocol ~k ~n ~t ~model ~seed () =
   let e = entry protocol in
   let inst = Problem.random_instance ~seed ~model ~k ~n ~t () in
   let crash = crash inst in
@@ -40,18 +44,30 @@ let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ?(f
   in
   checkb "sim verdict ok" true sim.Problem.ok;
   checkb "net verdict matches" sim.Problem.ok net.Problem.ok;
-  checki "q_max matches" sim.Problem.q_max net.Problem.q_max;
-  checki "q_total matches" sim.Problem.q_total net.Problem.q_total;
-  Alcotest.(check (float 1e-9)) "q_mean matches" sim.Problem.q_mean net.Problem.q_mean;
+  if q_exact then begin
+    checki "q_max matches" sim.Problem.q_max net.Problem.q_max;
+    checki "q_total matches" sim.Problem.q_total net.Problem.q_total;
+    Alcotest.(check (float 1e-9)) "q_mean matches" sim.Problem.q_mean net.Problem.q_mean
+  end
+  else begin
+    let within (r : Problem.report) =
+      Dr_core.Spec.within e.Registry.spec ~k ~n ~t ~b:inst.Problem.b ~measured:r.Problem.q_max
+    in
+    checkb "sim q_max within the Spec bound" true (within sim);
+    checkb "net q_max within the Spec bound" true (within net)
+  end;
   List.iter (fun (clause, counter) -> checkb (clause ^ " fired") true (counter faults > 0)) fires
 
 let test_crash_general_faultfree () =
   conform ~protocol:"crash-general" ~k:5 ~n:256 ~t:0 ~model:Problem.Crash ~seed:7L ()
 
+(* With silent crashes, crash-general's later stages query only the bits a
+   peer has not yet learned from others' reports, so its Q follows arrival
+   order: the runtimes must agree on the verdict and both stay in bound. *)
 let test_crash_general_silent_crash () =
   conform ~protocol:"crash-general" ~k:6 ~n:512 ~t:2 ~model:Problem.Crash ~seed:3L
     ~crash:(fun inst -> Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0)
-    ()
+    ~q_exact:false ()
 
 let test_byz_2cycle_silent () =
   conform ~protocol:"byz-2cycle" ~attack:"silent" ~k:6 ~n:512 ~t:2 ~model:Problem.Byzantine
