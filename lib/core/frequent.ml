@@ -8,11 +8,24 @@ end)
 
 type t = {
   mutable per_seg : int Strmap.t array;  (** segment -> string -> reporter count *)
-  seen : (int, unit) Hashtbl.t;  (** peers that already reported *)
+  mutable seen : Bytes.t;  (** byte [p] is nonzero once peer [p] has reported *)
+  mutable reporters : int;
   mutable totals : int array;
 }
 
-let create () = { per_seg = [||]; seen = Hashtbl.create 64; totals = [||] }
+let create () = { per_seg = [||]; seen = Bytes.empty; reporters = 0; totals = [||] }
+
+let seen t peer = peer < Bytes.length t.seen && Bytes.get t.seen peer <> '\000'
+
+let mark t peer =
+  let cur = Bytes.length t.seen in
+  if peer >= cur then begin
+    let grown = Bytes.make (Int.max (peer + 1) (Int.max 16 (2 * cur))) '\000' in
+    Bytes.blit t.seen 0 grown 0 cur;
+    t.seen <- grown
+  end;
+  Bytes.set t.seen peer '\001';
+  t.reporters <- t.reporters + 1
 
 let ensure t seg =
   let cur = Array.length t.per_seg in
@@ -25,20 +38,21 @@ let ensure t seg =
     t.totals <- totals
   end
 
+let bump = function Some c -> Some (c + 1) | None -> Some 1
+
 let add t ~seg ~peer s =
   if seg < 0 then invalid_arg "Frequent.add: negative segment";
-  if Hashtbl.mem t.seen peer then false
+  if peer < 0 then invalid_arg "Frequent.add: negative peer";
+  if seen t peer then false
   else begin
-    Hashtbl.add t.seen peer ();
+    mark t peer;
     ensure t seg;
-    let m = t.per_seg.(seg) in
-    let count = match Strmap.find_opt s m with Some c -> c | None -> 0 in
-    t.per_seg.(seg) <- Strmap.add s (count + 1) m;
+    t.per_seg.(seg) <- Strmap.update s bump t.per_seg.(seg);
     t.totals.(seg) <- t.totals.(seg) + 1;
     true
   end
 
-let reporters t = Hashtbl.length t.seen
+let reporters t = t.reporters
 let total_for t ~seg = if seg < Array.length t.totals then t.totals.(seg) else 0
 
 let strings_for t ~seg =

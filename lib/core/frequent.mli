@@ -12,7 +12,9 @@ val create : unit -> t
 
 val add : t -> seg:int -> peer:int -> Dr_source.Bitarray.t -> bool
 (** Record a report. Returns [false] (and ignores the report) if this peer
-    already reported any segment into this store. *)
+    already reported any segment into this store. Peer ids are [>= 0] (the
+    store keeps one byte per id up to the largest seen); a negative [peer]
+    or [seg] raises [Invalid_argument]. *)
 
 val reporters : t -> int
 (** Number of distinct peers that have reported. *)
@@ -21,10 +23,11 @@ val total_for : t -> seg:int -> int
 (** R_j: reports received for segment [j], including duplicates. *)
 
 val strings_for : t -> seg:int -> (Dr_source.Bitarray.t * int) list
-(** Distinct strings with their reporter counts. *)
+(** Distinct strings with their reporter counts, in decreasing
+    {!Dr_source.Bitarray.compare} order. *)
 
 val frequent : t -> seg:int -> rho:int -> Dr_source.Bitarray.t list
-(** Strings reported by ≥ rho distinct peers. *)
+(** Strings reported by ≥ rho distinct peers, in {!strings_for} order. *)
 
 val covered : t -> segments:int -> rho:int -> bool
 (** Does every segment in [0 .. segments-1] have a ρ-frequent string? This is

@@ -1,8 +1,11 @@
-(* Struct-of-arrays binary min-heap. Times live in a flat float array (flat
-   unboxed representation), sequence numbers and values in parallel arrays:
-   a push allocates nothing once capacity is there, where the previous
-   entry-record layout allocated a record plus a boxed float per event. The
-   (time, seq) order is unchanged, so executions are bit-identical. *)
+(* Struct-of-arrays 4-ary min-heap. Times live in a flat float array
+   (unboxed), sequence numbers and values in parallel arrays. The sifts take
+   the index of the element they move and read its key from the arrays, so
+   no float crosses a function call inside this module: a boxed float
+   argument would allocate on every pop. Four children per node halve the
+   depth of a binary heap; each level costs three more comparisons, but
+   they read adjacent slots. The (time, seq) order is strict and total, so
+   the pop sequence is the sorted order whatever the heap's shape. *)
 
 type 'a t = {
   mutable times : float array;
@@ -41,44 +44,60 @@ let grow h value =
     h.values <- values
   end
 
+(* Inlined, so its float argument is never boxed. *)
 let[@inline] set h i ~time ~seq value =
   Array.unsafe_set h.times i time;
   Array.unsafe_set h.seqs i seq;
   Array.unsafe_set h.values i value
 
-(* Hole-based sifts: carry the moving element in registers and write each
-   visited slot once, instead of swapping (which writes twice per level
-   across all three arrays). Comparison order matches the classic swap
-   formulation, so the resulting layout — and hence the pop order — is
-   identical. *)
+let[@inline] move h ~src ~dst =
+  set h dst ~time:(Array.unsafe_get h.times src) ~seq:(Array.unsafe_get h.seqs src)
+    (Array.unsafe_get h.values src)
 
-let sift_up h i ~time ~seq value =
+(* Hole-based sifts: the moving element's key stays in locals and each
+   visited slot is written once, instead of swapping. *)
+
+(* Sift the element in slot [i] up towards the root. *)
+let sift_up h i =
+  let time = Array.unsafe_get h.times i
+  and seq = Array.unsafe_get h.seqs i
+  and value = Array.unsafe_get h.values i in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
+    let parent = (!i - 1) / 4 in
     let pt = Array.unsafe_get h.times parent in
     if time < pt || (time = pt && seq < Array.unsafe_get h.seqs parent) then begin
-      set h !i ~time:pt ~seq:(Array.unsafe_get h.seqs parent) (Array.unsafe_get h.values parent);
+      move h ~src:parent ~dst:!i;
       i := parent
     end
     else continue := false
   done;
   set h !i ~time ~seq value
 
-let sift_down h ~time ~seq value =
+(* Move the element in slot [src] (at or past [len], so out of the live
+   region) into the hole at the root and sift it down. *)
+let sift_down h src =
+  let time = Array.unsafe_get h.times src
+  and seq = Array.unsafe_get h.seqs src
+  and value = Array.unsafe_get h.values src in
+  let len = h.len in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
-    let left = (2 * !i) + 1 in
-    if left >= h.len then continue := false
+    let first = (4 * !i) + 1 in
+    if first >= len then continue := false
     else begin
-      let right = left + 1 in
-      (* Index of the smaller child. *)
-      let c = if right < h.len && lt h right left then right else left in
+      (* Index of the smallest child. *)
+      let c = ref first in
+      let last = if first + 3 < len then first + 3 else len - 1 in
+      for j = first + 1 to last do
+        if lt h j !c then c := j
+      done;
+      let c = !c in
       let ct = Array.unsafe_get h.times c in
       if ct < time || (ct = time && Array.unsafe_get h.seqs c < seq) then begin
-        set h !i ~time:ct ~seq:(Array.unsafe_get h.seqs c) (Array.unsafe_get h.values c);
+        move h ~src:c ~dst:!i;
         i := c
       end
       else continue := false
@@ -92,37 +111,32 @@ let push h ~time value =
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
   h.len <- i + 1;
-  sift_up h i ~time ~seq value
+  set h i ~time ~seq value;
+  sift_up h i
 
 let is_empty h = h.len = 0
 let size h = h.len
 
-let[@inline] min_time h =
+let min_time h =
   if h.len = 0 then invalid_arg "Heap.min_time: empty";
   Array.unsafe_get h.times 0
 
-(* Remove the root by sifting the last element down from the top. Freed
-   slots keep stale value references (bounded by capacity, reclaimed on the
-   next push into them) — a deliberate trade for an allocation-free pop. *)
-let[@inline] remove_min h =
-  let last = h.len - 1 in
-  h.len <- last;
-  if last > 0 then
-    sift_down h ~time:(Array.unsafe_get h.times last) ~seq:(Array.unsafe_get h.seqs last)
-      (Array.unsafe_get h.values last)
-
+(* Freed slots keep stale value references (bounded by capacity, reclaimed
+   on the next push into them) — a deliberate trade for an allocation-free
+   pop. *)
 let pop_min h =
   if h.len = 0 then invalid_arg "Heap.pop_min: empty";
   let v = Array.unsafe_get h.values 0 in
-  remove_min h;
+  let last = h.len - 1 in
+  h.len <- last;
+  if last > 0 then sift_down h last;
   v
 
 let pop h =
   if h.len = 0 then None
   else begin
-    let t = min_time h and v = Array.unsafe_get h.values 0 in
-    remove_min h;
-    Some (t, v)
+    let t = Array.unsafe_get h.times 0 in
+    Some (t, pop_min h)
   end
 
 let peek_time h = if h.len = 0 then None else Some (min_time h)

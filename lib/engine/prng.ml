@@ -1,9 +1,8 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four xoshiro256** state words live in one 32-byte [Bytes.t], read
+   and written with [Bytes.get/set_int64_le]. A record of mutable [int64]
+   fields would box every store without flambda; bytes keep the state
+   words unboxed, so a draw allocates only its result. *)
+type t = Bytes.t
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -17,21 +16,27 @@ let splitmix_next state =
 
 let create seed =
   let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+  let g = Bytes.create 32 in
+  for w = 0 to 3 do
+    Bytes.set_int64_le g (8 * w) (splitmix_next st)
+  done;
+  g
 
-let next64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+(* Inlined into the draws below, so [float], [bool] and [bits] never box
+   the raw output either. *)
+let[@inline] next64 g =
+  let s0 = Bytes.get_int64_le g 0 and s1 = Bytes.get_int64_le g 8 in
+  let s2 = Bytes.get_int64_le g 16 and s3 = Bytes.get_int64_le g 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  Bytes.set_int64_le g 0 s0;
+  Bytes.set_int64_le g 8 s1;
+  Bytes.set_int64_le g 16 (Int64.logxor s2 t);
+  Bytes.set_int64_le g 24 (rotl s3 45);
   result
 
 let split g = create (next64 g)

@@ -60,6 +60,7 @@ type 'r outcome = {
 module Make (M : MESSAGE) = struct
   type _ Effect.t +=
     | E_send : int * M.t -> unit Effect.t
+    | E_broadcast : M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
     | E_query_range : int * int * (int -> bool -> unit) -> unit Effect.t
     | E_now : float Effect.t
@@ -73,11 +74,7 @@ module Make (M : MESSAGE) = struct
   let now () = Effect.perform E_now
   let send dst msg = Effect.perform (E_send (dst, msg))
 
-  let broadcast msg =
-    let self = me () and k = peer_count () in
-    for dst = 0 to k - 1 do
-      if dst <> self then send dst msg
-    done
+  let broadcast msg = Effect.perform (E_broadcast msg)
 
   let receive () = Effect.perform E_receive
   let query_range ~pos ~len set = Effect.perform (E_query_range (pos, len, set))
@@ -243,62 +240,83 @@ module Make (M : MESSAGE) = struct
         end
       end
     in
+    (* One send from [p] to [dst]: the body shared by [E_send] and each
+       destination of [E_broadcast]. Returns [false] when the send ended the
+       operation, having discontinued [k]: [p] died attempting it, or the
+       latency was negative. [After_sends j] lets exactly [j] sends
+       complete; the peer dies attempting the next, so that send is lost. *)
+    let send_one p dst msg k =
+      let crash_now =
+        match Array.unsafe_get crash_spec p.id with
+        | After_sends j -> Metrics.msgs_sent metrics p.id >= j
+        | Never | At_time _ | After_queries _ -> false
+      in
+      if crash_now then (crash_in p k; false)
+      else
+        let size_bits = M.size_bits msg in
+        let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
+        if not (delay >= 0.) then (
+          Effect.Deep.discontinue k (Invalid_argument "Sim.run: negative latency");
+          false)
+        else begin
+          Metrics.on_send metrics p.id ~size_bits;
+          if trace_on then
+            tr (fun () ->
+                Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
+          let arrival =
+            if not serialized then clock.(0) +. delay
+            else begin
+              let free =
+                match Hashtbl.find_opt link_free (p.id, dst) with Some f -> f | None -> 0.
+              in
+              let departure = Float.max clock.(0) free in
+              let transmission = float_of_int size_bits /. cfg.link_rate in
+              Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
+              departure +. transmission +. delay
+            end
+          in
+          Heap.push heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
+          true
+        end
+    in
+    let send_from p dst msg k =
+      if dst < 0 || dst >= cfg.k then
+        Effect.Deep.discontinue k (Invalid_argument "Sim.send: bad destination")
+      else if send_one p dst msg k then Effect.Deep.continue k ()
+    in
+    (* Exactly the sends of a loop over ascending [dst], self skipped, in
+       one effect: the same crash point, latency draws, trace records and
+       heap order. *)
+    let broadcast_from p msg k =
+      let rec go dst =
+        if dst >= cfg.k then Effect.Deep.continue k ()
+        else if dst = p.id then go (dst + 1)
+        else if send_one p dst msg k then go (dst + 1)
+      in
+      go 0
+    in
     let handler_for p =
       let open Effect.Deep in
+      (* Handlers of the payload-free effects, built once per peer rather
+         than on every [perform]. *)
+      let on_me = Some (fun k -> continue k p.id) in
+      let on_k = Some (fun k -> continue k cfg.k) in
+      let on_now = Some (fun k -> continue k clock.(0)) in
+      let on_rng = Some (fun k -> continue k p.prng) in
+      let on_receive =
+        Some
+          (fun k ->
+            if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
+            else p.wait <- On_receive k)
+      in
       let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
-        | E_me -> Some (fun k -> continue k p.id)
-        | E_k -> Some (fun k -> continue k cfg.k)
-        | E_now -> Some (fun k -> continue k clock.(0))
-        | E_rng -> Some (fun k -> continue k p.prng)
-        | E_send (dst, msg) ->
-          Some
-            (fun k ->
-              if dst < 0 || dst >= cfg.k then
-                discontinue k (Invalid_argument "Sim.send: bad destination")
-              else begin
-                (* [After_sends j] lets exactly [j] sends complete; the peer
-                   dies attempting the next one, so that send is lost. *)
-                let crash_now =
-                  match Array.unsafe_get crash_spec p.id with
-                  | After_sends j -> Metrics.msgs_sent metrics p.id >= j
-                  | Never | At_time _ | After_queries _ -> false
-                in
-                if crash_now then crash_in p k
-                else begin
-                  let size_bits = M.size_bits msg in
-                  let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
-                  if not (delay >= 0.) then
-                    discontinue k (Invalid_argument "Sim.run: negative latency")
-                  else begin
-                    Metrics.on_send metrics p.id ~size_bits;
-                    if trace_on then
-                      tr (fun () ->
-                          Trace.Sent
-                            { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
-                    let arrival =
-                      if not serialized then clock.(0) +. delay
-                      else begin
-                        let free =
-                          match Hashtbl.find_opt link_free (p.id, dst) with
-                          | Some f -> f
-                          | None -> 0.
-                        in
-                        let departure = Float.max clock.(0) free in
-                        let transmission = float_of_int size_bits /. cfg.link_rate in
-                        Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
-                        departure +. transmission +. delay
-                      end
-                    in
-                    Heap.push heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
-                    continue k ()
-                  end
-                end
-              end)
-        | E_receive ->
-          Some
-            (fun k ->
-              if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
-              else p.wait <- On_receive k)
+        | E_me -> on_me
+        | E_k -> on_k
+        | E_now -> on_now
+        | E_rng -> on_rng
+        | E_receive -> on_receive
+        | E_send (dst, msg) -> Some (fun k -> send_from p dst msg k)
+        | E_broadcast msg -> Some (fun k -> broadcast_from p msg k)
         | E_query_range (pos, len, set) ->
           Some
             (fun k ->

@@ -212,6 +212,115 @@ let prop_tree_node_count =
       Decision_tree.internal_nodes (Decision_tree.build candidates) = distinct - 1)
 
 (* ------------------------------------------------------------------ *)
+(* Heap                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Interleaved pushes (times drawn from five values, so ties are the rule)
+   and pops, then a full drain: every pop returns the pending entry that is
+   least by (time, insertion order), exactly as a sorted list does. *)
+let prop_heap_matches_reference =
+  let module Heap = Dr_engine.Heap in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 400)
+        (frequency [ (3, map Option.some (int_range 0 4)); (1, return None) ]))
+  in
+  let print ops =
+    String.concat " " (List.map (function Some t -> string_of_int t | None -> "pop") ops)
+  in
+  QCheck.Test.make ~name:"heap: pops in (time, insertion order)" ~count:300
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let h = Heap.create () in
+      let pending = ref [] and next = ref 0 and ok = ref true in
+      let pop_both () =
+        match List.sort compare !pending with
+        | [] -> ok := !ok && Heap.is_empty h
+        | ((time, seq) as least) :: _ ->
+          pending := List.filter (fun e -> e <> least) !pending;
+          let t = Heap.min_time h in
+          let v = Heap.pop_min h in
+          ok := !ok && t = time && v = seq
+      in
+      List.iter
+        (function
+          | Some t ->
+            Heap.push h ~time:(float_of_int t) !next;
+            pending := (float_of_int t, !next) :: !pending;
+            incr next
+          | None -> pop_both ())
+        ops;
+      ok := !ok && Heap.size h = List.length !pending;
+      while !pending <> [] do
+        pop_both ()
+      done;
+      !ok && Heap.is_empty h)
+
+(* ------------------------------------------------------------------ *)
+(* Frequent                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The store against a list of accepted reports: a report is accepted iff
+   its peer has none in the list yet. Peers repeat (small ids) and reach
+   far past the store's initial size (large ids); segments and strings
+   repeat. *)
+let prop_frequent_matches_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (triple (int_range 0 4)
+           (frequency [ (4, int_range 0 9); (1, int_range 10 100_000) ])
+           (oneofl [ "0"; "1"; "01"; "10"; "11" ])))
+  in
+  let print reports =
+    String.concat " "
+      (List.map (fun (seg, peer, s) -> Printf.sprintf "%d:%d:%s" seg peer s) reports)
+  in
+  QCheck.Test.make ~name:"frequent: matches a list-of-reports model" ~count:300
+    (QCheck.make ~print gen)
+    (fun reports ->
+      let st = Frequent.create () in
+      let accepted = ref [] and ok = ref true in
+      List.iter
+        (fun (seg, peer, s) ->
+          let fresh = not (List.exists (fun (_, p, _) -> p = peer) !accepted) in
+          if fresh then accepted := (seg, peer, s) :: !accepted;
+          ok := !ok && Frequent.add st ~seg ~peer (Bitarray.of_string s) = fresh)
+        reports;
+      let accepted = !accepted in
+      let model_strings seg =
+        List.filter_map (fun (g, _, s) -> if g = seg then Some s else None) accepted
+        |> List.sort_uniq (fun a b -> Bitarray.compare (Bitarray.of_string b) (Bitarray.of_string a))
+        |> List.map (fun s ->
+               (s, List.length (List.filter (fun (g, _, s') -> g = seg && s' = s) accepted)))
+      in
+      let store_strings seg =
+        List.map (fun (b, c) -> (Bitarray.to_string b, c)) (Frequent.strings_for st ~seg)
+      in
+      let model_frequent seg rho =
+        List.filter_map (fun (s, c) -> if c >= rho then Some s else None) (model_strings seg)
+      in
+      ok := !ok && Frequent.reporters st = List.length accepted;
+      for seg = 0 to 6 do
+        ok :=
+          !ok
+          && Frequent.total_for st ~seg = List.length (List.filter (fun (g, _, _) -> g = seg) accepted)
+          && store_strings seg = model_strings seg;
+        for rho = 1 to 3 do
+          ok :=
+            !ok
+            && List.map Bitarray.to_string (Frequent.frequent st ~seg ~rho) = model_frequent seg rho
+        done
+      done;
+      for segments = 0 to 6 do
+        for rho = 1 to 2 do
+          let model = List.for_all (fun seg -> model_frequent seg rho <> []) (List.init segments Fun.id) in
+          ok := !ok && Frequent.covered st ~segments ~rho = model
+        done
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Whole-protocol properties                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -505,6 +614,8 @@ let suite =
       prop_wire_roundtrip;
       prop_tree_recovers_truth;
       prop_tree_node_count;
+      prop_heap_matches_reference;
+      prop_frequent_matches_model;
       prop_crash_general_always_correct;
       prop_crash_single_always_correct;
       prop_crash_general_heterogeneous_wan;
