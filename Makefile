@@ -1,4 +1,4 @@
-.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos perfbench-smoke clean
+.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos perfbench-smoke loc clean
 
 all: build
 
@@ -62,6 +62,11 @@ perfbench-smoke:
 	  echo "perfbench-smoke: $$w"; \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+
+# The lib/ size every change reports: lines of .ml and .mli, counted one
+# way. Prints only; nothing is gated on it.
+loc:
+	@cat lib/*/*.ml lib/*/*.mli | wc -l
 
 clean:
 	dune clean

@@ -103,25 +103,25 @@ let write_failures out name failures =
       (fun i r ->
         let path = Filename.concat dir (Printf.sprintf "%s-%d.repro.json" name i) in
         Repro.write ~path r;
-        Fmt.pr "  wrote %s@." path)
+        Format.printf "  wrote %s@." path)
       failures
 
 let run_replay path =
   match Repro.read path with
   | exception Failure msg -> `Error (false, msg)
   | repro ->
-    Fmt.pr "replaying %a@." Repro.pp repro;
+    Format.printf "replaying %a@." Repro.pp repro;
     (match Check.replay repro with
     | exception (Registry.Unknown_attack _ as e) ->
       `Error (false, Printexc.to_string e)
     | Check.Reproduced v ->
-      Fmt.pr "reproduced: %a@." Dr_check.Invariant.pp_violation v;
+      Format.printf "reproduced: %a@." Dr_check.Invariant.pp_violation v;
       `Ok 0
     | Check.Diverged msg ->
-      Fmt.pr "DIVERGED: %s@." msg;
+      Format.printf "DIVERGED: %s@." msg;
       `Ok 1
     | Check.Vanished ->
-      Fmt.pr "VANISHED: no invariant violated on replay@.";
+      Format.printf "VANISHED: no invariant violated on replay@.";
       `Ok 1)
 
 let run_fuzz protocol budget dfs_budget seed max_failures out =
@@ -141,16 +141,16 @@ let run_fuzz protocol budget dfs_budget seed max_failures out =
         let outcome =
           Check.fuzz ?dfs_budget ~max_failures ~budget ~seed:(Int64.to_int seed) target
         in
-        Fmt.pr "%a@." Check.pp_outcome outcome;
+        Format.printf "%a@." Check.pp_outcome outcome;
         write_failures out target.Check.name outcome.Check.failures;
         total := !total + List.length outcome.Check.failures)
       entries;
     if !total = 0 then begin
-      Fmt.pr "dr_check: no violations@.";
+      Format.printf "dr_check: no violations@.";
       `Ok 0
     end
     else begin
-      Fmt.pr "dr_check: %d violation(s)@." !total;
+      Format.printf "dr_check: %d violation(s)@." !total;
       `Ok 1
     end
 
@@ -170,14 +170,14 @@ let run_campaign protocol budget seed max_failures out corpus_dir stats =
       (fun entry ->
         let target = Check.of_registry entry in
         let c = Check.campaign ~max_failures ~budget ~seed:(Int64.to_int seed) target in
-        Fmt.pr "%a@." Check.pp_campaign c;
+        Format.printf "%a@." Check.pp_campaign c;
         write_failures out target.Check.name c.Check.failures;
         (match corpus_dir with
         | Some dir ->
           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let sub = Filename.concat dir target.Check.name in
           Dr_check.Corpus.save c.Check.corpus ~dir:sub;
-          Fmt.pr "  corpus: %s (%d entries)@." sub (Dr_check.Corpus.size c.Check.corpus)
+          Format.printf "  corpus: %s (%d entries)@." sub (Dr_check.Corpus.size c.Check.corpus)
         | None -> ());
         stats_objs := Check.campaign_stats_json c :: !stats_objs;
         total := !total + List.length c.Check.failures)
@@ -191,14 +191,14 @@ let run_campaign protocol budget seed max_failures out corpus_dir stats =
           output_string oc "[\n";
           output_string oc (String.concat ",\n" (List.rev_map String.trim !stats_objs));
           output_string oc "\n]\n");
-      Fmt.pr "  stats: %s@." path
+      Format.printf "  stats: %s@." path
     | None -> ());
     if !total = 0 then begin
-      Fmt.pr "dr_check: no violations@.";
+      Format.printf "dr_check: no violations@.";
       `Ok 0
     end
     else begin
-      Fmt.pr "dr_check: %d violation(s)@." !total;
+      Format.printf "dr_check: %d violation(s)@." !total;
       `Ok 1
     end
 

@@ -12,15 +12,6 @@
 
 type plan = Echo_corrupt | Split_brain
 
-let all = [ Echo_corrupt; Split_brain ]
-
-let to_string = function Echo_corrupt -> "adaptive" | Split_brain -> "splitcast"
-
-let of_string = function
-  | "adaptive" -> Some Echo_corrupt
-  | "splitcast" -> Some Split_brain
-  | _ -> None
-
 let corrupt_index ~rank ~len =
   if len <= 0 then invalid_arg "Adaptive.corrupt_index: empty payload";
   rank mod len

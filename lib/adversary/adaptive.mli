@@ -22,13 +22,6 @@
 
 type plan = Echo_corrupt | Split_brain
 
-val all : plan list
-
-val to_string : plan -> string
-(** ["adaptive"] / ["splitcast"] — the registry catalog names. *)
-
-val of_string : string -> plan option
-
 val corrupt_index : rank:int -> len:int -> int
 (** Which bit of an observed [len]-bit payload attacker number [rank]
     (its position among the faulty ids) flips — rank-dependent so a

@@ -2,14 +2,6 @@ type t = int -> Dr_engine.Sim.crash_spec
 
 let none _ = Dr_engine.Sim.Never
 
-let at_times pairs peer =
-  match List.assoc_opt peer pairs with
-  | Some time -> Dr_engine.Sim.At_time time
-  | None -> Dr_engine.Sim.Never
-
-let all_at fault time peer =
-  if Fault.is_faulty fault peer then Dr_engine.Sim.At_time time else Dr_engine.Sim.Never
-
 let staggered fault ~first ~gap peer =
   if not (Fault.is_faulty fault peer) then Dr_engine.Sim.Never
   else begin

@@ -10,16 +10,11 @@ type t = int -> Dr_engine.Sim.crash_spec
 
 val none : t
 
-val at_times : (int * float) list -> t
-(** Explicit (peer, time) pairs; other peers never crash. *)
-
-val all_at : Fault.t -> float -> t
-(** Every faulty peer crashes at the given instant. *)
-
 val staggered : Fault.t -> first:float -> gap:float -> t
 (** The i-th faulty peer (in ID order) crashes at [first + i·gap] — one
     failure per "phase", the schedule that forces the crash protocol through
-    its maximum number of reassignment rounds. *)
+    its maximum number of reassignment rounds. [gap = 0.] crashes them all at
+    [first]. *)
 
 val mid_broadcast : Fault.t -> after_sends:int -> t
 (** Every faulty peer completes exactly [after_sends] sends and dies

@@ -46,12 +46,5 @@ let is_faulty t i = t.faulty.(i)
 let is_honest t i = not t.faulty.(i)
 let honest_count t = t.k - t.t_count
 
-let honest_ids t =
-  List.filter (fun i -> not t.faulty.(i)) (List.init t.k Fun.id)
-
 let beta t = float_of_int t.t_count /. float_of_int t.k
 let gamma t = 1. -. beta t
-
-let pp ppf t =
-  Format.fprintf ppf "k=%d t=%d faulty=[%s]" t.k t.t_count
-    (String.concat "," (List.map string_of_int t.faulty_ids))

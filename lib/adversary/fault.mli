@@ -26,11 +26,8 @@ val choose : k:int -> selection -> t
 val is_faulty : t -> int -> bool
 val is_honest : t -> int -> bool
 val honest_count : t -> int
-val honest_ids : t -> int list
 val beta : t -> float
 (** Actual fault fraction [t/k]. *)
 
 val gamma : t -> float
 (** Honest fraction [1 - t/k]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,15 +1,8 @@
 type fn = src:int -> dst:int -> time:float -> size_bits:int -> float
 
 let unit_delay ~src:_ ~dst:_ ~time:_ ~size_bits:_ = 1.
-let constant d ~src:_ ~dst:_ ~time:_ ~size_bits:_ = d
-
-let uniform prng ~lo ~hi ~src:_ ~dst:_ ~time:_ ~size_bits:_ =
-  lo +. Dr_engine.Prng.float prng (hi -. lo)
 
 let targeted ~slow ~delay ~src ~dst:_ ~time:_ ~size_bits:_ = if slow src then delay else 1.
-
-let targeted_links ~slow ~delay ~src ~dst ~time:_ ~size_bits:_ =
-  if slow ~src ~dst then delay else 1.
 
 let rushing ~fast ~eps ~src ~dst:_ ~time:_ ~size_bits:_ = if fast src then eps else 1.
 

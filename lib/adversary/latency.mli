@@ -14,19 +14,11 @@ val unit_delay : fn
 (** Every message takes exactly 1 — the synchronous-like schedule used for
     the Table 1 prior-work rows. *)
 
-val constant : float -> fn
-
-val uniform : Dr_engine.Prng.t -> lo:float -> hi:float -> fn
-(** Independent uniform delay per message. *)
-
 val targeted : slow:(int -> bool) -> delay:float -> fn
 (** Messages {e from} designated peers take [delay] (a long but finite
     stall, e.g. past every honest termination time); all others take 1.
     This is the "delay the peers of D until v terminates" move of the
     lower-bound constructions. *)
-
-val targeted_links : slow:(src:int -> dst:int -> bool) -> delay:float -> fn
-(** Per-link variant. *)
 
 val rushing : fast:(int -> bool) -> eps:float -> fn
 (** Messages from [fast] peers (the Byzantine coalition) arrive after [eps],

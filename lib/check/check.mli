@@ -45,9 +45,6 @@ val of_registry : ?pool:(int * int * int) list -> Dr_core.Registry.entry -> targ
 (** Check a registry protocol. The default pool crosses k ∈ 2..5 with small
     n and every fault count the entry's [supports] precondition admits. *)
 
-val resolve : ?targets:target list -> string -> target option
-(** Look a target up by name — [targets] first, then the registry. *)
-
 (** {2 Running one scenario} *)
 
 type checked = {
@@ -62,16 +59,16 @@ val run_scenario :
   Repro.scenario ->
   arbiter:Dr_engine.Sim.arbiter ->
   checked
-(** Build the instance from the scenario, run under the given arbiter with
-    the scenario's crash plan applied to the instance's faulty set, record
-    the schedule and consult the {!Invariant} oracle. [observer] is passed
-    through to the target (coverage probing). *)
+(** (for tests) Build the instance from the scenario, run under the given
+    arbiter with the scenario's crash plan applied to the instance's faulty
+    set, record the schedule and consult the {!Invariant} oracle.
+    [observer] is passed through to the target (coverage probing). *)
 
 val shrink : target -> Repro.scenario -> Invariant.violation -> script:int list -> Repro.t
-(** Minimize a failing run: first the crash plan (drop it, then lower its
-    parameter), then the choice script via {!Shrink.minimize} — each step
-    keeps the {e same} invariant failing. The result replays bit-identically
-    through {!Dr_engine.Explore.scripted}. *)
+(** (for tests) Minimize a failing run: first the crash plan (drop it, then
+    lower its parameter), then the choice script via {!Shrink.minimize} —
+    each step keeps the {e same} invariant failing. The result replays
+    bit-identically through {!Dr_engine.Explore.scripted}. *)
 
 type replay_result =
   | Reproduced of Invariant.violation
@@ -132,7 +129,7 @@ val campaign : ?max_failures:int -> ?bucket:int -> budget:int -> seed:int -> tar
 (** [campaign ~budget ~seed target] spends [max 1 (budget / 4)] executions
     seeding the corpus (round-robin over every pool × attack × crash-plan
     combination) and the rest mutating it. [bucket] is the signature
-    round-bucket width (see {!Dr_engine.Explore.signature}); [max_failures]
+    round-bucket width (see {!Dr_engine.Explore.probe}); [max_failures]
     (default 5) caps collected counterexamples. *)
 
 val campaign_stats_json : campaign -> string

@@ -53,60 +53,6 @@ let entry_to_json e =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-let int_field root key =
-  let f = Json.num root key in
-  let i = int_of_float f in
-  if float_of_int i <> f then
-    failwith (Printf.sprintf "Corpus.entry_of_json: %s is not an integer" key);
-  i
-
-let entry_of_json text =
-  let root = Json.parse text in
-  let schema = Json.str root "schema" in
-  if not (String.equal schema schema_id) then
-    failwith
-      (Printf.sprintf "Corpus.entry_of_json: unsupported schema %S (want %S)" schema schema_id);
-  let crash_s = Json.str root "crash" in
-  let crash =
-    match Crash_plan.descriptor_of_string crash_s with
-    | Some d -> d
-    | None -> failwith (Printf.sprintf "Corpus.entry_of_json: unknown crash descriptor %S" crash_s)
-  in
-  let seed_s = Json.str root "seed" in
-  let seed =
-    match Int64.of_string_opt seed_s with
-    | Some s -> s
-    | None -> failwith (Printf.sprintf "Corpus.entry_of_json: malformed seed %S" seed_s)
-  in
-  let script =
-    match Json.member root "script" with
-    | Some (Json.Arr items) ->
-      List.map
-        (function
-          | Json.Num f ->
-            let i = int_of_float f in
-            if float_of_int i <> f || i < 0 then
-              failwith "Corpus.entry_of_json: script entries must be nonnegative integers";
-            i
-          | _ -> failwith "Corpus.entry_of_json: script entries must be numbers")
-        items
-    | _ -> failwith "Corpus.entry_of_json: missing script array"
-  in
-  {
-    scenario =
-      {
-        Repro.protocol = Json.str root "protocol";
-        attack = Json.str root "attack";
-        k = int_field root "k";
-        n = int_field root "n";
-        t = int_field root "t";
-        seed;
-        crash;
-      };
-    script;
-    new_signatures = int_field root "new_signatures";
-  }
-
 let entry_file i = Printf.sprintf "entry-%04d.json" i
 
 let save t ~dir =
@@ -118,24 +64,3 @@ let save t ~dir =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (entry_to_json e)))
     (to_list t)
-
-let load ~dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json" && String.length f > 6)
-    |> List.filter (fun f -> String.equal (String.sub f 0 6) "entry-")
-    |> List.sort String.compare
-  in
-  let t = create () in
-  List.iter
-    (fun f ->
-      let path = Filename.concat dir f in
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      add t (entry_of_json text))
-    files;
-  t

@@ -20,18 +20,9 @@ val create : unit -> t
 val add : t -> entry -> unit
 val size : t -> int
 
-val to_list : t -> entry list
-(** In admission order. *)
-
 val pick : Dr_engine.Prng.t -> t -> entry option
 (** Uniform draw, [None] on an empty corpus. *)
-
-val entry_to_json : entry -> string
-val entry_of_json : string -> entry
 
 val save : t -> dir:string -> unit
 (** Write [dir/entry-0000.json] … in admission order, creating [dir] if
     needed. *)
-
-val load : dir:string -> t
-(** Read every [entry-*.json] in [dir], sorted by filename. *)

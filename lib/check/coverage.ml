@@ -1,11 +1,11 @@
 (* The campaign's coverage map: signature -> hit count.
 
-   Signatures come from Dr_engine.Explore.signature (hashed
+   Signatures come from a Dr_engine.Explore.probe (hashed
    phase × event-kind × round-bucket keys); the map only ever sees the
    distinct signatures of one run at a time (a probe's hits), so a "hit"
-   counts runs that lit a signature, not raw events. All read-out orders are
-   sorted with Int.compare — never Hashtbl iteration order — so two maps
-   built from the same runs serialize byte-identically. *)
+   counts runs that lit a signature, not raw events. Only counts are read
+   out ([note]'s fresh count, [distinct], [hits]), so Hashtbl iteration
+   order never leaks into the campaign's output. *)
 
 type t = (int, int) Hashtbl.t
 
@@ -26,40 +26,3 @@ let note t sigs =
 let distinct t = Hashtbl.length t
 
 let hits t = Hashtbl.fold (fun _ c acc -> acc + c) t 0
-
-let bindings t =
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun s c acc -> (s, c) :: acc) t [])
-
-let signatures t = List.map fst (bindings t)
-
-let merge ~into t =
-  Hashtbl.iter
-    (fun s c ->
-      match Hashtbl.find_opt into s with
-      | Some c0 -> Hashtbl.replace into s (c0 + c)
-      | None -> Hashtbl.add into s c)
-    t
-
-let equal a b =
-  List.equal
-    (fun (s1, c1) (s2, c2) -> Int.equal s1 s2 && Int.equal c1 c2)
-    (bindings a) (bindings b)
-
-let schema_id = "dr-coverage/1"
-
-let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema_id);
-  Buffer.add_string b (Printf.sprintf "  \"distinct\": %d,\n" (distinct t));
-  Buffer.add_string b (Printf.sprintf "  \"hits\": %d,\n" (hits t));
-  Buffer.add_string b "  \"map\": [";
-  List.iteri
-    (fun i (s, c) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf " [%d, %d]" s c))
-    (bindings t);
-  Buffer.add_string b " ]\n}\n";
-  Buffer.contents b

@@ -1,11 +1,11 @@
 (** The coverage map behind [dr_check --campaign].
 
-    Keys are the 30-bit signatures of {!Dr_engine.Explore.signature}
+    Keys are the 30-bit signatures of {!Dr_engine.Explore.probe}
     (protocol-phase × event-type × round-bucket); values count how many runs
     lit the signature ({!note} is fed each run's {e distinct} hits, so a
     count of 3 means three executions reached that region, not three raw
-    events). Deterministic: every read-out is sorted by [Int.compare], so
-    same runs ⇒ byte-identical {!to_json}. *)
+    events). Deterministic: every read-out is a count, so the same runs give
+    the same numbers. *)
 
 type t
 
@@ -21,16 +21,3 @@ val distinct : t -> int
 
 val hits : t -> int
 (** Total run-hits across all signatures. *)
-
-val signatures : t -> int list
-(** Sorted ascending. *)
-
-val merge : into:t -> t -> unit
-(** Add every binding of the second map into [into]. *)
-
-val equal : t -> t -> bool
-(** Same signatures with the same counts. *)
-
-val to_json : t -> string
-(** Schema ["dr-coverage/1"]: counts plus the sorted [[signature, count]]
-    map. Byte-deterministic for a given map. *)

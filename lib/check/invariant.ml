@@ -4,18 +4,10 @@ module Sim = Dr_engine.Sim
 
 type t = Agreement | Termination | Spec_bound
 
-let all = [ Agreement; Termination; Spec_bound ]
-
 let name = function
   | Agreement -> "agreement"
   | Termination -> "termination"
   | Spec_bound -> "spec-bound"
-
-let of_name = function
-  | "agreement" -> Some Agreement
-  | "termination" -> Some Termination
-  | "spec-bound" -> Some Spec_bound
-  | _ -> None
 
 type violation = { invariant : t; event : int; detail : string }
 

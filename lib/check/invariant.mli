@@ -18,13 +18,9 @@
 
 type t = Agreement | Termination | Spec_bound
 
-val all : t list
-
 val name : t -> string
 (** ["agreement"] / ["termination"] / ["spec-bound"] — the vocabulary used in
     repro files. *)
-
-val of_name : string -> t option
 
 type violation = {
   invariant : t;

@@ -13,14 +13,6 @@ type op = Truncate | Splice | Point | Crash_shift | Attack_swap | Reseed
 
 let all = [ Truncate; Splice; Point; Crash_shift; Attack_swap; Reseed ]
 
-let to_string = function
-  | Truncate -> "truncate"
-  | Splice -> "splice"
-  | Point -> "point"
-  | Crash_shift -> "crash-shift"
-  | Attack_swap -> "attack-swap"
-  | Reseed -> "reseed"
-
 let take n l = List.filteri (fun i _ -> i < n) l
 
 let drop n l = List.filteri (fun i _ -> i >= n) l

@@ -13,9 +13,6 @@
 
 type op = Truncate | Splice | Point | Crash_shift | Attack_swap | Reseed
 
-val all : op list
-val to_string : op -> string
-
 val mutate :
   prng:Dr_engine.Prng.t ->
   attacks:string list ->

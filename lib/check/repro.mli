@@ -39,17 +39,13 @@ type t = {
   detail : string;
 }
 
-val schema_id : string
+val write : path:string -> t -> unit
+(** Schema ["dr-check/1"] JSON in a stable field order: equal values write
+    byte-identical files (golden-testable). *)
 
-val to_json : t -> string
-(** Stable field order; byte-identical for equal values (golden-testable). *)
-
-val of_json : string -> t
+val read : string -> t
 (** Raises [Failure] on malformed input, unknown schema, unknown crash
     descriptor or non-integer script entries. *)
-
-val write : path:string -> t -> unit
-val read : string -> t
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (no script) for CLI output. *)

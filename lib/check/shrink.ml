@@ -3,7 +3,7 @@ let remove_chunk s ~pos ~len =
 
 let set_nth s i v = List.mapi (fun j x -> if j = i then v else x) s
 
-let minimize_counting ?(max_tests = 20_000) ~fails script =
+let minimize ?(max_tests = 20_000) ~fails script =
   let tests = ref 0 in
   let try_fails s =
     if !tests >= max_tests then false
@@ -12,7 +12,7 @@ let minimize_counting ?(max_tests = 20_000) ~fails script =
       fails s
     end
   in
-  if not (try_fails script) then (script, !tests)
+  if not (try_fails script) then script
   else begin
     let cur = ref script in
     let changed = ref true in
@@ -50,8 +50,5 @@ let minimize_counting ?(max_tests = 20_000) ~fails script =
             done)
         !cur
     done;
-    (!cur, !tests)
+    !cur
   end
-
-let minimize ?max_tests ~fails script = fst (minimize_counting ?max_tests ~fails script)
-let tests_used script ~fails = snd (minimize_counting ~fails script)

@@ -19,8 +19,3 @@ val minimize : ?max_tests:int -> fails:(int list -> bool) -> int list -> int lis
     (shrinking a passing run is a no-op). [max_tests] (default [20_000])
     bounds the number of predicate evaluations; when exhausted, the current
     — still failing — script is returned even if not yet minimal. *)
-
-val tests_used : int list -> fails:(int list -> bool) -> int
-(** [tests_used script ~fails] runs {!minimize} and returns how many
-    predicate evaluations it consumed — instrumentation for tuning fuzz
-    budgets. *)

@@ -34,5 +34,5 @@ val core :
     [committee_size = 2t+1] (clamped to k), [threshold = t+1]. *)
 
 val committee : k:int -> size:int -> int -> int list
-(** [committee ~k ~size j] is the member list of block [j]'s committee
-    (round-robin, distinct peers). *)
+(** (for tests) [committee ~k ~size j] is the member list of block [j]'s
+    committee (round-robin, distinct peers). *)

@@ -40,5 +40,5 @@ val core :
     live executions. *)
 
 val phases_upper_bound : k:int -> t:int -> int
-(** The r* cap on the number of phases: ⌈log k / log (1/β)⌉ + 2, the point
-    by which at most ⌈n/k⌉ bits can remain unknown. *)
+(** (for tests) The r* cap on the number of phases: ⌈log k / log (1/β)⌉ + 2,
+    the point by which at most ⌈n/k⌉ bits can remain unknown. *)

@@ -28,17 +28,9 @@ let build strings =
       invalid_arg "Decision_tree.build: candidates must have equal length");
   build_sorted (dedupe strings)
 
-let rec leaves = function
-  | Leaf s -> [ s ]
-  | Node { zero; one; _ } -> leaves zero @ leaves one
-
 let rec internal_nodes = function
   | Leaf _ -> 0
   | Node { zero; one; _ } -> 1 + internal_nodes zero + internal_nodes one
-
-let rec depth = function
-  | Leaf _ -> 0
-  | Node { zero; one; _ } -> 1 + Int.max (depth zero) (depth one)
 
 let determine ~query ~offset tree =
   let rec walk tree spent =
@@ -48,5 +40,3 @@ let determine ~query ~offset tree =
       if query (offset + index) then walk one (spent + 1) else walk zero (spent + 1)
   in
   walk tree 0
-
-let contains tree s = List.exists (Bitarray.equal s) (leaves tree)

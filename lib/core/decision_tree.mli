@@ -20,9 +20,8 @@ val build : Dr_source.Bitarray.t list -> t
 (** Build from a non-empty list of equal-length candidates (duplicates are
     merged). Raises [Invalid_argument] on an empty list or mixed lengths. *)
 
-val leaves : t -> Dr_source.Bitarray.t list
 val internal_nodes : t -> int
-val depth : t -> int
+(** (for tests) The tree's query budget: one query per internal node. *)
 
 val determine :
   query:(int -> bool) -> offset:int -> t -> Dr_source.Bitarray.t * int
@@ -30,6 +29,3 @@ val determine :
     [query (offset + index)] at every internal node, and returns the
     surviving candidate together with the number of queries spent.
     If the true segment string is a leaf, the result equals it. *)
-
-val contains : t -> Dr_source.Bitarray.t -> bool
-(** Is the string one of the leaves? *)

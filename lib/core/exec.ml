@@ -37,7 +37,6 @@ let with_link_rate link_rate opts = { opts with link_rate }
 let with_crash crash opts = { opts with crash }
 let with_trace trace opts = { opts with trace = Some trace }
 let with_arbiter arbiter opts = { opts with arbiter = Some arbiter }
-let with_observer observer opts = { opts with observer = Some observer }
 let without_trace opts = { opts with trace = None }
 
 let build_config inst opts =

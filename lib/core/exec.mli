@@ -55,7 +55,6 @@ val with_link_rate : float -> opts -> opts
 val with_crash : Dr_adversary.Crash_plan.t -> opts -> opts
 val with_trace : Dr_engine.Trace.t -> opts -> opts
 val with_arbiter : Dr_engine.Sim.arbiter -> opts -> opts
-val with_observer : (Dr_engine.Sim.obs -> unit) -> opts -> opts
 
 val without_trace : opts -> opts
 (** Drop the trace sink (an exploration run re-executes thousands of

@@ -17,17 +17,19 @@ val add : t -> seg:int -> peer:int -> Dr_source.Bitarray.t -> bool
     or [seg] raises [Invalid_argument]. *)
 
 val reporters : t -> int
-(** Number of distinct peers that have reported. *)
+(** (for tests) Number of distinct peers that have reported. *)
 
 val total_for : t -> seg:int -> int
-(** R_j: reports received for segment [j], including duplicates. *)
+(** (for tests) R_j: reports received for segment [j], including
+    duplicates. *)
 
 val strings_for : t -> seg:int -> (Dr_source.Bitarray.t * int) list
-(** Distinct strings with their reporter counts, in decreasing
+(** (for tests) Distinct strings with their reporter counts, in decreasing
     {!Dr_source.Bitarray.compare} order. *)
 
 val frequent : t -> seg:int -> rho:int -> Dr_source.Bitarray.t list
-(** Strings reported by ≥ rho distinct peers, in {!strings_for} order. *)
+(** Strings reported by ≥ rho distinct peers, in decreasing
+    {!Dr_source.Bitarray.compare} order. *)
 
 val covered : t -> segments:int -> rho:int -> bool
 (** Does every segment in [0 .. segments-1] have a ρ-frequent string? This is

@@ -111,7 +111,6 @@ let all =
 
 let name e = e.spec.Spec.protocol
 
-let randomized e = e.spec.Spec.randomized
 let attacks e = e.attacks
 
 let find n = List.find_opt (fun e -> name e = n) all
@@ -130,5 +129,4 @@ let admits e inst =
   C.supports inst
 
 let names = List.map name all
-let specs = List.map (fun e -> e.spec) all
 let spec_of n = Option.map (fun e -> e.spec) (find n)

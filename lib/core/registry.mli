@@ -81,8 +81,6 @@ val name : entry -> string
 (** The protocol name: [spec.protocol], which is also the name the entry's
     core reports. *)
 
-val randomized : entry -> bool
-
 val attacks : entry -> string list
 (** The [attacks] catalog field. *)
 
@@ -91,5 +89,4 @@ val admits : entry -> Problem.instance -> (unit, string) result
 
 val names : string list
 
-val specs : Spec.bounds list
 val spec_of : string -> Spec.bounds option

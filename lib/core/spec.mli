@@ -24,10 +24,8 @@ val committee : bounds
 val byz_2cycle : bounds
 val byz_multicycle : bounds
 
-(* The list of all bounds and lookup by name live in {!Registry} ([specs] /
-   [spec_of]), next to the protocol modules they describe. *)
+(* Lookup by name lives in {!Registry} ([spec_of]), next to the protocol
+   modules the bounds describe. *)
 
 val within : bounds -> k:int -> n:int -> t:int -> b:int -> measured:int -> bool
 (** Does a measured Q respect the bound (given the regime holds)? *)
-
-val gamma : k:int -> t:int -> float

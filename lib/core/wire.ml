@@ -45,8 +45,6 @@ module Assembly = struct
   let get t =
     if not (complete t) then invalid_arg "Wire.Assembly.get: incomplete";
     Bitarray.copy t.buffer
-
-  let received_parts t = Array.length t.have - t.missing
 end
 
 module Crc32 = struct
@@ -71,8 +69,6 @@ module Crc32 = struct
       c := update !c (Bytes.get_uint8 b i)
     done;
     !c lxor 0xffffffff
-
-  let string s = bytes (Bytes.unsafe_of_string s)
 end
 
 module Frame = struct

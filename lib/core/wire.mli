@@ -5,9 +5,6 @@
     indices are carried explicitly, so parts may arrive in any order (and
     some may be missing after a mid-broadcast crash). *)
 
-val parts : b:int -> int -> int
-(** [parts ~b len] is the number of packets needed for [len] bits. *)
-
 val split : b:int -> Dr_source.Bitarray.t -> (int * Dr_source.Bitarray.t) list
 (** [(part_index, payload)] covering the array in order. Empty arrays yield
     a single empty part so that "I sent you my (empty) share" is still a
@@ -29,8 +26,6 @@ module Assembly : sig
   val complete : t -> bool
   val get : t -> Dr_source.Bitarray.t
   (** The reassembled string; raises [Invalid_argument] when incomplete. *)
-
-  val received_parts : t -> int
 end
 
 module Crc32 : sig
@@ -42,26 +37,21 @@ module Crc32 : sig
   val bytes : ?off:int -> ?len:int -> bytes -> int
   (** CRC of the byte range; defaults cover the whole buffer. Raises
       [Invalid_argument] on an out-of-bounds range. *)
-
-  val string : string -> int
 end
 
 module Frame : sig
   (** Pure header codec for the framed byte streams of the socket transport
-      ([Dr_net]): a 4-byte magic, a 4-byte big-endian payload length and the
-      payload's big-endian {!Crc32}. Kept here so the encoding is defined
-      (and unit-testable) without any [Unix] dependency; [Dr_net.Frame] does
-      the actual descriptor I/O. *)
+      ([Dr_net]): a 4-byte magic (["DRF1"]), a 4-byte big-endian payload
+      length and the payload's big-endian {!Crc32}. Kept here so the
+      encoding is defined (and unit-testable) without any [Unix] dependency;
+      [Dr_net.Frame] does the actual descriptor I/O. *)
 
   val header_len : int
   (** 12: magic, length, CRC. *)
 
   val max_payload : int
-  (** Sanity cap on the decoded length (64 MiB) — a corrupt or hostile
-      header fails fast instead of provoking a giant allocation. *)
-
-  val magic : string
-  (** ["DRF1"]. *)
+  (** (for tests) Sanity cap on the decoded length (64 MiB) — a corrupt or
+      hostile header fails fast instead of provoking a giant allocation. *)
 
   type header_error =
     | Short_header

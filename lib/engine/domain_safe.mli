@@ -1,7 +1,11 @@
 (** The sanctioned wrappers for engine-shared mutable state. Cells declared
     [engine-shared] in dr-race.zones may only be touched through this
     module (dr_race rule R2); everything here is Atomic- or Mutex-guarded
-    and safe to share across domains. *)
+    and safe to share across domains.
+
+    (for tests) No engine-shared cell exists yet, so only the test suite
+    calls these wrappers; the module stays because R2 names it as the one
+    sanctioned access path. *)
 
 module Counter : sig
   type t

@@ -6,42 +6,18 @@ type outcome = {
   max_depth : int;
 }
 
-type replay = {
-  arbiter : Sim.arbiter;
-  steps : unit -> int;
-  overruns : unit -> int;
-  clamped : unit -> int;
-}
-
-let replay script =
+(* The one script-following arbiter: take the next scripted choice, clamp
+   it to [count - 1], and once the script runs out ask [fallback]. *)
+let follow script fallback =
   let remaining = ref script in
-  let steps = ref 0 in
-  let overruns = ref 0 in
-  let clamped = ref 0 in
-  let arbiter count =
-    incr steps;
+  fun count ->
     match !remaining with
     | c :: tl ->
       remaining := tl;
-      if c < count then c
-      else begin
-        incr clamped;
-        count - 1
-      end
-    | [] ->
-      incr overruns;
-      0
-  in
-  {
-    arbiter;
-    steps = (fun () -> !steps);
-    overruns = (fun () -> !overruns);
-    clamped = (fun () -> !clamped);
-  }
+      if c < count then c else count - 1
+    | [] -> fallback count
 
-let faithful r = r.overruns () = 0 && r.clamped () = 0
-
-let scripted script = (replay script).arbiter
+let scripted script = follow script (fun _ -> 0)
 
 let record arbiter =
   let log = ref [] in
@@ -57,14 +33,7 @@ let record arbiter =
 
 let random prng count = Prng.int prng count
 
-let scripted_then_random script prng =
-  let remaining = ref script in
-  fun count ->
-    match !remaining with
-    | c :: tl ->
-      remaining := tl;
-      if c < count then c else count - 1
-    | [] -> Prng.int prng count
+let scripted_then_random script prng = follow script (random prng)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage signatures                                                *)
@@ -120,15 +89,9 @@ let dfs ~budget ~run =
   (try
      while !schedules < budget do
        let log = ref [] in
-       let remaining = ref !script in
+       let next = scripted !script in
        let arbiter count =
-         let choice =
-           match !remaining with
-           | c :: tl ->
-             remaining := tl;
-             if c < count then c else count - 1
-           | [] -> 0
-         in
+         let choice = next count in
          log := (choice, count) :: !log;
          choice
        in

@@ -26,33 +26,13 @@ val dfs : budget:int -> run:(arbiter:Sim.arbiter -> bool) -> outcome
     that drives that schedule; [run] returns whether the execution was
     correct. [run] must be deterministic given the arbiter's choices. *)
 
-type replay = {
-  arbiter : Sim.arbiter;
-  steps : unit -> int;  (** choices made so far (events fired) *)
-  overruns : unit -> int;
-      (** choices requested {e after} the script ran out — each one was
-          answered with 0. A replayed counterexample whose execution outlives
-          its recorded schedule diverged from the recording; a nonzero count
-          makes that visible instead of silently padding. *)
-  clamped : unit -> int;
-      (** scripted choices that were out of range for the pending-event count
-          at that step (answered with [count - 1]) — also divergence. *)
-}
-
-val replay : int list -> replay
-(** A scripted arbiter that counts its own divergence. Replaying a script on
-    the deterministic execution it was recorded from reports
-    [overruns () = 0] and [clamped () = 0]; anything else means the run no
-    longer follows the recorded schedule. *)
-
-val faithful : replay -> bool
-(** [overruns () = 0 && clamped () = 0] — the execution followed the script
-    exactly (so far). *)
-
 val scripted : int list -> Sim.arbiter
-(** An arbiter that follows the given choice script, then always picks 0 —
-    for replaying a failure found by {!dfs}. Use {!replay} when divergence
-    from the script must be detected rather than masked. *)
+(** An arbiter that follows the given choice script, answering a scripted
+    choice that is out of range with [count - 1], then always picks 0 — for
+    replaying a failure found by {!dfs}. To detect divergence, wrap it in
+    {!record}: the recorded schedule equals the script exactly when the run
+    followed it; a longer one was padded with 0s past the script's end, and
+    a differing entry was clamped. *)
 
 val record : Sim.arbiter -> Sim.arbiter * (unit -> int list)
 (** [record a] wraps [a] so that every choice it makes (clamped exactly as
@@ -73,17 +53,9 @@ val scripted_then_random : int list -> Prng.t -> Sim.arbiter
 
     The coverage-guided checker ({!Dr_check.Coverage}) keys its map on
     hashed signatures of the events an execution fires. The engine streams
-    one {!Sim.obs} per event through [config.observer]; {!signature}
-    collapses it to a stable 30-bit key and {!probe} collects the distinct
-    keys of one run. *)
-
-val signature : ?bucket:int -> Sim.obs -> int
-(** Deterministic 30-bit signature of (protocol-phase × event-type ×
-    round-bucket): the event kind, the message tag (the protocol's own phase
-    label, e.g. ["seg(c2,0)"]) and the event index divided by [bucket]
-    (default 8) are FNV-1a-hashed together. Independent of wall clock, peer
-    count and Hashtbl seeding, so two runs firing the same schedule produce
-    the same signatures byte-for-byte. *)
+    one {!Sim.obs} per event through [config.observer]; a {!probe}
+    collapses each to a stable 30-bit key and collects the distinct keys of
+    one run. *)
 
 type probe = {
   observer : Sim.obs -> unit;  (** plug into [config.observer] (via [Exec.make_opts ~observer]) *)
@@ -91,4 +63,10 @@ type probe = {
 }
 
 val probe : ?bucket:int -> unit -> probe
-(** A fresh single-run signature collector. *)
+(** A fresh single-run signature collector. A signature is a deterministic
+    30-bit key of (protocol-phase × event-type × round-bucket): the event
+    kind, the message tag (the protocol's own phase label, e.g.
+    ["seg(c2,0)"]) and the event index divided by [bucket] (default 8) are
+    FNV-1a-hashed together. Independent of wall clock, peer count and
+    Hashtbl seeding, so two runs firing the same schedule produce the same
+    signatures byte-for-byte. *)

@@ -115,8 +115,6 @@ let push h ~time value =
   sift_up h i
 
 let is_empty h = h.len = 0
-let size h = h.len
-
 let min_time h =
   if h.len = 0 then invalid_arg "Heap.min_time: empty";
   Array.unsafe_get h.times 0
@@ -131,13 +129,3 @@ let pop_min h =
   h.len <- last;
   if last > 0 then sift_down h last;
   v
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let t = Array.unsafe_get h.times 0 in
-    Some (t, pop_min h)
-  end
-
-let peek_time h = if h.len = 0 then None else Some (min_time h)
-let clear h = h.len <- 0

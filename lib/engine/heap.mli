@@ -20,11 +20,6 @@ val push : 'a t -> time:float -> 'a -> unit
 (** Schedule a value at [time]. O(log n); at steady state the only
     allocation is the caller's boxed [time]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, or [None] when empty. O(log n).
-    Allocates the option/tuple — hot paths should use {!min_time} +
-    {!pop_min} instead. *)
-
 val min_time : 'a t -> float
 (** Time of the earliest event (boxed, see above). Raises
     [Invalid_argument] when empty. *)
@@ -33,11 +28,4 @@ val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's value without allocating.
     Raises [Invalid_argument] when empty. *)
 
-val peek_time : 'a t -> float option
-(** Time of the earliest event without removing it. *)
-
 val is_empty : 'a t -> bool
-val size : 'a t -> int
-
-val clear : 'a t -> unit
-(** Drop all pending events. *)

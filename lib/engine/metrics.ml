@@ -25,7 +25,6 @@ let f_wakeups = 5
 type t = { k : int; data : int array }
 
 let create k = { k; data = Array.make (k * stride) 0 }
-let peer_count t = t.k
 
 let peer t i =
   if i < 0 || i >= t.k then invalid_arg "Metrics.peer: bad index";
@@ -106,7 +105,3 @@ let summarize ?(select = fun _ -> true) t =
       (if !selected = 0 then 0. else float_of_int !total_queries /. float_of_int !selected);
     max_wakeups = !max_wakeups;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "Q=%d (mean %.1f) M=%d bits=%d max_msg=%d" s.max_queries s.mean_queries
-    s.total_msgs s.total_bits s.max_msg_bits

@@ -23,10 +23,8 @@ val create : int -> t
 (** [create k] allocates counters for [k] peers. *)
 
 val peer : t -> int -> peer
-(** Snapshot of one peer's counters (a fresh record per call; mutating it
-    does not write back). *)
-
-val peer_count : t -> int
+(** (for tests) Snapshot of one peer's counters (a fresh record per call;
+    mutating it does not write back). *)
 
 val queries : t -> int -> int
 val msgs_sent : t -> int -> int
@@ -54,5 +52,3 @@ type summary = {
 val summarize : ?select:(int -> bool) -> t -> summary
 (** Aggregate over the peers satisfying [select] (default: all). Pass the
     honesty predicate to obtain the paper's Q and M. *)
-
-val pp_summary : Format.formatter -> summary -> unit

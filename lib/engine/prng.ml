@@ -22,7 +22,7 @@ let create seed =
   done;
   g
 
-(* Inlined into the draws below, so [float], [bool] and [bits] never box
+(* Inlined into the draws below, so [float] and [bool] never box
    the raw output either. *)
 let[@inline] next64 g =
   let s0 = Bytes.get_int64_le g 0 and s1 = Bytes.get_int64_le g 8 in
@@ -51,11 +51,6 @@ let float g bound =
 
 let bool g = Int64.logand (next64 g) 1L = 1L
 
-let bits g w =
-  assert (w >= 0 && w <= 30);
-  if w = 0 then 0
-  else Int64.to_int (Int64.shift_right_logical (next64 g) (64 - w))
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in
@@ -63,7 +58,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick g a =
-  assert (Array.length a > 0);
-  a.(int g (Array.length a))

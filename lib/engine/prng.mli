@@ -28,11 +28,5 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val bits : t -> int -> int
-(** [bits g w] is a uniform [w]-bit nonnegative integer, [0 <= w <= 30]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -7,7 +7,6 @@ type 'a t = {
 let create () = { data = [||]; head = 0; len = 0 }
 
 let is_empty r = r.len = 0
-let length r = r.len
 
 (* [value] seeds fresh slots, so no dummy element is needed. *)
 let grow r value =
@@ -43,7 +42,3 @@ let pop r =
   r.head <- (if head = Array.length r.data then 0 else head);
   r.len <- r.len - 1;
   v
-
-let clear r =
-  r.head <- 0;
-  r.len <- 0

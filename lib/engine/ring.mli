@@ -16,8 +16,3 @@ val pop : 'a t -> 'a
 (** Dequeue from the head. Raises [Invalid_argument] when empty. *)
 
 val is_empty : 'a t -> bool
-val length : 'a t -> int
-
-val clear : 'a t -> unit
-(** Drop all elements (retains capacity; stale references persist until
-    overwritten, as with popped slots). *)

@@ -73,7 +73,7 @@ type obs = {
 (** One observation per processed event. Unlike {!Trace}, observations are
     streamed (never stored by the engine) and carry no wall-clock data, so a
     coverage sink hashing them stays deterministic under replay. See
-    {!Explore.signature}. *)
+    {!Explore.probe}. *)
 
 type config = {
   k : int;  (** number of peers *)

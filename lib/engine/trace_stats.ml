@@ -19,20 +19,6 @@ let bits_matrix trace ~k =
     | Trace.Sent { src; dst; size_bits; _ } -> Some (src, dst, size_bits)
     | _ -> None)
 
-let delivered_matrix trace ~k =
-  matrix_of trace ~k (function
-    | Trace.Delivered { src; dst; _ } -> Some (src, dst, 1)
-    | _ -> None)
-
-let queries_per_peer trace ~k =
-  let q = Array.make k 0 in
-  List.iter
-    (function
-      | Trace.Queried { peer; _ } when peer >= 0 && peer < k -> q.(peer) <- q.(peer) + 1
-      | _ -> ())
-    (Trace.events trace);
-  q
-
 let busiest_link m =
   let best = ref None in
   Array.iteri

@@ -11,11 +11,6 @@ val message_matrix : Trace.t -> k:int -> int array array
 val bits_matrix : Trace.t -> k:int -> int array array
 (** Same, in payload bits. *)
 
-val delivered_matrix : Trace.t -> k:int -> int array array
-(** Messages actually delivered (a crashed receiver drops the rest). *)
-
-val queries_per_peer : Trace.t -> k:int -> int array
-
 val busiest_link : int array array -> (int * int * int) option
 (** [(src, dst, weight)] of the heaviest entry, or [None] if all zero. *)
 

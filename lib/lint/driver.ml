@@ -37,19 +37,16 @@ let apply_pragmas ~path ~pragmas raw =
   in
   { path; findings = List.sort Finding.compare findings; suppressed; unused_pragmas }
 
-let lint_source ?ctx ~path source =
-  let ctx = match ctx with Some c -> c | None -> Rules.ctx_of_path path in
-  let str = parse ~path source in
-  let raw = Rules.collect ~ctx ~file:path str in
-  apply_pragmas ~path ~pragmas:(Pragma.scan source) raw
-
 let read_file path =
   let ic = try open_in_bin path with Sys_error e -> raise (Error e) in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file ?ctx path = lint_source ?ctx ~path (read_file path)
+let lint_file path =
+  let source = read_file path in
+  let raw = Rules.collect ~ctx:(Rules.ctx_of_path path) ~file:path (parse ~path source) in
+  apply_pragmas ~path ~pragmas:(Pragma.scan source) raw
 
 (* ------------------------------------------------------------------ *)
 (* Tree walking                                                       *)

@@ -28,11 +28,6 @@ val apply_pragmas : path:string -> pragmas:Pragma.t list -> Finding.t list -> fi
     reporting pragmas that suppressed nothing — the shared second half of
     both the lint and race pipelines. *)
 
-val lint_source : ?ctx:Rules.ctx -> path:string -> string -> file_report
-(** Lint in-memory source. [ctx] defaults to [Rules.ctx_of_path path]. *)
-
-val lint_file : ?ctx:Rules.ctx -> string -> file_report
-
 val files_under : string list -> string list
 (** Every [.ml] under the roots (skipping [_build], dotdirs, and fixture
     directories), globally sorted by byte order and deduplicated — the

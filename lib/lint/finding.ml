@@ -36,7 +36,6 @@ let rule_doc = function
   | R2 -> "cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; init-only is never written post-init"
   | R3 -> "domain-unsafe stdlib singleton (std_formatter, default Random state, ...) outside lib/stats and the binaries"
 
-let lint_rules = [ L1; L2; L3; L4; L5 ]
 let race_rules = [ R1; R2; R3 ]
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }
@@ -65,12 +64,6 @@ let compare a b =
 
 let pp ppf f =
   Format.fprintf ppf "%s:%d:%d [%s] %s" f.file f.line f.col (rule_name f.rule) f.msg
-
-(* The short form the golden tests key on: [file:line [RULE]]. *)
-let pp_short ppf f =
-  Format.fprintf ppf "%s:%d [%s]" (Filename.basename f.file) f.line (rule_name f.rule)
-
-let to_short f = Format.asprintf "%a" pp_short f
 
 (* ------------------------------------------------------------------ *)
 (* JSON lines (schema dr-lint/1)                                      *)

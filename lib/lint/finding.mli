@@ -10,9 +10,6 @@ val rule_equal : rule -> rule -> bool
 val rule_doc : rule -> string
 (** One-line statement of the invariant the rule machine-checks. *)
 
-val lint_rules : rule list
-(** L1-L5: the per-file dr_lint rules. *)
-
 val race_rules : rule list
 (** R1-R3: the whole-program dr_race rules. *)
 
@@ -29,11 +26,6 @@ val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col [RULE] message] — the CLI output format. *)
-
-val pp_short : Format.formatter -> t -> unit
-(** [basename:line [RULE]] — the stable form golden tests compare against. *)
-
-val to_short : t -> string
 
 val json_schema : string
 (** ["dr-lint/1"] — the schema tag stamped on every JSON finding line. *)

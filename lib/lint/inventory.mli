@@ -47,9 +47,4 @@ type singleton = { s_path : string; s_ident : string; s_line : int; s_col : int 
 
 val compare_singleton : singleton -> singleton -> int
 
-val singleton_of_parts : string list -> string option
-(** The domain-unsafe stdlib singleton a (Stdlib-stripped) longident
-    touches, if any: [Format.std_formatter], default [Random] state, the
-    implicit stdout/stderr channels. *)
-
 val singletons_of_unit : Symbols.unit_info -> singleton list

@@ -9,15 +9,12 @@ type t = {
   at_eof : bool;  (** on the last line of the file: no "line below" exists *)
 }
 
-val lint_marker : string
-(** ["dr-lint:"] — the default marker. *)
-
 val race_marker : string
 (** ["dr-race:"] — the marker dr_race pragmas open with. *)
 
 val scan : ?marker:string -> string -> t list
 (** All allow pragmas in a source file, in line order. [marker] defaults to
-    {!lint_marker}. *)
+    ["dr-lint:"]. *)
 
 val directives : marker:string -> verb:string -> string -> (int * string) list
 (** All [(line, payload)] directive comments of the form

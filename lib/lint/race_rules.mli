@@ -13,24 +13,22 @@ type analysis = {
 }
 
 val path_under : owner:string -> string -> bool
-(** Is [path] inside the [owner] subtree? Separator-normalized; leading
-    ["./"]/["../"] segments are ignored so in-tree and out-of-tree
+(** (for tests) Is [path] inside the [owner] subtree? Separator-normalized;
+    leading ["./"]/["../"] segments are ignored so in-tree and out-of-tree
     invocations agree. *)
 
 val singleton_allowed : string -> bool
-(** R3's allowed surface: [bin/], [bench/], [lib/stats]. *)
+(** (for tests) R3's allowed surface: [bin/], [bench/], [lib/stats]. *)
 
 val init_like : string option -> bool
-(** Does this enclosing-binding name count as an initialization context for
-    init-only cells? [None] (module-init toplevel) always does. *)
+(** (for tests) Does this enclosing-binding name count as an initialization
+    context for init-only cells? [None] (module-init toplevel) always
+    does. *)
 
 val analyze : ?zones_path:string -> string list -> analysis
 (** Run the whole analysis over the trees under [roots]. Raises
     {!Driver.Error} on unreadable/unparseable input, a malformed zones
     file, or clashing unit names. *)
-
-val schema_id : string
-(** ["dr-race/1"]. *)
 
 val inventory_json : analysis -> string
 (** The census as deterministic [dr-race/1] JSON — byte-identical across

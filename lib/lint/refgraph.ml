@@ -12,8 +12,6 @@ open Ppxlib
 
 type access_kind = Read | Write
 
-let access_kind_name = function Read -> "read" | Write -> "write"
-
 type access = {
   a_key : string;  (* Inventory.key of the cell *)
   a_unit : string;  (* accessing unit *)

@@ -4,8 +4,6 @@
 
 type access_kind = Read | Write
 
-val access_kind_name : access_kind -> string
-
 type access = {
   a_key : string;  (** {!Inventory.key} of the cell *)
   a_unit : string;  (** accessing unit *)
@@ -25,10 +23,6 @@ type uref = {
   r_line : int;
   r_col : int;
 }
-
-val is_mutator : string list -> bool
-(** Is this (Stdlib-stripped) head a known in-place mutator
-    ([:=], [Hashtbl.replace], [Buffer.add_string], ...)? *)
 
 val build :
   Symbols.table ->

@@ -35,10 +35,6 @@ let ctx_of_path path =
   in
   { in_lib; in_core_engine; in_net; allow_random; allow_query }
 
-let lib_ctx =
-  { in_lib = true; in_core_engine = false; in_net = false; allow_random = false; allow_query = false }
-let core_ctx = { lib_ctx with in_core_engine = true }
-
 (* ------------------------------------------------------------------ *)
 (* Identifier shapes                                                  *)
 (* ------------------------------------------------------------------ *)

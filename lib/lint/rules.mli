@@ -12,11 +12,5 @@ val ctx_of_path : string -> ctx
 (** Derive the rule context from a path ("lib/stats/table.ml", absolute
     paths and [..] segments included). *)
 
-val lib_ctx : ctx
-(** Plain lib/ context (for fixtures). *)
-
-val core_ctx : ctx
-(** lib/core-style context: everything in [lib_ctx] plus L5. *)
-
 val collect : ctx:ctx -> file:string -> Ppxlib.structure -> Finding.t list
 (** All findings, sorted by position. Pragmas are applied by {!Driver}. *)

@@ -92,8 +92,6 @@ let table units =
     units;
   { units = tbl }
 
-let find t name = Hashtbl.find_opt t.units name
-
 (* A library wrapper module (Dr_engine, Dr_core, ...): a path segment that
    merely namespaces the units of one dune library. *)
 let is_wrapper part =

@@ -13,9 +13,6 @@ type unit_info = {
   submodules : string list;  (** top-level [module M = struct .. end] names *)
 }
 
-val module_name_of_path : string -> string
-(** ["lib/engine/metrics.ml"] → ["Metrics"]. *)
-
 val load :
   parse:(path:string -> string -> Ppxlib.structure) ->
   read:(string -> string) ->
@@ -30,7 +27,6 @@ exception Clash of string
 (** Two units share a name: name-based resolution would be ambiguous. *)
 
 val table : unit_info list -> table
-val find : table -> string -> unit_info option
 
 val resolve : table -> self:unit_info -> string list -> (string * string list) option
 (** Resolve flattened longident parts to [(unit name, path inside unit)].

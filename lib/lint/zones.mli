@@ -7,7 +7,6 @@ type zone =
   | Init_only  (** written during setup, read-only afterward (values only) *)
 
 val zone_name : zone -> string
-val zone_of_string : string -> zone option
 
 type decl = {
   d_key : string;  (** "Metrics.t", "Bitarray.popcount_byte" *)

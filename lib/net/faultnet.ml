@@ -38,7 +38,7 @@ let is_none p =
 let duration_of_string s =
   let num_of t =
     match float_of_string_opt t with
-    | Some v when v >= 0. -> Ok v
+    | Some v when v >= 0. && Float.is_finite v -> Ok v
     | _ -> Error (Printf.sprintf "bad duration %S" s)
   in
   let n = String.length s in
@@ -135,26 +135,6 @@ let parse_seeded s =
     | Some seed ->
       let* plan = parse spec in
       Ok (seed, plan))
-
-let describe plan =
-  let clauses = ref [] in
-  let add c = clauses := c :: !clauses in
-  (match plan.blackout with
-  | Some (Time_window { at; dur }) -> add (Printf.sprintf "source_blackout=%gs@t%gs" dur at)
-  | Some (Query_window { at; count }) -> add (Printf.sprintf "source_blackout=%d@q%d" count at)
-  | None -> ());
-  if plan.reply_loss > 0. then add (Printf.sprintf "reply_loss=%g" plan.reply_loss);
-  (match plan.disconnect with
-  | Some (peer, op) -> add (Printf.sprintf "disconnect=peer%d@msg%d" peer op)
-  | None -> ());
-  if plan.stall > 0. then
-    add
-      (match plan.stall_peer with
-      | Some p -> Printf.sprintf "stall=%gs@p%d" plan.stall p
-      | None -> Printf.sprintf "stall=%gs" plan.stall);
-  if plan.corrupt > 0. then add (Printf.sprintf "corrupt=%g" plan.corrupt);
-  if plan.drop > 0. then add (Printf.sprintf "drop=%g" plan.drop);
-  String.concat "," !clauses
 
 (* ------------------------------------------------------------------ *)
 (* The per-process injector                                           *)

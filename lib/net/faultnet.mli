@@ -55,17 +55,13 @@ type plan = {
   blackout : blackout option;
 }
 
-val none : plan
 val is_none : plan -> bool
-
-val parse : string -> (plan, string) result
-(** Parse a comma-separated clause list; [""] is {!none}. *)
+(** No clause is active: the plan of an empty spec. *)
 
 val parse_seeded : string -> (int64 * plan, string) result
-(** Parse the [SEED:SPEC] argument form of [--chaos]. *)
-
-val describe : plan -> string
-(** Canonical spec string; [parse (describe p)] reproduces [p]. *)
+(** Parse the [SEED:SPEC] argument form of [--chaos]: a seed, then a
+    comma-separated clause list ([""] injects nothing). Durations must be
+    finite. *)
 
 (** {1 The per-process injector} *)
 
@@ -74,10 +70,6 @@ type t
 val make : seed:int64 -> peer:int -> plan -> t
 (** One injector per peer process, drawing from the (peer+1)-th split of
     the chaos master. *)
-
-val max_pre_drops : int
-(** Cap on consecutive injected drops of one send (keeps retransmission
-    loops finite even under [drop=1]). *)
 
 type link_action = {
   stall : float;  (** sleep this long before transmitting *)

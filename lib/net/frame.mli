@@ -23,14 +23,6 @@ exception Desync of string
     length cannot provoke the allocation. The stream position is unknown;
     treat the connection as dead. *)
 
-val really_read : Unix.file_descr -> bytes -> int -> int -> unit
-(** Read exactly [len] bytes, restarting on partial reads and [EINTR];
-    [End_of_file] if the descriptor closes first. Exposed for tests. *)
-
-val write_all : Unix.file_descr -> bytes -> int -> int -> unit
-(** Write exactly [len] bytes, restarting on partial writes and [EINTR].
-    Exposed for tests. *)
-
 val send_bytes : Unix.file_descr -> bytes -> unit
 val recv_bytes : Unix.file_descr -> bytes
 

@@ -37,11 +37,7 @@ exception Link_lost
 
 module Bqueue : sig
   type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a
-  val try_pop : 'a t -> 'a option
+  (** The blocking inbox queue the receiver threads feed. *)
 end
 
 type inbox_item = Msg of int * bytes | Link_down of int

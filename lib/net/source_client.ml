@@ -174,12 +174,6 @@ let rpc t ~what (req : Source_proto.request) : Source_proto.response =
       Frame.send_value fd req;
       (Frame.recv_value fd : Source_proto.response))
 
-let describe t =
-  match rpc t ~what:"Describe" Source_proto.Describe with
-  | Source_proto.Description { n; k } -> (n, k)
-  | Source_proto.Err e -> failwith ("source: " ^ e)
-  | _ -> failwith "source: protocol violation (expected Description)"
-
 let stats t =
   match rpc t ~what:"Stats" Source_proto.Stats with
   | Source_proto.Stats_reply { per_peer; total; replays } -> (per_peer, total, replays)
@@ -197,6 +191,5 @@ let shutdown t =
   | _ -> failwith "source: protocol violation (expected Bye)"
 
 let reconnects t = t.reconnects
-let sequence t = t.seq
 
 let close t = drop_connection t

@@ -43,9 +43,6 @@ val query : t -> int -> bool
 (** The model's [Query(i)]: the one-bit range [query_range t ~pos:i ~len:1],
     so still one request under one sequence number. *)
 
-val describe : t -> int * int
-(** [(n, k)] of the served instance. *)
-
 val stats : t -> int array * int * int
 (** [(per_peer, total, replay_hits)] query counters. *)
 
@@ -54,8 +51,5 @@ val shutdown : t -> unit
 
 val reconnects : t -> int
 (** Connections re-established since [connect] returned. *)
-
-val sequence : t -> int
-(** Highest query sequence number issued so far. *)
 
 val close : t -> unit

@@ -2,13 +2,11 @@ type request =
   | Hello of int
   | Query_range of { seq : int; pos : int; len : int }
   | Stats
-  | Describe
   | Shutdown
 
 type response =
   | Bits of Dr_source.Bitarray.t
   | Stats_reply of { per_peer : int array; total : int; replays : int }
-  | Description of { n : int; k : int }
   | Bye
   | Err of string
 

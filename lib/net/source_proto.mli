@@ -25,7 +25,6 @@ type request =
           nothing, a [seq] older than that is a protocol error. A range
           outside the input is rejected before any bit is charged. *)
   | Stats  (** per-peer query counters *)
-  | Describe  (** the served instance's dimensions *)
   | Shutdown  (** stop the server (control connections only) *)
 
 type response =
@@ -33,7 +32,6 @@ type response =
   | Stats_reply of { per_peer : int array; total : int; replays : int }
       (** [replays] counts queries answered from the replay cache — retries
           that were {e not} charged to any peer's meter *)
-  | Description of { n : int; k : int }
   | Bye  (** acknowledges [Shutdown] *)
   | Err of string  (** protocol violation or out-of-range argument *)
 

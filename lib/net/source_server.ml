@@ -93,9 +93,6 @@ let handle t fd =
              (Stats_reply
                 { per_peer = stats t; total = total_queries t; replays = replay_hits t });
            loop ()
-         | Describe ->
-           reply (Description { n = Data_source.n t.source; k = t.k });
-           loop ()
          | Shutdown ->
            t.stopping <- true;
            reply Bye

@@ -28,9 +28,7 @@ let make ~sources ~faulty ~cells ?(base = fun c -> 1000 + (10 * c)) ?(jitter = 2
   in
   { values; faulty = is_faulty; d = cells }
 
-let sources t = Array.length t.values
 let cells t = t.d
-let is_faulty_source t s = t.faulty.(s)
 let value t ~source ~cell = t.values.(source).(cell)
 
 let honest_range t ~cell =

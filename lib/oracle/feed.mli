@@ -23,9 +23,7 @@ val make :
     (source, cell) from the seed); Byzantine sources hold values far outside
     the honest range. Defaults: [base c = 1000 + 10·c], [jitter = 2]. *)
 
-val sources : t -> int
 val cells : t -> int
-val is_faulty_source : t -> int -> bool
 
 val value : t -> source:int -> cell:int -> int
 (** The (static) stored value; query counting is not done here but by the

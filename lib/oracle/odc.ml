@@ -152,11 +152,6 @@ let download_based ?(protocol = `Committee) p =
     published;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf "%-24s odd=%b honest_ok=%d queries(total cells)=%d max/node=%d download_ok=%b"
-    r.method_name r.odd_ok r.honest_reports_ok r.cell_queries_total r.cell_queries_max_node
-    r.download_ok
-
 let full_flow ?protocol p =
   match (validate p, Pipeline.validate ~k:p.peers ~t:p.peer_faults) with
   | Error e, _ | _, Error e -> Error e

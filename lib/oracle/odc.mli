@@ -48,8 +48,6 @@ val download_based : ?protocol:protocol -> params -> report
     nodes (default [`Committee], the deterministic choice). Bit queries are
     converted to cell units ([Feed.value_bits] bits per cell). *)
 
-val pp_report : Format.formatter -> report -> unit
-
 val full_flow :
   ?protocol:protocol -> params -> (report * Pipeline.outcome, string) result
 (** The whole Section 4 pipeline end to end: Download-based collection

@@ -40,8 +40,3 @@ val run :
   ?opts:Dr_core.Exec.opts ->
   instance ->
   report
-
-val encode : width:int -> int array -> Dr_source.Bitarray.t
-val decode : width:int -> Dr_source.Bitarray.t -> int array
-(** Raise on width out of range / length mismatch / non-representable
-    values. *)

@@ -131,20 +131,7 @@ let count_ones t =
   done;
   !acc
 
-let diff_count a b =
-  if a.len <> b.len then invalid_arg "Bitarray.diff_count: length mismatch";
-  let acc = ref 0 in
-  for i = 0 to Bytes.length a.data - 1 do
-    let x = Char.code (Bytes.get a.data i) lxor Char.code (Bytes.get b.data i) in
-    acc := !acc + popcount_byte.(x)
-  done;
-  !acc
-
 let flip t i =
   let t' = copy t in
   set t' i (not (get t' i));
   t'
-
-let pp ppf t =
-  if t.len <= 64 then Format.pp_print_string ppf (to_string t)
-  else Format.fprintf ppf "%s… (%d bits)" (to_string (sub t ~pos:0 ~len:64)) t.len

@@ -22,7 +22,8 @@ val random : Dr_engine.Prng.t -> int -> t
 (** Uniform random array of the given length. *)
 
 val of_string : string -> t
-(** From a ['0']/['1'] string. Raises [Invalid_argument] on other chars. *)
+(** (for tests) From a ['0']/['1'] string. Raises [Invalid_argument] on
+    other chars. *)
 
 val to_string : t -> string
 
@@ -42,10 +43,5 @@ val first_diff : t -> t -> int option
 
 val count_ones : t -> int
 
-val diff_count : t -> t -> int
-(** Hamming distance; arrays must have equal length. *)
-
 val flip : t -> int -> t
 (** Copy with one bit flipped (used by lower-bound adversaries). *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let create ~k x =
   if k <= 0 then invalid_arg "Data_source.create";
   { bits = x; counts = Array.make k 0 }
 
-let input t = t.bits
 let n t = Bitarray.length t.bits
 
 let query t ~peer i =
@@ -17,10 +16,3 @@ let query t ~peer i =
 let query_fn t ~peer i = query t ~peer i
 let queries_by t peer = t.counts.(peer)
 let total_queries t = Array.fold_left ( + ) 0 t.counts
-
-let max_queries ?(select = fun _ -> true) t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if select i && c > !best then best := c) t.counts;
-  !best
-
-let reset_counts t = Array.fill t.counts 0 (Array.length t.counts) 0

@@ -11,9 +11,6 @@ type t
 val create : k:int -> Bitarray.t -> t
 (** [create ~k x] serves the array [x] to [k] peers. *)
 
-val input : t -> Bitarray.t
-(** The array being served (for verification; peers must not use this). *)
-
 val n : t -> int
 (** Number of bits. *)
 
@@ -28,9 +25,3 @@ val queries_by : t -> int -> int
 (** Queries charged to a peer so far. *)
 
 val total_queries : t -> int
-
-val max_queries : ?select:(int -> bool) -> t -> int
-(** Maximum per-peer count over peers satisfying [select] (default all) —
-    the paper's Q when [select] is the honesty predicate. *)
-
-val reset_counts : t -> unit

@@ -35,6 +35,3 @@ let coverage_failure ~honest ~segments ~rho =
     let per_segment = binomial_tail_below ~trials:honest ~p ~threshold:rho in
     min 1. (float_of_int segments *. per_segment)
   end
-
-let chernoff_below ~mu ~factor =
-  if factor >= 1. then 1. else min 1. (exp (-.((1. -. factor) ** 2.) *. mu /. 2.))

@@ -6,16 +6,13 @@
     the comparison in EXPERIMENTS.md is like-for-like. *)
 
 val binomial_pmf : trials:int -> p:float -> int -> float
-(** Exact binomial probability mass (computed in log space). *)
+(** (for tests) Exact binomial probability mass (computed in log space). *)
 
 val binomial_tail_below : trials:int -> p:float -> threshold:int -> float
-(** P[Bin(trials, p) < threshold]. *)
+(** (for tests) P[Bin(trials, p) < threshold]; {!coverage_failure} is built
+    on it. *)
 
 val coverage_failure : honest:int -> segments:int -> rho:int -> float
 (** Union bound on the probability that any of [segments] segments is picked
     by fewer than [rho] of [honest] uniform pickers — the protocols' w.h.p.
     failure budget. Clamped to 1. *)
-
-val chernoff_below : mu:float -> factor:float -> float
-(** The multiplicative Chernoff bound P[X < factor·mu] <= exp(-(1-factor)²·mu/2)
-    the paper's proofs quote. *)

@@ -42,7 +42,3 @@ let of_floats values =
   }
 
 let of_ints values = of_floats (List.map float_of_int values)
-
-let pp ppf s =
-  Format.fprintf ppf "n=%d mean=%.1f sd=%.1f min=%.0f med=%.1f p90=%.1f max=%.0f" s.count s.mean
-    s.stddev s.min s.median s.p90 s.max

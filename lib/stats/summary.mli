@@ -20,7 +20,5 @@ val of_floats : float list -> t
 val of_ints : int list -> t
 
 val percentile : float array -> float -> float
-(** [percentile sorted q] with [q] in [0,1]; linear interpolation. The
-    array must be sorted ascending. *)
-
-val pp : Format.formatter -> t -> unit
+(** (for tests) [percentile sorted q] with [q] in [0,1]; linear
+    interpolation. The array must be sorted ascending. *)

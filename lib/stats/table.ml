@@ -1,26 +1,19 @@
-type line = Row of string list | Rule
+type t = { headers : string list; mutable rows : string list list (* reversed *) }
 
-type t = { headers : string list; mutable lines : line list (* reversed *) }
-
-let create headers = { headers; lines = [] }
+let create headers = { headers; rows = [] }
 
 let add_row t cells =
   let hc = List.length t.headers in
   let cc = List.length cells in
   if cc > hc then invalid_arg "Table.add_row: more cells than headers";
   let cells = cells @ List.init (hc - cc) (fun _ -> "") in
-  t.lines <- Row cells :: t.lines
-
-let add_rule t = t.lines <- Rule :: t.lines
+  t.rows <- cells :: t.rows
 
 let render t =
-  let rows = List.rev t.lines in
+  let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
   List.iter
-    (function
-      | Row cells ->
-        List.iteri (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c) cells
-      | Rule -> ())
+    (List.iteri (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c))
     rows;
   let buf = Buffer.create 1024 in
   let pad i s =
@@ -35,14 +28,11 @@ let render t =
       cells;
     Buffer.add_char buf '\n'
   in
-  let rule () =
-    let total = Array.fold_left ( + ) 0 widths + (2 * (Array.length widths - 1)) in
-    Buffer.add_string buf (String.make total '-');
-    Buffer.add_char buf '\n'
-  in
   emit_row t.headers;
-  rule ();
-  List.iter (function Row cells -> emit_row cells | Rule -> rule ()) rows;
+  let total = Array.fold_left ( + ) 0 widths + (2 * (Array.length widths - 1)) in
+  Buffer.add_string buf (String.make total '-');
+  Buffer.add_char buf '\n';
+  List.iter emit_row rows;
   Buffer.contents buf
 
 (* dr-lint: allow L3 — the documented default sink; callers in bin//bench pass nothing *)
@@ -51,5 +41,4 @@ let print ?(ppf = Format.std_formatter) t =
   Format.pp_print_flush ppf ()
 
 let cell_int = string_of_int
-let cell_float ?(decimals = 1) v = Printf.sprintf "%.*f" decimals v
 let cell_bool b = if b then "yes" else "no"

@@ -12,15 +12,10 @@ val add_row : t -> string list -> unit
 (** Row cells are padded/aligned per column. A row shorter than the header
     is right-padded with empty cells; a longer one raises. *)
 
-val add_rule : t -> unit
-(** A horizontal separator at this position. *)
-
-val render : t -> string
-
 val print : ?ppf:Format.formatter -> t -> unit
-(** Render to [ppf] and flush; defaults to [Format.std_formatter] so the
-    CLIs and bench binaries keep their one-line call sites. *)
+(** Render the header, a rule of dashes and the rows to [ppf] and flush;
+    defaults to [Format.std_formatter] so the CLIs and bench binaries keep
+    their one-line call sites. *)
 
 val cell_int : int -> string
-val cell_float : ?decimals:int -> float -> string
 val cell_bool : bool -> string

@@ -46,7 +46,7 @@ let test_fault_predicates () =
   checkb "faulty" true (Fault.is_faulty f 2);
   checkb "honest" true (Fault.is_honest f 0);
   checki "honest count" 3 (Fault.honest_count f);
-  check_ints "honest ids" [ 0; 1; 3 ] (Fault.honest_ids f)
+  check_ints "honest ids" [ 0; 1; 3 ] (List.filter (Fault.is_honest f) [ 0; 1; 2; 3 ])
 
 let test_fault_rejects_bad () =
   Alcotest.check_raises "too many" (Invalid_argument "Fault.choose: bad fault count") (fun () ->
@@ -60,14 +60,19 @@ let test_fault_rejects_bad () =
 
 let test_latency_unit_and_constant () =
   checkf "unit" 1. (Latency.unit_delay ~src:0 ~dst:1 ~time:5. ~size_bits:100);
-  checkf "constant" 2.5 (Latency.constant 2.5 ~src:3 ~dst:4 ~time:0. ~size_bits:1)
+  checkf "constant" 2.5
+    (Latency.size_proportional ~per_bit:0. ~floor:2.5 ~src:3 ~dst:4 ~time:0. ~size_bits:1)
 
+(* [jittered] is the uniform policy: (0, 1], and both halves get hit. *)
 let test_latency_uniform_range () =
-  let g = Prng.create 2L in
+  let fn = Latency.jittered (Prng.create 2L) in
+  let low = ref 0 in
   for _ = 1 to 500 do
-    let d = Latency.uniform g ~lo:0.5 ~hi:2.0 ~src:0 ~dst:1 ~time:0. ~size_bits:8 in
-    checkb "in [lo,hi)" true (d >= 0.5 && d < 2.0)
-  done
+    let d = fn ~src:0 ~dst:1 ~time:0. ~size_bits:8 in
+    checkb "in (0,1]" true (d > 0. && d <= 1.);
+    if d <= 0.5 then incr low
+  done;
+  checkb "spread over the range" true (!low > 100 && !low < 400)
 
 let test_latency_targeted () =
   let fn = Latency.targeted ~slow:(fun i -> i = 7) ~delay:99. in
@@ -75,7 +80,7 @@ let test_latency_targeted () =
   checkf "fast src" 1. (fn ~src:0 ~dst:7 ~time:0. ~size_bits:1)
 
 let test_latency_targeted_links () =
-  let fn = Latency.targeted_links ~slow:(fun ~src ~dst -> src = 1 && dst = 2) ~delay:50. in
+  let fn = Latency.targeted ~slow:(fun src -> src = 1) ~delay:50. in
   checkf "slow link" 50. (fn ~src:1 ~dst:2 ~time:0. ~size_bits:1);
   checkf "reverse fast" 1. (fn ~src:2 ~dst:1 ~time:0. ~size_bits:1)
 
@@ -114,14 +119,15 @@ let test_crash_none () =
   done
 
 let test_crash_at_times () =
-  let plan = Crash_plan.at_times [ (1, 2.0); (3, 5.0) ] in
+  let f = Fault.choose ~k:4 (Fault.Explicit [ 1; 3 ]) in
+  let plan = Crash_plan.staggered f ~first:2.0 ~gap:3.0 in
   Alcotest.check spec "peer 1" (Dr_engine.Sim.At_time 2.0) (plan 1);
   Alcotest.check spec "peer 3" (Dr_engine.Sim.At_time 5.0) (plan 3);
   Alcotest.check spec "others never" Dr_engine.Sim.Never (plan 0)
 
 let test_crash_all_at () =
   let f = Fault.choose ~k:4 (Fault.Explicit [ 0; 2 ]) in
-  let plan = Crash_plan.all_at f 1.5 in
+  let plan = Crash_plan.staggered f ~first:1.5 ~gap:0. in
   Alcotest.check spec "faulty" (Dr_engine.Sim.At_time 1.5) (plan 0);
   Alcotest.check spec "honest" Dr_engine.Sim.Never (plan 1)
 

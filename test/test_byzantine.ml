@@ -39,7 +39,8 @@ let test_tree_single_leaf () =
 let test_tree_duplicates_merge () =
   let tree = Decision_tree.build [ ba "11"; ba "11"; ba "11" ] in
   checki "merged" 0 (Decision_tree.internal_nodes tree);
-  checki "one leaf" 1 (List.length (Decision_tree.leaves tree))
+  let v, spent = Decision_tree.determine ~query:(fun _ -> assert false) ~offset:0 tree in
+  checkb "one leaf" true (spent = 0 && Bitarray.to_string v = "11")
 
 let test_tree_internal_count () =
   (* d distinct candidates -> exactly d-1 internal nodes. *)
@@ -94,10 +95,13 @@ let test_tree_rejects_bad_input () =
     (Invalid_argument "Decision_tree.build: candidates must have equal length") (fun () ->
       ignore (Decision_tree.build [ ba "01"; ba "011" ]))
 
+(* A string is a leaf iff walking the tree against it as the truth returns
+   it. *)
 let test_tree_contains () =
   let tree = Decision_tree.build [ ba "01"; ba "10" ] in
-  checkb "contains" true (Decision_tree.contains tree (ba "10"));
-  checkb "not contains" false (Decision_tree.contains tree (ba "11"))
+  let contains s = Bitarray.equal s (fst (Decision_tree.determine ~query:(query_of s) ~offset:0 tree)) in
+  checkb "contains" true (contains (ba "10"));
+  checkb "not contains" false (contains (ba "11"))
 
 (* ------------------------------------------------------------------ *)
 (* Frequent strings                                                    *)

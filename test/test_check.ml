@@ -37,6 +37,25 @@ let bless_or_compare ~path ~label content =
     checks label expected content
   end
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+
+(* Repro files go through the same [write]/[read] that dr_check uses. *)
+let tmp_repro = Filename.concat (Filename.get_temp_dir_name ()) "dr_check_test.repro.json"
+
+let repro_json r =
+  Repro.write ~path:tmp_repro r;
+  read_file tmp_repro
+
+let repro_of_json text =
+  write_file tmp_repro text;
+  Repro.read tmp_repro
+
 (* ------------------------------------------------------------------ *)
 (* Test-only protocol stubs                                            *)
 (* ------------------------------------------------------------------ *)
@@ -180,7 +199,7 @@ let test_oracle_spec_bound () =
   checks "invariant" "spec-bound" (Invariant.name v.Invariant.invariant)
 
 (* ------------------------------------------------------------------ *)
-(* Explore: replay divergence accounting                               *)
+(* Explore: replay divergence, read off the recorded schedule          *)
 (* ------------------------------------------------------------------ *)
 
 let echo_run arbiter =
@@ -195,29 +214,37 @@ let echo_run arbiter =
          S.send (1 - i) i;
          ignore (S.receive ())))
 
+(* Replay [script] under [record (scripted script)]: the schedule that
+   actually fired, to compare against the script. *)
+let replayed script =
+  let arb, recorded = Explore.record (Explore.scripted script) in
+  echo_run arb;
+  recorded ()
+
 let test_replay_counts_overruns () =
-  (* A 1-entry script cannot cover the echo's schedule: the arbiter must
-     count every padded choice instead of silently inventing zeros. *)
-  let r = Explore.replay [ 0 ] in
-  echo_run r.Explore.arbiter;
-  checkb "overran the script" true (r.Explore.overruns () > 0);
-  checkb "not faithful" false (Explore.faithful r);
-  checki "steps = script + overruns" (r.Explore.steps ()) (1 + r.Explore.overruns ())
+  (* A 1-entry script cannot cover the echo's schedule: the recorded
+     schedule shows every choice padded past the script's end. *)
+  let r = replayed [ 0 ] in
+  let overruns = List.length r - 1 in
+  checkb "overran the script" true (overruns > 0);
+  checkb "not faithful" false (r = [ 0 ]);
+  checkb "padded with zeros" true (List.for_all (fun c -> c = 0) (List.tl r));
+  checki "steps = script + overruns" (List.length r) (1 + overruns)
 
 let test_replay_counts_clamps () =
-  let r = Explore.replay [ 99; 99; 99; 99; 99; 99; 99; 99 ] in
-  echo_run r.Explore.arbiter;
-  checkb "clamped out-of-range choices" true (r.Explore.clamped () > 0);
-  checkb "not faithful" false (Explore.faithful r)
+  let script = [ 99; 99; 99; 99; 99; 99; 99; 99 ] in
+  let r = replayed script in
+  checkb "clamped out-of-range choices" true
+    (List.exists2 (fun got want -> got <> want) r (List.filteri (fun i _ -> i < List.length r) script));
+  checkb "not faithful" false (r = script)
 
 let test_recorded_script_replays_faithfully () =
   let arb, recorded = Explore.record (Explore.random (Prng.create 7L)) in
   echo_run arb;
   let script = recorded () in
-  let r = Explore.replay script in
-  echo_run r.Explore.arbiter;
-  checkb "faithful" true (Explore.faithful r);
-  checki "exact step count" (List.length script) (r.Explore.steps ())
+  let r = replayed script in
+  checkb "faithful" true (r = script);
+  checki "exact step count" (List.length script) (List.length r)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
@@ -299,9 +326,9 @@ let test_fuzz_finds_and_shrinks_planted_bug () =
 let test_repro_json_roundtrip () =
   let o = fuzz_broken () in
   let r = List.hd o.Check.failures in
-  let r' = Repro.of_json (Repro.to_json r) in
+  let r' = repro_of_json (repro_json r) in
   checkb "round-trips structurally" true (r = r');
-  checks "round-trips textually" (Repro.to_json r) (Repro.to_json r')
+  checks "round-trips textually" (repro_json r) (repro_json r')
 
 let test_repro_golden_file () =
   (* The committed repro file is the checker's output verbatim: serialize,
@@ -309,7 +336,7 @@ let test_repro_golden_file () =
      same event index. *)
   let o = fuzz_broken () in
   let r = List.hd o.Check.failures in
-  bless_or_compare ~path:"check_broken.repro.json" ~label:"golden repro bytes" (Repro.to_json r);
+  bless_or_compare ~path:"check_broken.repro.json" ~label:"golden repro bytes" (repro_json r);
   let reloaded = Repro.read "check_broken.repro.json" in
   match Check.replay ~targets:[ broken_target ] reloaded with
   | Check.Reproduced v ->
@@ -320,7 +347,7 @@ let test_repro_golden_file () =
 
 let test_repro_rejects_garbage () =
   let expect_failure label text =
-    match Repro.of_json text with
+    match repro_of_json text with
     | _ -> Alcotest.fail (label ^ ": expected Failure")
     | exception Failure _ -> ()
   in
@@ -386,6 +413,25 @@ let test_replay_detects_divergence () =
   | Check.Diverged _ -> ()
   | _ -> Alcotest.fail "expected divergence on a doctored invariant"
 
+(* [scripted] and [scripted_then_random] follow a script the same way: one
+   choice per step, an out-of-range one clamped to [count - 1]. They differ
+   only past its end. *)
+let test_script_followers_agree () =
+  let script = [ 1; 7; 0; 5 ] and counts = [ 3; 3; 4; 2 ] in
+  let a = Explore.scripted script in
+  let b = Explore.scripted_then_random script (Prng.create 5L) in
+  List.iter2
+    (fun want count ->
+      let c = a count in
+      checki "same scripted choice" c (b count);
+      checki "clamped to count - 1" (min want (count - 1)) c)
+    script counts;
+  checki "scripted pads with 0" 0 (a 6);
+  for _ = 1 to 50 do
+    let c = b 3 in
+    checkb "random suffix in range" true (c >= 0 && c < 3)
+  done
+
 let suite =
   [
     ("oracle: termination (honest deadlock)", `Quick, test_oracle_termination);
@@ -405,4 +451,5 @@ let suite =
     ("registry: protocols fuzz clean", `Quick, test_registry_protocols_clean);
     ("registry: unknown attacks rejected cleanly", `Quick, test_unknown_attack_rejected);
     ("replay: doctored repros diverge", `Quick, test_replay_detects_divergence);
+    ("replay: scripted and campaign arbiters follow a script alike", `Quick, test_script_followers_agree);
   ]

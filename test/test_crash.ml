@@ -37,7 +37,7 @@ let test_naive_survives_byzantine_majority () =
 
 let test_naive_survives_crashes () =
   let inst = instance ~k:4 ~n:32 ~t:2 () in
-  let opts = Exec.(with_crash (Crash_plan.all_at inst.Problem.fault 0.0) default) in
+  let opts = Exec.(with_crash (Crash_plan.staggered inst.Problem.fault ~first:0.0 ~gap:0.) default) in
   let r = Exec.run_core ~opts (Naive.core ()) inst in
   assert_ok "naive with crashes" r
 
@@ -128,7 +128,7 @@ let test_crash_single_partial_broadcast () =
 let test_crash_single_late_crash () =
   (* Crash after the whole phase 1 share went out. *)
   let inst = instance ~k:5 ~n:100 ~t:1 () in
-  let opts = Exec.(with_crash (Crash_plan.all_at inst.Problem.fault 1.5) default) in
+  let opts = Exec.(with_crash (Crash_plan.staggered inst.Problem.fault ~first:1.5 ~gap:0.) default) in
   assert_ok "late crash" (Exec.run_core ~opts (Crash_single.core ()) inst)
 
 let test_crash_single_each_victim () =
@@ -166,7 +166,7 @@ let test_crash_single_jitter_sweep () =
       let opts =
         Exec.default
         |> Exec.with_latency (jitter seed)
-        |> Exec.with_crash (Crash_plan.all_at inst.Problem.fault 1.1)
+        |> Exec.with_crash (Crash_plan.staggered inst.Problem.fault ~first:1.1 ~gap:0.)
       in
       assert_ok
         (Printf.sprintf "jitter seed %Ld" seed)

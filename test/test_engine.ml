@@ -125,100 +125,73 @@ let test_prng_golden_stream () =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Pop every pending event as (time, value), earliest first. *)
+let drain h =
+  let out = ref [] in
+  while not (Heap.is_empty h) do
+    let t = Heap.min_time h in
+    out := (t, Heap.pop_min h) :: !out
+  done;
+  List.rev !out
+
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun t -> Heap.push h ~time:t (int_of_float (t *. 10.))) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "sorted by time" [ 5; 10; 20; 25; 30 ] (List.rev !order)
+  check Alcotest.(list int) "sorted by time" [ 5; 10; 20; 25; 30 ] (List.map snd (drain h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 99 do
     Heap.push h ~time:1.0 i
   done;
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "ties in insertion order" (List.init 100 Fun.id) (List.rev !out)
+  check Alcotest.(list int) "ties in insertion order" (List.init 100 Fun.id)
+    (List.map snd (drain h))
 
 let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.push h ~time:5. "e";
   Heap.push h ~time:1. "a";
   checkb "not empty" false (Heap.is_empty h);
-  checki "size 2" 2 (Heap.size h);
-  (match Heap.pop h with
-  | Some (t, v) ->
-    check Alcotest.(float 0.0) "first time" 1. t;
-    check Alcotest.string "first value" "a" v
-  | None -> Alcotest.fail "unexpected empty");
+  check Alcotest.(float 0.0) "first time" 1. (Heap.min_time h);
+  check Alcotest.string "first value" "a" (Heap.pop_min h);
   Heap.push h ~time:0.5 "z";
-  (match Heap.pop h with
-  | Some (_, v) -> check Alcotest.string "reordered" "z" v
-  | None -> Alcotest.fail "unexpected empty");
-  (match Heap.peek_time h with
-  | Some t -> check Alcotest.(float 0.0) "peek" 5. t
-  | None -> Alcotest.fail "peek empty")
+  check Alcotest.string "reordered" "z" (Heap.pop_min h);
+  check Alcotest.(float 0.0) "peek" 5. (Heap.min_time h);
+  checki "size 1 left" 1 (List.length (drain h))
 
 let test_heap_clear () =
   let h = Heap.create () in
   Heap.push h ~time:1. 1;
-  Heap.clear h;
-  checkb "empty after clear" true (Heap.is_empty h);
-  checkb "pop none" true (Heap.pop h = None)
+  checki "one event drained" 1 (List.length (drain h));
+  checkb "empty after drain" true (Heap.is_empty h);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Heap.pop_min: empty") (fun () ->
+      ignore (Heap.pop_min h))
 
 let test_heap_random_order_matches_sort () =
   let g = Prng.create 23L in
   let h = Heap.create () in
   let times = Array.init 500 (fun _ -> Prng.float g 100.) in
   Array.iter (fun t -> Heap.push h ~time:t t) times;
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
   let sorted = Array.copy times in
   Array.sort compare sorted;
-  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.rev !out)
+  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.map snd (drain h))
 
 let test_heap_pop_min_matches_pop () =
   let g = Prng.create 29L in
   let times = Array.init 300 (fun _ -> Prng.float g 10.) in
-  let mk () =
-    let h = Heap.create () in
-    Array.iteri (fun i t -> Heap.push h ~time:t i) times;
-    h
+  let h = Heap.create () in
+  Array.iteri (fun i t -> Heap.push h ~time:t i) times;
+  (* min_time/pop_min must agree with a stable sort on (time, insertion). *)
+  let expected =
+    List.stable_sort (fun (t, _) (t', _) -> Float.compare t t')
+      (List.mapi (fun i t -> (t, i)) (Array.to_list times))
   in
-  (* Same pushes through both drains must give the same sequence. *)
-  let a = mk () and b = mk () in
-  while not (Heap.is_empty a) do
-    let t = Heap.min_time a in
-    let v = Heap.pop_min a in
-    match Heap.pop b with
-    | Some (t', v') ->
+  List.iter2
+    (fun (t', v') (t, v) ->
       check Alcotest.(float 0.0) "min_time = pop time" t' t;
-      checki "pop_min = pop value" v' v
-    | None -> Alcotest.fail "b drained early"
-  done;
-  checkb "b drained" true (Heap.is_empty b)
+      checki "pop_min = pop value" v' v)
+    expected (drain h);
+  checkb "drained" true (Heap.is_empty h)
 
 let test_heap_grow_preserves_order () =
   (* Push far past the initial capacity; order must survive every grow. *)
@@ -226,18 +199,17 @@ let test_heap_grow_preserves_order () =
   for i = 999 downto 0 do
     Heap.push h ~time:(float_of_int i) i
   done;
-  checki "size" 1000 (Heap.size h);
-  for i = 0 to 999 do
-    checki "ascending" i (Heap.pop_min h)
-  done
+  let out = drain h in
+  checki "size" 1000 (List.length out);
+  List.iteri (fun i (_, v) -> checki "ascending" i v) out
 
 let test_heap_reuse_after_clear () =
   let h = Heap.create () in
   for i = 0 to 99 do
     Heap.push h ~time:(float_of_int (100 - i)) i
   done;
-  Heap.clear h;
-  (* Ties after clear: seq keeps counting, insertion order still wins. *)
+  ignore (drain h);
+  (* Ties after a drain: seq keeps counting, insertion order still wins. *)
   for i = 0 to 49 do
     Heap.push h ~time:3. i
   done;
@@ -277,7 +249,6 @@ let test_ring_fifo () =
   for i = 0 to 9 do
     Ring.push r i
   done;
-  checki "length" 10 (Ring.length r);
   for i = 0 to 9 do
     checki "fifo order" i (Ring.pop r)
   done;
@@ -313,8 +284,10 @@ let test_ring_clear_and_reuse () =
   for i = 0 to 20 do
     Ring.push r i
   done;
-  Ring.clear r;
-  checkb "empty after clear" true (Ring.is_empty r);
+  for i = 0 to 20 do
+    checki "drain order" i (Ring.pop r)
+  done;
+  checkb "empty after drain" true (Ring.is_empty r);
   Ring.push r 7;
   checki "usable after clear" 7 (Ring.pop r);
   Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty") (fun () ->
@@ -778,10 +751,10 @@ let test_trace_stats_matrices () =
   let b = Trace_stats.bits_matrix trace ~k:3 in
   checki "bits 0->1" 64 b.(0).(1);
   checki "bits 0->2" 1 b.(0).(2);
-  let d = Trace_stats.delivered_matrix trace ~k:3 in
-  checki "deliveries match sends" 2 d.(0).(1);
-  let q = Trace_stats.queries_per_peer trace ~k:3 in
-  check Alcotest.(array int) "queries" [| 0; 1; 1 |] q;
+  checki "deliveries match sends" 2
+    (List.length (List.filter (fun (_, src, _) -> src = 0) (Trace.received_view trace 1)));
+  check Alcotest.(array int) "queries" [| 0; 1; 1 |]
+    (Array.init 3 (fun p -> List.length (Trace.query_view trace p)));
   (match Trace_stats.busiest_link m with
   | Some (0, 1, 2) -> ()
   | _ -> Alcotest.fail "busiest link wrong");

@@ -11,10 +11,28 @@ module Finding = Dr_lint.Finding
 module Pragma = Dr_lint.Pragma
 
 let fixture name = Filename.concat "lint_fixtures" name
-let shorts (r : Driver.file_report) = List.map Finding.to_short r.findings
 
-let check_fixture ?(ctx = Rules.lib_ctx) name expected () =
-  let r = Driver.lint_file ~ctx (fixture name) in
+(* The short form the golden tests key on: [basename:line [RULE]]. *)
+let short (f : Finding.t) =
+  Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Finding.rule_name f.rule)
+
+let shorts (r : Driver.file_report) = List.map short r.findings
+
+(* The per-file pipeline of [Driver.lint_paths], under an explicit rule
+   context (by default the one the path itself implies). *)
+let lint_source ?ctx ~path src =
+  let ctx = match ctx with Some c -> c | None -> Rules.ctx_of_path path in
+  Driver.apply_pragmas ~path ~pragmas:(Pragma.scan src)
+    (Rules.collect ~ctx ~file:path (Driver.parse ~path src))
+
+let lint_file ?ctx path = lint_source ?ctx ~path (Driver.read_file path)
+
+(* A plain lib/ file, and a lib/core one (L5 applies there too). *)
+let lib_ctx = Rules.ctx_of_path "lib/stats/fixture.ml"
+let core_ctx = Rules.ctx_of_path "lib/core/fixture.ml"
+
+let check_fixture ?(ctx = lib_ctx) name expected () =
+  let r = lint_file ~ctx (fixture name) in
   Alcotest.(check (list string)) name expected (shorts r)
 
 (* ---- one known-bad fixture per rule, golden file:line [RULE] output ---- *)
@@ -32,21 +50,21 @@ let l3 =
 let l4 = check_fixture "bad_l4.ml" [ "bad_l4.ml:3 [L4]"; "bad_l4.ml:4 [L4]" ]
 
 let l5 =
-  check_fixture ~ctx:Rules.core_ctx "bad_l5.ml" [ "bad_l5.ml:2 [L5]"; "bad_l5.ml:3 [L5]" ]
+  check_fixture ~ctx:core_ctx "bad_l5.ml" [ "bad_l5.ml:2 [L5]"; "bad_l5.ml:3 [L5]" ]
 
 (* The same sources are silent in the zones where their rules don't apply:
    prints are fine in bin/, exit is fine outside core/engine. *)
 let zone_scoping () =
   let bin_ctx = Rules.ctx_of_path "bin/whatever.ml" in
-  let r = Driver.lint_file ~ctx:bin_ctx (fixture "bad_l3.ml") in
+  let r = lint_file ~ctx:bin_ctx (fixture "bad_l3.ml") in
   Alcotest.(check (list string)) "prints allowed in bin/" [] (shorts r);
-  let r = Driver.lint_file ~ctx:Rules.lib_ctx (fixture "bad_l5.ml") in
+  let r = lint_file ~ctx:lib_ctx (fixture "bad_l5.ml") in
   Alcotest.(check (list string)) "exit allowed outside core/engine" [] (shorts r)
 
 (* ---- pragmas ---- *)
 
 let pragma_suppression () =
-  let r = Driver.lint_file ~ctx:Rules.lib_ctx (fixture "pragma_allowed.ml") in
+  let r = lint_file ~ctx:lib_ctx (fixture "pragma_allowed.ml") in
   Alcotest.(check (list string)) "only the uncovered line reported"
     [ "pragma_allowed.ml:5 [L3]" ] (shorts r);
   Alcotest.(check int) "one finding suppressed" 1 (List.length r.suppressed);
@@ -55,21 +73,21 @@ let pragma_suppression () =
   match r.suppressed with
   | [ (f, p) ] ->
     Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:4 [L3]"
-      (Finding.to_short f);
+      (short f);
     Alcotest.(check string) "reason survives parsing" "fixture exercises the escape hatch"
       p.Pragma.reason
   | _ -> Alcotest.fail "expected exactly one suppressed finding"
 
 let pragma_unused () =
   let src = "(* dr-lint: allow L2 -- nothing here violates L2 *)\nlet x = 1\n" in
-  let r = Driver.lint_source ~ctx:Rules.lib_ctx ~path:"lib/fake.ml" src in
+  let r = lint_source ~ctx:lib_ctx ~path:"lib/fake.ml" src in
   Alcotest.(check int) "no findings" 0 (List.length r.findings);
   Alcotest.(check int) "pragma reported unused" 1 (List.length r.unused_pragmas)
 
 let pragma_needs_comment_opener () =
   (* Prose that merely mentions the syntax is not a pragma. *)
   let src = "(* docs: write dr-lint: allow L3 above the line *)\nlet f s = print_endline s\n" in
-  let r = Driver.lint_source ~ctx:Rules.lib_ctx ~path:"lib/fake.ml" src in
+  let r = lint_source ~ctx:lib_ctx ~path:"lib/fake.ml" src in
   Alcotest.(check (list string)) "finding not suppressed by prose" [ "fake.ml:2 [L3]" ]
     (shorts r)
 
@@ -167,7 +185,7 @@ let files_under_deterministic () =
    effect layer), but L4 query confinement still applies outside its
    source_server, and L1 still bans ambient randomness. *)
 let net_zone_rules () =
-  let lint path src = Driver.lint_source ~ctx:(Rules.ctx_of_path path) ~path src in
+  let lint path src = lint_source ~ctx:(Rules.ctx_of_path path) ~path src in
   let r = lint "lib/net/fake.ml" "let now () = Unix.gettimeofday ()" in
   Alcotest.(check int) "Unix allowed in lib/net" 0 (List.length r.Driver.findings);
   let r = lint "lib/engine/fake.ml" "let now () = Unix.gettimeofday ()" in
@@ -226,14 +244,14 @@ let pragma_deletion_detected () =
         in
         find 1 lines
       in
-      let r = Driver.lint_source ~path stripped in
+      let r = lint_source ~path stripped in
       let expected =
         Printf.sprintf "%s:%d [%s]" (Filename.basename path) anchor_line
           (Finding.rule_name expected_rule)
       in
       Alcotest.(check (list string))
         (path ^ " without its pragma") [ expected ]
-        (List.map Finding.to_short r.findings))
+        (List.map short r.findings))
     [
       ("../lib/stats/table.ml", Finding.L3, "Format.std_formatter");
       ("../lib/engine/trace.ml", Finding.L5, "input_line ic");
@@ -253,9 +271,9 @@ let fix_reversion_detected () =
   in
   List.iter
     (fun (path, src, expected) ->
-      let r = Driver.lint_source ~path src in
+      let r = lint_source ~path src in
       Alcotest.(check (list string)) ("reverted " ^ path) [ expected ]
-        (List.map Finding.to_short r.findings))
+        (List.map short r.findings))
     cases
 
 let suite =

@@ -14,12 +14,16 @@ let checki = Alcotest.(check int)
 (* Word download                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Encode and decode through a fault-free naive Download, which reads every
+   bit of the encoded array once. *)
 let test_word_encode_decode_roundtrip () =
+  let k = 2 in
+  let fault = Fault.choose ~k Fault.None_faulty in
   List.iter
     (fun (width, values) ->
-      let bits = Word.encode ~width values in
-      checki "bit length" (width * Array.length values) (Dr_source.Bitarray.length bits);
-      Alcotest.(check (array int)) "roundtrip" values (Word.decode ~width bits))
+      let r = Word.run (Naive.core ()) (Word.make ~width ~k ~values fault) in
+      checki "bit length" (width * Array.length values) r.Word.bits.Problem.q_max;
+      Alcotest.(check (option (array int))) "roundtrip" (Some values) r.Word.decoded)
     [
       (8, [| 0; 255; 17; 128 |]);
       (16, [| 65535; 1; 0 |]);
@@ -29,10 +33,11 @@ let test_word_encode_decode_roundtrip () =
     ]
 
 let test_word_encode_rejects_overflow () =
+  let fault = Fault.choose ~k:2 Fault.None_faulty in
   Alcotest.check_raises "too big" (Invalid_argument "Word_download.encode: value does not fit the width")
-    (fun () -> ignore (Word.encode ~width:8 [| 256 |]));
+    (fun () -> ignore (Word.make ~width:8 ~k:2 ~values:[| 256 |] fault));
   Alcotest.check_raises "negative" (Invalid_argument "Word_download.encode: value does not fit the width")
-    (fun () -> ignore (Word.encode ~width:8 [| -1 |]))
+    (fun () -> ignore (Word.make ~width:8 ~k:2 ~values:[| -1 |] fault))
 
 let test_word_download_via_committee () =
   let k = 9 and t = 4 in

@@ -13,7 +13,7 @@ module Race_rules = Dr_lint.Race_rules
 module Domain_safe = Dr_engine.Domain_safe
 
 let shorts (r : Driver.report) =
-  List.concat_map (fun fr -> List.map Finding.to_short fr.Driver.findings) r.Driver.files
+  List.concat_map (fun fr -> List.map Test_lint.short fr.Driver.findings) r.Driver.files
 
 (* ---- the planted violations: every rule must fire ---- *)
 

@@ -77,7 +77,7 @@ let test_bits_counts () =
   let a = Bitarray.of_string "1101001" in
   checki "ones" 4 (Bitarray.count_ones a);
   let b = Bitarray.of_string "1001001" in
-  checki "hamming" 1 (Bitarray.diff_count a b)
+  checkb "one differing bit" true (Bitarray.equal (Bitarray.flip a 1) b)
 
 let test_bits_flip () =
   let a = Bitarray.of_string "000" in
@@ -165,11 +165,9 @@ let test_source_counts () =
   checki "peer0 count" 2 (Data_source.queries_by src 0);
   checki "peer1 count" 0 (Data_source.queries_by src 1);
   checki "total" 3 (Data_source.total_queries src);
-  checki "max" 2 (Data_source.max_queries src);
+  checki "max" 2 (List.fold_left max 0 (List.map (Data_source.queries_by src) [ 0; 1; 2 ]));
   checki "max among honest={1,2}" 1
-    (Data_source.max_queries ~select:(fun i -> i > 0) src);
-  Data_source.reset_counts src;
-  checki "reset" 0 (Data_source.total_queries src)
+    (List.fold_left max 0 (List.map (Data_source.queries_by src) [ 1; 2 ]))
 
 let test_source_repeat_queries_counted () =
   let src = Data_source.create ~k:1 (Bitarray.of_string "1") in
@@ -231,9 +229,12 @@ let test_wire_duplicate_parts_ignored () =
   let bits = Bitarray.of_string "110011" in
   let asm = Dr_core.Wire.Assembly.create ~len:6 ~b:3 in
   let parts = Dr_core.Wire.split ~b:3 bits in
+  let part0, payload0 = List.hd parts in
+  Dr_core.Wire.Assembly.add asm ~part:part0 payload0;
+  Dr_core.Wire.Assembly.add asm ~part:part0 payload0;
+  checkb "received counted once" false (Dr_core.Wire.Assembly.complete asm);
   List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
   List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
-  checki "received counted once" 2 (Dr_core.Wire.Assembly.received_parts asm);
   checkb "still correct" true (Bitarray.equal bits (Dr_core.Wire.Assembly.get asm))
 
 let test_wire_conflicting_duplicate_raises () =
@@ -290,12 +291,13 @@ let test_wire_frame_header_rejects_garbage () =
 
 let test_wire_crc32_known_vectors () =
   (* Standard check value: CRC32("123456789") = 0xCBF43926. *)
-  checki "check vector" 0xCBF43926 (Dr_core.Wire.Crc32.string "123456789");
-  checki "empty" 0 (Dr_core.Wire.Crc32.string "");
+  let crc s = Dr_core.Wire.Crc32.bytes (Bytes.of_string s) in
+  checki "check vector" 0xCBF43926 (crc "123456789");
+  checki "empty" 0 (crc "");
   let b = Bytes.of_string "xx123456789yy" in
   checki "ranged" 0xCBF43926 (Dr_core.Wire.Crc32.bytes ~off:2 ~len:9 b);
-  let c1 = Dr_core.Wire.Crc32.string "framed payload" in
-  let c2 = Dr_core.Wire.Crc32.string "framed payloae" in
+  let c1 = crc "framed payload" in
+  let c2 = crc "framed payloae" in
   checkb "bit flip changes crc" false (c1 = c2)
 
 let test_wire_incomplete_get_raises () =

@@ -24,7 +24,7 @@ let test_spec_covers_registry () =
         (Registry.spec_of (Registry.name e) <> None))
     Registry.all;
   checkb "no orphan specs" true
-    (List.for_all (fun b -> Registry.find b.Spec.protocol <> None) Registry.specs)
+    (List.for_all (fun e -> Registry.find e.Registry.spec.Spec.protocol <> None) Registry.all)
 
 let test_registry_entries () =
   checki "seven entries" 7 (List.length Registry.all);
@@ -32,11 +32,11 @@ let test_registry_entries () =
     (List.sort_uniq compare Registry.names = List.sort compare Registry.names);
   let two = Registry.find_exn "byz-2cycle" in
   checkb "2cycle is Byzantine" true (two.Registry.model = Problem.Byzantine);
-  checkb "2cycle randomized" true (Registry.randomized two);
+  checkb "2cycle randomized" true two.Registry.spec.Spec.randomized;
   checkb "2cycle beta sup 1/2" true (two.Registry.beta_sup = 0.5);
   let cg = Registry.find_exn "crash-general" in
   checkb "crash-general is Crash" true (cg.Registry.model = Problem.Crash);
-  checkb "crash-general deterministic" false (Registry.randomized cg);
+  checkb "crash-general deterministic" false cg.Registry.spec.Spec.randomized;
   checkb "unknown name" true (Registry.find "nope" = None);
   let inst = Problem.random_instance ~seed:2L ~k:8 ~n:128 ~t:2 () in
   checkb "admits delegates to supports" true (Registry.admits cg inst = Ok ())

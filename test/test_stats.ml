@@ -71,19 +71,17 @@ let test_coverage_failure_sane () =
   checkb "monotone in honest" true (f 40 < f 20 && f 20 < f 10);
   checkb "clamped" true (Chernoff.coverage_failure ~honest:1 ~segments:10 ~rho:5 <= 1.)
 
-let test_chernoff_below () =
-  checkf 1e-9 "factor >= 1 trivial" 1. (Chernoff.chernoff_below ~mu:10. ~factor:1.5);
-  let b = Chernoff.chernoff_below ~mu:32. ~factor:0.5 in
-  checkf 1e-9 "exp(-mu/8)" (exp (-4.)) b
-
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* What [Table.print] writes. *)
+let render t = Format.asprintf "%a" (fun ppf t -> Table.print ~ppf t) t
+
 let test_table_layout () =
   let t = Table.create [ "a"; "bbbb" ] in
   Table.add_row t [ "xxxxx"; "y" ];
-  let rendered = Table.render t in
+  let rendered = render t in
   let lines = String.split_on_char '\n' rendered in
   (match lines with
   | header :: rule :: row :: _ ->
@@ -96,7 +94,7 @@ let test_table_layout () =
 let test_table_short_row_padded () =
   let t = Table.create [ "a"; "b"; "c" ] in
   Table.add_row t [ "1" ];
-  checkb "renders" true (String.length (Table.render t) > 0)
+  checkb "renders" true (String.length (render t) > 0)
 
 let test_table_long_row_rejected () =
   let t = Table.create [ "a" ] in
@@ -105,7 +103,6 @@ let test_table_long_row_rejected () =
 
 let test_table_cells () =
   checks "int" "42" (Table.cell_int 42);
-  checks "float" "3.14" (Table.cell_float ~decimals:2 3.14159);
   checks "bool" "yes" (Table.cell_bool true);
   checks "bool no" "no" (Table.cell_bool false)
 
@@ -181,25 +178,17 @@ let test_selected_protocol_actually_works () =
 (* ------------------------------------------------------------------ *)
 
 let test_printers_smoke () =
-  let s = Summary.of_floats [ 1.; 2.; 3. ] in
-  checkb "summary pp" true (String.length (Format.asprintf "%a" Summary.pp s) > 0);
   let t = Table.create [ "a" ] in
   Table.add_row t [ "1" ];
-  Table.add_rule t;
   Table.add_row t [ "2" ];
-  checkb "rule renders" true
-    (List.length (String.split_on_char '\n' (Table.render t)) >= 5);
+  checkb "rows render" true
+    (List.length (String.split_on_char '\n' (render t)) >= 5);
   let inst = Dr_core.Problem.random_instance ~k:3 ~n:8 ~t:1 () in
   let r = Dr_core.Exec.run_core (Dr_core.Naive.core ()) inst in
   let rendered = Format.asprintf "%a" Dr_core.Problem.pp_report r in
   checkb "report pp mentions protocol" true
     (String.length rendered > 0
-    && String.sub rendered 0 5 = "naive");
-  let m = Dr_engine.Metrics.create 2 in
-  Dr_engine.Metrics.on_query m 0;
-  let summary = Dr_engine.Metrics.summarize m in
-  checkb "metrics pp" true
-    (String.length (Format.asprintf "%a" Dr_engine.Metrics.pp_summary summary) > 0)
+    && String.sub rendered 0 5 = "naive")
 
 (* ------------------------------------------------------------------ *)
 (* Quartiles and the Json reader (the "bench_io:" test names predate   *)
@@ -274,7 +263,6 @@ let suite =
     ("chernoff: degenerate p", `Quick, test_binomial_degenerate);
     ("chernoff: tail", `Quick, test_binomial_tail);
     ("chernoff: coverage monotone", `Quick, test_coverage_failure_sane);
-    ("chernoff: multiplicative bound", `Quick, test_chernoff_below);
     ("table: layout", `Quick, test_table_layout);
     ("table: short row padded", `Quick, test_table_short_row_padded);
     ("table: long row rejected", `Quick, test_table_long_row_rejected);
