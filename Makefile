@@ -54,13 +54,17 @@ net-chaos:
 	dune build @net-chaos
 
 # The benchmark end to end: a short run of every BENCHMARK.json workload,
-# through set-up, verification of every Download and the full timed loop.
-# Fails on the first non-zero exit (a failed verification, a crash, a
-# build error) — what the determinism self-test's few-input pass cannot see.
+# through set-up, verification of every Download and the full timed loop,
+# once untraced and once traced (the layer probes, the observer tally and
+# the attribution table). Fails on the first non-zero exit (a failed
+# verification, a crash, a build error) — what the determinism self-test's
+# few-input pass cannot see.
 perfbench-smoke:
 	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
-	  echo "perfbench-smoke: $$w"; \
-	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	  for trace in 0 1; do \
+	    echo "perfbench-smoke: $$w --trace $$trace"; \
+	    python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace $$trace || exit 1; \
+	  done; \
 	done
 
 # The lib/ size every change reports: lines of .ml and .mli, counted one

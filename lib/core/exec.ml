@@ -4,8 +4,6 @@ type opts = {
   latency : Dr_adversary.Latency.fn;
   link_rate : float;
   crash : Dr_adversary.Crash_plan.t;
-  query_latency : float;
-  start_time : int -> float;
   trace : Dr_engine.Trace.t option;
   max_events : int;
   query_override : (peer:int -> int -> bool) option;
@@ -14,15 +12,12 @@ type opts = {
 }
 
 let make_opts ?(latency = Dr_adversary.Latency.unit_delay) ?(link_rate = infinity)
-    ?(crash = Dr_adversary.Crash_plan.none) ?(query_latency = 0.)
-    ?(start_time = fun _ -> 0.) ?trace ?(max_events = 200_000_000) ?query_override
-    ?arbiter ?observer () =
+    ?(crash = Dr_adversary.Crash_plan.none) ?trace ?(max_events = 200_000_000)
+    ?query_override ?arbiter ?observer () =
   {
     latency;
     link_rate;
     crash;
-    query_latency;
-    start_time;
     trace;
     max_events;
     query_override;
@@ -52,8 +47,6 @@ let build_config inst opts =
     latency = opts.latency;
     link_rate = opts.link_rate;
     crash = opts.crash;
-    query_latency = (fun ~peer:_ ~time:_ -> opts.query_latency);
-    start_time = opts.start_time;
     trace = opts.trace;
     max_events = opts.max_events;
     arbiter = opts.arbiter;

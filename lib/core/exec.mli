@@ -1,7 +1,7 @@
 (** Shared execution machinery for all protocol modules.
 
-    Bundles the adversarial environment (latency policy, crash plan, query
-    latency, staggered starts) and turns a raw simulator outcome into a
+    Bundles the adversarial environment (latency policy, link rate, crash
+    plan, schedule arbiter) and turns a raw simulator outcome into a
     {!Problem.report} by checking every nonfaulty output against [X]. *)
 
 type opts = private {
@@ -10,8 +10,6 @@ type opts = private {
       (** link bandwidth in bits per time unit (see {!Dr_engine.Sim.config});
           [infinity] by default *)
   crash : Dr_adversary.Crash_plan.t;
-  query_latency : float;  (** round-trip of one source query *)
-  start_time : int -> float;
   trace : Dr_engine.Trace.t option;
   max_events : int;
   query_override : (peer:int -> int -> bool) option;
@@ -32,8 +30,6 @@ val make_opts :
   ?latency:Dr_adversary.Latency.fn ->
   ?link_rate:float ->
   ?crash:Dr_adversary.Crash_plan.t ->
-  ?query_latency:float ->
-  ?start_time:(int -> float) ->
   ?trace:Dr_engine.Trace.t ->
   ?max_events:int ->
   ?query_override:(peer:int -> int -> bool) ->
@@ -42,13 +38,14 @@ val make_opts :
   unit ->
   opts
 (** Labelled constructor; every omitted field takes the [default] value
-    (unit latencies, unbounded links, no crashes, instant queries,
-    simultaneous start, no trace). Preferred over record literals: adding a
-    field to [opts] does not break [make_opts] callers. *)
+    (unit latencies, unbounded links, no crashes, no trace, no arbiter, no
+    observer). Every peer starts at time 0 and every source read is
+    answered at once: the simulator has no setting for either. Preferred
+    over record literals: adding a field to [opts] does not break
+    [make_opts] callers. *)
 
 val default : opts
-(** [make_opts ()] — unit latencies, no crashes, instant queries,
-    simultaneous start. *)
+(** [make_opts ()] — unit latencies, unbounded links, no crashes. *)
 
 val with_latency : Dr_adversary.Latency.fn -> opts -> opts
 val with_link_rate : float -> opts -> opts

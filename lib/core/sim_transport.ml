@@ -22,9 +22,7 @@ module Make (M : Transport.MSG) = struct
     S.query_range ~pos ~len (fun r v -> if v then Dr_source.Bitarray.set bits r true);
     bits
 
-  let clock = S.now
   let rng = S.rng
-  let sleep = S.sleep
   let die = S.die
 
   let run_sim = S.run

@@ -1,11 +1,11 @@
 (** {!Transport.S} over the deterministic simulator.
 
     [Make (Msg)] instantiates one simulator ({!Dr_engine.Sim.Make}) and
-    exposes its process-side API under the transport names ([clock] is the
-    simulator's [now]; [query_range] packs the simulator's per-bit-charged
-    range read into a {!Dr_source.Bitarray.t}). [run_sim] drives an execution: the process passed to
-    it must perform its transport calls through {e this} instance (each
-    [Make] application owns its own effect constructors). *)
+    exposes its process-side API under the transport names ([query_range]
+    packs the simulator's per-bit-charged range read into a
+    {!Dr_source.Bitarray.t}). [run_sim] drives an execution: the process
+    passed to it must perform its transport calls through {e this}
+    instance (each [Make] application owns its own effect constructors). *)
 
 module Make (M : Transport.MSG) : sig
   include Transport.S with type msg = M.t

@@ -3,12 +3,7 @@
    inside the deterministic simulator or as a real OS process over sockets
    (lib/net). See DESIGN.md "Transport layer". *)
 
-module type MSG = sig
-  type t
-
-  val size_bits : t -> int
-  val tag : t -> string
-end
+module type MSG = Dr_engine.Sim.MESSAGE
 
 module type S = sig
   type msg
@@ -20,9 +15,7 @@ module type S = sig
   val receive : unit -> int * msg
   val query : int -> bool
   val query_range : pos:int -> len:int -> Dr_source.Bitarray.t
-  val clock : unit -> float
   val rng : unit -> Dr_engine.Prng.t
-  val sleep : float -> unit
   val die : unit -> 'a
 end
 

@@ -2,9 +2,10 @@
 
     The paper's protocols are defined purely in terms of point-to-point
     messages to other peers and [Query(i)] calls to the external source.
-    {!S} captures exactly that interface — plus the clock/sleep/die hooks the
-    Byzantine strategies use — so a protocol core written against it is
-    oblivious to {e where} it runs. Two implementations exist:
+    {!S} captures exactly that interface — plus a private random stream and
+    the [die] hook the Byzantine strategies use — so a protocol core written
+    against it is oblivious to {e where} it runs. Like the model's peers, a
+    core has no clock. Two implementations exist:
 
     - {!Sim_transport}: the deterministic discrete-event simulator
       ({!Dr_engine.Sim}), bit-exact with the pre-refactor behaviour;
@@ -16,19 +17,11 @@
     constructor; {!Registry.entry.core} exposes one per protocol, and
     {!Exec.run_core} runs any of them on the simulator. *)
 
-(** Message vocabulary of one protocol: payload type plus the accounting and
-    tracing views. Identical to {!Dr_engine.Sim.MESSAGE}, so a protocol's
-    [Msg] module satisfies both. *)
-module type MSG = sig
-  type t
-
-  val size_bits : t -> int
-  (** Size charged against the message-complexity accounting (the model's
-      [B] bound). *)
-
-  val tag : t -> string
-  (** Short label used in traces. *)
-end
+(** Message vocabulary of one protocol: payload type plus the accounting
+    ([size_bits], against the model's [B] bound) and tracing ([tag]) views.
+    It is the simulator's own signature, so a protocol's [Msg] module
+    instantiates both runtimes. *)
+module type MSG = Dr_engine.Sim.MESSAGE
 
 (** The transport signature. Calls are only legal from inside a peer
     process executed by the owning runtime (the simulator event loop, or a
@@ -64,18 +57,10 @@ module type S = sig
       non-adaptive contiguous reads; a read whose next index depends on
       earlier answers ([Decision_tree.determine]) stays on {!query}. *)
 
-  val clock : unit -> float
-  (** Elapsed time: virtual in the simulator, wall-clock in the net runtime.
-      Only for Byzantine strategies and instrumentation — honest protocol
-      logic must not read the clock (the model has no global time). *)
-
   val rng : unit -> Dr_engine.Prng.t
   (** This peer's private random stream. Transports derive it from the
       instance seed by the same splitting discipline, so protocol coin flips
       agree across runtimes. *)
-
-  val sleep : float -> unit
-  (** Wait for a duration. Only for Byzantine/adversarial code. *)
 
   val die : unit -> 'a
   (** The crashable hook: stop executing this peer immediately (voluntary

@@ -1,10 +1,10 @@
 (** Bounded systematic schedule exploration.
 
     The asynchronous adversary's whole power over honest peers is the order
-    in which pending events (message deliveries, start signals, source
-    replies) fire. With {!Sim.arbiter} that order becomes an explicit choice
-    sequence, so correctness can be checked against {e every} schedule of a
-    small instance — depth-first, deterministically, re-executing the
+    in which pending events (message deliveries and start signals) fire.
+    With {!Sim.arbiter} that order becomes an explicit choice sequence, so
+    correctness can be checked against {e every} schedule of a small
+    instance — depth-first, deterministically, re-executing the
     simulation once per schedule — instead of against a handful of sampled
     latency policies. The schedule tree of any non-trivial run is
     astronomical, so exploration is budgeted: [exhausted = true] means the

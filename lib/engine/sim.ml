@@ -22,11 +22,9 @@ type config = {
   k : int;
   seed : int64;
   query_bit : peer:int -> int -> bool;
-  query_latency : peer:int -> time:float -> float;
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
   link_rate : float;
   crash : int -> crash_spec;
-  start_time : int -> float;
   trace : Trace.t option;
   max_events : int;
   arbiter : arbiter option;
@@ -38,11 +36,9 @@ let default_config ~k ~query_bit =
     k;
     seed = 1L;
     query_bit;
-    query_latency = (fun ~peer:_ ~time:_ -> 0.);
     latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 1.);
     link_rate = infinity;
     crash = (fun _ -> Never);
-    start_time = (fun _ -> 0.);
     trace = None;
     max_events = 200_000_000;
     arbiter = None;
@@ -67,7 +63,6 @@ module Make (M : MESSAGE) = struct
     | E_me : int Effect.t
     | E_k : int Effect.t
     | E_rng : Prng.t Effect.t
-    | E_sleep : float -> unit Effect.t
 
   let me () = Effect.perform E_me
   let peer_count () = Effect.perform E_k
@@ -85,24 +80,9 @@ module Make (M : MESSAGE) = struct
     !value
 
   let rng () = Effect.perform E_rng
-  let sleep d = Effect.perform (E_sleep d)
   let die () = raise Halted
 
-  (* A range read in progress: bits [pos, pos+len) of which the first
-     [next] are charged, each handed to [set] as it is read. *)
-  type range = {
-    rk : (unit, unit) Effect.Deep.continuation;
-    pos : int;
-    len : int;
-    set : int -> bool -> unit;
-    mutable next : int;
-  }
-
-  type wait =
-    | Idle
-    | On_receive of (int * M.t, unit) Effect.Deep.continuation
-    | On_range_reply of range
-    | On_wake of (unit, unit) Effect.Deep.continuation
+  type wait = Idle | On_receive of (int * M.t, unit) Effect.Deep.continuation
 
   type pstate = {
     id : int;
@@ -117,8 +97,6 @@ module Make (M : MESSAGE) = struct
     | Ev_start of int
     | Ev_deliver of { dst : int; src : int; msg : M.t }
     | Ev_crash of int
-    | Ev_query_reply of int
-    | Ev_wake of int
 
   (* The arbiter's pending pool: a growable array holding events in the
      order they were drained from the heap. Removal keeps the others'
@@ -193,12 +171,6 @@ module Make (M : MESSAGE) = struct
         | On_receive k ->
           p.wait <- Idle;
           Effect.Deep.discontinue k Crashed
-        | On_range_reply r ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue r.rk Crashed
-        | On_wake k ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue k Crashed
       end
     in
     (* A peer crashing inside one of its own operations: it dies, and the
@@ -208,37 +180,30 @@ module Make (M : MESSAGE) = struct
       if trace_on then tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
       Effect.Deep.discontinue k Crashed
     in
-    (* Read the rest of a range, bit by bit: the only place a source query
-       is charged (metrics, the source itself, the trace, the [After_queries]
-       check). Under a positive query latency each bit suspends on its own
-       [Ev_query_reply], whose handler resumes here — so a range runs the
-       same events, and fills the arbiter's pool the same way, as the loop of
-       one-bit reads that {!query} performs. *)
-    let rec range_step p r =
-      if r.next >= r.len then Effect.Deep.continue r.rk ()
-      else begin
-        let i = r.pos + r.next in
-        Metrics.on_query metrics p.id;
-        let value = cfg.query_bit ~peer:p.id i in
-        if trace_on then
-          tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
-        r.set r.next value;
-        r.next <- r.next + 1;
-        let crash_now =
-          match Array.unsafe_get crash_spec p.id with
-          | After_queries j -> Metrics.queries metrics p.id >= j
-          | Never | At_time _ | After_sends _ -> false
-        in
-        if crash_now then crash_in p r.rk
+    (* Read a range bit by bit, all within the event that issued it: the
+       only place a source query is charged (metrics, the source itself,
+       the trace, the [After_queries] check). Each bit runs what a one-bit
+       read would, so a range is indistinguishable from the loop of {!query}
+       calls. *)
+    let query_range_from p pos len set k =
+      let rec go r =
+        if r >= len then Effect.Deep.continue k ()
         else begin
-          let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
-          if delay <= 0. then range_step p r
-          else begin
-            p.wait <- On_range_reply r;
-            Heap.push heap ~time:(clock.(0) +. delay) (Ev_query_reply p.id)
-          end
+          let i = pos + r in
+          Metrics.on_query metrics p.id;
+          let value = cfg.query_bit ~peer:p.id i in
+          if trace_on then
+            tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
+          set r value;
+          let crash_now =
+            match Array.unsafe_get crash_spec p.id with
+            | After_queries j -> Metrics.queries metrics p.id >= j
+            | Never | At_time _ | After_sends _ -> false
+          in
+          if crash_now then crash_in p k else go (r + 1)
         end
-      end
+      in
+      go 0
     in
     (* One send from [p] to [dst]: the body shared by [E_send] and each
        destination of [E_broadcast]. Returns [false] when the send ended the
@@ -321,15 +286,7 @@ module Make (M : MESSAGE) = struct
           Some
             (fun k ->
               if len < 0 then discontinue k (Invalid_argument "Sim.query_range: negative length")
-              else range_step p { rk = k; pos; len; set; next = 0 })
-        | E_sleep d ->
-          Some
-            (fun k ->
-              if not (d >= 0.) then discontinue k (Invalid_argument "Sim.sleep: negative")
-              else begin
-                p.wait <- On_wake k;
-                Heap.push heap ~time:(clock.(0) +. d) (Ev_wake p.id)
-              end)
+              else query_range_from p pos len set k)
         | _ -> None
       in
       {
@@ -350,10 +307,11 @@ module Make (M : MESSAGE) = struct
           if trace_on then tr (fun () -> Trace.Terminated { time = clock.(0); peer = p.id }))
         () (handler_for p)
     in
-    (* Seed the schedule: starts and timed crashes. *)
+    (* Seed the schedule: every peer starts at time 0, timed crashes at
+       their instants. *)
     Array.iter
       (fun p ->
-        Heap.push heap ~time:(cfg.start_time p.id) (Ev_start p.id);
+        Heap.push heap ~time:0. (Ev_start p.id);
         match crash_spec.(p.id) with
         | At_time t0 -> Heap.push heap ~time:t0 (Ev_crash p.id)
         | Never | After_sends _ | After_queries _ -> ())
@@ -372,8 +330,6 @@ module Make (M : MESSAGE) = struct
           | Ev_start i -> (Obs_start, i, "")
           | Ev_deliver { dst; msg; _ } -> (Obs_deliver, dst, M.tag msg)
           | Ev_crash i -> (Obs_crash, i, "")
-          | Ev_query_reply i -> (Obs_query_reply, i, "")
-          | Ev_wake i -> (Obs_wake, i, "")
         in
         f { obs_kind; obs_peer; obs_tag; obs_step = !events_done - 1 }
     in
@@ -392,28 +348,9 @@ module Make (M : MESSAGE) = struct
             p.wait <- Idle;
             Metrics.on_wakeup metrics dst;
             Effect.Deep.continue k (src, msg)
-          | Idle | On_range_reply _ | On_wake _ ->
-            Ring.push p.mailbox (src, msg)
+          | Idle -> Ring.push p.mailbox (src, msg)
         end
       | Ev_crash i -> kill peers.(i)
-      | Ev_query_reply i ->
-        let p = Array.unsafe_get peers i in
-        if p.alive then begin
-          match p.wait with
-          | On_range_reply r ->
-            p.wait <- Idle;
-            range_step p r
-          | Idle | On_receive _ | On_wake _ -> ()
-        end
-      | Ev_wake i ->
-        let p = Array.unsafe_get peers i in
-        if p.alive then begin
-          match p.wait with
-          | On_wake k ->
-            p.wait <- Idle;
-            Effect.Deep.continue k ()
-          | Idle | On_receive _ | On_range_reply _ -> ()
-        end
     in
     let deadlock_check () =
       let blocked =

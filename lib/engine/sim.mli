@@ -5,9 +5,10 @@
     point-to-point messages with adversarially chosen finite delays, an
     external source answering bit queries, crash injection, and no global
     clock visible to the peers. Peers are written in direct style as ordinary
-    OCaml functions; blocking operations ([receive], [query], [sleep]) are
-    OCaml 5 effects interpreted by the event loop, so a peer reads exactly
-    like the paper's pseudo-code ("wait until it receives …").
+    OCaml functions; [receive] and [query_range] are OCaml 5 effects
+    interpreted by the event loop, so a peer reads exactly like the paper's
+    pseudo-code ("wait until it receives …"). Only [receive] can suspend a
+    peer: a source read is answered within the event that issued it.
 
     Executions are fully deterministic given the configuration and seed:
     the event queue breaks time ties by schedule order and all randomness
@@ -52,15 +53,18 @@ type arbiter = int -> int
     next; an index outside [[0, count)] falls back to 0. Pending events are
     indexed in the order they were scheduled (heap order within one drain),
     and removing one keeps the others' relative order. When set, event
-    {e times} are ignored — any pending event may fire
-    in any order, which is exactly the asynchronous adversary's power over
-    message delays, start times and source replies. Sound for protocols that
-    never read the clock (all honest protocol logic here). Timed crashes
-    ([At_time]) are not meaningful under an arbiter; use [After_sends] /
-    [After_queries]. See {!Explore}. *)
+    {e times} are ignored — any pending event may fire in any order, which
+    is exactly the asynchronous adversary's power over message delays and
+    the order in which peers start. Sound for protocols that never read the
+    clock: {!Dr_core.Transport.S} has none, so every transport core
+    qualifies. Timed crashes ([At_time]) are not meaningful under an
+    arbiter; use [After_sends] / [After_queries]. See {!Explore}. *)
 
 type obs_kind = Obs_start | Obs_deliver | Obs_crash | Obs_query_reply | Obs_wake
-(** The category of a fired event, as seen by an observer. *)
+(** The category of a fired event, as seen by an observer. The engine emits
+    only [Obs_start], [Obs_deliver] and [Obs_crash]; [Obs_query_reply] and
+    [Obs_wake] are never emitted and stay only so that exhaustive matches
+    elsewhere keep compiling. *)
 
 type obs = {
   obs_kind : obs_kind;
@@ -81,8 +85,6 @@ type config = {
   query_bit : peer:int -> int -> bool;
       (** the external source. Per-peer so that lower-bound adversaries can
           hand corrupted peers a different (simulated) input array. *)
-  query_latency : peer:int -> time:float -> float;
-      (** round-trip delay of a source query; [0.] answers instantly *)
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
       (** adversarial propagation delay; must be finite and [>= 0.] *)
   link_rate : float;
@@ -90,7 +92,6 @@ type config = {
           at a time in FIFO order — the paper's "a message of L bits takes
           L/B time units". [infinity] (default) disables serialization. *)
   crash : int -> crash_spec;
-  start_time : int -> float;  (** the adversary decides when peers start *)
   trace : Trace.t option;
   max_events : int;
   arbiter : arbiter option;
@@ -101,8 +102,10 @@ type config = {
 }
 
 val default_config : k:int -> query_bit:(peer:int -> int -> bool) -> config
-(** Unit latency on every link, instant queries, no crashes, simultaneous
-    start at time 0, no trace, generous event limit. *)
+(** Unit latency on every link, unbounded link rate, no crashes, no trace,
+    no arbiter, no observer, generous event limit. Every peer starts at
+    time 0 (not configurable; an arbiter can still fire the starts in any
+    order). *)
 
 type 'r outcome = {
   outputs : (float * 'r) option array;
@@ -123,9 +126,8 @@ module Make (M : MESSAGE) : sig
   val peer_count : unit -> int
 
   val now : unit -> float
-  (** Current virtual time. Only for Byzantine strategies and
-      instrumentation — honest protocol logic must not read the clock
-      (the model has no global time). *)
+  (** Current virtual time (for tests). Protocol code has no clock: the
+      model has no global time, and {!Dr_core.Transport.S} offers none. *)
 
   val send : int -> M.t -> unit
   val broadcast : M.t -> unit
@@ -140,9 +142,9 @@ module Make (M : MESSAGE) : sig
   (** [query_range ~pos ~len set] reads bits [pos .. pos+len-1] in order,
       calling [set r v] with the value [v] of bit [pos + r]. This one effect
       is the simulator's only source read, and it charges every bit on its
-      own: one [query_bit] call, one Q unit, one [Trace.Queried] record, one
-      [After_queries] crash check and, under a positive query latency, one
-      [Obs_query_reply] event — so the run is indistinguishable from the
+      own: one [query_bit] call, one Q unit, one [Trace.Queried] record and
+      one [After_queries] crash check. The whole range is answered within
+      the event that issued it, so the run is indistinguishable from the
       loop [for r = 0 to len - 1 do set r (query (pos + r)) done]. *)
 
   val query : int -> bool
@@ -150,9 +152,6 @@ module Make (M : MESSAGE) : sig
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)
-
-  val sleep : float -> unit
-  (** Wait for a duration. Only for Byzantine/adversarial code. *)
 
   val die : unit -> 'a
   (** Stop executing this peer immediately (Byzantine strategies). *)

@@ -55,7 +55,6 @@ type env = {
   crash : Dr_engine.Sim.crash_spec;
   chaos : Faultnet.t option;
   counters : counters;
-  start : float;
   mutable links_down : int;  (** links whose receiver has exited; protocol thread only *)
 }
 
@@ -73,7 +72,6 @@ let make_env ~me ~k ~links ~source ~prng ~crash ?chaos () =
     crash;
     chaos;
     counters = make_counters ();
-    start = Unix.gettimeofday ();
     links_down = 0;
   }
 
@@ -208,8 +206,6 @@ end) : Transport.S with type msg = M.t = struct
 
   let query i = Dr_source.Bitarray.get (query_range ~pos:i ~len:1) 0
 
-  let clock () = Unix.gettimeofday () -. e.start
   let rng () = e.prng
-  let sleep d = if d > 0. then Thread.delay d
   let die () = raise Dr_engine.Sim.Halted
 end

@@ -64,9 +64,10 @@ type env = {
   crash : Dr_engine.Sim.crash_spec;
   chaos : Faultnet.t option;
   counters : counters;
-  start : float;
   mutable links_down : int;
 }
+(** One peer process's runtime state. It holds no clock: neither transport
+    gives a protocol a way to read the time or wait for it to pass. *)
 
 val make_env :
   me:int ->

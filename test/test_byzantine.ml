@@ -351,15 +351,14 @@ let test_multicycle_jitter () =
     [ 1L; 2L; 3L; 4L ]
 
 let test_combined_adversary_committee () =
-  (* Everything at once: rushing Byzantine delivery, B-limited serialized
-     links, staggered honest starts. *)
+  (* Everything at once: rushing Byzantine delivery and B-limited
+     serialized links. *)
   let inst = byz_instance ~seed:41L ~k:9 ~n:360 ~t:4 () in
   let fast i = Fault.is_faulty inst.Problem.fault i in
   let opts =
     Exec.make_opts
       ~latency:(Latency.rushing ~fast ~eps:0.01)
       ~link_rate:(float_of_int inst.Problem.b)
-      ~start_time:(fun i -> float_of_int (i mod 3) *. 0.4)
       ()
   in
   assert_ok "combined adversary"

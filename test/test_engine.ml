@@ -460,13 +460,15 @@ let test_sim_latency_order () =
   | None -> Alcotest.fail "no output"
 
 let test_sim_mailbox_buffers () =
-  (* Messages delivered while the peer computes are queued, not lost. *)
-  let cfg = Sim.default_config ~k:3 ~query_bit in
+  (* Messages delivered before the peer asks for them are queued, not lost.
+     Always firing the newest pending event runs peers 2 and 1, and delivers
+     both their messages, before peer 0 starts. *)
+  let cfg =
+    { (Sim.default_config ~k:3 ~query_bit) with arbiter = Some (fun count -> count - 1) }
+  in
   let outcome =
     S.run cfg (fun i ->
         if i = 0 then begin
-          (* Sleep past both deliveries, then read them from the mailbox. *)
-          S.sleep 10.;
           let a = S.receive () in
           let b = S.receive () in
           fst a + fst b
@@ -476,17 +478,23 @@ let test_sim_mailbox_buffers () =
           0
         end)
   in
-  match outcome.Sim.outputs.(0) with
+  (match outcome.Sim.outputs.(0) with
   | Some (_, v) -> checki "both buffered" 3 v
-  | None -> Alcotest.fail "no output"
+  | None -> Alcotest.fail "no output");
+  checki "both receives served from the mailbox" 0
+    (Metrics.peer outcome.Sim.metrics 0).Metrics.wakeups
 
 let test_sim_start_times () =
-  let cfg =
-    { (Sim.default_config ~k:2 ~query_bit) with start_time = (fun i -> float_of_int i *. 7.) }
-  in
+  (* Every peer starts at time 0; only an arbiter orders the starts. *)
+  let cfg = Sim.default_config ~k:3 ~query_bit in
   let outcome = S.run cfg (fun _ -> S.now ()) in
-  checkb "peer 0 starts at 0" true (outcome.Sim.outputs.(0) = Some (0., 0.));
-  checkb "peer 1 starts at 7" true (outcome.Sim.outputs.(1) = Some (7., 7.))
+  Array.iteri
+    (fun i out -> checkb (Printf.sprintf "peer %d starts at 0" i) true (out = Some (0., 0.)))
+    outcome.Sim.outputs;
+  let order = ref [] in
+  let reversed = { cfg with arbiter = Some (fun count -> count - 1) } in
+  ignore (S.run reversed (fun i -> order := i :: !order));
+  check Alcotest.(list int) "arbiter starts the newest first" [ 2; 1; 0 ] (List.rev !order)
 
 let test_sim_deterministic_replay () =
   (* Two runs with the same seed produce identical outputs and timings. *)
@@ -555,21 +563,24 @@ let test_sim_trace_records () =
   checki "query view" 1 (List.length (Trace.query_view trace 0))
 
 let test_sim_query_latency () =
-  let cfg =
-    {
-      (Sim.default_config ~k:1 ~query_bit) with
-      query_latency = (fun ~peer:_ ~time:_ -> 0.25);
-    }
-  in
+  (* A source read is answered within the event that issued it: no event of
+     its own, and no virtual time passes. *)
+  let trace = Trace.create () in
+  let cfg = { (Sim.default_config ~k:1 ~query_bit) with trace = Some trace } in
   let outcome =
     S.run cfg (fun _ ->
         ignore (S.query 0);
         ignore (S.query 1);
         S.now ())
   in
-  match outcome.Sim.outputs.(0) with
-  | Some (_, t) -> check Alcotest.(float 0.001) "two query round-trips" 0.5 t
-  | None -> Alcotest.fail "no output"
+  checkb "answered at t=0" true (outcome.Sim.outputs.(0) = Some (0., 0.));
+  checki "one event: the start" 1 outcome.Sim.events;
+  let times =
+    List.filter_map
+      (function Trace.Queried { time; index; _ } -> Some (index, time) | _ -> None)
+      (Trace.events trace)
+  in
+  checkb "both Queried records at t=0" true (times = [ (0, 0.); (1, 0.) ])
 
 let test_sim_die () =
   let cfg = Sim.default_config ~k:2 ~query_bit in
@@ -624,32 +635,53 @@ let test_sim_negative_latency_rejected () =
     (fun () -> ignore (S.run cfg (fun i -> if i = 0 then S.send 1 (Smsg.Ping 1) else ())))
 
 let test_sim_crash_during_query_wait () =
-  (* A peer blocked on a slow source query is killed cleanly by an At_time
-     crash. *)
+  (* A peer that has queried and then blocks in [receive] is killed cleanly
+     by an At_time crash. *)
   let cfg =
     {
       (Sim.default_config ~k:2 ~query_bit) with
-      query_latency = (fun ~peer:_ ~time:_ -> 10.);
       crash = (fun i -> if i = 0 then Sim.At_time 5. else Sim.Never);
     }
   in
-  let outcome = S.run cfg (fun i -> if i = 0 then (ignore (S.query 0); 1) else 2) in
+  let outcome =
+    S.run cfg (fun i ->
+        if i = 0 then begin
+          ignore (S.query 0);
+          ignore (S.query 1);
+          ignore (S.receive ());
+          1
+        end
+        else 2)
+  in
   checkb "victim has no output" true (outcome.Sim.outputs.(0) = None);
+  checki "victim's queries charged" 2 (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
+  check Alcotest.(float 0.) "crash fired at t=5" 5. outcome.Sim.end_time;
   checkb "other peer unaffected" true (outcome.Sim.outputs.(1) = Some (0., 2));
   checkb "completed (victim is dead, not blocked)" true (outcome.Sim.status = Sim.Completed)
 
 let test_sim_crash_before_start () =
-  (* Crash scheduled before the peer's (delayed) start: it never runs. *)
+  (* The pool holds [start 0; start 1; crash 0]; firing the newest first
+     crashes peer 0 before its start, so it never runs. *)
   let cfg =
     {
       (Sim.default_config ~k:2 ~query_bit) with
-      start_time = (fun i -> if i = 0 then 5. else 0.);
       crash = (fun i -> if i = 0 then Sim.At_time 1. else Sim.Never);
+      arbiter = Some (fun count -> count - 1);
     }
   in
-  let outcome = S.run cfg (fun i -> i) in
+  let outcome =
+    S.run cfg (fun i ->
+        if i = 0 then begin
+          ignore (S.query 0);
+          S.send 1 (Smsg.Ping 0)
+        end;
+        i)
+  in
   checkb "never started" true (outcome.Sim.outputs.(0) = None);
-  checki "no queries, no sends" 0 (Metrics.peer outcome.Sim.metrics 0).Metrics.msgs_sent
+  checkb "other peer ran" true (outcome.Sim.outputs.(1) <> None);
+  let victim = Metrics.peer outcome.Sim.metrics 0 in
+  checki "no queries" 0 victim.Metrics.queries;
+  checki "no sends" 0 victim.Metrics.msgs_sent
 
 let test_sim_after_queries_crash () =
   let cfg =
@@ -845,7 +877,7 @@ let test_metrics_max_msg_bits_per_peer () =
 (* [query_range] must be indistinguishable from the per-bit loop it
    replaces: same trace records, same observer stream, same metrics and the
    same outputs — under crashes placed before, inside and after the range,
-   and with a query latency that suspends on every bit. *)
+   with and without an arbiter. *)
 let range_input = Array.init 40 (fun i -> i mod 3 = 0 || i mod 7 = 2)
 let range_query_bit ~peer:_ i = range_input.(i)
 
@@ -856,7 +888,7 @@ type range_run = {
   outcome : (bool list * bool) Sim.outcome;
 }
 
-let range_scenario ~use_range ~crash ~query_latency ~arbiter =
+let range_scenario ~use_range ~crash ~arbiter =
   let trace = Trace.create () in
   let seen = ref [] in
   let observer o = seen := (o.Sim.obs_kind, o.Sim.obs_peer, o.Sim.obs_tag, o.Sim.obs_step) :: !seen in
@@ -864,7 +896,6 @@ let range_scenario ~use_range ~crash ~query_latency ~arbiter =
     {
       (Sim.default_config ~k:3 ~query_bit:range_query_bit) with
       crash;
-      query_latency = (fun ~peer:_ ~time:_ -> query_latency);
       trace = Some trace;
       observer = Some observer;
       arbiter;
@@ -912,26 +943,22 @@ let test_query_range_matches_loop () =
   List.iter
     (fun (cname, crash) ->
       List.iter
-        (fun query_latency ->
-          List.iter
-            (fun (aname, arbiter) ->
-              let loop = range_scenario ~use_range:false ~crash ~query_latency ~arbiter in
-              let range = range_scenario ~use_range:true ~crash ~query_latency ~arbiter in
-              let what = Printf.sprintf "%s, query latency %g, %s" cname query_latency aname in
-              checkb (what ^ ": trace records") true (loop.records = range.records);
-              checkb (what ^ ": observer stream") true (loop.observed = range.observed);
-              checkb (what ^ ": metrics") true (loop.counters = range.counters);
-              checkb (what ^ ": outputs") true (loop.outcome.Sim.outputs = range.outcome.Sim.outputs);
-              checkb (what ^ ": status, events, end time") true
-                (loop.outcome.Sim.status = range.outcome.Sim.status
-                && loop.outcome.Sim.events = range.outcome.Sim.events
-                && loop.outcome.Sim.end_time = range.outcome.Sim.end_time))
-            arbiters)
-        [ 0.; 0.25 ])
+        (fun (aname, arbiter) ->
+          let loop = range_scenario ~use_range:false ~crash ~arbiter in
+          let range = range_scenario ~use_range:true ~crash ~arbiter in
+          let what = Printf.sprintf "%s, %s" cname aname in
+          checkb (what ^ ": trace records") true (loop.records = range.records);
+          checkb (what ^ ": observer stream") true (loop.observed = range.observed);
+          checkb (what ^ ": metrics") true (loop.counters = range.counters);
+          checkb (what ^ ": outputs") true (loop.outcome.Sim.outputs = range.outcome.Sim.outputs);
+          checkb (what ^ ": status, events, end time") true
+            (loop.outcome.Sim.status = range.outcome.Sim.status
+            && loop.outcome.Sim.events = range.outcome.Sim.events
+            && loop.outcome.Sim.end_time = range.outcome.Sim.end_time))
+        arbiters)
     crashes;
   (* The scenarios are not vacuous: peer 1 really dies mid-range. *)
-  let inside = range_scenario ~use_range:true ~crash:(peer1 (Sim.After_queries 5))
-      ~query_latency:0.25 ~arbiter:None in
+  let inside = range_scenario ~use_range:true ~crash:(peer1 (Sim.After_queries 5)) ~arbiter:None in
   checki "crashed peer charged exactly 5 bits" 5 (List.nth inside.counters 1).Metrics.queries;
   checkb "crashed peer has no output" true (inside.outcome.Sim.outputs.(1) = None)
 
@@ -1037,6 +1064,25 @@ let test_sim_storm_allocation_budget () =
   let per_event = words /. float_of_int outcome.Sim.events in
   checkb (Printf.sprintf "%.1f minor words per event <= 24" per_event) true (per_event <= 24.)
 
+(* A range read charges each bit without allocating: a k=1 peer reads
+   65,536 bits from a [Data_source] in one [query_range], measured on the
+   deterministic minor-heap counter net of an empty run. *)
+let test_range_read_allocation_free () =
+  let bits = 65_536 in
+  let x = Dr_source.Bitarray.init bits (fun i -> i mod 3 = 0) in
+  let words len =
+    let source = Dr_source.Data_source.create ~k:1 x in
+    let cfg = Sim.default_config ~k:1 ~query_bit:(Dr_source.Data_source.query_fn source) in
+    let before = Gc.minor_words () in
+    let outcome = S.run cfg (fun _ -> S.query_range ~pos:0 ~len (fun _ _ -> ())) in
+    let words = Gc.minor_words () -. before in
+    checki "every bit charged" len (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
+    words
+  in
+  let empty = words 0 in
+  let per_bit = (words bits -. empty) /. float_of_int bits in
+  checkb (Printf.sprintf "%.3f minor words per charged bit <= 0.01" per_bit) true (per_bit <= 0.01)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1094,4 +1140,5 @@ let suite =
     ("storm allocation budget", `Quick, test_sim_storm_allocation_budget);
     ("prng golden stream", `Quick, test_prng_golden_stream);
     ("heap pop_min allocates nothing", `Quick, test_heap_pop_min_allocation_free);
+    ("range read allocates nothing per charged bit", `Quick, test_range_read_allocation_free);
   ]

@@ -20,8 +20,8 @@ module S = Dr_engine.Sim.Make (Msg)
 
 let instance ?(k = 4) ?(t = 1) ?(n = 16) () = Problem.random_instance ~seed:9L ~k ~n ~t ()
 
-let run_with_process inst process =
-  let cfg = Exec.build_config inst Exec.default in
+let run_with_process ?(opts = Exec.default) inst process =
+  let cfg = Exec.build_config inst opts in
   Exec.finish ~protocol:"fake" inst (S.run cfg process)
 
 let test_verdict_catches_wrong_output () =
@@ -66,9 +66,12 @@ let test_verdict_missing_output_is_wrong () =
 
 let test_time_is_last_honest_termination () =
   let inst = instance ~k:3 ~t:0 () in
+  (* Peer i waits for a message to itself that takes 2i time units. *)
+  let latency ~src ~dst:_ ~time:_ ~size_bits:_ = float_of_int src *. 2. in
   let r =
-    run_with_process inst (fun i ->
-        S.sleep (float_of_int i *. 2.);
+    run_with_process ~opts:(Exec.make_opts ~latency ()) inst (fun i ->
+        S.send i ();
+        ignore (S.receive ());
         Bitarray.copy inst.Problem.x)
   in
   checkb "ok" true r.Problem.ok;

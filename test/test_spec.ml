@@ -133,8 +133,7 @@ let test_bound_is_not_vacuous () =
 
 (* [query_range] changes how a segment read travels, not what it costs.
    Every registry protocol, under every attack, with and without an
-   [After_queries] crash landing inside a read, and with and without query
-   latency, charges each peer — faulty ones included — exactly the Q it
+   [After_queries] crash landing inside a read, charges each peer — faulty ones included — exactly the Q it
    charges when every range is the per-bit loop it replaced, and records
    the same trace. *)
 module Per_bit (T : Transport.S) = struct
@@ -178,19 +177,13 @@ let test_range_reads_charge_per_bit () =
           let core = e.Registry.core ~attack inst in
           List.iter
             (fun (cname, crash) ->
-              List.iter
-                (fun query_latency ->
-                  let opts = Exec.make_opts ~crash ~query_latency () in
-                  let q_range, tr_range, rep_range = run_reading ~per_bit:false core inst opts in
-                  let q_loop, tr_loop, rep_loop = run_reading ~per_bit:true core inst opts in
-                  let what =
-                    Printf.sprintf "%s/%s, %s, query latency %g" (Registry.name e) attack cname
-                      query_latency
-                  in
-                  Alcotest.(check (array int)) (what ^ ": per-peer Q") q_loop q_range;
-                  checkb (what ^ ": trace") true (tr_loop = tr_range);
-                  checkb (what ^ ": report") true (rep_loop = rep_range))
-                [ 0.; 0.25 ])
+              let opts = Exec.make_opts ~crash () in
+              let q_range, tr_range, rep_range = run_reading ~per_bit:false core inst opts in
+              let q_loop, tr_loop, rep_loop = run_reading ~per_bit:true core inst opts in
+              let what = Printf.sprintf "%s/%s, %s" (Registry.name e) attack cname in
+              Alcotest.(check (array int)) (what ^ ": per-peer Q") q_loop q_range;
+              checkb (what ^ ": trace") true (tr_loop = tr_range);
+              checkb (what ^ ": report") true (rep_loop = rep_range))
             [
               ("no crash", Crash_plan.none);
               ("crash after 7 queries", Crash_plan.after_queries inst.Problem.fault 7);
