@@ -21,19 +21,20 @@ lint:
 race:
 	dune build @race
 
-# Model checker: schedule-fuzz every registry protocol against the invariant
-# oracle (agreement / termination / spec-bound). `make check` is the real
-# budget; check-smoke is the fast fixed-seed CI gate.
+# Model checker: a coverage-guided schedule campaign over every registry
+# protocol against the invariant oracle (agreement / termination /
+# spec-bound). `make check` is the real budget; check-smoke is the fast
+# fixed-seed CI gate.
 BUDGET ?= 5000
 SEED ?= 1
 check:
-	dune exec bin/dr_check_main.exe -- --all --budget $(BUDGET) --seed $(SEED)
+	dune exec bin/dr_check_main.exe -- --budget $(BUDGET) --seed $(SEED)
 
 check-smoke:
 	dune build @check-smoke
 
-# Coverage-guided campaign soak (dr_check --campaign over every protocol,
-# bounded budget): fails on any violation and leaves the deterministic
+# Campaign soak (dr_check over every protocol, bounded budget, with
+# --stats): fails on any violation and leaves the deterministic
 # campaign statistics in CHECK_CAMPAIGN.json at the repo root. The gate
 # itself is `dune build @check-soak`, which also fails when the fresh stats
 # differ from the committed file; this target is how to re-record it.

@@ -156,16 +156,8 @@ let replay ?targets (r : Repro.t) =
       else Reproduced v)
 
 (* ------------------------------------------------------------------ *)
-(* The fuzz driver                                                    *)
+(* The coverage-guided campaign                                        *)
 (* ------------------------------------------------------------------ *)
-
-type outcome = {
-  target_name : string;
-  runs : int;
-  dfs_runs : int;
-  dfs_exhausted : bool;
-  failures : Repro.t list;
-}
 
 let crash_descriptors =
   [
@@ -176,106 +168,6 @@ let crash_descriptors =
     Crash_plan.After_queries 0;
     Crash_plan.After_queries 1;
   ]
-
-let pick prng l = List.nth l (Prng.int prng (List.length l))
-
-(* Shared by [fuzz] and [campaign]: dedup by (invariant, scenario), shrink on
-   admission, stop collecting past [max_failures]. *)
-let failure_collector target ~max_failures =
-  let failures = ref [] in
-  let seen = ref [] in
-  let note (s : Repro.scenario) (c : checked) =
-    match c.violation with
-    | None -> ()
-    | Some v ->
-      let key = (Invariant.name v.Invariant.invariant, s) in
-      if List.length !failures < max_failures && not (List.mem key !seen) then begin
-        seen := key :: !seen;
-        failures := shrink target s v ~script:c.script :: !failures
-      end
-  in
-  (note, fun () -> List.rev !failures)
-
-let fuzz ?dfs_budget ?(max_failures = 5) ~budget ~seed target =
-  if target.pool = [] then
-    failwith (Printf.sprintf "Check.fuzz: %s has no admissible small instance" target.name);
-  let dfs_budget = match dfs_budget with Some d -> min d budget | None -> budget / 4 in
-  let note_failure, collected = failure_collector target ~max_failures in
-  (* Phase 1: systematic DFS prefix on one fixed scenario — the first pool
-     entry with faults (faults exercise the interesting schedules), default
-     attack, the mildest interesting crash plan. *)
-  let dfs_scenario =
-    let k, n, t =
-      match List.find_opt (fun (_, _, t) -> t > 0) target.pool with
-      | Some p -> p
-      | None -> List.hd target.pool
-    in
-    let crash =
-      if t > 0 && target.model = Problem.Crash then Crash_plan.Mid_broadcast 1
-      else Crash_plan.No_crash
-    in
-    {
-      Repro.protocol = target.name;
-      attack = (match target.attacks with a :: _ -> a | [] -> "default");
-      k;
-      n;
-      t;
-      seed = 1L;
-      crash;
-    }
-  in
-  let dfs =
-    if dfs_budget <= 0 then None
-    else
-      Some
-        (Explore.dfs ~budget:dfs_budget ~run:(fun ~arbiter ->
-             let c = run_scenario target dfs_scenario ~arbiter in
-             (* dfs re-finds its own failing script; record the first one. *)
-             if c.violation <> None then note_failure dfs_scenario c;
-             c.violation = None))
-  in
-  let dfs_runs, dfs_exhausted =
-    match dfs with
-    | None -> (0, false)
-    | Some o -> (o.Explore.schedules_run, o.Explore.exhausted)
-  in
-  (* Phase 2: seeded random scenarios for the remaining budget. *)
-  let prng = Prng.create (Int64.of_int (seed + 0x5eed)) in
-  let random_runs = max 0 (budget - dfs_runs) in
-  for _ = 1 to random_runs do
-    let k, n, t = pick prng target.pool in
-    let scenario =
-      {
-        Repro.protocol = target.name;
-        attack = pick prng target.attacks;
-        k;
-        n;
-        t;
-        seed = Int64.of_int (1 + Prng.int prng 1_000_000);
-        crash = pick prng crash_descriptors;
-      }
-    in
-    let arbiter = Explore.random (Prng.create (Int64.of_int (1 + Prng.int prng 1_000_000))) in
-    note_failure scenario (run_scenario target scenario ~arbiter)
-  done;
-  {
-    target_name = target.name;
-    runs = dfs_runs + random_runs;
-    dfs_runs;
-    dfs_exhausted;
-    failures = collected ();
-  }
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "%s: %d runs (dfs %d%s), %d violation%s" o.target_name o.runs o.dfs_runs
-    (if o.dfs_exhausted then ", exhausted" else "")
-    (List.length o.failures)
-    (if List.length o.failures = 1 then "" else "s");
-  List.iter (fun r -> Format.fprintf ppf "@.  %a" Repro.pp r) o.failures
-
-(* ------------------------------------------------------------------ *)
-(* The coverage-guided campaign                                        *)
-(* ------------------------------------------------------------------ *)
 
 type campaign = {
   target_name : string;
@@ -295,13 +187,15 @@ let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
     failwith (Printf.sprintf "Check.campaign: %s has no admissible small instance" target.name);
   let coverage = Coverage.create () in
   let corpus = Corpus.create () in
-  let note_failure, collected = failure_collector target ~max_failures in
+  let failures = ref [] in
+  let seen = ref [] in
   let prng = Prng.create (Int64.of_int (seed + 0xc0de)) in
   let executed = ref 0 in
   let new_coverage_runs = ref 0 in
   (* One observed execution: probe the engine, fold the run's distinct
      signatures into the map, admit coverage-fresh scripts to the corpus,
-     hand any violation to the collector. *)
+     shrink a violation not seen before on this (invariant, scenario) while
+     fewer than [max_failures] are collected. *)
   let observe scenario ~arbiter =
     let p = Explore.probe ?bucket () in
     let c = run_scenario ~observer:p.Explore.observer target scenario ~arbiter in
@@ -310,7 +204,14 @@ let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
     if fresh > 0 then incr new_coverage_runs;
     if fresh > 0 || Corpus.size corpus = 0 then
       Corpus.add corpus { Corpus.scenario; script = c.script; new_signatures = fresh };
-    note_failure scenario c
+    match c.violation with
+    | None -> ()
+    | Some v ->
+      let key = (Invariant.name v.Invariant.invariant, scenario) in
+      if List.length !failures < max_failures && not (List.mem key !seen) then begin
+        seen := key :: !seen;
+        failures := shrink target scenario v ~script:c.script :: !failures
+      end
   in
   let fresh_seed () = Int64.of_int (1 + Prng.int prng 1_000_000) in
   let fresh_arbiter () = Explore.random (Prng.create (fresh_seed ())) in
@@ -356,7 +257,7 @@ let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
     new_coverage_runs = !new_coverage_runs;
     coverage;
     corpus;
-    failures = collected ();
+    failures = List.rev !failures;
   }
 
 let campaign_stats_json c =

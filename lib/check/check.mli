@@ -1,16 +1,16 @@
-(** The [dr_check] model checker: schedule fuzzing with an invariant oracle
-    and counterexample shrinking.
+(** The [dr_check] model checker: a coverage-guided schedule campaign with an
+    invariant oracle and counterexample shrinking.
 
     A {!target} is anything checkable — normally a {!Dr_core.Registry} entry
     via {!of_registry}, or a hand-built record (the tests check a
-    deliberately broken protocol stub this way). {!fuzz} searches for
+    deliberately broken protocol stub this way). {!campaign} searches for
     invariant violations in three moves:
 
-    + a budgeted DFS prefix of the schedule tree ({!Dr_engine.Explore.dfs})
-      on a fixed small scenario;
-    + seeded random schedules ({!Dr_engine.Explore.random}) over randomized
-      scenarios: instance parameters from the target's pool, attack names
-      from its catalog, crash plans from the descriptor pool;
+    + seed a corpus with {!Dr_engine.Explore.random} schedules, round-robin
+      over the target's instance pool, its attack catalog and a fixed set of
+      crash plans;
+    + spend the rest of the budget on mutants of the schedules that lit up
+      new execution signatures ({!Coverage}, {!Corpus}, {!Mutate});
     + every failure is re-recorded as a choice script, minimized with
       {!Shrink}, and packaged as a replayable {!Repro.t}.
 
@@ -26,7 +26,7 @@ type target = {
       (** enables the spec-bound invariant (see {!Invariant.check} for the
           randomized/resilience gating) *)
   pool : (int * int * int) list;
-      (** admissible [(k, n, t)] instance parameters the fuzzer draws from;
+      (** admissible [(k, n, t)] instance parameters the campaign draws from;
           must be small, because every schedule re-executes the protocol
           from the start *)
   run :
@@ -78,39 +78,15 @@ type replay_result =
 
 val replay : ?targets:target list -> Repro.t -> replay_result
 
-(** {2 The fuzz driver} *)
-
-type outcome = {
-  target_name : string;
-  runs : int;  (** executions performed (DFS + random) *)
-  dfs_runs : int;
-  dfs_exhausted : bool;  (** the DFS scenario's whole schedule tree fit *)
-  failures : Repro.t list;  (** shrunk, deduplicated by (invariant, scenario) *)
-}
-
-val fuzz :
-  ?dfs_budget:int ->
-  ?max_failures:int ->
-  budget:int ->
-  seed:int ->
-  target ->
-  outcome
-(** [fuzz ~budget ~seed target] spends [budget] executions on the target:
-    [dfs_budget] (default [budget / 4]) on the systematic prefix, the rest on
-    random scenarios. Stops collecting after [max_failures] (default 5)
-    shrunk counterexamples. Deterministic given [seed]. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** {2 The coverage-guided campaign}
 
-    [dr_check --campaign]'s driver: instead of [fuzz]'s fixed DFS + uniform
-    random split, the campaign keeps a {!Coverage} map of hashed execution
+    [dr_check]'s driver keeps a {!Coverage} map of hashed execution
     signatures and a {!Corpus} of the scripts that lit up new ones, and
     spends most of its budget mutating those ({!Mutate}) — replaying each
     mutant's script prefix exactly and improvising the suffix. Violations
-    are shrunk and deduplicated exactly as in [fuzz]. Deterministic given
-    [seed]: coverage map, corpus and failure list are all byte-reproducible. *)
+    are shrunk and deduplicated by (invariant, scenario). Deterministic
+    given [seed]: coverage map, corpus and failure list are all
+    byte-reproducible. *)
 
 type campaign = {
   target_name : string;

@@ -1,4 +1,4 @@
-(** The coverage map behind [dr_check --campaign].
+(** The coverage map behind [dr_check]'s campaign.
 
     Keys are the 30-bit signatures of {!Dr_engine.Explore.probe}
     (protocol-phase × event-type × round-bucket); values count how many runs

@@ -1,6 +1,6 @@
 (** Delta-debugging minimizer for failing choice scripts.
 
-    A counterexample found by the fuzzer is a choice script (see
+    A counterexample found by the campaign is a choice script (see
     {!Dr_engine.Explore}): one arbiter decision per event. Most of its
     entries are irrelevant to the failure; this module removes and lowers
     them until the script is locally minimal.

@@ -22,7 +22,7 @@ type entry = {
       (** the entry's full attack-name catalog, every name accepted by [run]
           (["default"] excluded for the Byzantine entries — it aliases the
           first name). Protocols without an attack surface list just
-          ["default"]. Test matrices and the [dr_check] fuzzer iterate this
+          ["default"]. Test matrices and the [dr_check] campaign iterate this
           instead of keeping their own per-protocol lists. *)
   run :
     ?opts:Exec.opts ->

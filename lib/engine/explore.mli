@@ -41,7 +41,8 @@ val record : Sim.arbiter -> Sim.arbiter * (unit -> int list)
     deterministic, replayable script. *)
 
 val random : Prng.t -> Sim.arbiter
-(** A uniformly random arbiter — schedule fuzzing beyond the DFS prefix. *)
+(** A uniformly random arbiter: every pending event is equally likely to
+    fire next — how the coverage campaign seeds its corpus. *)
 
 val scripted_then_random : int list -> Prng.t -> Sim.arbiter
 (** Follow the choice script, then continue with uniformly random choices —

@@ -1,8 +1,9 @@
-(* The dr_check model checker: invariant oracle, schedule fuzzing,
-   counterexample shrinking and repro-file round-trips.
+(* The dr_check model checker: invariant oracle, the campaign on a planted
+   bug, counterexample shrinking and repro-file round-trips.
 
-   Golden files (check_broken.repro.json, shrink_min.golden) regenerate with
-   DR_CHECK_BLESS=1 dune runtest. *)
+   shrink_min.golden regenerates with DR_CHECK_BLESS=1 dune runtest.
+   check_broken.repro.json is a fixed repro of the planted bug: the test
+   replays it, and nothing rewrites it. *)
 
 open Dr_core
 module Check = Dr_check.Check
@@ -291,15 +292,15 @@ let test_shrink_crash_plan () =
   checkb "script shrunk to nothing" true (r.Repro.script = [])
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzing the planted bug + repro round-trip                          *)
+(* The campaign on the planted bug + repro round-trip                  *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_broken () = Check.fuzz ~dfs_budget:100 ~budget:200 ~seed:1 broken_target
+let broken_campaign () = Check.campaign ~budget:200 ~seed:1 broken_target
 
 let test_fuzz_finds_and_shrinks_planted_bug () =
-  let o = fuzz_broken () in
-  checkb "found the planted bug" true (o.Check.failures <> []);
-  let r = List.hd o.Check.failures in
+  let c = broken_campaign () in
+  checkb "found the planted bug" true (c.Check.failures <> []);
+  let r = List.hd c.Check.failures in
   checks "agreement broke" "agreement" r.Repro.invariant;
   (* Local minimality: dropping any single element of the shrunk script (or
      lowering any choice) loses the failure. *)
@@ -324,19 +325,15 @@ let test_fuzz_finds_and_shrinks_planted_bug () =
   | Check.Vanished -> Alcotest.fail "vanished"
 
 let test_repro_json_roundtrip () =
-  let o = fuzz_broken () in
-  let r = List.hd o.Check.failures in
+  let c = broken_campaign () in
+  let r = List.hd c.Check.failures in
   let r' = repro_of_json (repro_json r) in
   checkb "round-trips structurally" true (r = r');
   checks "round-trips textually" (repro_json r) (repro_json r')
 
 let test_repro_golden_file () =
-  (* The committed repro file is the checker's output verbatim: serialize,
-     compare bytes, reload, replay, and demand the same invariant at the
-     same event index. *)
-  let o = fuzz_broken () in
-  let r = List.hd o.Check.failures in
-  bless_or_compare ~path:"check_broken.repro.json" ~label:"golden repro bytes" (repro_json r);
+  (* The committed repro file must reload, replay, and fail the same
+     invariant at the same event index. *)
   let reloaded = Repro.read "check_broken.repro.json" in
   match Check.replay ~targets:[ broken_target ] reloaded with
   | Check.Reproduced v ->
@@ -360,14 +357,14 @@ let test_repro_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 
 let test_registry_protocols_clean () =
-  (* Small fixed-seed fuzz budget over every registry protocol: the real
+  (* Small fixed-seed campaign over every registry protocol: the real
      protocols must produce zero violations (the @check-smoke alias runs the
      same thing with a bigger budget via the CLI). *)
   List.iter
     (fun entry ->
-      let o = Check.fuzz ~dfs_budget:40 ~budget:80 ~seed:1 (Check.of_registry entry) in
-      checki (Registry.name entry ^ " violations") 0 (List.length o.Check.failures);
-      checki (Registry.name entry ^ " runs") 80 o.Check.runs)
+      let c = Check.campaign ~budget:80 ~seed:1 (Check.of_registry entry) in
+      checki (Registry.name entry ^ " violations") 0 (List.length c.Check.failures);
+      checki (Registry.name entry ^ " executed") 80 c.Check.executed)
     Registry.all
 
 let test_unknown_attack_rejected () =
@@ -402,8 +399,8 @@ let test_unknown_attack_rejected () =
 let test_replay_detects_divergence () =
   (* A repro doctored to expect the wrong event index must be flagged as
      divergence, not reported as reproduced. *)
-  let o = fuzz_broken () in
-  let r = List.hd o.Check.failures in
+  let c = broken_campaign () in
+  let r = List.hd c.Check.failures in
   let doctored = { r with Repro.event = r.Repro.event + 1 } in
   (match Check.replay ~targets:[ broken_target ] doctored with
   | Check.Diverged _ -> ()
