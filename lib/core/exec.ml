@@ -35,14 +35,16 @@ let with_arbiter arbiter opts = { opts with arbiter = Some arbiter }
 let without_trace opts = { opts with trace = None }
 
 let build_config inst opts =
-  let source = Dr_source.Data_source.create ~k:inst.Problem.k inst.Problem.x in
-  let query_bit =
+  let source =
     match opts.query_override with
-    | Some f -> f
-    | None -> Dr_source.Data_source.query_fn source
+    | Some f -> Dr_engine.Sim.bit_source f
+    | None ->
+      Dr_source.Data_source.read_range
+        (Dr_source.Data_source.create ~k:inst.Problem.k inst.Problem.x)
   in
   {
-    (Dr_engine.Sim.default_config ~k:inst.Problem.k ~query_bit) with
+    (Dr_engine.Sim.default_config ~k:inst.Problem.k ~query_bit:(fun ~peer:_ _ -> false)) with
+    source;
     seed = inst.Problem.seed;
     latency = opts.latency;
     link_rate = opts.link_rate;

@@ -1,9 +1,10 @@
 (* The simulator transport: a thin renaming of Dr_engine.Sim.Make to the
    Transport.S vocabulary. Every function but [query_range] is a direct
-   alias; [query_range] packs the simulator's per-bit range read into a
-   Bitarray. Protocol cores instantiated over it execute the exact same
-   effect sequence as the pre-transport code — the golden determinism tests
-   pin this bit-exactly. *)
+   alias; [query_range] has the simulator read straight into the returned
+   Bitarray's bytes, so a range read copies its bits once.
+   Protocol cores instantiated over it execute the exact same effect
+   sequence as the pre-transport code — the golden determinism tests pin
+   this bit-exactly. *)
 
 module Make (M : Transport.MSG) = struct
   module S = Dr_engine.Sim.Make (M)
@@ -18,9 +19,7 @@ module Make (M : Transport.MSG) = struct
   let query = S.query
 
   let query_range ~pos ~len =
-    let bits = Dr_source.Bitarray.create len in
-    S.query_range ~pos ~len (fun r v -> if v then Dr_source.Bitarray.set bits r true);
-    bits
+    Dr_source.Bitarray.init_bytes len (S.query_range ~pos ~len)
 
   let rng = S.rng
   let die = S.die

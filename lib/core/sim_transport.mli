@@ -2,7 +2,7 @@
 
     [Make (Msg)] instantiates one simulator ({!Dr_engine.Sim.Make}) and
     exposes its process-side API under the transport names ([query_range]
-    packs the simulator's per-bit-charged range read into a
+    reads the range into a fresh buffer that becomes the returned
     {!Dr_source.Bitarray.t}). [run_sim] drives an execution: the process
     passed to it must perform its transport calls through {e this}
     instance (each [Make] application owns its own effect constructors). *)

@@ -49,9 +49,9 @@ module type S = sig
   (** [query_range ~pos ~len] reads bits [pos .. pos+len-1] as one
       transport operation: one simulator effect, or one source round trip
       on sockets. This is the only way a transport reads the source. Q is
-      still charged per bit — [len] queries, each metered through
-      {!Dr_source.Data_source} accounting, traced and crash-checked
-      ([After_queries]) on its own — so a range read is indistinguishable
+      still charged per bit — [len] queries in {!Dr_source.Data_source}
+      accounting, each traced and crash-checked ([After_queries]) on its
+      own — so a range read is indistinguishable
       in cost and outcome from the loop
       [Bitarray.init len (fun r -> query (pos + r))]. Use it for
       non-adaptive contiguous reads; a read whose next index depends on

@@ -50,7 +50,9 @@ let[@inline] bump t i field =
 
 let[@inline] queries t i = Array.unsafe_get t.data ((i * stride) + f_queries)
 let[@inline] msgs_sent t i = Array.unsafe_get t.data ((i * stride) + f_msgs_sent)
-let[@inline] on_query t i = bump t i f_queries
+let[@inline] on_query t i ~bits =
+  let idx = (i * stride) + f_queries in
+  Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + bits)
 
 let on_send t i ~size_bits =
   let base = i * stride in

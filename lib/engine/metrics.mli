@@ -32,7 +32,10 @@ val msgs_sent : t -> int -> int
     index): what the simulator's [After_queries] / [After_sends] crash
     checks compare against. *)
 
-val on_query : t -> int -> unit
+val on_query : t -> int -> bits:int -> unit
+(** [on_query t i ~bits] charges [bits] source queries to peer [i]: a range
+    read is one call. *)
+
 val on_send : t -> int -> size_bits:int -> unit
 val on_receive : t -> int -> unit
 val on_wakeup : t -> int -> unit

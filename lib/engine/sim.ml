@@ -21,7 +21,7 @@ type obs = { obs_kind : obs_kind; obs_peer : int; obs_tag : string; obs_step : i
 type config = {
   k : int;
   seed : int64;
-  query_bit : peer:int -> int -> bool;
+  source : peer:int -> pos:int -> len:int -> Bytes.t -> unit;
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
   link_rate : float;
   crash : int -> crash_spec;
@@ -31,11 +31,21 @@ type config = {
   observer : (obs -> unit) option;
 }
 
+(* Bit [r] of a range buffer is bit [r land 7] of byte [r lsr 3]: the
+   [Bitarray] packing. *)
+let bit_source query_bit ~peer ~pos ~len buf =
+  for r = 0 to len - 1 do
+    let q = r lsr 3 and mask = 1 lsl (r land 7) in
+    let byte = Char.code (Bytes.get buf q) in
+    let byte = if query_bit ~peer (pos + r) then byte lor mask else byte land lnot mask in
+    Bytes.set buf q (Char.unsafe_chr byte)
+  done
+
 let default_config ~k ~query_bit =
   {
     k;
     seed = 1L;
-    query_bit;
+    source = bit_source query_bit;
     latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 1.);
     link_rate = infinity;
     crash = (fun _ -> Never);
@@ -58,7 +68,7 @@ module Make (M : MESSAGE) = struct
     | E_send : int * M.t -> unit Effect.t
     | E_broadcast : M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
-    | E_query_range : int * int * (int -> bool -> unit) -> unit Effect.t
+    | E_query_range : int * int * Bytes.t -> unit Effect.t
     | E_now : float Effect.t
     | E_me : int Effect.t
     | E_k : int Effect.t
@@ -72,12 +82,12 @@ module Make (M : MESSAGE) = struct
   let broadcast msg = Effect.perform (E_broadcast msg)
 
   let receive () = Effect.perform E_receive
-  let query_range ~pos ~len set = Effect.perform (E_query_range (pos, len, set))
+  let query_range ~pos ~len buf = Effect.perform (E_query_range (pos, len, buf))
 
   let query i =
-    let value = ref false in
-    query_range ~pos:i ~len:1 (fun _ v -> value := v);
-    !value
+    let buf = Bytes.create 1 in
+    query_range ~pos:i ~len:1 buf;
+    Char.code (Bytes.get buf 0) land 1 <> 0
 
   let rng () = Effect.perform E_rng
   let die () = raise Halted
@@ -180,30 +190,29 @@ module Make (M : MESSAGE) = struct
       if trace_on then tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
       Effect.Deep.discontinue k Crashed
     in
-    (* Read a range bit by bit, all within the event that issued it: the
-       only place a source query is charged (metrics, the source itself,
-       the trace, the [After_queries] check). Each bit runs what a one-bit
-       read would, so a range is indistinguishable from the loop of {!query}
-       calls. *)
-    let query_range_from p pos len set k =
-      let rec go r =
-        if r >= len then Effect.Deep.continue k ()
-        else begin
-          let i = pos + r in
-          Metrics.on_query metrics p.id;
-          let value = cfg.query_bit ~peer:p.id i in
-          if trace_on then
-            tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
-          set r value;
-          let crash_now =
-            match Array.unsafe_get crash_spec p.id with
-            | After_queries j -> Metrics.queries metrics p.id >= j
-            | Never | At_time _ | After_sends _ -> false
-          in
-          if crash_now then crash_in p k else go (r + 1)
-        end
+    (* Read a range within the event that issued it: the only place a
+       source query is charged. The loop of one-bit reads it stands for
+       would check [After_queries j] after each bit, so the peer gets
+       [m] bits: one if it is already at [j] queries, else up to the bit
+       that reaches [j]. Those [m] bits are charged in one add and read in
+       one [source] call; the trace still gets one record per bit. *)
+    let query_range_from p pos len buf k =
+      let budget =
+        match Array.unsafe_get crash_spec p.id with
+        | After_queries j -> j - Metrics.queries metrics p.id
+        | Never | At_time _ | After_sends _ -> max_int
       in
-      go 0
+      let m = if len = 0 then 0 else if budget <= 0 then 1 else Int.min len budget in
+      if m > 0 then begin
+        Metrics.on_query metrics p.id ~bits:m;
+        cfg.source ~peer:p.id ~pos ~len:m buf
+      end;
+      if trace_on then
+        for r = 0 to m - 1 do
+          let value = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
+          tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = pos + r; value })
+        done;
+      if m > 0 && m >= budget then crash_in p k else Effect.Deep.continue k ()
     in
     (* One send from [p] to [dst]: the body shared by [E_send] and each
        destination of [E_broadcast]. Returns [false] when the send ended the
@@ -282,11 +291,13 @@ module Make (M : MESSAGE) = struct
         | E_receive -> on_receive
         | E_send (dst, msg) -> Some (fun k -> send_from p dst msg k)
         | E_broadcast msg -> Some (fun k -> broadcast_from p msg k)
-        | E_query_range (pos, len, set) ->
+        | E_query_range (pos, len, buf) ->
           Some
             (fun k ->
               if len < 0 then discontinue k (Invalid_argument "Sim.query_range: negative length")
-              else query_range_from p pos len set k)
+              else if len > 8 * Bytes.length buf then
+                discontinue k (Invalid_argument "Sim.query_range: buffer too short")
+              else query_range_from p pos len buf k)
         | _ -> None
       in
       {

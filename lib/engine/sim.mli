@@ -8,7 +8,10 @@
     OCaml functions; [receive] and [query_range] are OCaml 5 effects
     interpreted by the event loop, so a peer reads exactly like the paper's
     pseudo-code ("wait until it receives …"). Only [receive] can suspend a
-    peer: a source read is answered within the event that issued it.
+    peer: a source read is answered within the event that issued it. Q,
+    trace records and the [After_queries] crash point are per bit, but a
+    range read reaches the source in one call ([config.source]), not one
+    call per bit.
 
     Executions are fully deterministic given the configuration and seed:
     the event queue breaks time ties by schedule order and all randomness
@@ -82,9 +85,14 @@ type obs = {
 type config = {
   k : int;  (** number of peers *)
   seed : int64;
-  query_bit : peer:int -> int -> bool;
-      (** the external source. Per-peer so that lower-bound adversaries can
-          hand corrupted peers a different (simulated) input array. *)
+  source : peer:int -> pos:int -> len:int -> Bytes.t -> unit;
+      (** the external source: [source ~peer ~pos ~len b] writes bits
+          [pos .. pos+len-1] into [b] from bit 0, bit [r] as bit [r land 7]
+          of byte [r lsr 3] (the [Bitarray] packing), leaving later bits of
+          [b] alone. Called at most once per range read, with [len >= 1]: the
+          bits the reader gets before its [After_queries] crash. Per-peer
+          so that lower-bound adversaries can hand corrupted peers a
+          different (simulated) input array. *)
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
       (** adversarial propagation delay; must be finite and [>= 0.] *)
   link_rate : float;
@@ -101,11 +109,15 @@ type config = {
           one branch per event. *)
 }
 
+val bit_source : (peer:int -> int -> bool) -> peer:int -> pos:int -> len:int -> Bytes.t -> unit
+(** [bit_source query_bit] is a [config.source] that asks [query_bit] for
+    each bit of the range in order, setting or clearing it in the buffer. *)
+
 val default_config : k:int -> query_bit:(peer:int -> int -> bool) -> config
-(** Unit latency on every link, unbounded link rate, no crashes, no trace,
-    no arbiter, no observer, generous event limit. Every peer starts at
-    time 0 (not configurable; an arbiter can still fire the starts in any
-    order). *)
+(** Source [bit_source query_bit], unit latency on every link, unbounded
+    link rate, no crashes, no trace, no arbiter, no observer, generous
+    event limit. Every peer starts at time 0 (not configurable; an arbiter
+    can still fire the starts in any order). *)
 
 type 'r outcome = {
   outputs : (float * 'r) option array;
@@ -138,17 +150,20 @@ module Make (M : MESSAGE) : sig
       arrives. Protocols keep their own buffers for out-of-phase messages,
       as in the paper. *)
 
-  val query_range : pos:int -> len:int -> (int -> bool -> unit) -> unit
-  (** [query_range ~pos ~len set] reads bits [pos .. pos+len-1] in order,
-      calling [set r v] with the value [v] of bit [pos + r]. This one effect
-      is the simulator's only source read, and it charges every bit on its
-      own: one [query_bit] call, one Q unit, one [Trace.Queried] record and
-      one [After_queries] crash check. The whole range is answered within
-      the event that issued it, so the run is indistinguishable from the
-      loop [for r = 0 to len - 1 do set r (query (pos + r)) done]. *)
+  val query_range : pos:int -> len:int -> Bytes.t -> unit
+  (** [query_range ~pos ~len b] reads bits [pos .. pos+len-1] into [b] from
+      bit 0, in [config.source]'s packing. This one effect is the
+      simulator's only source read. Each bit still costs one Q unit, one
+      [Trace.Queried] record and one [After_queries] check, but the bits a
+      peer gets before its crash point are charged in one step and read in
+      one [source] call. The whole range is answered within the event that
+      issued it, so the run is indistinguishable from a loop of one-bit
+      reads. Raises [Invalid_argument] on a negative [len] or a [b] shorter
+      than [(len + 7) / 8] bytes. *)
 
   val query : int -> bool
-  (** [query i] reads bit [i] (counted in Q): [query_range ~pos:i ~len:1]. *)
+  (** [query i] reads bit [i] (counted in Q): [query_range ~pos:i ~len:1]
+      into a fresh one-byte buffer. *)
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)

@@ -30,7 +30,7 @@ let rule_doc = function
   | L1 -> "determinism: no ambient randomness or wall-clock in simulated code"
   | L2 -> "monomorphic compare: no polymorphic compare/=/min/max on structured operands"
   | L3 -> "no direct stdout/stderr in lib/: print through a formatter parameter"
-  | L4 -> "query confinement: only Exec/Problem/Dr_source may touch Data_source.query"
+  | L4 -> "query confinement: only Exec/Problem/Dr_source/Source_server may read Data_source"
   | L5 -> "fiber safety: no exit/blocking IO inside lib/core or lib/engine"
   | R1 -> "domain zones: every escaping mutable cell/type carries a dr-race.zones declaration"
   | R2 -> "cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; init-only is never written post-init"

@@ -86,12 +86,13 @@ let check_ident ctx parts : (Finding.rule * string) option =
          explicitly" )
   | [ "Hashtbl"; "randomize" ] when ctx.in_lib ->
     Some (Finding.L1, "randomized hashtables iterate in a seed-dependent order; replay needs a fixed order")
-  | ([ "Data_source"; ("query" | "query_fn") ] | [ _; "Data_source"; ("query" | "query_fn") ])
+  | ( [ "Data_source"; ("query" | "query_fn" | "read_range") ]
+    | [ _; "Data_source"; ("query" | "query_fn" | "read_range") ] )
     when not ctx.allow_query ->
     Some
       ( Finding.L4,
-        "Data_source.query outside Exec/Problem/Dr_source/Source_server bypasses Q metering; \
-         use the query function the runtime hands to the protocol" )
+        "Data_source.query/query_fn/read_range outside Exec/Problem/Dr_source/Source_server \
+         bypasses Q metering; use the query function the runtime hands to the protocol" )
   | [ ("exit" | "at_exit") ] when ctx.in_core_engine ->
     Some
       ( Finding.L5,

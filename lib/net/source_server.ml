@@ -50,19 +50,18 @@ let total_queries t = locked t (fun () -> Data_source.total_queries t.source)
 let replay_hits t = locked t (fun () -> t.replays)
 
 (* A range is checked whole before any bit is read, so a bad one charges
-   nothing; a good one charges each bit as a one-bit read of it would. *)
+   nothing; a good one charges [len], as [len] one-bit reads would. *)
 let query_range t ~peer ~pos ~len : Source_proto.response =
   let n = Data_source.n t.source in
   if pos < 0 || len < 0 || pos > n - len then
     Err (Printf.sprintf "range (pos %d, len %d) outside the %d-bit input" pos len n)
-  else
-    Bits (Dr_source.Bitarray.init len (fun r -> Data_source.query t.source ~peer (pos + r)))
+  else Bits (Dr_source.Bitarray.init_bytes len (Data_source.read_range t.source ~peer ~pos ~len))
 
 (* Answer one [Query_range] under the lock: either replay the cached
    response for a sequence number already processed (a transport retry —
    charged nothing), or read the range from the metered Data_source and
    cache the result. This call is the net runtime's whole Q-accounting
-   boundary (lint rule L4 confines [Data_source.query] here). *)
+   boundary (lint rule L4 confines [Data_source.read_range] here). *)
 let answer_query t ~peer ~seq ~pos ~len : Source_proto.response =
   locked t (fun () ->
       match t.replay.(peer) with

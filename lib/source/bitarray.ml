@@ -51,52 +51,86 @@ let of_string s =
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
 
-(* Byte-level copying. [read8 src at w] is the [w <= 8] bits of [src]
-   starting at bit [at], packed from bit 0; [write8 dst at w v] stores them
-   at bit [at] of [dst], touching no other bit. Every bit of [dst] outside
-   the written range, its zero padding included, is left as it was. *)
+(* Bit-level copying on the packed bytes. [read8 src at w] is the [w <= 8]
+   bits of [src] starting at bit [at], packed from bit 0; [write8 dst at w v]
+   stores them at bit [at] of [dst], touching no other bit. *)
 let read8 src at w =
   let q = at lsr 3 and sh = at land 7 in
-  let v = Char.code (Bytes.get src.data q) lsr sh in
-  let v = if sh + w > 8 then v lor (Char.code (Bytes.get src.data (q + 1)) lsl (8 - sh)) else v in
+  let v = Char.code (Bytes.get src q) lsr sh in
+  let v = if sh + w > 8 then v lor (Char.code (Bytes.get src (q + 1)) lsl (8 - sh)) else v in
   v land ((1 lsl w) - 1)
+
+let merge dst q mask v =
+  let old = Char.code (Bytes.get dst q) in
+  Bytes.set dst q (Char.unsafe_chr ((old land lnot mask) lor (v land mask)))
 
 let write8 dst at w v =
   let q = at lsr 3 and sh = at land 7 in
   let mask = ((1 lsl w) - 1) lsl sh and v = v lsl sh in
-  let put q mask v =
-    let old = Char.code (Bytes.get dst.data q) in
-    Bytes.set dst.data q (Char.unsafe_chr ((old land lnot mask) lor (v land mask)))
-  in
-  put q (mask land 0xff) (v land 0xff);
-  if sh + w > 8 then put (q + 1) (mask lsr 8) (v lsr 8)
+  merge dst q (mask land 0xff) (v land 0xff);
+  if sh + w > 8 then merge dst (q + 1) (mask lsr 8) (v lsr 8)
 
-(* Copy bits [src_pos, src_pos+len) of [src] to [dst_pos..] of [dst]: one
-   [Bytes.blit] when both ends are byte-aligned, else one shifted byte at a
-   time; only a trailing partial byte is merged under a mask. *)
+let low56 = 0xFF_FFFF_FFFF_FFFF
+
+(* Copy bits [src_pos, src_pos+len) of [src] to bits [dst_pos..] of [dst],
+   touching no other bit of [dst] (its zero padding included). When both
+   ends are byte-aligned the whole bytes are one [Bytes.blit]. Otherwise 56
+   bits move per step while both 8-byte windows fit: one little-endian
+   64-bit load holds the 56 source bits after a shift of at most 7, and one
+   masked 64-bit read-modify-write stores them. The rest goes a byte at a
+   time, and only a trailing partial byte is merged under a narrower mask. *)
 let blit_bits ~src ~src_pos ~dst ~dst_pos ~len =
-  let full = len lsr 3 in
-  let aligned = src_pos land 7 = 0 && dst_pos land 7 = 0 in
-  if aligned then Bytes.blit src.data (src_pos lsr 3) dst.data (dst_pos lsr 3) full
-  else
-    for j = 0 to full - 1 do
-      write8 dst (dst_pos + (8 * j)) 8 (read8 src (src_pos + (8 * j)) 8)
+  let r = ref 0 in
+  if src_pos land 7 = 0 && dst_pos land 7 = 0 then begin
+    Bytes.blit src (src_pos lsr 3) dst (dst_pos lsr 3) (len lsr 3);
+    r := len land lnot 7
+  end
+  else begin
+    let src_end = Bytes.length src - 8 and dst_end = Bytes.length dst - 8 in
+    while
+      len - !r >= 56 && (src_pos + !r) lsr 3 <= src_end && (dst_pos + !r) lsr 3 <= dst_end
+    do
+      let s = src_pos + !r and d = dst_pos + !r in
+      let v = (Int64.to_int (Bytes.get_int64_le src (s lsr 3)) lsr (s land 7)) land low56 in
+      let sh = d land 7 in
+      let mask = Int64.shift_left (Int64.of_int low56) sh in
+      let old = Bytes.get_int64_le dst (d lsr 3) in
+      Bytes.set_int64_le dst (d lsr 3)
+        (Int64.logor (Int64.logand old (Int64.lognot mask)) (Int64.shift_left (Int64.of_int v) sh));
+      r := !r + 56
     done;
+    while len - !r >= 8 do
+      write8 dst (dst_pos + !r) 8 (read8 src (src_pos + !r) 8);
+      r := !r + 8
+    done
+  end;
+  let w = len - !r in
+  if w > 0 then write8 dst (dst_pos + !r) w (read8 src (src_pos + !r) w)
+
+let blit_to_bytes ~src ~pos ~len dst =
+  if pos < 0 || len < 0 || pos > src.len - len || len > 8 * Bytes.length dst then
+    invalid_arg "Bitarray.blit_to_bytes";
+  blit_bits ~src:src.data ~src_pos:pos ~dst ~dst_pos:0 ~len
+
+let init_bytes len fill =
+  let t = create len in
+  fill t.data;
   let w = len land 7 in
   if w > 0 then begin
-    let off = 8 * full in
-    write8 dst (dst_pos + off) w (read8 src (src_pos + off) w)
-  end
+    let q = len lsr 3 in
+    Bytes.set t.data q (Char.unsafe_chr (Char.code (Bytes.get t.data q) land ((1 lsl w) - 1)))
+  end;
+  t
 
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos > t.len - len then invalid_arg "Bitarray.sub";
   let r = create len in
-  blit_bits ~src:t ~src_pos:pos ~dst:r ~dst_pos:0 ~len;
+  blit_bits ~src:t.data ~src_pos:pos ~dst:r.data ~dst_pos:0 ~len;
   r
 
 let blit ~src ~dst ~pos =
   if pos < 0 || pos > dst.len - src.len then invalid_arg "Bitarray.blit";
-  blit_bits ~src ~src_pos:0 ~dst ~dst_pos:pos ~len:src.len
+  blit_bits ~src:src.data ~src_pos:0 ~dst:dst.data ~dst_pos:pos ~len:src.len
 
 let append a b =
   let t = create (a.len + b.len) in

@@ -35,6 +35,19 @@ val sub : t -> pos:int -> len:int -> t
 val blit : src:t -> dst:t -> pos:int -> unit
 (** Write [src] into [dst] starting at bit [pos]. *)
 
+val blit_to_bytes : src:t -> pos:int -> len:int -> Bytes.t -> unit
+(** [blit_to_bytes ~src ~pos ~len b] copies bits [pos .. pos+len-1] of
+    [src] into [b] from bit 0, packed the way this module packs them: bit
+    [r] is bit [r land 7] of byte [r lsr 3]. Bits of [b] from [len] on are
+    left as they were. Raises [Invalid_argument] on a range outside [src]
+    or a [b] shorter than [(len + 7) / 8] bytes. *)
+
+val init_bytes : int -> (Bytes.t -> unit) -> t
+(** [init_bytes len fill] calls [fill] once on a zeroed buffer of
+    [(len + 7) / 8] bytes and returns what it wrote as a [len]-bit array
+    (the layout of {!blit_to_bytes}), padding cleared. The array owns the
+    buffer; [fill] must not keep it. *)
+
 val append : t -> t -> t
 
 val first_diff : t -> t -> int option

@@ -14,5 +14,13 @@ let query t ~peer i =
   Bitarray.get t.bits i
 
 let query_fn t ~peer i = query t ~peer i
+
+let read_range t ~peer ~pos ~len buf =
+  if peer < 0 || peer >= Array.length t.counts then invalid_arg "Data_source.read_range: bad peer";
+  (* The copy validates the range and the buffer before writing, so a
+     rejected read charges nothing. *)
+  Bitarray.blit_to_bytes ~src:t.bits ~pos ~len buf;
+  t.counts.(peer) <- t.counts.(peer) + len
+
 let queries_by t peer = t.counts.(peer)
 let total_queries t = Array.fold_left ( + ) 0 t.counts

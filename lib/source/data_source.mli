@@ -19,7 +19,17 @@ val query : t -> peer:int -> int -> bool
     out-of-range index or peer, before charging anything. *)
 
 val query_fn : t -> peer:int -> int -> bool
-(** Same, shaped for {!Dr_engine.Sim.Make}'s [query_bit] field. *)
+(** Same, shaped as the per-bit function {!Dr_engine.Sim.default_config}
+    and {!Dr_engine.Sim.bit_source} take. *)
+
+val read_range : t -> peer:int -> pos:int -> len:int -> Bytes.t -> unit
+(** [read_range t ~peer ~pos ~len b] answers the [len] queries
+    [pos .. pos+len-1] at once: it charges [len] to [peer] and copies the
+    bits into [b] packed from bit 0 ({!Bitarray.blit_to_bytes}'s layout;
+    bits of [b] from [len] on are untouched). Shaped for
+    {!Dr_engine.Sim.config}'s [source] field. Raises [Invalid_argument] on
+    a bad peer, a range outside the input or a [b] shorter than
+    [(len + 7) / 8] bytes, before charging anything. *)
 
 val queries_by : t -> int -> int
 (** Queries charged to a peer so far. *)

@@ -827,9 +827,9 @@ let test_trace_load_rejects_garbage () =
 
 let test_metrics_summary_selection () =
   let m = Metrics.create 3 in
-  Metrics.on_query m 0;
-  Metrics.on_query m 0;
-  Metrics.on_query m 2;
+  Metrics.on_query m 0 ~bits:1;
+  Metrics.on_query m 0 ~bits:1;
+  Metrics.on_query m 2 ~bits:1;
   Metrics.on_send m 1 ~size_bits:100;
   Metrics.on_send m 1 ~size_bits:50;
   let all = Metrics.summarize m in
@@ -888,13 +888,16 @@ type range_run = {
   outcome : (bool list * bool) Sim.outcome;
 }
 
-let range_scenario ~use_range ~crash ~arbiter =
+let bit_of buf r = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0
+
+let range_scenario ?(source = Sim.bit_source range_query_bit) ~use_range ~crash ~arbiter () =
   let trace = Trace.create () in
   let seen = ref [] in
   let observer o = seen := (o.Sim.obs_kind, o.Sim.obs_peer, o.Sim.obs_tag, o.Sim.obs_step) :: !seen in
   let cfg =
     {
       (Sim.default_config ~k:3 ~query_bit:range_query_bit) with
+      source;
       crash;
       trace = Some trace;
       observer = Some observer;
@@ -903,9 +906,9 @@ let range_scenario ~use_range ~crash ~arbiter =
   in
   let read ~pos ~len =
     if use_range then begin
-      let buf = Array.make len false in
-      S.query_range ~pos ~len (fun r v -> buf.(r) <- v);
-      buf
+      let buf = Bytes.make ((len + 7) / 8) '\000' in
+      S.query_range ~pos ~len buf;
+      Array.init len (bit_of buf)
     end
     else Array.init len (fun r -> S.query (pos + r))
   in
@@ -928,9 +931,16 @@ let range_scenario ~use_range ~crash ~arbiter =
     outcome;
   }
 
-let test_query_range_matches_loop () =
-  let peer1 spec i = if i = 1 then spec else Sim.Never in
-  let crashes =
+(* Crashes before, inside, on the last bit of and after peer 1's 13-bit
+   read, each with and without an arbiter. *)
+let peer1 spec i = if i = 1 then spec else Sim.Never
+
+let range_cases =
+  List.concat_map
+    (fun (cname, crash) ->
+      List.map
+        (fun (aname, arbiter) -> (Printf.sprintf "%s, %s" cname aname, crash, arbiter))
+        [ ("timed", None); ("arbiter", Some (fun count -> count / 2)) ])
     [
       ("no crash", fun _ -> Sim.Never);
       ("crash before", peer1 (Sim.After_queries 0));
@@ -938,27 +948,28 @@ let test_query_range_matches_loop () =
       ("crash on the last bit", peer1 (Sim.After_queries 13));
       ("crash after", peer1 (Sim.After_queries 14));
     ]
-  in
-  let arbiters = [ ("timed", None); ("arbiter", Some (fun count -> count / 2)) ] in
+
+let check_same_run what a b =
+  checkb (what ^ ": trace records") true (a.records = b.records);
+  checkb (what ^ ": observer stream") true (a.observed = b.observed);
+  checkb (what ^ ": metrics") true (a.counters = b.counters);
+  checkb (what ^ ": outputs") true (a.outcome.Sim.outputs = b.outcome.Sim.outputs);
+  checkb (what ^ ": status, events, end time") true
+    (a.outcome.Sim.status = b.outcome.Sim.status
+    && a.outcome.Sim.events = b.outcome.Sim.events
+    && a.outcome.Sim.end_time = b.outcome.Sim.end_time)
+
+let test_query_range_matches_loop () =
   List.iter
-    (fun (cname, crash) ->
-      List.iter
-        (fun (aname, arbiter) ->
-          let loop = range_scenario ~use_range:false ~crash ~arbiter in
-          let range = range_scenario ~use_range:true ~crash ~arbiter in
-          let what = Printf.sprintf "%s, %s" cname aname in
-          checkb (what ^ ": trace records") true (loop.records = range.records);
-          checkb (what ^ ": observer stream") true (loop.observed = range.observed);
-          checkb (what ^ ": metrics") true (loop.counters = range.counters);
-          checkb (what ^ ": outputs") true (loop.outcome.Sim.outputs = range.outcome.Sim.outputs);
-          checkb (what ^ ": status, events, end time") true
-            (loop.outcome.Sim.status = range.outcome.Sim.status
-            && loop.outcome.Sim.events = range.outcome.Sim.events
-            && loop.outcome.Sim.end_time = range.outcome.Sim.end_time))
-        arbiters)
-    crashes;
+    (fun (what, crash, arbiter) ->
+      check_same_run what
+        (range_scenario ~use_range:false ~crash ~arbiter ())
+        (range_scenario ~use_range:true ~crash ~arbiter ()))
+    range_cases;
   (* The scenarios are not vacuous: peer 1 really dies mid-range. *)
-  let inside = range_scenario ~use_range:true ~crash:(peer1 (Sim.After_queries 5)) ~arbiter:None in
+  let inside =
+    range_scenario ~use_range:true ~crash:(peer1 (Sim.After_queries 5)) ~arbiter:None ()
+  in
   checki "crashed peer charged exactly 5 bits" 5 (List.nth inside.counters 1).Metrics.queries;
   checkb "crashed peer has no output" true (inside.outcome.Sim.outputs.(1) = None)
 
@@ -1070,11 +1081,12 @@ let test_sim_storm_allocation_budget () =
 let test_range_read_allocation_free () =
   let bits = 65_536 in
   let x = Dr_source.Bitarray.init bits (fun i -> i mod 3 = 0) in
+  let buf = Bytes.create (bits / 8) in
   let words len =
     let source = Dr_source.Data_source.create ~k:1 x in
     let cfg = Sim.default_config ~k:1 ~query_bit:(Dr_source.Data_source.query_fn source) in
     let before = Gc.minor_words () in
-    let outcome = S.run cfg (fun _ -> S.query_range ~pos:0 ~len (fun _ _ -> ())) in
+    let outcome = S.run cfg (fun _ -> S.query_range ~pos:0 ~len buf) in
     let words = Gc.minor_words () -. before in
     checki "every bit charged" len (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
     words
@@ -1082,6 +1094,72 @@ let test_range_read_allocation_free () =
   let empty = words 0 in
   let per_bit = (words bits -. empty) /. float_of_int bits in
   checkb (Printf.sprintf "%.3f minor words per charged bit <= 0.01" per_bit) true (per_bit <= 0.01)
+
+(* The block source and the per-bit adapter over the same [Data_source] are
+   indistinguishable: the same trace, observer stream, metrics and outputs,
+   and the same charge at the source itself, in every crash case of the
+   range test (whose scenario includes a [len = 0] read). *)
+let test_block_source_matches_bit_adapter () =
+  let x = Dr_source.Bitarray.init (Array.length range_input) (Array.get range_input) in
+  let run ~block ~crash ~arbiter =
+    let data = Dr_source.Data_source.create ~k:3 x in
+    let source =
+      if block then Dr_source.Data_source.read_range data
+      else Sim.bit_source (Dr_source.Data_source.query_fn data)
+    in
+    let r = range_scenario ~source ~use_range:true ~crash ~arbiter () in
+    (r, List.init 3 (Dr_source.Data_source.queries_by data))
+  in
+  List.iter
+    (fun (what, crash, arbiter) ->
+      let bit, bit_charged = run ~block:false ~crash ~arbiter in
+      let block, block_charged = run ~block:true ~crash ~arbiter in
+      check_same_run what bit block;
+      Alcotest.(check (list int)) (what ^ ": Data_source.queries_by") bit_charged block_charged)
+    range_cases;
+  (* A peer already at its [After_queries] budget still reads, and pays
+     for, the one bit it dies on. *)
+  List.iter
+    (fun (j, expected) ->
+      let r, charged = run ~block:true ~crash:(peer1 (Sim.After_queries j)) ~arbiter:None in
+      let what = Printf.sprintf "After_queries %d" j in
+      Alcotest.(check (list int)) (what ^ ": source charge") expected charged;
+      checkb (what ^ ": no output") true (r.outcome.Sim.outputs.(1) = None))
+    [ (0, [ 14; 1; 14 ]); (5, [ 14; 5; 14 ]) ]
+
+(* A range read reaches the source in one call, however long it is. *)
+let test_range_read_one_source_call () =
+  let bits = 65_536 in
+  let x = Dr_source.Bitarray.init bits (fun i -> i mod 5 = 1) in
+  let data = Dr_source.Data_source.create ~k:1 x in
+  let calls = ref 0 in
+  let source ~peer ~pos ~len buf =
+    incr calls;
+    Dr_source.Data_source.read_range data ~peer ~pos ~len buf
+  in
+  let buf = Bytes.make (bits / 8) '\000' in
+  let outcome =
+    S.run { (Sim.default_config ~k:1 ~query_bit) with source } (fun _ ->
+        S.query_range ~pos:0 ~len:bits buf)
+  in
+  checki "one source call" 1 !calls;
+  checki "every bit charged" bits (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
+  checki "the source charged every bit" bits (Dr_source.Data_source.queries_by data 0);
+  checkb "bits copied" true
+    (Dr_source.Bitarray.equal x (Dr_source.Bitarray.init_bytes bits (fun b -> Bytes.blit buf 0 b 0 (bits / 8))))
+
+let test_query_range_short_buffer () =
+  let cfg = Sim.default_config ~k:1 ~query_bit in
+  Alcotest.check_raises "9 bits into 1 byte" (Invalid_argument "Sim.query_range: buffer too short")
+    (fun () -> ignore (S.run cfg (fun _ -> S.query_range ~pos:0 ~len:9 (Bytes.create 1))));
+  let buf = Bytes.make 1 '\000' in
+  let outcome =
+    S.run cfg (fun _ ->
+        S.query_range ~pos:0 ~len:4 buf;
+        S.query_range ~pos:0 ~len:0 Bytes.empty)
+  in
+  checki "exact-size buffers are accepted" 4 (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
+  checki "bits read" 0b1101 (Char.code (Bytes.get buf 0))
 
 let suite =
   [
@@ -1141,4 +1219,7 @@ let suite =
     ("prng golden stream", `Quick, test_prng_golden_stream);
     ("heap pop_min allocates nothing", `Quick, test_heap_pop_min_allocation_free);
     ("range read allocates nothing per charged bit", `Quick, test_range_read_allocation_free);
+    ("block source matches the bit adapter", `Quick, test_block_source_matches_bit_adapter);
+    ("range read calls the source once", `Quick, test_range_read_one_source_call);
+    ("query_range rejects a short buffer", `Quick, test_query_range_short_buffer);
   ]

@@ -47,7 +47,8 @@ let l2 =
 let l3 =
   check_fixture "bad_l3.ml" [ "bad_l3.ml:2 [L3]"; "bad_l3.ml:3 [L3]"; "bad_l3.ml:4 [L3]" ]
 
-let l4 = check_fixture "bad_l4.ml" [ "bad_l4.ml:3 [L4]"; "bad_l4.ml:4 [L4]" ]
+let l4 =
+  check_fixture "bad_l4.ml" [ "bad_l4.ml:3 [L4]"; "bad_l4.ml:4 [L4]"; "bad_l4.ml:5 [L4]" ]
 
 let l5 =
   check_fixture ~ctx:core_ctx "bad_l5.ml" [ "bad_l5.ml:2 [L5]"; "bad_l5.ml:3 [L5]" ]

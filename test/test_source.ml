@@ -310,6 +310,63 @@ let test_wire_size_mismatch_raises () =
   Alcotest.check_raises "bad size" (Invalid_argument "Wire.Assembly.add: payload size mismatch")
     (fun () -> Dr_core.Wire.Assembly.add asm ~part:0 (Bitarray.create 3))
 
+(* ------------------------------------------------------------------ *)
+(* Byte kernels                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [sub], [blit] and [Data_source.read_range] copy whole bytes and 56-bit
+   words; each must equal the bit-by-bit reference built with [init]/[get]
+   at random lengths (0-700) and offsets. [equal] compares the packed
+   bytes, so it also checks that padding stays zero. *)
+let test_bits_kernels_match_reference () =
+  let prng = Dr_engine.Prng.create 11L in
+  let int bound = Dr_engine.Prng.int prng bound in
+  for _ = 1 to 400 do
+    let n = int 701 in
+    let a = Bitarray.random prng n in
+    let len = int (n + 1) in
+    let pos = int (n - len + 1) in
+    let what = Printf.sprintf "n=%d pos=%d len=%d" n pos len in
+    let expected = Bitarray.init len (fun r -> Bitarray.get a (pos + r)) in
+    checkb (what ^ ": sub") true (Bitarray.equal expected (Bitarray.sub a ~pos ~len));
+    let data = Data_source.create ~k:2 a in
+    let read = Bitarray.init_bytes len (Data_source.read_range data ~peer:1 ~pos ~len) in
+    checkb (what ^ ": read_range") true (Bitarray.equal expected read);
+    checki (what ^ ": read_range charge") len (Data_source.queries_by data 1);
+    (* Into a buffer of ones one byte longer: bits from [len] on stay set. *)
+    let buf = Bytes.make ((len / 8) + 1) '\255' in
+    Data_source.read_range data ~peer:0 ~pos ~len buf;
+    let bit r = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
+    checkb (what ^ ": read_range leaves later bits") true
+      (List.for_all
+         (fun r -> Bool.equal (bit r) (r >= len || Bitarray.get expected r))
+         (List.init (8 * Bytes.length buf) Fun.id));
+    let m = len + int 701 in
+    let at = int (m - len + 1) in
+    let dst = Bitarray.random prng m in
+    let expected =
+      Bitarray.init m (fun i ->
+          if i >= at && i < at + len then Bitarray.get a (pos + i - at) else Bitarray.get dst i)
+    in
+    Bitarray.blit ~src:(Bitarray.sub a ~pos ~len) ~dst ~pos:at;
+    checkb (Printf.sprintf "%s: blit at %d of %d" what at m) true (Bitarray.equal expected dst)
+  done
+
+(* The unaligned blit path moves 56-bit words and bytes without allocating:
+   a 5,461-bit blit to an odd offset, on the deterministic minor-heap
+   counter. *)
+let test_bits_unaligned_blit_allocation_free () =
+  let x = Bitarray.random (Dr_engine.Prng.create 3L) 16_384 in
+  let len = 5_461 in
+  let src = Bitarray.sub x ~pos:0 ~len in
+  let dst = Bitarray.create 16_384 in
+  let pos = 16_384 - len in
+  let before = Gc.minor_words () in
+  Bitarray.blit ~src ~dst ~pos;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for one blit" 0. words;
+  checkb "copied" true (Bitarray.equal src (Bitarray.sub dst ~pos ~len))
+
 let suite =
   [
     ("bitarray set/get", `Quick, test_bits_set_get);
@@ -343,4 +400,6 @@ let suite =
     ("wire crc32 known vectors", `Quick, test_wire_crc32_known_vectors);
     ("wire incomplete get", `Quick, test_wire_incomplete_get_raises);
     ("wire size mismatch", `Quick, test_wire_size_mismatch_raises);
+    ("bitarray byte kernels match per-bit reference", `Quick, test_bits_kernels_match_reference);
+    ("bitarray unaligned blit allocates nothing", `Quick, test_bits_unaligned_blit_allocation_free);
   ]
