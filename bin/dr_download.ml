@@ -102,7 +102,6 @@ let client_config ~net_retries ~request_timeout =
     let d = Dr_net.Source_client.default_config in
     Some
       {
-        d with
         Dr_net.Source_client.max_retries = Option.value net_retries ~default:d.max_retries;
         request_timeout = Option.value request_timeout ~default:d.request_timeout;
       }

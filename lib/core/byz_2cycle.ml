@@ -30,6 +30,57 @@ type attack =
   | Adaptive of Adaptive.plan
   | Mirror
 
+type send = int option * int * Bitarray.t
+
+(* A peer's index among the faulty ids: what the coalition attacks key on. *)
+let rank inst i =
+  let rec go idx = function [] -> 0 | p :: tl -> if p = i then idx else go (idx + 1) tl in
+  go 0 inst.Problem.fault.Fault.faulty_ids
+
+let forge attack inst ~me ~prng ~query spec =
+  let s = spec.Segment.s in
+  let query_segment seg =
+    let pos, len = Segment.bounds spec seg in
+    query ~pos ~len
+  in
+  match attack with
+  | Silent | Adaptive _ | Mirror -> []
+  | Near_miss ->
+    (* Pick deterministically to pile onto low segments; flip a bit that
+       varies per attacker so every forgery is a distinct tree leaf. *)
+    let seg = me mod s in
+    let bits = query_segment seg in
+    [ (None, seg, Bitarray.flip bits (me mod Bitarray.length bits)) ]
+  | Consistent_lie ->
+    (* One agreed-on forged string for segment 0: becomes rho-frequent. *)
+    let bits = query_segment 0 in
+    [ (None, 0, Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r))) ]
+  | Equivocate ->
+    let seg = Prng.int prng s in
+    let len = Segment.len spec seg in
+    let sends = ref [] in
+    for dst = 0 to inst.Problem.k - 1 do
+      if dst <> me then sends := (Some dst, seg, Bitarray.random prng len) :: !sends
+    done;
+    List.rev !sends
+  | Flood groups ->
+    (* The faulty peers split into [groups] coalitions; each coalition
+       agrees on a distinct forgery of segment 0, so each passes any
+       threshold up to t/groups and the segment-0 decision tree gains
+       [groups] leaves — the worst case of the query analysis. *)
+    let bits = query_segment 0 in
+    let variant = rank inst me mod max 1 groups in
+    [ (None, 0, Bitarray.flip bits (variant mod Bitarray.length bits)) ]
+
+let echo plan inst ~me ~seg bits =
+  let forged =
+    Bitarray.flip bits (Adaptive.corrupt_index ~rank:(rank inst me) ~len:(Bitarray.length bits))
+  in
+  match plan with
+  | Adaptive.Echo_corrupt -> [ (None, seg, forged) ]
+  | Adaptive.Split_brain ->
+    List.map (fun dst -> (Some dst, seg, forged)) (Adaptive.split_targets ~k:inst.Problem.k ~me)
+
 let plan ~k ~n ~t =
   let h = max 1 (k - (2 * t)) in
   let margin = 3. *. log (float_of_int (max k 2)) in
@@ -85,61 +136,22 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       end
     in
     let byz i =
-      let rank =
-        let rec go idx = function
-          | [] -> 0
-          | p :: _ when p = i -> idx
-          | _ :: tl -> go (idx + 1) tl
-        in
-        go 0 inst.Problem.fault.Fault.faulty_ids
+      let sends =
+        match attack with
+        | Adaptive plan ->
+          (* Corrupt observed traffic: echo whatever report the schedule
+             delivers first. If nobody ever sends (everyone faulty and
+             silent) the peer just blocks — faulty peers may do that. *)
+          let _src, { seg; bits } = T.receive () in
+          echo plan inst ~me:i ~seg bits
+        | _ -> forge attack inst ~me:i ~prng:(T.rng ()) ~query:T.query_range spec
       in
-      let prng = T.rng () in
-      (match attack with
-      | Silent -> ()
-      | Near_miss ->
-        (* Pick deterministically to pile onto low segments; flip a bit that
-           varies per attacker so every forgery is a distinct tree leaf. *)
-        let seg = i mod s in
-        let bits = query_segment seg in
-        let len = Bitarray.length bits in
-        T.broadcast { seg; bits = Bitarray.flip bits (i mod len) }
-      | Consistent_lie ->
-        (* One agreed-on forged string for segment 0: becomes rho-frequent. *)
-        let bits = query_segment 0 in
-        let forged = Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r)) in
-        T.broadcast { seg = 0; bits = forged }
-      | Equivocate ->
-        let seg = Prng.int prng s in
-        let len = Segment.len spec seg in
-        for dst = 0 to k - 1 do
-          if dst <> i then T.send dst { seg; bits = Bitarray.random prng len }
-        done
-      | Flood groups ->
-        (* The faulty peers split into [groups] coalitions; each coalition
-           agrees on a distinct forgery of segment 0, so each passes any
-           threshold up to t/groups and the segment-0 decision tree gains
-           [groups] leaves — the worst case of the query analysis. *)
-        let groups = max 1 groups in
-        let bits = query_segment 0 in
-        let variant = rank mod groups in
-        let len = Bitarray.length bits in
-        T.broadcast { seg = 0; bits = Bitarray.flip bits (variant mod len) }
-      | Adaptive plan ->
-        (* Corrupt observed traffic: wait for whatever report the schedule
-           delivers first, flip a rank-dependent bit of it, and echo per the
-           plan. If nobody ever sends (everyone faulty and silent) the peer
-           just blocks — faulty peers may do that. *)
-        let _src, { seg; bits } = T.receive () in
-        let forged =
-          Bitarray.flip bits (Adaptive.corrupt_index ~rank ~len:(Bitarray.length bits))
-        in
-        (match plan with
-        | Adaptive.Echo_corrupt -> T.broadcast { seg; bits = forged }
-        | Adaptive.Split_brain ->
-          List.iter
-            (fun dst -> T.send dst { seg; bits = forged })
-            (Adaptive.split_targets ~k ~me:i))
-      | Mirror -> assert false (* dispatched to the honest path *));
+      List.iter
+        (fun (dst, seg, bits) ->
+          match dst with
+          | Some dst -> T.send dst { seg; bits }
+          | None -> T.broadcast { seg; bits })
+        sends;
       T.die ()
     in
     if Fault.is_faulty inst.Problem.fault i then

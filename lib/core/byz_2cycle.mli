@@ -45,6 +45,31 @@ type attack =
           comes entirely from the simulated source the lower-bound adversary
           feeds them via [query_override] *)
 
+type send = int option * int * Dr_source.Bitarray.t
+(** A forged report of segment [seg]: to [Some dst], or [None] = everyone. *)
+
+val forge :
+  attack ->
+  Problem.instance ->
+  me:int ->
+  prng:Dr_engine.Prng.t ->
+  query:(pos:int -> len:int -> Dr_source.Bitarray.t) ->
+  Dr_source.Segment.spec ->
+  send list
+(** Faulty peer [me]'s scripted attack on one segmentation: its sends in
+    order, after the reads and draws they need. Empty for [Silent],
+    [Adaptive] and [Mirror]. byz-multicycle forges once per cycle. *)
+
+val echo :
+  Dr_adversary.Adaptive.plan ->
+  Problem.instance ->
+  me:int ->
+  seg:int ->
+  Dr_source.Bitarray.t ->
+  send list
+(** The [Adaptive] attack's reply to one observed report: it with one
+    rank-dependent bit flipped, to everyone or to [me]'s split targets. *)
+
 val core : ?attack:attack -> ?segments:int -> ?rho:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the
     attack and plan overrides baked in. Defaults: [attack = Near_miss];

@@ -21,13 +21,14 @@ let supports inst =
     Error "byz-multicycle needs k - 2t >= 1 (beta < 1/2)"
   else Ok ()
 
-type attack =
+type attack = Byz_2cycle.attack =
   | Silent
   | Near_miss
   | Consistent_lie
   | Equivocate
   | Flood of int
   | Adaptive of Adaptive.plan
+  | Mirror
 
 let floor_pow2 v =
   let rec go p = if p * 2 > v then p else go (p * 2) in
@@ -67,10 +68,6 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       | Some base -> max 1 (base * (s1 / s_r))
       | None -> max 1 (h / (2 * s_r))
     in
-    let query_segment spec j =
-      let pos, len = Segment.bounds spec j in
-      T.query_range ~pos ~len
-    in
     let honest i =
       let prng = T.rng () in
       (* Per-cycle report stores; reports for future cycles are buffered by
@@ -93,7 +90,10 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       in
       (* ---- Cycle 1: sample and query directly. ---- *)
       let pick1 = Prng.int prng specs.(0).Segment.s in
-      let mine1 = query_segment specs.(0) pick1 in
+      let mine1 =
+        let pos, len = Segment.bounds specs.(0) pick1 in
+        T.query_range ~pos ~len
+      in
       report 1 pick1 mine1;
       (* ---- Cycles 2..R: double, resolve children, re-broadcast. ---- *)
       let last = ref (Bitarray.create 0) in
@@ -123,67 +123,31 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       if cycles = 1 then mine1 else !last
     in
     let byz i =
-      let rank =
-        let rec go idx = function
-          | [] -> 0
-          | p :: _ when p = i -> idx
-          | _ :: tl -> go (idx + 1) tl
-        in
-        go 0 inst.Problem.fault.Fault.faulty_ids
-      in
       let prng = T.rng () in
-      (match attack with
-      | Silent -> ()
-      | Near_miss ->
-        for r = 1 to cycles do
-          let spec = specs.(r - 1) in
-          let seg = i mod spec.Segment.s in
-          let bits = query_segment spec seg in
-          T.broadcast { cycle = r; seg; bits = Bitarray.flip bits (i mod Bitarray.length bits) }
-        done
-      | Consistent_lie ->
-        for r = 1 to cycles do
-          let spec = specs.(r - 1) in
-          let bits = query_segment spec 0 in
-          let forged = Bitarray.init (Bitarray.length bits) (fun j -> not (Bitarray.get bits j)) in
-          T.broadcast { cycle = r; seg = 0; bits = forged }
-        done
-      | Equivocate ->
-        for r = 1 to cycles do
-          let spec = specs.(r - 1) in
-          let seg = Prng.int prng spec.Segment.s in
-          let len = Segment.len spec seg in
-          for dst = 0 to k - 1 do
-            if dst <> i then T.send dst { cycle = r; seg; bits = Bitarray.random prng len }
-          done
-        done
-      | Flood groups ->
-        let groups = max 1 groups in
-        for r = 1 to cycles do
-          let spec = specs.(r - 1) in
-          let bits = query_segment spec 0 in
-          let variant = rank mod groups in
-          T.broadcast { cycle = r; seg = 0; bits = Bitarray.flip bits (variant mod Bitarray.length bits) }
-        done
-      | Adaptive plan ->
-        (* One corrupted echo per cycle, each shaped by whatever report the
-           schedule delivers next — the forged cycle/segment follows the
-           observed traffic instead of a pre-run script. *)
-        for _r = 1 to cycles do
-          let _src, { cycle; seg; bits } = T.receive () in
-          let forged =
-            Bitarray.flip bits (Adaptive.corrupt_index ~rank ~len:(Bitarray.length bits))
-          in
-          match plan with
-          | Adaptive.Echo_corrupt -> T.broadcast { cycle; seg; bits = forged }
-          | Adaptive.Split_brain ->
-            List.iter
-              (fun dst -> T.send dst { cycle; seg; bits = forged })
-              (Adaptive.split_targets ~k ~me:i)
-        done);
+      (* The 2-cycle catalog once per cycle: a scripted attack forges on
+         that cycle's segmentation; an adaptive one echoes whatever report
+         the schedule delivers next, so the forged cycle and segment follow
+         the observed traffic instead of a pre-run script. *)
+      for r = 1 to cycles do
+        let cycle, sends =
+          match attack with
+          | Adaptive plan ->
+            let _src, { cycle; seg; bits } = T.receive () in
+            (cycle, Byz_2cycle.echo plan inst ~me:i ~seg bits)
+          | _ -> (r, Byz_2cycle.forge attack inst ~me:i ~prng ~query:T.query_range specs.(r - 1))
+        in
+        List.iter
+          (fun (dst, seg, bits) ->
+            match dst with
+            | Some dst -> T.send dst { cycle; seg; bits }
+            | None -> T.broadcast { cycle; seg; bits })
+          sends
+      done;
       T.die ()
     in
-    if Fault.is_faulty inst.Problem.fault i then byz i else honest i
+    if Fault.is_faulty inst.Problem.fault i then
+      match attack with Mirror -> honest i | _ -> byz i
+    else honest i
 end
 
 let core ?attack ?segments ?rho () : (module Transport.CORE) =

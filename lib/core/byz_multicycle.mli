@@ -16,7 +16,7 @@
     query bound Õ(n/(γk)). Correct w.h.p. for β < 1/2. Message size grows to
     Θ(n) in the final cycle, as in the paper. *)
 
-type attack =
+type attack = Byz_2cycle.attack =
   | Silent
   | Near_miss
   | Consistent_lie
@@ -25,7 +25,11 @@ type attack =
   | Adaptive of Dr_adversary.Adaptive.plan
       (** receive first, then echo the observed report (same cycle and
           segment) with one bit flipped — see {!Dr_adversary.Adaptive} *)
-(** Same attack catalog as {!Byz_2cycle}, applied in every cycle. *)
+  | Mirror  (** faulty peers run the honest protocol *)
+(** The {!Byz_2cycle} attack catalog, applied in every cycle: a scripted
+    attack forges on each cycle's segmentation in turn
+    ({!Byz_2cycle.forge}), an adaptive one echoes one observed report per
+    cycle ({!Byz_2cycle.echo}). *)
 
 val core : ?attack:attack -> ?segments:int -> ?rho:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the

@@ -87,7 +87,6 @@ let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
     bits_sent = summary.Dr_engine.Metrics.total_bits;
     max_msg_bits = summary.Dr_engine.Metrics.max_msg_bits;
     time;
-    wakeups_max = summary.Dr_engine.Metrics.max_wakeups;
     status = outcome.Dr_engine.Sim.status;
   }
 

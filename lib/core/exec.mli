@@ -69,7 +69,8 @@ val finish :
   Problem.report
 (** Check outputs and aggregate metrics over {e nonfaulty} peers only, per
     the paper's definitions of Q and M. A nonfaulty peer with a missing
-    output (deadlocked) counts as wrong. *)
+    output (deadlocked) counts as wrong. The one report builder: the socket
+    runner ([Dr_net.Runner]) calls it too. *)
 
 val run_core : ?opts:opts -> (module Transport.CORE) -> Problem.instance -> Problem.report
 (** Run a protocol core on the simulator: instantiate {!Sim_transport} for

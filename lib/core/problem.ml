@@ -48,7 +48,6 @@ type report = {
   bits_sent : int;
   max_msg_bits : int;
   time : float;
-  wakeups_max : int;
   status : Dr_engine.Sim.status;
 }
 

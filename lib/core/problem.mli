@@ -4,7 +4,7 @@
     input array, the number of peers, the faulty set, the message-size bound
     and the random seed. A report is what running a protocol on an instance
     produces — the correctness verdict plus the paper's three complexity
-    measures Q, T, M. *)
+    measures Q, T, M. Both runtimes build it with {!Exec.finish}. *)
 
 type fault_model = Crash | Byzantine
 
@@ -57,11 +57,10 @@ type report = {
   msgs : int;  (** M: messages sent by nonfaulty peers *)
   bits_sent : int;
   max_msg_bits : int;  (** largest message actually sent (≤ B expected) *)
-  time : float;  (** T: last event time, in max-latency units *)
-  wakeups_max : int;
-      (** most delivery-resumptions of any nonfaulty peer — a proxy for the
-          paper's per-peer cycle count (the 2-cycle protocol wakes O(k)
-          times but blocks in 1 logical wait; see Metrics) *)
+  time : float;
+      (** T: on the simulator the instant the last nonfaulty peer
+          terminated, in max-latency units; on sockets the run's wall-clock
+          seconds *)
   status : Dr_engine.Sim.status;
 }
 

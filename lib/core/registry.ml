@@ -47,7 +47,7 @@ let committee_attack = function
   | "collude" -> Committee.Collude
   | other -> unknown ~protocol:"byz-committee" ~known:committee_attacks other
 
-let byz_2cycle_attack ~t = function
+let cycle_attack ~protocol ~t = function
   | "default" | "nearmiss" -> Byz_2cycle.Near_miss
   | "silent" -> Byz_2cycle.Silent
   | "lie" -> Byz_2cycle.Consistent_lie
@@ -55,17 +55,7 @@ let byz_2cycle_attack ~t = function
   | "flood" -> Byz_2cycle.Flood (max 1 t)
   | "adaptive" -> Byz_2cycle.Adaptive Dr_adversary.Adaptive.Echo_corrupt
   | "splitcast" -> Byz_2cycle.Adaptive Dr_adversary.Adaptive.Split_brain
-  | other -> unknown ~protocol:"byz-2cycle" ~known:cycle_attacks other
-
-let byz_multicycle_attack ~t = function
-  | "default" | "nearmiss" -> Byz_multicycle.Near_miss
-  | "silent" -> Byz_multicycle.Silent
-  | "lie" -> Byz_multicycle.Consistent_lie
-  | "equivocate" -> Byz_multicycle.Equivocate
-  | "flood" -> Byz_multicycle.Flood (max 1 t)
-  | "adaptive" -> Byz_multicycle.Adaptive Dr_adversary.Adaptive.Echo_corrupt
-  | "splitcast" -> Byz_multicycle.Adaptive Dr_adversary.Adaptive.Split_brain
-  | other -> unknown ~protocol:"byz-multicycle" ~known:cycle_attacks other
+  | other -> unknown ~protocol ~known:cycle_attacks other
 
 (* The one entry constructor: [run] is always [core] executed on the
    simulator, so the two faces cannot drift. *)
@@ -101,11 +91,11 @@ let all =
         Committee.core ~attack:(committee_attack attack) ());
     entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_2cycle ~attacks:cycle_attacks
       (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_2cycle_attack ~t:(Problem.t inst) attack in
+        let attack = cycle_attack ~protocol:"byz-2cycle" ~t:(Problem.t inst) attack in
         Byz_2cycle.core ~attack ?segments ?rho ());
     entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_multicycle ~attacks:cycle_attacks
       (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = byz_multicycle_attack ~t:(Problem.t inst) attack in
+        let attack = cycle_attack ~protocol:"byz-multicycle" ~t:(Problem.t inst) attack in
         Byz_multicycle.core ~attack ?segments ?rho ());
   ]
 

@@ -7,20 +7,16 @@ type peer = {
   mutable queries : int;
   mutable msgs_sent : int;
   mutable bits_sent : int;
-  mutable msgs_received : int;
   mutable max_msg_bits : int;
-  mutable wakeups : int;
 }
 
-let stride = 6
+let stride = 4
 
 (* Field offsets within a peer's slice. *)
 let f_queries = 0
 let f_msgs_sent = 1
 let f_bits_sent = 2
-let f_msgs_received = 3
-let f_max_msg_bits = 4
-let f_wakeups = 5
+let f_max_msg_bits = 3
 
 type t = { k : int; data : int array }
 
@@ -33,9 +29,7 @@ let peer t i =
     queries = t.data.(base + f_queries);
     msgs_sent = t.data.(base + f_msgs_sent);
     bits_sent = t.data.(base + f_bits_sent);
-    msgs_received = t.data.(base + f_msgs_received);
     max_msg_bits = t.data.(base + f_max_msg_bits);
-    wakeups = t.data.(base + f_wakeups);
   }
 
 (* max(a, b) without a conditional branch: valid for native ints (the sign
@@ -43,10 +37,6 @@ let peer t i =
 let[@inline] imax a b =
   let d = b - a in
   a + (d land lnot (d asr (Sys.int_size - 1)))
-
-let[@inline] bump t i field =
-  let idx = (i * stride) + field in
-  Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + 1)
 
 let[@inline] queries t i = Array.unsafe_get t.data ((i * stride) + f_queries)
 let[@inline] msgs_sent t i = Array.unsafe_get t.data ((i * stride) + f_msgs_sent)
@@ -63,8 +53,13 @@ let on_send t i ~size_bits =
   Array.unsafe_set t.data (base + f_max_msg_bits)
     (imax (Array.unsafe_get t.data (base + f_max_msg_bits)) size_bits)
 
-let[@inline] on_receive t i = bump t i f_msgs_received
-let[@inline] on_wakeup t i = bump t i f_wakeups
+let add acc m =
+  if acc.k <> m.k then invalid_arg "Metrics.add: meters of different sizes";
+  Array.iteri
+    (fun idx v ->
+      acc.data.(idx) <-
+        (if idx mod stride = f_max_msg_bits then imax acc.data.(idx) v else acc.data.(idx) + v))
+    m.data
 
 type summary = {
   max_queries : int;
@@ -73,7 +68,6 @@ type summary = {
   total_bits : int;
   max_msg_bits : int;
   mean_queries : float;
-  max_wakeups : int;
 }
 
 let summarize ?(select = fun _ -> true) t =
@@ -82,7 +76,6 @@ let summarize ?(select = fun _ -> true) t =
   and total_msgs = ref 0
   and total_bits = ref 0
   and max_msg_bits = ref 0
-  and max_wakeups = ref 0
   and selected = ref 0 in
   for i = 0 to t.k - 1 do
     if select i then begin
@@ -93,8 +86,7 @@ let summarize ?(select = fun _ -> true) t =
       total_queries := !total_queries + q;
       total_msgs := !total_msgs + t.data.(base + f_msgs_sent);
       total_bits := !total_bits + t.data.(base + f_bits_sent);
-      max_msg_bits := imax !max_msg_bits t.data.(base + f_max_msg_bits);
-      max_wakeups := imax !max_wakeups t.data.(base + f_wakeups)
+      max_msg_bits := imax !max_msg_bits t.data.(base + f_max_msg_bits)
     end
   done;
   {
@@ -105,5 +97,4 @@ let summarize ?(select = fun _ -> true) t =
     max_msg_bits = !max_msg_bits;
     mean_queries =
       (if !selected = 0 then 0. else float_of_int !total_queries /. float_of_int !selected);
-    max_wakeups = !max_wakeups;
   }

@@ -1,17 +1,18 @@
-(** Per-peer cost accounting.
+(** Per-peer cost accounting: the one meter of both runtimes.
 
-    Tracks the three complexity measures of the DR model — queries, time and
-    messages — plus bit volumes, for every peer of an execution. The runner
-    decides which peers count as nonfaulty when summarizing (the paper's Q is
-    a max over {e nonfaulty} peers only). *)
+    Tracks the DR model's query and message costs — bits queried, messages
+    and bits sent, the largest message — for every peer of an execution.
+    The simulator charges it from its event loop; on sockets every peer
+    process charges its own copy at its id through the same [on_*] calls,
+    and the runner adds the copies up ({!add}). The runner decides which
+    peers count as nonfaulty when summarizing (the paper's Q is a max over
+    {e nonfaulty} peers only). *)
 
 type peer = {
   mutable queries : int;  (** bits queried at the source *)
   mutable msgs_sent : int;
   mutable bits_sent : int;
-  mutable msgs_received : int;
   mutable max_msg_bits : int;  (** largest single message sent *)
-  mutable wakeups : int;  (** times the peer was resumed by a delivery *)
 }
 
 type t
@@ -29,16 +30,19 @@ val peer : t -> int -> peer
 val queries : t -> int -> int
 val msgs_sent : t -> int -> int
 (** One peer's query / send count, read without allocating (unchecked
-    index): what the simulator's [After_queries] / [After_sends] crash
-    checks compare against. *)
+    index): what the [After_queries] / [After_sends] crash rule
+    ({!Sim.queries_granted}) compares against. *)
 
 val on_query : t -> int -> bits:int -> unit
 (** [on_query t i ~bits] charges [bits] source queries to peer [i]: a range
     read is one call. *)
 
 val on_send : t -> int -> size_bits:int -> unit
-val on_receive : t -> int -> unit
-val on_wakeup : t -> int -> unit
+
+val add : t -> t -> unit
+(** [add acc m] adds [m]'s counters into [acc], peer by peer: counts are
+    summed and [max_msg_bits] takes the larger value. Raises
+    [Invalid_argument] when the two meters differ in size. *)
 
 type summary = {
   max_queries : int;  (** Q: max queries over the selected peers *)
@@ -47,9 +51,6 @@ type summary = {
   total_bits : int;
   max_msg_bits : int;
   mean_queries : float;
-  max_wakeups : int;
-      (** most times any selected peer was resumed by a delivery — a proxy
-          for the paper's per-peer cycle count *)
 }
 
 val summarize : ?select:(int -> bool) -> t -> summary

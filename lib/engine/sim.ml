@@ -10,6 +10,24 @@ end
 
 type crash_spec = Never | At_time of float | After_sends of int | After_queries of int
 
+(* A range read stands for a loop of one-bit reads that checks
+   [After_queries j] after each bit: the peer gets one bit if it is already
+   at [j] queries, else the bits up to the one that reaches [j]. *)
+let queries_granted spec ~queried ~len =
+  match spec with
+  | After_queries j when len > 0 -> Int.min len (Int.max 1 (j - queried))
+  | Never | At_time _ | After_sends _ | After_queries _ -> len
+
+let crashes_after_queries spec ~queried ~granted =
+  match spec with
+  | After_queries j -> granted > 0 && queried + granted >= j
+  | Never | At_time _ | After_sends _ -> false
+
+let send_forbidden spec ~sent =
+  match spec with
+  | After_sends j -> sent >= j
+  | Never | At_time _ | After_queries _ -> false
+
 type status = Completed | Deadlock of int list | Event_limit_reached
 
 type arbiter = int -> int
@@ -191,18 +209,13 @@ module Make (M : MESSAGE) = struct
       Effect.Deep.discontinue k Crashed
     in
     (* Read a range within the event that issued it: the only place a
-       source query is charged. The loop of one-bit reads it stands for
-       would check [After_queries j] after each bit, so the peer gets
-       [m] bits: one if it is already at [j] queries, else up to the bit
-       that reaches [j]. Those [m] bits are charged in one add and read in
-       one [source] call; the trace still gets one record per bit. *)
+       source query is charged. The [m] bits the crash rule grants are
+       charged in one add and read in one [source] call; the trace still
+       gets one record per bit. *)
     let query_range_from p pos len buf k =
-      let budget =
-        match Array.unsafe_get crash_spec p.id with
-        | After_queries j -> j - Metrics.queries metrics p.id
-        | Never | At_time _ | After_sends _ -> max_int
-      in
-      let m = if len = 0 then 0 else if budget <= 0 then 1 else Int.min len budget in
+      let spec = Array.unsafe_get crash_spec p.id in
+      let queried = Metrics.queries metrics p.id in
+      let m = queries_granted spec ~queried ~len in
       if m > 0 then begin
         Metrics.on_query metrics p.id ~bits:m;
         cfg.source ~peer:p.id ~pos ~len:m buf
@@ -212,20 +225,16 @@ module Make (M : MESSAGE) = struct
           let value = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
           tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = pos + r; value })
         done;
-      if m > 0 && m >= budget then crash_in p k else Effect.Deep.continue k ()
+      if crashes_after_queries spec ~queried ~granted:m then crash_in p k
+      else Effect.Deep.continue k ()
     in
     (* One send from [p] to [dst]: the body shared by [E_send] and each
        destination of [E_broadcast]. Returns [false] when the send ended the
        operation, having discontinued [k]: [p] died attempting it, or the
-       latency was negative. [After_sends j] lets exactly [j] sends
-       complete; the peer dies attempting the next, so that send is lost. *)
+       latency was negative. *)
     let send_one p dst msg k =
-      let crash_now =
-        match Array.unsafe_get crash_spec p.id with
-        | After_sends j -> Metrics.msgs_sent metrics p.id >= j
-        | Never | At_time _ | After_queries _ -> false
-      in
-      if crash_now then (crash_in p k; false)
+      if send_forbidden (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
+      then (crash_in p k; false)
       else
         let size_bits = M.size_bits msg in
         let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
@@ -351,13 +360,11 @@ module Make (M : MESSAGE) = struct
       | Ev_deliver { dst; src; msg } ->
         let p = Array.unsafe_get peers dst in
         if p.alive && not p.finished then begin
-          Metrics.on_receive metrics dst;
           if trace_on then
             tr (fun () -> Trace.Delivered { time = clock.(0); src; dst; tag = M.tag msg });
           match p.wait with
           | On_receive k ->
             p.wait <- Idle;
-            Metrics.on_wakeup metrics dst;
             Effect.Deep.continue k (src, msg)
           | Idle -> Ring.push p.mailbox (src, msg)
         end

@@ -41,9 +41,30 @@ type crash_spec =
   | After_sends of int
       (** complete exactly j sends, die attempting the next: a mid-cycle
           partial broadcast, the hard case of the crash model. [After_sends 0]
-          never sends anything. *)
+          never sends anything. See {!send_forbidden}. *)
   | After_queries of int
-      (** crash immediately after the j-th source query is issued *)
+      (** crash immediately after the j-th queried bit; see
+          {!queries_granted} *)
+
+(** {2 The crash rule}
+
+    Where an event-counted plan stops a peer, for the simulator and the
+    socket transport alike; [queried] and [sent] are the peer's {!Metrics}
+    counts before the operation. [After_sends j]: [j] sends complete and
+    the peer dies attempting the next, which is lost. [After_queries j]:
+    the peer crashes right after its [j]-th queried bit. A [len]-bit range
+    read stands for a loop of one-bit reads checked after each bit, so it
+    gets [min len (j - queried)] bits, at least one; a [len = 0] read gets
+    none and never crashes. *)
+
+val queries_granted : crash_spec -> queried:int -> len:int -> int
+(** The bits of a [len]-bit range the peer gets before its crash point. *)
+
+val crashes_after_queries : crash_spec -> queried:int -> granted:int -> bool
+(** Whether the peer crashes once charged the [granted] bits. *)
+
+val send_forbidden : crash_spec -> sent:int -> bool
+(** Whether the next send is the one [After_sends] forbids. *)
 
 type status =
   | Completed  (** every live peer's process returned *)
@@ -153,10 +174,10 @@ module Make (M : MESSAGE) : sig
   val query_range : pos:int -> len:int -> Bytes.t -> unit
   (** [query_range ~pos ~len b] reads bits [pos .. pos+len-1] into [b] from
       bit 0, in [config.source]'s packing. This one effect is the
-      simulator's only source read. Each bit still costs one Q unit, one
-      [Trace.Queried] record and one [After_queries] check, but the bits a
-      peer gets before its crash point are charged in one step and read in
-      one [source] call. The whole range is answered within the event that
+      simulator's only source read. Each bit still costs one Q unit and one
+      [Trace.Queried] record, but the bits a peer gets before its crash
+      point ({!queries_granted}) are charged in one step and read in one
+      [source] call. The whole range is answered within the event that
       issued it, so the run is indistinguishable from a loop of one-bit
       reads. Raises [Invalid_argument] on a negative [len] or a [b] shorter
       than [(len + 7) / 8] bytes. *)

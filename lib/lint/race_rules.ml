@@ -10,8 +10,6 @@ type analysis = {
   units_scanned : int;
   items : Inventory.item list;
   singletons : Inventory.singleton list;
-  accesses : Refgraph.access list;
-  urefs : Refgraph.uref list;
   decls : Zones.decl list;
   report : Driver.report;
 }
@@ -297,7 +295,7 @@ let analyze ?zones_path roots =
   in
   let report = Driver.report_of_file_reports (unit_reports @ other_reports) in
   let report = { report with Driver.files_scanned = List.length units } in
-  { units_scanned = List.length units; items; singletons; accesses; urefs; decls; report }
+  { units_scanned = List.length units; items; singletons; decls; report }
 
 (* ------------------------------------------------------------------ *)
 (* The machine-readable census (schema dr-race/1)                     *)

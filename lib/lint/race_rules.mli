@@ -6,8 +6,6 @@ type analysis = {
   units_scanned : int;
   items : Inventory.item list;
   singletons : Inventory.singleton list;
-  accesses : Refgraph.access list;
-  urefs : Refgraph.uref list;
   decls : Zones.decl list;
   report : Driver.report;
 }

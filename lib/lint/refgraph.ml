@@ -26,7 +26,6 @@ type access = {
 type uref = {
   r_unit : string;  (* referenced unit *)
   r_ident : string;  (* first ident inside it, "" for a bare module reference *)
-  r_from : string;  (* referencing unit *)
   r_path : string;
   r_line : int;
   r_col : int;
@@ -106,7 +105,6 @@ let accesses_of_unit table (self : Symbols.unit_info) ~(cells : (string, Invento
         {
           r_unit = u;
           r_ident = (match rest with i :: _ -> i | [] -> "");
-          r_from = self.name;
           r_path = self.path;
           r_line = line;
           r_col = col;

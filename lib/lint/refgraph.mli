@@ -18,7 +18,6 @@ type access = {
 type uref = {
   r_unit : string;  (** referenced unit *)
   r_ident : string;  (** first ident inside it, [""] for a bare module reference *)
-  r_from : string;  (** referencing unit *)
   r_path : string;
   r_line : int;
   r_col : int;

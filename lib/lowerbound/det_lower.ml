@@ -8,11 +8,9 @@ open Dr_core
 type evidence = {
   victim : int;
   hidden_bit : int;
-  faulty_f : int list;
   corrupted : int list;
   e1 : Problem.report;
   e1_victim_queries : int;
-  e2 : Problem.report;
   victim_fooled : bool;
   views_identical : bool;
 }
@@ -92,11 +90,9 @@ let demonstrate ~(run : runner) ?(victim = 0) ?f_set ?(seed = 1L) ?b ~k ~n () =
           {
             victim;
             hidden_bit;
-            faulty_f = f_set;
             corrupted;
             e1;
             e1_victim_queries;
-            e2;
             victim_fooled;
             views_identical;
           }

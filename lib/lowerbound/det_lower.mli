@@ -22,11 +22,9 @@
 type evidence = {
   victim : int;
   hidden_bit : int;
-  faulty_f : int list;  (** F: crashed in E₁, slowed in E₂ *)
   corrupted : int list;  (** C = V∖F∖{v}: Byzantine simulators in E₂ *)
   e1 : Dr_core.Problem.report;
   e1_victim_queries : int;  (** < n, or the construction cannot start *)
-  e2 : Dr_core.Problem.report;
   victim_fooled : bool;  (** v's E₂ output is wrong — the theorem's claim *)
   views_identical : bool;
       (** v received exactly the same (time, sender, message) sequence in

@@ -1,4 +1,6 @@
 module Prng = Dr_engine.Prng
+module Metrics = Dr_engine.Metrics
+module Sim = Dr_engine.Sim
 module Transport = Dr_core.Transport
 
 exception Crashed
@@ -36,11 +38,6 @@ end
 type inbox_item = Msg of int * bytes | Link_down of int
 
 type counters = {
-  mutable msgs : int;
-  mutable bits : int;
-  mutable max_msg_bits : int;
-  mutable wakeups : int;
-  mutable queries : int;
   mutable retrans : int;  (** injected-fault retransmissions on peer links *)
   mutable corrupt_rx : int;  (** frames discarded by CRC on receive *)
 }
@@ -52,14 +49,12 @@ type env = {
   inbox : inbox_item Bqueue.t;
   source : Source_client.t;
   prng : Prng.t;
-  crash : Dr_engine.Sim.crash_spec;
+  crash : Sim.crash_spec;
   chaos : Faultnet.t option;
+  meter : Metrics.t;
   counters : counters;
   mutable links_down : int;  (** links whose receiver has exited; protocol thread only *)
 }
-
-let make_counters () =
-  { msgs = 0; bits = 0; max_msg_bits = 0; wakeups = 0; queries = 0; retrans = 0; corrupt_rx = 0 }
 
 let make_env ~me ~k ~links ~source ~prng ~crash ?chaos () =
   {
@@ -71,7 +66,8 @@ let make_env ~me ~k ~links ~source ~prng ~crash ?chaos () =
     prng;
     crash;
     chaos;
-    counters = make_counters ();
+    meter = Metrics.create k;
+    counters = { retrans = 0; corrupt_rx = 0 };
     links_down = 0;
   }
 
@@ -142,13 +138,8 @@ end) : Transport.S with type msg = M.t = struct
       Frame.send_bytes fd payload
 
   let send dst m =
-    (match e.crash with
-    | Dr_engine.Sim.After_sends j when e.counters.msgs >= j -> raise Crashed
-    | _ -> ());
-    let sz = M.size_bits m in
-    e.counters.msgs <- e.counters.msgs + 1;
-    e.counters.bits <- e.counters.bits + sz;
-    if sz > e.counters.max_msg_bits then e.counters.max_msg_bits <- sz;
+    if Sim.send_forbidden e.crash ~sent:(Metrics.msgs_sent e.meter e.me) then raise Crashed;
+    Metrics.on_send e.meter e.me ~size_bits:(M.size_bits m);
     match e.links.(dst) with
     | Some fd -> (
       (* A peer that already terminated may have closed its end; like the
@@ -164,7 +155,6 @@ end) : Transport.S with type msg = M.t = struct
     done
 
   let receive () =
-    e.counters.wakeups <- e.counters.wakeups + 1;
     let rec next () =
       if e.links_down >= open_links e then
         (* Every receiver thread has exited, so nothing can be pushed
@@ -182,30 +172,22 @@ end) : Transport.S with type msg = M.t = struct
     let src, payload = next () in
     (src, (Marshal.from_bytes payload 0 : M.t))
 
-  (* The only source read ([query] is its one-bit case), so the
-     [After_queries] rule lives here. Under [After_queries j] a range
-     charges only the bits the equivalent loop of one-bit reads would have
-     issued before crashing: [min len (j - done)], and at least the first
-     one (the loop crashes after, not before, the j-th query). A [len = 0]
-     range issues no request, like an empty loop. *)
+  (* The only source read ([query] is its one-bit case): it requests only
+     the bits the crash rule grants, and a [len = 0] range issues no
+     request, like an empty loop. *)
   let query_range ~pos ~len =
-    let charged =
-      match e.crash with
-      | Dr_engine.Sim.After_queries j when len > 0 -> min len (max 1 (j - e.counters.queries))
-      | _ -> len
-    in
+    let queried = Metrics.queries e.meter e.me in
+    let granted = Sim.queries_granted e.crash ~queried ~len in
     let bits =
-      if charged = 0 then Dr_source.Bitarray.create 0
-      else Source_client.query_range e.source ~pos ~len:charged
+      if granted = 0 then Dr_source.Bitarray.create 0
+      else Source_client.query_range e.source ~pos ~len:granted
     in
-    e.counters.queries <- e.counters.queries + charged;
-    (match e.crash with
-    | Dr_engine.Sim.After_queries j when charged > 0 && e.counters.queries >= j -> raise Crashed
-    | _ -> ());
+    Metrics.on_query e.meter e.me ~bits:granted;
+    if Sim.crashes_after_queries e.crash ~queried ~granted then raise Crashed;
     bits
 
   let query i = Dr_source.Bitarray.get (query_range ~pos:i ~len:1) 0
 
   let rng () = e.prng
-  let die () = raise Dr_engine.Sim.Halted
+  let die () = raise Sim.Halted
 end

@@ -7,11 +7,13 @@
     [receive] has the same "next delivered message" semantics as the
     simulator.
 
-    Crash injection honours the event-counted {!Dr_engine.Sim.crash_spec}s:
-    [After_sends j] raises {!Crashed} on the (j+1)-th send attempt (the
-    message is lost), [After_queries j] right after the j-th query's reply.
-    [At_time] is rejected upstream by {!Runner} — wall-clock crash times are
-    not meaningful in an asynchronous run.
+    Costs and crashes follow the simulator's rules, not a copy of them:
+    every send and source read is charged to the peer's [env.meter] at
+    [me] through the same {!Dr_engine.Metrics} calls the simulator makes,
+    and the event-counted crash plans stop the peer where
+    {!Dr_engine.Sim}'s crash rule says, by raising {!Crashed}. [At_time] is
+    rejected upstream by {!Runner} — wall-clock crash times are not
+    meaningful in an asynchronous run.
 
     Fault injection ({!Faultnet}) sits below the reliability the protocols
     assume: a send may stall, be dropped (and silently retransmitted after a
@@ -43,16 +45,12 @@ end
 type inbox_item = Msg of int * bytes | Link_down of int
 
 type counters = {
-  mutable msgs : int;
-  mutable bits : int;
-  mutable max_msg_bits : int;
-  mutable wakeups : int;
-  mutable queries : int;
   mutable retrans : int;
       (** injected-fault retransmissions on peer links (drops + corrupted
-          first copies) — infrastructure traffic, not charged to [msgs] *)
+          first copies) — infrastructure traffic, not charged to the meter *)
   mutable corrupt_rx : int;  (** received frames discarded by CRC *)
 }
+(** Infrastructure counters only: the model's costs live in [env.meter]. *)
 
 type env = {
   me : int;
@@ -63,6 +61,9 @@ type env = {
   prng : Dr_engine.Prng.t;
   crash : Dr_engine.Sim.crash_spec;
   chaos : Faultnet.t option;
+  meter : Dr_engine.Metrics.t;
+      (** sized for all [k] peers but charged only at [me]; the runner adds
+          every peer's meter into one *)
   counters : counters;
   mutable links_down : int;
 }

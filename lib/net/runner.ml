@@ -2,6 +2,8 @@ module Problem = Dr_core.Problem
 module Transport = Dr_core.Transport
 module Bitarray = Dr_source.Bitarray
 module Prng = Dr_engine.Prng
+module Metrics = Dr_engine.Metrics
+module Sim = Dr_engine.Sim
 
 type source = { host : string; port : int }
 type chaos = { chaos_seed : int64; plan : Faultnet.plan }
@@ -26,10 +28,7 @@ let outcome_to_string = function
 
 type child_result = {
   output : Bitarray.t option;
-  msgs : int;
-  bits : int;
-  max_msg_bits : int;
-  wakeups : int;
+  meter : Metrics.t option;  (** [None] when the peer failed before running *)
   retrans : int;
   corrupt_rx : int;
   reconnects : int;
@@ -37,23 +36,13 @@ type child_result = {
 }
 
 let failed_result outcome =
-  {
-    output = None;
-    msgs = 0;
-    bits = 0;
-    max_msg_bits = 0;
-    wakeups = 0;
-    retrans = 0;
-    corrupt_rx = 0;
-    reconnects = 0;
-    outcome;
-  }
+  { output = None; meter = None; retrans = 0; corrupt_rx = 0; reconnects = 0; outcome }
 
 (* Classify a peer-fatal exception into the failure taxonomy. Injected
    crashes and voluntary halts are expected protocol behaviour; everything
    else names the infrastructure component that gave out. *)
 let classify = function
-  | Net_transport.Crashed | Dr_engine.Sim.Halted -> Crashed
+  | Net_transport.Crashed | Sim.Halted -> Crashed
   | Net_transport.Link_lost -> Link_lost
   | Source_client.Unreachable _ -> Source_unreachable
   | Frame.Corrupt _ | Frame.Desync _ -> Corrupt_frame
@@ -146,10 +135,7 @@ let child_main (module C : Transport.CORE) ~inst ~me ~host ~source_port ~listene
   let result =
     {
       output;
-      msgs = c.Net_transport.msgs;
-      bits = c.Net_transport.bits;
-      max_msg_bits = c.Net_transport.max_msg_bits;
-      wakeups = c.Net_transport.wakeups;
+      meter = Some env.Net_transport.meter;
       retrans = c.Net_transport.retrans;
       corrupt_rx = c.Net_transport.corrupt_rx;
       reconnects = Source_client.reconnects source;
@@ -209,7 +195,7 @@ let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none)
   let crash_specs =
     Array.init k (fun i ->
         match crash i with
-        | Dr_engine.Sim.At_time _ ->
+        | Sim.At_time _ ->
           failwith "net transport does not support At_time crash plans"
         | spec -> spec)
   in
@@ -297,48 +283,28 @@ let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none)
         Printf.eprintf "dr_net: peer %d failed: %s\n%!" i e (* dr-race: allow R3 — single-domain net runtime; same justification as the L3 waiver *)
       | _ -> ())
     outcomes;
-  let honest = Problem.honest inst in
-  let wrong = ref [] in
-  let timed_out = ref [] in
-  let msgs = ref 0 and bits = ref 0 and max_msg_bits = ref 0 and wakeups_max = ref 0 in
-  let q_total = ref 0 and q_max = ref 0 and honest_count = ref 0 in
-  for i = k - 1 downto 0 do
-    if honest i then begin
-      incr honest_count;
-      let q = final_stats.(i) - base_stats.(i) in
-      q_total := !q_total + q;
-      if q > !q_max then q_max := q;
-      match results.(i) with
-      | Some { output; msgs = m; bits = b; max_msg_bits = mb; wakeups = w; _ } ->
-        msgs := !msgs + m;
-        bits := !bits + b;
-        if mb > !max_msg_bits then max_msg_bits := mb;
-        if w > !wakeups_max then wakeups_max := w;
-        (match output with
-        | Some y -> if not (Bitarray.equal y inst.Problem.x) then wrong := i :: !wrong
-        | None -> wrong := i :: !wrong)
-      | None ->
-        timed_out := i :: !timed_out;
-        wrong := i :: !wrong
-    end
+  (* One meter for the run: the peers' own, added up. Q is then set to
+     the server's per-peer delta, the authoritative count (its replay cache
+     charges a retried request once). *)
+  let meter = Metrics.create k in
+  Array.iter (function Some { meter = Some m; _ } -> Metrics.add meter m | _ -> ()) results;
+  for i = 0 to k - 1 do
+    Metrics.on_query meter i ~bits:(final_stats.(i) - base_stats.(i) - Metrics.queries meter i)
   done;
+  let honest = Problem.honest inst in
+  let timed_out = List.filter (fun i -> honest i && Option.is_none results.(i)) (List.init k Fun.id) in
   let report =
-    {
-      Problem.protocol = C.name;
-      ok = !wrong = [];
-      wrong = !wrong;
-      q_max = !q_max;
-      q_mean =
-        (if !honest_count = 0 then 0. else float_of_int !q_total /. float_of_int !honest_count);
-      q_total = !q_total;
-      msgs = !msgs;
-      bits_sent = !bits;
-      max_msg_bits = !max_msg_bits;
-      time;
-      wakeups_max = !wakeups_max;
-      status =
-        (if !timed_out = [] then Dr_engine.Sim.Completed else Dr_engine.Sim.Deadlock !timed_out);
-    }
+    Dr_core.Exec.finish ~protocol:C.name inst
+      {
+        Sim.outputs =
+          Array.map
+            (function Some { output = Some y; _ } -> Some (time, y) | Some _ | None -> None)
+            results;
+        metrics = meter;
+        status = (if timed_out = [] then Sim.Completed else Sim.Deadlock timed_out);
+        end_time = time;
+        events = 0;
+      }
   in
   let sum f = Array.fold_left (fun acc r -> match r with Some r -> acc + f r | None -> acc) 0 results in
   let counters =

@@ -5,11 +5,12 @@
     full TCP mesh over loopback (ports are bound by the parent before
     forking, so there is no registration round), connect to the data-source
     server through the retrying {!Source_client}, and execute
-    [Core.Process(Net_transport).run]. Each child ships its output array,
-    message counters and a {!outcome} classification back over a pipe; the
-    paper's Q is read from the {e server's} per-peer accounting, the
-    authoritative meter (whose replay cache guarantees transport retries are
-    charged exactly once).
+    [Core.Process(Net_transport).run]. Each child ships its output, its
+    {!Dr_engine.Metrics} meter and an {!outcome} classification back over a
+    pipe. The runner adds the meters into one ({!Dr_engine.Metrics.add}):
+    M comes from the peers' own meters, while each peer's Q is set to the
+    {e server's} per-peer count, the authoritative meter (whose replay cache
+    guarantees transport retries are charged exactly once).
 
     Supervision: the parent watches all result pipes together; a child that
     dies without reporting is detected by pipe EOF and classified through
@@ -17,13 +18,15 @@
     restarts on [EINTR]. Peers missing at the deadline are killed and
     reported [Timed_out].
 
-    The resulting {!Dr_core.Problem.report} has the same correctness verdict
-    semantics as the simulator path ([Exec.finish]): [ok] iff every honest
-    peer terminated with output = X. [time] is wall-clock seconds (not
-    comparable with the simulator's virtual T), and message/timing totals
-    reflect this particular real schedule — only schedule-invariant
-    quantities (the verdict; query counts of schedule-invariant protocol
-    configurations) are comparable across transports. *)
+    The {!Dr_core.Problem.report} is built by {!Dr_core.Exec.finish}, as on
+    the simulator: [ok] iff every honest peer terminated with output = X,
+    and honest peers that timed out are listed in a [Deadlock] status.
+    Every output is stamped with the run's wall-clock time, so [time] is
+    wall-clock seconds (not comparable with the simulator's virtual T), and
+    message totals reflect this particular real schedule — only
+    schedule-invariant quantities (the verdict; Q and M of
+    schedule-invariant protocol configurations) are comparable across
+    transports. *)
 
 type source = { host : string; port : int }
 

@@ -2,15 +2,9 @@ module Prng = Dr_engine.Prng
 
 exception Unreachable of string
 
-type config = {
-  request_timeout : float;
-  max_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
-}
+type config = { request_timeout : float; max_retries : int }
 
-let default_config =
-  { request_timeout = 5.0; max_retries = 8; backoff_base = 0.05; backoff_cap = 1.0 }
+let default_config = { request_timeout = 5.0; max_retries = 8 }
 
 type t = {
   host : string;
@@ -35,11 +29,11 @@ let resolve host =
 
 let elapsed t = Unix.gettimeofday () -. t.started
 
-(* Capped exponential backoff with multiplicative jitter in [0.5, 1.0):
-   retries spread out instead of thundering back in lockstep. *)
+(* Capped exponential backoff, 0.05 s doubling up to 1 s, with
+   multiplicative jitter in [0.5, 1.0): retries spread out instead of
+   thundering back in lockstep. *)
 let backoff t attempt =
-  let d = t.cfg.backoff_base *. (2. ** float_of_int attempt) in
-  let d = Float.min d t.cfg.backoff_cap in
+  let d = Float.min (0.05 *. (2. ** float_of_int attempt)) 1.0 in
   let d = d *. (0.5 +. Prng.float t.rng 0.5) in
   if d > 0. then Thread.delay d
 

@@ -4,8 +4,9 @@
 
     Every request runs under a per-attempt deadline; a timeout, connection
     loss or corrupt frame tears the connection down and the request is
-    retried over a fresh connection after a capped exponential backoff with
-    PRNG jitter, up to [max_retries] reconnects (then {!Unreachable}).
+    retried over a fresh connection after a capped exponential backoff
+    (0.05 s doubling up to 1 s) with PRNG jitter, up to [max_retries]
+    reconnects (then {!Unreachable}).
     Queries carry a monotonically-increasing sequence number, so a retry of
     a request the server already processed is answered from the server's
     replay cache and charged to the peer's Q meter exactly once. *)
@@ -17,12 +18,10 @@ exception Unreachable of string
 type config = {
   request_timeout : float;  (** per-attempt deadline in seconds; [0.] = none *)
   max_retries : int;  (** reconnect attempts per request *)
-  backoff_base : float;  (** first backoff, seconds *)
-  backoff_cap : float;  (** backoff ceiling, seconds *)
 }
 
 val default_config : config
-(** 5 s deadline, 8 retries, backoff 0.05 s doubling up to 1 s. *)
+(** 5 s deadline, 8 retries. *)
 
 type t
 

@@ -1,7 +1,6 @@
 type params = { base : Odc.params; epochs : int }
 
 type epoch_result = {
-  epoch : int;
   collection_odd : bool;
   publication_odd : bool;
   cell_queries : int;
@@ -30,7 +29,6 @@ let run ?protocol { base; epochs } =
             | Error _ -> assert false (* validated above; parameters identical *)
             | Ok (collection, publication) ->
               {
-                epoch = e;
                 collection_odd = collection.Odc.odd_ok && collection.Odc.download_ok;
                 publication_odd = publication.Pipeline.odd_ok;
                 cell_queries = collection.Odc.cell_queries_total;

@@ -14,7 +14,6 @@ type params = {
 }
 
 type epoch_result = {
-  epoch : int;
   collection_odd : bool;
   publication_odd : bool;
   cell_queries : int;  (** Download-based collection, total cells *)

@@ -43,7 +43,6 @@ let make ?(seed = 1L) ?(width = 32) ?(model = Problem.Byzantine) ~k ~values faul
 type report = {
   ok : bool;
   words_max : int;
-  words_total : int;
   decoded : int array option;
   bits : Problem.report;
 }
@@ -58,7 +57,6 @@ let run core ?opts inst =
   {
     ok = bits.Problem.ok;
     words_max = to_words bits.Problem.q_max;
-    words_total = to_words bits.Problem.q_total;
     decoded = (if bits.Problem.ok then Some (decode ~width:inst.width x) else None);
     bits;
   }

@@ -30,7 +30,6 @@ val make :
 type report = {
   ok : bool;  (** every nonfaulty peer decoded exactly [values] *)
   words_max : int;  (** per-peer word-query maximum (Q/w, rounded up) *)
-  words_total : int;
   decoded : int array option;  (** the common output when [ok] *)
   bits : Dr_core.Problem.report;  (** the underlying bit-level report *)
 }

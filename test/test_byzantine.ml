@@ -330,6 +330,7 @@ let test_multicycle_attacks () =
       ("near-miss", Byz_multicycle.Near_miss);
       ("consistent lie", Byz_multicycle.Consistent_lie);
       ("equivocate", Byz_multicycle.Equivocate);
+      ("mirror", Byz_multicycle.Mirror);
     ]
 
 let test_multicycle_deeper () =

@@ -480,9 +480,7 @@ let test_sim_mailbox_buffers () =
   in
   (match outcome.Sim.outputs.(0) with
   | Some (_, v) -> checki "both buffered" 3 v
-  | None -> Alcotest.fail "no output");
-  checki "both receives served from the mailbox" 0
-    (Metrics.peer outcome.Sim.metrics 0).Metrics.wakeups
+  | None -> Alcotest.fail "no output")
 
 let test_sim_start_times () =
   (* Every peer starts at time 0; only an arbiter orders the starts. *)
@@ -841,24 +839,13 @@ let test_metrics_summary_selection () =
   checki "selected max" 1 only2.Metrics.max_queries;
   checki "selected msgs" 0 only2.Metrics.total_msgs
 
-let test_metrics_receives_and_wakeups () =
+let test_metrics_peer_snapshot_detached () =
   let m = Metrics.create 3 in
-  Metrics.on_receive m 0;
-  Metrics.on_receive m 0;
-  Metrics.on_wakeup m 0;
-  Metrics.on_receive m 1;
-  Metrics.on_wakeup m 1;
-  Metrics.on_wakeup m 1;
-  Metrics.on_wakeup m 1;
-  checki "peer0 receives" 2 (Metrics.peer m 0).Metrics.msgs_received;
-  checki "peer1 wakeups" 3 (Metrics.peer m 1).Metrics.wakeups;
-  checki "max wakeups (all)" 3 (Metrics.summarize m).Metrics.max_wakeups;
-  checki "max wakeups (without 1)" 1
-    (Metrics.summarize ~select:(fun i -> i <> 1) m).Metrics.max_wakeups;
+  Metrics.on_send m 0 ~size_bits:8;
   (* [peer] is a snapshot: mutating it must not write back. *)
   let p = Metrics.peer m 0 in
-  p.Metrics.wakeups <- 99;
-  checki "snapshot detached" 1 (Metrics.peer m 0).Metrics.wakeups
+  p.Metrics.msgs_sent <- 99;
+  checki "snapshot detached" 1 (Metrics.peer m 0).Metrics.msgs_sent
 
 let test_metrics_max_msg_bits_per_peer () =
   let m = Metrics.create 2 in
@@ -869,6 +856,27 @@ let test_metrics_max_msg_bits_per_peer () =
   checki "peer0 max" 500 (Metrics.peer m 0).Metrics.max_msg_bits;
   checki "summary max excludes deselected" 500
     (Metrics.summarize ~select:(fun i -> i = 0) m).Metrics.max_msg_bits
+
+(* Adding per-process meters (the socket runner's merge) sums every count
+   and keeps each peer's largest message. *)
+let test_metrics_add () =
+  let a = Metrics.create 2 and b = Metrics.create 2 in
+  Metrics.on_query a 0 ~bits:3;
+  Metrics.on_send a 0 ~size_bits:40;
+  Metrics.on_send a 1 ~size_bits:7;
+  Metrics.on_query b 0 ~bits:5;
+  Metrics.on_send b 0 ~size_bits:10;
+  Metrics.on_send b 1 ~size_bits:90;
+  Metrics.add a b;
+  let p0 = Metrics.peer a 0 and p1 = Metrics.peer a 1 in
+  checki "queries summed" 8 p0.Metrics.queries;
+  checki "sends summed" 2 p0.Metrics.msgs_sent;
+  checki "bits summed" 50 p0.Metrics.bits_sent;
+  checki "peer0 max kept" 40 p0.Metrics.max_msg_bits;
+  checki "peer1 max taken" 90 p1.Metrics.max_msg_bits;
+  checki "addend untouched" 5 (Metrics.peer b 0).Metrics.queries;
+  Alcotest.check_raises "size mismatch" (Invalid_argument "Metrics.add: meters of different sizes")
+    (fun () -> Metrics.add a (Metrics.create 3))
 
 (* ------------------------------------------------------------------ *)
 (* Range queries                                                      *)
@@ -1211,7 +1219,7 @@ let suite =
     ("trace save/load roundtrip", `Quick, test_trace_save_load_roundtrip);
     ("trace load rejects garbage", `Quick, test_trace_load_rejects_garbage);
     ("metrics summary selection", `Quick, test_metrics_summary_selection);
-    ("metrics receives and wakeups", `Quick, test_metrics_receives_and_wakeups);
+    ("metrics peer snapshot detached", `Quick, test_metrics_peer_snapshot_detached);
     ("metrics per-peer max msg", `Quick, test_metrics_max_msg_bits_per_peer);
     ("query_range is the per-bit loop", `Quick, test_query_range_matches_loop);
     ("broadcast is the send loop", `Quick, test_sim_broadcast_is_send_loop);
@@ -1222,4 +1230,5 @@ let suite =
     ("block source matches the bit adapter", `Quick, test_block_source_matches_bit_adapter);
     ("range read calls the source once", `Quick, test_range_read_one_source_call);
     ("query_range rejects a short buffer", `Quick, test_query_range_short_buffer);
+    ("metrics add sums counts and maxes the largest message", `Quick, test_metrics_add);
   ]

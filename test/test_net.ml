@@ -298,9 +298,7 @@ let test_source_rejects_without_charging () =
 
 (* Retry exhaustion is a typed failure, not a hang. *)
 let test_source_client_unreachable () =
-  let cfg =
-    { Dr_net.Source_client.default_config with max_retries = 1; backoff_base = 0.001 }
-  in
+  let cfg = { Dr_net.Source_client.default_config with max_retries = 1 } in
   match Dr_net.Source_client.connect ~port:1 ~peer:0 ~cfg () with
   | _ -> Alcotest.fail "connecting to a closed port must fail"
   | exception Dr_net.Source_client.Unreachable _ -> ()

@@ -4,9 +4,12 @@
    Each scenario runs the same registry protocol on the same instance twice —
    once through [Exec] (the deterministic simulator) and once through
    [Dr_net.Runner] (k forked OS processes over loopback, querying a real
-   source server) — and asserts identical verdicts and query counts. Message
-   and timing totals are NOT compared: they depend on the delivery schedule,
-   which the network does not replay. Most scenarios below are chosen so the
+   source server) — and asserts identical verdicts and query counts. Timing
+   is NOT compared, and message totals only where the protocol sends the
+   same messages under every schedule: in general they depend on the
+   delivery schedule, which the network does not replay. Both reports come
+   from [Exec.finish] over one [Metrics] meter, so where M is
+   schedule-invariant it must match exactly. Most scenarios below are chosen so the
    per-peer query counts are schedule-invariant (deterministic query plans,
    crash/attack behavior not keyed on arrival order); a scenario whose Q
    follows arrival order instead checks that both runtimes stay within the
@@ -30,9 +33,16 @@ let entry name =
    instances need; it only bounds the damage of a hung child. Each
    [(clause, counter)] of [fires] must read nonzero on the net run.
    [~q_exact:false] replaces the equal-Q checks with the protocol's [Spec]
-   bound on each runtime, for scenarios whose Q depends on the schedule. *)
+   bound on each runtime, for scenarios whose Q depends on the schedule;
+   [~m_exact:true] adds the equal-M checks, for scenarios whose messages do
+   not. *)
+let check_same_m (sim : Problem.report) (net : Problem.report) =
+  checki "msgs match" sim.Problem.msgs net.Problem.msgs;
+  checki "bits_sent match" sim.Problem.bits_sent net.Problem.bits_sent;
+  checki "max_msg_bits match" sim.Problem.max_msg_bits net.Problem.max_msg_bits
+
 let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ?(fires = [])
-    ?(q_exact = true) ~protocol ~k ~n ~t ~model ~seed () =
+    ?(q_exact = true) ?(m_exact = false) ~protocol ~k ~n ~t ~model ~seed () =
   let e = entry protocol in
   let inst = Problem.random_instance ~seed ~model ~k ~n ~t () in
   let crash = crash inst in
@@ -56,6 +66,7 @@ let conform ?(attack = "default") ?(crash = fun _ -> Crash_plan.none) ?chaos ?(f
     checkb "sim q_max within the Spec bound" true (within sim);
     checkb "net q_max within the Spec bound" true (within net)
   end;
+  if m_exact then check_same_m sim net;
   List.iter (fun (clause, counter) -> checkb (clause ^ " fired") true (counter faults > 0)) fires
 
 let test_crash_general_faultfree () =
@@ -69,9 +80,11 @@ let test_crash_general_silent_crash () =
     ~crash:(fun inst -> Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:0)
     ~q_exact:false ()
 
+(* One segment at k = 6, t = 2: every honest peer broadcasts once and the
+   silent faulty peers never send, so M is the same under every schedule. *)
 let test_byz_2cycle_silent () =
   conform ~protocol:"byz-2cycle" ~attack:"silent" ~k:6 ~n:512 ~t:2 ~model:Problem.Byzantine
-    ~seed:3L ()
+    ~seed:3L ~m_exact:true ()
 
 (* Chaos conformance: injected infrastructure faults (drops, corruption,
    lost replies, a blackout window) sit below the reliability the protocols
@@ -115,19 +128,21 @@ let test_chaos_conformance_byz_2cycle () =
    bits. Both runtimes must charge every peer the same Q — the crashed ones
    exactly 100 bits, which on sockets means the range request was cut to
    the bits the per-bit loop would have issued. A standalone server
-   exposes the faulty peers' meters, which the report leaves out. *)
+   exposes the faulty peers' meters, which the report leaves out. The
+   crashed peers never send and every honest one broadcasts once, so M
+   must match too. *)
 let test_byz_2cycle_crash_mid_segment () =
   let k = 6 and j = 100 in
   let inst = Problem.random_instance ~seed:3L ~model:Problem.Byzantine ~k ~n:512 ~t:2 () in
   let core = Dr_core.Byz_2cycle.core ~attack:Dr_core.Byz_2cycle.Mirror () in
   let crash = Crash_plan.after_queries inst.Problem.fault j in
-  let sim_q, sim_ok =
+  let sim_q, sim =
     let (module C : Dr_core.Transport.CORE) = core in
     let module ST = Dr_core.Sim_transport.Make (C.Msg) in
     let module P = C.Process (ST) in
     let outcome = ST.run_sim (Exec.build_config inst (Exec.make_opts ~crash ())) (P.run inst) in
     ( Array.init k (fun i -> (Dr_engine.Metrics.peer outcome.Dr_engine.Sim.metrics i).queries),
-      (Exec.finish ~protocol:C.name inst outcome).Problem.ok )
+      Exec.finish ~protocol:C.name inst outcome )
   in
   let server = Dr_net.Source_server.create ~k inst.Problem.x in
   Dr_net.Source_server.start server;
@@ -141,8 +156,9 @@ let test_byz_2cycle_crash_mid_segment () =
   Dr_net.Source_client.shutdown control;
   Dr_net.Source_client.close control;
   Dr_net.Source_server.stop server;
-  checkb "sim verdict ok" true sim_ok;
+  checkb "sim verdict ok" true sim.Problem.ok;
   checkb "net verdict ok" true net.Problem.ok;
+  check_same_m sim net;
   Array.iteri
     (fun i q ->
       let want = if Problem.honest inst i then 512 else j in
