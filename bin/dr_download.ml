@@ -109,7 +109,7 @@ let client_config ~net_retries ~request_timeout =
 let run_net ~entry ~attack ~segments ~crash ~source ~timeout ~chaos ~net_retries
     ~request_timeout inst =
   let core = entry.Registry.core ~attack ?segments inst in
-  let crash = Cli_args.crash_plan ~fault:inst.Problem.fault crash in
+  let crash = crash ~fault:inst.Problem.fault in
   Dr_net.Runner.run_counted ~timeout ?source:(parse_source source)
     ?chaos:(parse_chaos chaos)
     ?client_cfg:(client_config ~net_retries ~request_timeout)
@@ -141,9 +141,9 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       | entry -> Result.map (fun () -> entry) (Registry.validate_attack entry attack)
       | exception Failure msg -> Error msg
     in
-    match resolved with
-    | Error msg -> `Error (false, msg)
-    | Ok entry ->
+    match (resolved, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
+    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
+    | Ok entry, Ok latency, Ok crash ->
     match transport with
     | `Net ->
       if trace_flag || matrix_flag || trace_out <> None then
@@ -172,9 +172,8 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       if trace_flag || matrix_flag || trace_out <> None then Some (Dr_engine.Trace.create ())
       else None
     in
-    let lat = Cli_args.latency_fn ~seed ~fault:inst.Problem.fault ~b:inst.Problem.b latency in
-    let crash_plan = Cli_args.crash_plan ~fault:inst.Problem.fault crash in
-    let opts = Exec.make_opts ~latency:lat ~crash:crash_plan ?trace () in
+    let lat = latency ~seed ~fault:inst.Problem.fault ~b:inst.Problem.b in
+    let opts = Exec.make_opts ~latency:lat ~crash:(crash ~fault:inst.Problem.fault) ?trace () in
     match explore with
     | Some budget ->
       let run_protocol ~arbiter =

@@ -4,7 +4,7 @@
 
    Examples:
      dr_race --check                 # R1-R3 over lib/ bin/ bench/
-     dr_race --inventory             # dr-race/1 JSON census to stdout
+     dr_race --inventory             # dr-race/2 JSON census to stdout
      dr_race --check --format json   # findings as dr-lint/1 JSON lines
      dr_race --rules                 # print the rule catalogue
 
@@ -28,7 +28,7 @@ let paths_arg =
 let inventory_arg =
   Arg.(
     value & flag
-    & info [ "inventory" ] ~doc:"Print the mutable-state census as dr-race/1 JSON and exit.")
+    & info [ "inventory" ] ~doc:"Print the mutable-state census as dr-race/2 JSON and exit.")
 
 let check_arg =
   Arg.(

@@ -37,7 +37,10 @@ let crash_arg = Cli_args.crash_arg ~default:"silent"
 let latency_arg = Cli_args.latency_arg ~default:"jitter"
 
 let run axis values protocol k n beta t b seeds crash latency =
-  let entry = Cli_args.resolve_protocol protocol in
+  let entry = try Ok (Cli_args.resolve_protocol protocol) with Failure msg -> Error msg in
+  match (entry, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
+  | Ok entry, Ok latency, Ok crash ->
   let name = Registry.name entry in
   print_endline "protocol,k,n,t,beta,B,seed,ok,q_max,q_mean,q_total,time,msgs,bits,max_msg";
   List.iter
@@ -59,10 +62,9 @@ let run axis values protocol k n beta t b seeds crash latency =
         let seed = Int64.of_int ((s * 7919) + 13) in
         let model = entry.Registry.model in
         let inst = Problem.random_instance ~seed ?b ~model ~k ~n ~t () in
-        let lat = Cli_args.latency_fn ~seed ~fault:inst.Problem.fault ~b:inst.Problem.b latency in
+        let lat = latency ~seed ~fault:inst.Problem.fault ~b:inst.Problem.b in
         let crash_plan =
-          if model = Problem.Byzantine then Crash_plan.none
-          else Cli_args.crash_plan ~fault:inst.Problem.fault crash
+          if model = Problem.Byzantine then Crash_plan.none else crash ~fault:inst.Problem.fault
         in
         let opts = Exec.make_opts ~latency:lat ~crash:crash_plan () in
         let r = entry.Registry.run ~opts inst in

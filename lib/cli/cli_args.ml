@@ -38,12 +38,14 @@ let latency_doc = "Latency policy: unit, jitter, rush (Byzantine messages fast),
 let latency_arg ~default =
   Arg.(value & opt string default & info [ "latency" ] ~docv:"POLICY" ~doc:latency_doc)
 
-let latency_fn ~seed ~fault ~b = function
-  | "unit" -> Latency.unit_delay
-  | "jitter" -> Latency.jittered (Prng.create seed)
-  | "rush" -> Latency.rushing ~fast:(Fault.is_faulty fault) ~eps:0.01
-  | "sized" -> Latency.size_proportional ~per_bit:(1. /. float_of_int b) ~floor:0.1
-  | other -> failwith ("unknown latency policy: " ^ other)
+let latency_fn = function
+  | "unit" -> Ok (fun ~seed:_ ~fault:_ ~b:_ -> Latency.unit_delay)
+  | "jitter" -> Ok (fun ~seed ~fault:_ ~b:_ -> Latency.jittered (Prng.create seed))
+  | "rush" ->
+    Ok (fun ~seed:_ ~fault ~b:_ -> Latency.rushing ~fast:(Fault.is_faulty fault) ~eps:0.01)
+  | "sized" ->
+    Ok (fun ~seed:_ ~fault:_ ~b -> Latency.size_proportional ~per_bit:(1. /. float b) ~floor:0.1)
+  | other -> Error ("unknown latency policy: " ^ other)
 
 let chaos_doc =
   "With --transport net: a seeded fault schedule SEED:SPEC, where SPEC is \
@@ -73,12 +75,16 @@ let crash_doc =
 let crash_arg ~default =
   Arg.(value & opt string default & info [ "crash" ] ~docv:"PLAN" ~doc:crash_doc)
 
-let crash_plan ~fault = function
-  | "none" -> Crash_plan.none
-  | "silent" -> Crash_plan.mid_broadcast fault ~after_sends:0
-  | "staggered" -> Crash_plan.staggered fault ~first:0.5 ~gap:2.0
-  | spec -> (
-    match String.split_on_char ':' spec with
-    | [ "midcast"; j ] -> Crash_plan.mid_broadcast fault ~after_sends:(int_of_string j)
-    | [ "afterq"; j ] -> Crash_plan.after_queries fault (int_of_string j)
-    | _ -> failwith ("unknown crash plan: " ^ spec))
+let crash_plan spec =
+  let counted j plan =
+    match int_of_string_opt j with
+    | Some j -> Ok (fun ~fault -> plan fault j)
+    | None -> Error (Printf.sprintf "crash plan %s: %S is not an integer" spec j)
+  in
+  match String.split_on_char ':' spec with
+  | [ "none" ] -> Ok (fun ~fault:_ -> Crash_plan.none)
+  | [ "silent" ] -> Ok (fun ~fault -> Crash_plan.mid_broadcast fault ~after_sends:0)
+  | [ "staggered" ] -> Ok (fun ~fault -> Crash_plan.staggered fault ~first:0.5 ~gap:2.0)
+  | [ "midcast"; j ] -> counted j (fun fault j -> Crash_plan.mid_broadcast fault ~after_sends:j)
+  | [ "afterq"; j ] -> counted j Crash_plan.after_queries
+  | _ -> Error ("unknown crash plan: " ^ spec)

@@ -28,10 +28,11 @@ val resolve_protocol : string -> Dr_core.Registry.entry
 val latency_arg : default:string -> string Cmdliner.Term.t
 
 val latency_fn :
-  seed:int64 -> fault:Dr_adversary.Fault.t -> b:int -> string -> Dr_adversary.Latency.fn
+  string ->
+  (seed:int64 -> fault:Dr_adversary.Fault.t -> b:int -> Dr_adversary.Latency.fn, string) result
 (** Parse a [--latency] policy: "unit", "jitter" (seeded), "rush" (Byzantine
     messages arrive first), "sized" (transmission-time proportional under the
-    message bound [b]). Raises [Failure] on anything else. *)
+    message bound [b]). [Ok] builds it per instance; [Error] on anything else. *)
 
 val chaos_arg : string option Cmdliner.Term.t
 (** [--chaos SEED:SPEC], the {!Dr_net.Faultnet} fault-schedule grammar.
@@ -47,6 +48,6 @@ val request_timeout_arg : float option Cmdliner.Term.t
 
 val crash_arg : default:string -> string Cmdliner.Term.t
 
-val crash_plan : fault:Dr_adversary.Fault.t -> string -> Dr_adversary.Crash_plan.t
+val crash_plan : string -> (fault:Dr_adversary.Fault.t -> Dr_adversary.Crash_plan.t, string) result
 (** Parse a [--crash] plan: "none", "silent", "midcast:J", "staggered",
-    "afterq:J". Raises [Failure] on anything else. *)
+    "afterq:J". [Ok] builds it per fault set; [Error] on anything else. *)

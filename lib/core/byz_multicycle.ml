@@ -103,7 +103,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let rho = rho_of (r - 1) in
         let pick = if spec.Segment.s = 1 then 0 else Prng.int prng spec.Segment.s in
         let children = Segment.children ~coarse:spec ~fine pick in
-        let child_ready c = Frequent.frequent stores.(r - 2) ~seg:c ~rho <> [] in
+        let child_ready c = Frequent.has_frequent stores.(r - 2) ~seg:c ~rho in
         while
           not (heard.(r - 2) >= k - t && List.for_all child_ready children)
         do

@@ -7,13 +7,13 @@ module Strmap = Map.Make (struct
 end)
 
 type t = {
-  mutable per_seg : int Strmap.t array;  (** segment -> string -> reporter count *)
+  mutable per_seg : int ref Strmap.t array;  (** segment -> string -> reporter count *)
   mutable seen : Bytes.t;  (** byte [p] is nonzero once peer [p] has reported *)
   mutable reporters : int;
-  mutable totals : int array;
+  mutable best : int array;  (** segment -> largest reporter count of one string *)
 }
 
-let create () = { per_seg = [||]; seen = Bytes.empty; reporters = 0; totals = [||] }
+let create () = { per_seg = [||]; seen = Bytes.empty; reporters = 0; best = [||] }
 
 let seen t peer = peer < Bytes.length t.seen && Bytes.get t.seen peer <> '\000'
 
@@ -33,12 +33,8 @@ let ensure t seg =
     let grown = Array.make (Int.max (seg + 1) (Int.max 4 (2 * cur))) Strmap.empty in
     Array.blit t.per_seg 0 grown 0 cur;
     t.per_seg <- grown;
-    let totals = Array.make (Array.length grown) 0 in
-    Array.blit t.totals 0 totals 0 cur;
-    t.totals <- totals
+    t.best <- Array.init (Array.length grown) (fun j -> if j < cur then t.best.(j) else 0)
   end
-
-let bump = function Some c -> Some (c + 1) | None -> Some 1
 
 let add t ~seg ~peer s =
   if seg < 0 then invalid_arg "Frequent.add: negative segment";
@@ -47,21 +43,34 @@ let add t ~seg ~peer s =
   else begin
     mark t peer;
     ensure t seg;
-    t.per_seg.(seg) <- Strmap.update s bump t.per_seg.(seg);
-    t.totals.(seg) <- t.totals.(seg) + 1;
+    (* A repeated string bumps its count in place: no path copy. *)
+    let c =
+      match Strmap.find_opt s t.per_seg.(seg) with
+      | Some c ->
+        incr c;
+        !c
+      | None ->
+        t.per_seg.(seg) <- Strmap.add s (ref 1) t.per_seg.(seg);
+        1
+    in
+    t.best.(seg) <- Int.max c t.best.(seg);
     true
   end
 
 let reporters t = t.reporters
-let total_for t ~seg = if seg < Array.length t.totals then t.totals.(seg) else 0
 
 let strings_for t ~seg =
   if seg >= Array.length t.per_seg then []
-  else Strmap.fold (fun s c acc -> (s, c) :: acc) t.per_seg.(seg) []
+  else Strmap.fold (fun s c acc -> (s, !c) :: acc) t.per_seg.(seg) []
+
+let total_for t ~seg = List.fold_left (fun n (_, c) -> n + c) 0 (strings_for t ~seg)
 
 let frequent t ~seg ~rho =
   List.filter_map (fun (s, c) -> if c >= rho then Some s else None) (strings_for t ~seg)
 
-let covered t ~segments ~rho =
-  let rec go seg = seg >= segments || (frequent t ~seg ~rho <> [] && go (seg + 1)) in
-  go 0
+let has_frequent t ~seg ~rho = seg < Array.length t.best && t.best.(seg) >= Int.max 1 rho
+
+let rec covered_from t seg ~segments ~rho =
+  seg >= segments || (has_frequent t ~seg ~rho && covered_from t (seg + 1) ~segments ~rho)
+
+let covered t ~segments ~rho = covered_from t 0 ~segments ~rho

@@ -29,8 +29,12 @@ val strings_for : t -> seg:int -> (Dr_source.Bitarray.t * int) list
 
 val frequent : t -> seg:int -> rho:int -> Dr_source.Bitarray.t list
 (** Strings reported by ≥ rho distinct peers, in decreasing
-    {!Dr_source.Bitarray.compare} order. *)
+    {!Dr_source.Bitarray.compare} order: a decision tree's candidates. *)
+
+val has_frequent : t -> seg:int -> rho:int -> bool
+(** [frequent t ~seg ~rho <> []], in O(1) and without allocating: [add]
+    keeps each segment's largest reporter count. *)
 
 val covered : t -> segments:int -> rho:int -> bool
 (** Does every segment in [0 .. segments-1] have a ρ-frequent string? This is
-    the paper's asynchronous waiting condition for entering cycle 2. *)
+    the paper's asynchronous waiting condition for entering cycle 2. Allocation-free. *)

@@ -1,16 +1,17 @@
 (* Struct-of-arrays 4-ary min-heap. Times live in a flat float array
-   (unboxed), sequence numbers and values in parallel arrays. The sifts take
-   the index of the element they move and read its key from the arrays, so
-   no float crosses a function call inside this module: a boxed float
-   argument would allocate on every pop. Four children per node halve the
-   depth of a binary heap; each level costs three more comparisons, but
-   they read adjacent slots. The (time, seq) order is strict and total, so
-   the pop sequence is the sorted order whatever the heap's shape. *)
+   (unboxed), sequence numbers and values in int arrays, so a move stores
+   no pointer and needs no write barrier. The sifts take the index of the
+   element they move and read its key from the arrays, so no float crosses
+   a function call inside this module: a boxed float argument would
+   allocate on every pop. Four children per node halve the depth of a
+   binary heap; each level costs three more comparisons, but they read
+   adjacent slots. The (time, seq) order is strict and total, so the pop
+   sequence is the sorted order whatever the heap's shape. *)
 
-type 'a t = {
+type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable len : int;
   mutable next_seq : int;
 }
@@ -22,27 +23,15 @@ let[@inline] lt h i j =
   let ti = Array.unsafe_get h.times i and tj = Array.unsafe_get h.times j in
   ti < tj || (ti = tj && Array.unsafe_get h.seqs i < Array.unsafe_get h.seqs j)
 
-(* [value] seeds fresh slots of the values array — it is about to be stored
-   anyway, so no dummy element is ever needed. *)
-let grow h value =
-  let cap = Array.length h.values in
-  if cap = 0 then begin
-    h.times <- Array.make 16 0.;
-    h.seqs <- Array.make 16 0;
-    h.values <- Array.make 16 value
-  end
-  else begin
-    let new_cap = 2 * cap in
-    let times = Array.make new_cap 0. in
-    Array.blit h.times 0 times 0 h.len;
-    h.times <- times;
-    let seqs = Array.make new_cap 0 in
-    Array.blit h.seqs 0 seqs 0 h.len;
-    h.seqs <- seqs;
-    let values = Array.make new_cap value in
-    Array.blit h.values 0 values 0 h.len;
-    h.values <- values
-  end
+let grow h =
+  let extend a fill =
+    let b = Array.make (Int.max 16 (2 * h.len)) fill in
+    Array.blit a 0 b 0 h.len;
+    b
+  in
+  h.times <- extend h.times 0.;
+  h.seqs <- extend h.seqs 0;
+  h.values <- extend h.values 0
 
 (* Inlined, so its float argument is never boxed. *)
 let[@inline] set h i ~time ~seq value =
@@ -106,24 +95,19 @@ let sift_down h src =
   set h !i ~time ~seq value
 
 let push h ~time value =
-  if h.len = Array.length h.values then grow h value;
+  if h.len = Array.length h.values then grow h;
   let i = h.len in
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
   h.len <- i + 1;
-  set h i ~time ~seq value;
+  set h i ~time:time.(0) ~seq value;
   sift_up h i
 
 let is_empty h = h.len = 0
-let min_time h =
-  if h.len = 0 then invalid_arg "Heap.min_time: empty";
-  Array.unsafe_get h.times 0
 
-(* Freed slots keep stale value references (bounded by capacity, reclaimed
-   on the next push into them) — a deliberate trade for an allocation-free
-   pop. *)
-let pop_min h =
+let pop_min h ~time =
   if h.len = 0 then invalid_arg "Heap.pop_min: empty";
+  time.(0) <- Array.unsafe_get h.times 0;
   let v = Array.unsafe_get h.values 0 in
   let last = h.len - 1 in
   h.len <- last;

@@ -1,31 +1,23 @@
-(** 4-ary min-heap keyed by [(time, sequence)].
+(** 4-ary min-heap of [int] values keyed by [(time, sequence)]: the
+    simulator's event queue, whose values are the slots of its
+    pending-event pool. Ties on time are broken by insertion order, which
+    keeps executions deterministic.
 
-    The event queue of the simulator. Ties on time are broken by insertion
-    order, which keeps executions deterministic: two events scheduled for the
-    same instant are processed in the order they were scheduled.
+    Struct-of-arrays (times in a float array, sequence numbers and values
+    in int arrays), so no move goes through the write barrier. Times cross
+    the module boundary only through one-slot float cells, so none is
+    boxed even under [-opaque]. Once capacity is reached, [push] and
+    [pop_min] allocate nothing. *)
 
-    The representation is struct-of-arrays (times in a flat float array,
-    sequence numbers and values in parallel arrays) and sits on the
-    simulator's per-event hot path. Once capacity is reached, [pop_min]
-    allocates nothing. [push] and [min_time] pass a [float] across the
-    module boundary, so each boxes it (2 words) unless the compiler can
-    inline across modules, which it cannot when the library is compiled
-    with [-opaque]. *)
+type t
 
-type 'a t
+val create : unit -> t
 
-val create : unit -> 'a t
+val push : t -> time:float array -> int -> unit
+(** [push h ~time v] schedules [v] at [time.(0)]. O(log n). *)
 
-val push : 'a t -> time:float -> 'a -> unit
-(** Schedule a value at [time]. O(log n); at steady state the only
-    allocation is the caller's boxed [time]. *)
+val pop_min : t -> time:float array -> int
+(** Remove the earliest entry, write its time into [time.(0)] and return
+    its value. Raises [Invalid_argument] when empty. *)
 
-val min_time : 'a t -> float
-(** Time of the earliest event (boxed, see above). Raises
-    [Invalid_argument] when empty. *)
-
-val pop_min : 'a t -> 'a
-(** Remove and return the earliest event's value without allocating.
-    Raises [Invalid_argument] when empty. *)
-
-val is_empty : 'a t -> bool
+val is_empty : t -> bool

@@ -87,6 +87,7 @@ module Make (M : MESSAGE) = struct
     | E_broadcast : M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
     | E_query_range : int * int * Bytes.t -> unit Effect.t
+    | E_query : int -> bool Effect.t
     | E_now : float Effect.t
     | E_me : int Effect.t
     | E_k : int Effect.t
@@ -102,10 +103,7 @@ module Make (M : MESSAGE) = struct
   let receive () = Effect.perform E_receive
   let query_range ~pos ~len buf = Effect.perform (E_query_range (pos, len, buf))
 
-  let query i =
-    let buf = Bytes.create 1 in
-    query_range ~pos:i ~len:1 buf;
-    Char.code (Bytes.get buf 0) land 1 <> 0
+  let query i = Effect.perform (E_query i)
 
   let rng () = Effect.perform E_rng
   let die () = raise Halted
@@ -119,27 +117,58 @@ module Make (M : MESSAGE) = struct
     mailbox : (int * M.t) Ring.t;
     mutable wait : wait;
     prng : Prng.t;
+    scratch : Bytes.t;  (** the one byte a [query] reads into *)
+    mutable query_at : int;  (** the bit the pending [query] asks for *)
   }
 
-  type event =
-    | Ev_start of int
-    | Ev_deliver of { dst : int; src : int; msg : M.t }
-    | Ev_crash of int
+  (* A pending event is an int slot: packed code [codes.(s)] (kind in bits
+     0-1, the peer it applies to in bits 2-31, a delivery's source from bit
+     32) and, for a delivery, message [msgs.(s)]. Free slots chain from
+     [free], each holding the distance to the next minus one, so the zeros
+     a growth adds link up; past the end, [alloc] grows the pool. [msgs]
+     grows only in [set_msg], seeded with the message stored: no dummy. *)
+  type slots = { mutable codes : int array; mutable msgs : M.t array; mutable free : int }
 
-  (* The arbiter's pending pool: a growable array holding events in the
+  let start_code i = i lsl 2
+  let deliver_code ~src ~dst = 1 lor (dst lsl 2) lor (src lsl 32)
+  let crash_code i = 2 lor (i lsl 2)
+  let code_peer code = (code lsr 2) land 0x3fff_ffff
+
+  let grow_ints a n =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let alloc slots code =
+    if slots.free >= Array.length slots.codes then
+      slots.codes <- grow_ints slots.codes (Int.max 16 (2 * Array.length slots.codes));
+    let s = slots.free in
+    slots.free <- s + 1 + Array.unsafe_get slots.codes s;
+    Array.unsafe_set slots.codes s code;
+    s
+
+  (* Not [Array.make]: a large one with a young [msg] forces a minor GC. *)
+  let set_msg slots s msg =
+    let old = slots.msgs and n = Array.length slots.msgs in
+    if s >= n then
+      slots.msgs <- Array.init (Array.length slots.codes) (fun i -> if i < n then old.(i) else msg);
+    Array.unsafe_set slots.msgs s msg
+
+  let release slots s =
+    Array.unsafe_set slots.codes s (slots.free - s - 1);
+    slots.free <- s
+
+  (* The arbiter's pending pool: a growable array holding slots in the
      order they were drained from the heap. Removal keeps the others'
      relative order, so the arbiter sees the same indices the committed
      repro scripts were recorded against. *)
-  type pool = { choose : arbiter; mutable items : event array; mutable len : int }
+  type pool = { choose : arbiter; mutable items : int array; mutable len : int }
 
-  let drain heap pool =
+  let drain heap pool ~time =
     while not (Heap.is_empty heap) do
-      let ev = Heap.pop_min heap in
-      if pool.len = Array.length pool.items then begin
-        let grown = Array.make (max 16 (2 * pool.len)) ev in
-        Array.blit pool.items 0 grown 0 pool.len;
-        pool.items <- grown
-      end;
+      let ev = Heap.pop_min heap ~time in
+      if pool.len = Array.length pool.items then
+        pool.items <- grow_ints pool.items (max 16 (2 * pool.len));
       pool.items.(pool.len) <- ev;
       pool.len <- pool.len + 1
     done
@@ -166,9 +195,12 @@ module Make (M : MESSAGE) = struct
             mailbox = Ring.create ();
             wait = Idle;
             prng = Prng.split master;
+            scratch = Bytes.make 1 '\000';
+            query_at = 0;
           })
     in
     let heap = Heap.create () in
+    let slots = { codes = [||]; msgs = [||]; free = 0 } in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. *)
@@ -178,9 +210,10 @@ module Make (M : MESSAGE) = struct
     in
     let metrics = Metrics.create cfg.k in
     let outputs = Array.make cfg.k None in
-    (* A one-slot float array keeps the clock flat (a [float ref] would box
-       on every store). *)
-    let clock = [| 0. |] in
+    (* One-slot float arrays keep the clock and the time of the event being
+       scheduled flat (a [float ref] would box on every store); [Heap]
+       reads and writes times only through such cells. *)
+    let clock = [| 0. |] and at = [| 0. |] in
     let events_done = ref 0 in
     (* Crash plans are fixed per peer; resolve the closure once instead of
        on every send/query. *)
@@ -211,8 +244,8 @@ module Make (M : MESSAGE) = struct
     (* Read a range within the event that issued it: the only place a
        source query is charged. The [m] bits the crash rule grants are
        charged in one add and read in one [source] call; the trace still
-       gets one record per bit. *)
-    let query_range_from p pos len buf k =
+       gets one record per bit. Returns whether [p] survives the read. *)
+    let query_range_from p pos len buf =
       let spec = Array.unsafe_get crash_spec p.id in
       let queried = Metrics.queries metrics p.id in
       let m = queries_granted spec ~queried ~len in
@@ -225,8 +258,7 @@ module Make (M : MESSAGE) = struct
           let value = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
           tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = pos + r; value })
         done;
-      if crashes_after_queries spec ~queried ~granted:m then crash_in p k
-      else Effect.Deep.continue k ()
+      not (crashes_after_queries spec ~queried ~granted:m)
     in
     (* One send from [p] to [dst]: the body shared by [E_send] and each
        destination of [E_broadcast]. Returns [false] when the send ended the
@@ -246,19 +278,19 @@ module Make (M : MESSAGE) = struct
           if trace_on then
             tr (fun () ->
                 Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
-          let arrival =
-            if not serialized then clock.(0) +. delay
-            else begin
-              let free =
-                match Hashtbl.find_opt link_free (p.id, dst) with Some f -> f | None -> 0.
-              in
-              let departure = Float.max clock.(0) free in
-              let transmission = float_of_int size_bits /. cfg.link_rate in
-              Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
-              departure +. transmission +. delay
-            end
-          in
-          Heap.push heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
+          if not serialized then at.(0) <- clock.(0) +. delay
+          else begin
+            let free =
+              match Hashtbl.find_opt link_free (p.id, dst) with Some f -> f | None -> 0.
+            in
+            let departure = Float.max clock.(0) free in
+            let transmission = float_of_int size_bits /. cfg.link_rate in
+            Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
+            at.(0) <- departure +. transmission +. delay
+          end;
+          let s = alloc slots (deliver_code ~src:p.id ~dst) in
+          set_msg slots s msg;
+          Heap.push heap ~time:at s;
           true
         end
     in
@@ -280,8 +312,9 @@ module Make (M : MESSAGE) = struct
     in
     let handler_for p =
       let open Effect.Deep in
-      (* Handlers of the payload-free effects, built once per peer rather
-         than on every [perform]. *)
+      (* Handlers of the payload-free effects and of [query], whose bit
+         waits in [p.query_at], built once per peer rather than on every
+         [perform]. *)
       let on_me = Some (fun k -> continue k p.id) in
       let on_k = Some (fun k -> continue k cfg.k) in
       let on_now = Some (fun k -> continue k clock.(0)) in
@@ -291,6 +324,13 @@ module Make (M : MESSAGE) = struct
           (fun k ->
             if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
             else p.wait <- On_receive k)
+      in
+      let on_query =
+        Some
+          (fun k ->
+            if query_range_from p p.query_at 1 p.scratch then
+              continue k (Char.code (Bytes.unsafe_get p.scratch 0) land 1 <> 0)
+            else crash_in p k)
       in
       let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
         | E_me -> on_me
@@ -306,7 +346,11 @@ module Make (M : MESSAGE) = struct
               if len < 0 then discontinue k (Invalid_argument "Sim.query_range: negative length")
               else if len > 8 * Bytes.length buf then
                 discontinue k (Invalid_argument "Sim.query_range: buffer too short")
-              else query_range_from p pos len buf k)
+              else if query_range_from p pos len buf then continue k ()
+              else crash_in p k)
+        | E_query i ->
+          p.query_at <- i;
+          on_query
         | _ -> None
       in
       {
@@ -329,11 +373,15 @@ module Make (M : MESSAGE) = struct
     in
     (* Seed the schedule: every peer starts at time 0, timed crashes at
        their instants. *)
+    let schedule time code =
+      at.(0) <- time;
+      Heap.push heap ~time:at (alloc slots code)
+    in
     Array.iter
       (fun p ->
-        Heap.push heap ~time:0. (Ev_start p.id);
+        schedule 0. (start_code p.id);
         match crash_spec.(p.id) with
-        | At_time t0 -> Heap.push heap ~time:t0 (Ev_crash p.id)
+        | At_time t0 -> schedule t0 (crash_code p.id)
         | Never | After_sends _ | After_queries _ -> ())
       peers;
     let status = ref Completed in
@@ -341,34 +389,40 @@ module Make (M : MESSAGE) = struct
        trace guard: one boolean test per event, tags rendered only when a
        sink is installed. *)
     let obs_on = cfg.observer <> None in
-    let notify ev =
+    let notify s =
       match cfg.observer with
       | None -> ()
       | Some f ->
-        let obs_kind, obs_peer, obs_tag =
-          match ev with
-          | Ev_start i -> (Obs_start, i, "")
-          | Ev_deliver { dst; msg; _ } -> (Obs_deliver, dst, M.tag msg)
-          | Ev_crash i -> (Obs_crash, i, "")
+        let code = slots.codes.(s) in
+        let obs_kind, obs_tag =
+          match code land 3 with
+          | 0 -> (Obs_start, "")
+          | 1 -> (Obs_deliver, M.tag slots.msgs.(s))
+          | _ -> (Obs_crash, "")
         in
-        f { obs_kind; obs_peer; obs_tag; obs_step = !events_done - 1 }
+        f { obs_kind; obs_peer = code_peer code; obs_tag; obs_step = !events_done - 1 }
     in
-    let handle = function
-      | Ev_start i ->
-        let p = Array.unsafe_get peers i in
-        if p.alive then start_fiber p
-      | Ev_deliver { dst; src; msg } ->
-        let p = Array.unsafe_get peers dst in
+    (* The slot is released before the event runs, which may schedule
+       more. *)
+    let handle s =
+      let code = slots.codes.(s) in
+      let p = Array.unsafe_get peers (code_peer code) in
+      match code land 3 with
+      | 1 ->
+        let msg = slots.msgs.(s) and src = code lsr 32 in
+        release slots s;
         if p.alive && not p.finished then begin
           if trace_on then
-            tr (fun () -> Trace.Delivered { time = clock.(0); src; dst; tag = M.tag msg });
+            tr (fun () -> Trace.Delivered { time = clock.(0); src; dst = p.id; tag = M.tag msg });
           match p.wait with
           | On_receive k ->
             p.wait <- Idle;
             Effect.Deep.continue k (src, msg)
           | Idle -> Ring.push p.mailbox (src, msg)
         end
-      | Ev_crash i -> kill peers.(i)
+      | kind ->
+        release slots s;
+        if kind = 2 then kill p else if p.alive then start_fiber p
     in
     let deadlock_check () =
       let blocked =
@@ -393,22 +447,20 @@ module Make (M : MESSAGE) = struct
         match pool with
         | None -> Heap.is_empty heap
         | Some p ->
-          drain heap p;
+          drain heap p ~time:at;
           p.len = 0
       then deadlock_check ()
       else begin
-        let ev =
+        let s =
           match pool with
-          | None ->
-            clock.(0) <- Heap.min_time heap;
-            Heap.pop_min heap
+          | None -> Heap.pop_min heap ~time:clock
           | Some p ->
             clock.(0) <- clock.(0) +. 1.;
             take p
         in
         incr events_done;
-        if obs_on then notify ev;
-        handle ev;
+        if obs_on then notify s;
+        handle s;
         loop ()
       end
     in

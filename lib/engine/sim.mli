@@ -183,8 +183,8 @@ module Make (M : MESSAGE) : sig
       than [(len + 7) / 8] bytes. *)
 
   val query : int -> bool
-  (** [query i] reads bit [i] (counted in Q): [query_range ~pos:i ~len:1]
-      into a fresh one-byte buffer. *)
+  (** [query i] reads bit [i] (counted in Q): a one-bit range read into the
+      peer's own scratch byte, charged by the same path as [query_range]. *)
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)

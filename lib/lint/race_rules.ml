@@ -298,66 +298,57 @@ let analyze ?zones_path roots =
   { units_scanned = List.length units; items; singletons; decls; report }
 
 (* ------------------------------------------------------------------ *)
-(* The machine-readable census (schema dr-race/1)                     *)
+(* The machine-readable census (schema dr-race/2)                     *)
 (* ------------------------------------------------------------------ *)
 
-let schema_id = "dr-race/1"
+let schema_id = "dr-race/2"
 
 (* Paths relative to the repo root regardless of where the scan ran from
    ("../lib/x.ml" and "lib/x.ml" serialize identically). *)
 let norm_path path = String.concat "/" (segs_of path)
 
+(* The census holds no source positions, so it changes only when the state
+   itself does: items sorted by key (each row starts with it), singleton
+   uses counted per (file, ident). Findings still carry positions. *)
 let inventory_json a =
-  let b = Buffer.create 4096 in
   let esc = Finding.json_escape in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema_id);
-  Buffer.add_string b (Printf.sprintf "  \"units\": %d,\n" a.units_scanned);
-  let emit_items label sort =
-    Buffer.add_string b (Printf.sprintf "  \"%s\": [" label);
-    let first = ref true in
-    List.iter
-      (fun (it : Inventory.item) ->
-        let same =
-          match (it.sort, sort) with
-          | Inventory.Value, Inventory.Value | Inventory.Type, Inventory.Type -> true
-          | _ -> false
-        in
-        if same then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          let zone =
-            match Zones.find a.decls ~sort ~key:(Inventory.key it) with
-            | Some d -> Printf.sprintf "\"%s\"" (esc (Zones.zone_name d.Zones.d_zone))
-            | None -> "null"
-          in
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n    { \"key\": \"%s\", \"kind\": \"%s\", \"file\": \"%s\", \"line\": %d, \
-                \"col\": %d, \"escaping\": %b, \"guarded\": %b, \"zone\": %s }"
-               (esc (Inventory.key it))
-               (Inventory.kind_name it.kind)
-               (esc (norm_path it.path))
-               it.line it.col it.escaping
-               (Inventory.guarded it.kind)
-               zone)
-        end)
-      a.items;
-    Buffer.add_string b "\n  ],\n"
+  let section label rows =
+    Printf.sprintf "  \"%s\": [%s\n  ]" label
+      (String.concat "," (List.map (( ^ ) "\n    ") (List.sort String.compare rows)))
   in
-  emit_items "values" Inventory.Value;
-  emit_items "types" Inventory.Type;
-  Buffer.add_string b "  \"singletons\": [";
-  let first = ref true in
-  List.iter
-    (fun (s : Inventory.singleton) ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "\n    { \"ident\": \"%s\", \"file\": \"%s\", \"line\": %d, \"col\": %d }"
-           (esc s.Inventory.s_ident)
-           (esc (norm_path s.Inventory.s_path))
-           s.Inventory.s_line s.Inventory.s_col))
-    a.singletons;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let item (it : Inventory.item) =
+    let key = Inventory.key it in
+    let zone =
+      match Zones.find a.decls ~sort:it.sort ~key with
+      | Some d -> Printf.sprintf "\"%s\"" (esc (Zones.zone_name d.Zones.d_zone))
+      | None -> "null"
+    in
+    Printf.sprintf
+      "{ \"key\": \"%s\", \"kind\": \"%s\", \"zone\": %s, \"escaping\": %b, \
+       \"guarded\": %b }"
+      (esc key) (Inventory.kind_name it.kind) zone it.escaping (Inventory.guarded it.kind)
+  in
+  let values, types = List.partition (fun it -> it.Inventory.sort = Inventory.Value) a.items in
+  let rec counted = function
+    | [] -> []
+    | use :: rest -> (
+      match counted rest with
+      | (u, n) :: tl when String.equal u use -> (u, n + 1) :: tl
+      | tl -> (use, 1) :: tl)
+  in
+  let singletons =
+    List.map
+      (fun (s : Inventory.singleton) ->
+        Printf.sprintf "{ \"file\": \"%s\", \"ident\": \"%s\", \"count\": "
+          (esc (norm_path s.s_path)) (esc s.s_ident))
+      a.singletons
+    |> List.sort String.compare |> counted
+    |> List.map (fun (use, n) -> Printf.sprintf "%s%d }" use n)
+  in
+  Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"units\": %d,\n%s\n}\n" schema_id a.units_scanned
+    (String.concat ",\n"
+       [
+         section "values" (List.map item values);
+         section "types" (List.map item types);
+         section "singletons" singletons;
+       ])

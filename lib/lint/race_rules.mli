@@ -29,5 +29,6 @@ val analyze : ?zones_path:string -> string list -> analysis
     file, or clashing unit names. *)
 
 val inventory_json : analysis -> string
-(** The census as deterministic [dr-race/1] JSON — byte-identical across
-    reruns and invocation directories (paths are root-normalized). *)
+(** The census as deterministic [dr-race/2] JSON — byte-identical across
+    reruns and invocation directories. It holds no source positions: items
+    sorted by key, singleton uses counted per file. *)

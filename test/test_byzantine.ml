@@ -150,6 +150,23 @@ let test_frequent_strings_counts () =
   let counts = List.sort compare (List.map snd (Frequent.strings_for st ~seg:3)) in
   check (Alcotest.list Alcotest.int) "counts" [ 1; 2 ] counts
 
+(* Readiness is read off the counts [add] keeps: [covered] builds no
+   candidate list, so checking it allocates nothing. *)
+let test_frequent_covered_allocation_free () =
+  let st = Frequent.create () in
+  for peer = 0 to 63 do
+    ignore (Frequent.add st ~seg:(peer mod 8) ~peer (ba (if peer mod 3 = 0 then "01" else "10")))
+  done;
+  let ready = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    if Frequent.covered st ~segments:8 ~rho:(i mod 7) then incr ready;
+    if Frequent.has_frequent st ~seg:(i mod 9) ~rho:5 then incr ready
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(float 0.) "minor words for 2000 readiness checks" 0. words;
+  checkb "some ready, some not" true (!ready > 0 && !ready < 2000)
+
 (* ------------------------------------------------------------------ *)
 (* Committee protocol                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -436,4 +453,5 @@ let suite =
     ("multicycle under serialized links", `Quick, test_multicycle_under_serialized_links);
     ("committee: explored schedules", `Quick, test_committee_explored_schedules);
     ("frequent: negative ids rejected", `Quick, test_frequent_rejects_negative_ids);
+    ("frequent: covered allocates nothing", `Quick, test_frequent_covered_allocation_free);
   ]

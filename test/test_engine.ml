@@ -125,70 +125,80 @@ let test_prng_golden_stream () =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The one-slot cell times cross [Heap] in. *)
+let cell t = [| t |]
+
 (* Pop every pending event as (time, value), earliest first. *)
 let drain h =
-  let out = ref [] in
+  let out = ref [] and time = cell nan in
   while not (Heap.is_empty h) do
-    let t = Heap.min_time h in
-    out := (t, Heap.pop_min h) :: !out
+    let v = Heap.pop_min h ~time in
+    out := (time.(0), v) :: !out
   done;
   List.rev !out
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun t -> Heap.push h ~time:t (int_of_float (t *. 10.))) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
+  List.iter
+    (fun t -> Heap.push h ~time:(cell t) (int_of_float (t *. 10.)))
+    [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
   check Alcotest.(list int) "sorted by time" [ 5; 10; 20; 25; 30 ] (List.map snd (drain h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 99 do
-    Heap.push h ~time:1.0 i
+    Heap.push h ~time:(cell 1.0) i
   done;
   check Alcotest.(list int) "ties in insertion order" (List.init 100 Fun.id)
     (List.map snd (drain h))
 
 let test_heap_interleaved () =
+  let names = [| "e"; "a"; "z" |] and time = cell nan in
   let h = Heap.create () in
-  Heap.push h ~time:5. "e";
-  Heap.push h ~time:1. "a";
+  Heap.push h ~time:(cell 5.) 0;
+  Heap.push h ~time:(cell 1.) 1;
   checkb "not empty" false (Heap.is_empty h);
-  check Alcotest.(float 0.0) "first time" 1. (Heap.min_time h);
-  check Alcotest.string "first value" "a" (Heap.pop_min h);
-  Heap.push h ~time:0.5 "z";
-  check Alcotest.string "reordered" "z" (Heap.pop_min h);
-  check Alcotest.(float 0.0) "peek" 5. (Heap.min_time h);
-  checki "size 1 left" 1 (List.length (drain h))
+  check Alcotest.string "first value" "a" names.(Heap.pop_min h ~time);
+  check Alcotest.(float 0.0) "first time" 1. time.(0);
+  Heap.push h ~time:(cell 0.5) 2;
+  check Alcotest.string "reordered" "z" names.(Heap.pop_min h ~time);
+  check Alcotest.(float 0.0) "reordered time" 0.5 time.(0);
+  check Alcotest.(list (pair (float 0.0) string)) "one left" [ (5., "e") ]
+    (List.map (fun (t, v) -> (t, names.(v))) (drain h))
 
 let test_heap_clear () =
   let h = Heap.create () in
-  Heap.push h ~time:1. 1;
+  Heap.push h ~time:(cell 1.) 1;
   checki "one event drained" 1 (List.length (drain h));
   checkb "empty after drain" true (Heap.is_empty h);
   Alcotest.check_raises "pop on empty" (Invalid_argument "Heap.pop_min: empty") (fun () ->
-      ignore (Heap.pop_min h))
+      ignore (Heap.pop_min h ~time:(cell 0.)))
 
 let test_heap_random_order_matches_sort () =
   let g = Prng.create 23L in
   let h = Heap.create () in
   let times = Array.init 500 (fun _ -> Prng.float g 100.) in
-  Array.iter (fun t -> Heap.push h ~time:t t) times;
+  Array.iteri (fun i t -> Heap.push h ~time:(cell t) i) times;
   let sorted = Array.copy times in
   Array.sort compare sorted;
-  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.map snd (drain h))
+  let out = drain h in
+  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.map fst out);
+  checkb "each value keeps its time" true (List.for_all (fun (t, i) -> times.(i) = t) out)
 
 let test_heap_pop_min_matches_pop () =
   let g = Prng.create 29L in
   let times = Array.init 300 (fun _ -> Prng.float g 10.) in
   let h = Heap.create () in
-  Array.iteri (fun i t -> Heap.push h ~time:t i) times;
-  (* min_time/pop_min must agree with a stable sort on (time, insertion). *)
+  Array.iteri (fun i t -> Heap.push h ~time:(cell t) i) times;
+  (* pop_min's time and value must agree with a stable sort on
+     (time, insertion). *)
   let expected =
     List.stable_sort (fun (t, _) (t', _) -> Float.compare t t')
       (List.mapi (fun i t -> (t, i)) (Array.to_list times))
   in
   List.iter2
     (fun (t', v') (t, v) ->
-      check Alcotest.(float 0.0) "min_time = pop time" t' t;
+      check Alcotest.(float 0.0) "popped time = pop time" t' t;
       checki "pop_min = pop value" v' v)
     expected (drain h);
   checkb "drained" true (Heap.is_empty h)
@@ -197,7 +207,7 @@ let test_heap_grow_preserves_order () =
   (* Push far past the initial capacity; order must survive every grow. *)
   let h = Heap.create () in
   for i = 999 downto 0 do
-    Heap.push h ~time:(float_of_int i) i
+    Heap.push h ~time:(cell (float_of_int i)) i
   done;
   let out = drain h in
   checki "size" 1000 (List.length out);
@@ -206,34 +216,36 @@ let test_heap_grow_preserves_order () =
 let test_heap_reuse_after_clear () =
   let h = Heap.create () in
   for i = 0 to 99 do
-    Heap.push h ~time:(float_of_int (100 - i)) i
+    Heap.push h ~time:(cell (float_of_int (100 - i))) i
   done;
   ignore (drain h);
   (* Ties after a drain: seq keeps counting, insertion order still wins. *)
   for i = 0 to 49 do
-    Heap.push h ~time:3. i
+    Heap.push h ~time:(cell 3.) i
   done;
+  let time = cell nan in
   for i = 0 to 49 do
-    checki "fifo after clear" i (Heap.pop_min h)
+    checki "fifo after clear" i (Heap.pop_min h ~time)
   done
 
 let test_heap_empty_accessors_raise () =
-  let h : int Heap.t = Heap.create () in
-  Alcotest.check_raises "min_time" (Invalid_argument "Heap.min_time: empty") (fun () ->
-      ignore (Heap.min_time h));
+  let h = Heap.create () and time = cell 7. in
   Alcotest.check_raises "pop_min" (Invalid_argument "Heap.pop_min: empty") (fun () ->
-      ignore (Heap.pop_min h))
+      ignore (Heap.pop_min h ~time));
+  check Alcotest.(float 0.) "the cell is left alone" 7. time.(0)
 
 (* Once the arrays have grown, removing the minimum allocates nothing:
-   the sifts keep the moving key unboxed. *)
+   the sifts keep the moving key unboxed and the time goes out through a
+   cell. *)
 let test_heap_pop_min_allocation_free () =
-  let h = Heap.create () in
+  let h = Heap.create () and time = cell 0. in
   for i = 0 to 4095 do
-    Heap.push h ~time:(float_of_int (i * 7919 mod 1009)) i
+    time.(0) <- float_of_int (i * 7919 mod 1009);
+    Heap.push h ~time i
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 4096 do
-    ignore (Heap.pop_min h)
+    ignore (Heap.pop_min h ~time)
   done;
   let words = Gc.minor_words () -. before in
   check Alcotest.(float 0.) "minor words for 4096 pops" 0. words;
@@ -1081,7 +1093,7 @@ let test_sim_storm_allocation_budget () =
   checkb "completed" true (outcome.Sim.status = Sim.Completed);
   checki "events" (k * k) outcome.Sim.events;
   let per_event = words /. float_of_int outcome.Sim.events in
-  checkb (Printf.sprintf "%.1f minor words per event <= 24" per_event) true (per_event <= 24.)
+  checkb (Printf.sprintf "%.1f minor words per event <= 16" per_event) true (per_event <= 16.)
 
 (* A range read charges each bit without allocating: a k=1 peer reads
    65,536 bits from a [Data_source] in one [query_range], measured on the
@@ -1102,6 +1114,34 @@ let test_range_read_allocation_free () =
   let empty = words 0 in
   let per_bit = (words bits -. empty) /. float_of_int bits in
   checkb (Printf.sprintf "%.3f minor words per charged bit <= 0.01" per_bit) true (per_bit <= 0.01)
+
+(* A one-bit [query] reads into its peer's scratch byte, not a fresh
+   buffer: a k=1 peer makes 4,096 of them, measured on the deterministic
+   minor-heap counter net of an empty run. What is left per query is the
+   effect value and the continuation of its [perform] (5 words; 19 when
+   each query made a buffer and a handler closure). *)
+let test_one_bit_query_allocation () =
+  let x = Dr_source.Bitarray.init 4096 (fun i -> i mod 3 = 0) in
+  let words count =
+    let source = Dr_source.Data_source.create ~k:1 x in
+    let cfg = Sim.default_config ~k:1 ~query_bit:(Dr_source.Data_source.query_fn source) in
+    let ones = ref 0 in
+    let before = Gc.minor_words () in
+    let outcome =
+      S.run cfg (fun _ ->
+          for i = 0 to count - 1 do
+            if S.query i then incr ones
+          done)
+    in
+    let words = Gc.minor_words () -. before in
+    checki "every bit charged" count (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
+    checki "every bit read" ((count + 2) / 3) !ones;
+    words
+  in
+  let empty = words 0 in
+  let per_query = (words 4096 -. empty) /. 4096. in
+  checkb (Printf.sprintf "%.2f minor words per one-bit query <= 6" per_query) true
+    (per_query <= 6.)
 
 (* The block source and the per-bit adapter over the same [Data_source] are
    indistinguishable: the same trace, observer stream, metrics and outputs,
@@ -1231,4 +1271,5 @@ let suite =
     ("range read calls the source once", `Quick, test_range_read_one_source_call);
     ("query_range rejects a short buffer", `Quick, test_query_range_short_buffer);
     ("metrics add sums counts and maxes the largest message", `Quick, test_metrics_add);
+    ("one-bit query allocation budget", `Quick, test_one_bit_query_allocation);
   ]

@@ -238,14 +238,14 @@ let prop_heap_matches_reference =
         | [] -> ok := !ok && Heap.is_empty h
         | ((time, seq) as least) :: _ ->
           pending := List.filter (fun e -> e <> least) !pending;
-          let t = Heap.min_time h in
-          let v = Heap.pop_min h in
-          ok := !ok && t = time && v = seq
+          let cell = [| nan |] in
+          let v = Heap.pop_min h ~time:cell in
+          ok := !ok && cell.(0) = time && v = seq
       in
       List.iter
         (function
           | Some t ->
-            Heap.push h ~time:(float_of_int t) !next;
+            Heap.push h ~time:[| float_of_int t |] !next;
             pending := (float_of_int t, !next) :: !pending;
             incr next
           | None -> pop_both ())
@@ -318,6 +318,257 @@ let prop_frequent_matches_model =
         done
       done;
       !ok)
+
+(* [has_frequent] against the candidate list it summarises, after every
+   report of a random stream: peers re-report (rejected), strings repeat,
+   and rho runs from 0 past the largest count. *)
+let prop_has_frequent_matches_frequent =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (triple (int_range 0 4) (int_range 0 12) (oneofl [ "0"; "1"; "01"; "10"; "11" ])))
+  in
+  let print reports =
+    String.concat " "
+      (List.map (fun (seg, peer, s) -> Printf.sprintf "%d:%d:%s" seg peer s) reports)
+  in
+  QCheck.Test.make ~name:"frequent: has_frequent iff a candidate exists" ~count:300
+    (QCheck.make ~print gen)
+    (fun reports ->
+      let st = Frequent.create () in
+      let agree () =
+        List.for_all
+          (fun seg ->
+            List.for_all
+              (fun rho -> Frequent.has_frequent st ~seg ~rho = (Frequent.frequent st ~seg ~rho <> []))
+              (List.init 6 Fun.id))
+          (List.init 7 Fun.id)
+      in
+      agree ()
+      && List.for_all
+           (fun (seg, peer, s) ->
+             ignore (Frequent.add st ~seg ~peer (Bitarray.of_string s));
+             agree ())
+           reports)
+
+(* ------------------------------------------------------------------ *)
+(* Simulator against a reference scheduler                             *)
+(* ------------------------------------------------------------------ *)
+
+module Sim = Dr_engine.Sim
+
+type sim_action = Send of int * int | Broadcast of int | Recv
+
+module Vmsg = struct
+  type t = V of int
+
+  let size_bits _ = 8
+  let tag (V v) = string_of_int v
+end
+
+module Vsim = Sim.Make (Vmsg)
+
+(* The simulator's scheduling rules written out over a list of pending
+   events keyed by (time, seq): every peer starts at time 0, a send is
+   scheduled at now + latency, [After_sends j] kills the peer attempting
+   its (j+1)-th send, a delivery reaches only a live unfinished peer, and
+   under an arbiter each step drains the new events in (time, seq) order
+   into a pool the arbiter picks from, the clock counting steps. Returns
+   the deliveries as (time, src, dst, value), what each peer received, and
+   the number of events processed. *)
+let reference_run ~k ~programs ~crash ~latency ~arbiter =
+  let pending = ref [] and seq = ref 0 and pool = ref [] and clock = ref 0. in
+  let push time ev =
+    pending := (time, !seq, ev) :: !pending;
+    incr seq
+  in
+  let alive = Array.make k true and finished = Array.make k false in
+  let waiting = Array.make k false and rest = Array.copy programs in
+  let mailbox = Array.make k [] and sent = Array.make k 0 and got = Array.make k [] in
+  let log = ref [] in
+  let send p dst v =
+    match crash.(p) with
+    | Sim.After_sends j when sent.(p) >= j ->
+      alive.(p) <- false;
+      false
+    | _ ->
+      sent.(p) <- sent.(p) + 1;
+      push (!clock +. latency p dst) (`Deliver (p, dst, v));
+      true
+  in
+  let rec run p =
+    match rest.(p) with
+    | [] -> finished.(p) <- true
+    | Send (dst, v) :: r ->
+      rest.(p) <- r;
+      if send p dst v then run p
+    | Broadcast v :: r ->
+      rest.(p) <- r;
+      let rec go dst =
+        if dst >= k then run p else if dst = p then go (dst + 1) else if send p dst v then go (dst + 1)
+      in
+      go 0
+    | Recv :: r -> (
+      match mailbox.(p) with
+      | m :: ms ->
+        mailbox.(p) <- ms;
+        got.(p) <- m :: got.(p);
+        rest.(p) <- r;
+        run p
+      | [] -> waiting.(p) <- true)
+  in
+  let handle = function
+    | `Start p -> if alive.(p) then run p
+    | `Crash p ->
+      alive.(p) <- false;
+      waiting.(p) <- false
+    | `Deliver (src, dst, v) ->
+      if alive.(dst) && not finished.(dst) then begin
+        log := (!clock, src, dst, v) :: !log;
+        mailbox.(dst) <- mailbox.(dst) @ [ (src, v) ];
+        if waiting.(dst) then begin
+          waiting.(dst) <- false;
+          run dst
+        end
+      end
+  in
+  Array.iteri
+    (fun p _ ->
+      push 0. (`Start p);
+      match crash.(p) with Sim.At_time t -> push t (`Crash p) | _ -> ())
+    programs;
+  let next () =
+    let sorted = List.sort compare !pending in
+    match arbiter with
+    | None -> (
+      match sorted with
+      | [] -> None
+      | (time, _, ev) :: tl ->
+        pending := tl;
+        clock := time;
+        Some ev)
+    | Some choose ->
+      pool := !pool @ List.map (fun (_, _, ev) -> ev) sorted;
+      pending := [];
+      let n = List.length !pool in
+      if n = 0 then None
+      else begin
+        let i = choose n in
+        let i = if i < 0 || i >= n then 0 else i in
+        let ev = List.nth !pool i in
+        pool := List.filteri (fun j _ -> j <> i) !pool;
+        clock := !clock +. 1.;
+        Some ev
+      end
+  in
+  let events = ref 0 in
+  let rec loop () =
+    match next () with
+    | None -> ()
+    | Some ev ->
+      incr events;
+      handle ev;
+      loop ()
+  in
+  loop ();
+  (List.rev !log, Array.map List.rev got, !events)
+
+let engine_run ~k ~programs ~crash ~latency ~arbiter =
+  let trace = Dr_engine.Trace.create () in
+  let got = Array.make k [] in
+  let cfg =
+    {
+      (Sim.default_config ~k ~query_bit:(fun ~peer:_ _ -> false)) with
+      latency = (fun ~src ~dst ~time:_ ~size_bits:_ -> latency src dst);
+      crash = (fun i -> crash.(i));
+      trace = Some trace;
+      arbiter;
+    }
+  in
+  let outcome =
+    Vsim.run cfg (fun i ->
+        List.iter
+          (function
+            | Send (dst, v) -> Vsim.send dst (Vmsg.V v)
+            | Broadcast v -> Vsim.broadcast (Vmsg.V v)
+            | Recv ->
+              let src, Vmsg.V v = Vsim.receive () in
+              got.(i) <- (src, v) :: got.(i))
+          programs.(i))
+  in
+  let log =
+    List.filter_map
+      (function
+        | Dr_engine.Trace.Delivered { time; src; dst; tag } -> Some (time, src, dst, int_of_string tag)
+        | _ -> None)
+      (Dr_engine.Trace.events trace)
+  in
+  (log, Array.map List.rev got, outcome.Sim.events)
+
+(* Random small sims under both scheduling modes: the engine delivers the
+   same messages, in the same order, at the same times, as the reference.
+   Slots are recycled as soon as their event fires, so a slot that handed
+   over a stale message or peer shows up as a wrong delivery. *)
+let prop_sim_matches_reference_scheduler =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 5 >>= fun k ->
+      let action =
+        frequency
+          [ (3, map (fun dst -> `Send dst) (int_range 0 (k - 1))); (1, return `Broadcast); (4, return `Recv) ]
+      in
+      let crash =
+        frequency
+          [
+            (4, return Sim.Never);
+            (1, map (fun t -> Sim.At_time t) (oneofl [ 0.; 0.5; 1.; 2.5 ]));
+            (2, map (fun j -> Sim.After_sends j) (int_range 0 3));
+          ]
+      in
+      quad
+        (array_repeat k (list_size (int_range 0 6) action))
+        (array_repeat k crash)
+        (array_repeat (k * k) (int_range 0 2))
+        (opt (list_size (int_range 0 40) (int_range 0 50))))
+  in
+  let print (programs, _, _, arbiter) =
+    Printf.sprintf "k=%d actions=%d arbiter=%b" (Array.length programs)
+      (Array.fold_left (fun n l -> n + List.length l) 0 programs)
+      (arbiter <> None)
+  in
+  QCheck.Test.make ~name:"sim: deliveries match a reference scheduler" ~count:400
+    (QCheck.make ~print gen)
+    (fun (actions, crash, lat, choices) ->
+      let k = Array.length actions in
+      (* Value [10 p + j] is peer [p]'s [j]-th action: every message is distinct. *)
+      let programs =
+        Array.mapi
+          (fun p l ->
+            List.mapi
+              (fun j a ->
+                match a with
+                | `Send dst -> Send (dst, (10 * p) + j)
+                | `Broadcast -> Broadcast ((10 * p) + j)
+                | `Recv -> Recv)
+              l)
+          actions
+      in
+      let latency src dst = float_of_int lat.((src * k) + dst) in
+      (* A scripted arbiter; indices past the pool test the fallback to 0. *)
+      let arbiter () =
+        Option.map
+          (fun choices ->
+            let left = ref choices in
+            fun count ->
+              match !left with
+              | [] -> count - 1
+              | c :: cs ->
+                left := cs;
+                c mod (count + 1))
+          choices
+      in
+      reference_run ~k ~programs ~crash ~latency ~arbiter:(arbiter ())
+      = engine_run ~k ~programs ~crash ~latency ~arbiter:(arbiter ()))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-protocol properties                                           *)
@@ -635,3 +886,5 @@ let suite =
       Alcotest.test_case "registry matrix: every protocol x catalog attack" `Quick
         matrix_registry_attacks;
     ]
+  @ List.map (fun t -> QCheck_alcotest.to_alcotest ~rand t)
+      [ prop_has_frequent_matches_frequent; prop_sim_matches_reference_scheduler ]
