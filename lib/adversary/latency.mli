@@ -1,13 +1,13 @@
 (** Adversarial latency policies.
 
     In the asynchronous model the adversary assigns every message a finite
-    delay. A policy is a pure-looking function of (link, send time, size);
+    delay. A policy is a pure-looking function of (link, size);
     randomized policies draw from their own {!Dr_engine.Prng} stream so the
     rest of the execution stays reproducible. Delays are normalized: honest
     "slow" traffic takes up to 1 time unit, so measured T is in units of the
     maximum latency, as in the paper. *)
 
-type fn = src:int -> dst:int -> time:float -> size_bits:int -> float
+type fn = src:int -> dst:int -> size_bits:int -> float
 (** The shape expected by [Dr_engine.Sim.Make]'s [latency] field. *)
 
 val unit_delay : fn

@@ -40,7 +40,7 @@ type config = {
   k : int;
   seed : int64;
   source : peer:int -> pos:int -> len:int -> Bytes.t -> unit;
-  latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
+  latency : src:int -> dst:int -> size_bits:int -> float;
   link_rate : float;
   crash : int -> crash_spec;
   trace : Trace.t option;
@@ -64,7 +64,7 @@ let default_config ~k ~query_bit =
     k;
     seed = 1L;
     source = bit_source query_bit;
-    latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 1.);
+    latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 1.);
     link_rate = infinity;
     crash = (fun _ -> Never);
     trace = None;
@@ -203,11 +203,11 @@ module Make (M : MESSAGE) = struct
     let slots = { codes = [||]; msgs = [||]; free = 0 } in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
-       [infinity] (the default) models unbounded bandwidth. *)
+       [infinity] (the default) models unbounded bandwidth. [link_free.(src
+       * k + dst)] is when the link from [src] to [dst] is next idle. *)
+    if not (cfg.link_rate > 0.) then invalid_arg "Sim.run: link_rate must be > 0";
     let serialized = cfg.link_rate <> infinity in
-    let link_free : (int * int, float) Hashtbl.t =
-      if serialized then Hashtbl.create 64 else Hashtbl.create 1
-    in
+    let link_free = if serialized then Array.make (cfg.k * cfg.k) 0. else [||] in
     let metrics = Metrics.create cfg.k in
     let outputs = Array.make cfg.k None in
     (* One-slot float arrays keep the clock and the time of the event being
@@ -263,15 +263,17 @@ module Make (M : MESSAGE) = struct
     (* One send from [p] to [dst]: the body shared by [E_send] and each
        destination of [E_broadcast]. Returns [false] when the send ended the
        operation, having discontinued [k]: [p] died attempting it, or the
-       latency was negative. *)
+       latency was negative or not finite. *)
     let send_one p dst msg k =
       if send_forbidden (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
       then (crash_in p k; false)
       else
         let size_bits = M.size_bits msg in
-        let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
-        if not (delay >= 0.) then (
-          Effect.Deep.discontinue k (Invalid_argument "Sim.run: negative latency");
+        let delay = cfg.latency ~src:p.id ~dst ~size_bits in
+        if not (delay >= 0. && delay < infinity) then (
+          Effect.Deep.discontinue k
+            (Invalid_argument
+               (if delay < 0. then "Sim.run: negative latency" else "Sim.run: non-finite latency"));
           false)
         else begin
           Metrics.on_send metrics p.id ~size_bits;
@@ -280,12 +282,11 @@ module Make (M : MESSAGE) = struct
                 Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
           if not serialized then at.(0) <- clock.(0) +. delay
           else begin
-            let free =
-              match Hashtbl.find_opt link_free (p.id, dst) with Some f -> f | None -> 0.
-            in
-            let departure = Float.max clock.(0) free in
+            let link = (p.id * cfg.k) + dst in
+            let free = link_free.(link) in
+            let departure = if free > clock.(0) then free else clock.(0) in
             let transmission = float_of_int size_bits /. cfg.link_rate in
-            Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
+            link_free.(link) <- departure +. transmission;
             at.(0) <- departure +. transmission +. delay
           end;
           let s = alloc slots (deliver_code ~src:p.id ~dst) in
@@ -381,6 +382,7 @@ module Make (M : MESSAGE) = struct
       (fun p ->
         schedule 0. (start_code p.id);
         match crash_spec.(p.id) with
+        | At_time t0 when Float.is_nan t0 -> invalid_arg "Sim.run: NaN crash time"
         | At_time t0 -> schedule t0 (crash_code p.id)
         | Never | After_sends _ | After_queries _ -> ())
       peers;

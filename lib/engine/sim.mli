@@ -114,12 +114,13 @@ type config = {
           bits the reader gets before its [After_queries] crash. Per-peer
           so that lower-bound adversaries can hand corrupted peers a
           different (simulated) input array. *)
-  latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
+  latency : src:int -> dst:int -> size_bits:int -> float;
       (** adversarial propagation delay; must be finite and [>= 0.] *)
   link_rate : float;
       (** bits per time unit on each ordered link, transmitted one message
           at a time in FIFO order — the paper's "a message of L bits takes
-          L/B time units". [infinity] (default) disables serialization. *)
+          L/B time units". Must be [> 0.]; [infinity] (default) disables
+          serialization. *)
   crash : int -> crash_spec;
   trace : Trace.t option;
   max_events : int;
@@ -196,7 +197,8 @@ module Make (M : MESSAGE) : sig
 
   val run : config -> (int -> 'r) -> 'r outcome
   (** [run cfg proc] executes [proc i] as peer [i] for all [i < cfg.k] and
-      drives events to quiescence. Raises [Invalid_argument] on negative
-      latencies. Exceptions escaping a process (other than crash/halt
-      control flow) propagate to the caller. *)
+      drives events to quiescence. Raises [Invalid_argument] on a
+      [link_rate] not [> 0.], an [At_time nan] crash, or a latency that is
+      negative or not finite. Exceptions escaping a process (other than
+      crash/halt control flow) propagate to the caller. *)
 end

@@ -59,16 +59,16 @@ let test_fault_rejects_bad () =
 (* ------------------------------------------------------------------ *)
 
 let test_latency_unit_and_constant () =
-  checkf "unit" 1. (Latency.unit_delay ~src:0 ~dst:1 ~time:5. ~size_bits:100);
+  checkf "unit" 1. (Latency.unit_delay ~src:0 ~dst:1 ~size_bits:100);
   checkf "constant" 2.5
-    (Latency.size_proportional ~per_bit:0. ~floor:2.5 ~src:3 ~dst:4 ~time:0. ~size_bits:1)
+    (Latency.size_proportional ~per_bit:0. ~floor:2.5 ~src:3 ~dst:4 ~size_bits:1)
 
 (* [jittered] is the uniform policy: (0, 1], and both halves get hit. *)
 let test_latency_uniform_range () =
   let fn = Latency.jittered (Prng.create 2L) in
   let low = ref 0 in
   for _ = 1 to 500 do
-    let d = fn ~src:0 ~dst:1 ~time:0. ~size_bits:8 in
+    let d = fn ~src:0 ~dst:1 ~size_bits:8 in
     checkb "in (0,1]" true (d > 0. && d <= 1.);
     if d <= 0.5 then incr low
   done;
@@ -76,30 +76,30 @@ let test_latency_uniform_range () =
 
 let test_latency_targeted () =
   let fn = Latency.targeted ~slow:(fun i -> i = 7) ~delay:99. in
-  checkf "slow src" 99. (fn ~src:7 ~dst:0 ~time:0. ~size_bits:1);
-  checkf "fast src" 1. (fn ~src:0 ~dst:7 ~time:0. ~size_bits:1)
+  checkf "slow src" 99. (fn ~src:7 ~dst:0 ~size_bits:1);
+  checkf "fast src" 1. (fn ~src:0 ~dst:7 ~size_bits:1)
 
 let test_latency_targeted_links () =
   let fn = Latency.targeted ~slow:(fun src -> src = 1) ~delay:50. in
-  checkf "slow link" 50. (fn ~src:1 ~dst:2 ~time:0. ~size_bits:1);
-  checkf "reverse fast" 1. (fn ~src:2 ~dst:1 ~time:0. ~size_bits:1)
+  checkf "slow link" 50. (fn ~src:1 ~dst:2 ~size_bits:1);
+  checkf "reverse fast" 1. (fn ~src:2 ~dst:1 ~size_bits:1)
 
 let test_latency_rushing () =
   let fn = Latency.rushing ~fast:(fun i -> i < 2) ~eps:0.01 in
-  checkf "byz fast" 0.01 (fn ~src:1 ~dst:5 ~time:0. ~size_bits:1);
-  checkf "honest slow" 1. (fn ~src:5 ~dst:1 ~time:0. ~size_bits:1)
+  checkf "byz fast" 0.01 (fn ~src:1 ~dst:5 ~size_bits:1);
+  checkf "honest slow" 1. (fn ~src:5 ~dst:1 ~size_bits:1)
 
 let test_latency_jittered_positive () =
   let fn = Latency.jittered (Prng.create 3L) in
   for _ = 1 to 500 do
-    let d = fn ~src:0 ~dst:1 ~time:0. ~size_bits:1 in
+    let d = fn ~src:0 ~dst:1 ~size_bits:1 in
     checkb "in (0,1]" true (d > 0. && d <= 1.)
   done
 
 let test_latency_size_proportional () =
   let fn = Latency.size_proportional ~per_bit:0.01 ~floor:0.5 in
-  checkf "scales" 1.5 (fn ~src:0 ~dst:1 ~time:0. ~size_bits:100);
-  checkf "floor" 0.5 (fn ~src:0 ~dst:1 ~time:0. ~size_bits:0)
+  checkf "scales" 1.5 (fn ~src:0 ~dst:1 ~size_bits:100);
+  checkf "floor" 0.5 (fn ~src:0 ~dst:1 ~size_bits:0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash plans                                                         *)

@@ -451,7 +451,7 @@ let test_sim_latency_order () =
     {
       (Sim.default_config ~k:3 ~query_bit) with
       latency =
-        (fun ~src ~dst:_ ~time:_ ~size_bits:_ -> if src = 1 then 5.0 else 1.0);
+        (fun ~src ~dst:_ ~size_bits:_ -> if src = 1 then 5.0 else 1.0);
     }
   in
   let outcome =
@@ -638,7 +638,7 @@ let test_sim_negative_latency_rejected () =
   let cfg =
     {
       (Sim.default_config ~k:2 ~query_bit) with
-      latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> -1.);
+      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
     }
   in
   Alcotest.check_raises "negative latency" (Invalid_argument "Sim.run: negative latency")
@@ -1064,7 +1064,7 @@ let test_sim_broadcast_is_send_loop () =
   let negative =
     {
       (Sim.default_config ~k:3 ~query_bit) with
-      latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> -1.);
+      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
     }
   in
   Alcotest.check_raises "negative latency" (Invalid_argument "Sim.run: negative latency")
@@ -1073,12 +1073,13 @@ let test_sim_broadcast_is_send_loop () =
 (* The engine's allocation budget, on the deterministic counter: one
    all-to-all round at k=128 under jittered delays, the storm that
    perfbench reports as [engine.minor_words_per_event] on sim-wide. *)
-let test_sim_storm_allocation_budget () =
+let storm_words_per_event ~link_rate =
   let k = 128 in
   let cfg =
     {
       (Sim.default_config ~k ~query_bit) with
       latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+      link_rate;
     }
   in
   let before = Gc.minor_words () in
@@ -1092,8 +1093,11 @@ let test_sim_storm_allocation_budget () =
   let words = Gc.minor_words () -. before in
   checkb "completed" true (outcome.Sim.status = Sim.Completed);
   checki "events" (k * k) outcome.Sim.events;
-  let per_event = words /. float_of_int outcome.Sim.events in
-  checkb (Printf.sprintf "%.1f minor words per event <= 16" per_event) true (per_event <= 16.)
+  words /. float_of_int outcome.Sim.events
+
+let test_sim_storm_allocation_budget () =
+  let per_event = storm_words_per_event ~link_rate:infinity in
+  checkb (Printf.sprintf "%.1f minor words per event <= 12" per_event) true (per_event <= 12.)
 
 (* A range read charges each bit without allocating: a k=1 peer reads
    65,536 bits from a [Data_source] in one [query_range], measured on the
@@ -1209,6 +1213,56 @@ let test_query_range_short_buffer () =
   checki "exact-size buffers are accepted" 4 (Metrics.peer outcome.Sim.metrics 0).Metrics.queries;
   checki "bits read" 0b1101 (Char.code (Bytes.get buf 0))
 
+(* A serialized link costs no allocation per send: the storm above at 64
+   bits per time unit keeps the same budget. *)
+let test_serialized_storm_allocation_budget () =
+  let per_event = storm_words_per_event ~link_rate:64. in
+  checkb (Printf.sprintf "%.1f minor words per event <= 12" per_event) true (per_event <= 12.)
+
+(* Only a finite, non-negative latency is accepted: the sender fails as it
+   does on a negative one. *)
+let test_sim_non_finite_latency_rejected () =
+  List.iter
+    (fun delay ->
+      let latency ~src:_ ~dst:_ ~size_bits:_ = delay in
+      let cfg = { (Sim.default_config ~k:3 ~query_bit) with latency } in
+      Alcotest.check_raises (Printf.sprintf "latency %g" delay)
+        (Invalid_argument "Sim.run: non-finite latency") (fun () ->
+          ignore (S.run cfg (fun _ -> S.broadcast (Smsg.Ping 1)))))
+    [ infinity; nan ]
+
+let test_sim_nan_crash_time_rejected () =
+  let cfg =
+    {
+      (Sim.default_config ~k:3 ~query_bit) with
+      crash = (fun i -> if i = 1 then Sim.At_time nan else Sim.Never);
+    }
+  in
+  Alcotest.check_raises "At_time nan" (Invalid_argument "Sim.run: NaN crash time") (fun () ->
+      ignore (S.run cfg (fun _ -> ())))
+
+(* [infinity] still means unserialized; a rate that is not [> 0.] would give
+   negative or NaN transmission times. *)
+let test_sim_link_rate_must_be_positive () =
+  List.iter
+    (fun link_rate ->
+      let cfg = { (Sim.default_config ~k:3 ~query_bit) with link_rate } in
+      Alcotest.check_raises (Printf.sprintf "link_rate %g" link_rate)
+        (Invalid_argument "Sim.run: link_rate must be > 0") (fun () ->
+          ignore (S.run cfg (fun _ -> S.broadcast (Smsg.Ping 1)))))
+    [ 0.; -1.; nan; neg_infinity ];
+  let cfg = { (Sim.default_config ~k:3 ~query_bit) with link_rate = infinity } in
+  let outcome = S.run cfg (fun _ -> S.broadcast (Smsg.Ping 1)) in
+  checkb "infinity runs" true (outcome.Sim.status = Sim.Completed)
+
+let test_heap_nan_push_rejected () =
+  let h = Heap.create () and time = cell 0. in
+  List.iter (fun t -> Heap.push h ~time:(cell t) (int_of_float t)) [ 3.; 1.; 2. ];
+  Alcotest.check_raises "NaN push" (Invalid_argument "Heap.push: NaN time") (fun () ->
+      Heap.push h ~time:(cell nan) 4);
+  check Alcotest.int "earliest first" 1 (Heap.pop_min h ~time);
+  check Alcotest.(list (pair (float 0.) int)) "the rest unchanged" [ (2., 2); (3., 3) ] (drain h)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1272,4 +1326,9 @@ let suite =
     ("query_range rejects a short buffer", `Quick, test_query_range_short_buffer);
     ("metrics add sums counts and maxes the largest message", `Quick, test_metrics_add);
     ("one-bit query allocation budget", `Quick, test_one_bit_query_allocation);
+    ("serialized storm allocation budget", `Quick, test_serialized_storm_allocation_budget);
+    ("sim non-finite latency", `Quick, test_sim_non_finite_latency_rejected);
+    ("sim NaN crash time", `Quick, test_sim_nan_crash_time_rejected);
+    ("sim link_rate must be > 0", `Quick, test_sim_link_rate_must_be_positive);
+    ("heap NaN push raises", `Quick, test_heap_nan_push_rejected);
   ]

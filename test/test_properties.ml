@@ -215,40 +215,103 @@ let prop_tree_node_count =
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Interleaved pushes (times drawn from five values, so ties are the rule)
-   and pops, then a full drain: every pop returns the pending entry that is
-   least by (time, insertion order), exactly as a sorted list does. *)
+(* A pushed time, resolved against the last time popped: tied small ints,
+   uniform floats just past it, 1e6 outliers, infinities, negative times
+   and times below it. *)
+type heap_time = Tied of int | After of float | Outlier of float | Below of float | Fixed of float
+
+type heap_op = Push of heap_time * bool  (** [true]: reuse a popped value *) | Pop
+
+let heap_time_gen ~tied ~special =
+  QCheck.Gen.(
+    frequency
+      [
+        (tied, map (fun i -> Tied i) (int_range 0 4));
+        (16, map (fun x -> After x) (float_bound_exclusive 1.));
+        (special, map (fun x -> Outlier (1e6 +. x)) (float_bound_inclusive 1e6));
+        (special, map (fun t -> Fixed t) (oneofl [ infinity; neg_infinity ]));
+        (2, map (fun x -> Fixed (-.x)) (float_bound_inclusive 100.));
+        (2, map (fun x -> Below x) (float_bound_inclusive 1.));
+      ])
+
+let print_heap_op = function
+  | Pop -> "pop"
+  | Push (t, reuse) ->
+    let t =
+      match t with
+      | Tied i -> string_of_int i
+      | After x -> Printf.sprintf "last+%h" x
+      | Below x -> Printf.sprintf "last-%h" x
+      | Outlier t | Fixed t -> Printf.sprintf "%h" t
+    in
+    if reuse then t ^ "(reuse)" else t
+
+(* Runs of 25-35 bursts of 40-120 pushes then 40-120 pops (so at least
+   2,000 operations), then a full drain: every pop returns the pending
+   entry that is least by (time, insertion order), exactly as a sorted
+   list does. Bursts build far lists long enough to spread over windows
+   and to grow the arrays mid-epoch; a run's time mix is drawn once, so
+   some runs keep them spreadable and others put infinities or ties in
+   them. A popped value goes back to a free list that later pushes may
+   take while other entries are still pending. *)
 let prop_heap_matches_reference =
   let module Heap = Dr_engine.Heap in
   let gen =
     QCheck.Gen.(
-      list_size (int_range 0 400)
-        (frequency [ (3, map Option.some (int_range 0 4)); (1, return None) ]))
+      pair (oneofl [ 0; 4 ]) (oneofl [ 0; 1 ]) >>= fun (tied, special) ->
+      let push = map2 (fun t reuse -> Push (t, reuse)) (heap_time_gen ~tied ~special) bool in
+      let burst =
+        pair (int_range 40 120) (int_range 40 120) >>= fun (pushes, pops) ->
+        map (fun ps -> ps @ List.init pops (fun _ -> Pop)) (list_repeat pushes push)
+      in
+      map List.concat (list_size (int_range 25 35) burst))
   in
-  let print ops =
-    String.concat " " (List.map (function Some t -> string_of_int t | None -> "pop") ops)
-  in
+  let print ops = String.concat " " (List.map print_heap_op ops) in
   QCheck.Test.make ~name:"heap: pops in (time, insertion order)" ~count:300
     (QCheck.make ~print gen)
     (fun ops ->
       let h = Heap.create () in
-      let pending = ref [] and next = ref 0 and ok = ref true in
+      (* Pending (time, seq, value), sorted. *)
+      let pending = ref [] and next_seq = ref 0 and next_value = ref 0 in
+      let free = ref [] and last = ref 0. and ok = ref true in
+      let rec insert e = function
+        | x :: rest when compare x e < 0 -> x :: insert e rest
+        | l -> e :: l
+      in
       let pop_both () =
-        match List.sort compare !pending with
+        match !pending with
         | [] -> ok := !ok && Heap.is_empty h
-        | ((time, seq) as least) :: _ ->
-          pending := List.filter (fun e -> e <> least) !pending;
+        | (time, _, value) :: rest ->
+          pending := rest;
           let cell = [| nan |] in
           let v = Heap.pop_min h ~time:cell in
-          ok := !ok && cell.(0) = time && v = seq
+          ok := !ok && cell.(0) = time && v = value;
+          if Float.is_finite time then last := time;
+          free := value :: !free
       in
       List.iter
         (function
-          | Some t ->
-            Heap.push h ~time:[| float_of_int t |] !next;
-            pending := (float_of_int t, !next) :: !pending;
-            incr next
-          | None -> pop_both ())
+          | Push (t, reuse) ->
+            let time =
+              match t with
+              | Tied i -> float_of_int i
+              | After x -> !last +. x
+              | Below x -> !last -. x
+              | Outlier t | Fixed t -> t
+            in
+            let value =
+              match !free with
+              | v :: rest when reuse ->
+                free := rest;
+                v
+              | _ ->
+                incr next_value;
+                !next_value - 1
+            in
+            Heap.push h ~time:[| time |] value;
+            pending := insert (time, !next_seq, value) !pending;
+            incr next_seq
+          | Pop -> pop_both ())
         ops;
       while !pending <> [] do
         pop_both ()
@@ -479,7 +542,7 @@ let engine_run ~k ~programs ~crash ~latency ~arbiter =
   let cfg =
     {
       (Sim.default_config ~k ~query_bit:(fun ~peer:_ _ -> false)) with
-      latency = (fun ~src ~dst ~time:_ ~size_bits:_ -> latency src dst);
+      latency = (fun ~src ~dst ~size_bits:_ -> latency src dst);
       crash = (fun i -> crash.(i));
       trace = Some trace;
       arbiter;
@@ -703,7 +766,7 @@ let prop_crash_single_always_correct =
 let heterogeneous_links seed =
   let g = Prng.create seed in
   let table = Hashtbl.create 64 in
-  fun ~src ~dst ~time:_ ~size_bits:_ ->
+  fun ~src ~dst ~size_bits:_ ->
     match Hashtbl.find_opt table (src, dst) with
     | Some d -> d
     | None ->

@@ -91,7 +91,7 @@ let test_link_serialization_fifo () =
     {
       (Dr_engine.Sim.default_config ~k:2 ~query_bit:(fun ~peer:_ _ -> false)) with
       link_rate = 100.;
-      latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 0.5);
+      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.5);
     }
   in
   let outcome =
@@ -123,7 +123,7 @@ let test_link_serialization_links_independent () =
     {
       (Dr_engine.Sim.default_config ~k:3 ~query_bit:(fun ~peer:_ _ -> false)) with
       link_rate = 100.;
-      latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 0.);
+      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.);
     }
   in
   let outcome =
