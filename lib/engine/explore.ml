@@ -40,26 +40,30 @@ let scripted_then_random script prng = follow script (random prng)
 (* ------------------------------------------------------------------ *)
 
 (* FNV-1a, written out so signatures never depend on Hashtbl.hash's
-   representation-sensitive behavior: byte-exact across runs and builds. *)
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
+   representation-sensitive behavior: byte-exact across runs and builds.
+   64-bit FNV-1a in native ints: [lxor] and [*] wrap modulo 2^63, so every
+   bit below 63 equals the [Int64] computation's, and only the low 30 are
+   kept. The basis is the low 63 bits of 0xcbf29ce484222325. *)
+let fnv_prime = 0x100000001b3
+let fnv_basis = 0x4bf29ce484222325
+
+let mix h byte = (h lxor (byte land 0xff)) * fnv_prime
 
 let signature ?(bucket = 8) (o : Sim.obs) =
-  let h = ref fnv_basis in
-  let mix byte = h := Int64.mul (Int64.logxor !h (Int64.of_int (byte land 0xff))) fnv_prime in
-  mix
-    (match o.Sim.obs_kind with
+  let kind =
+    match o.Sim.obs_kind with
     | Sim.Obs_start -> 1
     | Sim.Obs_deliver -> 2
     | Sim.Obs_crash -> 3
     | Sim.Obs_query_reply -> 4
-    | Sim.Obs_wake -> 5);
-  String.iter (fun c -> mix (Char.code c)) o.Sim.obs_tag;
+    | Sim.Obs_wake -> 5
+  in
+  let h = ref (mix fnv_basis kind) and tag = o.Sim.obs_tag in
+  for i = 0 to String.length tag - 1 do
+    h := mix !h (Char.code (String.unsafe_get tag i))
+  done;
   let b = o.Sim.obs_step / max bucket 1 in
-  mix (b land 0xff);
-  mix ((b lsr 8) land 0xff);
-  mix ((b lsr 16) land 0xff);
-  Int64.to_int !h land 0x3FFFFFFF
+  mix (mix (mix !h b) (b lsr 8)) (b lsr 16) land 0x3FFFFFFF
 
 type probe = { observer : Sim.obs -> unit; hits : unit -> int list }
 

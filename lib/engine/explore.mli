@@ -70,4 +70,6 @@ val probe : ?bucket:int -> unit -> probe
     ["seg(c2,0)"]) and the event index divided by [bucket] (default 8) are
     FNV-1a-hashed together. Independent of wall clock, peer count and
     Hashtbl seeding, so two runs firing the same schedule produce the same
-    signatures byte-for-byte. *)
+    signatures byte-for-byte. The 64-bit hash runs on OCaml's 63-bit ints:
+    their [lxor] and [*] agree with [Int64]'s on every bit below 63, so
+    the kept low 30 bits equal those of the [Int64] computation. *)

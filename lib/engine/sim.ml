@@ -123,11 +123,18 @@ module Make (M : MESSAGE) = struct
 
   (* A pending event is an int slot: packed code [codes.(s)] (kind in bits
      0-1, the peer it applies to in bits 2-31, a delivery's source from bit
-     32) and, for a delivery, message [msgs.(s)]. Free slots chain from
-     [free], each holding the distance to the next minus one, so the zeros
-     a growth adds link up; past the end, [alloc] grows the pool. [msgs]
-     grows only in [set_msg], seeded with the message stored: no dummy. *)
-  type slots = { mutable codes : int array; mutable msgs : M.t array; mutable free : int }
+     32) and, for a delivery, message [msgs.(s)] and, when a trace or an
+     observer is installed, its tag [tags.(s)], rendered once at the send.
+     Free slots chain from [free], each holding the distance to the next
+     minus one, so the zeros a growth adds link up; past the end, [alloc]
+     grows the pool. [msgs] and [tags] grow only in [set_msg] and
+     [set_tag], seeded with the value stored: no dummy. *)
+  type slots = {
+    mutable codes : int array;
+    mutable msgs : M.t array;
+    mutable tags : string array;
+    mutable free : int;
+  }
 
   let start_code i = i lsl 2
   let deliver_code ~src ~dst = 1 lor (dst lsl 2) lor (src lsl 32)
@@ -147,12 +154,19 @@ module Make (M : MESSAGE) = struct
     Array.unsafe_set slots.codes s code;
     s
 
-  (* Not [Array.make]: a large one with a young [msg] forces a minor GC. *)
+  (* [a] grown to the pool's size, padded with [x]. Not [Array.make]: a
+     large one with a young [x] forces a minor GC. *)
+  let grown slots a x =
+    let n = Array.length a in
+    Array.init (Array.length slots.codes) (fun i -> if i < n then a.(i) else x)
+
   let set_msg slots s msg =
-    let old = slots.msgs and n = Array.length slots.msgs in
-    if s >= n then
-      slots.msgs <- Array.init (Array.length slots.codes) (fun i -> if i < n then old.(i) else msg);
+    if s >= Array.length slots.msgs then slots.msgs <- grown slots slots.msgs msg;
     Array.unsafe_set slots.msgs s msg
+
+  let set_tag slots s tag =
+    if s >= Array.length slots.tags then slots.tags <- grown slots slots.tags tag;
+    Array.unsafe_set slots.tags s tag
 
   let release slots s =
     Array.unsafe_set slots.codes s (slots.free - s - 1);
@@ -200,7 +214,7 @@ module Make (M : MESSAGE) = struct
           })
     in
     let heap = Heap.create () in
-    let slots = { codes = [||]; msgs = [||]; free = 0 } in
+    let slots = { codes = [||]; msgs = [||]; tags = [||]; free = 0 } in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. [link_free.(src
@@ -222,6 +236,11 @@ module Make (M : MESSAGE) = struct
        [trace_on] so the closure passed to [tr] is never even allocated. *)
     let trace_on = cfg.trace <> None in
     let tr f = match cfg.trace with None -> () | Some t -> Trace.record t (f ()) in
+    (* A message's tag is rendered once per send effect, and only when a
+       trace or an observer will read it; every destination's slot shares
+       the string. *)
+    let tags_on = trace_on || cfg.observer <> None in
+    let render msg = if tags_on then M.tag msg else "" in
     (* Killing a peer: mark dead and unwind its blocked fiber if any. *)
     let kill p =
       if p.alive then begin
@@ -260,11 +279,12 @@ module Make (M : MESSAGE) = struct
         done;
       not (crashes_after_queries spec ~queried ~granted:m)
     in
-    (* One send from [p] to [dst]: the body shared by [E_send] and each
-       destination of [E_broadcast]. Returns [false] when the send ended the
-       operation, having discontinued [k]: [p] died attempting it, or the
-       latency was negative or not finite. *)
-    let send_one p dst msg k =
+    (* One send from [p] to [dst] of [msg], whose rendered tag is [tag]: the
+       body shared by [E_send] and each destination of [E_broadcast].
+       Returns [false] when the send ended the operation, having
+       discontinued [k]: [p] died attempting it, or the latency was negative
+       or not finite. *)
+    let send_one p dst msg tag k =
       if send_forbidden (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
       then (crash_in p k; false)
       else
@@ -278,8 +298,7 @@ module Make (M : MESSAGE) = struct
         else begin
           Metrics.on_send metrics p.id ~size_bits;
           if trace_on then
-            tr (fun () ->
-                Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
+            tr (fun () -> Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag });
           if not serialized then at.(0) <- clock.(0) +. delay
           else begin
             let link = (p.id * cfg.k) + dst in
@@ -291,6 +310,7 @@ module Make (M : MESSAGE) = struct
           end;
           let s = alloc slots (deliver_code ~src:p.id ~dst) in
           set_msg slots s msg;
+          if tags_on then set_tag slots s tag;
           Heap.push heap ~time:at s;
           true
         end
@@ -298,16 +318,17 @@ module Make (M : MESSAGE) = struct
     let send_from p dst msg k =
       if dst < 0 || dst >= cfg.k then
         Effect.Deep.discontinue k (Invalid_argument "Sim.send: bad destination")
-      else if send_one p dst msg k then Effect.Deep.continue k ()
+      else if send_one p dst msg (render msg) k then Effect.Deep.continue k ()
     in
     (* Exactly the sends of a loop over ascending [dst], self skipped, in
        one effect: the same crash point, latency draws, trace records and
        heap order. *)
     let broadcast_from p msg k =
+      let tag = render msg in
       let rec go dst =
         if dst >= cfg.k then Effect.Deep.continue k ()
         else if dst = p.id then go (dst + 1)
-        else if send_one p dst msg k then go (dst + 1)
+        else if send_one p dst msg tag k then go (dst + 1)
       in
       go 0
     in
@@ -388,24 +409,26 @@ module Make (M : MESSAGE) = struct
       peers;
     let status = ref Completed in
     (* Coverage observation must cost nothing when off, exactly like the
-       trace guard: one boolean test per event, tags rendered only when a
-       sink is installed. *)
+       trace guard: one boolean test per event. A delivery's tag is the one
+       its send stored. *)
     let obs_on = cfg.observer <> None in
     let notify s =
       match cfg.observer with
       | None -> ()
       | Some f ->
         let code = slots.codes.(s) in
-        let obs_kind, obs_tag =
-          match code land 3 with
-          | 0 -> (Obs_start, "")
-          | 1 -> (Obs_deliver, M.tag slots.msgs.(s))
-          | _ -> (Obs_crash, "")
-        in
-        f { obs_kind; obs_peer = code_peer code; obs_tag; obs_step = !events_done - 1 }
+        let kind = code land 3 in
+        f
+          {
+            obs_kind = (match kind with 0 -> Obs_start | 1 -> Obs_deliver | _ -> Obs_crash);
+            obs_peer = code_peer code;
+            obs_tag = (if kind = 1 then Array.unsafe_get slots.tags s else "");
+            obs_step = !events_done - 1;
+          }
     in
     (* The slot is released before the event runs, which may schedule
-       more. *)
+       more; [release] relinks only [codes], so the slot's tag stays
+       readable until the event schedules something. *)
     let handle s =
       let code = slots.codes.(s) in
       let p = Array.unsafe_get peers (code_peer code) in
@@ -415,7 +438,8 @@ module Make (M : MESSAGE) = struct
         release slots s;
         if p.alive && not p.finished then begin
           if trace_on then
-            tr (fun () -> Trace.Delivered { time = clock.(0); src; dst = p.id; tag = M.tag msg });
+            tr (fun () ->
+                Trace.Delivered { time = clock.(0); src; dst = p.id; tag = slots.tags.(s) });
           match p.wait with
           | On_receive k ->
             p.wait <- Idle;

@@ -32,7 +32,12 @@ module type MESSAGE = sig
       responsible for respecting their own bound [B]. *)
 
   val tag : t -> string
-  (** Short label used in traces. *)
+  (** Short label used in traces and observations, e.g. a protocol phase.
+      It must be a function of the message's immutable content: the engine
+      renders it once per send effect (once for every destination of a
+      {!Make.broadcast}), at the send, and only when a trace or an
+      observer is installed, and the recorded [Sent] and [Delivered] events
+      and the delivery's {!obs} all carry that one string. *)
 end
 
 type crash_spec =
@@ -94,8 +99,9 @@ type obs = {
   obs_kind : obs_kind;
   obs_peer : int;  (** the peer the event applies to (destination for delivers) *)
   obs_tag : string;
-      (** the message's {!MESSAGE.tag} for delivers — the protocol-phase
-          label ("seg(3)", "seg(c2,0)", …) — and [""] otherwise *)
+      (** for a delivery, the {!MESSAGE.tag} rendered when the message was
+          sent — the protocol-phase label ("seg(3)", "seg(c2,0)", …); [""]
+          for a start or a crash *)
   obs_step : int;  (** 0-based index of the event within the execution *)
 }
 (** One observation per processed event. Unlike {!Trace}, observations are
@@ -128,7 +134,8 @@ type config = {
   observer : (obs -> unit) option;
       (** called once per processed event, before the event's effects run —
           the coverage-guided checker's sampling hook. [None] (default) costs
-          one branch per event. *)
+          one branch per event, and with no [trace] either no tag is
+          rendered. *)
 }
 
 val bit_source : (peer:int -> int -> bool) -> peer:int -> pos:int -> len:int -> Bytes.t -> unit

@@ -123,7 +123,20 @@ let event_of_line line =
     | _ -> fail ())
   | _ -> fail ()
 
+(* A tag with a newline would split its event over two lines, which [load]
+   then rejects; refuse it before the file is touched. *)
+let check_tags t =
+  for i = 0 to t.len - 1 do
+    match t.items.(i) with
+    | (Sent { tag; _ } | Delivered { tag; _ }) as ev when String.contains tag '\n' ->
+      invalid_arg
+        (Printf.sprintf "Trace.save: event %d (%s) has a tag containing a newline" i
+           (String.escaped (event_to_line ev)))
+    | _ -> ()
+  done
+
 let save t path =
+  check_tags t;
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)

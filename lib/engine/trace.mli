@@ -48,7 +48,9 @@ val pp : Format.formatter -> t -> unit
     tags must not contain newlines. *)
 
 val save : t -> string -> unit
-(** Write to a file (overwrites). *)
+(** Write to a file (overwrites). Raises [Invalid_argument] naming the
+    event, before the file is opened, when a message tag contains a
+    newline. *)
 
 val load : string -> t
 (** Read a file written by {!save}. Raises [Failure] with the offending line

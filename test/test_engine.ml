@@ -835,6 +835,22 @@ let test_trace_load_rejects_garbage () =
       | _ -> Alcotest.fail "expected failure"
       | exception Failure _ -> ())
 
+(* [save] refuses a tag that would split its line, naming the event,
+   before it opens the file. *)
+let test_trace_save_rejects_newline_tag () =
+  let trace = Trace.create () in
+  List.iter (Trace.record trace)
+    [
+      Trace.Sent { time = 0.; src = 0; dst = 1; size_bits = 8; tag = "ok" };
+      Trace.Delivered { time = 1.; src = 0; dst = 1; tag = "two\nlines" };
+    ];
+  let path = Filename.temp_file "dr_trace" ".txt" in
+  Sys.remove path;
+  Alcotest.check_raises "newline in a tag"
+    (Invalid_argument "Trace.save: event 1 (recv 1 0 1 two\\nlines) has a tag containing a newline")
+    (fun () -> Trace.save trace path);
+  checkb "no file written" false (Sys.file_exists path)
+
 let test_metrics_summary_selection () =
   let m = Metrics.create 3 in
   Metrics.on_query m 0 ~bits:1;
@@ -1263,6 +1279,135 @@ let test_heap_nan_push_rejected () =
   check Alcotest.int "earliest first" 1 (Heap.pop_min h ~time);
   check Alcotest.(list (pair (float 0.) int)) "the rest unchanged" [ (2., 2); (3., 3) ] (drain h)
 
+(* ------------------------------------------------------------------ *)
+(* Tag rendering and observer cost                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A message whose [tag] counts its calls. A message is its sender and,
+   for a per-destination send, its destination ([-1] in a broadcast). *)
+let tag_renders = ref 0
+
+module Tagged = struct
+  type t = int * int
+
+  let size_bits _ = 8
+  let label (src, dst) = Printf.sprintf "m(%d,%d)" src dst
+
+  let tag m =
+    incr tag_renders;
+    label m
+end
+
+module T = Sim.Make (Tagged)
+
+(* A send effect renders its message's tag once, and only when a trace or
+   an observer reads it: a broadcast once for all its destinations. Every
+   recorded and observed tag is [Tagged.label] of its message. *)
+let test_tag_rendered_once_per_send () =
+  let k = 6 in
+  let run ~traced ~observed ~per_dest =
+    tag_renders := 0;
+    let trace = if traced then Some (Trace.create ()) else None in
+    (* (peer, tag) of every observed delivery and of every received
+       message, newest first. *)
+    let seen = ref [] and received = ref [] in
+    let observer =
+      if not observed then None
+      else
+        Some
+          (fun (o : Sim.obs) ->
+            if o.Sim.obs_kind = Sim.Obs_deliver then
+              seen := (o.Sim.obs_peer, o.Sim.obs_tag) :: !seen
+            else Alcotest.(check string) "no tag off a delivery" "" o.Sim.obs_tag)
+    in
+    let cfg =
+      {
+        (Sim.default_config ~k ~query_bit) with
+        latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+        trace;
+        observer;
+      }
+    in
+    let outcome =
+      T.run cfg (fun i ->
+          if per_dest then
+            for dst = 0 to k - 1 do
+              if dst <> i then T.send dst (i, dst)
+            done
+          else T.broadcast (i, -1);
+          for _ = 1 to k - 1 do
+            let _, m = T.receive () in
+            received := (i, Tagged.label m) :: !received
+          done)
+    in
+    checkb "completed" true (outcome.Sim.status = Sim.Completed);
+    let renders = !tag_renders in
+    Option.iter
+      (fun t ->
+        let expected src dst = Tagged.label (src, if per_dest then dst else -1) in
+        let tagged =
+          List.filter_map
+            (function
+              | Trace.Sent { src; dst; tag; _ } | Trace.Delivered { src; dst; tag; _ } ->
+                Some (tag = expected src dst)
+              | _ -> None)
+            (Trace.events t)
+        in
+        checki "sends and deliveries traced" (2 * k * (k - 1)) (List.length tagged);
+        checkb "every traced tag is its message's" true (List.for_all Fun.id tagged))
+      trace;
+    if observed then
+      for peer = 0 to k - 1 do
+        let of_peer l = List.filter (fun (p, _) -> p = peer) l in
+        check
+          Alcotest.(list (pair int string))
+          "observed tags are the received messages'" (of_peer !received) (of_peer !seen)
+      done;
+    renders
+  in
+  checki "observer only" k (run ~traced:false ~observed:true ~per_dest:false);
+  checki "trace and observer" k (run ~traced:true ~observed:true ~per_dest:false);
+  checki "trace only" k (run ~traced:true ~observed:false ~per_dest:false);
+  checki "neither" 0 (run ~traced:false ~observed:false ~per_dest:false);
+  checki "per-destination sends, observed" (k * (k - 1))
+    (run ~traced:true ~observed:true ~per_dest:true);
+  checki "per-destination sends, neither" 0 (run ~traced:false ~observed:false ~per_dest:true)
+
+(* The coverage probe's allocation budget, on the deterministic counter:
+   one byz-2cycle execution under a random arbiter, with and without the
+   campaign's [Explore.probe]. What observing adds per event is the [obs]
+   record, the stored tags and the probe's bookkeeping of new signatures
+   (12.8 words; 81.8 when every delivery rendered its tag and the hash
+   boxed each [Int64] step). *)
+let test_observer_allocation_budget () =
+  let module Problem = Dr_core.Problem in
+  let module Registry = Dr_core.Registry in
+  let entry = Registry.find_exn "byz-2cycle" in
+  let inst = Problem.random_instance ~seed:7L ~model:Problem.Byzantine ~k:8 ~n:64 ~t:3 () in
+  let run observer =
+    let events = ref 0 in
+    let random = Explore.random (Prng.create 5L) in
+    let arbiter count =
+      incr events;
+      random count
+    in
+    let opts = Dr_core.Exec.make_opts ?observer ~arbiter () in
+    let before = Gc.minor_words () in
+    let report = entry.Registry.run ~opts ~attack:"lie" inst in
+    let words = Gc.minor_words () -. before in
+    checkb "verified" true report.Problem.ok;
+    (words, !events)
+  in
+  let plain, events = run None in
+  let probe = Explore.probe () in
+  let observed, events' = run (Some probe.Explore.observer) in
+  checki "same schedule" events events';
+  checkb "signatures collected" true (probe.Explore.hits () <> []);
+  let per_event = (observed -. plain) /. float_of_int events in
+  checkb
+    (Printf.sprintf "%.1f observer words per event <= 16" per_event)
+    true (per_event <= 16.)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1331,4 +1476,7 @@ let suite =
     ("sim NaN crash time", `Quick, test_sim_nan_crash_time_rejected);
     ("sim link_rate must be > 0", `Quick, test_sim_link_rate_must_be_positive);
     ("heap NaN push raises", `Quick, test_heap_nan_push_rejected);
+    ("tag rendered once per send", `Quick, test_tag_rendered_once_per_send);
+    ("observer allocation budget", `Quick, test_observer_allocation_budget);
+    ("trace save rejects a tag with a newline", `Quick, test_trace_save_rejects_newline_tag);
   ]

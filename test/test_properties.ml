@@ -908,6 +908,66 @@ let matrix_registry_attacks () =
         (Registry.attacks entry))
     Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Coverage signatures                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The signature hash as it was written over [Int64]: the reference the
+   native-int hash behind [Explore.probe] must match bit for bit. *)
+let reference_signature ?(bucket = 8) (o : Dr_engine.Sim.obs) =
+  let module Sim = Dr_engine.Sim in
+  let h = ref 0xcbf29ce484222325L in
+  let mix byte = h := Int64.mul (Int64.logxor !h (Int64.of_int (byte land 0xff))) 0x100000001b3L in
+  mix
+    (match o.Sim.obs_kind with
+    | Sim.Obs_start -> 1
+    | Sim.Obs_deliver -> 2
+    | Sim.Obs_crash -> 3
+    | Sim.Obs_query_reply -> 4
+    | Sim.Obs_wake -> 5);
+  String.iter (fun c -> mix (Char.code c)) o.Sim.obs_tag;
+  let b = o.Sim.obs_step / max bucket 1 in
+  mix (b land 0xff);
+  mix ((b lsr 8) land 0xff);
+  mix ((b lsr 16) land 0xff);
+  Int64.to_int !h land 0x3FFFFFFF
+
+let prop_signature_matches_int64 =
+  let module Sim = Dr_engine.Sim in
+  let kinds = [ Sim.Obs_start; Sim.Obs_deliver; Sim.Obs_crash; Sim.Obs_query_reply; Sim.Obs_wake ] in
+  let gen =
+    QCheck.Gen.(
+      let* obs_kind = oneofl kinds in
+      let* obs_tag =
+        (* Empty, protocol-like and arbitrary bytes, [\x80]-[\xff] included. *)
+        oneof
+          [
+            return "";
+            map (Printf.sprintf "seg(c%d,%d)" 1) small_nat;
+            string_size ~gen:char (int_range 0 40);
+            string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (int_range 1 12);
+          ]
+      in
+      let* obs_step = oneof [ int_range 0 64; int_range 0 (1 lsl 26) ] in
+      let* obs_peer = int_range 0 127 in
+      let* bucket =
+        oneof [ opt (oneofl [ 0; -1; -8; 8 ]); opt (int_range (-20) 1000) ]
+      in
+      return ({ Sim.obs_kind; obs_peer; obs_tag; obs_step }, bucket))
+  in
+  let print ((o : Sim.obs), bucket) =
+    Printf.sprintf "kind #%d, tag %S, step %d, bucket %s"
+      (Option.get (List.find_index (( = ) o.Sim.obs_kind) kinds))
+      o.Sim.obs_tag o.Sim.obs_step
+      (match bucket with None -> "default" | Some b -> string_of_int b)
+  in
+  QCheck.Test.make ~name:"explore: signature matches the Int64 FNV-1a" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (o, bucket) ->
+      let probe = Dr_engine.Explore.probe ?bucket () in
+      probe.Dr_engine.Explore.observer o;
+      probe.Dr_engine.Explore.hits () = [ reference_signature ?bucket o ])
+
 let suite =
   (* A fixed QCheck random state keeps the generated cases identical from
      run to run: the whole test suite stays deterministic (the randomized
@@ -950,4 +1010,8 @@ let suite =
         matrix_registry_attacks;
     ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~rand t)
-      [ prop_has_frequent_matches_frequent; prop_sim_matches_reference_scheduler ]
+      [
+        prop_has_frequent_matches_frequent;
+        prop_sim_matches_reference_scheduler;
+        prop_signature_matches_int64;
+      ]
