@@ -30,7 +30,10 @@ let msg_bits_arg =
   Arg.(value & opt (some int) None & info [ "B"; "msg-bits" ] ~doc:"Message size bound in bits.")
 
 let latency_arg = Cli_args.latency_arg ~default:"unit"
-let crash_arg = Cli_args.crash_arg ~default:"midcast:1"
+let crash_arg =
+  Cli_args.crash_arg
+    ~applies:"It crashes the faulty peers. Default: midcast:1 under --model crash, none \
+              under --model byzantine, so attackers run unmuted unless a plan is given."
 let attack_arg = Cli_args.attack_arg
 
 let segments_arg =
@@ -140,6 +143,11 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       with
       | entry -> Result.map (fun () -> entry) (Registry.validate_attack entry attack)
       | exception Failure msg -> Error msg
+    in
+    let crash =
+      match crash with
+      | Some plan -> plan
+      | None -> if model = Problem.Byzantine then "none" else "midcast:1"
     in
     match (resolved, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
     | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)

@@ -33,11 +33,15 @@ let t_arg = Arg.(value & opt (some int) None & info [ "t"; "faults" ] ~doc:"Faul
 let msg_arg = Arg.(value & opt (some int) None & info [ "B"; "msg-bits" ] ~doc:"Message bound (fixed unless swept).")
 let seeds_arg = Arg.(value & opt int 3 & info [ "seeds" ] ~doc:"Runs per sweep point.")
 
-let crash_arg = Cli_args.crash_arg ~default:"silent"
+let crash_arg =
+  Cli_args.crash_arg
+    ~applies:"It crashes the faulty peers of a crash-model protocol (default silent); \
+              Byzantine protocols run without crashes."
 let latency_arg = Cli_args.latency_arg ~default:"jitter"
 
 let run axis values protocol k n beta t b seeds crash latency =
   let entry = try Ok (Cli_args.resolve_protocol protocol) with Failure msg -> Error msg in
+  let crash = Option.value crash ~default:"silent" in
   match (entry, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
   | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
   | Ok entry, Ok latency, Ok crash ->

@@ -69,11 +69,9 @@ let request_timeout_arg =
            ~doc:"With --transport net: per-attempt deadline on each source request \
                  (default 5; 0 = none).")
 
-let crash_doc =
-  "Crash plan for crash-model faulty peers: none, silent, midcast:J, staggered, or afterq:J."
-
-let crash_arg ~default =
-  Arg.(value & opt string default & info [ "crash" ] ~docv:"PLAN" ~doc:crash_doc)
+let crash_arg ~applies =
+  let doc = "Crash plan: none, silent, midcast:J, staggered, or afterq:J. " ^ applies in
+  Arg.(value & opt (some string) None & info [ "crash" ] ~docv:"PLAN" ~doc)
 
 let crash_plan spec =
   let counted j plan =

@@ -46,7 +46,10 @@ val request_timeout_arg : float option Cmdliner.Term.t
 (** [--request-timeout], overriding
     [Source_client.default_config.request_timeout]. *)
 
-val crash_arg : default:string -> string Cmdliner.Term.t
+val crash_arg : applies:string -> string option Cmdliner.Term.t
+(** [--crash PLAN]; [None] when absent, so the caller picks the default.
+    [applies] ends the doc line: which peers a plan crashes, and the
+    default. *)
 
 val crash_plan : string -> (fault:Dr_adversary.Fault.t -> Dr_adversary.Crash_plan.t, string) result
 (** Parse a [--crash] plan: "none", "silent", "midcast:J", "staggered",

@@ -43,19 +43,19 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       Array.init spec.Segment.s (fun seg -> Wire.Assembly.create ~len:(Segment.len spec seg) ~b)
     in
     let missing = ref (if i < spec.Segment.s then spec.Segment.s - 1 else spec.Segment.s) in
-    while !missing > 0 do
-      let _src, { seg; part; bits } = T.receive () in
-      if seg >= 0 && seg < spec.Segment.s && seg <> i then begin
-        let a = assemblies.(seg) in
-        if not (Wire.Assembly.complete a) then begin
-          Wire.Assembly.add a ~part bits;
-          if Wire.Assembly.complete a then begin
-            Bitarray.blit ~src:(Wire.Assembly.get a) ~dst:y ~pos:(Segment.start spec seg);
-            decr missing
+    T.await
+      ~ready:(fun () -> !missing <= 0)
+      ~on:(fun _src { seg; part; bits } ->
+        if seg >= 0 && seg < spec.Segment.s && seg <> i then begin
+          let a = assemblies.(seg) in
+          if not (Wire.Assembly.complete a) then begin
+            Wire.Assembly.add a ~part bits;
+            if Wire.Assembly.complete a then begin
+              Bitarray.blit ~src:(Wire.Assembly.get a) ~dst:y ~pos:(Segment.start spec seg);
+              decr missing
+            end
           end
-        end
-      end
-    done;
+        end);
     y
 end
 

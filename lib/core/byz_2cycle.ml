@@ -115,11 +115,11 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         ignore (Frequent.add store ~seg:pick ~peer:i mine);
         let heard = ref 1 in
         let wanted_len seg = Segment.len spec seg in
-        while not (!heard >= k - t && Frequent.covered store ~segments:s ~rho) do
-          let src, { seg; bits } = T.receive () in
-          if seg >= 0 && seg < s && Int.equal (Bitarray.length bits) (wanted_len seg) then
-            if Frequent.add store ~seg ~peer:src bits then incr heard
-        done;
+        T.await
+          ~ready:(fun () -> !heard >= k - t && Frequent.covered store ~segments:s ~rho)
+          ~on:(fun src { seg; bits } ->
+            if seg >= 0 && seg < s && Int.equal (Bitarray.length bits) (wanted_len seg) then
+              if Frequent.add store ~seg ~peer:src bits then incr heard);
         let y = Bitarray.create n in
         Bitarray.blit ~src:mine ~dst:y ~pos:(Segment.start spec pick);
         for seg = 0 to s - 1 do

@@ -104,12 +104,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let pick = if spec.Segment.s = 1 then 0 else Prng.int prng spec.Segment.s in
         let children = Segment.children ~coarse:spec ~fine pick in
         let child_ready c = Frequent.has_frequent stores.(r - 2) ~seg:c ~rho in
-        while
-          not (heard.(r - 2) >= k - t && List.for_all child_ready children)
-        do
-          let src, m = T.receive () in
-          ingest src m
-        done;
+        T.await
+          ~ready:(fun () -> heard.(r - 2) >= k - t && List.for_all child_ready children)
+          ~on:ingest;
         let resolve c =
           let tree = Decision_tree.build (Frequent.frequent stores.(r - 2) ~seg:c ~rho) in
           fst (Decision_tree.determine ~query:T.query ~offset:(Segment.start fine c) tree)

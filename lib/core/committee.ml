@@ -70,24 +70,24 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       done;
       (* Stage 2: decide the remaining blocks on tau matching committee
          values. *)
-      while !remaining > 0 do
-        let src, { block; bits } = T.receive () in
-        if
-          block >= 0
-          && block < spec.Segment.s
-          && (not decided.(block))
-          && member block src
-          && (not (Hashtbl.mem voted (block, src)))
-          && Int.equal (Bitarray.length bits) (Segment.len spec block)
-        then begin
-          Hashtbl.add voted (block, src) ();
-          let count =
-            match Strmap.find_opt bits votes.(block) with Some c -> c + 1 | None -> 1
-          in
-          votes.(block) <- Strmap.add bits count votes.(block);
-          if count >= tau then decide block bits
-        end
-      done;
+      T.await
+        ~ready:(fun () -> !remaining <= 0)
+        ~on:(fun src { block; bits } ->
+          if
+            block >= 0
+            && block < spec.Segment.s
+            && (not decided.(block))
+            && member block src
+            && (not (Hashtbl.mem voted (block, src)))
+            && Int.equal (Bitarray.length bits) (Segment.len spec block)
+          then begin
+            Hashtbl.add voted (block, src) ();
+            let count =
+              match Strmap.find_opt bits votes.(block) with Some c -> c + 1 | None -> 1
+            in
+            votes.(block) <- Strmap.add bits count votes.(block);
+            if count >= tau then decide block bits
+          end);
       y
     in
     let byz i =

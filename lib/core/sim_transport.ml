@@ -16,6 +16,7 @@ module Make (M : Transport.MSG) = struct
   let send = S.send
   let broadcast = S.broadcast
   let receive = S.receive
+  let await = S.await
   let query = S.query
 
   let query_range ~pos ~len =

@@ -13,6 +13,7 @@ module type S = sig
   val send : int -> msg -> unit
   val broadcast : msg -> unit
   val receive : unit -> int * msg
+  val await : ready:(unit -> bool) -> on:(int -> msg -> unit) -> unit
   val query : int -> bool
   val query_range : pos:int -> len:int -> Dr_source.Bitarray.t
   val rng : unit -> Dr_engine.Prng.t

@@ -2,10 +2,13 @@
 
     The paper's protocols are defined purely in terms of point-to-point
     messages to other peers and [Query(i)] calls to the external source.
-    {!S} captures exactly that interface — plus a private random stream and
-    the [die] hook the Byzantine strategies use — so a protocol core written
-    against it is oblivious to {e where} it runs. Like the model's peers, a
-    core has no clock. Two implementations exist:
+    {!S} captures exactly that interface — plus a private random stream,
+    the [die] hook the Byzantine strategies use, and [await], the "wait
+    until …" loop over messages whose body only updates local state — so a
+    protocol core written against it is oblivious to {e where} it runs.
+    [await]'s [on] and [ready] must not call the transport: the simulator
+    runs them inside the delivering event. Like the model's peers, a core
+    has no clock. Two implementations exist:
 
     - {!Sim_transport}: the deterministic discrete-event simulator
       ({!Dr_engine.Sim}), bit-exact with the pre-refactor behaviour;
@@ -39,6 +42,16 @@ module type S = sig
   val receive : unit -> int * msg
   (** Next delivered message as [(sender, message)]; blocks until one
       arrives. *)
+
+  val await : ready:(unit -> bool) -> on:(int -> msg -> unit) -> unit
+  (** [await ~ready ~on] means exactly
+      [while not (ready ()) do let src, m = receive () in on src m done]:
+      the paper's "wait until …" over messages that only update local
+      state. [on] and [ready] must not call the transport (no send,
+      query, [rng] or [me]); a loop whose body replies or queries stays on
+      {!receive}. The simulator runs [on] and [ready] inside the
+      delivering event, so a message costs no fiber switch; the socket
+      transport runs the loop itself. *)
 
   val query : int -> bool
   (** The model's [Query(i)]: read one bit from the external source. Both

@@ -86,6 +86,7 @@ module Make (M : MESSAGE) = struct
     | E_send : int * M.t -> unit Effect.t
     | E_broadcast : M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
+    | E_await : (unit -> bool) * (int -> M.t -> unit) -> unit Effect.t
     | E_query_range : int * int * Bytes.t -> unit Effect.t
     | E_query : int -> bool Effect.t
     | E_now : float Effect.t
@@ -101,6 +102,7 @@ module Make (M : MESSAGE) = struct
   let broadcast msg = Effect.perform (E_broadcast msg)
 
   let receive () = Effect.perform E_receive
+  let await ~ready ~on = if not (ready ()) then Effect.perform (E_await (ready, on))
   let query_range ~pos ~len buf = Effect.perform (E_query_range (pos, len, buf))
 
   let query i = Effect.perform (E_query i)
@@ -108,7 +110,12 @@ module Make (M : MESSAGE) = struct
   let rng () = Effect.perform E_rng
   let die () = raise Halted
 
-  type wait = Idle | On_receive of (int * M.t, unit) Effect.Deep.continuation
+  (* A blocked peer: parked in [receive], or in [await] with the predicate
+     and handler that each delivery runs on the scheduler's stack. *)
+  type wait =
+    | Idle
+    | On_receive of (int * M.t, unit) Effect.Deep.continuation
+    | On_await of (unit, unit) Effect.Deep.continuation * (unit -> bool) * (int -> M.t -> unit)
 
   type pstate = {
     id : int;
@@ -251,6 +258,9 @@ module Make (M : MESSAGE) = struct
         | On_receive k ->
           p.wait <- Idle;
           Effect.Deep.discontinue k Crashed
+        | On_await (k, _, _) ->
+          p.wait <- Idle;
+          Effect.Deep.discontinue k Crashed
       end
     in
     (* A peer crashing inside one of its own operations: it dies, and the
@@ -332,6 +342,23 @@ module Make (M : MESSAGE) = struct
       in
       go 0
     in
+    (* [await]'s loop body, run on the scheduler's stack over what [p]'s
+       mailbox holds: the fiber resumes once [ready] holds, parks when the
+       mailbox runs dry, and an exception from [on] or [ready] (a transport
+       call among them, as [Effect.Unhandled]) is raised inside it. *)
+    let await_from p k ready on =
+      let rec go () =
+        if Ring.is_empty p.mailbox then false
+        else
+          let src, msg = Ring.pop p.mailbox in
+          on src msg;
+          ready () || go ()
+      in
+      match go () with
+      | true -> Effect.Deep.continue k ()
+      | false -> p.wait <- On_await (k, ready, on)
+      | exception e -> Effect.Deep.discontinue k e
+    in
     let handler_for p =
       let open Effect.Deep in
       (* Handlers of the payload-free effects and of [query], whose bit
@@ -360,6 +387,7 @@ module Make (M : MESSAGE) = struct
         | E_now -> on_now
         | E_rng -> on_rng
         | E_receive -> on_receive
+        | E_await (ready, on) -> Some (fun k -> await_from p k ready on)
         | E_send (dst, msg) -> Some (fun k -> send_from p dst msg k)
         | E_broadcast msg -> Some (fun k -> broadcast_from p msg k)
         | E_query_range (pos, len, buf) ->
@@ -444,6 +472,18 @@ module Make (M : MESSAGE) = struct
           | On_receive k ->
             p.wait <- Idle;
             Effect.Deep.continue k (src, msg)
+          | On_await (k, ready, on) -> (
+            match
+              on src msg;
+              ready ()
+            with
+            | false -> ()
+            | true ->
+              p.wait <- Idle;
+              Effect.Deep.continue k ()
+            | exception e ->
+              p.wait <- Idle;
+              Effect.Deep.discontinue k e)
           | Idle -> Ring.push p.mailbox (src, msg)
         end
       | kind ->

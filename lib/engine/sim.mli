@@ -7,8 +7,12 @@
     clock visible to the peers. Peers are written in direct style as ordinary
     OCaml functions; [receive] and [query_range] are OCaml 5 effects
     interpreted by the event loop, so a peer reads exactly like the paper's
-    pseudo-code ("wait until it receives …"). Only [receive] can suspend a
-    peer: a source read is answered within the event that issued it. Q,
+    pseudo-code ("wait until it receives …"). Only [receive] and [await]
+    can suspend a peer: a source read is answered within the event that
+    issued it. [await] is the receive loop whose body only updates local
+    state; its [on] and [ready] run inside the delivering event, on the
+    scheduler's stack, so a report costs no fiber switch, and they must
+    not call back into the simulator. Q,
     trace records and the [After_queries] crash point are per bit, but a
     range read reaches the source in one call ([config.source]), not one
     call per bit.
@@ -178,6 +182,18 @@ module Make (M : MESSAGE) : sig
   (** Next delivered message as [(sender, message)]; blocks until one
       arrives. Protocols keep their own buffers for out-of-phase messages,
       as in the paper. *)
+
+  val await : ready:(unit -> bool) -> on:(int -> M.t -> unit) -> unit
+  (** [await ~ready ~on] is exactly
+      [while not (ready ()) do let src, m = receive () in on src m done]:
+      the same events, trace records, observations and outcome. It returns
+      at once when [ready ()] holds on entry. Otherwise each message —
+      first those already in the mailbox, then each delivery — is passed to
+      [on] and followed by [ready ()] inside the delivering event, and the
+      peer resumes only once [ready] holds. [on] and [ready] must not call
+      any function of this module: such a call raises [Effect.Unhandled]
+      in the peer. An exception from [on] or [ready] ([die ()] among them)
+      ends the peer as if raised by the loop body. *)
 
   val query_range : pos:int -> len:int -> Bytes.t -> unit
   (** [query_range ~pos ~len b] reads bits [pos .. pos+len-1] into [b] from

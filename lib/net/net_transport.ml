@@ -172,6 +172,12 @@ end) : Transport.S with type msg = M.t = struct
     let src, payload = next () in
     (src, (Marshal.from_bytes payload 0 : M.t))
 
+  let await ~ready ~on =
+    while not (ready ()) do
+      let src, m = receive () in
+      on src m
+    done
+
   (* The only source read ([query] is its one-bit case): it requests only
      the bits the crash rule grants, and a [len = 0] range issues no
      request, like an empty loop. *)

@@ -50,13 +50,13 @@ let publish ?(seed = 1L) ?(rushing = true) ~feed ~fault ~honest_report () =
       let received = ref [] in
       let senders = Hashtbl.create 16 in
       let quorum = k - t in
-      while Hashtbl.length senders < quorum do
-        let src, { report } = S.receive () in
-        if (not (Hashtbl.mem senders src)) && Array.length report = d then begin
-          Hashtbl.add senders src ();
-          received := report :: !received
-        end
-      done;
+      S.await
+        ~ready:(fun () -> Hashtbl.length senders >= quorum)
+        ~on:(fun src { report } ->
+          if (not (Hashtbl.mem senders src)) && Array.length report = d then begin
+            Hashtbl.add senders src ();
+            received := report :: !received
+          end);
       Aggregate.cellwise_median !received
     end
     else begin

@@ -917,11 +917,11 @@ let test_metrics_add () =
 let range_input = Array.init 40 (fun i -> i mod 3 = 0 || i mod 7 = 2)
 let range_query_bit ~peer:_ i = range_input.(i)
 
-type range_run = {
+type 'r range_run = {
   records : Trace.event list;
   observed : (Sim.obs_kind * int * string * int) list;
   counters : Metrics.peer list;
-  outcome : (bool list * bool) Sim.outcome;
+  outcome : 'r Sim.outcome;
 }
 
 let bit_of buf r = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0
@@ -1089,7 +1089,7 @@ let test_sim_broadcast_is_send_loop () =
 (* The engine's allocation budget, on the deterministic counter: one
    all-to-all round at k=128 under jittered delays, the storm that
    perfbench reports as [engine.minor_words_per_event] on sim-wide. *)
-let storm_words_per_event ~link_rate =
+let storm_words_per_event ~wait ~link_rate =
   let k = 128 in
   let cfg =
     {
@@ -1102,9 +1102,14 @@ let storm_words_per_event ~link_rate =
   let outcome =
     S.run cfg (fun i ->
         S.broadcast (Smsg.Ping i);
-        for _ = 1 to k - 1 do
-          ignore (S.receive ())
-        done)
+        match wait with
+        | `Receive ->
+          for _ = 1 to k - 1 do
+            ignore (S.receive ())
+          done
+        | `Await ->
+          let heard = ref 0 in
+          S.await ~ready:(fun () -> !heard >= k - 1) ~on:(fun _ _ -> incr heard))
   in
   let words = Gc.minor_words () -. before in
   checkb "completed" true (outcome.Sim.status = Sim.Completed);
@@ -1112,7 +1117,7 @@ let storm_words_per_event ~link_rate =
   words /. float_of_int outcome.Sim.events
 
 let test_sim_storm_allocation_budget () =
-  let per_event = storm_words_per_event ~link_rate:infinity in
+  let per_event = storm_words_per_event ~wait:`Receive ~link_rate:infinity in
   checkb (Printf.sprintf "%.1f minor words per event <= 12" per_event) true (per_event <= 12.)
 
 (* A range read charges each bit without allocating: a k=1 peer reads
@@ -1232,7 +1237,7 @@ let test_query_range_short_buffer () =
 (* A serialized link costs no allocation per send: the storm above at 64
    bits per time unit keeps the same budget. *)
 let test_serialized_storm_allocation_budget () =
-  let per_event = storm_words_per_event ~link_rate:64. in
+  let per_event = storm_words_per_event ~wait:`Receive ~link_rate:64. in
   checkb (Printf.sprintf "%.1f minor words per event <= 12" per_event) true (per_event <= 12.)
 
 (* Only a finite, non-negative latency is accepted: the sender fails as it
@@ -1408,6 +1413,160 @@ let test_observer_allocation_budget () =
     (Printf.sprintf "%.1f observer words per event <= 16" per_event)
     true (per_event <= 16.)
 
+(* ------------------------------------------------------------------ *)
+(* await                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [await ~ready ~on] is the loop below, with [on] and [ready] run inside
+   the delivering event. The scenario's peers each broadcast a ping, wait
+   for k-2 messages, broadcast a value, wait on a predicate that already
+   holds, and wait for 2k-4 messages in all; [fail] runs at the end of
+   every [on]. *)
+let await_k = 5
+
+let receive_loop ~ready ~on =
+  while not (ready ()) do
+    let src, m = S.receive () in
+    on src m
+  done
+
+let await_scenario ?(fail = fun ~me:_ ~heard:_ -> ()) ~inline ~crash ~arbiter () =
+  let k = await_k in
+  let wait = if inline then S.await else receive_loop in
+  let trace = Trace.create () in
+  let seen = ref [] in
+  let observer o = seen := (o.Sim.obs_kind, o.Sim.obs_peer, o.Sim.obs_tag, o.Sim.obs_step) :: !seen in
+  let cfg =
+    {
+      (Sim.default_config ~k ~query_bit) with
+      latency = Dr_adversary.Latency.jittered (Prng.create 9L);
+      crash;
+      trace = Some trace;
+      observer = Some observer;
+      arbiter;
+    }
+  in
+  let outcome =
+    S.run cfg (fun i ->
+        let got = ref [] and heard = ref 0 in
+        let on src m =
+          got := (src, m) :: !got;
+          incr heard;
+          fail ~me:i ~heard:!heard
+        in
+        S.broadcast (Smsg.Ping i);
+        wait ~ready:(fun () -> !heard >= k - 2) ~on;
+        S.broadcast (Smsg.Value (i mod 2 = 0));
+        wait ~ready:(fun () -> !heard >= 1) ~on;
+        wait ~ready:(fun () -> !heard >= (2 * k) - 4) ~on;
+        List.rev !got)
+  in
+  {
+    records = Trace.events trace;
+    observed = List.rev !seen;
+    counters = List.init k (Metrics.peer outcome.Sim.metrics);
+    outcome;
+  }
+
+(* Heap order, a mid-pool arbiter, and newest-first, which delivers
+   messages to peers that have not started, so they sit in the mailbox
+   when the first [await] runs. *)
+let await_modes =
+  [
+    ("timed", None);
+    ("arbiter", Some (fun count -> count / 2));
+    ("newest first", Some (fun count -> count - 1));
+  ]
+
+let test_await_is_receive_loop () =
+  let k = await_k in
+  let cases =
+    List.map (fun (aname, arbiter) -> ("no crash, " ^ aname, (fun _ -> Sim.Never), arbiter)) await_modes
+    @ List.map
+        (fun (aname, arbiter) ->
+          ("After_sends (k-1), " ^ aname, peer1 (Sim.After_sends (k - 1)), arbiter))
+        await_modes
+    @ [ ("At_time while awaiting, timed", (fun i -> if i = 2 then Sim.At_time 0.9 else Sim.Never), None) ]
+  in
+  let runs =
+    List.map
+      (fun (what, crash, arbiter) ->
+        let loop = await_scenario ~inline:false ~crash ~arbiter () in
+        check_same_run what loop (await_scenario ~inline:true ~crash ~arbiter ());
+        (what, loop))
+      cases
+  in
+  let run what = List.assoc what runs in
+  let sent r p = (List.nth r.counters p).Metrics.msgs_sent in
+  (* Not vacuous. Newest-first leaves a message in some peer's mailbox
+     before it starts. *)
+  let early =
+    List.exists
+      (fun (kind, peer, _, step) ->
+        kind = Sim.Obs_deliver
+        && List.exists
+             (fun (kind', peer', _, step') -> kind' = Sim.Obs_start && peer' = peer && step' > step)
+             (run "no crash, newest first").observed)
+      (run "no crash, newest first").observed
+  in
+  checkb "a delivery precedes its peer's start" true early;
+  List.iter
+    (fun (what, _, _) ->
+      let r = run what in
+      if String.starts_with ~prefix:"no crash" what then
+        checkb (what ^ ": completed") true (r.outcome.Sim.status = Sim.Completed)
+      else if String.starts_with ~prefix:"After_sends" what then begin
+        (* Peer 1 dies on the first send after its first wait's [ready]. *)
+        checki (what ^ ": peer 1's sends") (k - 1) (sent r 1);
+        checkb (what ^ ": peer 1 has no output") true (r.outcome.Sim.outputs.(1) = None)
+      end
+      else begin
+        (* Peer 2 sent both broadcasts, so the crash found it waiting. *)
+        checki (what ^ ": peer 2's sends") (2 * (k - 1)) (sent r 2);
+        checkb (what ^ ": peer 2 has no output") true (r.outcome.Sim.outputs.(2) = None)
+      end)
+    cases
+
+(* [die ()] in [on] ends the peer as it would from the loop body; another
+   exception leaves [run] as it would from the body; and a transport call
+   in [on], which the loop would make, fails loudly instead. Each in heap
+   mode (called from a delivery) and newest-first (from the mailbox). *)
+let test_await_failure_routing () =
+  List.iter
+    (fun (aname, arbiter) ->
+      let die ~me ~heard = if me = 1 && heard = 2 then S.die () in
+      let run ~inline = await_scenario ~fail:die ~inline ~crash:(fun _ -> Sim.Never) ~arbiter () in
+      let loop = run ~inline:false in
+      check_same_run ("die in on, " ^ aname) loop (run ~inline:true);
+      checkb (aname ^ ": peer 1 has no output") true (loop.outcome.Sim.outputs.(1) = None);
+      checkb (aname ^ ": the others finish") true (loop.outcome.Sim.outputs.(0) <> None);
+      let boom ~me ~heard = if me = 1 && heard = 2 then failwith "boom" in
+      List.iter
+        (fun inline ->
+          Alcotest.check_raises
+            (Printf.sprintf "exception in on, %s, inline %b" aname inline)
+            (Failure "boom") (fun () ->
+              ignore (await_scenario ~fail:boom ~inline ~crash:(fun _ -> Sim.Never) ~arbiter ())))
+        [ false; true ];
+      let reply ~me ~heard = if me = 1 && heard = 1 then S.send 0 (Smsg.Ping 9) in
+      let loop = await_scenario ~fail:reply ~inline:false ~crash:(fun _ -> Sim.Never) ~arbiter () in
+      checki (aname ^ ": the loop body's send is made") (2 * (await_k - 1) + 1)
+        (List.nth loop.counters 1).Metrics.msgs_sent;
+      let raised =
+        match await_scenario ~fail:reply ~inline:true ~crash:(fun _ -> Sim.Never) ~arbiter () with
+        | _ -> false
+        | exception Effect.Unhandled _ -> true
+      in
+      checkb (aname ^ ": a send in on raises Effect.Unhandled") true raised)
+    [ List.nth await_modes 0; List.nth await_modes 2 ]
+
+(* The storm of the allocation budget above, its peers waiting with
+   [await]: a delivery to a waiting peer allocates no continuation, tuple
+   or wait block. *)
+let test_await_storm_allocation_budget () =
+  let per_event = storm_words_per_event ~wait:`Await ~link_rate:infinity in
+  checkb (Printf.sprintf "%.2f minor words per event <= 5" per_event) true (per_event <= 5.)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1479,4 +1638,7 @@ let suite =
     ("tag rendered once per send", `Quick, test_tag_rendered_once_per_send);
     ("observer allocation budget", `Quick, test_observer_allocation_budget);
     ("trace save rejects a tag with a newline", `Quick, test_trace_save_rejects_newline_tag);
+    ("await is the receive loop", `Quick, test_await_is_receive_loop);
+    ("await failure routing", `Quick, test_await_failure_routing);
+    ("await storm allocation budget", `Quick, test_await_storm_allocation_budget);
   ]

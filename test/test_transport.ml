@@ -166,6 +166,21 @@ let test_byz_2cycle_crash_mid_segment () =
     sim_q;
   Alcotest.(check (array int)) "per-peer Q, sim = net" sim_q net_q
 
+(* In the theorem's regime: at k = 24, t = 2, n = 48 the plan gives two
+   segments and rho = 5, so every honest peer runs cycle 2, waiting for
+   reports through [await] over sockets. The silent faulty peers forge
+   nothing, so each decision tree has one leaf and costs no query: Q is one
+   segment (24 bits) and M is each of the 22 honest peers' one broadcast,
+   under every schedule. *)
+let test_byz_2cycle_in_regime () =
+  checkb "plan: two segments, rho 5" true (Dr_core.Byz_2cycle.plan ~k:24 ~n:48 ~t:2 = (2, 5));
+  conform ~protocol:"byz-2cycle" ~attack:"silent" ~k:24 ~n:48 ~t:2 ~model:Problem.Byzantine
+    ~seed:3L ~q_exact:true ~m_exact:true ();
+  let inst = Problem.random_instance ~seed:3L ~model:Problem.Byzantine ~k:24 ~n:48 ~t:2 () in
+  let sim = (entry "byz-2cycle").Registry.run ~opts:(Exec.make_opts ()) ~attack:"silent" inst in
+  checki "Q is one segment" 24 sim.Problem.q_max;
+  checki "M is the honest broadcasts" 506 sim.Problem.msgs
+
 let test_net_rejects_at_time_crash () =
   let e = entry "crash-general" in
   let inst = Problem.random_instance ~seed:1L ~model:Problem.Crash ~k:4 ~n:64 ~t:1 () in
@@ -183,4 +198,5 @@ let suite =
     ("byz-2cycle sim=net under chaos", `Quick, test_chaos_conformance_byz_2cycle);
     ("net rejects At_time crash plans", `Quick, test_net_rejects_at_time_crash);
     ("byz-2cycle mid-segment query crash sim=net", `Quick, test_byz_2cycle_crash_mid_segment);
+    ("byz-2cycle in-regime cycle 2 sim=net", `Quick, test_byz_2cycle_in_regime);
   ]
