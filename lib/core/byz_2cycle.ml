@@ -114,11 +114,11 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let store = Frequent.create () in
         ignore (Frequent.add store ~seg:pick ~peer:i mine);
         let heard = ref 1 in
-        let wanted_len seg = Segment.len spec seg in
+        let lens = Array.init s (Segment.len spec) in
         T.await
           ~ready:(fun () -> !heard >= k - t && Frequent.covered store ~segments:s ~rho)
           ~on:(fun src { seg; bits } ->
-            if seg >= 0 && seg < s && Int.equal (Bitarray.length bits) (wanted_len seg) then
+            if seg >= 0 && seg < s && Int.equal (Bitarray.length bits) lens.(seg) then
               if Frequent.add store ~seg ~peer:src bits then incr heard);
         let y = Bitarray.create n in
         Bitarray.blit ~src:mine ~dst:y ~pos:(Segment.start spec pick);

@@ -68,18 +68,23 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       | Some base -> max 1 (base * (s1 / s_r))
       | None -> max 1 (h / (2 * s_r))
     in
+    (* lens.(r-1).(j) is segment j's length in cycle r. *)
+    let lens = Array.map (fun spec -> Array.init spec.Segment.s (Segment.len spec)) specs in
     let honest i =
       let prng = T.rng () in
-      (* Per-cycle report stores; reports for future cycles are buffered by
-         feeding them into their own store as they arrive. *)
-      let stores = Array.init cycles (fun _ -> Frequent.create ()) in
-      let heard = Array.make cycles 0 in
+      (* stores.(c-1) holds cycle c's reports, and the cycle-r loop reads only
+         stores.(r-2). So a report is stored only if its cycle is [oldest]
+         (the one awaited now or next) or later, and not the last cycle,
+         which no loop awaits: reports of resolved cycles are dropped, and
+         reports of future cycles are buffered in their own store as they
+         arrive. *)
+      let stores = Array.init (cycles - 1) (fun _ -> Frequent.create ()) in
+      let heard = Array.make (cycles - 1) 0 in
+      let oldest = ref 1 in
       let ingest src { cycle; seg; bits } =
-        if cycle >= 1 && cycle <= cycles then begin
-          let spec = specs.(cycle - 1) in
-          if seg >= 0 && seg < spec.Segment.s
-             && Int.equal (Bitarray.length bits) (Segment.len spec seg)
-          then
+        if cycle >= !oldest && cycle < cycles then begin
+          let len = lens.(cycle - 1) in
+          if seg >= 0 && seg < Array.length len && Int.equal (Bitarray.length bits) len.(seg) then
             if Frequent.add stores.(cycle - 1) ~seg ~peer:src bits then
               heard.(cycle - 1) <- heard.(cycle - 1) + 1
         end
@@ -101,6 +106,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let spec = specs.(r - 1) in
         let fine = specs.(r - 2) in
         let rho = rho_of (r - 1) in
+        oldest := r - 1;
         let pick = if spec.Segment.s = 1 then 0 else Prng.int prng spec.Segment.s in
         let children = Segment.children ~coarse:spec ~fine pick in
         let child_ready c = Frequent.has_frequent stores.(r - 2) ~seg:c ~rho in

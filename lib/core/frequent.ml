@@ -10,10 +10,14 @@ type t = {
   mutable per_seg : int ref Strmap.t array;  (** segment -> string -> reporter count *)
   mutable seen : Bytes.t;  (** byte [p] is nonzero once peer [p] has reported *)
   mutable reporters : int;
-  mutable best : int array;  (** segment -> largest reporter count of one string *)
+  mutable lead : Bitarray.t array;  (** segment -> a string with the largest count *)
+  mutable lead_count : int ref array;
+      (** segment -> [lead]'s count cell, the one [per_seg] holds; a shared
+          [ref 0] that is never bumped until the segment's first report *)
 }
 
-let create () = { per_seg = [||]; seen = Bytes.empty; reporters = 0; best = [||] }
+let create () =
+  { per_seg = [||]; seen = Bytes.empty; reporters = 0; lead = [||]; lead_count = [||] }
 
 let seen t peer = peer < Bytes.length t.seen && Bytes.get t.seen peer <> '\000'
 
@@ -33,7 +37,9 @@ let ensure t seg =
     let grown = Array.make (Int.max (seg + 1) (Int.max 4 (2 * cur))) Strmap.empty in
     Array.blit t.per_seg 0 grown 0 cur;
     t.per_seg <- grown;
-    t.best <- Array.init (Array.length grown) (fun j -> if j < cur then t.best.(j) else 0)
+    let extend a fill = Array.init (Array.length grown) (fun j -> if j < cur then a.(j) else fill) in
+    t.lead <- extend t.lead (Bitarray.create 0);
+    t.lead_count <- extend t.lead_count (ref 0)
   end
 
 let add t ~seg ~peer s =
@@ -43,17 +49,26 @@ let add t ~seg ~peer s =
   else begin
     mark t peer;
     ensure t seg;
-    (* A repeated string bumps its count in place: no path copy. *)
-    let c =
-      match Strmap.find_opt s t.per_seg.(seg) with
-      | Some c ->
-        incr c;
-        !c
-      | None ->
-        t.per_seg.(seg) <- Strmap.add s (ref 1) t.per_seg.(seg);
-        1
-    in
-    t.best.(seg) <- Int.max c t.best.(seg);
+    let lead = t.lead_count.(seg) in
+    (* A copy of the leader, physical or byte-equal, skips the map. *)
+    if !lead > 0 && (s == t.lead.(seg) || Bitarray.compare s t.lead.(seg) = 0) then incr lead
+    else begin
+      (* A repeated string bumps its count in place: no path copy. *)
+      let c =
+        match Strmap.find_opt s t.per_seg.(seg) with
+        | Some c ->
+          incr c;
+          c
+        | None ->
+          let c = ref 1 in
+          t.per_seg.(seg) <- Strmap.add s c t.per_seg.(seg);
+          c
+      in
+      if !c > !lead then begin
+        t.lead.(seg) <- s;
+        t.lead_count.(seg) <- c
+      end
+    end;
     true
   end
 
@@ -68,7 +83,8 @@ let total_for t ~seg = List.fold_left (fun n (_, c) -> n + c) 0 (strings_for t ~
 let frequent t ~seg ~rho =
   List.filter_map (fun (s, c) -> if c >= rho then Some s else None) (strings_for t ~seg)
 
-let has_frequent t ~seg ~rho = seg < Array.length t.best && t.best.(seg) >= Int.max 1 rho
+let has_frequent t ~seg ~rho =
+  seg < Array.length t.lead_count && !(t.lead_count.(seg)) >= Int.max 1 rho
 
 let rec covered_from t seg ~segments ~rho =
   seg >= segments || (has_frequent t ~seg ~rho && covered_from t (seg + 1) ~segments ~rho)

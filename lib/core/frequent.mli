@@ -4,7 +4,14 @@
     answers "which strings for segment [j] were reported by at least ρ
     distinct peers". Each peer's {e first} report (per cycle) is the only one
     counted — the paper's accounting "each peer sends no more than one string
-    overall" is enforced here, so a Byzantine flooder cannot inflate R_j. *)
+    overall" is enforced here, so a Byzantine flooder cannot inflate R_j.
+
+    Cost model. Each segment remembers its leader, a string with the largest
+    count, and the map cell that holds that count. A report equal to the
+    leader, physically or byte for byte, costs O(1): one comparison and one
+    increment, no map lookup. Any other report costs O(log d) for the d
+    distinct strings of its segment, so a flood of distinct forgeries costs
+    no more than before, and the honest string costs O(1) once it leads. *)
 
 type t
 
@@ -32,8 +39,8 @@ val frequent : t -> seg:int -> rho:int -> Dr_source.Bitarray.t list
     {!Dr_source.Bitarray.compare} order: a decision tree's candidates. *)
 
 val has_frequent : t -> seg:int -> rho:int -> bool
-(** [frequent t ~seg ~rho <> []], in O(1) and without allocating: [add]
-    keeps each segment's largest reporter count. *)
+(** [frequent t ~seg ~rho <> []], in O(1) and without allocating: it reads
+    the leader's count. *)
 
 val covered : t -> segments:int -> rho:int -> bool
 (** Does every segment in [0 .. segments-1] have a ρ-frequent string? This is

@@ -368,6 +368,36 @@ let test_multicycle_jitter () =
            (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:2 ()) inst))
     [ 1L; 2L; 3L; 4L ]
 
+(* The default plan at k=96, n=192, t=8 is s1=4: three cycles, so reports
+   of a cycle can arrive before or after the peer waits on it. Every catalog
+   attack (adaptive attackers receive once per cycle) under jitter, with Q,
+   M and the trace's event count pinned: how a peer stores reports must not
+   move any of them. *)
+let test_multicycle_catalog_pinned () =
+  let e = Registry.find_exn "byz-multicycle" in
+  checki "three cycles" 3 (snd (Byz_multicycle.plan ~k:96 ~n:192 ~t:8));
+  let run attack =
+    let inst = byz_instance ~seed:29L ~k:96 ~n:192 ~t:8 () in
+    let trace = Dr_engine.Trace.create () in
+    let opts = Exec.(default |> with_latency (jitter 29L) |> with_trace trace) in
+    let r = e.Registry.run ~opts ~attack inst in
+    Printf.sprintf "%s ok=%b Q=%d Qtotal=%d M=%d events=%d" attack r.Problem.ok r.Problem.q_max
+      r.Problem.q_total r.Problem.msgs (Dr_engine.Trace.length trace)
+  in
+  check
+    Alcotest.(list string)
+    "per attack"
+    [
+      "nearmiss ok=true Q=48 Qtotal=4224 M=25080 events=51209";
+      "silent ok=true Q=48 Qtotal=4224 M=25080 events=44754";
+      "lie ok=true Q=48 Qtotal=4224 M=25080 events=51209";
+      "equivocate ok=true Q=48 Qtotal=4224 M=25080 events=48521";
+      "flood ok=true Q=48 Qtotal=4224 M=25080 events=51209";
+      "adaptive ok=true Q=48 Qtotal=4224 M=25080 events=49198";
+      "splitcast ok=true Q=48 Qtotal=4224 M=25080 events=47017";
+    ]
+    (List.map run (Registry.attacks e))
+
 let test_combined_adversary_committee () =
   (* Everything at once: rushing Byzantine delivery and B-limited
      serialized links. *)
@@ -448,6 +478,7 @@ let suite =
     ("multicycle: attacks", `Quick, test_multicycle_attacks);
     ("multicycle: deeper", `Quick, test_multicycle_deeper);
     ("multicycle: jitter", `Quick, test_multicycle_jitter);
+    ("multicycle: catalog pinned", `Quick, test_multicycle_catalog_pinned);
     ("combined adversary (committee)", `Quick, test_combined_adversary_committee);
     ("2cycle under serialized links", `Quick, test_2cycle_under_serialized_links);
     ("multicycle under serialized links", `Quick, test_multicycle_under_serialized_links);

@@ -414,6 +414,74 @@ let prop_has_frequent_matches_frequent =
              agree ())
            reports)
 
+(* The store's leader path against the same list model, checked after every
+   report. A report is one string of a pool: either the pool's one physical
+   value, as every recipient of a simulator broadcast holds, or a fresh
+   equal-content copy. Each stream opens with forgeries (any pool string
+   but the honest one) before the honest string arrives, then mixes mostly
+   the honest string and one rival, so leads tie and change hands. The pool
+   has three lengths, so one segment holds strings of mixed lengths. *)
+let prop_frequent_leader_matches_model =
+  let pool = [| "0110"; "0111"; "1110"; "011"; "01101"; "1" |] in
+  let shared = Array.map Bitarray.of_string pool in
+  let report str_gen = QCheck.Gen.(quad (int_range 0 3) (int_range 0 40) str_gen bool) in
+  let gen =
+    QCheck.Gen.(
+      map2 ( @ )
+        (list_size (int_range 0 8) (report (int_range 1 5)))
+        (list_size (int_range 0 60)
+           (report (frequency [ (4, return 0); (3, return 1); (1, int_range 2 5) ]))))
+  in
+  let print reports =
+    String.concat " "
+      (List.map
+         (fun (seg, peer, idx, copy) ->
+           Printf.sprintf "%d:%d:%s%s" seg peer pool.(idx) (if copy then "'" else ""))
+         reports)
+  in
+  QCheck.Test.make ~name:"frequent: leader path matches a list-of-reports model" ~count:300
+    (QCheck.make ~print gen)
+    (fun reports ->
+      let st = Frequent.create () in
+      let accepted = ref [] in
+      let model_strings seg =
+        List.filter_map (fun (g, _, s) -> if g = seg then Some s else None) !accepted
+        |> List.sort_uniq (fun a b -> Bitarray.compare (Bitarray.of_string b) (Bitarray.of_string a))
+        |> List.map (fun s ->
+               (s, List.length (List.filter (fun (g, _, s') -> g = seg && s' = s) !accepted)))
+      in
+      let model_frequent seg rho =
+        List.filter_map (fun (s, c) -> if c >= rho then Some s else None) (model_strings seg)
+      in
+      let agree () =
+        List.for_all
+          (fun seg ->
+            List.map (fun (b, c) -> (Bitarray.to_string b, c)) (Frequent.strings_for st ~seg)
+            = model_strings seg
+            && List.for_all
+                 (fun rho ->
+                   List.map Bitarray.to_string (Frequent.frequent st ~seg ~rho)
+                   = model_frequent seg rho
+                   && Frequent.has_frequent st ~seg ~rho = (model_frequent seg rho <> []))
+                 (List.init 6 Fun.id))
+          (List.init 5 Fun.id)
+        && List.for_all
+             (fun segments ->
+               List.for_all
+                 (fun rho ->
+                   Frequent.covered st ~segments ~rho
+                   = List.for_all (fun seg -> model_frequent seg rho <> []) (List.init segments Fun.id))
+                 [ 1; 2; 3 ])
+             (List.init 5 Fun.id)
+      in
+      List.for_all
+        (fun (seg, peer, idx, copy) ->
+          let fresh = not (List.exists (fun (_, p, _) -> p = peer) !accepted) in
+          if fresh then accepted := (seg, peer, pool.(idx)) :: !accepted;
+          let s = if copy then Bitarray.of_string pool.(idx) else shared.(idx) in
+          Frequent.add st ~seg ~peer s = fresh && agree ())
+        reports)
+
 (* ------------------------------------------------------------------ *)
 (* Simulator against a reference scheduler                             *)
 (* ------------------------------------------------------------------ *)
@@ -989,6 +1057,7 @@ let suite =
       prop_tree_node_count;
       prop_heap_matches_reference;
       prop_frequent_matches_model;
+      prop_frequent_leader_matches_model;
       prop_crash_general_always_correct;
       prop_crash_single_always_correct;
       prop_crash_general_heterogeneous_wan;
