@@ -62,7 +62,9 @@ val run_scenario :
 (** (for tests) Build the instance from the scenario, run under the given
     arbiter with the scenario's crash plan applied to the instance's faulty
     set, record the schedule and consult the {!Invariant} oracle.
-    [observer] is passed through to the target (coverage probing). *)
+    [observer] is passed through to the target (coverage probing). Under
+    the Byzantine model the faulty set is the attackers, so the plan
+    crashes them: a legal but weaker adversary. *)
 
 val shrink : target -> Repro.scenario -> Invariant.violation -> script:int list -> Repro.t
 (** (for tests) Minimize a failing run: first the crash plan (drop it, then

@@ -34,6 +34,11 @@ let create () =
     lists = [| -1; -1 |]; cur = -1; nwin = 0; far_len = 0; count = 0;
     f = [| neg_infinity; 1.; infinity; neg_infinity; neg_infinity |] }
 
+let clear h =
+  h.len <- 0; h.next_seq <- 0; h.cur <- -1; h.nwin <- 0; h.far_len <- 0; h.count <- 0;
+  Array.fill h.lists 0 (Array.length h.lists) (-1);
+  Array.blit (create ()).f 0 h.f 0 (Array.length h.f)
+
 let extend a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);

@@ -19,6 +19,10 @@ type t
 
 val create : unit -> t
 
+val clear : t -> unit
+(** Drop every entry, keeping the arrays: a cleared queue pops exactly as
+    a fresh one and allocates only past the largest size it has held. *)
+
 val push : t -> time:float array -> int -> unit
 (** [push h ~time v] schedules [v] at [time.(0)]. Raises [Invalid_argument]
     on a NaN time, leaving [h] unchanged. *)

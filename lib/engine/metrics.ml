@@ -44,12 +44,12 @@ let[@inline] on_query t i ~bits =
   let idx = (i * stride) + f_queries in
   Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + bits)
 
-let on_send t i ~size_bits =
+let on_send t i ~count ~size_bits =
   let base = i * stride in
   Array.unsafe_set t.data (base + f_msgs_sent)
-    (Array.unsafe_get t.data (base + f_msgs_sent) + 1);
+    (Array.unsafe_get t.data (base + f_msgs_sent) + count);
   Array.unsafe_set t.data (base + f_bits_sent)
-    (Array.unsafe_get t.data (base + f_bits_sent) + size_bits);
+    (Array.unsafe_get t.data (base + f_bits_sent) + (count * size_bits));
   Array.unsafe_set t.data (base + f_max_msg_bits)
     (imax (Array.unsafe_get t.data (base + f_max_msg_bits)) size_bits)
 

@@ -37,7 +37,9 @@ val on_query : t -> int -> bits:int -> unit
 (** [on_query t i ~bits] charges [bits] source queries to peer [i]: a range
     read is one call. *)
 
-val on_send : t -> int -> size_bits:int -> unit
+val on_send : t -> int -> count:int -> size_bits:int -> unit
+(** [on_send t i ~count ~size_bits] charges peer [i] with [count >= 1]
+    messages of [size_bits] bits each: a broadcast's sends are one call. *)
 
 val add : t -> t -> unit
 (** [add acc m] adds [m]'s counters into [acc], peer by peer: counts are

@@ -23,10 +23,13 @@ let crashes_after_queries spec ~queried ~granted =
   | After_queries j -> granted > 0 && queried + granted >= j
   | Never | At_time _ | After_sends _ -> false
 
-let send_forbidden spec ~sent =
+(* How many more sends the plan lets a peer make, having made [sent]. *)
+let sends_granted spec ~sent =
   match spec with
-  | After_sends j -> sent >= j
-  | Never | At_time _ | After_queries _ -> false
+  | After_sends j -> Int.max 0 (j - sent)
+  | Never | At_time _ | After_queries _ -> max_int
+
+let send_forbidden spec ~sent = sends_granted spec ~sent = 0
 
 type status = Completed | Deadlock of int list | Event_limit_reached
 
@@ -81,6 +84,12 @@ type 'r outcome = {
   events : int;
 }
 
+(* The queue and slot codes the last run in this domain returned with;
+   [None] while a run holds them, so a nested run builds its own. *)
+type store = { heap : Heap.t; codes : int array }
+
+let store : store option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 module Make (M : MESSAGE) = struct
   type _ Effect.t +=
     | E_send : int * M.t -> unit Effect.t
@@ -98,15 +107,11 @@ module Make (M : MESSAGE) = struct
   let peer_count () = Effect.perform E_k
   let now () = Effect.perform E_now
   let send dst msg = Effect.perform (E_send (dst, msg))
-
   let broadcast msg = Effect.perform (E_broadcast msg)
-
   let receive () = Effect.perform E_receive
   let await ~ready ~on = if not (ready ()) then Effect.perform (E_await (ready, on))
   let query_range ~pos ~len buf = Effect.perform (E_query_range (pos, len, buf))
-
   let query i = Effect.perform (E_query i)
-
   let rng () = Effect.perform E_rng
   let die () = raise Halted
 
@@ -153,26 +158,29 @@ module Make (M : MESSAGE) = struct
     Array.blit a 0 b 0 (Array.length a);
     b
 
+  (* A checked read: a stale code in a reused pool must fail, not send
+     [free] out of bounds. *)
   let alloc slots code =
     if slots.free >= Array.length slots.codes then
       slots.codes <- grow_ints slots.codes (Int.max 16 (2 * Array.length slots.codes));
     let s = slots.free in
-    slots.free <- s + 1 + Array.unsafe_get slots.codes s;
+    slots.free <- s + 1 + slots.codes.(s);
     Array.unsafe_set slots.codes s code;
     s
 
-  (* [a] grown to the pool's size, padded with [x]. Not [Array.make]: a
-     large one with a young [x] forces a minor GC. *)
-  let grown slots a x =
+  (* [a] grown past index [s] by doubling (not to a bigger run's [codes]),
+     padded with [x]. Not [Array.make]: a large one with a young [x] forces
+     a minor GC. *)
+  let grown a s x =
     let n = Array.length a in
-    Array.init (Array.length slots.codes) (fun i -> if i < n then a.(i) else x)
+    Array.init (Int.max (s + 1) (Int.max 16 (2 * n))) (fun i -> if i < n then a.(i) else x)
 
   let set_msg slots s msg =
-    if s >= Array.length slots.msgs then slots.msgs <- grown slots slots.msgs msg;
+    if s >= Array.length slots.msgs then slots.msgs <- grown slots.msgs s msg;
     Array.unsafe_set slots.msgs s msg
 
   let set_tag slots s tag =
-    if s >= Array.length slots.tags then slots.tags <- grown slots slots.tags tag;
+    if s >= Array.length slots.tags then slots.tags <- grown slots.tags s tag;
     Array.unsafe_set slots.tags s tag
 
   let release slots s =
@@ -206,6 +214,7 @@ module Make (M : MESSAGE) = struct
     ev
 
   let run cfg proc =
+    if not (cfg.link_rate > 0.) then invalid_arg "Sim.run: link_rate must be > 0";
     let master = Prng.create cfg.seed in
     let peers =
       Array.init cfg.k (fun id ->
@@ -220,13 +229,22 @@ module Make (M : MESSAGE) = struct
             query_at = 0;
           })
     in
-    let heap = Heap.create () in
-    let slots = { codes = [||]; msgs = [||]; tags = [||]; free = 0 } in
+    (* A warm run starts from the last one's storage, emptied: the zeroed
+       codes chain their slots exactly as a cold pool's growth does. *)
+    let heap, codes =
+      match Domain.DLS.get store with
+      | None -> (Heap.create (), [||])
+      | Some { heap; codes } ->
+        Domain.DLS.set store None;
+        Heap.clear heap;
+        Array.fill codes 0 (Array.length codes) 0;
+        (heap, codes)
+    in
+    let slots = { codes; msgs = [||]; tags = [||]; free = 0 } in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. [link_free.(src
        * k + dst)] is when the link from [src] to [dst] is next idle. *)
-    if not (cfg.link_rate > 0.) then invalid_arg "Sim.run: link_rate must be > 0";
     let serialized = cfg.link_rate <> infinity in
     let link_free = if serialized then Array.make (cfg.k * cfg.k) 0. else [||] in
     let metrics = Metrics.create cfg.k in
@@ -289,58 +307,71 @@ module Make (M : MESSAGE) = struct
         done;
       not (crashes_after_queries spec ~queried ~granted:m)
     in
-    (* One send from [p] to [dst] of [msg], whose rendered tag is [tag]: the
-       body shared by [E_send] and each destination of [E_broadcast].
-       Returns [false] when the send ended the operation, having
-       discontinued [k]: [p] died attempting it, or the latency was negative
-       or not finite. *)
-    let send_one p dst msg tag k =
-      if send_forbidden (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
-      then (crash_in p k; false)
-      else
-        let size_bits = M.size_bits msg in
-        let delay = cfg.latency ~src:p.id ~dst ~size_bits in
-        if not (delay >= 0. && delay < infinity) then (
-          Effect.Deep.discontinue k
-            (Invalid_argument
-               (if delay < 0. then "Sim.run: negative latency" else "Sim.run: non-finite latency"));
-          false)
+    (* A send effect's one charge: none when it made no send. *)
+    let charge p ~count ~size_bits =
+      if count > 0 then Metrics.on_send metrics p.id ~count ~size_bits
+    in
+    (* One send from [p] to [dst] of [msg] ([size_bits] bits, rendered tag
+       [tag]) that the crash rule allows: the body shared by [E_send] and
+       each destination of [E_broadcast]. On a negative or non-finite
+       latency it charges the effect's [sent] earlier sends, discontinues
+       [k] and returns [false]. *)
+    let send_one p dst msg ~size_bits tag ~sent k =
+      let delay = cfg.latency ~src:p.id ~dst ~size_bits in
+      if not (delay >= 0. && delay < infinity) then begin
+        charge p ~count:sent ~size_bits;
+        Effect.Deep.discontinue k
+          (Invalid_argument
+             (if delay < 0. then "Sim.run: negative latency" else "Sim.run: non-finite latency"));
+        false
+      end
+      else begin
+        if trace_on then
+          tr (fun () -> Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag });
+        if not serialized then at.(0) <- clock.(0) +. delay
         else begin
-          Metrics.on_send metrics p.id ~size_bits;
-          if trace_on then
-            tr (fun () -> Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag });
-          if not serialized then at.(0) <- clock.(0) +. delay
-          else begin
-            let link = (p.id * cfg.k) + dst in
-            let free = link_free.(link) in
-            let departure = if free > clock.(0) then free else clock.(0) in
-            let transmission = float_of_int size_bits /. cfg.link_rate in
-            link_free.(link) <- departure +. transmission;
-            at.(0) <- departure +. transmission +. delay
-          end;
-          let s = alloc slots (deliver_code ~src:p.id ~dst) in
-          set_msg slots s msg;
-          if tags_on then set_tag slots s tag;
-          Heap.push heap ~time:at s;
-          true
-        end
+          let link = (p.id * cfg.k) + dst in
+          let free = link_free.(link) in
+          let departure = if free > clock.(0) then free else clock.(0) in
+          let transmission = float_of_int size_bits /. cfg.link_rate in
+          link_free.(link) <- departure +. transmission;
+          at.(0) <- departure +. transmission +. delay
+        end;
+        let s = alloc slots (deliver_code ~src:p.id ~dst) in
+        set_msg slots s msg;
+        if tags_on then set_tag slots s tag;
+        Heap.push heap ~time:at s;
+        true
+      end
+    in
+    let sends_left p =
+      sends_granted (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
     in
     let send_from p dst msg k =
       if dst < 0 || dst >= cfg.k then
         Effect.Deep.discontinue k (Invalid_argument "Sim.send: bad destination")
-      else if send_one p dst msg (render msg) k then Effect.Deep.continue k ()
+      else
+        let tag = render msg in
+        if sends_left p = 0 then crash_in p k
+        else
+          let size_bits = M.size_bits msg in
+          if send_one p dst msg ~size_bits tag ~sent:0 k then (
+            charge p ~count:1 ~size_bits;
+            Effect.Deep.continue k ())
     in
     (* Exactly the sends of a loop over ascending [dst], self skipped, in
-       one effect: the same crash point, latency draws, trace records and
-       heap order. *)
+       one effect: the same crash point, latency draws, trace records, heap
+       order and charge, with the size, the crash allowance and the
+       [Metrics] update paid once. *)
     let broadcast_from p msg k =
-      let tag = render msg in
-      let rec go dst =
-        if dst >= cfg.k then Effect.Deep.continue k ()
-        else if dst = p.id then go (dst + 1)
-        else if send_one p dst msg tag k then go (dst + 1)
+      let tag = render msg and size_bits = M.size_bits msg and left = sends_left p in
+      let rec go dst sent =
+        if dst >= cfg.k then (charge p ~count:sent ~size_bits; Effect.Deep.continue k ())
+        else if dst = p.id then go (dst + 1) sent
+        else if sent = left then (charge p ~count:sent ~size_bits; crash_in p k)
+        else if send_one p dst msg ~size_bits tag ~sent k then go (dst + 1) (sent + 1)
       in
-      go 0
+      go 0 0
     in
     (* [await]'s loop body, run on the scheduler's stack over what [p]'s
        mailbox holds: the fiber resumes once [ready] holds, parks when the
@@ -531,6 +562,7 @@ module Make (M : MESSAGE) = struct
       end
     in
     loop ();
+    Domain.DLS.set store (Some { heap; codes = slots.codes });
     {
       outputs;
       metrics;

@@ -223,5 +223,10 @@ module Make (M : MESSAGE) : sig
       drives events to quiescence. Raises [Invalid_argument] on a
       [link_rate] not [> 0.], an [At_time nan] crash, or a latency that is
       negative or not finite. Exceptions escaping a process (other than
-      crash/halt control flow) propagate to the caller. *)
+      crash/halt control flow) propagate to the caller.
+
+      A run reuses, emptied, the event queue and slot codes the last run in
+      its domain returned with (its message arrays are its own), and keeps
+      a cold run's schedule. A nested run, or one in another domain,
+      allocates its own; a run that raises drops its storage. *)
 end

@@ -139,7 +139,7 @@ end) : Transport.S with type msg = M.t = struct
 
   let send dst m =
     if Sim.send_forbidden e.crash ~sent:(Metrics.msgs_sent e.meter e.me) then raise Crashed;
-    Metrics.on_send e.meter e.me ~size_bits:(M.size_bits m);
+    Metrics.on_send e.meter e.me ~count:1 ~size_bits:(M.size_bits m);
     match e.links.(dst) with
     | Some fd -> (
       (* A peer that already terminated may have closed its end; like the

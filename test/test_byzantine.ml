@@ -398,6 +398,34 @@ let test_multicycle_catalog_pinned () =
     ]
     (List.map run (Registry.attacks e))
 
+(* Two sim-deep Downloads of perfbench (seed 1 input 0, seed 42 input 4),
+   with their coin flips and delays pinned: the second misses Theorem
+   3.7's coverage event, so every honest peer deadlocks. A change that
+   moves one latency draw or segment pick moves these figures. *)
+let test_2cycle_sim_deep_pinned () =
+  let e = Registry.find_exn "byz-2cycle" in
+  let run inst lat =
+    let inst =
+      Problem.random_instance ~seed:inst ~model:Problem.Byzantine ~k:64 ~n:16384 ~t:8 ()
+    in
+    let r = e.Registry.run ~opts:(Exec.make_opts ~latency:(jitter lat) ()) ~attack:"nearmiss" inst in
+    let status =
+      match r.Problem.status with
+      | Dr_engine.Sim.Completed -> "completed"
+      | Dr_engine.Sim.Deadlock l -> Printf.sprintf "deadlock(%d)" (List.length l)
+      | Dr_engine.Sim.Event_limit_reached -> "event limit"
+    in
+    Printf.sprintf "%s ok=%b Q=%d Qtotal=%d M=%d T=%.6f" status r.Problem.ok r.Problem.q_max
+      r.Problem.q_total r.Problem.msgs r.Problem.time
+  in
+  check
+    Alcotest.(list string)
+    "seed 1 input 0; seed 42 input 4"
+    [ "completed ok=true Q=5462 Qtotal=305834 M=3528 T=0.951131";
+      "deadlock(56) ok=false Q=5462 Qtotal=305823 M=3528 T=0.999788" ]
+    [ run 1635477244458766485L 7149127292368149588L;
+      run (-2015747149224347829L) (-4217638730325584702L) ]
+
 let test_combined_adversary_committee () =
   (* Everything at once: rushing Byzantine delivery and B-limited
      serialized links. *)
@@ -479,6 +507,7 @@ let suite =
     ("multicycle: deeper", `Quick, test_multicycle_deeper);
     ("multicycle: jitter", `Quick, test_multicycle_jitter);
     ("multicycle: catalog pinned", `Quick, test_multicycle_catalog_pinned);
+    ("2cycle: sim-deep pinned", `Quick, test_2cycle_sim_deep_pinned);
     ("combined adversary (committee)", `Quick, test_combined_adversary_committee);
     ("2cycle under serialized links", `Quick, test_2cycle_under_serialized_links);
     ("multicycle under serialized links", `Quick, test_multicycle_under_serialized_links);

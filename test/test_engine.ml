@@ -856,8 +856,8 @@ let test_metrics_summary_selection () =
   Metrics.on_query m 0 ~bits:1;
   Metrics.on_query m 0 ~bits:1;
   Metrics.on_query m 2 ~bits:1;
-  Metrics.on_send m 1 ~size_bits:100;
-  Metrics.on_send m 1 ~size_bits:50;
+  Metrics.on_send m 1 ~count:1 ~size_bits:100;
+  Metrics.on_send m 1 ~count:1 ~size_bits:50;
   let all = Metrics.summarize m in
   checki "max over all" 2 all.Metrics.max_queries;
   checki "msgs" 2 all.Metrics.total_msgs;
@@ -869,7 +869,7 @@ let test_metrics_summary_selection () =
 
 let test_metrics_peer_snapshot_detached () =
   let m = Metrics.create 3 in
-  Metrics.on_send m 0 ~size_bits:8;
+  Metrics.on_send m 0 ~count:1 ~size_bits:8;
   (* [peer] is a snapshot: mutating it must not write back. *)
   let p = Metrics.peer m 0 in
   p.Metrics.msgs_sent <- 99;
@@ -877,10 +877,10 @@ let test_metrics_peer_snapshot_detached () =
 
 let test_metrics_max_msg_bits_per_peer () =
   let m = Metrics.create 2 in
-  Metrics.on_send m 0 ~size_bits:10;
-  Metrics.on_send m 0 ~size_bits:500;
-  Metrics.on_send m 0 ~size_bits:20;
-  Metrics.on_send m 1 ~size_bits:900;
+  Metrics.on_send m 0 ~count:1 ~size_bits:10;
+  Metrics.on_send m 0 ~count:1 ~size_bits:500;
+  Metrics.on_send m 0 ~count:1 ~size_bits:20;
+  Metrics.on_send m 1 ~count:1 ~size_bits:900;
   checki "peer0 max" 500 (Metrics.peer m 0).Metrics.max_msg_bits;
   checki "summary max excludes deselected" 500
     (Metrics.summarize ~select:(fun i -> i = 0) m).Metrics.max_msg_bits
@@ -890,11 +890,11 @@ let test_metrics_max_msg_bits_per_peer () =
 let test_metrics_add () =
   let a = Metrics.create 2 and b = Metrics.create 2 in
   Metrics.on_query a 0 ~bits:3;
-  Metrics.on_send a 0 ~size_bits:40;
-  Metrics.on_send a 1 ~size_bits:7;
+  Metrics.on_send a 0 ~count:1 ~size_bits:40;
+  Metrics.on_send a 1 ~count:1 ~size_bits:7;
   Metrics.on_query b 0 ~bits:5;
-  Metrics.on_send b 0 ~size_bits:10;
-  Metrics.on_send b 1 ~size_bits:90;
+  Metrics.on_send b 0 ~count:1 ~size_bits:10;
+  Metrics.on_send b 1 ~count:1 ~size_bits:90;
   Metrics.add a b;
   let p0 = Metrics.peer a 0 and p1 = Metrics.peer a 1 in
   checki "queries summed" 8 p0.Metrics.queries;
@@ -1012,21 +1012,25 @@ let test_query_range_matches_loop () =
 (* [broadcast] is one effect whose handler runs the sends of the loop it
    replaced: ascending destinations, self skipped. Under jittered latency
    (one draw per send) the two must give the same trace, the same metrics
-   and the same outcome, also when the sender dies partway through, and a
-   negative latency must fail the same way. *)
+   (charged once per broadcast, and not at all when no send went out) and
+   the same outcome, also when the sender dies partway through. A negative
+   or non-finite latency at one destination of peer 0's first round fails
+   both the same way: peer 0 catches the error and carries on, so the
+   charge of the sends before it shows in the outcome. *)
 let broadcast_k = 6
 
-let broadcast_scenario ~explicit ~crash ~arbiter =
+let broadcast_scenario ?bad ~explicit ~crash ~arbiter () =
   let k = broadcast_k in
   let trace = Trace.create () in
+  let jitter = Dr_adversary.Latency.jittered (Prng.create 5L) in
+  let latency ~src ~dst ~size_bits =
+    let d = jitter ~src ~dst ~size_bits in
+    match bad with
+    | Some (at, value) when src = 0 && dst = at && size_bits = 32 -> value
+    | _ -> d
+  in
   let cfg =
-    {
-      (Sim.default_config ~k ~query_bit) with
-      latency = Dr_adversary.Latency.jittered (Prng.create 5L);
-      crash;
-      trace = Some trace;
-      arbiter;
-    }
+    { (Sim.default_config ~k ~query_bit) with latency; crash; trace = Some trace; arbiter }
   in
   let bcast msg =
     if explicit then begin
@@ -1039,7 +1043,7 @@ let broadcast_scenario ~explicit ~crash ~arbiter =
   in
   let outcome =
     S.run cfg (fun i ->
-        bcast (Smsg.Ping i);
+        (try bcast (Smsg.Ping i) with Invalid_argument _ when bad <> None -> ());
         bcast (Smsg.Value (i mod 2 = 0));
         List.init (2 * (k - 1)) (fun _ -> fst (S.receive ())))
   in
@@ -1048,35 +1052,57 @@ let broadcast_scenario ~explicit ~crash ~arbiter =
 let test_sim_broadcast_is_send_loop () =
   let k = broadcast_k in
   let peer0 spec i = if i = 0 then spec else Sim.Never in
-  let crashes =
-    ("no crash", fun _ -> Sim.Never)
-    :: List.map
-         (fun j -> (Printf.sprintf "After_sends %d" j, peer0 (Sim.After_sends j)))
-         [ 0; 1; k - 2; k - 1 ]
+  let cases =
+    ("no crash", None, fun _ -> Sim.Never)
+    :: List.init (k + 1) (fun j ->
+           (Printf.sprintf "After_sends %d" j, None, peer0 (Sim.After_sends j)))
+    @ List.concat_map
+        (fun at ->
+          List.map
+            (fun v -> (Printf.sprintf "latency %g at %d" v at, Some (at, v), fun _ -> Sim.Never))
+            [ -1.; nan; infinity ])
+        (List.init (k - 1) succ)
   in
   let arbiters = [ ("timed", None); ("arbiter", Some (fun count -> count / 2)) ] in
   List.iter
-    (fun (cname, crash) ->
+    (fun (cname, bad, crash) ->
       List.iter
         (fun (aname, arbiter) ->
-          let lt, lm, lo = broadcast_scenario ~explicit:true ~crash ~arbiter in
-          let bt, bm, bo = broadcast_scenario ~explicit:false ~crash ~arbiter in
+          let lt, lm, lo = broadcast_scenario ?bad ~explicit:true ~crash ~arbiter () in
+          let bt, bm, bo = broadcast_scenario ?bad ~explicit:false ~crash ~arbiter () in
           let what = Printf.sprintf "%s, %s" cname aname in
           checkb (what ^ ": trace") true (lt = bt);
           checkb (what ^ ": metrics") true (lm = bm);
-          checkb (what ^ ": outputs") true (lo.Sim.outputs = bo.Sim.outputs);
+          checkb (what ^ ": deliveries") true (lo.Sim.outputs = bo.Sim.outputs);
           checkb (what ^ ": status, events, end time") true
             (lo.Sim.status = bo.Sim.status
             && lo.Sim.events = bo.Sim.events
             && lo.Sim.end_time = bo.Sim.end_time))
         arbiters)
-    crashes;
+    cases;
   (* Not vacuous: [After_sends (k-2)] stops the first broadcast one short. *)
   let _, counters, outcome =
-    broadcast_scenario ~explicit:false ~crash:(peer0 (Sim.After_sends (k - 2))) ~arbiter:None
+    broadcast_scenario ~explicit:false ~crash:(peer0 (Sim.After_sends (k - 2))) ~arbiter:None ()
   in
   checki "sender completed k-2 sends" (k - 2) (List.hd counters).Metrics.msgs_sent;
   checkb "sender has no output" true (outcome.Sim.outputs.(0) = None);
+  (* A broadcast that sends nothing charges nothing, its size included. *)
+  let _, counters, _ =
+    broadcast_scenario ~explicit:false ~crash:(peer0 (Sim.After_sends 0)) ~arbiter:None ()
+  in
+  checki "no send, no largest message" 0 (List.hd counters).Metrics.max_msg_bits;
+  let _, counters, _ =
+    broadcast_scenario ~bad:(1, -1.) ~explicit:false ~crash:(fun _ -> Sim.Never) ~arbiter:None ()
+  in
+  let c = List.hd counters in
+  checki "a failed first send is not charged" 1 c.Metrics.max_msg_bits;
+  checki "only the second round is charged" (k - 1) c.Metrics.msgs_sent;
+  let _, counters, _ =
+    broadcast_scenario ~bad:(4, nan) ~explicit:false ~crash:(fun _ -> Sim.Never) ~arbiter:None ()
+  in
+  let c = List.hd counters in
+  checki "the sends before a failed one are charged" (3 + (k - 1)) c.Metrics.msgs_sent;
+  checki "their bits too" ((3 * 32) + (k - 1)) c.Metrics.bits_sent;
   let negative =
     {
       (Sim.default_config ~k:3 ~query_bit) with
@@ -1567,6 +1593,48 @@ let test_await_storm_allocation_budget () =
   let per_event = storm_words_per_event ~wait:`Await ~link_rate:infinity in
   checkb (Printf.sprintf "%.2f minor words per event <= 5" per_event) true (per_event <= 5.)
 
+(* A warm run reuses the last run's event queue and slot pool, measured on
+   the deterministic counter of words allocated straight into the major
+   heap (major minus promoted) by one k=128 jittered [await] round, the
+   shape of a sim-wide report cycle. A cold run is the first in a fresh
+   domain, whose domain-local store is empty. *)
+let direct_major_words k =
+  let cfg =
+    {
+      (Sim.default_config ~k ~query_bit) with
+      latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+    }
+  in
+  let _, promoted0, major0 = Gc.counters () in
+  let outcome =
+    S.run cfg (fun i ->
+        S.broadcast (Smsg.Ping i);
+        let heard = ref 0 in
+        S.await ~ready:(fun () -> !heard >= k - 1) ~on:(fun _ _ -> incr heard))
+  in
+  let _, promoted1, major1 = Gc.counters () in
+  checkb "completed" true (outcome.Sim.status = Sim.Completed);
+  major1 -. major0 -. (promoted1 -. promoted0)
+
+let test_warm_run_allocation_gate () =
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  let cold_big = in_fresh_domain (fun () -> direct_major_words 128)
+  and cold_small = in_fresh_domain (fun () -> direct_major_words 8) in
+  let warm_big, warm_small =
+    in_fresh_domain (fun () ->
+        ignore (direct_major_words 128);
+        let big = direct_major_words 128 in
+        (big, direct_major_words 8))
+  in
+  checkb
+    (Printf.sprintf "warm k=128: %.0f direct major words <= 1/4 of cold %.0f" warm_big cold_big)
+    true
+    (warm_big <= cold_big /. 4.);
+  checkb
+    (Printf.sprintf "warm k=8 after k=128: %.0f direct major words <= cold %.0f" warm_small
+       cold_small)
+    true (warm_small <= cold_small)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1641,4 +1709,5 @@ let suite =
     ("await is the receive loop", `Quick, test_await_is_receive_loop);
     ("await failure routing", `Quick, test_await_failure_routing);
     ("await storm allocation budget", `Quick, test_await_storm_allocation_budget);
+    ("warm run allocation gate", `Quick, test_warm_run_allocation_gate);
   ]

@@ -702,6 +702,136 @@ let prop_sim_matches_reference_scheduler =
       = engine_run ~k ~programs ~crash ~latency ~arbiter:(arbiter ()))
 
 (* ------------------------------------------------------------------ *)
+(* Warm runs                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One run of a sequence: a k-peer round of one query, a broadcast, an
+   [await] for half the others, a send to the next peer and a [receive],
+   under the given scheduling, links, crashes and instrumentation. [stop]
+   ends it early: at an event limit, or with a negative latency on the
+   n-th send. *)
+type warm_run = {
+  wk : int;
+  arbitrated : bool;
+  traced : bool;
+  observed : bool;
+  crashes : Sim.crash_spec array;
+  link : [ `Unit | `Jittered | `Serialized ];
+  stop : [ `Done | `Limit of int | `Abort of int ];
+  wseed : int;
+}
+
+let warm_round k i =
+  let a = Vsim.query i and b = Vsim.query (i + 1) in
+  Vsim.broadcast (Vmsg.V (if a then i else -i));
+  let heard = ref 0 in
+  Vsim.await ~ready:(fun () -> !heard >= (k - 1) / 2) ~on:(fun _ _ -> incr heard);
+  Vsim.send ((i + 1) mod k) (Vmsg.V (if b then 1 else 0));
+  let src, Vmsg.V v = Vsim.receive () in
+  (!heard, src, v)
+
+(* Everything a run shows: its outcome (or the error it raised), its trace
+   and its observer stream. *)
+let warm_execute r =
+  let k = r.wk in
+  let trace = if r.traced then Some (Dr_engine.Trace.create ()) else None in
+  let seen = ref [] in
+  let observer = if r.observed then Some (fun o -> seen := o :: !seen) else None in
+  let jitter = Latency.jittered (Prng.create (Int64.of_int r.wseed)) in
+  let sends = ref 0 in
+  let latency ~src ~dst ~size_bits =
+    incr sends;
+    match (r.stop, r.link) with
+    | `Abort n, _ when !sends = n -> -1.
+    | _, `Unit -> 1.
+    | _, (`Jittered | `Serialized) -> jitter ~src ~dst ~size_bits
+  in
+  let choices = Prng.create (Int64.of_int (r.wseed + 1)) in
+  let base = Sim.default_config ~k ~query_bit:(fun ~peer:_ i -> i mod 3 = 0) in
+  let cfg =
+    {
+      base with
+      seed = Int64.of_int r.wseed;
+      latency;
+      link_rate = (if r.link = `Serialized then 16. else infinity);
+      crash = (fun i -> r.crashes.(i));
+      trace;
+      observer;
+      max_events = (match r.stop with `Limit n -> n | `Done | `Abort _ -> base.Sim.max_events);
+      arbiter = (if r.arbitrated then Some (fun count -> Prng.int choices count) else None);
+    }
+  in
+  let result =
+    match Vsim.run cfg (warm_round k) with
+    | o ->
+      Ok
+        ( o.Sim.outputs,
+          o.Sim.status,
+          o.Sim.events,
+          o.Sim.end_time,
+          List.init k (Dr_engine.Metrics.peer o.Sim.metrics) )
+    | exception Invalid_argument msg -> Error msg
+  in
+  (result, Option.map Dr_engine.Trace.events trace, List.rev !seen)
+
+(* Random sequences of 2-6 runs in one domain, where each run after the
+   first starts warm from the storage the one before left (or cold, after
+   an aborted run): each must equal the same run done first in a fresh
+   domain. A queue or slot pool that kept state from an earlier run, above
+   all one stopped at its event limit with events pending, shows up as a
+   different schedule. *)
+let prop_warm_run_matches_cold =
+  let run_gen =
+    QCheck.Gen.(
+      int_range 2 40 >>= fun wk ->
+      let crash =
+        frequency
+          [
+            (8, return Sim.Never);
+            (1, map (fun t -> Sim.At_time t) (float_bound_inclusive 3.));
+            (1, map (fun j -> Sim.After_sends j) (int_range 0 wk));
+            (1, map (fun j -> Sim.After_queries j) (int_range 0 2));
+          ]
+      in
+      let stop =
+        frequency
+          [
+            (4, return `Done);
+            (1, map (fun n -> `Limit n) (int_range 1 (wk * wk)));
+            (1, map (fun n -> `Abort n) (int_range 1 (wk * wk)));
+          ]
+      in
+      map
+        (fun ((arbitrated, traced, observed), crashes, (link, stop, wseed)) ->
+          { wk; arbitrated; traced; observed; crashes; link; stop; wseed })
+        (triple (triple bool bool bool) (array_repeat wk crash)
+           (triple (oneofl [ `Unit; `Jittered; `Serialized ]) stop (int_range 0 1_000_000))))
+  in
+  let print runs =
+    String.concat "; "
+      (List.map
+         (fun r ->
+           Printf.sprintf "k=%d%s%s%s %s %s seed=%d" r.wk
+             (if r.arbitrated then " arbiter" else "")
+             (if r.traced then " trace" else "")
+             (if r.observed then " observer" else "")
+             (match r.link with `Unit -> "unit" | `Jittered -> "jitter" | `Serialized -> "serial")
+             (match r.stop with
+             | `Done -> "done"
+             | `Limit n -> Printf.sprintf "limit=%d" n
+             | `Abort n -> Printf.sprintf "abort=%d" n)
+             r.wseed)
+         runs)
+  in
+  QCheck.Test.make ~name:"sim: a warm run equals a cold run" ~count:100
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) run_gen))
+    (fun runs ->
+      let in_fresh_domain f = Domain.join (Domain.spawn f) in
+      let warm = in_fresh_domain (fun () -> List.map warm_execute runs) in
+      let cold = List.map (fun r -> in_fresh_domain (fun () -> warm_execute r)) runs in
+      warm = cold)
+
+(* ------------------------------------------------------------------ *)
 (* Whole-protocol properties                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1083,4 +1213,5 @@ let suite =
         prop_has_frequent_matches_frequent;
         prop_sim_matches_reference_scheduler;
         prop_signature_matches_int64;
+        prop_warm_run_matches_cold;
       ]
