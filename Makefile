@@ -8,12 +8,13 @@ build:
 test:
 	dune runtest
 
-# Static analysis: dr_lint's five determinism / confinement rules (L1-L5)
-# over lib/ bin/ bench/. Nonzero exit on any finding or stale pragma.
+# Static analysis: dr_lint's L2 (no polymorphic compare on structured
+# operands) over lib/. Nonzero exit on any finding or stale pragma. The
+# name bans (L1, L3, L4, L5) are compiler alerts: `make build` is their gate.
 lint:
 	dune build @lint
 
-# Whole-program domain-safety analysis: dr_race's R1-R3 rules against the
+# Whole-program domain-safety analysis: dr_race's R1-R2 rules against the
 # zone map in dr-race.zones, plus a regenerate-and-diff of the committed
 # census (RACE_INVENTORY.json). Regenerate the census after changing
 # module-level mutable state:

@@ -1,15 +1,16 @@
-(* dr_lint: the repo's determinism & query-confinement linter.
+(* dr_lint: the repo's monomorphic-compare linter.
 
    Examples:
-     dr_lint                     # lint lib/ bin/ bench/
+     dr_lint                     # lint lib/
      dr_lint lib/stats           # lint one subtree
      dr_lint --rules             # print the rule catalogue
 
-   Parses every .ml into the Parsetree and checks the five static
-   invariants L1–L5 (see DESIGN.md "Static invariants"). A finding can be
-   deliberately waived with a comment directly above the line, of the form
+   Parses every .ml into the Parsetree and checks rule L2 (see DESIGN.md
+   "Static invariants"); the name bans L1, L3, L4 and L5 are compiler
+   alerts, checked by the build itself. A finding can be deliberately
+   waived with a comment directly above the line, of the form
 
-     dr-lint: allow L3 — documented default formatter
+     dr-lint: allow L2 — the operands are ints
 
    wrapped in ordinary comment parens.
 
@@ -21,8 +22,8 @@ module Finding = Dr_lint.Finding
 
 let paths_arg =
   Arg.(
-    value & pos_all string [ "lib"; "bin"; "bench" ]
-    & info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: lib bin bench).")
+    value & pos_all string [ "lib" ]
+    & info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: lib).")
 
 let rules_arg =
   Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
@@ -40,7 +41,7 @@ let format_arg =
 let print_rules () =
   List.iter
     (fun r -> Format.printf "%s  %s@." (Finding.rule_name r) (Finding.rule_doc r))
-    [ Finding.L1; Finding.L2; Finding.L3; Finding.L4; Finding.L5 ]
+    [ Finding.L2 ]
 
 let run paths rules quiet format =
   if rules then begin
@@ -64,7 +65,7 @@ let run paths rules quiet format =
       2
 
 let cmd =
-  let doc = "AST-level determinism & query-confinement linter (rules L1-L5)" in
+  let doc = "AST-level monomorphic-compare linter (rule L2)" in
   Cmd.v
     (Cmd.info "dr_lint" ~doc)
     Term.(const run $ paths_arg $ rules_arg $ quiet_arg $ format_arg)

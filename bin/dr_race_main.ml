@@ -3,7 +3,7 @@
    domain-sharding refactor (ROADMAP item 1).
 
    Examples:
-     dr_race --check                 # R1-R3 over lib/ bin/ bench/
+     dr_race --check                 # R1-R2 over lib/ bin/ bench/
      dr_race --inventory             # dr-race/2 JSON census to stdout
      dr_race --check --format json   # findings as dr-lint/1 JSON lines
      dr_race --rules                 # print the rule catalogue
@@ -33,7 +33,7 @@ let inventory_arg =
 let check_arg =
   Arg.(
     value & flag
-    & info [ "check" ] ~doc:"Run the R1-R3 domain-safety rules (the default action).")
+    & info [ "check" ] ~doc:"Run the R1-R2 domain-safety rules (the default action).")
 
 let zones_arg =
   Arg.(
@@ -88,7 +88,7 @@ let run paths inventory _check zones format rules =
       2
 
 let cmd =
-  let doc = "whole-program mutable-state inventory & domain-safety analysis (rules R1-R3)" in
+  let doc = "whole-program mutable-state inventory & domain-safety analysis (rules R1-R2)" in
   Cmd.v
     (Cmd.info "dr_race" ~doc)
     Term.(

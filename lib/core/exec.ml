@@ -39,7 +39,7 @@ let build_config inst opts =
     match opts.query_override with
     | Some f -> Dr_engine.Sim.bit_source f
     | None ->
-      Dr_source.Data_source.read_range
+      (Dr_source.Data_source.read_range [@alert "-metered"])
         (Dr_source.Data_source.create ~k:inst.Problem.k inst.Problem.x)
   in
   {

@@ -151,8 +151,8 @@ let load path =
       let lineno = ref 0 in
       (try
          while true do
-           (* dr-lint: allow L5 — trace persistence; load runs outside the event loop *)
-           let line = input_line ic in
+           (* Trace persistence: load runs outside the event loop. *)
+           let line = (input_line [@alert "-l5"]) ic in
            incr lineno;
            if String.trim line <> "" then
              match event_of_line line with

@@ -45,7 +45,7 @@ let read_file path =
 
 let lint_file path =
   let source = read_file path in
-  let raw = Rules.collect ~ctx:(Rules.ctx_of_path path) ~file:path (parse ~path source) in
+  let raw = Rules.collect ~file:path (parse ~path source) in
   apply_pragmas ~path ~pragmas:(Pragma.scan source) raw
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,7 @@ val files_under : string list -> string list
     filesystems. *)
 
 val lint_paths : string list -> report
-(** Walk directories, lint every [.ml], context derived per file from its
-    path. *)
+(** Walk directories and lint every [.ml]. *)
 
 val report_of_file_reports : file_report list -> report
 (** Assemble per-file reports (e.g. from the race pipeline) into a report,

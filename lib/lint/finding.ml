@@ -1,42 +1,17 @@
-type rule = L1 | L2 | L3 | L4 | L5 | R1 | R2 | R3
+type rule = L2 | R1 | R2
 
-let rule_name = function
-  | L1 -> "L1"
-  | L2 -> "L2"
-  | L3 -> "L3"
-  | L4 -> "L4"
-  | L5 -> "L5"
-  | R1 -> "R1"
-  | R2 -> "R2"
-  | R3 -> "R3"
+let rule_name = function L2 -> "L2" | R1 -> "R1" | R2 -> "R2"
 
-let rule_of_string = function
-  | "L1" -> Some L1
-  | "L2" -> Some L2
-  | "L3" -> Some L3
-  | "L4" -> Some L4
-  | "L5" -> Some L5
-  | "R1" -> Some R1
-  | "R2" -> Some R2
-  | "R3" -> Some R3
-  | _ -> None
+let rule_of_string = function "L2" -> Some L2 | "R1" -> Some R1 | "R2" -> Some R2 | _ -> None
 
-let rule_equal a b =
-  match (a, b) with
-  | L1, L1 | L2, L2 | L3, L3 | L4, L4 | L5, L5 | R1, R1 | R2, R2 | R3, R3 -> true
-  | _ -> false
+let rule_equal a b = match (a, b) with L2, L2 | R1, R1 | R2, R2 -> true | _ -> false
 
 let rule_doc = function
-  | L1 -> "determinism: no ambient randomness or wall-clock in simulated code"
   | L2 -> "monomorphic compare: no polymorphic compare/=/min/max on structured operands"
-  | L3 -> "no direct stdout/stderr in lib/: print through a formatter parameter"
-  | L4 -> "query confinement: only Exec/Problem/Dr_source/Source_server may read Data_source"
-  | L5 -> "fiber safety: no exit/blocking IO inside lib/core or lib/engine"
   | R1 -> "domain zones: every escaping mutable cell/type carries a dr-race.zones declaration"
   | R2 -> "cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; init-only is never written post-init"
-  | R3 -> "domain-unsafe stdlib singleton (std_formatter, default Random state, ...) outside lib/stats and the binaries"
 
-let race_rules = [ R1; R2; R3 ]
+let race_rules = [ R1; R2 ]
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }
 

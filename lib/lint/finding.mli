@@ -1,7 +1,7 @@
 (** Lint findings and the rule taxonomy (see DESIGN.md "Static invariants"
-    for L1-L5 and "Domain-safety zones" for R1-R3). *)
+    for L2 and "Domain-safety zones" for R1-R2). *)
 
-type rule = L1 | L2 | L3 | L4 | L5 | R1 | R2 | R3
+type rule = L2 | R1 | R2
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -11,7 +11,7 @@ val rule_doc : rule -> string
 (** One-line statement of the invariant the rule machine-checks. *)
 
 val race_rules : rule list
-(** R1-R3: the whole-program dr_race rules. *)
+(** R1-R2: the whole-program dr_race rules. *)
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }
 

@@ -1,6 +1,6 @@
 (* The mutable-state inventory: a purely syntactic census of every
-   module-level mutable value, every mutable type declaration, and every
-   domain-unsafe stdlib singleton use in a compilation unit.
+   module-level mutable value and every mutable type declaration in a
+   compilation unit.
 
    Module-level values are [let]-bound cells at structure level (including
    nested [module M = struct .. end], excluding functor bodies — functor
@@ -274,76 +274,3 @@ let of_unit (u : Symbols.unit_info) : item list =
   in
   walk_structure [] u.str;
   List.sort compare_item !acc
-
-(* ------------------------------------------------------------------ *)
-(* Domain-unsafe stdlib singletons                                    *)
-(* ------------------------------------------------------------------ *)
-
-type singleton = { s_path : string; s_ident : string; s_line : int; s_col : int }
-
-let compare_singleton a b =
-  let c = String.compare a.s_path b.s_path in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s_line b.s_line in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.s_col b.s_col in
-      if c <> 0 then c else String.compare a.s_ident b.s_ident
-
-let random_default_state =
-  [
-    "int"; "int32"; "int64"; "nativeint"; "bits"; "bits32"; "bits64"; "float"; "bool";
-    "self_init"; "init"; "full_init"; "get_state"; "set_state";
-  ]
-
-let chan_prints =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char"; "print_int"; "print_float";
-    "print_bytes"; "prerr_string"; "prerr_endline"; "prerr_newline"; "prerr_char"; "prerr_int";
-    "prerr_float"; "prerr_bytes";
-  ]
-
-(* The domain-unsafe singleton this identifier touches, if any: process-wide
-   mutable stdlib state that two domains would race on. *)
-let singleton_of_parts parts =
-  match parts with
-  | [ "Format"; ("std_formatter" | "err_formatter") ]
-  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline" | "print_flush") ] ->
-    Some (String.concat "." parts)
-  | [ "Printf"; ("printf" | "eprintf") ] -> Some (String.concat "." parts)
-  | [ "Random"; f ] when List.exists (String.equal f) random_default_state ->
-    Some ("Random." ^ f)
-  | [ ("stdout" | "stderr") as c ] -> Some c
-  | [ p ] when List.exists (String.equal p) chan_prints -> Some p
-  | _ -> None
-
-let singletons_of_unit (u : Symbols.unit_info) : singleton list =
-  let acc = ref [] in
-  let note ~loc ident =
-    let start = loc.Location.loc_start in
-    acc :=
-      {
-        s_path = u.path;
-        s_ident = ident;
-        s_line = start.Lexing.pos_lnum;
-        s_col = start.Lexing.pos_cnum - start.Lexing.pos_bol;
-      }
-      :: !acc
-  in
-  let iter =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; loc } -> (
-          match singleton_of_parts (strip_stdlib (lident_parts txt)) with
-          | Some ident -> note ~loc ident
-          | None -> ())
-        | _ -> ());
-        super#expression e
-    end
-  in
-  iter#structure u.str;
-  List.sort_uniq compare_singleton !acc

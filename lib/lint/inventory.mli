@@ -1,7 +1,7 @@
 (** The mutable-state inventory: a syntactic census of module-level mutable
-    values, mutable type declarations, and domain-unsafe stdlib singleton
-    uses. The census is what the domain-sharding refactor partitions; the
-    R1-R3 rules in {!Race_rules} enforce discipline over it. *)
+    values and mutable type declarations. The census is what the
+    domain-sharding refactor partitions; the R1-R2 rules in {!Race_rules}
+    enforce discipline over it. *)
 
 type kind =
   | Ref
@@ -42,9 +42,3 @@ val key : item -> string
 
 val compare_item : item -> item -> int
 val of_unit : Symbols.unit_info -> item list
-
-type singleton = { s_path : string; s_ident : string; s_line : int; s_col : int }
-
-val compare_singleton : singleton -> singleton -> int
-
-val singletons_of_unit : Symbols.unit_info -> singleton list

@@ -2,14 +2,13 @@
 
    Pipeline: parse every unit (Symbols) -> census mutable state
    (Inventory) -> resolve cross-module accesses (Refgraph) -> load zone
-   declarations (Zones) -> apply R1/R2/R3 -> report through the shared
+   declarations (Zones) -> apply R1/R2 -> report through the shared
    Finding/Driver machinery, with per-site allow pragmas (the dr-lint
    comment syntax under the dr-race marker) as the escape hatch. *)
 
 type analysis = {
   units_scanned : int;
   items : Inventory.item list;
-  singletons : Inventory.singleton list;
   decls : Zones.decl list;
   report : Driver.report;
 }
@@ -31,14 +30,6 @@ let path_under ~owner path =
     | _ :: _, [] -> false
   in
   prefix (segs_of owner) (segs_of path)
-
-(* R3's allowed surface: the process-owning layers. bin/ and bench/ are
-   single-shot CLI mains; lib/stats carries the documented default print
-   sink (Table.print ?ppf). *)
-let singleton_allowed path =
-  let segs = segs_of path in
-  let mem s = List.exists (String.equal s) segs in
-  mem "bin" || mem "bench" || (mem "lib" && mem "stats")
 
 (* Init contexts for init-only cells: module initialization itself, plus
    functions whose name says they run during setup. *)
@@ -213,20 +204,6 @@ let r2_findings items decls accesses urefs =
   in
   value_findings @ List.concat type_findings
 
-let r3_findings singletons =
-  List.filter_map
-    (fun (s : Inventory.singleton) ->
-      if singleton_allowed s.Inventory.s_path then None
-      else
-        Some
-          (Finding.at ~file:s.Inventory.s_path ~line:s.Inventory.s_line ~col:s.Inventory.s_col
-             Finding.R3
-             (Printf.sprintf
-                "domain-unsafe stdlib singleton %s: two domains would race on its shared state; \
-                 confine to bin//bench//lib/stats or take an explicit parameter"
-                s.Inventory.s_ident)))
-    singletons
-
 (* ------------------------------------------------------------------ *)
 (* Orchestration                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -240,9 +217,6 @@ let analyze ?zones_path roots =
     try Symbols.table units with Symbols.Clash msg -> raise (Driver.Error msg)
   in
   let items = List.sort Inventory.compare_item (List.concat_map Inventory.of_unit units) in
-  let singletons =
-    List.sort Inventory.compare_singleton (List.concat_map Inventory.singletons_of_unit units)
-  in
   let file_decls =
     match zones_path with
     | None -> []
@@ -264,7 +238,6 @@ let analyze ?zones_path roots =
   let raw =
     r1_findings ~zones_path items decls pragma_stale
     @ r2_findings items decls accesses urefs
-    @ r3_findings singletons
   in
   (* Group findings per file and apply (* dr-race: allow Rx *) pragmas; the
      zones file (not a .ml) gets a pragma-less report. *)
@@ -295,7 +268,7 @@ let analyze ?zones_path roots =
   in
   let report = Driver.report_of_file_reports (unit_reports @ other_reports) in
   let report = { report with Driver.files_scanned = List.length units } in
-  { units_scanned = List.length units; items; singletons; decls; report }
+  { units_scanned = List.length units; items; decls; report }
 
 (* ------------------------------------------------------------------ *)
 (* The machine-readable census (schema dr-race/2)                     *)
@@ -303,13 +276,9 @@ let analyze ?zones_path roots =
 
 let schema_id = "dr-race/2"
 
-(* Paths relative to the repo root regardless of where the scan ran from
-   ("../lib/x.ml" and "lib/x.ml" serialize identically). *)
-let norm_path path = String.concat "/" (segs_of path)
-
 (* The census holds no source positions, so it changes only when the state
-   itself does: items sorted by key (each row starts with it), singleton
-   uses counted per (file, ident). Findings still carry positions. *)
+   itself does: items sorted by key (each row starts with it). Findings
+   still carry positions. *)
 let inventory_json a =
   let esc = Finding.json_escape in
   let section label rows =
@@ -329,26 +298,5 @@ let inventory_json a =
       (esc key) (Inventory.kind_name it.kind) zone it.escaping (Inventory.guarded it.kind)
   in
   let values, types = List.partition (fun it -> it.Inventory.sort = Inventory.Value) a.items in
-  let rec counted = function
-    | [] -> []
-    | use :: rest -> (
-      match counted rest with
-      | (u, n) :: tl when String.equal u use -> (u, n + 1) :: tl
-      | tl -> (use, 1) :: tl)
-  in
-  let singletons =
-    List.map
-      (fun (s : Inventory.singleton) ->
-        Printf.sprintf "{ \"file\": \"%s\", \"ident\": \"%s\", \"count\": "
-          (esc (norm_path s.s_path)) (esc s.s_ident))
-      a.singletons
-    |> List.sort String.compare |> counted
-    |> List.map (fun (use, n) -> Printf.sprintf "%s%d }" use n)
-  in
   Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"units\": %d,\n%s\n}\n" schema_id a.units_scanned
-    (String.concat ",\n"
-       [
-         section "values" (List.map item values);
-         section "types" (List.map item types);
-         section "singletons" singletons;
-       ])
+    (section "values" (List.map item values) ^ ",\n" ^ section "types" (List.map item types))

@@ -1,11 +1,10 @@
-(** The R1-R3 domain-safety rules and the dr_race orchestration: census the
+(** The R1-R2 domain-safety rules and the dr_race orchestration: census the
     tree, resolve cross-module accesses, check them against the declared
     zones, and emit the machine-readable inventory. *)
 
 type analysis = {
   units_scanned : int;
   items : Inventory.item list;
-  singletons : Inventory.singleton list;
   decls : Zones.decl list;
   report : Driver.report;
 }
@@ -14,9 +13,6 @@ val path_under : owner:string -> string -> bool
 (** (for tests) Is [path] inside the [owner] subtree? Separator-normalized;
     leading ["./"]/["../"] segments are ignored so in-tree and out-of-tree
     invocations agree. *)
-
-val singleton_allowed : string -> bool
-(** (for tests) R3's allowed surface: [bin/], [bench/], [lib/stats]. *)
 
 val init_like : string option -> bool
 (** (for tests) Does this enclosing-binding name count as an initialization
@@ -31,4 +27,4 @@ val analyze : ?zones_path:string -> string list -> analysis
 val inventory_json : analysis -> string
 (** The census as deterministic [dr-race/2] JSON — byte-identical across
     reruns and invocation directories. It holds no source positions: items
-    sorted by key, singleton uses counted per file. *)
+    sorted by key. *)

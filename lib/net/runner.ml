@@ -279,8 +279,8 @@ let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none)
     (fun i o ->
       match o with
       | Failed e ->
-        (* dr-lint: allow L3 — a child process died unexpectedly; stderr is the only channel left *)
-        Printf.eprintf "dr_net: peer %d failed: %s\n%!" i e (* dr-race: allow R3 — single-domain net runtime; same justification as the L3 waiver *)
+        (* A child process died unexpectedly: stderr is the only channel left. *)
+        (Printf.eprintf [@alert "-l3"]) "dr_net: peer %d failed: %s\n%!" i e
       | _ -> ())
     outcomes;
   (* One meter for the run: the peers' own, added up. Q is then set to

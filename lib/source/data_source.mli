@@ -15,14 +15,26 @@ val n : t -> int
 (** Number of bits. *)
 
 val query : t -> peer:int -> int -> bool
+[@@alert
+  metered
+    "reads the source around the Q meter; use the query function the runtime hands to the \
+     protocol"]
 (** Answer a query and charge it to [peer]. Raises [Invalid_argument] on an
     out-of-range index or peer, before charging anything. *)
 
 val query_fn : t -> peer:int -> int -> bool
+[@@alert
+  metered
+    "reads the source around the Q meter; use the query function the runtime hands to the \
+     protocol"]
 (** Same, shaped as the per-bit function {!Dr_engine.Sim.default_config}
     and {!Dr_engine.Sim.bit_source} take. *)
 
 val read_range : t -> peer:int -> pos:int -> len:int -> Bytes.t -> unit
+[@@alert
+  metered
+    "reads the source around the Q meter; use the query function the runtime hands to the \
+     protocol"]
 (** [read_range t ~peer ~pos ~len b] answers the [len] queries
     [pos .. pos+len-1] at once: it charges [len] to [peer] and copies the
     bits into [b] packed from bit 0 ({!Bitarray.blit_to_bytes}'s layout;

@@ -35,8 +35,8 @@ let render t =
   List.iter emit_row rows;
   Buffer.contents buf
 
-(* dr-lint: allow L3 — the documented default sink; callers in bin//bench pass nothing *)
-let print ?(ppf = Format.std_formatter) t =
+(* The documented default sink: callers in bin/ and bench/ pass nothing. *)
+let print ?(ppf = (Format.std_formatter [@alert "-l3"])) t =
   Format.pp_print_string ppf (render t);
   Format.pp_print_flush ppf ()
 

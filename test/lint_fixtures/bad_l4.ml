@@ -1,5 +1,5 @@
-(* Fixture: L4 query-confinement violation — a protocol touching the data
-   source directly instead of the metered query function. Never compiled. *)
-let sneak src i = Data_source.query src i
+(* Fixture: L4 query confinement — a protocol touching the data source directly
+   instead of the metered query function. Each line is one case. *)
+let sneak src i = Dr_source.Data_source.query src ~peer:0 i
 let sneak_fn src = Dr_source.Data_source.query_fn src
-let sneak_range src buf = Data_source.read_range src ~peer:0 ~pos:0 ~len:8 buf
+let sneak_range src buf = Dr_source.Data_source.read_range src ~peer:0 ~pos:0 ~len:8 buf

@@ -1,3 +1,3 @@
-(* Fixture: L5 fiber-safety violations (lib/core-style context). Never compiled. *)
+(* Fixture: L5 fiber safety. Each line is one case, compiled alone under lib/core's flags. *)
 let bail () = exit 1
 let stall ic = input_line ic

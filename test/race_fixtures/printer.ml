@@ -1,4 +1,4 @@
-(* Planted R3: domain-unsafe stdlib singletons outside bin//bench//lib/stats.
-   The second use carries a deliberate waiver and must be suppressed. *)
+(* Prints in lib/ race on one channel: under lib/'s flags the first fails
+   with alert l3; the second is waived on the identifier and compiles. *)
 let hello () = Printf.printf "hello\n"
-let bye () = print_endline "bye" (* dr-race: allow R3 — fixture: waived on purpose *)
+let bye () = (print_endline [@alert "-l3"]) "bye"

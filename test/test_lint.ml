@@ -1,9 +1,14 @@
-(* dr_lint: fixture golden tests for each rule, pragma behaviour, and the
-   "live tree is lint-clean" gate.
+(* The static rules: dr_lint's L2 on fixtures and the live tree, and the
+   name bans (L1, L3, L4, L5), which are compiler alerts declared in the
+   prelude, as compile checks.
 
-   Fixtures live in lint_fixtures/ (never compiled; dr_lint parses them).
-   The live-tree test runs over ../lib ../bin ../bench — the copies dune
-   places next to the test in _build, declared as deps in test/dune. *)
+   Fixtures live in lint_fixtures/. dr_lint parses them; the compile checks
+   type-check them with the compiler the build uses, under the flags a zone
+   reads from ../prelude/*.flags, so each case fails exactly as a library
+   in that zone would. A case is one line of a fixture, the others blanked,
+   so the compiler reports it at its own line. The live-tree tests run over
+   ../lib, ../bin and ../bench — the copies dune places next to the test in
+   _build, declared as deps in test/dune. *)
 
 module Driver = Dr_lint.Driver
 module Rules = Dr_lint.Rules
@@ -18,62 +23,181 @@ let short (f : Finding.t) =
 
 let shorts (r : Driver.file_report) = List.map short r.findings
 
-(* The per-file pipeline of [Driver.lint_paths], under an explicit rule
-   context (by default the one the path itself implies). *)
-let lint_source ?ctx ~path src =
-  let ctx = match ctx with Some c -> c | None -> Rules.ctx_of_path path in
+(* The per-file pipeline of [Driver.lint_paths]. *)
+let lint_source ~path src =
   Driver.apply_pragmas ~path ~pragmas:(Pragma.scan src)
-    (Rules.collect ~ctx ~file:path (Driver.parse ~path src))
+    (Rules.collect ~file:path (Driver.parse ~path src))
 
-let lint_file ?ctx path = lint_source ?ctx ~path (Driver.read_file path)
+let lint_file path = lint_source ~path (Driver.read_file path)
 
-(* A plain lib/ file, and a lib/core one (L5 applies there too). *)
-let lib_ctx = Rules.ctx_of_path "lib/stats/fixture.ml"
-let core_ctx = Rules.ctx_of_path "lib/core/fixture.ml"
+(* ---- compile checks ---- *)
 
-let check_fixture ?(ctx = lib_ctx) name expected () =
-  let r = lint_file ~ctx (fixture name) in
-  Alcotest.(check (list string)) name expected (shorts r)
+(* The zones as the env stanzas build them: any library under lib/, one in
+   lib/core or lib/engine (fiber code), lib/net (which links unix), and
+   bin/ or bench/. *)
+type zone = Lib | Fiber | Net | Main
 
-(* ---- one known-bad fixture per rule, golden file:line [RULE] output ---- *)
+let flags name =
+  String.split_on_char '\n' (String.trim (Driver.read_file ("../prelude/" ^ name ^ ".flags")))
+
+let zone_flags = function
+  | Lib | Net -> flags "lib"
+  | Fiber -> flags "lib" @ flags "fiber"
+  | Main -> flags "main"
+
+let objs =
+  [ "prelude"; "lib/engine"; "lib/source"; "lib/adversary"; "lib/core"; "lib/net"; "lib/stats" ]
+
+let includes zone =
+  let dir path = Printf.sprintf "../%s/.dr_%s.objs/byte" path (Filename.basename path) in
+  List.concat_map (fun d -> [ "-I"; d ])
+    (List.map dir objs @ match zone with Net -> [ "+unix"; "+threads" ] | _ -> [])
+
+let ocamlc = lazy (String.trim (Driver.read_file "ocamlc.path"))
+
+(* Each error the compiler reports, as [line: first line of the error]. *)
+let errors output =
+  let line_of s =
+    match String.index_opt s ',' with
+    | Some i when String.starts_with ~prefix:"File " s -> (
+      let rest = String.sub s (i + 2) (String.length s - i - 2) in
+      match Scanf.sscanf_opt rest "line %d" Fun.id with Some l -> l | None -> 0)
+    | _ -> 0
+  in
+  let _, acc =
+    List.fold_left
+      (fun (line, acc) s ->
+        if String.starts_with ~prefix:"File " s then (line_of s, acc)
+        else if String.starts_with ~prefix:"Error" s then
+          (line, Printf.sprintf "%d: %s" line s :: acc)
+        else (line, acc))
+      (0, [])
+      (String.split_on_char '\n' output)
+  in
+  List.rev acc
+
+(* Type-check [src] as a file of [zone]; [within] is the alias module of
+   the library it belongs to. Returns the errors, [] when it compiles. *)
+let compile ?within ~zone src =
+  let ml = Filename.temp_file "case" ".ml" and out = Filename.temp_file "case" ".out" in
+  Out_channel.with_open_bin ml (fun oc -> Out_channel.output_string oc src);
+  let args =
+    includes zone @ zone_flags zone
+    @ (match within with Some m -> [ "-open"; m ] | None -> [])
+    @ [ "-i"; ml ]
+  in
+  let command = Filename.quote_command (Lazy.force ocamlc) ~stdout:out ~stderr:out args in
+  let code = Sys.command command in
+  let output = Driver.read_file out in
+  Sys.remove ml;
+  Sys.remove out;
+  match errors output with
+  | [] when code <> 0 -> Alcotest.failf "compiler exit %d with no error:@.%s" code output
+  | errs -> errs
+
+(* Fixture case [n]: the fixture with every other line blanked. *)
+let case src n =
+  String.split_on_char '\n' src
+  |> List.mapi (fun i l -> if i + 1 = n then l else "")
+  |> String.concat "\n"
+
+(* Each (line, expected error) of a fixture, compiled one case at a time. *)
+let check_cases ~zone name expected () =
+  let src = Driver.read_file (fixture name) in
+  List.iter
+    (fun (n, error) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s:%d" name n)
+        [ Printf.sprintf "%d: %s" n error ]
+        (compile ~zone (case src n)))
+    expected
+
+let compiles ~zone name () =
+  Alcotest.(check (list string)) (name ^ " compiles") []
+    (compile ~zone (Driver.read_file (fixture name)))
+
+(* ---- one fixture per rule ---- *)
 
 let l1 =
-  check_fixture "bad_l1.ml"
-    [ "bad_l1.ml:2 [L1]"; "bad_l1.ml:3 [L1]"; "bad_l1.ml:4 [L1]"; "bad_l1.ml:5 [L1]" ]
+  check_cases ~zone:Lib "bad_l1.ml"
+    [
+      (2, "Error (alert l1): module Dr_prelude.Random");
+      (3, "Error (alert l1_lib): Dr_prelude.Sys.time");
+      (4, "Error (alert l1_lib): Dr_prelude.Hashtbl.hash");
+      (* No ?random in the prelude's Hashtbl.create: a label error. *)
+      (5, "Error: The function 'Hashtbl.create' has type");
+    ]
 
-let l2 =
-  check_fixture "bad_l2.ml" [ "bad_l2.ml:2 [L2]"; "bad_l2.ml:3 [L2]"; "bad_l2.ml:4 [L2]" ]
+let l2 () =
+  Alcotest.(check (list string)) "bad_l2.ml"
+    [ "bad_l2.ml:2 [L2]"; "bad_l2.ml:3 [L2]"; "bad_l2.ml:4 [L2]" ]
+    (shorts (lint_file (fixture "bad_l2.ml")))
 
 let l3 =
-  check_fixture "bad_l3.ml" [ "bad_l3.ml:2 [L3]"; "bad_l3.ml:3 [L3]"; "bad_l3.ml:4 [L3]" ]
+  check_cases ~zone:Lib "bad_l3.ml"
+    [
+      (2, "Error (alert l3): Dr_prelude.print_endline");
+      (3, "Error (alert l3): Dr_prelude.Printf.printf");
+      (4, "Error (alert l3): Dr_prelude.prerr_string");
+    ]
 
 let l4 =
-  check_fixture "bad_l4.ml" [ "bad_l4.ml:3 [L4]"; "bad_l4.ml:4 [L4]"; "bad_l4.ml:5 [L4]" ]
+  check_cases ~zone:Lib "bad_l4.ml"
+    [
+      (3, "Error (alert metered): Dr_source.Data_source.query");
+      (4, "Error (alert metered): Dr_source.Data_source.query_fn");
+      (5, "Error (alert metered): Dr_source.Data_source.read_range");
+    ]
 
 let l5 =
-  check_fixture ~ctx:core_ctx "bad_l5.ml" [ "bad_l5.ml:2 [L5]"; "bad_l5.ml:3 [L5]" ]
+  check_cases ~zone:Fiber "bad_l5.ml"
+    [ (2, "Error (alert l5): Dr_prelude.exit"); (3, "Error (alert l5): Dr_prelude.input_line") ]
 
-(* The same sources are silent in the zones where their rules don't apply:
-   prints are fine in bin/, exit is fine outside core/engine. *)
+(* The shapes a syntactic matcher misses: the alert is on the declaration,
+   so every path to it is caught. *)
+let aliases =
+  check_cases ~zone:Fiber "aliases.ml"
+    [
+      (3, "Error (alert metered): DS.query");
+      (4, "Error (alert metered): Dr_source.Data_source.query_fn");
+      (5, "Error (alert l1_lib): H.hash");
+      (6, "Error (alert l3): P.printf");
+      (7, "Error (alert l1): module Dr_prelude.Stdlib.Random");
+    ]
+
+(* The same sources build in the zones where their bans don't apply:
+   prints and the wall clock are fine in bin/, exit outside core/engine;
+   ambient randomness and direct source reads are banned in bin/ too. *)
 let zone_scoping () =
-  let bin_ctx = Rules.ctx_of_path "bin/whatever.ml" in
-  let r = lint_file ~ctx:bin_ctx (fixture "bad_l3.ml") in
-  Alcotest.(check (list string)) "prints allowed in bin/" [] (shorts r);
-  let r = lint_file ~ctx:lib_ctx (fixture "bad_l5.ml") in
-  Alcotest.(check (list string)) "exit allowed outside core/engine" [] (shorts r)
+  compiles ~zone:Main "bad_l3.ml" ();
+  compiles ~zone:Lib "bad_l5.ml" ();
+  let src = Driver.read_file (fixture "bad_l1.ml") in
+  Alcotest.(check (list string)) "Sys.time allowed in bin/" [] (compile ~zone:Main (case src 3));
+  Alcotest.(check (list string)) "Hashtbl.hash allowed in bin/" []
+    (compile ~zone:Main (case src 4));
+  Alcotest.(check (list string)) "Random banned in bin/"
+    [ "2: Error (alert l1): module Dr_prelude.Random" ]
+    (compile ~zone:Main (case src 2));
+  Alcotest.(check (list string)) "source reads banned in bin/"
+    [ "3: Error (alert metered): Dr_source.Data_source.query" ]
+    (compile ~zone:Main (case (Driver.read_file (fixture "bad_l4.ml")) 3))
 
-(* ---- pragmas ---- *)
+(* ---- waivers and pragmas ---- *)
 
+(* [@alert "-l3"] on the identifier waives that one use; dr_lint's pragma
+   does the same for L2, and reports what it suppressed. *)
 let pragma_suppression () =
-  let r = lint_file ~ctx:lib_ctx (fixture "pragma_allowed.ml") in
+  Alcotest.(check (list string)) "only the unwaived print fails"
+    [ "4: Error (alert l3): Dr_prelude.print_endline" ]
+    (compile ~zone:Lib (Driver.read_file (fixture "pragma_allowed.ml")));
+  let r = lint_file (fixture "pragma_allowed.ml") in
   Alcotest.(check (list string)) "only the uncovered line reported"
-    [ "pragma_allowed.ml:5 [L3]" ] (shorts r);
-  Alcotest.(check int) "one finding suppressed" 1 (List.length r.suppressed);
+    [ "pragma_allowed.ml:7 [L2]" ] (shorts r);
   Alcotest.(check (list int)) "no unused pragmas" []
     (List.map (fun p -> p.Pragma.line) r.unused_pragmas);
   match r.suppressed with
   | [ (f, p) ] ->
-    Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:4 [L3]"
+    Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:6 [L2]"
       (short f);
     Alcotest.(check string) "reason survives parsing" "fixture exercises the escape hatch"
       p.Pragma.reason
@@ -81,84 +205,37 @@ let pragma_suppression () =
 
 let pragma_unused () =
   let src = "(* dr-lint: allow L2 -- nothing here violates L2 *)\nlet x = 1\n" in
-  let r = lint_source ~ctx:lib_ctx ~path:"lib/fake.ml" src in
+  let r = lint_source ~path:"lib/fake.ml" src in
   Alcotest.(check int) "no findings" 0 (List.length r.findings);
   Alcotest.(check int) "pragma reported unused" 1 (List.length r.unused_pragmas)
 
 let pragma_needs_comment_opener () =
   (* Prose that merely mentions the syntax is not a pragma. *)
-  let src = "(* docs: write dr-lint: allow L3 above the line *)\nlet f s = print_endline s\n" in
-  let r = lint_source ~ctx:lib_ctx ~path:"lib/fake.ml" src in
-  Alcotest.(check (list string)) "finding not suppressed by prose" [ "fake.ml:2 [L3]" ]
+  let src =
+    "(* docs: write dr-lint: allow L2 above the line *)\nlet f xs = List.fold_left max 0 xs\n"
+  in
+  let r = lint_source ~path:"lib/fake.ml" src in
+  Alcotest.(check (list string)) "finding not suppressed by prose" [ "fake.ml:2 [L2]" ]
     (shorts r)
 
 (* A pragma on the file's last line has no "line below" to cover: it must
    suppress same-line findings only, and never claim the phantom line a
    trailing newline used to suggest. *)
 let pragma_eof_edge () =
-  let f line = Finding.at ~file:"f.ml" ~line ~col:0 Finding.L3 "msg" in
+  let f line = Finding.at ~file:"f.ml" ~line ~col:0 Finding.L2 "msg" in
   let scan1 src =
     match Pragma.scan src with
     | [ p ] -> p
     | ps -> Alcotest.failf "expected one pragma, got %d" (List.length ps)
   in
-  let mid = scan1 "(* dr-lint: allow L3 -- x *)\nlet y = 1\n" in
+  let mid = scan1 "(* dr-lint: allow L2 -- x *)\nlet y = 1\n" in
   Alcotest.(check bool) "mid-file pragma covers the line below" true (Pragma.covers mid (f 2));
-  let last = scan1 "let y = 1\n(* dr-lint: allow L3 -- x *)\n" in
+  let last = scan1 "let y = 1\n(* dr-lint: allow L2 -- x *)\n" in
   Alcotest.(check bool) "last-line pragma covers its own line" true (Pragma.covers last (f 2));
   Alcotest.(check bool) "last-line pragma does not cover the phantom line below" false
     (Pragma.covers last (f 3));
-  let last_nonl = scan1 "let y = 1\n(* dr-lint: allow L3 -- x *)" in
+  let last_nonl = scan1 "let y = 1\n(* dr-lint: allow L2 -- x *)" in
   Alcotest.(check bool) "same without a trailing newline" false (Pragma.covers last_nonl (f 3))
-
-(* ---- context derivation ---- *)
-
-let ctx_of_path () =
-  let c = Rules.ctx_of_path "lib/engine/prng.ml" in
-  Alcotest.(check bool) "prng may use Random" true c.Rules.allow_random;
-  let c = Rules.ctx_of_path "lib/core/exec.ml" in
-  Alcotest.(check bool) "exec may query" true c.Rules.allow_query;
-  Alcotest.(check bool) "exec is fiber zone" true c.Rules.in_core_engine;
-  let c = Rules.ctx_of_path "../lib/stats/table.ml" in
-  Alcotest.(check bool) "relative paths still resolve lib/" true c.Rules.in_lib;
-  Alcotest.(check bool) "stats is not fiber zone" false c.Rules.in_core_engine;
-  let c = Rules.ctx_of_path "bench/main.ml" in
-  Alcotest.(check bool) "bench is outside lib/" false c.Rules.in_lib;
-  let c = Rules.ctx_of_path "lib/net/runner.ml" in
-  Alcotest.(check bool) "net is the socket runtime" true c.Rules.in_net;
-  Alcotest.(check bool) "net runner may not query" false c.Rules.allow_query;
-  let c = Rules.ctx_of_path "lib/net/source_server.ml" in
-  Alcotest.(check bool) "source server is the net Q meter" true c.Rules.allow_query
-
-(* Corner cases, table-driven: separators, relative prefixes, fixture
-   paths. Expected tuple is (in_lib, in_core_engine, allow_query). *)
-let ctx_of_path_corners () =
-  let cases =
-    [
-      (* Backslashes are not separators: a Windows-style spelling names no
-         zone at all rather than silently matching lib/. *)
-      ("lib\\core\\exec.ml", false, false, false);
-      (* Leading ./ and ../ segments don't block zone detection. *)
-      ("../lib/core/exec.ml", true, true, true);
-      ("./lib/core/exec.ml", true, true, true);
-      ("../../lib/engine/sim.ml", true, true, false);
-      (* Doubled separators add only empty segments. *)
-      ("lib//core//exec.ml", true, true, true);
-      (* Fixture files under a lib-like path still derive a lib ctx: their
-         exclusion from real runs is the tree walker's job, not ctx's. *)
-      ("lib/lint/lint_fixtures/bad_l1.ml", true, false, false);
-      (* A directory merely named lib deep in another tree still counts —
-         ctx derivation is segment membership, by design. *)
-      ("vendor/lib/x.ml", true, false, false);
-    ]
-  in
-  List.iter
-    (fun (path, in_lib, in_core_engine, allow_query) ->
-      let c = Rules.ctx_of_path path in
-      Alcotest.(check bool) (path ^ " in_lib") in_lib c.Rules.in_lib;
-      Alcotest.(check bool) (path ^ " in_core_engine") in_core_engine c.Rules.in_core_engine;
-      Alcotest.(check bool) (path ^ " allow_query") allow_query c.Rules.allow_query)
-    cases
 
 (* The walk feeding dr_lint/dr_race is globally sorted and deduplicated, so
    reports and the committed census are byte-stable however the roots are
@@ -182,100 +259,150 @@ let files_under_deterministic () =
 
 (* ---- the lib/net zone ---- *)
 
-(* The socket runtime is exempt from the L1 Unix ban (it IS the real-world
-   effect layer), but L4 query confinement still applies outside its
-   source_server, and L1 still bans ambient randomness. *)
+(* The socket runtime links unix (it IS the real-world effect layer); no
+   core or engine library does, so Unix fails there. Query confinement and
+   the ambient-randomness ban still hold in lib/net, and the source
+   server's one read is waived on the identifier. *)
 let net_zone_rules () =
-  let lint path src = lint_source ~ctx:(Rules.ctx_of_path path) ~path src in
-  let r = lint "lib/net/fake.ml" "let now () = Unix.gettimeofday ()" in
-  Alcotest.(check int) "Unix allowed in lib/net" 0 (List.length r.Driver.findings);
-  let r = lint "lib/engine/fake.ml" "let now () = Unix.gettimeofday ()" in
-  Alcotest.(check int) "Unix still banned elsewhere" 1 (List.length r.Driver.findings);
-  let r = lint "lib/net/fake.ml" "let q s i = Dr_source.Data_source.query s ~peer:0 i" in
-  Alcotest.(check int) "query banned in net runner code" 1 (List.length r.Driver.findings);
-  let r = lint "lib/net/source_server.ml" "let q s i = Dr_source.Data_source.query s ~peer:0 i" in
-  Alcotest.(check int) "query allowed in the net source server" 0 (List.length r.Driver.findings);
-  let r = lint "lib/net/fake.ml" "let roll () = Random.int 6" in
-  Alcotest.(check int) "ambient randomness still banned in lib/net" 1
-    (List.length r.Driver.findings)
+  let unix = Driver.read_file (fixture "bad_unix.ml") in
+  Alcotest.(check (list string)) "Unix allowed in lib/net" [] (compile ~zone:Net unix);
+  Alcotest.(check (list string)) "Unix banned in core and engine"
+    [ "1: Error (alert ocaml_deprecated_auto_include): " ]
+    (compile ~zone:Fiber unix);
+  Alcotest.(check (list string)) "query banned in net runner code"
+    [ "1: Error (alert metered): Dr_source.Data_source.query" ]
+    (compile ~zone:Net "let q s i = Dr_source.Data_source.query s ~peer:0 i");
+  Alcotest.(check (list string)) "a waived query compiles" []
+    (compile ~zone:Net
+       "let q s i = (Dr_source.Data_source.query [@alert \"-metered\"]) s ~peer:0 i");
+  Alcotest.(check (list string)) "ambient randomness still banned in lib/net"
+    [ "1: Error (alert l1): module Dr_prelude.Random" ]
+    (compile ~zone:Net "let roll () = Random.int 6")
 
 (* ---- the live tree ---- *)
 
-let roots = [ "../lib"; "../bin"; "../bench" ]
-
 let live_tree_clean () =
-  let report = Driver.lint_paths roots in
+  let report = Driver.lint_paths [ "../lib" ] in
   let rendered = Format.asprintf "%a" Driver.pp_report report in
   Alcotest.(check bool) "scans the whole tree" true (report.Driver.files_scanned > 50);
   if not (Driver.clean report) then Alcotest.failf "live tree has findings:@.%s" rendered;
-  Alcotest.(check int) "pragmas in deliberate use" 3 report.Driver.total_suppressed
+  Alcotest.(check int) "pragmas in deliberate use" 0 report.Driver.total_suppressed
 
-(* Deleting a pragma must re-expose the violation it waives, pointing at the
-   right file:line [RULE] — the acceptance criterion for the escape hatch. *)
-let pragma_deletion_detected () =
+(* The waivers in lib/, bin/ and bench/, as (file, waived identifier,
+   attribute payload). The compiler says nothing of a waiver that waives
+   nothing, so the set is pinned here: a new one is a reviewed change. *)
+let live_waivers =
+  [
+    ("../lib/core/exec.ml", "Dr_source.Data_source.read_range", "-metered");
+    ("../lib/engine/trace.ml", "input_line", "-l5");
+    ("../lib/net/runner.ml", "Printf.eprintf", "-l3");
+    ("../lib/net/source_server.ml", "Data_source.read_range", "-metered");
+    ("../lib/stats/table.ml", "Format.std_formatter", "-l3");
+  ]
+
+(* Every alert attribute in the tree sits on a bare identifier. *)
+let waivers_pinned () =
+  let files = Driver.files_under [ "../lib"; "../bin"; "../bench" ] in
+  let parse path = Driver.parse ~path (Driver.read_file path) in
+  let open Ppxlib in
+  let found = ref [] in
   List.iter
-    (fun (path, expected_rule, anchor) ->
-      let ic = open_in_bin path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+    (fun path ->
+      let is_alert (a : attribute) =
+        String.equal a.attr_name.txt "alert" || String.equal a.attr_name.txt "ocaml.alert"
       in
-      (* Blank the pragma lines, preserving line numbers. *)
-      let lines = String.split_on_char '\n' src in
-      let stripped =
-        String.concat "\n"
-          (List.map
-             (fun l ->
-               match Pragma.scan l with [] -> l | _ -> "")
-             lines)
+      let payload (a : attribute) =
+        match a.attr_payload with
+        | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
+          match e.pexp_desc with
+          | Pexp_constant (Pconst_string (s, _, _)) -> s
+          | _ -> Alcotest.failf "%s: alert attribute without a string payload" path)
+        | _ -> Alcotest.failf "%s: alert attribute without a string payload" path
       in
-      let anchor_line =
-        let rec find i = function
-          | [] -> Alcotest.failf "%s: anchor %S not found" path anchor
-          | l :: rest ->
-            let present =
-              let nl = String.length l and na = String.length anchor in
-              let rec scan j =
-                j + na <= nl && (String.equal (String.sub l j na) anchor || scan (j + 1))
-              in
-              scan 0
-            in
-            if present then i else find (i + 1) rest
-        in
-        find 1 lines
-      in
-      let r = lint_source ~path stripped in
-      let expected =
-        Printf.sprintf "%s:%d [%s]" (Filename.basename path) anchor_line
-          (Finding.rule_name expected_rule)
-      in
-      Alcotest.(check (list string))
-        (path ^ " without its pragma") [ expected ]
-        (List.map short r.findings))
-    [
-      ("../lib/stats/table.ml", Finding.L3, "Format.std_formatter");
-      ("../lib/engine/trace.ml", Finding.L5, "input_line ic");
-    ]
+      let iter =
+        object
+          inherit Ast_traverse.iter as super
 
-(* Reverting an L2/L3 fix must re-expose the finding at the original site. *)
-let fix_reversion_detected () =
-  let cases =
-    [
-      ( "lib/stats/summary.ml",
-        "let _ = Array.sort compare arr\n",
-        "summary.ml:1 [L2]" );
-      ( "lib/stats/table.ml",
-        "let print t = print_string (render t)\n",
-        "table.ml:1 [L3]" );
-    ]
+          method! expression e =
+            match (e.pexp_desc, List.filter is_alert e.pexp_attributes) with
+            | Pexp_ident { txt; _ }, [ a ] ->
+              found := (path, String.concat "." (Longident.flatten_exn txt), payload a) :: !found
+            | _ -> super#expression e
+
+          method! attribute a =
+            if is_alert a then
+              Alcotest.failf "%s:%d: an alert attribute must wrap only the identifier it waives"
+                path a.attr_loc.loc_start.pos_lnum
+        end
+      in
+      iter#structure (parse path))
+    files;
+  Alcotest.(check (list (triple string string string))) "the live waivers" live_waivers
+    (List.sort compare !found)
+
+(* Deleting a waiver must re-expose the banned use at its line: each live
+   file compiles as it is, and fails without its attribute. *)
+let pragma_deletion_detected () =
+  let zone_of path =
+    if String.starts_with ~prefix:"../lib/net/" path then Net
+    else if
+      String.starts_with ~prefix:"../lib/core/" path
+      || String.starts_with ~prefix:"../lib/engine/" path
+    then Fiber
+    else Lib
   in
   List.iter
-    (fun (path, src, expected) ->
-      let r = lint_source ~path src in
-      Alcotest.(check (list string)) ("reverted " ^ path) [ expected ]
-        (List.map short r.findings))
-    cases
+    (fun (path, ident, payload) ->
+      let src = Driver.read_file path in
+      let within = "Dr_" ^ Filename.basename (Filename.dirname path) in
+      let zone = zone_of path in
+      Alcotest.(check (list string)) (path ^ " compiles") [] (compile ~within ~zone src);
+      let attr = Printf.sprintf " [@alert %S]" payload in
+      let n = String.length attr in
+      let rec find i =
+        if i + n > String.length src then Alcotest.failf "%s: no %s" path attr
+        else if String.equal (String.sub src i n) attr then i
+        else find (i + 1)
+      in
+      let at = find 0 in
+      let line = List.length (String.split_on_char '\n' (String.sub src 0 at)) in
+      let stripped = String.sub src 0 at ^ String.sub src (at + n) (String.length src - at - n) in
+      let alert = String.sub payload 1 (String.length payload - 1) in
+      match compile ~within ~zone stripped with
+      | [ e ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s without its waiver: %s" path e)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "%d: Error (alert %s): " line alert) e
+          && String.ends_with ~suffix:ident e)
+      | errs -> Alcotest.failf "%s without its waiver: %s" path (String.concat "; " errs))
+    live_waivers
+
+(* Reverting a fix must re-expose the finding at the original site: here
+   Table.print, back to printing to stdout instead of taking [?ppf]. *)
+let fix_reversion_detected () =
+  let r = lint_source ~path:"lib/stats/summary.ml" "let _ = Array.sort compare arr\n" in
+  Alcotest.(check (list string)) "reverted summary.ml" [ "summary.ml:1 [L2]" ]
+    (List.map short r.findings);
+  let lines = String.split_on_char '\n' (Driver.read_file "../lib/stats/table.ml") in
+  let rec find i = function
+    | l :: _ when String.starts_with ~prefix:"let print ?(ppf" l -> i
+    | _ :: rest -> find (i + 1) rest
+    | [] -> Alcotest.fail "Table.print not found"
+  in
+  let at = find 1 lines in
+  (* The definition is three lines: replace the first, blank the body. *)
+  let reverted =
+    List.mapi
+      (fun i l ->
+        if i + 1 = at then "let print t = print_string (render t)"
+        else if i + 1 > at && i + 1 <= at + 2 then ""
+        else l)
+      lines
+  in
+  Alcotest.(check (list string)) "reverted Table.print"
+    [ Printf.sprintf "%d: Error (alert l3): Dr_prelude.print_string" at ]
+    (compile ~within:"Dr_stats" ~zone:Lib (String.concat "\n" reverted))
 
 let suite =
   [
@@ -284,17 +411,17 @@ let suite =
     Alcotest.test_case "fixture: L3 direct stdout" `Quick l3;
     Alcotest.test_case "fixture: L4 query confinement" `Quick l4;
     Alcotest.test_case "fixture: L5 fiber safety" `Quick l5;
+    Alcotest.test_case "fixture: aliases, opens and Stdlib" `Quick aliases;
     Alcotest.test_case "zone scoping" `Quick zone_scoping;
     Alcotest.test_case "pragma: suppression + golden" `Quick pragma_suppression;
     Alcotest.test_case "pragma: unused is reported" `Quick pragma_unused;
     Alcotest.test_case "pragma: needs a comment opener" `Quick pragma_needs_comment_opener;
     Alcotest.test_case "pragma: last-line edge" `Quick pragma_eof_edge;
-    Alcotest.test_case "ctx_of_path zones" `Quick ctx_of_path;
-    Alcotest.test_case "ctx_of_path corner cases" `Quick ctx_of_path_corners;
     Alcotest.test_case "files_under is sorted, deduped, fixture-free" `Quick
       files_under_deterministic;
     Alcotest.test_case "lib/net zone rules" `Quick net_zone_rules;
     Alcotest.test_case "live tree is lint-clean" `Quick live_tree_clean;
+    Alcotest.test_case "waivers are pinned and wrap one identifier" `Quick waivers_pinned;
     Alcotest.test_case "deleting a pragma re-exposes the finding" `Quick pragma_deletion_detected;
     Alcotest.test_case "reverting a fix re-exposes the finding" `Quick fix_reversion_detected;
   ]
