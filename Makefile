@@ -1,4 +1,4 @@
-.PHONY: all build test lint race check check-smoke soak net-smoke net-chaos perfbench-smoke loc clean
+.PHONY: all build test race check check-smoke soak net-smoke net-chaos perfbench-smoke loc clean
 
 all: build
 
@@ -7,12 +7,6 @@ build:
 
 test:
 	dune runtest
-
-# Static analysis: dr_lint's L2 (no polymorphic compare on structured
-# operands) over lib/. Nonzero exit on any finding or stale pragma. The
-# name bans (L1, L3, L4, L5) are compiler alerts: `make build` is their gate.
-lint:
-	dune build @lint
 
 # Whole-program domain-safety analysis: dr_race's R1-R2 rules against the
 # zone map in dr-race.zones, plus a regenerate-and-diff of the committed

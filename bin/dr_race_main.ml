@@ -1,6 +1,6 @@
 (* dr_race: whole-program mutable-state inventory and domain-safety
-   analysis — the machine-checked gate in front of the multicore
-   domain-sharding refactor (ROADMAP item 1).
+   analysis — the machine-checked gate in front of any move to share a
+   simulation across domains (deferred in ROADMAP).
 
    Examples:
      dr_race --check                 # R1-R2 over lib/ bin/ bench/
@@ -10,8 +10,8 @@
 
    Zone declarations come from dr-race.zones (see --zones) plus inline
    zone pragmas; a finding can be waived with an allow pragma directly
-   above (or on) the line — dr_lint's comment machinery with a dr-race
-   marker. See DESIGN.md "Domain-safety zones" for the syntax.
+   above (or on) the line. See DESIGN.md "Domain-safety zones" for the
+   syntax.
 
    Exit codes: 0 clean, 1 findings (or unused pragmas), 2 usage/IO error. *)
 
@@ -79,7 +79,7 @@ let run paths inventory _check zones format rules =
       end
       else begin
         (match format with
-        | `Text -> Format.printf "%a" (Driver.pp_report_as ~tool:"dr_race") a.Race_rules.report
+        | `Text -> Format.printf "%a" (Driver.pp_report) a.Race_rules.report
         | `Json -> Format.printf "%a" Driver.pp_report_json a.Race_rules.report);
         if Driver.clean a.Race_rules.report then 0 else 1
       end

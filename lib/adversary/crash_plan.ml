@@ -33,7 +33,7 @@ let descriptor_to_string = function
 
 let descriptor_of_string s =
   match String.index_opt s ':' with
-  | None -> if s = "none" then Some No_crash else None
+  | None -> if String.equal s "none" then Some No_crash else None
   | Some i ->
     let kind = String.sub s 0 i in
     let arg = String.sub s (i + 1) (String.length s - i - 1) in

@@ -31,7 +31,7 @@ let default_pool entry model =
   List.filter
     (fun (k, n, t) ->
       let inst = Problem.random_instance ~seed:1L ~model ~k ~n ~t () in
-      Registry.admits entry inst = Ok ())
+      Result.is_ok (Registry.admits entry inst))
     candidates
 
 let of_registry ?pool entry =
@@ -50,7 +50,7 @@ let of_registry ?pool entry =
   }
 
 let resolve ?(targets = []) name =
-  match List.find_opt (fun t -> t.name = name) targets with
+  match List.find_opt (fun t -> String.equal t.name name) targets with
   | Some t -> Some t
   | None -> Option.map of_registry (Registry.find name)
 
@@ -85,7 +85,7 @@ let run_scenario ?observer target (s : Repro.scenario) ~arbiter =
 
 let same_violation inv (c : checked) =
   match c.violation with
-  | Some v -> Invariant.name v.Invariant.invariant = inv
+  | Some v -> String.equal (Invariant.name v.Invariant.invariant) inv
   | None -> false
 
 let shrink target (s : Repro.scenario) (v : Invariant.violation) ~script =
@@ -96,21 +96,18 @@ let shrink target (s : Repro.scenario) (v : Invariant.violation) ~script =
   in
   (* Fault plan first: no crash at all, else a lower parameter. *)
   let crash =
-    if s.Repro.crash <> Crash_plan.No_crash && fails_with Crash_plan.No_crash script then
-      Crash_plan.No_crash
-    else begin
-      let lower rebuild j =
-        let j' = ref j in
-        while !j' > 0 && fails_with (rebuild (!j' - 1)) script do
-          decr j'
-        done;
-        rebuild !j'
-      in
-      match s.Repro.crash with
-      | Crash_plan.No_crash -> Crash_plan.No_crash
-      | Crash_plan.Mid_broadcast j -> lower (fun j -> Crash_plan.Mid_broadcast j) j
-      | Crash_plan.After_queries j -> lower (fun j -> Crash_plan.After_queries j) j
-    end
+    let lower rebuild j =
+      let j' = ref j in
+      while !j' > 0 && fails_with (rebuild (!j' - 1)) script do
+        decr j'
+      done;
+      rebuild !j'
+    in
+    match s.Repro.crash with
+    | Crash_plan.No_crash -> Crash_plan.No_crash
+    | _ when fails_with Crash_plan.No_crash script -> Crash_plan.No_crash
+    | Crash_plan.Mid_broadcast j -> lower (fun j -> Crash_plan.Mid_broadcast j) j
+    | Crash_plan.After_queries j -> lower (fun j -> Crash_plan.After_queries j) j
   in
   let script = Shrink.minimize ~fails:(fails_with crash) script in
   let s = { s with Repro.crash } in
@@ -145,7 +142,7 @@ let replay ?targets (r : Repro.t) =
     | { violation = None; _ } -> Vanished
     | { violation = Some v; _ } ->
       let name = Invariant.name v.Invariant.invariant in
-      if name <> r.Repro.invariant then
+      if not (String.equal name r.Repro.invariant) then
         Diverged
           (Printf.sprintf "expected %s to fail, got %s: %s" r.Repro.invariant name
              v.Invariant.detail)
@@ -183,7 +180,7 @@ type campaign = {
 }
 
 let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
-  if target.pool = [] then
+  if List.is_empty target.pool then
     failwith (Printf.sprintf "Check.campaign: %s has no admissible small instance" target.name);
   let coverage = Coverage.create () in
   let corpus = Corpus.create () in
@@ -290,7 +287,7 @@ let campaign_stats_json c =
            (Crash_plan.descriptor_to_string s.Repro.crash)
            r.Repro.event))
     c.failures;
-  if c.failures <> [] then Buffer.add_string b "\n  ";
+  if not (List.is_empty c.failures) then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}\n";
   Buffer.contents b
 

@@ -20,10 +20,10 @@ let check ?spec ~inst ~events (r : Problem.report) =
     | Sim.Deadlock blocked -> List.filter (Problem.honest inst) blocked
     | Sim.Completed | Sim.Event_limit_reached -> []
   in
-  if honest_blocked <> [] then
+  if not (List.is_empty honest_blocked) then
     fail Termination
       (Printf.sprintf "deadlock: honest peers [%s] blocked forever" (ints honest_blocked))
-  else if r.Problem.status = Sim.Event_limit_reached then
+  else if (match r.Problem.status with Sim.Event_limit_reached -> true | _ -> false) then
     fail Termination "event limit reached before the run quiesced"
   else if not r.Problem.ok then
     fail Agreement
@@ -38,7 +38,7 @@ let check ?spec ~inst ~events (r : Problem.report) =
       if b.Spec.randomized || not (b.Spec.resilience ~k ~t) then None
       else begin
         let bound = b.Spec.q_bound ~k ~n ~t ~b:inst.Problem.b in
-        if float_of_int r.Problem.q_max <= bound then None
+        if Fl.(float_of_int r.Problem.q_max <= bound) then None
         else
           fail Spec_bound
             (Printf.sprintf "measured Q = %d exceeds the %s bound %.1f" r.Problem.q_max

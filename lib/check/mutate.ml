@@ -27,7 +27,7 @@ let splice prng script donor =
   match donor with
   | None | Some [] -> truncate prng script
   | Some d ->
-    let cut_base = if script = [] then 0 else Prng.int prng (List.length script + 1) in
+    let cut_base = if List.is_empty script then 0 else Prng.int prng (List.length script + 1) in
     let cut_donor = Prng.int prng (List.length d) in
     take cut_base script @ drop cut_donor d
 

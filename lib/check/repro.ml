@@ -44,13 +44,14 @@ let to_json r =
 let int_field root key =
   let f = Json.num root key in
   let i = int_of_float f in
-  if float_of_int i <> f then failwith (Printf.sprintf "Repro.of_json: %s is not an integer" key);
+  if Fl.(float_of_int i <> f) then
+    failwith (Printf.sprintf "Repro.of_json: %s is not an integer" key);
   i
 
 let of_json text =
   let root = Json.parse text in
   let schema = Json.str root "schema" in
-  if schema <> schema_id then
+  if not (String.equal schema schema_id) then
     failwith (Printf.sprintf "Repro.of_json: unsupported schema %S (want %S)" schema schema_id);
   let crash_s = Json.str root "crash" in
   let crash =
@@ -71,7 +72,7 @@ let of_json text =
         (function
           | Json.Num f ->
             let i = int_of_float f in
-            if float_of_int i <> f || i < 0 then
+            if Fl.(float_of_int i <> f) || i < 0 then
               failwith "Repro.of_json: script entries must be nonnegative integers";
             i
           | _ -> failwith "Repro.of_json: script entries must be numbers")

@@ -9,11 +9,11 @@ let protocol_doc =
   Printf.sprintf "Protocol: one of %s." (String.concat ", " Registry.names)
 
 let protocol_arg ?(extra = "") ~default () =
-  let doc = if extra = "" then protocol_doc else protocol_doc ^ " " ^ extra in
+  let doc = if String.equal extra "" then protocol_doc else protocol_doc ^ " " ^ extra in
   Arg.(value & opt string default & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
 let protocol_opt_arg ?(extra = "") () =
-  let doc = if extra = "" then protocol_doc else protocol_doc ^ " " ^ extra in
+  let doc = if String.equal extra "" then protocol_doc else protocol_doc ^ " " ^ extra in
   Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
 let attack_doc =

@@ -16,10 +16,12 @@ end
 let name = "byz-2cycle"
 
 let supports inst =
-  if inst.Problem.model <> Problem.Byzantine then Error "byz-2cycle targets Byzantine faults"
-  else if inst.Problem.k - (2 * Problem.t inst) < 1 then
-    Error "byz-2cycle needs k - 2t >= 1 (beta < 1/2)"
-  else Ok ()
+  match inst.Problem.model with
+  | Problem.Crash -> Error "byz-2cycle targets Byzantine faults"
+  | Problem.Byzantine ->
+    if inst.Problem.k - (2 * Problem.t inst) < 1 then
+      Error "byz-2cycle needs k - 2t >= 1 (beta < 1/2)"
+    else Ok ()
 
 type attack =
   | Silent

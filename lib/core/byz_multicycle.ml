@@ -16,10 +16,12 @@ end
 let name = "byz-multicycle"
 
 let supports inst =
-  if inst.Problem.model <> Problem.Byzantine then Error "byz-multicycle targets Byzantine faults"
-  else if inst.Problem.k - (2 * Problem.t inst) < 1 then
-    Error "byz-multicycle needs k - 2t >= 1 (beta < 1/2)"
-  else Ok ()
+  match inst.Problem.model with
+  | Problem.Crash -> Error "byz-multicycle targets Byzantine faults"
+  | Problem.Byzantine ->
+    if inst.Problem.k - (2 * Problem.t inst) < 1 then
+      Error "byz-multicycle needs k - 2t >= 1 (beta < 1/2)"
+    else Ok ()
 
 type attack = Byz_2cycle.attack =
   | Silent

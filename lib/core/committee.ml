@@ -14,10 +14,12 @@ end
 let name = "byz-committee"
 
 let supports inst =
-  if inst.Problem.model <> Problem.Byzantine then Error "byz-committee targets Byzantine faults"
-  else if (2 * Problem.t inst) + 1 > inst.Problem.k then
-    Error "byz-committee needs 2t+1 <= k (beta < 1/2)"
-  else Ok ()
+  match inst.Problem.model with
+  | Problem.Crash -> Error "byz-committee targets Byzantine faults"
+  | Problem.Byzantine ->
+    if (2 * Problem.t inst) + 1 > inst.Problem.k then
+      Error "byz-committee needs 2t+1 <= k (beta < 1/2)"
+    else Ok ()
 
 type attack = Honest_but_silent | Flip | Equivocate | Collude | Mirror
 

@@ -52,9 +52,11 @@ end
 let name = "crash-general"
 
 let supports inst =
-  if inst.Problem.model <> Problem.Crash then Error "crash-general handles crash faults only"
-  else if Problem.t inst >= inst.Problem.k then Error "crash-general needs at least one honest peer"
-  else Ok ()
+  match inst.Problem.model with
+  | Problem.Byzantine -> Error "crash-general handles crash faults only"
+  | Problem.Crash ->
+    if Problem.t inst >= inst.Problem.k then Error "crash-general needs at least one honest peer"
+    else Ok ()
 
 let phases_upper_bound ~k ~t =
   if t = 0 then 2

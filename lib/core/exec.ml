@@ -67,7 +67,7 @@ let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
     if honest i then begin
       match outcome.Dr_engine.Sim.outputs.(i) with
       | Some (t, y) ->
-        if t > !t_done then t_done := t;
+        if Fl.(t > !t_done) then t_done := t;
         if not (Bitarray.equal y inst.Problem.x) then wrong := i :: !wrong
       | None ->
         all_done := false;
@@ -78,7 +78,7 @@ let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
   let summary = Dr_engine.Metrics.summarize ~select:honest outcome.Dr_engine.Sim.metrics in
   {
     Problem.protocol;
-    ok = !wrong = [];
+    ok = List.is_empty !wrong;
     wrong = !wrong;
     q_max = summary.Dr_engine.Metrics.max_queries;
     q_mean = summary.Dr_engine.Metrics.mean_queries;

@@ -19,7 +19,7 @@ type t = {
 let create () =
   { per_seg = [||]; seen = Bytes.empty; reporters = 0; lead = [||]; lead_count = [||] }
 
-let seen t peer = peer < Bytes.length t.seen && Bytes.get t.seen peer <> '\000'
+let seen t peer = peer < Bytes.length t.seen && Bytes.get_uint8 t.seen peer <> 0
 
 let mark t peer =
   let cur = Bytes.length t.seen in

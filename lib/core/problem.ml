@@ -61,5 +61,5 @@ let pp_report ppf r =
   Format.fprintf ppf "%-16s %s Q=%d (mean %.1f) T=%.1f M=%d bits=%d status=%a" r.protocol
     (if r.ok then "OK " else "FAIL")
     r.q_max r.q_mean r.time r.msgs r.bits_sent pp_status r.status;
-  if not r.ok && r.wrong <> [] then
+  if not r.ok && not (List.is_empty r.wrong) then
     Format.fprintf ppf " wrong=[%s]" (String.concat "," (List.map string_of_int r.wrong))

@@ -103,7 +103,7 @@ let name e = e.spec.Spec.protocol
 
 let attacks e = e.attacks
 
-let find n = List.find_opt (fun e -> name e = n) all
+let find n = List.find_opt (fun e -> String.equal (name e) n) all
 let find_exn n =
   match find n with Some e -> e | None -> failwith ("unknown protocol: " ^ n)
 

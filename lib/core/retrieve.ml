@@ -29,7 +29,11 @@ let find_first wanted =
     compute =
       (fun x ->
         let n = Bitarray.length x in
-        let rec go i = if i >= n then None else if Bitarray.get x i = wanted then Some i else go (i + 1) in
+        let rec go i =
+          if i >= n then None
+          else if Bool.equal (Bitarray.get x i) wanted then Some i
+          else go (i + 1)
+        in
         go 0);
     equal = Option.equal Int.equal;
     describe = (function Some i -> string_of_int i | None -> "none");

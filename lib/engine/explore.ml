@@ -105,7 +105,7 @@ let dfs ~budget ~run =
        if List.length choices > !max_depth then max_depth := List.length choices;
        if not ok then begin
          incr failures;
-         if !first_failure = None then first_failure := Some (List.map fst choices)
+         if Option.is_none !first_failure then first_failure := Some (List.map fst choices)
        end;
        (* Next schedule: bump the deepest position with room to grow. *)
        let rec next_script rev_prefix = function

@@ -74,7 +74,7 @@ let insert h v =
   while !continue && !i > 0 do
     let parent = (!i - 1) / 4 in
     let pt = Array.unsafe_get h.times parent in
-    if time < pt || (time = pt && seq < Array.unsafe_get h.seqs parent) then begin
+    if Fl.(time < pt) || (Fl.(time = pt) && seq < Array.unsafe_get h.seqs parent) then begin
       move h ~src:parent ~dst:!i;
       i := parent
     end
@@ -100,11 +100,12 @@ let sift_down h src =
       let last = if first + 3 < len then first + 3 else len - 1 in
       for j = first + 1 to last do
         let tj = Array.unsafe_get h.times j and tc = Array.unsafe_get h.times !c in
-        if tj < tc || (tj = tc && Array.unsafe_get h.seqs j < Array.unsafe_get h.seqs !c) then c := j
+        if Fl.(tj < tc) || (Fl.(tj = tc) && Array.unsafe_get h.seqs j < Array.unsafe_get h.seqs !c)
+        then c := j
       done;
       let c = !c in
       let ct = Array.unsafe_get h.times c in
-      if ct < time || (ct = time && Array.unsafe_get h.seqs c < seq) then begin
+      if Fl.(ct < time) || (Fl.(ct = time) && Array.unsafe_get h.seqs c < seq) then begin
         move h ~src:c ~dst:!i;
         i := c
       end
@@ -123,8 +124,8 @@ let append h i v =
 let place h v =
   let t = Array.unsafe_get h.at v and f = h.f in
   let x = (t -. Array.unsafe_get f base) *. Array.unsafe_get f scale in
-  if x < float_of_int (h.cur + 1) then insert h v
-  else if x < float_of_int h.nwin then append h ((2 * int_of_float x) + 2) v
+  if Fl.(x < float_of_int (h.cur + 1)) then insert h v
+  else if Fl.(x < float_of_int h.nwin) then append h ((2 * int_of_float x) + 2) v
   else begin
     append h 0 v;
     h.far_len <- h.far_len + 1;
@@ -132,9 +133,9 @@ let place h v =
        list past the one it was spread from. *)
     let n = Array.length h.lists in
     if n < (h.far_len / 2) + 6 then h.lists <- extend h.lists (Int.max 16 (2 * n)) (-1);
-    if t < f.(lo) then f.(lo) <- t;
-    if t > f.(hi) then f.(hi) <- t;
-    if t > f.(fmax) && t < infinity then f.(fmax) <- t
+    if Fl.(t < f.(lo)) then f.(lo) <- t;
+    if Fl.(t > f.(hi)) then f.(hi) <- t;
+    if Fl.(t > f.(fmax) && t < infinity) then f.(fmax) <- t
   end
 
 (* Empty the list whose head is at [h.lists.(i)] into [into], in order. *)
@@ -155,7 +156,7 @@ let rebuild h =
   let windows = (n / 4) + 1 and least = f.(lo) and most = f.(hi) in
   (* Neither 0 nor infinite only if finite times spread and none is -inf. *)
   let s = float_of_int windows /. (f.(fmax) -. least) in
-  let spread = n > short && s > 0. && s < infinity in
+  let spread = n > short && Fl.(s > 0. && s < infinity) in
   if spread then (f.(base) <- least; f.(scale) <- s; h.cur <- 0; h.nwin <- windows + 1)
   else (f.(base) <- most; f.(scale) <- 1.; h.cur <- -1; h.nwin <- 0);
   f.(lo) <- infinity;

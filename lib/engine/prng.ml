@@ -49,7 +49,7 @@ let float g bound =
   let mantissa = Int64.shift_right_logical (next64 g) 11 in
   Int64.to_float mantissa *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool g = Int64.logand (next64 g) 1L = 1L
+let bool g = Int64.to_int (next64 g) land 1 = 1
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

@@ -214,7 +214,7 @@ module Make (M : MESSAGE) = struct
     ev
 
   let run cfg proc =
-    if not (cfg.link_rate > 0.) then invalid_arg "Sim.run: link_rate must be > 0";
+    if not Fl.(cfg.link_rate > 0.) then invalid_arg "Sim.run: link_rate must be > 0";
     let master = Prng.create cfg.seed in
     let peers =
       Array.init cfg.k (fun id ->
@@ -245,7 +245,7 @@ module Make (M : MESSAGE) = struct
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. [link_free.(src
        * k + dst)] is when the link from [src] to [dst] is next idle. *)
-    let serialized = cfg.link_rate <> infinity in
+    let serialized = Fl.(cfg.link_rate <> infinity) in
     let link_free = if serialized then Array.make (cfg.k * cfg.k) 0. else [||] in
     let metrics = Metrics.create cfg.k in
     let outputs = Array.make cfg.k None in
@@ -259,12 +259,12 @@ module Make (M : MESSAGE) = struct
     let crash_spec = Array.init cfg.k cfg.crash in
     (* Tracing must cost nothing when off: every call site is guarded by
        [trace_on] so the closure passed to [tr] is never even allocated. *)
-    let trace_on = cfg.trace <> None in
+    let trace_on = Option.is_some cfg.trace in
     let tr f = match cfg.trace with None -> () | Some t -> Trace.record t (f ()) in
     (* A message's tag is rendered once per send effect, and only when a
        trace or an observer will read it; every destination's slot shares
        the string. *)
-    let tags_on = trace_on || cfg.observer <> None in
+    let tags_on = trace_on || Option.is_some cfg.observer in
     let render msg = if tags_on then M.tag msg else "" in
     (* Killing a peer: mark dead and unwind its blocked fiber if any. *)
     let kill p =
@@ -318,11 +318,12 @@ module Make (M : MESSAGE) = struct
        [k] and returns [false]. *)
     let send_one p dst msg ~size_bits tag ~sent k =
       let delay = cfg.latency ~src:p.id ~dst ~size_bits in
-      if not (delay >= 0. && delay < infinity) then begin
+      if not Fl.(delay >= 0. && delay < infinity) then begin
         charge p ~count:sent ~size_bits;
         Effect.Deep.discontinue k
           (Invalid_argument
-             (if delay < 0. then "Sim.run: negative latency" else "Sim.run: non-finite latency"));
+             (if Fl.(delay < 0.) then "Sim.run: negative latency"
+              else "Sim.run: non-finite latency"));
         false
       end
       else begin
@@ -332,7 +333,7 @@ module Make (M : MESSAGE) = struct
         else begin
           let link = (p.id * cfg.k) + dst in
           let free = link_free.(link) in
-          let departure = if free > clock.(0) then free else clock.(0) in
+          let departure = if Fl.(free > clock.(0)) then free else clock.(0) in
           let transmission = float_of_int size_bits /. cfg.link_rate in
           link_free.(link) <- departure +. transmission;
           at.(0) <- departure +. transmission +. delay
@@ -470,7 +471,7 @@ module Make (M : MESSAGE) = struct
     (* Coverage observation must cost nothing when off, exactly like the
        trace guard: one boolean test per event. A delivery's tag is the one
        its send stored. *)
-    let obs_on = cfg.observer <> None in
+    let obs_on = Option.is_some cfg.observer in
     let notify s =
       match cfg.observer with
       | None -> ()
@@ -526,7 +527,7 @@ module Make (M : MESSAGE) = struct
         Array.to_list peers
         |> List.filter_map (fun p -> if p.alive && not p.finished then Some p.id else None)
       in
-      if blocked <> [] then begin
+      if not (List.is_empty blocked) then begin
         if trace_on then tr (fun () -> Trace.Deadlocked { time = clock.(0); blocked });
         status := Deadlock blocked
       end

@@ -105,7 +105,7 @@ let event_of_line line =
   | [ "query" ], rest -> (
     match String.split_on_char ' ' rest with
     | [ t; peer; index; v ] ->
-      Queried { time = f t; peer = i peer; index = i index; value = v = "1" }
+      Queried { time = f t; peer = i peer; index = i index; value = String.equal v "1" }
     | _ -> fail ())
   | [ "crash" ], rest -> (
     match String.split_on_char ' ' rest with
@@ -154,7 +154,7 @@ let load path =
            (* Trace persistence: load runs outside the event loop. *)
            let line = (input_line [@alert "-l5"]) ic in
            incr lineno;
-           if String.trim line <> "" then
+           if not (String.equal (String.trim line) "") then
              match event_of_line line with
              | ev -> record t ev
              | exception _ -> failwith (Printf.sprintf "%s: bad trace line %d" path !lineno)

@@ -1,4 +1,4 @@
-(* Parse, run the rules, apply pragmas, walk trees. *)
+(* Parse, apply pragmas, walk trees, print reports: dr_race's plumbing. *)
 
 exception Error of string
 
@@ -43,11 +43,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file path =
-  let source = read_file path in
-  let raw = Rules.collect ~file:path (parse ~path source) in
-  apply_pragmas ~path ~pragmas:(Pragma.scan source) raw
-
 (* ------------------------------------------------------------------ *)
 (* Tree walking                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -56,11 +51,11 @@ let skip_dir name =
   String.equal name "_build"
   || String.equal name "lint_fixtures"
   || String.equal name "race_fixtures"
-  || (String.length name > 0 && name.[0] = '.')
+  || (String.length name > 0 && Char.equal name.[0] '.')
 
 let is_ml name =
   Filename.check_suffix name ".ml"
-  (* .mli interfaces carry no executable code worth linting *)
+  (* an .mli is read with its .ml (Symbols.load), not walked on its own *)
 
 let rec walk acc path =
   if Sys.is_directory path then
@@ -88,21 +83,14 @@ let files_under roots =
      filesystem hands entries back in. *)
   List.sort_uniq String.compare files
 
-let lint_paths roots =
-  let files = files_under roots in
-  let reports = List.map (fun p -> lint_file p) files in
-  let files = List.filter (fun r -> r.findings <> [] || r.suppressed <> [] || r.unused_pragmas <> []) reports in
-  {
-    files;
-    files_scanned = List.length reports;
-    total_findings = List.fold_left (fun n r -> n + List.length r.findings) 0 files;
-    total_suppressed = List.fold_left (fun n r -> n + List.length r.suppressed) 0 files;
-  }
-
 let report_of_file_reports reports =
   let files =
     List.filter
-      (fun r -> r.findings <> [] || r.suppressed <> [] || r.unused_pragmas <> [])
+      (fun r ->
+        not
+          (List.is_empty r.findings
+          && List.is_empty r.suppressed
+          && List.is_empty r.unused_pragmas))
       (List.sort (fun a b -> String.compare a.path b.path) reports)
   in
   {
@@ -112,7 +100,7 @@ let report_of_file_reports reports =
     total_suppressed = List.fold_left (fun n r -> n + List.length r.suppressed) 0 files;
   }
 
-let pp_report_as ~tool ppf r =
+let pp_report ppf r =
   List.iter
     (fun fr ->
       List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) fr.findings;
@@ -123,14 +111,12 @@ let pp_report_as ~tool ppf r =
             (Finding.rule_name p.Pragma.rule))
         fr.unused_pragmas)
     r.files;
-  Format.fprintf ppf "%s: %d file%s scanned, %d finding%s, %d suppressed by pragma@." tool
+  Format.fprintf ppf "dr_race: %d file%s scanned, %d finding%s, %d suppressed by pragma@."
     r.files_scanned
     (if r.files_scanned = 1 then "" else "s")
     r.total_findings
     (if r.total_findings = 1 then "" else "s")
     r.total_suppressed
-
-let pp_report ppf r = pp_report_as ~tool:"dr_lint" ppf r
 
 (* Machine-readable findings: one dr-lint/1 JSON object per line (findings
    and unused pragmas only — the summary lives in the exit code). *)
@@ -151,4 +137,4 @@ let pp_report_json ppf r =
     r.files
 
 let clean r =
-  r.total_findings = 0 && List.for_all (fun fr -> fr.unused_pragmas = []) r.files
+  r.total_findings = 0 && List.for_all (fun fr -> List.is_empty fr.unused_pragmas) r.files

@@ -1,4 +1,5 @@
-(** Run the rules over sources, files, and trees. *)
+(** dr_race's plumbing: parse sources, apply pragmas, walk trees, print
+    reports. *)
 
 exception Error of string
 (** IO or parse failure; carries [path: reason]. *)
@@ -25,8 +26,7 @@ val read_file : string -> string
 
 val apply_pragmas : path:string -> pragmas:Pragma.t list -> Finding.t list -> file_report
 (** Partition raw findings into kept/suppressed under the given pragmas,
-    reporting pragmas that suppressed nothing — the shared second half of
-    both the lint and race pipelines. *)
+    reporting pragmas that suppressed nothing. *)
 
 val files_under : string list -> string list
 (** Every [.ml] under the roots (skipping [_build], dotdirs, and fixture
@@ -34,18 +34,12 @@ val files_under : string list -> string list
     walk order is part of the report format, byte-identical across
     filesystems. *)
 
-val lint_paths : string list -> report
-(** Walk directories and lint every [.ml]. *)
-
 val report_of_file_reports : file_report list -> report
-(** Assemble per-file reports (e.g. from the race pipeline) into a report,
-    sorted by path. *)
+(** Assemble per-file reports into a report, sorted by path. *)
 
 val pp_report : Format.formatter -> report -> unit
-(** Findings as [file:line:col [RULE] message] lines plus a summary. *)
-
-val pp_report_as : tool:string -> Format.formatter -> report -> unit
-(** Same, with the summary line naming the given tool (dr_lint / dr_race). *)
+(** Findings as [file:line:col [RULE] message] lines plus a [dr_race:]
+    summary line. *)
 
 val pp_report_json : Format.formatter -> report -> unit
 (** Findings and unused pragmas as dr-lint/1 JSON lines, no summary. *)

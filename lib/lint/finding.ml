@@ -1,29 +1,18 @@
-type rule = L2 | R1 | R2
+type rule = R1 | R2
 
-let rule_name = function L2 -> "L2" | R1 -> "R1" | R2 -> "R2"
+let rule_name = function R1 -> "R1" | R2 -> "R2"
 
-let rule_of_string = function "L2" -> Some L2 | "R1" -> Some R1 | "R2" -> Some R2 | _ -> None
+let rule_of_string = function "R1" -> Some R1 | "R2" -> Some R2 | _ -> None
 
-let rule_equal a b = match (a, b) with L2, L2 | R1, R1 | R2, R2 -> true | _ -> false
+let rule_equal a b = match (a, b) with R1, R1 | R2, R2 -> true | _ -> false
 
 let rule_doc = function
-  | L2 -> "monomorphic compare: no polymorphic compare/=/min/max on structured operands"
   | R1 -> "domain zones: every escaping mutable cell/type carries a dr-race.zones declaration"
   | R2 -> "cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; init-only is never written post-init"
 
 let race_rules = [ R1; R2 ]
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }
-
-let make ~file ~loc rule msg =
-  let start = loc.Ppxlib.Location.loc_start in
-  {
-    file;
-    line = start.Lexing.pos_lnum;
-    col = start.Lexing.pos_cnum - start.Lexing.pos_bol;
-    rule;
-    msg;
-  }
 
 let at ~file ~line ~col rule msg = { file; line; col; rule; msg }
 

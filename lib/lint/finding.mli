@@ -1,7 +1,6 @@
-(** Lint findings and the rule taxonomy (see DESIGN.md "Static invariants"
-    for L2 and "Domain-safety zones" for R1-R2). *)
+(** dr_race's findings and rules (see DESIGN.md "Domain-safety zones"). *)
 
-type rule = L2 | R1 | R2
+type rule = R1 | R2
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -11,16 +10,13 @@ val rule_doc : rule -> string
 (** One-line statement of the invariant the rule machine-checks. *)
 
 val race_rules : rule list
-(** R1-R2: the whole-program dr_race rules. *)
+(** R1-R2, in catalogue order. *)
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }
 
-val make : file:string -> loc:Ppxlib.Location.t -> rule -> string -> t
-
 val at : file:string -> line:int -> col:int -> rule -> string -> t
-(** Build a finding from an explicit position — used by the whole-program
-    race rules whose sites aren't always inside a parsed AST (e.g. stale
-    declarations in the zones file itself). *)
+(** A finding at an explicit position; a site need not be inside a parsed
+    AST (e.g. a stale declaration in the zones file itself). *)
 
 val compare : t -> t -> int
 

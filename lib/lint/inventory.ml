@@ -182,7 +182,9 @@ let classify_type_decl (td : type_declaration) =
     (* Guarded wrappers first: a record of {queue; mutex; condition} is a
        guarded structure, not a bare queue. *)
     let priority = [ Atomic_t; Mutex_t; Hashtbl_t; Queue_t; Stack_t; Buffer_t; Array_t; Bytes_t; Ref ] in
-    List.find_opt (fun k -> List.exists (fun c -> c = k) constrs) priority
+    List.find_opt
+      (fun k -> List.exists (fun c -> String.equal (kind_name c) (kind_name k)) constrs)
+      priority
   end
 
 (* ------------------------------------------------------------------ *)

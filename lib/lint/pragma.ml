@@ -2,7 +2,7 @@
 
    A comment opening with the marker, i.e.
 
-     dr-lint: allow L2 — reason
+     dr-race: allow R1 — reason
 
    wrapped in ordinary comment parens, suppresses findings of that rule on
    the comment's own line and on the next source line. The reason text is
@@ -11,16 +11,14 @@
    comment opener directly before the marker, so prose that merely mentions
    the syntax — like this block — is not a pragma.)
 
-   dr_race reuses the same machinery with the marker "dr-race:" for its
-   allow pragmas, and with the verb "zone" for inline zone declarations
+   The same directive form with the verb "zone" declares a zone inline
    (see Zones). *)
 
 type t = { line : int; rule : Finding.rule; reason : string; at_eof : bool }
 
-let lint_marker = "dr-lint:"
-let race_marker = "dr-race:"
+let marker = "dr-race:"
 
-let is_space c = c = ' ' || c = '\t'
+let is_space = function ' ' | '\t' -> true | _ -> false
 
 let find_sub ~start hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -42,7 +40,7 @@ let strip s =
 let opener_before text at =
   let rec back i = if i >= 0 && is_space text.[i] then back (i - 1) else i in
   let i = back (at - 1) in
-  i >= 1 && text.[i] = '*' && text.[i - 1] = '('
+  i >= 1 && Char.equal text.[i] '*' && Char.equal text.[i - 1] '('
 
 (* Strip a leading em-dash / hyphen separator and the comment close from a
    reason tail. *)
@@ -60,7 +58,7 @@ let clean_reason reason =
 
 (* The payload after [marker verb] on one line; [None] when the line carries
    no well-formed directive. *)
-let directive_of_line ~marker ~verb text =
+let directive_of_line ~verb text =
   match find_sub ~start:0 text marker with
   | None -> None
   | Some at when not (opener_before text at) -> None
@@ -82,8 +80,8 @@ let directive_of_line ~marker ~verb text =
       Some payload
 
 (* Parse one line; [None] when it carries no (well-formed) allow pragma. *)
-let of_line ~marker ~line text =
-  match directive_of_line ~marker ~verb:"allow" text with
+let of_line ~line text =
+  match directive_of_line ~verb:"allow" text with
   | None -> None
   | Some rest -> (
     (* Rule token: up to the first space (or end). *)
@@ -108,20 +106,20 @@ let fold_lines source f acc =
   in
   acc
 
-let scan ?(marker = lint_marker) source =
+let scan source =
   List.rev
     (fold_lines source
        (fun ~line ~total text acc ->
-         match of_line ~marker ~line text with
+         match of_line ~line text with
          | Some p -> { p with at_eof = line >= total } :: acc
          | None -> acc)
        [])
 
-let directives ~marker ~verb source =
+let directives ~verb source =
   List.rev
     (fold_lines source
        (fun ~line ~total:_ text acc ->
-         match directive_of_line ~marker ~verb text with
+         match directive_of_line ~verb text with
          | Some payload -> (line, payload) :: acc
          | None -> acc)
        [])

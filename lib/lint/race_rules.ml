@@ -3,8 +3,8 @@
    Pipeline: parse every unit (Symbols) -> census mutable state
    (Inventory) -> resolve cross-module accesses (Refgraph) -> load zone
    declarations (Zones) -> apply R1/R2 -> report through the shared
-   Finding/Driver machinery, with per-site allow pragmas (the dr-lint
-   comment syntax under the dr-race marker) as the escape hatch. *)
+   Finding/Driver machinery, with per-site allow pragmas (Pragma) as the
+   escape hatch. *)
 
 type analysis = {
   units_scanned : int;
@@ -257,7 +257,7 @@ let analyze ?zones_path roots =
             l
           | None -> []
         in
-        let pragmas = Pragma.scan ~marker:Pragma.race_marker u.Symbols.source in
+        let pragmas = Pragma.scan u.Symbols.source in
         Driver.apply_pragmas ~path:u.Symbols.path ~pragmas findings)
       units
   in
@@ -297,6 +297,10 @@ let inventory_json a =
        \"guarded\": %b }"
       (esc key) (Inventory.kind_name it.kind) zone it.escaping (Inventory.guarded it.kind)
   in
-  let values, types = List.partition (fun it -> it.Inventory.sort = Inventory.Value) a.items in
+  let values, types =
+    List.partition
+      (fun it -> match it.Inventory.sort with Inventory.Value -> true | Inventory.Type -> false)
+      a.items
+  in
   Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"units\": %d,\n%s\n}\n" schema_id a.units_scanned
     (section "values" (List.map item values) ^ ",\n" ^ section "types" (List.map item types))

@@ -76,7 +76,7 @@ let accesses_of_unit table (self : Symbols.unit_info) ~(cells : (string, Invento
     | Pexp_ident { txt; loc } -> (
       let parts = strip_stdlib (lident_parts txt) in
       match resolve parts with
-      | Some (u, rest) when rest <> [] -> (
+      | Some (u, rest) when not (List.is_empty rest) -> (
         let key = String.concat "." (u :: rest) in
         match Hashtbl.find_opt cells key with Some _ -> Some (key, loc) | None -> None)
       | _ -> None)

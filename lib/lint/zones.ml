@@ -18,8 +18,8 @@
      type  Coverage.t per-domain:lib/check -- campaign-local maps
 
    A declaration can live inline instead, as a zone pragma directly above
-   (or on) the declaring line — the dr-lint comment machinery under the
-   dr-race marker, with [zone <zone> — reason] as the directive body. *)
+   (or on) the declaring line — Pragma's directive comments, with
+   [zone <zone> — reason] as the directive body. *)
 
 type zone = Engine_shared | Per_domain of string option | Init_only
 
@@ -86,7 +86,7 @@ let parse_file ~path content =
       let lineno = i + 1 in
       let body, reason = split_reason line in
       let body = String.trim body in
-      if String.length body = 0 || body.[0] = '#' then ()
+      if String.length body = 0 || Char.equal body.[0] '#' then ()
       else
         match split_words body with
         | [ sort_s; key; zone_s ] -> (
@@ -120,7 +120,7 @@ let parse_file ~path content =
    pragma lines that matched nothing (stale — reported like unused
    pragmas). *)
 let of_pragmas (u : Symbols.unit_info) (items : Inventory.item list) =
-  let directives = Pragma.directives ~marker:Pragma.race_marker ~verb:"zone" u.source in
+  let directives = Pragma.directives ~verb:"zone" u.source in
   let decls = ref [] and stale = ref [] in
   List.iter
     (fun (line, payload) ->

@@ -38,18 +38,18 @@ let is_none p =
 let duration_of_string s =
   let num_of t =
     match float_of_string_opt t with
-    | Some v when v >= 0. && Float.is_finite v -> Ok v
+    | Some v when Fl.(v >= 0.) && Float.is_finite v -> Ok v
     | _ -> Error (Printf.sprintf "bad duration %S" s)
   in
   let n = String.length s in
   if n >= 2 && String.equal (String.sub s (n - 2) 2) "ms" then
     Result.map (fun v -> v /. 1000.) (num_of (String.sub s 0 (n - 2)))
-  else if n >= 1 && s.[n - 1] = 's' then num_of (String.sub s 0 (n - 1))
+  else if n >= 1 && Char.equal s.[n - 1] 's' then num_of (String.sub s 0 (n - 1))
   else num_of s
 
 let probability_of_string key s =
   match float_of_string_opt s with
-  | Some p when p >= 0. && p <= 1. -> Ok p
+  | Some p when Fl.(p >= 0. && p <= 1.) -> Ok p
   | _ -> Error (Printf.sprintf "%s expects a probability in [0,1], got %S" key s)
 
 let int_after prefix s =
@@ -108,7 +108,7 @@ let parse_clause plan clause =
             Ok { plan with blackout = Some (Query_window { at = q; count }) }
           | _ -> Error (Printf.sprintf "source_blackout N@qJ needs integer N, got %S" span))
         | None ->
-          if String.length at > 1 && at.[0] = 't' then
+          if String.length at > 1 && Char.equal at.[0] 't' then
             let* dur = duration_of_string span in
             let* start = duration_of_string (String.sub at 1 (String.length at - 1)) in
             Ok { plan with blackout = Some (Time_window { at = start; dur }) }
@@ -165,7 +165,7 @@ let make ~seed ~peer plan =
   let source_rng = Prng.split !base in
   { plan; peer; link_rng; source_rng; ops = 0; queries = 0; tripped = false }
 
-let bernoulli rng p = p > 0. && Prng.float rng 1.0 < p
+let bernoulli rng p = Fl.(p > 0. && Prng.float rng 1.0 < p)
 
 let max_pre_drops = 16
 
@@ -183,15 +183,15 @@ let on_send t =
   t.ops <- t.ops + 1;
   check_disconnect t;
   let stall =
-    if t.plan.stall > 0. then
+    if Fl.(t.plan.stall > 0.) then
       match t.plan.stall_peer with
       | Some p when not (Int.equal p t.peer) -> 0.
       | _ -> t.plan.stall
     else 0.
   in
-  let corrupt_first = t.plan.corrupt > 0. && bernoulli t.link_rng t.plan.corrupt in
+  let corrupt_first = Fl.(t.plan.corrupt > 0.) && bernoulli t.link_rng t.plan.corrupt in
   let pre_drops =
-    if t.plan.drop > 0. then begin
+    if Fl.(t.plan.drop > 0.) then begin
       let d = ref 0 in
       while !d < max_pre_drops && bernoulli t.link_rng t.plan.drop do
         incr d
@@ -213,14 +213,14 @@ let on_source_request t ~elapsed =
   if drop_link then t.tripped <- false;
   let refuse =
     match t.plan.blackout with
-    | Some (Time_window { at; dur }) -> elapsed >= at && elapsed < at +. dur
+    | Some (Time_window { at; dur }) -> Fl.(elapsed >= at && elapsed < at +. dur)
     | Some (Query_window { at; count }) -> qidx >= at && qidx < at + count
     | None -> false
   in
-  let lose_reply = t.plan.reply_loss > 0. && bernoulli t.source_rng t.plan.reply_loss in
+  let lose_reply = Fl.(t.plan.reply_loss > 0.) && bernoulli t.source_rng t.plan.reply_loss in
   { refuse; drop_link; lose_reply }
 
 let in_blackout t ~elapsed =
   match t.plan.blackout with
-  | Some (Time_window { at; dur }) -> elapsed >= at && elapsed < at +. dur
+  | Some (Time_window { at; dur }) -> Fl.(elapsed >= at && elapsed < at +. dur)
   | _ -> false

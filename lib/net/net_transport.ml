@@ -123,7 +123,7 @@ end) : Transport.S with type msg = M.t = struct
     | None -> Frame.send_bytes fd payload
     | Some c ->
       let a = Faultnet.on_send c in
-      if a.Faultnet.stall > 0. then Thread.delay a.Faultnet.stall;
+      if Fl.(a.Faultnet.stall > 0.) then Thread.delay a.Faultnet.stall;
       for i = 0 to a.Faultnet.pre_drops - 1 do
         (* The attempt is dropped before reaching the wire; all the sender
            observes is the retransmission pause. *)

@@ -93,7 +93,7 @@ let build_mesh ~me ~k ~listeners ~ports =
     let fd, _ = eintr (fun () -> Unix.accept listeners.(me)) in
     Unix.setsockopt fd Unix.TCP_NODELAY true;
     match (Frame.recv_value fd : int) with
-    | j when j > me && j < k && links.(j) = None -> links.(j) <- Some fd
+    | j when j > me && j < k && Option.is_none links.(j) -> links.(j) <- Some fd
     | _ -> failwith "mesh handshake violation"
   done;
   close_quietly listeners.(me);
@@ -162,9 +162,13 @@ let collect_results ~k ~deadline ~pids read_ends =
     | _, _ -> Failed "peer process died without reporting"
     | exception Unix.Unix_error _ -> Failed "peer process died without reporting"
   in
-  while !pending <> [] && now () < deadline do
+  while (not (List.is_empty !pending)) && Fl.(now () < deadline) do
     let fds = List.map snd !pending in
-    let ready, _, _ = eintr (fun () -> Unix.select fds [] [] (max 0.01 (deadline -. now ()))) in
+    let wait =
+      let left = deadline -. now () in
+      if Fl.(0.01 >= left) then 0.01 else left
+    in
+    let ready, _, _ = eintr (fun () -> Unix.select fds [] [] wait) in
     pending :=
       List.filter
         (fun (i, fd) ->
@@ -301,7 +305,7 @@ let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none)
             (function Some { output = Some y; _ } -> Some (time, y) | Some _ | None -> None)
             results;
         metrics = meter;
-        status = (if timed_out = [] then Sim.Completed else Sim.Deadlock timed_out);
+        status = (if List.is_empty timed_out then Sim.Completed else Sim.Deadlock timed_out);
         end_time = time;
         events = 0;
       }

@@ -35,7 +35,7 @@ let elapsed t = Unix.gettimeofday () -. t.started
 let backoff t attempt =
   let d = Float.min (0.05 *. (2. ** float_of_int attempt)) 1.0 in
   let d = d *. (0.5 +. Prng.float t.rng 0.5) in
-  if d > 0. then Thread.delay d
+  if Fl.(d > 0.) then Thread.delay d
 
 let drop_connection t =
   match t.fd with
@@ -49,7 +49,7 @@ let dial t =
   match
     Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.port));
     Unix.setsockopt fd Unix.TCP_NODELAY true;
-    if t.cfg.request_timeout > 0. then
+    if Fl.(t.cfg.request_timeout > 0.) then
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.request_timeout;
     Frame.send_value fd (Source_proto.Hello t.peer)
   with

@@ -142,7 +142,7 @@ let first_diff a b =
   if a.len <> b.len then invalid_arg "Bitarray.first_diff: length mismatch";
   let rec byte_scan i =
     if i >= Bytes.length a.data then None
-    else if Bytes.get a.data i <> Bytes.get b.data i then begin
+    else if Bytes.get_uint8 a.data i <> Bytes.get_uint8 b.data i then begin
       let rec bit_scan j =
         if j >= a.len then None
         else if not (Bool.equal (get a j) (get b j)) then Some j

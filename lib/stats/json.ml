@@ -21,7 +21,7 @@ let skip_ws c =
 let expect c ch =
   skip_ws c;
   match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
+  | Some x when Char.equal x ch -> c.pos <- c.pos + 1
   | _ -> fail c (Printf.sprintf "expected %C" ch)
 
 let parse_string c =
@@ -51,9 +51,7 @@ let parse_string c =
 
 let parse_number c =
   let start = c.pos in
-  let is_num ch =
-    (ch >= '0' && ch <= '9') || ch = '-' || ch = '+' || ch = '.' || ch = 'e' || ch = 'E'
-  in
+  let is_num = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
   while c.pos < String.length c.src && is_num c.src.[c.pos] do
     c.pos <- c.pos + 1
   done;
@@ -68,7 +66,7 @@ let rec parse_value c =
   | Some '{' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if Option.equal Char.equal (peek c) (Some '}') then begin
       c.pos <- c.pos + 1;
       Obj []
     end
@@ -93,7 +91,7 @@ let rec parse_value c =
   | Some '[' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if Option.equal Char.equal (peek c) (Some ']') then begin
       c.pos <- c.pos + 1;
       Arr []
     end

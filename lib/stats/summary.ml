@@ -21,7 +21,7 @@ let percentile sorted q =
   end
 
 let of_floats values =
-  if values = [] then invalid_arg "Summary.of_floats: empty";
+  if List.is_empty values then invalid_arg "Summary.of_floats: empty";
   let arr = Array.of_list values in
   Array.sort Float.compare arr;
   let count = Array.length arr in

@@ -20,7 +20,10 @@
     - [l3] the process's stdout and stderr: an error in lib/.
     - [l5] exiting and blocking reads: an error in lib/core and lib/engine.
 
-    The fifth alert, [metered], sits on {!Dr_source.Data_source}'s reads. *)
+    Alert [l2] sits on the polymorphic comparisons of the shadowed Stdlib
+    ({!Stdlib_bans}): an error in lib/, which compares through the
+    int-only {!Mono_compare}. Alert [metered] sits on
+    {!Dr_source.Data_source}'s reads. *)
 
 module Random = Stdlib.Random
 [@@alert l1 "ambient Random breaks bit-exact replay; use the seeded Dr_engine.Prng"]

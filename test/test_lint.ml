@@ -1,19 +1,20 @@
-(* The static rules: dr_lint's L2 on fixtures and the live tree, and the
-   name bans (L1, L3, L4, L5), which are compiler alerts declared in the
-   prelude, as compile checks.
+(* The static rules the compiler enforces, as compile checks: the name
+   bans (L1, L3, L4, L5), which are alerts declared in the prelude, and
+   L2, lib/'s int-only comparisons (prelude/mono_compare.mli). Also the
+   allow pragmas dr_race reads, and the pinned waivers.
 
-   Fixtures live in lint_fixtures/. dr_lint parses them; the compile checks
-   type-check them with the compiler the build uses, under the flags a zone
-   reads from ../prelude/*.flags, so each case fails exactly as a library
-   in that zone would. A case is one line of a fixture, the others blanked,
-   so the compiler reports it at its own line. The live-tree tests run over
+   Fixtures live in lint_fixtures/. The compile checks type-check them with
+   the compiler the build uses, under the flags a zone reads from
+   ../prelude/*.flags, so each case fails exactly as a library in that zone
+   would. A case is one line of a fixture, the others blanked, so the
+   compiler reports it at its own line. The live-tree tests run over
    ../lib, ../bin and ../bench — the copies dune places next to the test in
    _build, declared as deps in test/dune. *)
 
 module Driver = Dr_lint.Driver
-module Rules = Dr_lint.Rules
 module Finding = Dr_lint.Finding
 module Pragma = Dr_lint.Pragma
+module Race_rules = Dr_lint.Race_rules
 
 let fixture name = Filename.concat "lint_fixtures" name
 
@@ -22,13 +23,6 @@ let short (f : Finding.t) =
   Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Finding.rule_name f.rule)
 
 let shorts (r : Driver.file_report) = List.map short r.findings
-
-(* The per-file pipeline of [Driver.lint_paths]. *)
-let lint_source ~path src =
-  Driver.apply_pragmas ~path ~pragmas:(Pragma.scan src)
-    (Rules.collect ~file:path (Driver.parse ~path src))
-
-let lint_file path = lint_source ~path (Driver.read_file path)
 
 (* ---- compile checks ---- *)
 
@@ -55,7 +49,9 @@ let includes zone =
 
 let ocamlc = lazy (String.trim (Driver.read_file "ocamlc.path"))
 
-(* Each error the compiler reports, as [line: first line of the error]. *)
+(* Each error the compiler reports, as [line: message], where the message
+   is the error line and its indented continuation lines, joined by single
+   spaces. *)
 let errors output =
   let line_of s =
     match String.index_opt s ',' with
@@ -64,14 +60,18 @@ let errors output =
       match Scanf.sscanf_opt rest "line %d" Fun.id with Some l -> l | None -> 0)
     | _ -> 0
   in
-  let _, acc =
+  let _, _, acc =
     List.fold_left
-      (fun (line, acc) s ->
-        if String.starts_with ~prefix:"File " s then (line_of s, acc)
+      (fun (line, in_error, acc) s ->
+        if String.starts_with ~prefix:"File " s then (line_of s, false, acc)
         else if String.starts_with ~prefix:"Error" s then
-          (line, Printf.sprintf "%d: %s" line s :: acc)
-        else (line, acc))
-      (0, [])
+          (line, true, Printf.sprintf "%d: %s" line s :: acc)
+        else
+          match acc with
+          | e :: rest when in_error && String.starts_with ~prefix:" " s ->
+            (line, true, (e ^ " " ^ String.trim s) :: rest)
+          | _ -> (line, false, acc))
+      (0, false, [])
       (String.split_on_char '\n' output)
   in
   List.rev acc
@@ -125,13 +125,38 @@ let l1 =
       (3, "Error (alert l1_lib): Dr_prelude.Sys.time");
       (4, "Error (alert l1_lib): Dr_prelude.Hashtbl.hash");
       (* No ?random in the prelude's Hashtbl.create: a label error. *)
-      (5, "Error: The function 'Hashtbl.create' has type");
+      ( 5,
+        "Error: The function 'Hashtbl.create' has type int -> ('a, 'b) Dr_prelude.Hashtbl.t It \
+         is applied to too many arguments" );
     ]
 
+(* L2: comparison in lib/ is int-only, so each shape polymorphic compare
+   used to accept is a type error, and the qualified name an alert. *)
+let int_expected ty =
+  Printf.sprintf "Error: This expression has type %s but an expression was expected of type int" ty
+
+let float_array_expected =
+  "Error: This expression has type float array but an expression was expected of type int \
+   array Type float is not compatible with type int"
+
 let l2 () =
-  Alcotest.(check (list string)) "bad_l2.ml"
-    [ "bad_l2.ml:2 [L2]"; "bad_l2.ml:3 [L2]"; "bad_l2.ml:4 [L2]" ]
-    (shorts (lint_file (fixture "bad_l2.ml")))
+  check_cases ~zone:Lib "compare.ml"
+    [
+      (3, int_expected "float");
+      (4, int_expected "int list");
+      (5, int_expected "string");
+      (6, int_expected "colour");
+      (7, float_array_expected);
+      (8, int_expected "float");
+      (9, "Error (alert l2): Dr_prelude.Stdlib.compare");
+    ]
+    ();
+  let src = Driver.read_file (fixture "compare.ml") in
+  List.iter
+    (fun n ->
+      Alcotest.(check (list string)) (Printf.sprintf "compare.ml:%d compiles" n) []
+        (compile ~zone:Lib (case src n)))
+    [ 11; 12; 13; 14 ]
 
 let l3 =
   check_cases ~zone:Lib "bad_l3.ml"
@@ -171,6 +196,11 @@ let aliases =
 let zone_scoping () =
   compiles ~zone:Main "bad_l3.ml" ();
   compiles ~zone:Lib "bad_l5.ml" ();
+  let cmp = Driver.read_file (fixture "compare.ml") in
+  Alcotest.(check (list string)) "float compare allowed in bin/" []
+    (compile ~zone:Main (case cmp 3));
+  Alcotest.(check (list string)) "Stdlib.compare allowed in bin/" []
+    (compile ~zone:Main (case cmp 9));
   let src = Driver.read_file (fixture "bad_l1.ml") in
   Alcotest.(check (list string)) "Sys.time allowed in bin/" [] (compile ~zone:Main (case src 3));
   Alcotest.(check (list string)) "Hashtbl.hash allowed in bin/" []
@@ -184,60 +214,58 @@ let zone_scoping () =
 
 (* ---- waivers and pragmas ---- *)
 
-(* [@alert "-l3"] on the identifier waives that one use; dr_lint's pragma
-   does the same for L2, and reports what it suppressed. *)
+(* [@alert "-l3"] on the identifier waives that one use; dr_race's allow
+   pragma does the same for its rules, and reports what it suppressed. *)
 let pragma_suppression () =
   Alcotest.(check (list string)) "only the unwaived print fails"
     [ "4: Error (alert l3): Dr_prelude.print_endline" ]
     (compile ~zone:Lib (Driver.read_file (fixture "pragma_allowed.ml")));
-  let r = lint_file (fixture "pragma_allowed.ml") in
-  Alcotest.(check (list string)) "only the uncovered line reported"
-    [ "pragma_allowed.ml:7 [L2]" ] (shorts r);
-  Alcotest.(check (list int)) "no unused pragmas" []
-    (List.map (fun p -> p.Pragma.line) r.unused_pragmas);
-  match r.suppressed with
-  | [ (f, p) ] ->
-    Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:6 [L2]"
-      (short f);
-    Alcotest.(check string) "reason survives parsing" "fixture exercises the escape hatch"
-      p.Pragma.reason
-  | _ -> Alcotest.fail "expected exactly one suppressed finding"
+  match (Race_rules.analyze [ fixture "pragma_allowed.ml" ]).Race_rules.report.Driver.files with
+  | [ r ] -> (
+    Alcotest.(check (list string)) "only the uncovered line reported"
+      [ "pragma_allowed.ml:7 [R1]" ] (shorts r);
+    Alcotest.(check (list int)) "no unused pragmas" []
+      (List.map (fun p -> p.Pragma.line) r.unused_pragmas);
+    match r.suppressed with
+    | [ (f, p) ] ->
+      Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:6 [R1]"
+        (short f);
+      Alcotest.(check string) "reason survives parsing" "fixture exercises the escape hatch"
+        p.Pragma.reason
+    | _ -> Alcotest.fail "expected exactly one suppressed finding")
+  | _ -> Alcotest.fail "expected one file report"
 
 let pragma_unused () =
-  let src = "(* dr-lint: allow L2 -- nothing here violates L2 *)\nlet x = 1\n" in
-  let r = lint_source ~path:"lib/fake.ml" src in
+  let src = "(* dr-race: allow R1 -- nothing here violates R1 *)\nlet x = 1\n" in
+  let r = Driver.apply_pragmas ~path:"lib/fake.ml" ~pragmas:(Pragma.scan src) [] in
   Alcotest.(check int) "no findings" 0 (List.length r.findings);
   Alcotest.(check int) "pragma reported unused" 1 (List.length r.unused_pragmas)
 
 let pragma_needs_comment_opener () =
   (* Prose that merely mentions the syntax is not a pragma. *)
-  let src =
-    "(* docs: write dr-lint: allow L2 above the line *)\nlet f xs = List.fold_left max 0 xs\n"
-  in
-  let r = lint_source ~path:"lib/fake.ml" src in
-  Alcotest.(check (list string)) "finding not suppressed by prose" [ "fake.ml:2 [L2]" ]
-    (shorts r)
+  let src = "(* docs: write dr-race: allow R1 above the line *)\nlet cell = ref 0\n" in
+  Alcotest.(check int) "prose is not a pragma" 0 (List.length (Pragma.scan src))
 
 (* A pragma on the file's last line has no "line below" to cover: it must
    suppress same-line findings only, and never claim the phantom line a
    trailing newline used to suggest. *)
 let pragma_eof_edge () =
-  let f line = Finding.at ~file:"f.ml" ~line ~col:0 Finding.L2 "msg" in
+  let f line = Finding.at ~file:"f.ml" ~line ~col:0 Finding.R1 "msg" in
   let scan1 src =
     match Pragma.scan src with
     | [ p ] -> p
     | ps -> Alcotest.failf "expected one pragma, got %d" (List.length ps)
   in
-  let mid = scan1 "(* dr-lint: allow L2 -- x *)\nlet y = 1\n" in
+  let mid = scan1 "(* dr-race: allow R1 -- x *)\nlet y = 1\n" in
   Alcotest.(check bool) "mid-file pragma covers the line below" true (Pragma.covers mid (f 2));
-  let last = scan1 "let y = 1\n(* dr-lint: allow L2 -- x *)\n" in
+  let last = scan1 "let y = 1\n(* dr-race: allow R1 -- x *)\n" in
   Alcotest.(check bool) "last-line pragma covers its own line" true (Pragma.covers last (f 2));
   Alcotest.(check bool) "last-line pragma does not cover the phantom line below" false
     (Pragma.covers last (f 3));
-  let last_nonl = scan1 "let y = 1\n(* dr-lint: allow L2 -- x *)" in
+  let last_nonl = scan1 "let y = 1\n(* dr-race: allow R1 -- x *)" in
   Alcotest.(check bool) "same without a trailing newline" false (Pragma.covers last_nonl (f 3))
 
-(* The walk feeding dr_lint/dr_race is globally sorted and deduplicated, so
+(* The walk feeding dr_race is globally sorted and deduplicated, so
    reports and the committed census are byte-stable however the roots are
    spelled — and fixture directories never leak into real runs. *)
 let files_under_deterministic () =
@@ -280,13 +308,6 @@ let net_zone_rules () =
     (compile ~zone:Net "let roll () = Random.int 6")
 
 (* ---- the live tree ---- *)
-
-let live_tree_clean () =
-  let report = Driver.lint_paths [ "../lib" ] in
-  let rendered = Format.asprintf "%a" Driver.pp_report report in
-  Alcotest.(check bool) "scans the whole tree" true (report.Driver.files_scanned > 50);
-  if not (Driver.clean report) then Alcotest.failf "live tree has findings:@.%s" rendered;
-  Alcotest.(check int) "pragmas in deliberate use" 0 report.Driver.total_suppressed
 
 (* The waivers in lib/, bin/ and bench/, as (file, waived identifier,
    attribute payload). The compiler says nothing of a waiver that waives
@@ -340,6 +361,21 @@ let waivers_pinned () =
   Alcotest.(check (list (triple string string string))) "the live waivers" live_waivers
     (List.sort compare !found)
 
+(* The offset of [sub] in [src] and its 1-based line. *)
+let locate ~file src sub =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length src then Alcotest.failf "%s: no %s" file sub
+    else if String.equal (String.sub src i n) sub then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  (at, List.length (String.split_on_char '\n' (String.sub src 0 at)))
+
+(* [src] with the [len] bytes at [at] replaced by [by]. *)
+let splice src ~at ~len ~by =
+  String.sub src 0 at ^ by ^ String.sub src (at + len) (String.length src - at - len)
+
 (* Deleting a waiver must re-expose the banned use at its line: each live
    file compiles as it is, and fails without its attribute. *)
 let pragma_deletion_detected () =
@@ -358,15 +394,8 @@ let pragma_deletion_detected () =
       let zone = zone_of path in
       Alcotest.(check (list string)) (path ^ " compiles") [] (compile ~within ~zone src);
       let attr = Printf.sprintf " [@alert %S]" payload in
-      let n = String.length attr in
-      let rec find i =
-        if i + n > String.length src then Alcotest.failf "%s: no %s" path attr
-        else if String.equal (String.sub src i n) attr then i
-        else find (i + 1)
-      in
-      let at = find 0 in
-      let line = List.length (String.split_on_char '\n' (String.sub src 0 at)) in
-      let stripped = String.sub src 0 at ^ String.sub src (at + n) (String.length src - at - n) in
+      let at, line = locate ~file:path src attr in
+      let stripped = splice src ~at ~len:(String.length attr) ~by:"" in
       let alert = String.sub payload 1 (String.length payload - 1) in
       match compile ~within ~zone stripped with
       | [ e ] ->
@@ -378,12 +407,18 @@ let pragma_deletion_detected () =
       | errs -> Alcotest.failf "%s without its waiver: %s" path (String.concat "; " errs))
     live_waivers
 
-(* Reverting a fix must re-expose the finding at the original site: here
-   Table.print, back to printing to stdout instead of taking [?ppf]. *)
+(* Reverting a fix must re-expose the error at the original site: here
+   Summary.of_floats, back to testing for the empty list with polymorphic
+   [=], and Table.print, back to printing to stdout instead of taking
+   [?ppf]. *)
 let fix_reversion_detected () =
-  let r = lint_source ~path:"lib/stats/summary.ml" "let _ = Array.sort compare arr\n" in
-  Alcotest.(check (list string)) "reverted summary.ml" [ "summary.ml:1 [L2]" ]
-    (List.map short r.findings);
+  let src = Driver.read_file "../lib/stats/summary.ml" in
+  let fixed = "List.is_empty values" in
+  let at, line = locate ~file:"summary.ml" src fixed in
+  Alcotest.(check (list string)) "reverted Summary.of_floats"
+    [ Printf.sprintf "%d: %s" line (int_expected "'a list") ]
+    (compile ~within:"Dr_stats" ~zone:Lib
+       (splice src ~at ~len:(String.length fixed) ~by:"values = []"));
   let lines = String.split_on_char '\n' (Driver.read_file "../lib/stats/table.ml") in
   let rec find i = function
     | l :: _ when String.starts_with ~prefix:"let print ?(ppf" l -> i
@@ -420,7 +455,6 @@ let suite =
     Alcotest.test_case "files_under is sorted, deduped, fixture-free" `Quick
       files_under_deterministic;
     Alcotest.test_case "lib/net zone rules" `Quick net_zone_rules;
-    Alcotest.test_case "live tree is lint-clean" `Quick live_tree_clean;
     Alcotest.test_case "waivers are pinned and wrap one identifier" `Quick waivers_pinned;
     Alcotest.test_case "deleting a pragma re-exposes the finding" `Quick pragma_deletion_detected;
     Alcotest.test_case "reverting a fix re-exposes the finding" `Quick fix_reversion_detected;

@@ -123,7 +123,7 @@ let roots = [ "../lib"; "../bin"; "../bench" ]
 let live_tree_race_clean () =
   let a = Race_rules.analyze ~zones_path:"../dr-race.zones" roots in
   let rendered =
-    Format.asprintf "%a" (Driver.pp_report_as ~tool:"dr_race") a.Race_rules.report
+    Format.asprintf "%a" (Driver.pp_report) a.Race_rules.report
   in
   Alcotest.(check bool) "scans the whole tree" true
     (a.Race_rules.report.Driver.files_scanned > 50);
