@@ -148,8 +148,9 @@ let multicycle_vs_two_cycle () =
     "\nUnder sustained per-cycle flooding the 2-cycle protocol charges every peer the\n\
      flooded tree once; the multi-cycle protocol charges only peers whose pick covers\n\
      the flooded region in early cycles but re-exposes everyone in the final cycles,\n\
-     and ships Theta(n)-bit messages there — the expectation-vs-message tradeoff the\n\
-     two theorems negotiate.\n"
+     and ships Theta(n)-bit reports before the last one (~3x the 2-cycle bit volume;\n\
+     the last cycle is output, not reported) — the expectation-vs-message tradeoff\n\
+     the two theorems negotiate.\n"
 
 let attack_catalog () =
   section "E-3.7: 2-cycle protocol under every catalog attack (k=128, t=16)";

@@ -76,10 +76,10 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       let prng = T.rng () in
       (* stores.(c-1) holds cycle c's reports, and the cycle-r loop reads only
          stores.(r-2). So a report is stored only if its cycle is [oldest]
-         (the one awaited now or next) or later, and not the last cycle,
-         which no loop awaits: reports of resolved cycles are dropped, and
-         reports of future cycles are buffered in their own store as they
-         arrive. *)
+         (the one awaited now or next) or later, and not the last cycle's,
+         which no loop awaits and only Byzantine peers send: reports of
+         resolved cycles are dropped, and reports of future cycles are
+         buffered in their own store as they arrive. *)
       let stores = Array.init (cycles - 1) (fun _ -> Frequent.create ()) in
       let heard = Array.make (cycles - 1) 0 in
       let oldest = ref 1 in
@@ -102,9 +102,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         T.query_range ~pos ~len
       in
       report 1 pick1 mine1;
-      (* ---- Cycles 2..R: double, resolve children, re-broadcast. ---- *)
-      let last = ref (Bitarray.create 0) in
-      for r = 2 to cycles do
+      (* ---- Cycles 2..R: double, resolve children, re-broadcast; the last
+         cycle's value is the whole input, output and never reported. ---- *)
+      let rec run_cycle r =
         let spec = specs.(r - 1) in
         let fine = specs.(r - 2) in
         let rho = rho_of (r - 1) in
@@ -122,10 +122,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let value =
           List.fold_left (fun acc c -> Bitarray.append acc (resolve c)) (Bitarray.create 0) children
         in
-        report r pick value;
-        if r = cycles then last := value
-      done;
-      if cycles = 1 then mine1 else !last
+        if r = cycles then value else (report r pick value; run_cycle (r + 1))
+      in
+      if cycles = 1 then mine1 else run_cycle 2
     in
     let byz i =
       let prng = T.rng () in

@@ -6,15 +6,15 @@
     it has heard k−t cycle-(r−1) reports and both (r−1)-children of its pick
     have a ρ_(r−1)-frequent string, resolves the two children with decision
     trees, broadcasts their concatenation, and moves on. After 1 + log₂ s₁
-    cycles the segments are the whole input and every peer outputs what it
-    determined.
+    cycles the segment is the whole input; every peer outputs what it
+    determined, unreported unless s₁ = 1 (no later cycle reads it).
 
     Compared to the 2-cycle protocol a peer resolves only the {e two}
     children of its own pick per cycle instead of every segment at once, so
     its decision-tree spend is proportional to the reports that happen to
     fall on its picks — the expectation argument behind the paper's expected
     query bound Õ(n/(γk)). Correct w.h.p. for β < 1/2. Message size grows to
-    Θ(n) in the final cycle, as in the paper. *)
+    Θ(n): the largest report is cycle R−1's, n/2 + 64 bits. *)
 
 type attack = Byz_2cycle.attack =
   | Silent

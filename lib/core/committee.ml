@@ -27,6 +27,8 @@ let committee ~k ~size j =
   let size = min size k in
   List.init size (fun i -> ((j * size) + i) mod k)
 
+let rank ~k ~size j i = (((i - (j * size)) mod k) + k) mod k
+
 module Strmap = Map.Make (struct
   type t = Bitarray.t
 
@@ -43,7 +45,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let payload_bits = max 1 (inst.Problem.b - 64) in
     let blocks = (n + payload_bits - 1) / payload_bits in
     let spec = Segment.make ~n ~s:(min blocks n) in
-    let member j i = List.mem i (committee ~k ~size:c j) in
+    let rank j i = rank ~k ~size:c j i in
+    let member j i = rank j i < c in
+    let flip_all bits = Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r)) in
     let query_block j =
       let pos, len = Segment.bounds spec j in
       T.query_range ~pos ~len
@@ -53,7 +57,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       let decided = Array.make spec.Segment.s false in
       let remaining = ref spec.Segment.s in
       let votes = Array.make spec.Segment.s Strmap.empty in
-      let voted : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let voted = Bytes.make (spec.Segment.s * c) '\000' in
       let decide j bits =
         if not decided.(j) then begin
           decided.(j) <- true;
@@ -75,15 +79,16 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       T.await
         ~ready:(fun () -> !remaining <= 0)
         ~on:(fun src { block; bits } ->
+          let r = rank block src in
           if
             block >= 0
             && block < spec.Segment.s
             && (not decided.(block))
-            && member block src
-            && (not (Hashtbl.mem voted (block, src)))
+            && r < c
+            && Bytes.get_uint8 voted ((block * c) + r) = 0
             && Int.equal (Bitarray.length bits) (Segment.len spec block)
           then begin
-            Hashtbl.add voted (block, src) ();
+            Bytes.set_uint8 voted ((block * c) + r) 1;
             let count =
               match Strmap.find_opt bits votes.(block) with Some c -> c + 1 | None -> 1
             in
@@ -95,33 +100,23 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let byz i =
       (match attack with
       | Honest_but_silent -> ()
-      | Flip ->
+      | (Flip | Equivocate | Collude) as attack ->
+        (* Equivocate sends the true block to even peers and its complement
+           to odd ones. Collude: every faulty member forges the same value,
+           the true block with the first bit flipped, which breaks the
+           protocol iff a committee holds >= tau faulty members, i.e. once
+           beta >= 1/2. *)
         for j = 0 to spec.Segment.s - 1 do
           if member j i then begin
             let bits = query_block j in
-            let flipped = Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r)) in
-            T.broadcast { block = j; bits = flipped }
-          end
-        done
-      | Equivocate ->
-        for j = 0 to spec.Segment.s - 1 do
-          if member j i then begin
-            let bits = query_block j in
-            let flipped = Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r)) in
-            for dst = 0 to k - 1 do
-              if dst <> i then T.send dst { block = j; bits = (if dst mod 2 = 0 then bits else flipped) }
-            done
-          end
-        done
-      | Collude ->
-        (* Every faulty member forges the same value: the true block with the
-           first bit flipped. Breaks the protocol iff a committee holds >= tau
-           faulty members, i.e. once beta >= 1/2. *)
-        for j = 0 to spec.Segment.s - 1 do
-          if member j i then begin
-            let bits = query_block j in
-            let forged = Bitarray.flip bits 0 in
-            T.broadcast { block = j; bits = forged }
+            match attack with
+            | Flip -> T.broadcast { block = j; bits = flip_all bits }
+            | Collude -> T.broadcast { block = j; bits = Bitarray.flip bits 0 }
+            | _ ->
+              let flipped = flip_all bits in
+              for dst = 0 to k - 1 do
+                if dst <> i then T.send dst { block = j; bits = (if dst mod 2 = 0 then bits else flipped) }
+              done
           end
         done
       | Mirror -> assert false (* dispatched to the honest path *));

@@ -36,3 +36,7 @@ val core :
 val committee : k:int -> size:int -> int -> int list
 (** (for tests) [committee ~k ~size j] is the member list of block [j]'s
     committee (round-robin, distinct peers). *)
+
+val rank : k:int -> size:int -> int -> int -> int
+(** (for tests) For [i] in [0, k) and [size] ≤ k, [i]'s index in
+    [committee ~k ~size j] if [i] is there, else a value ≥ [size]. *)

@@ -169,8 +169,9 @@ module Make (M : MESSAGE) = struct
     s
 
   (* [a] grown past index [s] by doubling (not to a bigger run's [codes]),
-     padded with [x]. Not [Array.make]: a large one with a young [x] forces
-     a minor GC. *)
+     padded with [x]. Past 256 slots a young [a.(0)] forces a minor GC, as
+     [Array.init] seeds the array with it; [Array.append a a] avoids that
+     but raised sim-deep's heap peak from 0.80 to 1.18 MB. *)
   let grown a s x =
     let n = Array.length a in
     Array.init (Int.max (s + 1) (Int.max 16 (2 * n))) (fun i -> if i < n then a.(i) else x)

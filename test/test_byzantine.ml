@@ -388,15 +388,41 @@ let test_multicycle_catalog_pinned () =
     Alcotest.(list string)
     "per attack"
     [
-      "nearmiss ok=true Q=48 Qtotal=4224 M=25080 events=51209";
-      "silent ok=true Q=48 Qtotal=4224 M=25080 events=44754";
-      "lie ok=true Q=48 Qtotal=4224 M=25080 events=51209";
-      "equivocate ok=true Q=48 Qtotal=4224 M=25080 events=48521";
-      "flood ok=true Q=48 Qtotal=4224 M=25080 events=51209";
-      "adaptive ok=true Q=48 Qtotal=4224 M=25080 events=49198";
-      "splitcast ok=true Q=48 Qtotal=4224 M=25080 events=47017";
+      "nearmiss ok=true Q=48 Qtotal=4224 M=16720 events=42720";
+      "silent ok=true Q=48 Qtotal=4224 M=16720 events=36344";
+      "lie ok=true Q=48 Qtotal=4224 M=16720 events=42720";
+      "equivocate ok=true Q=48 Qtotal=4224 M=16720 events=40032";
+      "flood ok=true Q=48 Qtotal=4224 M=16720 events=42720";
+      "adaptive ok=true Q=48 Qtotal=4224 M=16720 events=40760";
+      "splitcast ok=true Q=48 Qtotal=4224 M=16720 events=38564";
     ]
     (List.map run (Registry.attacks e))
+
+(* At the catalog-pinned shape the last cycle (3) outputs and reports
+   nothing: under every catalog attack no honest peer sends a seg(c3,_),
+   and the honest M is the 88 honest peers' broadcasts of cycles 1 and 2
+   to 95 others each. *)
+let test_multicycle_last_cycle_silent () =
+  let e = Registry.find_exn "byz-multicycle" in
+  let inst = byz_instance ~seed:29L ~k:96 ~n:192 ~t:8 () in
+  let honest_sends trace =
+    List.filter_map
+      (function
+        | Dr_engine.Trace.Sent { src; tag; _ } when Problem.honest inst src -> Some tag
+        | _ -> None)
+      (Dr_engine.Trace.events trace)
+  in
+  List.iter
+    (fun attack ->
+      let trace = Dr_engine.Trace.create () in
+      let opts = Exec.(default |> with_latency (jitter 29L) |> with_trace trace) in
+      let r = e.Registry.run ~opts ~attack inst in
+      let tags = honest_sends trace in
+      let last = List.filter (fun tag -> String.starts_with ~prefix:"seg(c3," tag) tags in
+      checki (attack ^ ": honest seg(c3,_) sends") 0 (List.length last);
+      checki (attack ^ ": honest sends in the trace") (2 * 88 * 95) (List.length tags);
+      checki (attack ^ ": honest M") (2 * 88 * 95) r.Problem.msgs)
+    (Registry.attacks e)
 
 (* Two sim-deep Downloads of perfbench (seed 1 input 0, seed 42 input 4),
    with their coin flips and delays pinned: the second misses Theorem
@@ -514,4 +540,5 @@ let suite =
     ("committee: explored schedules", `Quick, test_committee_explored_schedules);
     ("frequent: negative ids rejected", `Quick, test_frequent_rejects_negative_ids);
     ("frequent: covered allocates nothing", `Quick, test_frequent_covered_allocation_free);
+    ("multicycle: last cycle sends nothing", `Quick, test_multicycle_last_cycle_silent);
   ]

@@ -70,7 +70,7 @@ let test_2cycle () =
 
 let test_multicycle () =
   expect "byz-multicycle"
-    { ok = true; q_max = 600; msgs = 2652; bits = 2556528; time = 0.913 }
+    { ok = true; q_max = 600; msgs = 1326; bits = 880464; time = 0.913 }
     (Exec.run_core ~opts:(jitter_only ())
        (Byz_multicycle.core ~attack:Byz_multicycle.Near_miss ~segments:2 ())
        (byz_big ()))

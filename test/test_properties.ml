@@ -897,6 +897,24 @@ let committee_instance_arb =
     ~print:(fun (k, t, n, a, seed) -> Printf.sprintf "k=%d t=%d n=%d attack=%d seed=%d" k t n a seed)
     committee_instance_gen
 
+(* [Committee.rank]'s arithmetic against the member list it replaces on the
+   delivery path: below the size exactly for the members, and then the
+   member's index in the list. *)
+let prop_committee_rank_matches_list =
+  QCheck.Test.make ~name:"committee: rank matches the member list" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (k, size, j, i) -> Printf.sprintf "k=%d size=%d j=%d i=%d" k size j i)
+        Gen.(
+          int_range 1 64 >>= fun k ->
+          int_range 1 k >>= fun size ->
+          int_range 0 10_000 >>= fun j ->
+          int_range 0 (k - 1) >>= fun i -> return (k, size, j, i)))
+    (fun (k, size, j, i) ->
+      let members = Committee.committee ~k ~size j in
+      let r = Committee.rank ~k ~size j i in
+      Bool.equal (r < size) (List.mem i members) && (r >= size || List.nth members r = i))
+
 let prop_committee_always_correct =
   QCheck.Test.make ~name:"committee: correct under any catalog attack" ~count:60
     committee_instance_arb (fun (k, t, n, attack, seed) ->
@@ -1214,4 +1232,5 @@ let suite =
         prop_sim_matches_reference_scheduler;
         prop_signature_matches_int64;
         prop_warm_run_matches_cold;
+        prop_committee_rank_matches_list;
       ]

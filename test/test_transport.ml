@@ -181,6 +181,22 @@ let test_byz_2cycle_in_regime () =
   checki "Q is one segment" 24 sim.Problem.q_max;
   checki "M is the honest broadcasts" 506 sim.Problem.msgs
 
+(* byz-multicycle at the same shape runs two cycles of two segments and
+   one. Cycle 2's segment is the whole input, so a peer outputs it and
+   does not report it: as in the 2-cycle case, Q is one segment and M is
+   the 22 honest cycle-1 broadcasts, under every schedule. *)
+let test_byz_multicycle_in_regime () =
+  checkb "plan: two segments, two cycles" true
+    (Dr_core.Byz_multicycle.plan ~k:24 ~n:48 ~t:2 = (2, 2));
+  conform ~protocol:"byz-multicycle" ~attack:"silent" ~k:24 ~n:48 ~t:2 ~model:Problem.Byzantine
+    ~seed:3L ~q_exact:true ~m_exact:true ();
+  let inst = Problem.random_instance ~seed:3L ~model:Problem.Byzantine ~k:24 ~n:48 ~t:2 () in
+  let sim =
+    (entry "byz-multicycle").Registry.run ~opts:(Exec.make_opts ()) ~attack:"silent" inst
+  in
+  checki "Q is one segment" 24 sim.Problem.q_max;
+  checki "M is the honest cycle-1 broadcasts" 506 sim.Problem.msgs
+
 let test_net_rejects_at_time_crash () =
   let e = entry "crash-general" in
   let inst = Problem.random_instance ~seed:1L ~model:Problem.Crash ~k:4 ~n:64 ~t:1 () in
@@ -199,4 +215,5 @@ let suite =
     ("net rejects At_time crash plans", `Quick, test_net_rejects_at_time_crash);
     ("byz-2cycle mid-segment query crash sim=net", `Quick, test_byz_2cycle_crash_mid_segment);
     ("byz-2cycle in-regime cycle 2 sim=net", `Quick, test_byz_2cycle_in_regime);
+    ("byz-multicycle in-regime sim=net", `Quick, test_byz_multicycle_in_regime);
   ]
