@@ -63,10 +63,13 @@ perfbench-smoke:
 	  done; \
 	done
 
-# The lib/ size every change reports: lines of .ml and .mli, counted one
-# way. Prints only; nothing is gated on it.
+# The size every change reports: lines of .ml and .mli in lib/ and in
+# prelude/ (the banned names and comparisons lib/ compiles against), and
+# their sum, so code moved between the two shows. Prints only; nothing is
+# gated on it.
 loc:
-	@cat lib/*/*.ml lib/*/*.mli | wc -l
+	@lib=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); prelude=$$(cat prelude/*.ml prelude/*.mli | wc -l); \
+	  echo "lib/ $$lib"; echo "prelude/ $$prelude"; echo "total $$((lib + prelude))"
 
 clean:
 	dune clean

@@ -3,17 +3,15 @@
    simulation across domains (deferred in ROADMAP).
 
    Examples:
-     dr_race --check                 # R1-R2 over lib/ bin/ bench/
+     dr_race                         # R1-R2 over lib/ bin/ bench/
      dr_race --inventory             # dr-race/2 JSON census to stdout
-     dr_race --check --format json   # findings as dr-lint/1 JSON lines
      dr_race --rules                 # print the rule catalogue
 
-   Zone declarations come from dr-race.zones (see --zones) plus inline
-   zone pragmas; a finding can be waived with an allow pragma directly
-   above (or on) the line. See DESIGN.md "Domain-safety zones" for the
-   syntax.
+   Zones are declared in dr-race.zones (see --zones) and nowhere else: a
+   finding is cleared by fixing the code or by a zones-file entry. See
+   DESIGN.md "Domain-safety zones" for the syntax.
 
-   Exit codes: 0 clean, 1 findings (or unused pragmas), 2 usage/IO error. *)
+   Exit codes: 0 clean, 1 findings, 2 usage/IO error. *)
 
 open Cmdliner
 module Driver = Dr_lint.Driver
@@ -30,11 +28,6 @@ let inventory_arg =
     value & flag
     & info [ "inventory" ] ~doc:"Print the mutable-state census as dr-race/2 JSON and exit.")
 
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ] ~doc:"Run the R1-R2 domain-safety rules (the default action).")
-
 let zones_arg =
   Arg.(
     value
@@ -43,12 +36,6 @@ let zones_arg =
         ~doc:
           "Zone declarations file (default: dr-race.zones when it exists). Pass an explicit \
            path to require it.")
-
-let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format" ] ~docv:"FMT" ~doc:"Finding output format: $(b,text) or $(b,json).")
 
 let rules_arg =
   Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
@@ -60,7 +47,7 @@ let print_rules () =
 
 let default_zones = "dr-race.zones"
 
-let run paths inventory _check zones format rules =
+let run paths inventory zones rules =
   if rules then begin
     print_rules ();
     0
@@ -78,10 +65,8 @@ let run paths inventory _check zones format rules =
         0
       end
       else begin
-        (match format with
-        | `Text -> Format.printf "%a" (Driver.pp_report) a.Race_rules.report
-        | `Json -> Format.printf "%a" Driver.pp_report_json a.Race_rules.report);
-        if Driver.clean a.Race_rules.report then 0 else 1
+        Format.printf "%a" Race_rules.pp_report a;
+        if List.is_empty a.Race_rules.findings then 0 else 1
       end
     | exception Driver.Error msg ->
       Format.eprintf "dr_race: %s@." msg;
@@ -91,7 +76,6 @@ let cmd =
   let doc = "whole-program mutable-state inventory & domain-safety analysis (rules R1-R2)" in
   Cmd.v
     (Cmd.info "dr_race" ~doc)
-    Term.(
-      const run $ paths_arg $ inventory_arg $ check_arg $ zones_arg $ format_arg $ rules_arg)
+    Term.(const run $ paths_arg $ inventory_arg $ zones_arg $ rules_arg)
 
 let () = exit (Cmd.eval' cmd)

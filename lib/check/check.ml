@@ -179,6 +179,16 @@ type campaign = {
   failures : Repro.t list;
 }
 
+(* Scenario equality at each field's own type. *)
+let same_scenario (a : Repro.scenario) (b : Repro.scenario) =
+  String.equal a.protocol b.protocol
+  && String.equal a.attack b.attack
+  && a.k = b.k && a.n = b.n && a.t = b.t
+  && Int64.equal a.seed b.seed
+  && String.equal
+       (Crash_plan.descriptor_to_string a.crash)
+       (Crash_plan.descriptor_to_string b.crash)
+
 let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
   if List.is_empty target.pool then
     failwith (Printf.sprintf "Check.campaign: %s has no admissible small instance" target.name);
@@ -204,9 +214,10 @@ let campaign ?(max_failures = 5) ?bucket ~budget ~seed target =
     match c.violation with
     | None -> ()
     | Some v ->
-      let key = (Invariant.name v.Invariant.invariant, scenario) in
-      if List.length !failures < max_failures && not (List.mem key !seen) then begin
-        seen := key :: !seen;
+      let name = Invariant.name v.Invariant.invariant in
+      let known (n, s) = String.equal n name && same_scenario s scenario in
+      if List.length !failures < max_failures && not (List.exists known !seen) then begin
+        seen := (name, scenario) :: !seen;
         failures := shrink target scenario v ~script:c.script :: !failures
       end
   in

@@ -49,7 +49,6 @@ end
 
 module Crc32 = struct
   (* Reflected CRC-32 (IEEE 802.3 / zlib), polynomial 0xEDB88320. *)
-  (* dr-race: zone init-only — precomputed remainder table, never written after module init *)
   let table =
     Array.init 256 (fun n ->
         let c = ref n in

@@ -27,7 +27,7 @@ let length t = t.len
 let involves peer = function
   | Sent { src; dst; _ } | Delivered { src; dst; _ } -> src = peer || dst = peer
   | Queried { peer = p; _ } | Crashed { peer = p; _ } | Terminated { peer = p; _ } -> p = peer
-  | Deadlocked { blocked; _ } -> List.mem peer blocked
+  | Deadlocked { blocked; _ } -> List.exists (Int.equal peer) blocked
 
 let events_of_peer t peer = List.filter (involves peer) (events t)
 

@@ -1,20 +1,6 @@
-(* Parse, apply pragmas, walk trees, print reports: dr_race's plumbing. *)
+(* Read and parse sources, walk trees: dr_race's plumbing. *)
 
 exception Error of string
-
-type file_report = {
-  path : string;
-  findings : Finding.t list;  (* after pragma suppression, sorted *)
-  suppressed : (Finding.t * Pragma.t) list;
-  unused_pragmas : Pragma.t list;
-}
-
-type report = {
-  files : file_report list;
-  files_scanned : int;
-  total_findings : int;
-  total_suppressed : int;
-}
 
 let parse ~path source =
   let lexbuf = Lexing.from_string source in
@@ -22,20 +8,6 @@ let parse ~path source =
   try Ppxlib.Parse.implementation lexbuf
   with exn ->
     raise (Error (Printf.sprintf "%s: parse error (%s)" path (Printexc.to_string exn)))
-
-let apply_pragmas ~path ~pragmas raw =
-  let findings, suppressed =
-    List.partition_map
-      (fun f ->
-        match List.find_opt (fun p -> Pragma.covers p f) pragmas with
-        | None -> Either.Left f
-        | Some p -> Either.Right (f, p))
-      raw
-  in
-  let unused_pragmas =
-    List.filter (fun p -> not (List.exists (fun (_, q) -> q == p) suppressed)) pragmas
-  in
-  { path; findings = List.sort Finding.compare findings; suppressed; unused_pragmas }
 
 let read_file path =
   let ic = try open_in_bin path with Sys_error e -> raise (Error e) in
@@ -82,59 +54,3 @@ let files_under roots =
      byte-identical no matter how roots were spelled or what order the
      filesystem hands entries back in. *)
   List.sort_uniq String.compare files
-
-let report_of_file_reports reports =
-  let files =
-    List.filter
-      (fun r ->
-        not
-          (List.is_empty r.findings
-          && List.is_empty r.suppressed
-          && List.is_empty r.unused_pragmas))
-      (List.sort (fun a b -> String.compare a.path b.path) reports)
-  in
-  {
-    files;
-    files_scanned = List.length reports;
-    total_findings = List.fold_left (fun n r -> n + List.length r.findings) 0 files;
-    total_suppressed = List.fold_left (fun n r -> n + List.length r.suppressed) 0 files;
-  }
-
-let pp_report ppf r =
-  List.iter
-    (fun fr ->
-      List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) fr.findings;
-      List.iter
-        (fun p ->
-          Format.fprintf ppf "%s:%d: unused pragma (allow %s) — nothing to suppress@." fr.path
-            p.Pragma.line
-            (Finding.rule_name p.Pragma.rule))
-        fr.unused_pragmas)
-    r.files;
-  Format.fprintf ppf "dr_race: %d file%s scanned, %d finding%s, %d suppressed by pragma@."
-    r.files_scanned
-    (if r.files_scanned = 1 then "" else "s")
-    r.total_findings
-    (if r.total_findings = 1 then "" else "s")
-    r.total_suppressed
-
-(* Machine-readable findings: one dr-lint/1 JSON object per line (findings
-   and unused pragmas only — the summary lives in the exit code). *)
-let pp_report_json ppf r =
-  List.iter
-    (fun fr ->
-      List.iter (fun f -> Format.fprintf ppf "%s@." (Finding.to_json f)) fr.findings;
-      List.iter
-        (fun p ->
-          Format.fprintf ppf
-            "{\"schema\": \"%s\", \"kind\": \"unused-pragma\", \"file\": \"%s\", \"line\": %d, \
-             \"rule\": \"%s\"}@."
-            Finding.json_schema
-            (Finding.json_escape fr.path)
-            p.Pragma.line
-            (Finding.rule_name p.Pragma.rule))
-        fr.unused_pragmas)
-    r.files
-
-let clean r =
-  r.total_findings = 0 && List.for_all (fun fr -> List.is_empty fr.unused_pragmas) r.files

@@ -3,8 +3,6 @@
 type rule = R1 | R2
 
 val rule_name : rule -> string
-val rule_of_string : string -> rule option
-val rule_equal : rule -> rule -> bool
 
 val rule_doc : rule -> string
 (** One-line statement of the invariant the rule machine-checks. *)
@@ -23,11 +21,5 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** [file:line:col [RULE] message] — the CLI output format. *)
 
-val json_schema : string
-(** ["dr-lint/1"] — the schema tag stamped on every JSON finding line. *)
-
 val json_escape : string -> string
-(** JSON string-body escaping shared by the machine-readable emitters. *)
-
-val to_json : t -> string
-(** One self-contained JSON object (single line, schema [dr-lint/1]). *)
+(** JSON string-body escaping, for the census. *)

@@ -1,16 +1,16 @@
 (* dr_race: the whole-program domain-safety analysis.
 
    Pipeline: parse every unit (Symbols) -> census mutable state
-   (Inventory) -> resolve cross-module accesses (Refgraph) -> load zone
-   declarations (Zones) -> apply R1/R2 -> report through the shared
-   Finding/Driver machinery, with per-site allow pragmas (Pragma) as the
-   escape hatch. *)
+   (Inventory) -> resolve cross-module accesses (Refgraph) -> load the
+   zones file (Zones) -> apply R1/R2 -> one sorted list of findings. A
+   finding is cleared by fixing the code or by a zones-file entry; there
+   is no per-site waiver. *)
 
 type analysis = {
   units_scanned : int;
   items : Inventory.item list;
   decls : Zones.decl list;
-  report : Driver.report;
+  findings : Finding.t list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -54,7 +54,7 @@ let constructor_like name =
 
 let wrapper_unit = "Domain_safe"
 
-let r1_findings ~zones_path items decls pragma_stale =
+let r1_findings ~zones_path items decls =
   let undeclared =
     List.filter_map
       (fun (it : Inventory.item) ->
@@ -66,8 +66,7 @@ let r1_findings ~zones_path items decls pragma_stale =
             Some
               (Finding.at ~file:it.path ~line:it.line ~col:it.col Finding.R1
                  (Printf.sprintf
-                    "escaping mutable %s `%s` (%s) has no domain zone; declare it in %s or with \
-                     an inline zone pragma"
+                    "escaping mutable %s `%s` (%s) has no domain zone; declare it in %s"
                     (Inventory.sort_name it.sort) (Inventory.key it)
                     (Inventory.kind_name it.kind)
                     (match zones_path with Some p -> p | None -> "dr-race.zones"))))
@@ -110,12 +109,7 @@ let r1_findings ~zones_path items decls pragma_stale =
           None)
       decls
   in
-  let stale_pragmas =
-    List.map
-      (fun (path, line, why) -> Finding.at ~file:path ~line ~col:0 Finding.R1 why)
-      pragma_stale
-  in
-  undeclared @ stale @ dups @ stale_pragmas
+  undeclared @ stale @ dups
 
 let r2_findings items decls accesses urefs =
   let item_by_key sort key =
@@ -217,7 +211,7 @@ let analyze ?zones_path roots =
     try Symbols.table units with Symbols.Clash msg -> raise (Driver.Error msg)
   in
   let items = List.sort Inventory.compare_item (List.concat_map Inventory.of_unit units) in
-  let file_decls =
+  let decls =
     match zones_path with
     | None -> []
     | Some p -> (
@@ -225,50 +219,20 @@ let analyze ?zones_path roots =
       try Zones.parse_file ~path:p (Driver.read_file p)
       with Zones.Parse_error msg -> raise (Driver.Error msg))
   in
-  let pragma_decls, pragma_stale =
-    List.fold_left
-      (fun (ds, stale) u ->
-        let d, s = Zones.of_pragmas u items in
-        (d :: ds, List.map (fun (line, why) -> (u.Symbols.path, line, why)) s :: stale))
-      ([], []) units
-  in
-  let decls = file_decls @ List.concat (List.rev pragma_decls) in
-  let pragma_stale = List.concat (List.rev pragma_stale) in
   let accesses, urefs = Refgraph.build table units items in
-  let raw =
-    r1_findings ~zones_path items decls pragma_stale
-    @ r2_findings items decls accesses urefs
+  let findings =
+    List.sort Finding.compare
+      (r1_findings ~zones_path items decls @ r2_findings items decls accesses urefs)
   in
-  (* Group findings per file and apply (* dr-race: allow Rx *) pragmas; the
-     zones file (not a .ml) gets a pragma-less report. *)
-  let by_file = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Finding.t) ->
-      let cur = match Hashtbl.find_opt by_file f.Finding.file with Some l -> l | None -> [] in
-      Hashtbl.replace by_file f.Finding.file (f :: cur))
-    raw;
-  let unit_reports =
-    List.map
-      (fun (u : Symbols.unit_info) ->
-        let findings =
-          match Hashtbl.find_opt by_file u.Symbols.path with
-          | Some l ->
-            Hashtbl.remove by_file u.Symbols.path;
-            l
-          | None -> []
-        in
-        let pragmas = Pragma.scan u.Symbols.source in
-        Driver.apply_pragmas ~path:u.Symbols.path ~pragmas findings)
-      units
-  in
-  let other_reports =
-    Hashtbl.fold
-      (fun path findings acc -> Driver.apply_pragmas ~path ~pragmas:[] findings :: acc)
-      by_file []
-  in
-  let report = Driver.report_of_file_reports (unit_reports @ other_reports) in
-  let report = { report with Driver.files_scanned = List.length units } in
-  { units_scanned = List.length units; items; decls; report }
+  { units_scanned = List.length units; items; decls; findings }
+
+let pp_report ppf a =
+  List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) a.findings;
+  let n = List.length a.findings in
+  Format.fprintf ppf "dr_race: %d file%s scanned, %d finding%s@." a.units_scanned
+    (if a.units_scanned = 1 then "" else "s")
+    n
+    (if n = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
 (* The machine-readable census (schema dr-race/2)                     *)

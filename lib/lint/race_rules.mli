@@ -6,7 +6,7 @@ type analysis = {
   units_scanned : int;
   items : Inventory.item list;
   decls : Zones.decl list;
-  report : Driver.report;
+  findings : Finding.t list;  (** R1 and R2 findings, sorted by {!Finding.compare} *)
 }
 
 val path_under : owner:string -> string -> bool
@@ -23,6 +23,10 @@ val analyze : ?zones_path:string -> string list -> analysis
 (** Run the whole analysis over the trees under [roots]. Raises
     {!Driver.Error} on unreadable/unparseable input, a malformed zones
     file, or clashing unit names. *)
+
+val pp_report : Format.formatter -> analysis -> unit
+(** Findings as [file:line:col [RULE] message] lines plus a [dr_race:]
+    summary line. *)
 
 val inventory_json : analysis -> string
 (** The census as deterministic [dr-race/2] JSON — byte-identical across

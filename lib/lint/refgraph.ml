@@ -53,10 +53,8 @@ let mutators =
 let is_mutator parts =
   match parts with
   | [ ":=" ] | [ "incr" ] | [ "decr" ] -> true
-  | [ m; f ] -> (
-    match List.assoc_opt m mutators with
-    | Some fns -> List.exists (String.equal f) fns
-    | None -> false)
+  | [ m; f ] ->
+    List.exists (fun (m', fns) -> String.equal m m' && List.exists (String.equal f) fns) mutators
   | _ -> false
 
 let pos_of loc =

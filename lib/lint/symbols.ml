@@ -10,7 +10,6 @@ open Ppxlib
 type unit_info = {
   path : string;  (* as given on the command line *)
   name : string;  (* "Metrics" for lib/engine/metrics.ml *)
-  source : string;
   str : structure;
   intf : signature option;  (* the parsed .mli, when one exists *)
   aliases : (string * string list) list;  (* module M = Some.Path at unit top level *)
@@ -50,8 +49,7 @@ let submodules_of str =
     str
 
 let load ~parse ~read path =
-  let source = read path in
-  let str = parse ~path source in
+  let str = parse ~path (read path) in
   let mli = path ^ "i" in
   let intf =
     if Sys.file_exists mli then
@@ -61,7 +59,6 @@ let load ~parse ~read path =
   {
     path;
     name = module_name_of_path path;
-    source;
     str;
     intf;
     aliases = aliases_of str;
@@ -105,8 +102,8 @@ let resolve t ~self parts =
   let expand parts =
     match parts with
     | head :: rest -> (
-      match List.assoc_opt head self.aliases with
-      | Some target -> target @ rest
+      match List.find_opt (fun (m, _) -> String.equal m head) self.aliases with
+      | Some (_, target) -> target @ rest
       | None -> parts)
     | [] -> parts
   in

@@ -5,7 +5,6 @@
 type unit_info = {
   path : string;  (** as given on the command line *)
   name : string;  (** "Metrics" for lib/engine/metrics.ml *)
-  source : string;
   str : Ppxlib.structure;
   intf : Ppxlib.signature option;  (** the parsed .mli, when one exists *)
   aliases : (string * string list) list;

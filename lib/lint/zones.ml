@@ -17,9 +17,8 @@
      type  Metrics.t per-domain -- each domain owns its counter block
      type  Coverage.t per-domain:lib/check -- campaign-local maps
 
-   A declaration can live inline instead, as a zone pragma directly above
-   (or on) the declaring line — Pragma's directive comments, with
-   [zone <zone> — reason] as the directive body. *)
+   Nothing else declares a zone: a comment in a source file declares
+   nothing. *)
 
 type zone = Engine_shared | Per_domain of string option | Init_only
 
@@ -46,13 +45,9 @@ type decl = {
   d_sort : Inventory.sort;
   d_zone : zone;
   d_reason : string;
-  d_file : string;  (* zones file, or the .ml carrying the pragma *)
+  d_file : string;  (* the zones file *)
   d_line : int;
 }
-
-(* ------------------------------------------------------------------ *)
-(* The zones file                                                     *)
-(* ------------------------------------------------------------------ *)
 
 let split_words line =
   List.filter (fun s -> String.length s > 0) (String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line))
@@ -110,70 +105,6 @@ let parse_file ~path content =
         | _ -> fail lineno "want: <value|type> <Module.ident> <zone> [-- reason]")
     (String.split_on_char '\n' content);
   List.rev !decls
-
-(* ------------------------------------------------------------------ *)
-(* Inline zone pragmas                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* An inline zone directive directly above (or on) the line of an
-   inventoried declaration. Returns the matched declarations plus the
-   pragma lines that matched nothing (stale — reported like unused
-   pragmas). *)
-let of_pragmas (u : Symbols.unit_info) (items : Inventory.item list) =
-  let directives = Pragma.directives ~verb:"zone" u.source in
-  let decls = ref [] and stale = ref [] in
-  List.iter
-    (fun (line, payload) ->
-      let zone_s, reason =
-        match String.index_opt payload ' ' with
-        | Some i ->
-          ( String.sub payload 0 i,
-            String.trim (String.sub payload (i + 1) (String.length payload - i - 1)) )
-        | None -> (payload, "")
-      in
-      let reason =
-        (* payload already has the comment close stripped; drop a leading
-           dash separator from the reason *)
-        let r = reason in
-        let drop p s =
-          let np = String.length p and ns = String.length s in
-          if ns >= np && String.equal (String.sub s 0 np) p then
-            String.trim (String.sub s np (ns - np))
-          else s
-        in
-        drop "\xe2\x80\x94" (drop "--" (drop "- " r))
-      in
-      match zone_of_string zone_s with
-      | None -> stale := (line, Printf.sprintf "unknown zone %S" zone_s) :: !stale
-      | Some zone -> (
-        let covered =
-          List.filter
-            (fun (it : Inventory.item) ->
-              String.equal it.path u.path && (it.line = line || it.line = line + 1))
-            items
-        in
-        match covered with
-        | [] -> stale := (line, "zone pragma covers no mutable declaration") :: !stale
-        | covered ->
-          List.iter
-            (fun (it : Inventory.item) ->
-              match (zone, it.sort) with
-              | Init_only, Inventory.Type ->
-                stale := (line, "init-only applies to values") :: !stale
-              | _ ->
-                decls :=
-                  {
-                    d_key = Inventory.key it;
-                    d_sort = it.sort;
-                    d_zone = zone;
-                    d_reason = reason;
-                    d_file = u.path;
-                    d_line = line;
-                  }
-                  :: !decls)
-            covered))
-    directives;
-  (List.rev !decls, List.rev !stale)
 
 let find decls ~sort ~key =
   List.find_opt

@@ -1,5 +1,5 @@
-(** Domain-safety zone declarations: the [dr-race.zones] file and inline
-    [(* dr-race: zone ... *)] pragmas. *)
+(** Domain-safety zone declarations: the [dr-race.zones] file, the only
+    place a zone is declared. *)
 
 type zone =
   | Engine_shared  (** accessed only via the Domain_safe wrapper *)
@@ -13,7 +13,7 @@ type decl = {
   d_sort : Inventory.sort;
   d_zone : zone;
   d_reason : string;
-  d_file : string;  (** zones file, or the .ml carrying the pragma *)
+  d_file : string;  (** the zones file *)
   d_line : int;
 }
 
@@ -23,10 +23,5 @@ exception Parse_error of string
 val parse_file : path:string -> string -> decl list
 (** Parse a [dr-race.zones] file ([#] comments and blank lines skipped).
     Raises {!Parse_error}. *)
-
-val of_pragmas : Symbols.unit_info -> Inventory.item list -> decl list * (int * string) list
-(** Inline zone pragmas of one unit, matched to the inventory items
-    declared on the pragma's line or the line below; the second component
-    is the stale pragmas [(line, why)] that matched nothing. *)
 
 val find : decl list -> sort:Inventory.sort -> key:string -> decl option

@@ -23,7 +23,7 @@ let demonstrate ~(run : runner) ?(victim = 0) ?f_set ?(seed = 1L) ?b ~k ~n () =
     | Some f -> f
     | None -> List.init (k / 2) (fun i -> k - 1 - i)
   in
-  if List.mem victim f_set then Error "victim must not be in F"
+  if List.exists (Int.equal victim) f_set then Error "victim must not be in F"
   else begin
     let zeros = Bitarray.create n in
     (* ---- Execution E1: zeros input, F silent-crashed. ---- *)
@@ -36,7 +36,7 @@ let demonstrate ~(run : runner) ?(victim = 0) ?f_set ?(seed = 1L) ?b ~k ~n () =
       |> Exec.with_trace trace1
     in
     let e1 = run ~opts:opts1 inst1 in
-    if List.mem victim e1.Problem.wrong then
+    if List.exists (Int.equal victim) e1.Problem.wrong then
       Error "protocol failed E1 outright (victim has no correct output under crashes)"
     else begin
       let queried =
@@ -57,15 +57,17 @@ let demonstrate ~(run : runner) ?(victim = 0) ?f_set ?(seed = 1L) ?b ~k ~n () =
         in
         (* ---- Execution E2: bit flipped, C simulates the zero world. ---- *)
         let corrupted =
-          List.filter (fun i -> i <> victim && not (List.mem i f_set)) (List.init k Fun.id)
+          List.filter
+            (fun i -> i <> victim && not (List.exists (Int.equal i) f_set))
+            (List.init k Fun.id)
         in
         let x2 = Bitarray.flip zeros hidden_bit in
         let fault2 = Fault.choose ~k (Fault.Explicit corrupted) in
         let inst2 = Problem.make ~seed ?b ~model:Problem.Byzantine ~k ~x:x2 fault2 in
         let stall = (e1.Problem.time +. 10.) *. 10. in
         let trace2 = Trace.create () in
-        let in_f i = List.mem i f_set in
-        let is_corrupt i = List.mem i corrupted in
+        let in_f i = List.exists (Int.equal i) f_set in
+        let is_corrupt i = List.exists (Int.equal i) corrupted in
         let opts2 =
           Exec.make_opts
             ~latency:(Latency.targeted ~slow:in_f ~delay:stall)
@@ -76,7 +78,7 @@ let demonstrate ~(run : runner) ?(victim = 0) ?f_set ?(seed = 1L) ?b ~k ~n () =
             ()
         in
         let e2 = run ~opts:opts2 inst2 in
-        let victim_fooled = List.mem victim e2.Problem.wrong in
+        let victim_fooled = List.exists (Int.equal victim) e2.Problem.wrong in
         let view tr =
           (* The victim's deliveries, which with a deterministic protocol
              and schedule fully determine its behaviour. *)

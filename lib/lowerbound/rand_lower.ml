@@ -20,13 +20,16 @@ type runner = ?opts:Exec.opts -> Problem.instance -> Problem.report
 let attack ~(run : runner) ?(victim = 0) ?f_count ?(hidden = `Uniform) ~k ~n ~seeds () =
   let f_count = match f_count with Some f -> f | None -> (k - 1) / 2 in
   let f_set = List.init f_count (fun i -> k - 1 - i) in
-  if List.mem victim f_set then invalid_arg "Rand_lower.attack: victim inside F";
+  if List.exists (Int.equal victim) f_set then
+    invalid_arg "Rand_lower.attack: victim inside F";
   let corrupted =
-    List.filter (fun i -> i <> victim && not (List.mem i f_set)) (List.init k Fun.id)
+    List.filter
+      (fun i -> i <> victim && not (List.exists (Int.equal i) f_set))
+      (List.init k Fun.id)
   in
   let fault = Fault.choose ~k (Fault.Explicit corrupted) in
-  let in_f i = List.mem i f_set in
-  let is_corrupt i = List.mem i corrupted in
+  let in_f i = List.exists (Int.equal i) f_set in
+  let is_corrupt i = List.exists (Int.equal i) corrupted in
   let failures = ref 0 and hits = ref 0 and q_sum = ref 0 in
   let runs = List.length seeds in
   List.iter
@@ -45,9 +48,9 @@ let attack ~(run : runner) ?(victim = 0) ?f_count ?(hidden = `Uniform) ~k ~n ~se
           ()
       in
       let report = run ~opts inst in
-      if List.mem victim report.Problem.wrong then incr failures;
+      if List.exists (Int.equal victim) report.Problem.wrong then incr failures;
       let queried = List.map fst (Trace.query_view trace victim) in
-      if List.mem hidden_bit queried then incr hits;
+      if List.exists (Int.equal hidden_bit) queried then incr hits;
       q_sum := !q_sum + List.length (List.sort_uniq Int.compare queried))
     seeds;
   let q_mean = if runs = 0 then 0. else float_of_int !q_sum /. float_of_int runs in

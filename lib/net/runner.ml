@@ -172,7 +172,8 @@ let collect_results ~k ~deadline ~pids read_ends =
     pending :=
       List.filter
         (fun (i, fd) ->
-          if List.mem fd ready then begin
+          (* A Unix file descriptor is an int: physical equality is equality. *)
+          if List.memq fd ready then begin
             (match (Frame.recv_value fd : child_result) with
             | r -> results.(i) <- Some r
             | exception _ -> results.(i) <- Some (failed_result (dead_without_report i)));

@@ -133,7 +133,7 @@ let download_based ?(protocol = `Committee) p =
         (s, Feed.decode x))
       picked
   in
-  let value_of ~source ~cell = (List.assoc source per_source_values).(cell) in
+  let value_of ~source ~cell = (snd (List.find (fun (s, _) -> s = source) per_source_values)).(cell) in
   let medians = Array.init p.peers (fun _ -> node_median feed picked ~value_of) in
   let published = publish p fault (fun i -> medians.(i)) in
   let to_cells bits = (bits + Feed.value_bits - 1) / Feed.value_bits in

@@ -121,7 +121,10 @@ let parse text =
   if c.pos <> String.length c.src then fail c "trailing bytes after the value";
   v
 
-let member obj key = match obj with Obj kvs -> List.assoc_opt key kvs | _ -> None
+let member obj key =
+  match obj with
+  | Obj kvs -> List.find_map (fun (k, v) -> if String.equal k key then Some v else None) kvs
+  | _ -> None
 
 let str obj key =
   match member obj key with

@@ -21,7 +21,8 @@
     - [l5] exiting and blocking reads: an error in lib/core and lib/engine.
 
     Alert [l2] sits on the polymorphic comparisons of the shadowed Stdlib
-    ({!Stdlib_bans}): an error in lib/, which compares through the
+    ({!Stdlib_bans}) and on {!List_bans}' equality searches ([List.mem],
+    [List.assoc] and kin): an error in lib/, which compares through the
     int-only {!Mono_compare}. Alert [metered] sits on
     {!Dr_source.Data_source}'s reads. *)
 
@@ -30,6 +31,7 @@ module Random = Stdlib.Random
 
 module Sys = Sys_bans
 module Hashtbl = Hashtbl_bans
+module List = List_bans
 module Printf = Printf_bans
 module Format = Format_bans
 

@@ -1,7 +1,7 @@
-(* Planted R2: an init-only cell written after initialization. Writes at
-   module init and in init_-prefixed setup functions are fine; tweak is
-   the violation. *)
-(* dr-race: zone init-only — fixture: set up once, read-only after *)
+(* Planted R2: an init-only cell, its zone declared in fixtures.zones,
+   written after initialization. Writes at module init and in
+   init_-prefixed setup functions are fine; tweak is the violation the
+   rule must flag. *)
 let limit = ref 0
 let init_limit n = limit := n
 let tweak n = limit := n

@@ -1,11 +1,9 @@
-(* Per-domain state with an owner subtree: only race_fixtures/owner may
-   touch the cell or construct the type. intruder.ml (outside the subtree)
-   violates both. *)
-(* dr-race: zone per-domain:race_fixtures/owner — fixture: subtree-owned slots *)
+(* Per-domain state with an owner subtree (fixtures.zones): only
+   race_fixtures/owner may touch the cell or construct the type.
+   intruder.ml (outside the subtree) violates both. *)
 let slots = Array.make 4 0
 let set i v = slots.(i) <- v
 
-(* dr-race: zone per-domain:race_fixtures/owner — fixture: subtree-owned type *)
 type t = { mutable n : int }
 
 let make () = { n = 0 }

@@ -1,5 +1,4 @@
-(* An engine-shared cell declared inline. Same-unit access is allowed;
+(* An engine-shared cell (fixtures.zones). Same-unit access is allowed;
    outsider.ml pokes it cross-module and must be flagged. *)
-(* dr-race: zone engine-shared — fixture: the one shared counter *)
 let hits = ref 0
 let bump () = hits := !hits + 1

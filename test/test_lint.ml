@@ -1,7 +1,7 @@
 (* The static rules the compiler enforces, as compile checks: the name
    bans (L1, L3, L4, L5), which are alerts declared in the prelude, and
-   L2, lib/'s int-only comparisons (prelude/mono_compare.mli). Also the
-   allow pragmas dr_race reads, and the pinned waivers.
+   L2, lib/'s int-only comparisons (prelude/mono_compare.mli), and the
+   pinned waivers.
 
    Fixtures live in lint_fixtures/. The compile checks type-check them with
    the compiler the build uses, under the flags a zone reads from
@@ -12,17 +12,8 @@
    _build, declared as deps in test/dune. *)
 
 module Driver = Dr_lint.Driver
-module Finding = Dr_lint.Finding
-module Pragma = Dr_lint.Pragma
-module Race_rules = Dr_lint.Race_rules
 
 let fixture name = Filename.concat "lint_fixtures" name
-
-(* The short form the golden tests key on: [basename:line [RULE]]. *)
-let short (f : Finding.t) =
-  Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Finding.rule_name f.rule)
-
-let shorts (r : Driver.file_report) = List.map short r.findings
 
 (* ---- compile checks ---- *)
 
@@ -131,7 +122,8 @@ let l1 =
     ]
 
 (* L2: comparison in lib/ is int-only, so each shape polymorphic compare
-   used to accept is a type error, and the qualified name an alert. *)
+   used to accept is a type error, and the qualified name and List's
+   equality searches are alerts. *)
 let int_expected ty =
   Printf.sprintf "Error: This expression has type %s but an expression was expected of type int" ty
 
@@ -149,6 +141,9 @@ let l2 () =
       (7, float_array_expected);
       (8, int_expected "float");
       (9, "Error (alert l2): Dr_prelude.Stdlib.compare");
+      (10, "Error (alert l2): Dr_prelude.List.mem");
+      (11, "Error (alert l2): Dr_prelude.List.assoc_opt");
+      (12, "Error (alert l2): Dr_prelude.Stdlib.List.mem_assoc");
     ]
     ();
   let src = Driver.read_file (fixture "compare.ml") in
@@ -156,7 +151,7 @@ let l2 () =
     (fun n ->
       Alcotest.(check (list string)) (Printf.sprintf "compare.ml:%d compiles" n) []
         (compile ~zone:Lib (case src n)))
-    [ 11; 12; 13; 14 ]
+    [ 14; 15; 16; 17; 18 ]
 
 let l3 =
   check_cases ~zone:Lib "bad_l3.ml"
@@ -201,6 +196,8 @@ let zone_scoping () =
     (compile ~zone:Main (case cmp 3));
   Alcotest.(check (list string)) "Stdlib.compare allowed in bin/" []
     (compile ~zone:Main (case cmp 9));
+  Alcotest.(check (list string)) "List.mem allowed in bin/" []
+    (compile ~zone:Main (case cmp 10));
   let src = Driver.read_file (fixture "bad_l1.ml") in
   Alcotest.(check (list string)) "Sys.time allowed in bin/" [] (compile ~zone:Main (case src 3));
   Alcotest.(check (list string)) "Hashtbl.hash allowed in bin/" []
@@ -211,59 +208,6 @@ let zone_scoping () =
   Alcotest.(check (list string)) "source reads banned in bin/"
     [ "3: Error (alert metered): Dr_source.Data_source.query" ]
     (compile ~zone:Main (case (Driver.read_file (fixture "bad_l4.ml")) 3))
-
-(* ---- waivers and pragmas ---- *)
-
-(* [@alert "-l3"] on the identifier waives that one use; dr_race's allow
-   pragma does the same for its rules, and reports what it suppressed. *)
-let pragma_suppression () =
-  Alcotest.(check (list string)) "only the unwaived print fails"
-    [ "4: Error (alert l3): Dr_prelude.print_endline" ]
-    (compile ~zone:Lib (Driver.read_file (fixture "pragma_allowed.ml")));
-  match (Race_rules.analyze [ fixture "pragma_allowed.ml" ]).Race_rules.report.Driver.files with
-  | [ r ] -> (
-    Alcotest.(check (list string)) "only the uncovered line reported"
-      [ "pragma_allowed.ml:7 [R1]" ] (shorts r);
-    Alcotest.(check (list int)) "no unused pragmas" []
-      (List.map (fun p -> p.Pragma.line) r.unused_pragmas);
-    match r.suppressed with
-    | [ (f, p) ] ->
-      Alcotest.(check string) "suppressed finding is the covered line" "pragma_allowed.ml:6 [R1]"
-        (short f);
-      Alcotest.(check string) "reason survives parsing" "fixture exercises the escape hatch"
-        p.Pragma.reason
-    | _ -> Alcotest.fail "expected exactly one suppressed finding")
-  | _ -> Alcotest.fail "expected one file report"
-
-let pragma_unused () =
-  let src = "(* dr-race: allow R1 -- nothing here violates R1 *)\nlet x = 1\n" in
-  let r = Driver.apply_pragmas ~path:"lib/fake.ml" ~pragmas:(Pragma.scan src) [] in
-  Alcotest.(check int) "no findings" 0 (List.length r.findings);
-  Alcotest.(check int) "pragma reported unused" 1 (List.length r.unused_pragmas)
-
-let pragma_needs_comment_opener () =
-  (* Prose that merely mentions the syntax is not a pragma. *)
-  let src = "(* docs: write dr-race: allow R1 above the line *)\nlet cell = ref 0\n" in
-  Alcotest.(check int) "prose is not a pragma" 0 (List.length (Pragma.scan src))
-
-(* A pragma on the file's last line has no "line below" to cover: it must
-   suppress same-line findings only, and never claim the phantom line a
-   trailing newline used to suggest. *)
-let pragma_eof_edge () =
-  let f line = Finding.at ~file:"f.ml" ~line ~col:0 Finding.R1 "msg" in
-  let scan1 src =
-    match Pragma.scan src with
-    | [ p ] -> p
-    | ps -> Alcotest.failf "expected one pragma, got %d" (List.length ps)
-  in
-  let mid = scan1 "(* dr-race: allow R1 -- x *)\nlet y = 1\n" in
-  Alcotest.(check bool) "mid-file pragma covers the line below" true (Pragma.covers mid (f 2));
-  let last = scan1 "let y = 1\n(* dr-race: allow R1 -- x *)\n" in
-  Alcotest.(check bool) "last-line pragma covers its own line" true (Pragma.covers last (f 2));
-  Alcotest.(check bool) "last-line pragma does not cover the phantom line below" false
-    (Pragma.covers last (f 3));
-  let last_nonl = scan1 "let y = 1\n(* dr-race: allow R1 -- x *)" in
-  Alcotest.(check bool) "same without a trailing newline" false (Pragma.covers last_nonl (f 3))
 
 (* The walk feeding dr_race is globally sorted and deduplicated, so
    reports and the committed census are byte-stable however the roots are
@@ -378,7 +322,7 @@ let splice src ~at ~len ~by =
 
 (* Deleting a waiver must re-expose the banned use at its line: each live
    file compiles as it is, and fails without its attribute. *)
-let pragma_deletion_detected () =
+let waiver_deletion_detected () =
   let zone_of path =
     if String.starts_with ~prefix:"../lib/net/" path then Net
     else if
@@ -448,14 +392,10 @@ let suite =
     Alcotest.test_case "fixture: L5 fiber safety" `Quick l5;
     Alcotest.test_case "fixture: aliases, opens and Stdlib" `Quick aliases;
     Alcotest.test_case "zone scoping" `Quick zone_scoping;
-    Alcotest.test_case "pragma: suppression + golden" `Quick pragma_suppression;
-    Alcotest.test_case "pragma: unused is reported" `Quick pragma_unused;
-    Alcotest.test_case "pragma: needs a comment opener" `Quick pragma_needs_comment_opener;
-    Alcotest.test_case "pragma: last-line edge" `Quick pragma_eof_edge;
     Alcotest.test_case "files_under is sorted, deduped, fixture-free" `Quick
       files_under_deterministic;
     Alcotest.test_case "lib/net zone rules" `Quick net_zone_rules;
     Alcotest.test_case "waivers are pinned and wrap one identifier" `Quick waivers_pinned;
-    Alcotest.test_case "deleting a pragma re-exposes the finding" `Quick pragma_deletion_detected;
+    Alcotest.test_case "deleting a pragma re-exposes the finding" `Quick waiver_deletion_detected;
     Alcotest.test_case "reverting a fix re-exposes the finding" `Quick fix_reversion_detected;
   ]

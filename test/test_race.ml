@@ -1,10 +1,12 @@
 (* dr_race: planted-violation fixtures for each rule, zone parsing, the
    census determinism gate, and the "live tree is race-clean" gate.
 
-   Fixtures live in race_fixtures/ (dr_race parses them; printer.ml is
-   compiled instead, as prints in lib/ are compiler alert l3).
-   The live-tree tests run over ../lib ../bin ../bench against the
-   committed ../dr-race.zones and ../RACE_INVENTORY.json. *)
+   Fixtures live in race_fixtures/, their zones in
+   race_fixtures/fixtures.zones (dr_race parses them; printer.ml is
+   compiled instead, as prints in lib/ are compiler alert l3). Variants of
+   that zones file and sources that must not sit in the tree are written
+   next to the test. The live-tree tests run over ../lib ../bin ../bench
+   against the committed ../dr-race.zones and ../RACE_INVENTORY.json. *)
 
 module Driver = Dr_lint.Driver
 module Finding = Dr_lint.Finding
@@ -13,8 +15,22 @@ module Zones = Dr_lint.Zones
 module Race_rules = Dr_lint.Race_rules
 module Domain_safe = Dr_engine.Domain_safe
 
-let shorts (r : Driver.report) =
-  List.concat_map (fun fr -> List.map Test_lint.short fr.Driver.findings) r.Driver.files
+(* The short form the fixture tests key on: [basename:line [RULE]]. *)
+let short (f : Finding.t) =
+  Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Finding.rule_name f.rule)
+
+let shorts (a : Race_rules.analysis) = List.map short a.Race_rules.findings
+
+let fixture_zones = "race_fixtures/fixtures.zones"
+
+let write path text = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* A zones file [name]: the fixtures' declarations, then [extra] lines. *)
+let zones_with name extra =
+  write name (Driver.read_file fixture_zones ^ String.concat "\n" extra ^ "\n");
+  name
+
+let analyze_fixtures zones_path = Race_rules.analyze ~zones_path [ "race_fixtures" ]
 
 (* ---- the planted violations: every rule must fire ---- *)
 
@@ -23,7 +39,6 @@ let fixture_findings () =
     "a print in lib/ fails to compile, the waived one compiles"
     [ "3: Error (alert l3): Dr_prelude.Printf.printf" ]
     (Test_lint.compile ~zone:Test_lint.Lib (Driver.read_file "race_fixtures/printer.ml"));
-  let a = Race_rules.analyze [ "race_fixtures" ] in
   Alcotest.(check (list string))
     "each planted violation fires, nothing else"
     [
@@ -34,23 +49,56 @@ let fixture_findings () =
       "outsider.ml:4 [R2]";   (* engine-shared read from another unit *)
       "undeclared.ml:3 [R1]"; (* escaping mutable value with no zone *)
     ]
-    (shorts a.Race_rules.report)
+    (shorts (analyze_fixtures fixture_zones))
 
-(* A zones file silences the undeclared cell and raises its own stale-entry
-   diagnostic. *)
+(* A zones-file entry silences the undeclared cell; an entry that names
+   nothing in the census is its own R1 finding. *)
 let zones_file_findings () =
-  let a =
-    Race_rules.analyze ~zones_path:"race_fixtures/fixtures.zones" [ "race_fixtures" ]
+  let zones =
+    zones_with "stale.zones"
+      [
+        "value Undeclared.table per-domain -- fixture: declared via the zones file";
+        "type Ghost.t per-domain -- fixture: stale on purpose, no such type";
+      ]
   in
-  let r1s = List.filter (fun s -> Filename.check_suffix s "[R1]") (shorts a.Race_rules.report) in
-  Alcotest.(check (list string))
-    "declared cell silenced; stale entry reported"
-    [ "fixtures.zones:4 [R1]" ] r1s
+  let r1s = List.filter (fun s -> Filename.check_suffix s "[R1]") (shorts (analyze_fixtures zones)) in
+  Alcotest.(check (list string)) "declared cell silenced; stale entry reported"
+    [ "stale.zones:8 [R1]" ] r1s
+
+(* A zones file the parser rejects stops the analysis with its path and
+   line: an unknown zone, and init-only on a type. *)
+let zones_file_errors () =
+  let fails name line prefix =
+    match analyze_fixtures (zones_with name [ line ]) with
+    | exception Driver.Error msg ->
+      Alcotest.(check bool) msg true (String.starts_with ~prefix:(name ^ ":7: " ^ prefix) msg)
+    | _ -> Alcotest.failf "%s accepted %S" name line
+  in
+  fails "unknown.zones" "value Undeclared.table shared" "unknown zone \"shared\"";
+  fails "typeinit.zones" "type Undeclared.t init-only" "init-only applies to values"
+
+(* A zone written as a source comment declares nothing: R1 still fires
+   and the census zone is null. The comment's marker is assembled here so
+   that no file in the tree carries it. *)
+let leftover_comment_declares_nothing () =
+  if not (Sys.file_exists "leftover") then Sys.mkdir "leftover" 0o755;
+  let marker = "dr-race" ^ ":" in
+  write "leftover/leftover.ml"
+    (Printf.sprintf "(* %s zone engine-shared -- a leftover comment *)\nlet cell = ref 0\n" marker);
+  let a = Race_rules.analyze [ "leftover" ] in
+  Alcotest.(check (list string)) "R1 fires" [ "leftover.ml:2 [R1]" ] (shorts a);
+  let row =
+    "{ \"key\": \"Leftover.cell\", \"kind\": \"ref\", \"zone\": null, \"escaping\": true, \
+     \"guarded\": false }"
+  in
+  let census = Race_rules.inventory_json a in
+  Alcotest.(check bool) ("census row " ^ row) true
+    (List.exists (fun l -> String.equal (String.trim l) row) (String.split_on_char '\n' census))
 
 (* ---- the census ---- *)
 
 let fixture_inventory () =
-  let a = Race_rules.analyze [ "race_fixtures" ] in
+  let a = analyze_fixtures fixture_zones in
   let find key =
     List.find_opt (fun it -> String.equal (Inventory.key it) key) a.Race_rules.items
   in
@@ -66,10 +114,12 @@ let fixture_inventory () =
   | None -> Alcotest.fail "Holder.t missing from census");
   (match Zones.find a.Race_rules.decls ~sort:Inventory.Value ~key:"Shared_cell.hits" with
   | Some d ->
-    Alcotest.(check string) "pragma zone parsed" "engine-shared" (Zones.zone_name d.Zones.d_zone);
-    Alcotest.(check string) "pragma reason parsed" "fixture: the one shared counter"
-      d.Zones.d_reason
-  | None -> Alcotest.fail "Shared_cell.hits zone pragma not picked up")
+    Alcotest.(check string) "zone read from the file" "engine-shared"
+      (Zones.zone_name d.Zones.d_zone);
+    Alcotest.(check string) "reason read from the file" "fixture: the one shared counter"
+      d.Zones.d_reason;
+    Alcotest.(check (pair string int)) "declared at" (fixture_zones, 3) (d.Zones.d_file, d.Zones.d_line)
+  | None -> Alcotest.fail "Shared_cell.hits has no zone")
 
 (* ---- zone grammar ---- *)
 
@@ -122,15 +172,9 @@ let roots = [ "../lib"; "../bin"; "../bench" ]
 
 let live_tree_race_clean () =
   let a = Race_rules.analyze ~zones_path:"../dr-race.zones" roots in
-  let rendered =
-    Format.asprintf "%a" (Driver.pp_report) a.Race_rules.report
-  in
-  Alcotest.(check bool) "scans the whole tree" true
-    (a.Race_rules.report.Driver.files_scanned > 50);
-  if not (Driver.clean a.Race_rules.report) then
-    Alcotest.failf "live tree has race findings:@.%s" rendered;
-  Alcotest.(check int) "race waivers in deliberate use" 0
-    a.Race_rules.report.Driver.total_suppressed
+  Alcotest.(check bool) "scans the whole tree" true (a.Race_rules.units_scanned > 50);
+  if not (List.is_empty a.Race_rules.findings) then
+    Alcotest.failf "live tree has race findings:@.%a" Race_rules.pp_report a
 
 (* The committed census must be regenerable byte-for-byte: stale
    RACE_INVENTORY.json fails here (and in the @race alias diff). *)
@@ -183,6 +227,9 @@ let suite =
   [
     Alcotest.test_case "fixtures: R1/R2/R3 all fire" `Quick fixture_findings;
     Alcotest.test_case "fixtures: zones file declares and goes stale" `Quick zones_file_findings;
+    Alcotest.test_case "fixtures: zones file errors name their line" `Quick zones_file_errors;
+    Alcotest.test_case "fixtures: a leftover zone comment declares nothing" `Quick
+      leftover_comment_declares_nothing;
     Alcotest.test_case "fixtures: census kinds and zone pragmas" `Quick fixture_inventory;
     Alcotest.test_case "zones grammar" `Quick zones_parsing;
     Alcotest.test_case "path/zone predicates" `Quick predicates;
