@@ -4,25 +4,27 @@
    phase × event-kind × round-bucket keys); the map only ever sees the
    distinct signatures of one run at a time (a probe's hits), so a "hit"
    counts runs that lit a signature, not raw events. Only counts are read
-   out ([note]'s fresh count, [distinct], [hits]), so Hashtbl iteration
+   out ([note]'s fresh count, [distinct], [hits]), so the table's iteration
    order never leaks into the campaign's output. *)
 
-type t = (int, int) Hashtbl.t
+module Int_table = Dr_engine.Int_table
 
-let create () = Hashtbl.create 256
+type t = int Int_table.t
+
+let create () = Int_table.create 256
 
 let note t sigs =
   List.fold_left
     (fun fresh s ->
-      match Hashtbl.find_opt t s with
+      match Int_table.find_opt t s with
       | Some c ->
-        Hashtbl.replace t s (c + 1);
+        Int_table.replace t s (c + 1);
         fresh
       | None ->
-        Hashtbl.add t s 1;
+        Int_table.add t s 1;
         fresh + 1)
     0 sigs
 
-let distinct t = Hashtbl.length t
+let distinct t = Int_table.length t
 
-let hits t = Hashtbl.fold (fun _ c acc -> acc + c) t 0
+let hits t = Int_table.fold (fun _ c acc -> acc + c) t 0

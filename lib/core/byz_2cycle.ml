@@ -55,8 +55,7 @@ let forge attack inst ~me ~prng ~query spec =
     [ (None, seg, Bitarray.flip bits (me mod Bitarray.length bits)) ]
   | Consistent_lie ->
     (* One agreed-on forged string for segment 0: becomes rho-frequent. *)
-    let bits = query_segment 0 in
-    [ (None, 0, Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r))) ]
+    [ (None, 0, Bitarray.lognot (query_segment 0)) ]
   | Equivocate ->
     let seg = Prng.int prng s in
     let len = Segment.len spec seg in

@@ -47,7 +47,6 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let spec = Segment.make ~n ~s:(min blocks n) in
     let rank j i = rank ~k ~size:c j i in
     let member j i = rank j i < c in
-    let flip_all bits = Bitarray.init (Bitarray.length bits) (fun r -> not (Bitarray.get bits r)) in
     let query_block j =
       let pos, len = Segment.bounds spec j in
       T.query_range ~pos ~len
@@ -110,10 +109,10 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
           if member j i then begin
             let bits = query_block j in
             match attack with
-            | Flip -> T.broadcast { block = j; bits = flip_all bits }
+            | Flip -> T.broadcast { block = j; bits = Bitarray.lognot bits }
             | Collude -> T.broadcast { block = j; bits = Bitarray.flip bits 0 }
             | _ ->
-              let flipped = flip_all bits in
+              let flipped = Bitarray.lognot bits in
               for dst = 0 to k - 1 do
                 if dst <> i then T.send dst { block = j; bits = (if dst mod 2 = 0 then bits else flipped) }
               done

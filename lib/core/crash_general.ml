@@ -1,6 +1,7 @@
 module Bitarray = Dr_source.Bitarray
 module Segment = Dr_source.Segment
 module Prng = Dr_engine.Prng
+module Int_table = Dr_engine.Int_table
 
 type msg =
   | Request1 of { phase : int; idx : int array; part : int; parts : int }
@@ -103,31 +104,40 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     (* Current assignment of each bit. *)
     let assign = Array.init n (fun b -> Segment.of_bit spec b) in
     (* --- per-phase bookkeeping --- *)
-    let heard : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+    (* A (phase, peer) key is the one int [pair phase peer], a
+       (phase, responder, about) key [triple phase responder about]. *)
+    let pair phase peer =
+      assert (phase >= 1 && phase <= max_phase && peer >= 0 && peer < k);
+      (phase * k) + peer
+    in
+    let triple phase q u =
+      assert (u >= 0 && u < k);
+      (pair phase q * k) + u
+    in
+    let heard : unit Int_table.t = Int_table.create 64 in
     (* (phase, peer) in S_p *)
-    let heard_count : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let reply1_recv : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+    let heard_count : int Int_table.t = Int_table.create 8 in
+    let reply1_recv : int Int_table.t = Int_table.create 64 in
     (* (phase, peer) -> parts received so far *)
-    let requests_sent : (int * int, int array) Hashtbl.t = Hashtbl.create 64 in
+    let requests_sent : int array Int_table.t = Int_table.create 64 in
     (* (phase, peer) -> indices I pulled from them (for Reply2 content) *)
-    let my_missing : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-    let resp2_have : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
+    let resp2_have : int Int_table.t = Int_table.create 64 in
     (* (phase, responder, about) -> parts received *)
-    let resp2_answered : (int * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let resp2_answered : unit Int_table.t = Int_table.create 64 in
     (* (phase, responder, about): the responder's full answer arrived *)
-    let full_asm : (int, Wire.Assembly.t) Hashtbl.t = Hashtbl.create 8 in
+    let full_asm : Wire.Assembly.t Int_table.t = Int_table.create 8 in
     let pending_req1 : (int * msg) list ref = ref [] in
     let pending_req2 : (int * msg) list ref = ref [] in
     let bump table key =
-      let v = match Hashtbl.find_opt table key with Some v -> v | None -> 0 in
-      Hashtbl.replace table key (v + 1);
+      let v = match Int_table.find_opt table key with Some v -> v | None -> 0 in
+      Int_table.replace table key (v + 1);
       v + 1
     in
-    let get0 table key = match Hashtbl.find_opt table key with Some v -> v | None -> 0 in
-    let in_heard phase peer = Hashtbl.mem heard (phase, peer) in
+    let get0 table key = match Int_table.find_opt table key with Some v -> v | None -> 0 in
+    let in_heard phase peer = Int_table.mem heard (pair phase peer) in
     let mark_heard phase peer =
       if not (in_heard phase peer) then begin
-        Hashtbl.replace heard (phase, peer) ();
+        Int_table.replace heard (pair phase peer) ();
         ignore (bump heard_count phase)
       end
     in
@@ -178,7 +188,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
           (fun u ->
             if in_heard phase u then begin
               let idx =
-                match Hashtbl.find_opt requests_sent (phase, u) with
+                match Int_table.find_opt requests_sent (pair phase u) with
                 | Some a -> a
                 | None -> [||]
               in
@@ -200,22 +210,22 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         else pending_req1 := (src, m) :: !pending_req1
       | Reply1 { phase; idx; vals; parts; _ } ->
         learn_pairs idx vals;
-        let got = bump reply1_recv (phase, src) in
+        let got = bump reply1_recv (pair phase src) in
         if got >= parts then mark_heard phase src
       | Request2 { phase; _ } ->
         if phase < !my_phase || (phase = !my_phase && !my_stage >= 3) then answer_req2 src m
         else pending_req2 := (src, m) :: !pending_req2
       | Reply2 { phase; about; known; idx; vals; parts; _ } ->
         if known then learn_pairs idx vals;
-        let got = bump resp2_have (phase, src, about) in
-        if got = parts then Hashtbl.replace resp2_answered (phase, src, about) ()
+        let got = bump resp2_have (triple phase src about) in
+        if got = parts then Int_table.replace resp2_answered (triple phase src about) ()
       | Full { part; bits } ->
         let asm =
-          match Hashtbl.find_opt full_asm src with
+          match Int_table.find_opt full_asm src with
           | Some a -> a
           | None ->
             let a = Wire.Assembly.create ~len:n ~b:full_payload in
-            Hashtbl.add full_asm src a;
+            Int_table.add full_asm src a;
             a
         in
         if not (Wire.Assembly.complete asm) then begin
@@ -283,7 +293,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         for q = 0 to k - 1 do
           if q <> me then begin
             let idx = Array.of_list wants.(q) in
-            Hashtbl.replace requests_sent (p, q) idx;
+            Int_table.replace requests_sent (pair p q) idx;
             let total = Array.length idx in
             let parts = max 1 ((total + cap - 1) / cap) in
             for part = 0 to parts - 1 do
@@ -306,7 +316,6 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
             Array.of_seq
               (Seq.filter (fun q -> q <> me && not (in_heard p q)) (Seq.init k Fun.id))
           in
-          Hashtbl.replace my_missing p missing;
           if Array.length missing = 0 then begin
             (* Heard everyone: nothing to ask. *)
             my_stage := 3;
@@ -329,7 +338,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
               let needed u = not (fast_path && in_heard p u) in
               let complete q =
                 Array.for_all
-                  (fun u -> (not (needed u)) || Hashtbl.mem resp2_answered (p, q, u))
+                  (fun u -> (not (needed u)) || Int_table.mem resp2_answered (triple p q u))
                   missing
               in
               let count = ref 0 in

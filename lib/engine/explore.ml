@@ -68,12 +68,12 @@ let signature ?(bucket = 8) (o : Sim.obs) =
 type probe = { observer : Sim.obs -> unit; hits : unit -> int list }
 
 let probe ?bucket () =
-  let seen = Hashtbl.create 64 in
+  let seen = Int_table.create 64 in
   let order = ref [] in
   let observer o =
     let s = signature ?bucket o in
-    if not (Hashtbl.mem seen s) then begin
-      Hashtbl.add seen s ();
+    if not (Int_table.mem seen s) then begin
+      Int_table.add seen s ();
       order := s :: !order
     end
   in

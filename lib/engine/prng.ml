@@ -51,6 +51,33 @@ let float g bound =
 
 let bool g = Int64.to_int (next64 g) land 1 = 1
 
+(* [len] [bool] draws packed LSB-first, one byte per eight. The step is
+   [next64]'s, on state words held in locals rather than reloaded from [g]
+   every draw; [g] is written back once at the end. *)
+let fill_bits g buf len =
+  if len < 0 || (len + 7) / 8 > Bytes.length buf then invalid_arg "Prng.fill_bits";
+  let s0 = ref (Bytes.get_int64_le g 0) and s1 = ref (Bytes.get_int64_le g 8) in
+  let s2 = ref (Bytes.get_int64_le g 16) and s3 = ref (Bytes.get_int64_le g 24) in
+  for q = 0 to ((len + 7) / 8) - 1 do
+    let byte = ref 0 in
+    for j = 0 to min 8 (len - (8 * q)) - 1 do
+      let result = Int64.mul (rotl (Int64.mul !s1 5L) 7) 9L in
+      byte := !byte lor ((Int64.to_int result land 1) lsl j);
+      let t = Int64.shift_left !s1 17 in
+      let x2 = Int64.logxor !s2 !s0 in
+      let x3 = Int64.logxor !s3 !s1 in
+      s1 := Int64.logxor !s1 x2;
+      s0 := Int64.logxor !s0 x3;
+      s2 := Int64.logxor x2 t;
+      s3 := rotl x3 45
+    done;
+    Bytes.set buf q (Char.unsafe_chr !byte)
+  done;
+  Bytes.set_int64_le g 0 !s0;
+  Bytes.set_int64_le g 8 !s1;
+  Bytes.set_int64_le g 16 !s2;
+  Bytes.set_int64_le g 24 !s3
+
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in

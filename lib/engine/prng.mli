@@ -27,6 +27,15 @@ val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
+(** Bit 0 of {!next64}. *)
+
+val fill_bits : t -> Bytes.t -> int -> unit
+(** [fill_bits g buf len] writes [len] draws into bytes [0 .. (len + 7) / 8 - 1]
+    of [buf], packed LSB-first: bit [r land 7] of byte [r lsr 3] is what the
+    [r]-th {!bool} [g] would return, and the bits of the last byte past [len]
+    are zero. [g] ends exactly [len] draws further on, as after [len] calls of
+    {!bool}. Raises [Invalid_argument] on a negative [len] or a [buf] shorter
+    than [(len + 7) / 8] bytes. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

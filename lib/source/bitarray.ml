@@ -30,15 +30,17 @@ let compare a b =
 
 let random prng len =
   let t = create len in
-  for i = 0 to len - 1 do
-    set t i (Dr_engine.Prng.bool prng)
-  done;
+  Dr_engine.Prng.fill_bits prng t.data len;
   t
 
 let init len f =
   let t = create len in
-  for i = 0 to len - 1 do
-    if f i then set t i true
+  for q = 0 to bytes_for len - 1 do
+    let byte = ref 0 in
+    for j = 0 to min 8 (len - (8 * q)) - 1 do
+      if f ((8 * q) + j) then byte := !byte lor (1 lsl j)
+    done;
+    Bytes.set t.data q (Char.unsafe_chr !byte)
   done;
   t
 
@@ -112,15 +114,23 @@ let blit_to_bytes ~src ~pos ~len dst =
     invalid_arg "Bitarray.blit_to_bytes";
   blit_bits ~src:src.data ~src_pos:pos ~dst ~dst_pos:0 ~len
 
+let clear_padding t =
+  let w = t.len land 7 in
+  if w > 0 then begin
+    let q = t.len lsr 3 in
+    Bytes.set t.data q (Char.unsafe_chr (Char.code (Bytes.get t.data q) land ((1 lsl w) - 1)))
+  end
+
 let init_bytes len fill =
   let t = create len in
   fill t.data;
-  let w = len land 7 in
-  if w > 0 then begin
-    let q = len lsr 3 in
-    Bytes.set t.data q (Char.unsafe_chr (Char.code (Bytes.get t.data q) land ((1 lsl w) - 1)))
-  end;
+  clear_padding t;
   t
+
+let lognot t =
+  let r = { t with data = Bytes.map (fun c -> Char.unsafe_chr (lnot (Char.code c) land 0xff)) t.data } in
+  clear_padding r;
+  r
 
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos > t.len - len then invalid_arg "Bitarray.sub";

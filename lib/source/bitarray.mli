@@ -19,7 +19,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val random : Dr_engine.Prng.t -> int -> t
-(** Uniform random array of the given length. *)
+(** [random g len] is [len] uniform bits, one {!Dr_engine.Prng.bool} draw
+    per bit: bit [r] is the [r]-th draw, and [g] ends exactly [len] draws
+    further on ({!Dr_engine.Prng.fill_bits} into a fresh array). *)
 
 val of_string : string -> t
 (** (for tests) From a ['0']/['1'] string. Raises [Invalid_argument] on
@@ -28,6 +30,8 @@ val of_string : string -> t
 val to_string : t -> string
 
 val init : int -> (int -> bool) -> t
+(** [init len f] has bit [r] set iff [f r]. [f] is called exactly once per
+    index, in ascending order. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** Extract a contiguous slice (the paper's segment string [X[j]]). *)
@@ -58,3 +62,6 @@ val count_ones : t -> int
 
 val flip : t -> int -> t
 (** Copy with one bit flipped (used by lower-bound adversaries). *)
+
+val lognot : t -> t
+(** Copy with every bit flipped; the padding past [length] stays zero. *)

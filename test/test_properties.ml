@@ -106,6 +106,71 @@ let prop_bits_kernels_match_model =
       done;
       !ok)
 
+(* A reference array built bit by bit with [create] and [set], which never
+   touch the padding: [Bitarray.equal] against it also checks that the
+   padding is zero. *)
+let bits_by_set len f =
+  let a = Bitarray.create len in
+  for r = 0 to len - 1 do
+    Bitarray.set a r (f r)
+  done;
+  a
+
+let fill_lengths = List.init 131 Fun.id @ [ 16_384 ]
+
+(* [Prng.fill_bits] against [len] calls of [Prng.bool] on a twin generator:
+   the same bits, zero padding, no byte past [(len + 7) / 8] touched, and
+   the same [next64] afterwards. [Bitarray.random] is checked the same way. *)
+let prop_prng_fill_bits_is_bool_loop =
+  QCheck.Test.make ~name:"prng: fill_bits is a per-bit bool loop" ~count:200 QCheck.int64
+    (fun seed ->
+      List.for_all
+        (fun len ->
+          let g = Prng.create seed and g' = Prng.create seed in
+          let want = bits_by_set len (fun _ -> Prng.bool g') in
+          let nbytes = (len + 7) / 8 in
+          let buf = Bytes.make (nbytes + 1) '\xff' in
+          Prng.fill_bits g buf len;
+          let got = Bitarray.init_bytes len (fun b -> Bytes.blit buf 0 b 0 nbytes) in
+          let padding_zero = len land 7 = 0 || Char.code (Bytes.get buf (len lsr 3)) lsr (len land 7) = 0 in
+          let same_next = Int64.equal (Prng.next64 g) (Prng.next64 g') in
+          let h = Prng.create seed and h' = Prng.create seed in
+          let random = Bitarray.random h len in
+          let random_ok =
+            Bitarray.equal random (bits_by_set len (fun _ -> Prng.bool h'))
+            && Int64.equal (Prng.next64 h) (Prng.next64 h')
+          in
+          Bitarray.equal got want && padding_zero && Bytes.get buf nbytes = '\xff' && same_next
+          && random_ok)
+        fill_lengths)
+
+let prop_bits_init_calls_in_order =
+  QCheck.Test.make ~name:"bitarray: init calls f once per index, ascending" ~count:200
+    QCheck.int64 (fun seed ->
+      let g = Prng.create seed in
+      List.for_all
+        (fun len ->
+          let pattern = Array.init len (fun _ -> Prng.bool g) in
+          let log = ref [] in
+          let a = Bitarray.init len (fun r -> log := r :: !log; pattern.(r)) in
+          List.rev !log = List.init len Fun.id
+          && Bitarray.equal a (bits_by_set len (fun r -> pattern.(r))))
+        (List.init 131 Fun.id))
+
+let prop_bits_lognot_is_per_bit_not =
+  QCheck.Test.make ~name:"bitarray: lognot is a per-bit not" ~count:200 QCheck.int64
+    (fun seed ->
+      let g = Prng.create seed in
+      List.for_all
+        (fun len ->
+          let b = Bitarray.random g len in
+          let want = bits_by_set len (fun r -> not (Bitarray.get b r)) in
+          let c = Bitarray.lognot b in
+          Bitarray.equal c want
+          && Bitarray.equal c (Bitarray.init len (fun r -> not (Bitarray.get b r)))
+          && Bitarray.equal (Bitarray.lognot c) b)
+        (List.init 131 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Segment                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1197,6 +1262,9 @@ let suite =
       prop_bits_append_sub;
       prop_bits_flip_involution;
       prop_bits_kernels_match_model;
+      prop_prng_fill_bits_is_bool_loop;
+      prop_bits_init_calls_in_order;
+      prop_bits_lognot_is_per_bit_not;
       prop_segment_tiles;
       prop_segment_of_bit;
       prop_segment_children_concat;

@@ -11,6 +11,7 @@
 module Driver = Dr_lint.Driver
 module Finding = Dr_lint.Finding
 module Inventory = Dr_lint.Inventory
+module Symbols = Dr_lint.Symbols
 module Zones = Dr_lint.Zones
 module Race_rules = Dr_lint.Race_rules
 module Domain_safe = Dr_engine.Domain_safe
@@ -120,6 +121,27 @@ let fixture_inventory () =
       d.Zones.d_reason;
     Alcotest.(check (pair string int)) "declared at" (fixture_zones, 3) (d.Zones.d_file, d.Zones.d_line)
   | None -> Alcotest.fail "Shared_cell.hits has no zone")
+
+(* [Dr_engine.Int_table] is [Hashtbl.Make] over [int]: its handles and its
+   type count as hashtbl cells, under either spelling. *)
+let int_table_is_a_hashtbl () =
+  let src =
+    "let seen = Int_table.create 8\n\
+     let hits = Dr_engine.Int_table.create 8\n\
+     type t = { map : int Int_table.t }\n\
+     type u = unit Dr_engine.Int_table.t\n"
+  in
+  let u = Symbols.load ~parse:Driver.parse ~read:(fun _ -> src) "tables.ml" in
+  let kinds =
+    List.map
+      (fun it -> (Inventory.key it, Inventory.kind_name it.Inventory.kind))
+      (List.sort Inventory.compare_item (Inventory.of_unit u))
+  in
+  Alcotest.(check (list (pair string string)))
+    "census"
+    [ ("Tables.seen", "hashtbl"); ("Tables.hits", "hashtbl"); ("Tables.t", "hashtbl");
+      ("Tables.u", "hashtbl") ]
+    kinds
 
 (* ---- zone grammar ---- *)
 
@@ -231,6 +253,7 @@ let suite =
     Alcotest.test_case "fixtures: a leftover zone comment declares nothing" `Quick
       leftover_comment_declares_nothing;
     Alcotest.test_case "fixtures: census kinds and zone pragmas" `Quick fixture_inventory;
+    Alcotest.test_case "census: Int_table counts as a hashtbl" `Quick int_table_is_a_hashtbl;
     Alcotest.test_case "zones grammar" `Quick zones_parsing;
     Alcotest.test_case "path/zone predicates" `Quick predicates;
     Alcotest.test_case "live tree is race-clean" `Quick live_tree_race_clean;

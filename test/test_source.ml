@@ -89,6 +89,29 @@ let test_bits_random_deterministic () =
   let mk () = Bitarray.to_string (Bitarray.random (Dr_engine.Prng.create 4L) 64) in
   checks "reproducible" (mk ()) (mk ())
 
+(* The input array X of the benchmark's and the campaign's shapes, pinned
+   by length, popcount and the CRC-32 of its '0'/'1' rendering, as the
+   per-bit draw loop produced them. A change to how X is drawn moves every
+   golden, repro and campaign number; this names the cause. *)
+let test_random_instance_x_pinned () =
+  List.iter
+    (fun (shape, k, n, t, seed, ones, crc) ->
+      let inst = Dr_core.Problem.random_instance ~seed ~model:Dr_core.Problem.Byzantine ~k ~n ~t () in
+      let x = inst.Dr_core.Problem.x in
+      let what = Printf.sprintf "%s seed %Ld" shape seed in
+      checki (what ^ " length") n (Bitarray.length x);
+      checki (what ^ " ones") ones (Bitarray.count_ones x);
+      checki (what ^ " crc") crc
+        (Dr_core.Wire.Crc32.bytes (Bytes.of_string (Bitarray.to_string x))))
+    [
+      ("sim-deep", 64, 16384, 8, 1L, 8236, 0x7981b572);
+      ("sim-deep", 64, 16384, 8, 2L, 8174, 0x6433973d);
+      ("sim-wide", 128, 256, 16, 1L, 136, 0xcb16d047);
+      ("sim-wide", 128, 256, 16, 2L, 123, 0xacc4daf9);
+      ("check-campaign", 8, 64, 3, 1L, 39, 0xe0d8ecf5);
+      ("check-campaign", 8, 64, 3, 2L, 28, 0x9a21ab87);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Segment                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -367,6 +390,22 @@ let test_bits_unaligned_blit_allocation_free () =
   Alcotest.(check (float 0.)) "minor words for one blit" 0. words;
   checkb "copied" true (Bitarray.equal src (Bitarray.sub dst ~pos ~len))
 
+(* [random] draws into the array it creates and allocates nothing else:
+   no closure, no boxed state word. *)
+let test_bits_random_allocates_the_array () =
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let g = Dr_engine.Prng.create 3L in
+  List.iter
+    (fun len ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "minor words, %d bits" len)
+        (words (fun () -> Bitarray.create len))
+        (words (fun () -> Bitarray.random g len)))
+    [ 0; 1; 64; 1000 ]
+
 let suite =
   [
     ("bitarray set/get", `Quick, test_bits_set_get);
@@ -382,6 +421,7 @@ let suite =
     ("bitarray counts", `Quick, test_bits_counts);
     ("bitarray flip", `Quick, test_bits_flip);
     ("bitarray random deterministic", `Quick, test_bits_random_deterministic);
+    ("problem: random_instance X pinned", `Quick, test_random_instance_x_pinned);
     ("segment partition", `Quick, test_segment_partition);
     ("segment of_bit", `Quick, test_segment_of_bit);
     ("segment halve alignment", `Quick, test_segment_halve_alignment);
@@ -402,4 +442,5 @@ let suite =
     ("wire size mismatch", `Quick, test_wire_size_mismatch_raises);
     ("bitarray byte kernels match per-bit reference", `Quick, test_bits_kernels_match_reference);
     ("bitarray unaligned blit allocates nothing", `Quick, test_bits_unaligned_blit_allocation_free);
+    ("bitarray random allocates only the array", `Quick, test_bits_random_allocates_the_array);
   ]
