@@ -41,9 +41,6 @@ let segments_arg =
 
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full execution trace.")
 
-let matrix_arg =
-  Arg.(value & flag & info [ "matrix" ] ~doc:"Print the src->dst message matrix.")
-
 let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-out" ] ~docv:"FILE" ~doc:"Save the execution trace for dr_trace.")
@@ -126,8 +123,8 @@ let pp_outcomes outcomes =
              (fun i o -> Printf.sprintf "%d:%s" i (Dr_net.Runner.outcome_to_string o))
              outcomes)))
 
-let run protocol k n t model seed msg_bits latency crash attack segments trace_flag matrix_flag
-    trace_out explore transport source net_timeout chaos net_retries request_timeout =
+let run protocol k n t model seed msg_bits latency crash attack segments trace_flag trace_out
+    explore transport source net_timeout chaos net_retries request_timeout =
   if t >= k then `Error (false, "need t < k")
   else if n < k then `Error (false, "need n >= k")
   else begin
@@ -154,8 +151,8 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
     | Ok entry, Ok latency, Ok crash ->
     match transport with
     | `Net ->
-      if trace_flag || matrix_flag || trace_out <> None then
-        `Error (false, "--trace/--matrix record simulator events; not available with --transport net")
+      if trace_flag || trace_out <> None then
+        `Error (false, "--trace/--trace-out record simulator events; not available with --transport net")
       else if explore <> None then
         `Error (false, "--explore drives the simulator's schedule arbiter; not available with --transport net")
       else begin
@@ -177,7 +174,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       end
     | `Sim ->
     let trace =
-      if trace_flag || matrix_flag || trace_out <> None then Some (Dr_engine.Trace.create ())
+      if trace_flag || trace_out <> None then Some (Dr_engine.Trace.create ())
       else None
     in
     let lat = latency ~seed ~fault:inst.Problem.fault ~b:inst.Problem.b in
@@ -206,14 +203,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       (match trace_out with
       | Some path -> Dr_engine.Trace.save tr path
       | None -> ());
-      if trace_flag then Format.printf "%a@." Dr_engine.Trace.pp tr;
-      if matrix_flag then begin
-        Format.printf "%a@." (Dr_engine.Trace_stats.pp_matrix ~label:"msgs")
-          (Dr_engine.Trace_stats.message_matrix tr ~k);
-        match Dr_engine.Trace_stats.busiest_link (Dr_engine.Trace_stats.bits_matrix tr ~k) with
-        | Some (src, dst, w) -> Format.printf "busiest link: %d -> %d (%d bits)@." src dst w
-        | None -> ()
-      end
+      if trace_flag then Format.printf "%a@." Dr_engine.Trace.pp tr
     | None -> ());
     Format.printf "%a@." Problem.pp_report report;
     if report.Problem.ok then `Ok () else `Error (false, "download failed")
@@ -225,7 +215,7 @@ let cmd =
       ret
         (const run $ protocol_arg $ peers_arg $ bits_arg $ faults_arg $ model_arg $ seed_arg
        $ msg_bits_arg $ latency_arg $ crash_arg $ attack_arg $ segments_arg $ trace_arg
-       $ matrix_arg $ trace_out_arg $ explore_arg $ transport_arg $ source_arg
+       $ trace_out_arg $ explore_arg $ transport_arg $ source_arg
        $ net_timeout_arg $ chaos_arg $ net_retries_arg $ request_timeout_arg))
   in
   Cmd.v

@@ -1,5 +1,6 @@
 module Bitarray = Dr_source.Bitarray
 module Segment = Dr_source.Segment
+module Int_table = Dr_engine.Int_table
 
 type msg =
   | Share of { owner : int; part : int; bits : Bitarray.t }
@@ -88,17 +89,17 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     (* My stage-2 request state. *)
     let missing = ref (-1) in
     let resolved = ref false in
-    let responders = Hashtbl.create 8 in
-    let response_asm : (int, Wire.Assembly.t) Hashtbl.t = Hashtbl.create 8 in
-    let reshare_asm : (int, Wire.Assembly.t) Hashtbl.t = Hashtbl.create 8 in
-    let full_asm : (int, Wire.Assembly.t) Hashtbl.t = Hashtbl.create 8 in
+    let responders = Int_table.create 8 in
+    let response_asm = Int_table.create 8 in
+    let reshare_asm = Int_table.create 8 in
+    let full_asm = Int_table.create 8 in
     let feed table key ~len ~part bits ~on_complete =
       let asm =
-        match Hashtbl.find_opt table key with
+        match Int_table.find_opt table key with
         | Some a -> a
         | None ->
           let a = Wire.Assembly.create ~len ~b:payload in
-          Hashtbl.add table key a;
+          Int_table.add table key a;
           a
       in
       if not (Wire.Assembly.complete asm) then begin
@@ -147,20 +148,20 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       | Ask { about } ->
         if !stage >= 2 then answer_ask src about else buffered_asks := (src, about) :: !buffered_asks
       | Bits_of { about; part; bits } ->
-        if about = !missing && not (Hashtbl.mem responders src) then begin
+        if about = !missing && not (Int_table.mem responders src) then begin
           (match seg_of_peer about with
           | Some (pos, len) ->
             feed response_asm src ~len ~part bits ~on_complete:(fun full ->
-                Hashtbl.replace responders src ();
+                Int_table.replace responders src ();
                 learn_range ~pos full;
                 resolved := true)
           | None ->
-            Hashtbl.replace responders src ();
+            Int_table.replace responders src ();
             resolved := true);
           ()
         end
       | Me_neither { about } ->
-        if about = !missing then Hashtbl.replace responders src ()
+        if about = !missing then Int_table.replace responders src ()
       | Reshare { about; part; bits } ->
         (* All phase-2 re-sharers agree on the missing peer (Lemma 2.1); a
            completion-mode receiver may not know it, so recompute the slice
@@ -206,7 +207,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         T.broadcast (Ask { about = u });
         (* ---- Stage 3: collect k-1 responses (or be rescued). ---- *)
         let quorum = k - 2 in
-        wait_until (fun () -> Hashtbl.length responders >= quorum || !resolved || !unknown = 0);
+        wait_until (fun () -> Int_table.length responders >= quorum || !resolved || !unknown = 0);
         if !resolved || !unknown = 0 then completion := true
       | [] -> completion := true
       | _ -> assert false (* heard >= k-2 others, so at most one is missing *))

@@ -11,7 +11,6 @@ module Make (M : Transport.MSG) = struct
 
   type msg = M.t
 
-  let me = S.me
   let peer_count = S.peer_count
   let send = S.send
   let broadcast = S.broadcast

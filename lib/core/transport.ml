@@ -8,7 +8,6 @@ module type MSG = Dr_engine.Sim.MESSAGE
 module type S = sig
   type msg
 
-  val me : unit -> int
   val peer_count : unit -> int
   val send : int -> msg -> unit
   val broadcast : msg -> unit

@@ -32,7 +32,6 @@ module type MSG = Dr_engine.Sim.MESSAGE
 module type S = sig
   type msg
 
-  val me : unit -> int
   val peer_count : unit -> int
 
   val send : int -> msg -> unit
@@ -48,7 +47,7 @@ module type S = sig
       [while not (ready ()) do let src, m = receive () in on src m done]:
       the paper's "wait until …" over messages that only update local
       state. [on] and [ready] must not call the transport (no send,
-      query, [rng] or [me]); a loop whose body replies or queries stays on
+      query or [rng]); a loop whose body replies or queries stays on
       {!receive}. The simulator runs [on] and [ready] inside the
       delivering event, so a message costs no fiber switch; the socket
       transport runs the loop itself. *)

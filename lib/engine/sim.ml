@@ -98,14 +98,10 @@ module Make (M : MESSAGE) = struct
     | E_await : (unit -> bool) * (int -> M.t -> unit) -> unit Effect.t
     | E_query_range : int * int * Bytes.t -> unit Effect.t
     | E_query : int -> bool Effect.t
-    | E_now : float Effect.t
-    | E_me : int Effect.t
     | E_k : int Effect.t
     | E_rng : Prng.t Effect.t
 
-  let me () = Effect.perform E_me
   let peer_count () = Effect.perform E_k
-  let now () = Effect.perform E_now
   let send dst msg = Effect.perform (E_send (dst, msg))
   let broadcast msg = Effect.perform (E_broadcast msg)
   let receive () = Effect.perform E_receive
@@ -397,9 +393,7 @@ module Make (M : MESSAGE) = struct
       (* Handlers of the payload-free effects and of [query], whose bit
          waits in [p.query_at], built once per peer rather than on every
          [perform]. *)
-      let on_me = Some (fun k -> continue k p.id) in
       let on_k = Some (fun k -> continue k cfg.k) in
-      let on_now = Some (fun k -> continue k clock.(0)) in
       let on_rng = Some (fun k -> continue k p.prng) in
       let on_receive =
         Some
@@ -415,9 +409,7 @@ module Make (M : MESSAGE) = struct
             else crash_in p k)
       in
       let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
-        | E_me -> on_me
         | E_k -> on_k
-        | E_now -> on_now
         | E_rng -> on_rng
         | E_receive -> on_receive
         | E_await (ready, on) -> Some (fun k -> await_from p k ready on)

@@ -167,12 +167,7 @@ module Make (M : MESSAGE) : sig
 
       These may only be called from inside a process executed by {!run}. *)
 
-  val me : unit -> int
   val peer_count : unit -> int
-
-  val now : unit -> float
-  (** Current virtual time (for tests). Protocol code has no clock: the
-      model has no global time, and {!Dr_core.Transport.S} offers none. *)
 
   val send : int -> M.t -> unit
   val broadcast : M.t -> unit

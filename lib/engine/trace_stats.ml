@@ -19,19 +19,6 @@ let bits_matrix trace ~k =
     | Trace.Sent { src; dst; size_bits; _ } -> Some (src, dst, size_bits)
     | _ -> None)
 
-let busiest_link m =
-  let best = ref None in
-  Array.iteri
-    (fun src row ->
-      Array.iteri
-        (fun dst w ->
-          match !best with
-          | Some (_, _, bw) when w <= bw -> ()
-          | _ -> if w > 0 then best := Some (src, dst, w))
-        row)
-    m;
-  !best
-
 let pp_matrix ?(label = "msgs") ppf m =
   let k = Array.length m in
   let width =

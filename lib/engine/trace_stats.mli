@@ -11,9 +11,6 @@ val message_matrix : Trace.t -> k:int -> int array array
 val bits_matrix : Trace.t -> k:int -> int array array
 (** Same, in payload bits. *)
 
-val busiest_link : int array array -> (int * int * int) option
-(** [(src, dst, weight)] of the heaviest entry, or [None] if all zero. *)
-
 val pp_matrix : ?label:string -> Format.formatter -> int array array -> unit
 (** Fixed-width rendering with row/column peer indices. *)
 

@@ -6,10 +6,10 @@
    nested [module M = struct .. end], excluding functor bodies — functor
    state is per-application). A binding counts when its right-hand side
    visibly constructs mutable storage ([ref e], [Hashtbl.create], [[| .. |]],
-   ...; [Dr_engine.Int_table], a [Hashtbl.Make] over [int], counts as a
-   [Hashtbl]), directly or under a [let]-chain whose result is a closure (the
-   memo-table idiom: the closure captures the cell, so the cell is still
-   module-level state).
+   ...; [Dr_engine.Int_table] and [String_table], the [Hashtbl.Make]
+   instances over [int] and [string], count as a [Hashtbl]), directly or
+   under a [let]-chain whose result is a closure (the memo-table idiom: the
+   closure captures the cell, so the cell is still module-level state).
 
    Type declarations count when they have a [mutable] field or mention a
    mutable constructor ([array], [Hashtbl.t], [ref], ...) anywhere in their
@@ -90,7 +90,10 @@ let bytes_makers = [ "create"; "make"; "init"; "of_string"; "copy" ]
 let creator_of_head parts =
   match parts with
   | [ "ref" ] -> Some Ref
-  | [ "Hashtbl"; "create" ] | [ "Int_table"; "create" ] | [ "Dr_engine"; "Int_table"; "create" ] ->
+  | [ "Hashtbl"; "create" ]
+  | [ "Int_table"; "create" ]
+  | [ "Dr_engine"; "Int_table"; "create" ]
+  | [ "String_table"; "create" ] ->
     Some Hashtbl_t
   | [ "Queue"; "create" ] -> Some Queue_t
   | [ "Stack"; "create" ] -> Some Stack_t
@@ -125,7 +128,8 @@ let constr_kind parts =
   | [ "array" ] | [ "Array"; "t" ] | [ "Float"; "Array"; "t" ] | [ "floatarray" ] -> Some Array_t
   | [ "bytes" ] | [ "Bytes"; "t" ] -> Some Bytes_t
   | [ "ref" ] -> Some Ref
-  | [ "Hashtbl"; "t" ] | [ "Int_table"; "t" ] | [ "Dr_engine"; "Int_table"; "t" ] -> Some Hashtbl_t
+  | [ "Hashtbl"; "t" ] | [ "Int_table"; "t" ] | [ "Dr_engine"; "Int_table"; "t" ] | [ "String_table"; "t" ] ->
+    Some Hashtbl_t
   | [ "Queue"; "t" ] -> Some Queue_t
   | [ "Stack"; "t" ] -> Some Stack_t
   | [ "Buffer"; "t" ] -> Some Buffer_t

@@ -94,18 +94,18 @@ let r1_findings ~zones_path items decls =
       decls
   in
   let dups =
-    let seen = Hashtbl.create 16 in
+    let seen = String_table.create 16 in
     List.filter_map
       (fun (d : Zones.decl) ->
         let k = Inventory.sort_name d.Zones.d_sort ^ " " ^ d.Zones.d_key in
-        match Hashtbl.find_opt seen k with
+        match String_table.find_opt seen k with
         | Some (file0, line0) ->
           Some
             (Finding.at ~file:d.Zones.d_file ~line:d.Zones.d_line ~col:0 Finding.R1
                (Printf.sprintf "duplicate zone declaration for %s (first at %s:%d)" d.Zones.d_key
                   file0 line0))
         | None ->
-          Hashtbl.add seen k (d.Zones.d_file, d.Zones.d_line);
+          String_table.add seen k (d.Zones.d_file, d.Zones.d_line);
           None)
       decls
   in

@@ -61,7 +61,7 @@ let pos_of loc =
   let start = loc.Location.loc_start in
   (start.Lexing.pos_lnum, start.Lexing.pos_cnum - start.Lexing.pos_bol)
 
-let accesses_of_unit table (self : Symbols.unit_info) ~(cells : (string, Inventory.item) Hashtbl.t)
+let accesses_of_unit table (self : Symbols.unit_info) ~(cells : Inventory.item String_table.t)
     : access list * uref list =
   let accs = ref [] and urefs = ref [] in
   let cur_fn = ref None in
@@ -76,7 +76,7 @@ let accesses_of_unit table (self : Symbols.unit_info) ~(cells : (string, Invento
       match resolve parts with
       | Some (u, rest) when not (List.is_empty rest) -> (
         let key = String.concat "." (u :: rest) in
-        match Hashtbl.find_opt cells key with Some _ -> Some (key, loc) | None -> None)
+        match String_table.find_opt cells key with Some _ -> Some (key, loc) | None -> None)
       | _ -> None)
     | _ -> None
   in
@@ -161,11 +161,11 @@ let accesses_of_unit table (self : Symbols.unit_info) ~(cells : (string, Invento
   (List.rev !accs, List.rev !urefs)
 
 let build table (units : Symbols.unit_info list) (items : Inventory.item list) =
-  let cells = Hashtbl.create 64 in
+  let cells = String_table.create 64 in
   List.iter
     (fun (it : Inventory.item) ->
       match it.sort with
-      | Inventory.Value -> Hashtbl.replace cells (Inventory.key it) it
+      | Inventory.Value -> String_table.replace cells (Inventory.key it) it
       | Inventory.Type -> ())
     items;
   let accs, urefs =

@@ -69,15 +69,15 @@ let load ~parse ~read path =
 (* Resolution                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type table = { units : (string, unit_info) Hashtbl.t }
+type table = { units : unit_info String_table.t }
 
 exception Clash of string
 
 let table units =
-  let tbl = Hashtbl.create 64 in
+  let tbl = String_table.create 64 in
   List.iter
     (fun u ->
-      match Hashtbl.find_opt tbl u.name with
+      match String_table.find_opt tbl u.name with
       | Some other when not (String.equal other.path u.path) ->
         raise
           (Clash
@@ -85,7 +85,7 @@ let table units =
                 "two compilation units named %s (%s, %s): name-based resolution would be \
                  ambiguous"
                 u.name other.path u.path))
-      | _ -> Hashtbl.replace tbl u.name u)
+      | _ -> String_table.replace tbl u.name u)
     units;
   { units = tbl }
 
@@ -113,7 +113,7 @@ let resolve t ~self parts =
     | parts -> parts
   in
   match skip (expand parts) with
-  | head :: rest when Hashtbl.mem t.units head -> Some (head, rest)
+  | head :: rest when String_table.mem t.units head -> Some (head, rest)
   | [ _ ] as bare -> Some (self.name, bare)  (* unqualified: the unit's own scope *)
   | head :: _ as parts when List.exists (String.equal head) self.submodules ->
     Some (self.name, parts)  (* into one of the unit's own nested modules *)

@@ -115,7 +115,6 @@ end) : Transport.S with type msg = M.t = struct
   type msg = M.t
 
   let e = E.env
-  let me () = e.me
   let peer_count () = e.k
 
   let transmit fd payload =

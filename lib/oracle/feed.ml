@@ -1,4 +1,3 @@
-module Bitarray = Dr_source.Bitarray
 module Prng = Dr_engine.Prng
 
 type t = { values : int array array; faulty : bool array; d : int }
@@ -46,22 +45,3 @@ let honest_range t ~cell =
 let in_honest_range t ~cell v =
   let lo, hi = honest_range t ~cell in
   v >= lo && v <= hi
-
-let encode_values vals =
-  Bitarray.init
-    (Array.length vals * value_bits)
-    (fun i ->
-      let cell = i / value_bits and bit = i mod value_bits in
-      (vals.(cell) lsr bit) land 1 = 1)
-
-let encode t ~source = encode_values t.values.(source)
-
-let decode bits =
-  let total = Bitarray.length bits in
-  if total mod value_bits <> 0 then invalid_arg "Feed.decode: length not a multiple of value_bits";
-  Array.init (total / value_bits) (fun cell ->
-      let v = ref 0 in
-      for bit = value_bits - 1 downto 0 do
-        v := (!v lsl 1) lor (if Bitarray.get bits ((cell * value_bits) + bit) then 1 else 0)
-      done;
-      !v)

@@ -35,12 +35,5 @@ val honest_range : t -> cell:int -> int * int
 val in_honest_range : t -> cell:int -> int -> bool
 
 val value_bits : int
-(** Width of one encoded cell (bits) when a source array is downloaded as a
-    bit string. *)
-
-val encode : t -> source:int -> Dr_source.Bitarray.t
-(** The source's whole array as a [cells·value_bits]-bit string — the input
-    X a Download instance runs against. *)
-
-val decode : Dr_source.Bitarray.t -> int array
-(** Inverse of {!encode}. *)
+(** Width of one cell (bits) when a source array is downloaded as a bit
+    string through {!Word_download}. *)

@@ -1,4 +1,3 @@
-module Bitarray = Dr_source.Bitarray
 module Fault = Dr_adversary.Fault
 open Dr_core
 
@@ -104,37 +103,34 @@ let download_based ?(protocol = `Committee) p =
   let total_bit_queries = ref 0 in
   let max_bit_queries = Array.make p.peers 0 in
   let download_ok = ref true in
-  let per_source_values =
-    List.map
-      (fun s ->
-        let x = Feed.encode feed ~source:s in
-        let inst =
-          Problem.make ~seed:(Int64.add p.seed (Int64.of_int s)) ~model:Problem.Byzantine
-            ~k:p.peers ~x fault
-        in
-        let trace = Dr_engine.Trace.create () in
-        let opts = Exec.with_trace trace Exec.default in
-        let core =
-          match protocol with
-          | `Committee -> Committee.core ~attack:Committee.Equivocate ()
-          | `Two_cycle -> Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()
-          | `Naive -> Naive.core ()
-        in
-        let report = Exec.run_core ~opts core inst in
-        if not report.Problem.ok then download_ok := false;
-        total_bit_queries := !total_bit_queries + report.Problem.q_total;
-        for i = 0 to p.peers - 1 do
-          if honest i then begin
-            let qi = List.length (Dr_engine.Trace.query_view trace i) in
-            max_bit_queries.(i) <- max_bit_queries.(i) + qi
-          end
-        done;
-        (* All honest nodes hold the same (verified) array; decode once. *)
-        (s, Feed.decode x))
-      picked
-  in
-  let value_of ~source ~cell = (snd (List.find (fun (s, _) -> s = source) per_source_values)).(cell) in
-  let medians = Array.init p.peers (fun _ -> node_median feed picked ~value_of) in
+  List.iter
+    (fun s ->
+      let values = Array.init p.cells (fun cell -> Feed.value feed ~source:s ~cell) in
+      let inst =
+        Word_download.make ~seed:(Int64.add p.seed (Int64.of_int s)) ~width:Feed.value_bits
+          ~k:p.peers ~values fault
+      in
+      let trace = Dr_engine.Trace.create () in
+      let opts = Exec.with_trace trace Exec.default in
+      let core =
+        match protocol with
+        | `Committee -> Committee.core ~attack:Committee.Equivocate ()
+        | `Two_cycle -> Byz_2cycle.core ~attack:Byz_2cycle.Near_miss ()
+        | `Naive -> Naive.core ()
+      in
+      let report = (Word_download.run core ~opts inst).Word_download.bits in
+      if not report.Problem.ok then download_ok := false;
+      total_bit_queries := !total_bit_queries + report.Problem.q_total;
+      for i = 0 to p.peers - 1 do
+        if honest i then begin
+          let qi = List.length (Dr_engine.Trace.query_view trace i) in
+          max_bit_queries.(i) <- max_bit_queries.(i) + qi
+        end
+      done)
+    picked;
+  (* An ok Download means every honest node holds each source's array, so
+     the medians read the feed's values directly. *)
+  let medians = Array.init p.peers (fun _ -> node_median feed picked ~value_of:(Feed.value feed)) in
   let published = publish p fault (fun i -> medians.(i)) in
   let to_cells bits = (bits + Feed.value_bits - 1) / Feed.value_bits in
   let max_node = Array.fold_left Int.max 0 max_bit_queries in

@@ -6,9 +6,10 @@
     the honest range) but expensive: k·(2·ts+1)·d cell queries in total.
 
     [download_based] is the paper's proposal: the k nodes pick the same
-    2·ts+1 sources, run one Download instance per source so that {e every}
-    honest node learns each source's full array at ~1/(γk) of the per-node
-    cost, then take the same per-cell median. Total cost ≈ (2·ts+1)·d/γ cell
+    2·ts+1 sources, run one Download instance per source ({!Word_download}
+    at [Feed.value_bits] bits per cell) so that {e every} honest node
+    learns each source's full array at ~1/(γk) of the per-node cost, then
+    take the same per-cell median. Total cost ≈ (2·ts+1)·d/γ cell
     queries — a ≈ γk-fold saving (Theorem 4.2), measured here.
 
     Both variants publish through the mock chain: every node submits its

@@ -1,6 +1,7 @@
 module Fault = Dr_adversary.Fault
 module Latency = Dr_adversary.Latency
 module Prng = Dr_engine.Prng
+module Int_table = Dr_engine.Int_table
 
 type payload = { report : int array }
 
@@ -48,13 +49,13 @@ let publish ?(seed = 1L) ?(rushing = true) ~feed ~fault ~honest_report () =
       (* The contract: accept the first k-t submissions, publish the
          cell-wise median. Waiting for more risks waiting forever. *)
       let received = ref [] in
-      let senders = Hashtbl.create 16 in
+      let senders = Int_table.create 16 in
       let quorum = k - t in
       S.await
-        ~ready:(fun () -> Hashtbl.length senders >= quorum)
+        ~ready:(fun () -> Int_table.length senders >= quorum)
         ~on:(fun src { report } ->
-          if (not (Hashtbl.mem senders src)) && Array.length report = d then begin
-            Hashtbl.add senders src ();
+          if (not (Int_table.mem senders src)) && Array.length report = d then begin
+            Int_table.add senders src ();
             received := report :: !received
           end);
       Aggregate.cellwise_median !received

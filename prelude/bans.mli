@@ -21,10 +21,11 @@
     - [l5] exiting and blocking reads: an error in lib/core and lib/engine.
 
     Alert [l2] sits on the polymorphic comparisons of the shadowed Stdlib
-    ({!Stdlib_bans}) and on {!List_bans}' equality searches ([List.mem],
-    [List.assoc] and kin): an error in lib/, which compares through the
-    int-only {!Mono_compare}. Alert [metered] sits on
-    {!Dr_source.Data_source}'s reads. *)
+    ({!Stdlib_bans}), on {!List_bans}' equality searches ([List.mem],
+    [List.assoc] and kin) and on the generic [Hashtbl.create]
+    ({!Hashtbl_bans}): an error in lib/, which compares through the
+    int-only {!Mono_compare} and keys tables through [Hashtbl.Make].
+    Alert [metered] sits on {!Dr_source.Data_source}'s reads. *)
 
 module Random = Stdlib.Random
 [@@alert l1 "ambient Random breaks bit-exact replay; use the seeded Dr_engine.Prng"]

@@ -5,3 +5,4 @@ open Dr_source.Data_source let sneak_fn src = query_fn src
 module H = Hashtbl let key v = H.hash v
 module P = Printf let report n = P.printf "n=%d\n" n
 let roll () = Stdlib.Random.int 6
+module T = Hashtbl let table () : (int, unit) T.t = T.create 8

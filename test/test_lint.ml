@@ -109,17 +109,23 @@ let compiles ~zone name () =
 
 (* ---- one fixture per rule ---- *)
 
-let l1 =
+let l1 () =
   check_cases ~zone:Lib "bad_l1.ml"
     [
       (2, "Error (alert l1): module Dr_prelude.Random");
       (3, "Error (alert l1_lib): Dr_prelude.Sys.time");
       (4, "Error (alert l1_lib): Dr_prelude.Hashtbl.hash");
-      (* No ?random in the prelude's Hashtbl.create: a label error. *)
-      ( 5,
-        "Error: The function 'Hashtbl.create' has type int -> ('a, 'b) Dr_prelude.Hashtbl.t It \
-         is applied to too many arguments" );
     ]
+    ();
+  (* No ?random in the prelude's Hashtbl.create: a label error, after the
+     l2 alert every generic create gets in lib/. *)
+  Alcotest.(check (list string)) "bad_l1.ml:5"
+    [
+      "5: Error (alert l2): Dr_prelude.Hashtbl.create";
+      "5: Error: The function 'Hashtbl.create' has type int -> ('a, 'b) Dr_prelude.Hashtbl.t It \
+       is applied to too many arguments";
+    ]
+    (compile ~zone:Lib (case (Driver.read_file (fixture "bad_l1.ml")) 5))
 
 (* L2: comparison in lib/ is int-only, so each shape polymorphic compare
    used to accept is a type error, and the qualified name and List's
@@ -183,6 +189,7 @@ let aliases =
       (5, "Error (alert l1_lib): H.hash");
       (6, "Error (alert l3): P.printf");
       (7, "Error (alert l1): module Dr_prelude.Stdlib.Random");
+      (8, "Error (alert l2): T.create");
     ]
 
 (* The same sources build in the zones where their bans don't apply:
@@ -202,6 +209,8 @@ let zone_scoping () =
   Alcotest.(check (list string)) "Sys.time allowed in bin/" [] (compile ~zone:Main (case src 3));
   Alcotest.(check (list string)) "Hashtbl.hash allowed in bin/" []
     (compile ~zone:Main (case src 4));
+  Alcotest.(check (list string)) "generic Hashtbl.create allowed in bin/" []
+    (compile ~zone:Main (case (Driver.read_file (fixture "aliases.ml")) 8));
   Alcotest.(check (list string)) "Random banned in bin/"
     [ "2: Error (alert l1): module Dr_prelude.Random" ]
     (compile ~zone:Main (case src 2));

@@ -4,6 +4,7 @@
 module Feed = Dr_oracle.Feed
 module Aggregate = Dr_oracle.Aggregate
 module Odc = Dr_oracle.Odc
+module Word = Dr_oracle.Word_download
 module Bitarray = Dr_source.Bitarray
 
 let checkb = Alcotest.(check bool)
@@ -40,10 +41,19 @@ let test_feed_byzantine_out_of_range () =
       (Feed.in_honest_range feed ~cell:c (Feed.value feed ~source:0 ~cell:c))
   done
 
+(* Each source's array through the word codec the download-based ODC uses:
+   a fault-free naive Download at Feed.value_bits bits per cell. *)
 let test_feed_encode_roundtrip () =
   let feed = Feed.make ~sources:3 ~faulty:[ 2 ] ~cells:6 ~seed:9L () in
+  let fault = Dr_adversary.Fault.choose ~k:2 Dr_adversary.Fault.None_faulty in
   for s = 0 to 2 do
-    let decoded = Feed.decode (Feed.encode feed ~source:s) in
+    let values = Array.init 6 (fun cell -> Feed.value feed ~source:s ~cell) in
+    let inst = Word.make ~width:Feed.value_bits ~k:2 ~values fault in
+    let decoded =
+      match (Word.run (Dr_core.Naive.core ()) inst).Word.decoded with
+      | Some d -> d
+      | None -> Alcotest.fail "download failed"
+    in
     checki "cells preserved" 6 (Array.length decoded);
     Array.iteri
       (fun c v -> checki (Printf.sprintf "source %d cell %d" s c) (Feed.value feed ~source:s ~cell:c) v)

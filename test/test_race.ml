@@ -123,13 +123,16 @@ let fixture_inventory () =
   | None -> Alcotest.fail "Shared_cell.hits has no zone")
 
 (* [Dr_engine.Int_table] is [Hashtbl.Make] over [int]: its handles and its
-   type count as hashtbl cells, under either spelling. *)
+   type count as hashtbl cells, under either spelling. So do those of
+   [String_table], lib/lint's [Hashtbl.Make] over [string]. *)
 let int_table_is_a_hashtbl () =
   let src =
     "let seen = Int_table.create 8\n\
      let hits = Dr_engine.Int_table.create 8\n\
      type t = { map : int Int_table.t }\n\
-     type u = unit Dr_engine.Int_table.t\n"
+     type u = unit Dr_engine.Int_table.t\n\
+     let names = String_table.create 8\n\
+     type v = int String_table.t\n"
   in
   let u = Symbols.load ~parse:Driver.parse ~read:(fun _ -> src) "tables.ml" in
   let kinds =
@@ -140,7 +143,7 @@ let int_table_is_a_hashtbl () =
   Alcotest.(check (list (pair string string)))
     "census"
     [ ("Tables.seen", "hashtbl"); ("Tables.hits", "hashtbl"); ("Tables.t", "hashtbl");
-      ("Tables.u", "hashtbl") ]
+      ("Tables.u", "hashtbl"); ("Tables.names", "hashtbl"); ("Tables.v", "hashtbl") ]
     kinds
 
 (* ---- zone grammar ---- *)
