@@ -11,11 +11,14 @@
    finding is cleared by fixing the code or by a zones-file entry. See
    DESIGN.md "Domain-safety zones" for the syntax.
 
+   dr_race reads the typed trees (.cmt/.cmti) the compiler writes, so
+   build first (`dune build @check`). Run from the source root, a PATH is
+   read from its copy under _build/default.
+
    Exit codes: 0 clean, 1 findings, 2 usage/IO error. *)
 
 open Cmdliner
 module Driver = Dr_lint.Driver
-module Finding = Dr_lint.Finding
 module Race_rules = Dr_lint.Race_rules
 
 let paths_arg =
@@ -41,11 +44,17 @@ let rules_arg =
   Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
 
 let print_rules () =
-  List.iter
-    (fun r -> Format.printf "%s  %s@." (Finding.rule_name r) (Finding.rule_doc r))
-    Finding.race_rules
+  print_endline
+    "R1  domain zones: every escaping mutable cell/type carries a dr-race.zones declaration";
+  print_endline
+    "R2  cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; \
+     init-only is never written post-init"
 
 let default_zones = "dr-race.zones"
+
+let built path =
+  let copy = Filename.concat "_build/default" path in
+  if Filename.is_relative path && Sys.file_exists copy then copy else path
 
 let run paths inventory zones rules =
   if rules then begin
@@ -58,7 +67,7 @@ let run paths inventory zones rules =
       | Some _ as z -> z
       | None -> if Sys.file_exists default_zones then Some default_zones else None
     in
-    match Race_rules.analyze ?zones_path paths with
+    match Race_rules.analyze ?zones_path (List.map built paths) with
     | a ->
       if inventory then begin
         print_string (Race_rules.inventory_json a);

@@ -1,16 +1,10 @@
-(** dr_race's plumbing: read and parse sources, walk trees. *)
+(** dr_race's plumbing: read files, walk trees. *)
 
 exception Error of string
-(** IO or parse failure; carries [path: reason]. *)
-
-val parse : path:string -> string -> Ppxlib.structure
-(** Parse source into a Parsetree; raises {!Error} with the path on failure. *)
+(** IO or load failure; carries [path: reason]. *)
 
 val read_file : string -> string
-(** Whole-file read; raises {!Error} on IO failure. *)
 
-val files_under : string list -> string list
-(** Every [.ml] under the roots (skipping [_build], dotdirs, and fixture
-    directories), globally sorted by byte order and deduplicated — the
-    walk order is part of the report format, byte-identical across
-    filesystems. *)
+val files_under : ?suffix:string -> string list -> string list
+(** Every file ending in [suffix] (default [".ml"]) under the roots, but not
+    under [_build], fixture or non-object dot-directories; sorted, deduped. *)

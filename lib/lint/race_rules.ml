@@ -1,270 +1,225 @@
-(* dr_race: the whole-program domain-safety analysis.
+(* dr_race: census the typed trees (Inventory), read the zones (Zones), check
+   R1 over both and R2 over every access to a census cell. A finding is
+   cleared by fixing the code or by a zones-file entry, never per site. *)
 
-   Pipeline: parse every unit (Symbols) -> census mutable state
-   (Inventory) -> resolve cross-module accesses (Refgraph) -> load the
-   zones file (Zones) -> apply R1/R2 -> one sorted list of findings. A
-   finding is cleared by fixing the code or by a zones-file entry; there
-   is no per-site waiver. *)
+open Typedtree
+
+type rule = R1 | R2
+
+let rule_name = function R1 -> "R1" | R2 -> "R2"
+
+type finding = { file : string; line : int; col : int; rule : rule; msg : string }
+
+let finding ~file ~line ~col rule fmt =
+  Printf.ksprintf (fun msg -> { file; line; col; rule; msg }) fmt
 
 type analysis = {
-  units_scanned : int;
-  items : Inventory.item list;
-  decls : Zones.decl list;
-  findings : Finding.t list;
+  units_scanned : int; items : Inventory.item list; decls : Zones.decl list;
+  findings : finding list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Path zones                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let segs_of path =
-  List.filter
-    (fun s -> String.length s > 0 && not (String.equal s ".") && not (String.equal s ".."))
-    (String.split_on_char '/' path)
-
 let path_under ~owner path =
-  let rec prefix a b =
-    match (a, b) with
+  let segs p = List.filter (fun s -> not (List.exists (String.equal s) [ ""; "."; ".." ])) p in
+  let rec prefix = function
     | [], _ -> true
-    | x :: a, y :: b -> String.equal x y && prefix a b
+    | x :: a, y :: b -> String.equal x y && prefix (a, b)
     | _ :: _, [] -> false
   in
-  prefix (segs_of owner) (segs_of path)
+  prefix (segs (String.split_on_char '/' owner), segs (String.split_on_char '/' path))
 
 (* Init contexts for init-only cells: module initialization itself, plus
    functions whose name says they run during setup. *)
 let init_like = function
   | None -> true
   | Some fn ->
-    let prefixes = [ "init"; "create"; "make"; "setup"; "of_" ] in
-    List.exists
-      (fun p ->
-        let np = String.length p in
-        String.length fn >= np && String.equal (String.sub fn 0 np) p)
-      prefixes
+    List.exists (fun prefix -> String.starts_with ~prefix fn)
+      [ "init"; "create"; "make"; "setup"; "of_" ]
 
-(* Constructor-shaped idents, for the per-domain construction-confinement
-   check on types. *)
+(* Constructor-shaped idents, for the construction confinement of types. *)
 let constructor_like name =
   List.exists (String.equal name) [ "empty"; "copy"; "load" ] || init_like (Some name)
 
-(* ------------------------------------------------------------------ *)
-(* The rules                                                          *)
-(* ------------------------------------------------------------------ *)
+(* R1: every escaping item has a zone, and each zone names a census item, once. *)
+let r1_findings ~zones_path items decls cells =
+  let undeclared (it : Inventory.item) =
+    let key = Inventory.key it in
+    if (not it.escaping) || Option.is_some (Zones.find decls ~sort:it.sort ~key) then None
+    else
+      Some
+        (finding ~file:it.path ~line:it.line ~col:it.col R1
+           "escaping mutable %s `%s` (%s) has no domain zone; declare it in %s"
+           (Inventory.sort_name it.sort) key (Inventory.kind_name it.kind)
+           (Option.value zones_path ~default:"dr-race.zones"))
+  in
+  let bad_decl (d : Zones.decl) =
+    let at fmt = finding ~file:d.d_file ~line:d.d_line ~col:0 R1 fmt in
+    let sort = Inventory.sort_name d.d_sort in
+    (if String_table.mem cells (sort ^ " " ^ d.d_key) then []
+     else [ at "stale zone declaration: census has no %s named %s" sort d.d_key ])
+    @
+    match Zones.find decls ~sort:d.d_sort ~key:d.d_key with
+    | Some e when e.d_line < d.d_line ->
+      [ at "duplicate zone declaration for %s (first at %s:%d)" d.d_key e.d_file e.d_line ]
+    | _ -> []
+  in
+  List.filter_map undeclared items @ List.concat_map bad_decl decls
 
-let wrapper_unit = "Domain_safe"
+(* A call writes a cell it is given when the function's name is a mutator
+   of the cell's kind ([replace] of any hashtbl, [set] of an array, [:=] of
+   a ref); so does a field assignment. Any other use reads it: the repo
+   idiom passes cells to their own module's accessors, seen separately. *)
+let mutators : Inventory.kind -> string list = function
+  | Ref -> [ ":="; "incr"; "decr" ]
+  | Hashtbl_t -> [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
+  | Queue_t -> [ "add"; "push"; "pop"; "take"; "take_opt"; "clear"; "transfer" ]
+  | Stack_t -> [ "push"; "pop"; "pop_opt"; "clear"; "drop" ]
+  | Buffer_t ->
+    [ "add_char"; "add_string"; "add_bytes"; "add_substring"; "add_subbytes"; "add_buffer";
+      "add_channel"; "clear"; "reset"; "truncate" ]
+  | Array_t ->
+    [ "set"; "unsafe_set"; "fill"; "blit"; "sort"; "fast_sort"; "stable_sort"; "shuffle" ]
+  | Bytes_t -> [ "set"; "unsafe_set"; "fill"; "blit"; "blit_string" ]
+  | Atomic_t -> [ "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]
+  | Mutable_record | Mutex_t -> []
 
-let r1_findings ~zones_path items decls =
-  let undeclared =
-    List.filter_map
-      (fun (it : Inventory.item) ->
-        if not it.escaping then None
-        else
-          match Zones.find decls ~sort:it.sort ~key:(Inventory.key it) with
-          | Some _ -> None
-          | None ->
-            Some
-              (Finding.at ~file:it.path ~line:it.line ~col:it.col Finding.R1
-                 (Printf.sprintf
-                    "escaping mutable %s `%s` (%s) has no domain zone; declare it in %s"
-                    (Inventory.sort_name it.sort) (Inventory.key it)
-                    (Inventory.kind_name it.kind)
-                    (match zones_path with Some p -> p | None -> "dr-race.zones"))))
-      items
+(* R2 over one unit: only its own unit and Domain_safe touch an engine-shared
+   cell, only its owner subtree a per-domain one (or builds a per-domain
+   type), and an init-only cell is written only during init. A write is
+   checked as a read too; [analyze] drops the repeated finding. *)
+let r2_findings decls cells (u : Inventory.unit_info) =
+  let found = ref [] and fn = ref None and depth = ref 0 in
+  let r2 (loc : Location.t) fmt =
+    let line = loc.loc_start.pos_lnum and col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
+    Printf.ksprintf (fun msg -> found := { file = u.path; line; col; rule = R2; msg } :: !found) fmt
   in
-  let stale =
-    List.filter_map
-      (fun (d : Zones.decl) ->
-        let matches =
-          List.exists
-            (fun (it : Inventory.item) ->
-              String.equal (Inventory.key it) d.Zones.d_key
-              && (match (it.sort, d.Zones.d_sort) with
-                 | Inventory.Value, Inventory.Value | Inventory.Type, Inventory.Type -> true
-                 | _ -> false))
-            items
-        in
-        if matches then None
-        else
-          Some
-            (Finding.at ~file:d.Zones.d_file ~line:d.Zones.d_line ~col:0 Finding.R1
-               (Printf.sprintf "stale zone declaration: census has no %s named %s"
-                  (Inventory.sort_name d.Zones.d_sort)
-                  d.Zones.d_key)))
-      decls
+  let access ~write e =
+    let check (cell : Inventory.item) =
+      let key = Inventory.key cell and here = [ cell.unit_name; "Domain_safe" ] in
+      let inside = Inventory.guarded cell.kind || List.exists (String.equal u.name) here in
+      match Option.map (fun (d : Zones.decl) -> d.d_zone) (Zones.find decls ~sort:Value ~key) with
+      | Some Engine_shared when not inside ->
+        r2 e.exp_loc
+          "engine-shared cell %s accessed directly from %s; go through the Domain_safe wrapper" key
+          u.name
+      | Some (Per_domain (Some owner)) when not (path_under ~owner u.path) ->
+        r2 e.exp_loc "per-domain cell %s (owner %s) referenced from %s" key owner u.path
+      | Some Init_only when write cell.kind && !depth > 0 && not (init_like !fn) ->
+        r2 e.exp_loc "init-only cell %s written after initialization (in %s)" key
+          (Option.value !fn ~default:"?")
+      | _ -> ()
+    in
+    match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+      Option.iter check (String_table.find_opt cells ("value " ^ String.concat "." (u.parts p)))
+    | _ -> ()
   in
-  let dups =
-    let seen = String_table.create 16 in
-    List.filter_map
-      (fun (d : Zones.decl) ->
-        let k = Inventory.sort_name d.Zones.d_sort ^ " " ^ d.Zones.d_key in
-        match String_table.find_opt seen k with
-        | Some (file0, line0) ->
-          Some
-            (Finding.at ~file:d.Zones.d_file ~line:d.Zones.d_line ~col:0 Finding.R1
-               (Printf.sprintf "duplicate zone declaration for %s (first at %s:%d)" d.Zones.d_key
-                  file0 line0))
-        | None ->
-          String_table.add seen k (d.Zones.d_file, d.Zones.d_line);
-          None)
-      decls
+  let reference loc p =
+    match u.parts p with
+    | r_unit :: rest when not (String.equal u.name r_unit) ->
+      let r_ident = match rest with i :: _ -> i | [] -> "" in
+      let check (d : Zones.decl) =
+        match (d.d_sort, d.d_zone, String_table.find_opt cells ("type " ^ d.d_key)) with
+        | Type, Per_domain (Some owner), Some it
+          when String.equal r_unit it.unit_name && constructor_like r_ident
+               && not (path_under ~owner u.path) ->
+          r2 loc "per-domain type %s (owner %s) constructed outside its subtree (%s.%s)" d.d_key
+            owner r_unit r_ident
+        | _ -> ()
+      in
+      List.iter check decls
+    | _ -> ()
   in
-  undeclared @ stale @ dups
-
-let r2_findings items decls accesses urefs =
-  let item_by_key sort key =
-    List.find_opt
-      (fun (it : Inventory.item) ->
-        String.equal (Inventory.key it) key
-        && (match (it.sort, sort) with
-           | Inventory.Value, Inventory.Value | Inventory.Type, Inventory.Type -> true
-           | _ -> false))
-      items
+  let default = Tast_iterator.default_iterator in
+  let expr (sub : Tast_iterator.iterator) e =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+      reference e.exp_loc p;
+      access ~write:(fun _ -> false) e
+    | Texp_setfield (b, _, _, _) ->
+      access ~write:(fun _ -> true) b;
+      default.expr sub e
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+      let write kind = List.exists (String.equal (Path.last p)) (mutators kind) in
+      List.iter (fun (_, a) -> Option.iter (access ~write) a) args;
+      default.expr sub e
+    | Texp_function _ ->
+      incr depth;
+      default.expr sub e;
+      decr depth
+    | _ -> default.expr sub e
   in
-  let value_findings =
-    List.filter_map
-      (fun (a : Refgraph.access) ->
-        match item_by_key Inventory.Value a.Refgraph.a_key with
-        | None -> None
-        | Some cell -> (
-          match Zones.find decls ~sort:Inventory.Value ~key:a.Refgraph.a_key with
-          | None -> None  (* undeclared: R1's business *)
-          | Some { Zones.d_zone = Zones.Engine_shared; _ } ->
-            if
-              Inventory.guarded cell.Inventory.kind
-              || String.equal a.Refgraph.a_unit cell.Inventory.unit_name
-              || String.equal a.Refgraph.a_unit wrapper_unit
-            then None
-            else
-              Some
-                (Finding.at ~file:a.Refgraph.a_path ~line:a.Refgraph.a_line ~col:a.Refgraph.a_col
-                   Finding.R2
-                   (Printf.sprintf
-                      "engine-shared cell %s accessed directly from %s; go through the \
-                       Domain_safe wrapper"
-                      a.Refgraph.a_key a.Refgraph.a_unit))
-          | Some { Zones.d_zone = Zones.Per_domain (Some owner); _ } ->
-            if path_under ~owner a.Refgraph.a_path then None
-            else
-              Some
-                (Finding.at ~file:a.Refgraph.a_path ~line:a.Refgraph.a_line ~col:a.Refgraph.a_col
-                   Finding.R2
-                   (Printf.sprintf "per-domain cell %s (owner %s) referenced from %s"
-                      a.Refgraph.a_key owner a.Refgraph.a_path))
-          | Some { Zones.d_zone = Zones.Per_domain None; _ } -> None
-          | Some { Zones.d_zone = Zones.Init_only; _ } ->
-            if
-              (match a.Refgraph.a_kind with Refgraph.Write -> false | Refgraph.Read -> true)
-              || (not a.Refgraph.a_in_fun)
-              || init_like a.Refgraph.a_fn
-            then None
-            else
-              Some
-                (Finding.at ~file:a.Refgraph.a_path ~line:a.Refgraph.a_line ~col:a.Refgraph.a_col
-                   Finding.R2
-                   (Printf.sprintf "init-only cell %s written after initialization (in %s)"
-                      a.Refgraph.a_key
-                      (match a.Refgraph.a_fn with Some f -> f | None -> "?")))))
-      accesses
+  (* The enclosing module-level binding names the context of a write. *)
+  let structure_item (sub : Tast_iterator.iterator) it =
+    match it.str_desc with
+    | Tstr_value (_, vbs) ->
+      let bind vb =
+        fn := (match let_bound_idents [ vb ] with [ id ] -> Some (Ident.name id) | _ -> None);
+        sub.value_binding sub vb;
+        fn := None
+      in
+      List.iter bind vbs
+    | _ -> default.structure_item sub it
   in
-  (* Construction confinement for per-domain types with an owner subtree:
-     only the owner may build instances. *)
-  let type_findings =
-    List.filter_map
-      (fun (d : Zones.decl) ->
-        match (d.Zones.d_sort, d.Zones.d_zone) with
-        | Inventory.Type, Zones.Per_domain (Some owner) -> (
-          match item_by_key Inventory.Type d.Zones.d_key with
-          | None -> None
-          | Some it ->
-            Some
-              (List.filter_map
-                 (fun (r : Refgraph.uref) ->
-                   if
-                     String.equal r.Refgraph.r_unit it.Inventory.unit_name
-                     && constructor_like r.Refgraph.r_ident
-                     && not (path_under ~owner r.Refgraph.r_path)
-                   then
-                     Some
-                       (Finding.at ~file:r.Refgraph.r_path ~line:r.Refgraph.r_line
-                          ~col:r.Refgraph.r_col Finding.R2
-                          (Printf.sprintf
-                             "per-domain type %s (owner %s) constructed outside its subtree (%s.%s)"
-                             d.Zones.d_key owner r.Refgraph.r_unit r.Refgraph.r_ident))
-                   else None)
-                 urefs))
-        | _ -> None)
-      decls
-  in
-  value_findings @ List.concat type_findings
-
-(* ------------------------------------------------------------------ *)
-(* Orchestration                                                      *)
-(* ------------------------------------------------------------------ *)
+  let iter = { default with expr; structure_item } in
+  iter.structure iter u.str;
+  !found
 
 let analyze ?zones_path roots =
-  let files = Driver.files_under roots in
-  let units =
-    List.map (fun p -> Symbols.load ~parse:Driver.parse ~read:Driver.read_file p) files
-  in
-  let table =
-    try Symbols.table units with Symbols.Clash msg -> raise (Driver.Error msg)
-  in
-  let items = List.sort Inventory.compare_item (List.concat_map Inventory.of_unit units) in
+  let units, items = Inventory.load roots in
   let decls =
     match zones_path with
-    | None -> []
+    | Some p when not (Sys.file_exists p) -> raise (Driver.Error ("zones file not found: " ^ p))
     | Some p -> (
-      if not (Sys.file_exists p) then raise (Driver.Error (Printf.sprintf "zones file not found: %s" p));
       try Zones.parse_file ~path:p (Driver.read_file p)
-      with Zones.Parse_error msg -> raise (Driver.Error msg))
+      with Zones.Parse_error m -> raise (Driver.Error m))
+    | None -> []
   in
-  let accesses, urefs = Refgraph.build table units items in
-  let findings =
-    List.sort Finding.compare
-      (r1_findings ~zones_path items decls @ r2_findings items decls accesses urefs)
+  let cells = String_table.create 64 in
+  (* The census by sort and key: "value Wire.Crc32.table", "type Metrics.t". *)
+  let add (it : Inventory.item) =
+    String_table.replace cells (Inventory.sort_name it.sort ^ " " ^ Inventory.key it) it
   in
-  { units_scanned = List.length units; items; decls; findings }
+  List.iter add items;
+  let findings = r1_findings ~zones_path items decls cells 
+                 @ List.concat_map (r2_findings decls cells) units in
+  let order a b =
+    let c = String.compare a.file b.file in
+    let c = if c <> 0 then c else Int.compare a.line b.line in
+    let c = if c <> 0 then c else Int.compare a.col b.col in
+    let c = if c <> 0 then c else String.compare (rule_name a.rule) (rule_name b.rule) in
+    if c <> 0 then c else String.compare a.msg b.msg
+  in
+  { units_scanned = List.length units; items; decls; findings = List.sort_uniq order findings }
 
 let pp_report ppf a =
-  List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) a.findings;
-  let n = List.length a.findings in
+  let pp f = Format.fprintf ppf "%s:%d:%d [%s] %s@." f.file f.line f.col (rule_name f.rule) f.msg in
+  List.iter pp a.findings;
+  let n = List.length a.findings and s k = if k = 1 then "" else "s" in
   Format.fprintf ppf "dr_race: %d file%s scanned, %d finding%s@." a.units_scanned
-    (if a.units_scanned = 1 then "" else "s")
-    n
-    (if n = 1 then "" else "s")
-
-(* ------------------------------------------------------------------ *)
-(* The machine-readable census (schema dr-race/2)                     *)
-(* ------------------------------------------------------------------ *)
-
-let schema_id = "dr-race/2"
+    (s a.units_scanned) n (s n)
 
 (* The census holds no source positions, so it changes only when the state
-   itself does: items sorted by key (each row starts with it). Findings
-   still carry positions. *)
+   itself does: items sorted by key (each row starts with it). *)
 let inventory_json a =
-  let esc = Finding.json_escape in
-  let section label rows =
-    Printf.sprintf "  \"%s\": [%s\n  ]" label
-      (String.concat "," (List.map (( ^ ) "\n    ") (List.sort String.compare rows)))
-  in
-  let item (it : Inventory.item) =
-    let key = Inventory.key it in
-    let zone =
-      match Zones.find a.decls ~sort:it.sort ~key with
-      | Some d -> Printf.sprintf "\"%s\"" (esc (Zones.zone_name d.Zones.d_zone))
-      | None -> "null"
+  let str s =
+    let esc c =
+      if Char.code c < 0x20 || String.contains "\"\\" c then Printf.sprintf "\\u%04x" (Char.code c)
+      else String.make 1 c
     in
+    "\"" ^ String.concat "" (List.map esc (List.of_seq (String.to_seq s))) ^ "\""
+  in
+  let row (it : Inventory.item) =
+    let zone = Zones.find a.decls ~sort:it.sort ~key:(Inventory.key it) in
     Printf.sprintf
-      "{ \"key\": \"%s\", \"kind\": \"%s\", \"zone\": %s, \"escaping\": %b, \
-       \"guarded\": %b }"
-      (esc key) (Inventory.kind_name it.kind) zone it.escaping (Inventory.guarded it.kind)
+      "{ \"key\": %s, \"kind\": \"%s\", \"zone\": %s, \"escaping\": %b, \"guarded\": %b }"
+      (str (Inventory.key it)) (Inventory.kind_name it.kind)
+      (match zone with Some d -> str (Zones.zone_name d.d_zone) | None -> "null")
+      it.escaping (Inventory.guarded it.kind)
   in
-  let values, types =
-    List.partition
-      (fun it -> match it.Inventory.sort with Inventory.Value -> true | Inventory.Type -> false)
-      a.items
+  let section sort =
+    let rows = List.filter (fun it -> Inventory.same_sort it.Inventory.sort sort) a.items in
+    Printf.sprintf "  \"%ss\": [%s\n  ]" (Inventory.sort_name sort)
+      (String.concat "," (List.map (( ^ ) "\n    ") (List.sort String.compare (List.map row rows))))
   in
-  Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"units\": %d,\n%s\n}\n" schema_id a.units_scanned
-    (section "values" (List.map item values) ^ ",\n" ^ section "types" (List.map item types))
+  Printf.sprintf "{\n  \"schema\": \"dr-race/2\",\n  \"units\": %d,\n%s,\n%s\n}\n" a.units_scanned
+    (section Value) (section Type)

@@ -1,24 +1,5 @@
-(* Domain-safety zone declarations.
-
-   The checked-in [dr-race.zones] file assigns every escaping mutable
-   cell/type in the census to one of three zones:
-
-     engine-shared   accessed only via the Domain_safe wrapper (Atomic /
-                     Mutex guarded); the only state that may cross domains
-     per-domain      one instance per domain; with an owner subtree
-                     ([per-domain:lib/check]) the cell may only be
-                     referenced from under that subtree
-     init-only       written during setup, read-only afterward (values
-                     only: verified by the write-reachability check)
-
-   One declaration per line:
-
-     value Bitarray.popcount_byte init-only -- precomputed byte table
-     type  Metrics.t per-domain -- each domain owns its counter block
-     type  Coverage.t per-domain:lib/check -- campaign-local maps
-
-   Nothing else declares a zone: a comment in a source file declares
-   nothing. *)
+(* The zones file: one declaration per line, [#] comments, and nothing
+   else declares a zone (see DESIGN.md "Domain-safety zones"). *)
 
 type zone = Engine_shared | Per_domain of string option | Init_only
 
@@ -28,89 +9,50 @@ let zone_name = function
   | Per_domain (Some owner) -> "per-domain:" ^ owner
   | Init_only -> "init-only"
 
-let zone_of_string s =
-  match s with
-  | "engine-shared" -> Some Engine_shared
-  | "per-domain" -> Some (Per_domain None)
-  | "init-only" -> Some Init_only
-  | _ ->
-    let prefix = "per-domain:" in
-    let np = String.length prefix in
-    if String.length s > np && String.equal (String.sub s 0 np) prefix then
-      Some (Per_domain (Some (String.sub s np (String.length s - np))))
-    else None
-
 type decl = {
-  d_key : string;  (* "Metrics.t", "Bitarray.popcount_byte" *)
-  d_sort : Inventory.sort;
-  d_zone : zone;
-  d_reason : string;
-  d_file : string;  (* the zones file *)
+  d_key : string; d_sort : Inventory.sort; d_zone : zone; d_reason : string; d_file : string;
   d_line : int;
 }
-
-let split_words line =
-  List.filter (fun s -> String.length s > 0) (String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line))
-
-(* "value Key zone -- reason": words before the reason separator, then the
-   free-text reason. *)
-let split_reason line =
-  let seps = [ " -- "; " \xe2\x80\x94 " ] in
-  let rec find = function
-    | [] -> (line, "")
-    | sep :: rest -> (
-      let nl = String.length line and ns = String.length sep in
-      let rec go i =
-        if i + ns > nl then None
-        else if String.equal (String.sub line i ns) sep then Some i
-        else go (i + 1)
-      in
-      match go 0 with
-      | Some i -> (String.sub line 0 i, String.trim (String.sub line (i + ns) (nl - i - ns)))
-      | None -> find rest)
-  in
-  find seps
 
 exception Parse_error of string
 
 let parse_file ~path content =
-  let decls = ref [] in
-  let fail line msg = raise (Parse_error (Printf.sprintf "%s:%d: %s" path line msg)) in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let body, reason = split_reason line in
-      let body = String.trim body in
-      if String.length body = 0 || Char.equal body.[0] '#' then ()
-      else
-        match split_words body with
-        | [ sort_s; key; zone_s ] -> (
-          let sort =
-            match sort_s with
-            | "value" -> Inventory.Value
-            | "type" -> Inventory.Type
-            | s -> fail lineno (Printf.sprintf "unknown sort %S (want value|type)" s)
-          in
-          match zone_of_string zone_s with
-          | None ->
-            fail lineno
-              (Printf.sprintf "unknown zone %S (want engine-shared | per-domain[:subtree] | init-only)"
-                 zone_s)
-          | Some Init_only when (match sort with Inventory.Type -> true | Inventory.Value -> false) ->
-            fail lineno "init-only applies to values (a type's instances have no single init window)"
-          | Some zone ->
-            decls :=
-              { d_key = key; d_sort = sort; d_zone = zone; d_reason = reason; d_file = path; d_line = lineno }
-              :: !decls)
-        | _ -> fail lineno "want: <value|type> <Module.ident> <zone> [-- reason]")
-    (String.split_on_char '\n' content);
-  List.rev !decls
+  let parse i line =
+    let fail msg = raise (Parse_error (Printf.sprintf "%s:%d: %s" path (i + 1) msg)) in
+    (* The words before the reason separator ("--", or an em dash), then the reason. *)
+    let rec split acc = function
+      | ("--" | "\xe2\x80\x94") :: reason -> (List.rev acc, String.trim (String.concat " " reason))
+      | w :: rest -> split (if String.length w > 0 then w :: acc else acc) rest
+      | [] -> (List.rev acc, "")
+    in
+    let decl d_sort d_key d_zone d_reason =
+      [ { d_key; d_sort; d_zone; d_reason; d_file = path; d_line = i + 1 } ]
+    in
+    match split [] (String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)) with
+    | [], _ -> []
+    | w :: _, _ when String.starts_with ~prefix:"#" w -> []
+    | [ sort; key; zone ], reason -> (
+      let sort =
+        match sort with
+        | "value" -> Inventory.Value
+        | "type" -> Inventory.Type
+        | s -> fail (Printf.sprintf "unknown sort %S (want value|type)" s)
+      in
+      let owner = String.length "per-domain:" in
+      match zone with
+      | "engine-shared" -> decl sort key Engine_shared reason
+      | "per-domain" -> decl sort key (Per_domain None) reason
+      | "init-only" when Inventory.same_sort sort Type ->
+        fail "init-only applies to values (a type's instances have no single init window)"
+      | "init-only" -> decl sort key Init_only reason
+      | z when String.starts_with ~prefix:"per-domain:" z && String.length z > owner ->
+        decl sort key (Per_domain (Some (String.sub z owner (String.length z - owner)))) reason
+      | _ -> fail
+          (Printf.sprintf "unknown zone %S (want engine-shared | per-domain[:subtree] | init-only)"
+             zone))
+    | _ -> fail "want: <value|type> <Module.ident> <zone> [-- reason]"
+  in
+  List.concat (List.mapi parse (String.split_on_char '\n' content))
 
 let find decls ~sort ~key =
-  List.find_opt
-    (fun d ->
-      String.equal d.d_key key
-      && (match (d.d_sort, sort) with
-         | Inventory.Value, Inventory.Value | Inventory.Type, Inventory.Type -> true
-         | _ -> false))
-    decls
+  List.find_opt (fun d -> String.equal d.d_key key && Inventory.same_sort d.d_sort sort) decls

@@ -21,7 +21,4 @@ exception Parse_error of string
 (** Malformed zones file; carries [path:line: reason]. *)
 
 val parse_file : path:string -> string -> decl list
-(** Parse a [dr-race.zones] file ([#] comments and blank lines skipped).
-    Raises {!Parse_error}. *)
-
 val find : decl list -> sort:Inventory.sort -> key:string -> decl option

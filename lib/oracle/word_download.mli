@@ -30,7 +30,10 @@ val make :
 type report = {
   ok : bool;  (** every nonfaulty peer decoded exactly [values] *)
   words_max : int;  (** per-peer word-query maximum (Q/w, rounded up) *)
-  decoded : int array option;  (** the common output when [ok] *)
+  decoded : int array option;
+      (** when [ok], the encoded input X decoded: [ok] means every nonfaulty
+          peer output X bit for bit (the check in [Dr_core.Exec]), so these
+          are exactly the words each honest peer holds; [None] otherwise *)
   bits : Dr_core.Problem.report;  (** the underlying bit-level report *)
 }
 

@@ -1,5 +1,5 @@
 (* Per-domain state with an owner subtree (fixtures.zones): only
-   race_fixtures/owner may touch the cell or construct the type.
+   test/race_fixtures/owner may touch the cell or construct the type.
    intruder.ml (outside the subtree) violates both. *)
 let slots = Array.make 4 0
 let set i v = slots.(i) <- v

@@ -86,6 +86,23 @@ let compile ?within ~zone src =
   | [] when code <> 0 -> Alcotest.failf "compiler exit %d with no error:@.%s" code output
   | errs -> errs
 
+(* Compile [src] as unit [dir/name.ml] with -bin-annot, against the
+   compiled interfaces of the libraries under [opens], for dr_race to read
+   its typed tree. Fails the test on a compile error. *)
+let bin_annot ?(opens = []) ~dir name src =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let ml = Filename.concat dir (name ^ ".ml") and out = Filename.temp_file "case" ".out" in
+  Out_channel.with_open_bin ml (fun oc -> Out_channel.output_string oc src);
+  let args =
+    includes Lib @ [ "-I"; "../lib/lint/.dr_lint.objs/byte" ]
+    @ List.concat_map (fun m -> [ "-open"; m ]) opens
+    @ [ "-bin-annot"; "-c"; "-I"; dir; ml ]
+  in
+  let code = Sys.command (Filename.quote_command (Lazy.force ocamlc) ~stdout:out ~stderr:out args) in
+  let output = Driver.read_file out in
+  Sys.remove out;
+  if code <> 0 then Alcotest.failf "%s does not compile:@.%s" ml output
+
 (* Fixture case [n]: the fixture with every other line blanked. *)
 let case src n =
   String.split_on_char '\n' src
@@ -277,8 +294,12 @@ let live_waivers =
 (* Every alert attribute in the tree sits on a bare identifier. *)
 let waivers_pinned () =
   let files = Driver.files_under [ "../lib"; "../bin"; "../bench" ] in
-  let parse path = Driver.parse ~path (Driver.read_file path) in
-  let open Ppxlib in
+  let parse path =
+    let lexbuf = Lexing.from_string (Driver.read_file path) in
+    Lexing.set_filename lexbuf path;
+    Parse.implementation lexbuf
+  in
+  let open Parsetree in
   let found = ref [] in
   List.iter
     (fun path ->
@@ -293,23 +314,20 @@ let waivers_pinned () =
           | _ -> Alcotest.failf "%s: alert attribute without a string payload" path)
         | _ -> Alcotest.failf "%s: alert attribute without a string payload" path
       in
-      let iter =
-        object
-          inherit Ast_traverse.iter as super
-
-          method! expression e =
-            match (e.pexp_desc, List.filter is_alert e.pexp_attributes) with
-            | Pexp_ident { txt; _ }, [ a ] ->
-              found := (path, String.concat "." (Longident.flatten_exn txt), payload a) :: !found
-            | _ -> super#expression e
-
-          method! attribute a =
-            if is_alert a then
-              Alcotest.failf "%s:%d: an alert attribute must wrap only the identifier it waives"
-                path a.attr_loc.loc_start.pos_lnum
-        end
+      let default = Ast_iterator.default_iterator in
+      let expr (sub : Ast_iterator.iterator) e =
+        match (e.pexp_desc, List.filter is_alert e.pexp_attributes) with
+        | Pexp_ident { txt; _ }, [ a ] ->
+          found := (path, String.concat "." (Longident.flatten txt), payload a) :: !found
+        | _ -> default.expr sub e
       in
-      iter#structure (parse path))
+      let attribute _ (a : attribute) =
+        if is_alert a then
+          Alcotest.failf "%s:%d: an alert attribute must wrap only the identifier it waives" path
+            a.attr_loc.loc_start.pos_lnum
+      in
+      let iter = { default with expr; attribute } in
+      iter.structure iter (parse path))
     files;
   Alcotest.(check (list (triple string string string))) "the live waivers" live_waivers
     (List.sort compare !found)

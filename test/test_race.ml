@@ -1,24 +1,23 @@
 (* dr_race: planted-violation fixtures for each rule, zone parsing, the
    census determinism gate, and the "live tree is race-clean" gate.
 
-   Fixtures live in race_fixtures/, their zones in
-   race_fixtures/fixtures.zones (dr_race parses them; printer.ml is
-   compiled instead, as prints in lib/ are compiler alert l3). Variants of
-   that zones file and sources that must not sit in the tree are written
-   next to the test. The live-tree tests run over ../lib ../bin ../bench
-   against the committed ../dr-race.zones and ../RACE_INVENTORY.json. *)
+   Fixtures live in race_fixtures/, a library dr_race reads the typed
+   trees of, their zones in race_fixtures/fixtures.zones (printer.ml is
+   compiled under lib/'s flags instead, as prints in lib/ are compiler
+   alert l3). Variants of that zones file, and sources that must not sit
+   in the tree, compiled with -bin-annot, are written next to the test. The
+   live-tree tests run over ../lib ../bin ../bench against the committed
+   ../dr-race.zones and ../RACE_INVENTORY.json. *)
 
 module Driver = Dr_lint.Driver
-module Finding = Dr_lint.Finding
 module Inventory = Dr_lint.Inventory
-module Symbols = Dr_lint.Symbols
 module Zones = Dr_lint.Zones
 module Race_rules = Dr_lint.Race_rules
 module Domain_safe = Dr_engine.Domain_safe
 
 (* The short form the fixture tests key on: [basename:line [RULE]]. *)
-let short (f : Finding.t) =
-  Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Finding.rule_name f.rule)
+let short (f : Race_rules.finding) =
+  Printf.sprintf "%s:%d [%s]" (Filename.basename f.file) f.line (Race_rules.rule_name f.rule)
 
 let shorts (a : Race_rules.analysis) = List.map short a.Race_rules.findings
 
@@ -46,25 +45,29 @@ let fixture_findings () =
       "initonly.ml:7 [R2]";   (* init-only cell written post-init *)
       "intruder.ml:3 [R2]";   (* per-domain cell poked from outside the owner *)
       "intruder.ml:4 [R2]";   (* per-domain type constructed outside the owner *)
+      "names.ml:5 [R1]";      (* escaping Hashtbl.Make table with no zone *)
+      "nested.ml:5 [R2]";     (* init-only cell written inside its nested module *)
       "outsider.ml:3 [R2]";   (* engine-shared write from another unit *)
       "outsider.ml:4 [R2]";   (* engine-shared read from another unit *)
+      "toucher.ml:3 [R2]";    (* another unit's init-only cell, via its table's replace *)
       "undeclared.ml:3 [R1]"; (* escaping mutable value with no zone *)
     ]
     (shorts (analyze_fixtures fixture_zones))
 
-(* A zones-file entry silences the undeclared cell; an entry that names
+(* A zones-file entry silences an undeclared cell; an entry that names
    nothing in the census is its own R1 finding. *)
 let zones_file_findings () =
   let zones =
     zones_with "stale.zones"
       [
         "value Undeclared.table per-domain -- fixture: declared via the zones file";
+        "value Names.names per-domain -- fixture: declared via the zones file";
         "type Ghost.t per-domain -- fixture: stale on purpose, no such type";
       ]
   in
   let r1s = List.filter (fun s -> Filename.check_suffix s "[R1]") (shorts (analyze_fixtures zones)) in
   Alcotest.(check (list string)) "declared cell silenced; stale entry reported"
-    [ "stale.zones:8 [R1]" ] r1s
+    [ "stale.zones:11 [R1]" ] r1s
 
 (* A zones file the parser rejects stops the analysis with its path and
    line: an unknown zone, and init-only on a type. *)
@@ -72,7 +75,7 @@ let zones_file_errors () =
   let fails name line prefix =
     match analyze_fixtures (zones_with name [ line ]) with
     | exception Driver.Error msg ->
-      Alcotest.(check bool) msg true (String.starts_with ~prefix:(name ^ ":7: " ^ prefix) msg)
+      Alcotest.(check bool) msg true (String.starts_with ~prefix:(name ^ ":9: " ^ prefix) msg)
     | _ -> Alcotest.failf "%s accepted %S" name line
   in
   fails "unknown.zones" "value Undeclared.table shared" "unknown zone \"shared\"";
@@ -82,9 +85,8 @@ let zones_file_errors () =
    and the census zone is null. The comment's marker is assembled here so
    that no file in the tree carries it. *)
 let leftover_comment_declares_nothing () =
-  if not (Sys.file_exists "leftover") then Sys.mkdir "leftover" 0o755;
   let marker = "dr-race" ^ ":" in
-  write "leftover/leftover.ml"
+  Test_lint.bin_annot ~dir:"leftover" "leftover"
     (Printf.sprintf "(* %s zone engine-shared -- a leftover comment *)\nlet cell = ref 0\n" marker);
   let a = Race_rules.analyze [ "leftover" ] in
   Alcotest.(check (list string)) "R1 fires" [ "leftover.ml:2 [R1]" ] (shorts a);
@@ -124,21 +126,24 @@ let fixture_inventory () =
 
 (* [Dr_engine.Int_table] is [Hashtbl.Make] over [int]: its handles and its
    type count as hashtbl cells, under either spelling. So do those of
-   [String_table], lib/lint's [Hashtbl.Make] over [string]. *)
+   [String_table], lib/lint's [Hashtbl.Make] over [string]. Neither is
+   named in lib/lint: the census finds the functor application in their
+   units. *)
 let int_table_is_a_hashtbl () =
   let src =
-    "let seen = Int_table.create 8\n\
-     let hits = Dr_engine.Int_table.create 8\n\
+    "let seen : unit Int_table.t = Int_table.create 8\n\
+     let hits : unit Dr_engine.Int_table.t = Dr_engine.Int_table.create 8\n\
      type t = { map : int Int_table.t }\n\
      type u = unit Dr_engine.Int_table.t\n\
-     let names = String_table.create 8\n\
+     let names : int String_table.t = String_table.create 8\n\
      type v = int String_table.t\n"
   in
-  let u = Symbols.load ~parse:Driver.parse ~read:(fun _ -> src) "tables.ml" in
+  Test_lint.bin_annot ~opens:[ "Dr_engine"; "Dr_lint" ] ~dir:"tables" "tables" src;
+  let a = Race_rules.analyze [ "tables"; "../lib/engine"; "../lib/lint" ] in
   let kinds =
-    List.map
-      (fun it -> (Inventory.key it, Inventory.kind_name it.Inventory.kind))
-      (List.sort Inventory.compare_item (Inventory.of_unit u))
+    List.filter (fun (it : Inventory.item) -> String.equal it.unit_name "Tables") a.Race_rules.items
+    |> List.sort (fun (a : Inventory.item) b -> compare a.line b.line)
+    |> List.map (fun (it : Inventory.item) -> (Inventory.key it, Inventory.kind_name it.kind))
   in
   Alcotest.(check (list (pair string string)))
     "census"
