@@ -12,8 +12,9 @@
    DESIGN.md "Domain-safety zones" for the syntax.
 
    dr_race reads the typed trees (.cmt/.cmti) the compiler writes, so
-   build first (`dune build @check`). Run from the source root, a PATH is
-   read from its copy under _build/default.
+   build first (`dune build @check`); it refuses a PATH with fewer typed
+   trees than .ml files. Run from the source root, a PATH is read from its
+   copy under _build/default.
 
    Exit codes: 0 clean, 1 findings, 2 usage/IO error. *)
 
@@ -68,6 +69,11 @@ let run paths inventory zones rules =
       | None -> if Sys.file_exists default_zones then Some default_zones else None
     in
     match Race_rules.analyze ?zones_path (List.map built paths) with
+    | a when a.Race_rules.units_scanned < List.length (Driver.files_under paths) ->
+      (* Some unit has no typed tree yet: a partial census would look clean. *)
+      Format.eprintf "dr_race: %d .ml files under %s but %d typed trees; run dune build @check@."
+        (List.length (Driver.files_under paths)) (String.concat " " paths) a.Race_rules.units_scanned;
+      2
     | a ->
       if inventory then begin
         print_string (Race_rules.inventory_json a);
