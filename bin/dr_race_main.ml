@@ -71,8 +71,8 @@ let run paths inventory zones rules =
     match Race_rules.analyze ?zones_path (List.map built paths) with
     | a when a.Race_rules.units_scanned < List.length (Driver.files_under paths) ->
       (* Some unit has no typed tree yet: a partial census would look clean. *)
-      Format.eprintf "dr_race: %d .ml files under %s but %d typed trees; run dune build @check@."
-        (List.length (Driver.files_under paths)) (String.concat " " paths) a.Race_rules.units_scanned;
+      Format.eprintf "dr_race: %s has .ml files without typed trees (%d read); run dune build @check@."
+        (String.concat " " paths) a.Race_rules.units_scanned;
       2
     | a ->
       if inventory then begin

@@ -126,9 +126,8 @@ let fixture_inventory () =
 
 (* [Dr_engine.Int_table] is [Hashtbl.Make] over [int]: its handles and its
    type count as hashtbl cells, under either spelling. So do those of
-   [String_table], lib/lint's [Hashtbl.Make] over [string]. Neither is
-   named in lib/lint: the census finds the functor application in their
-   units. *)
+   [String_table], lib/lint's [Hashtbl.Make] over [string]. The census
+   lists neither by name: it finds the functor application in their units. *)
 let int_table_is_a_hashtbl () =
   let src =
     "let seen : unit Int_table.t = Int_table.create 8\n\
