@@ -22,7 +22,7 @@ let guarded = function Atomic_t | Mutex_t -> true | _ -> false
 type sort = Value | Type
 
 let sort_name = function Value -> "value" | Type -> "type"
-let same_sort a b = String.equal (sort_name a) (sort_name b)
+let same_sort a b = match (a, b) with Value, Value | Type, Type -> true | _ -> false
 
 type item = {
   unit_name : string; path : string; modpath : string list; ident : string;
