@@ -100,8 +100,8 @@ let load roots =
     unit
   in
   let cmts = List.filter name cmts in
-  (* The tree's own mutable heads: each table type a functor makes
-     ("Int_table.t", "Store.Names.t") and each record with a mutable field. *)
+  (* The tree's own mutable heads: each table type a functor makes ("M.t"
+     for [module M = Hashtbl.Make (K)]) and each record with a mutable field. *)
   let heads = String_table.create 64 and units = String_table.create 64 in
   (* A path's components, unit first: a library wrapper drops out, the
      unit's own names and nested modules get the unit's name, and a module
