@@ -34,14 +34,17 @@ let with_trace trace opts = { opts with trace = Some trace }
 let with_arbiter arbiter opts = { opts with arbiter = Some arbiter }
 let without_trace opts = { opts with trace = None }
 
-let build_config inst opts =
-  let source =
-    match opts.query_override with
-    | Some f -> Dr_engine.Sim.bit_source f
-    | None ->
-      (Dr_source.Data_source.read_range [@alert "-metered"])
-        (Dr_source.Data_source.create ~k:inst.Problem.k inst.Problem.x)
-  in
+(* The run's source, and the check that no reader wrote to the bytes it
+   shared (an override's answers are its own business). *)
+let source_of inst opts =
+  match opts.query_override with
+  | Some f -> (Dr_engine.Sim.bit_source f, ignore)
+  | None ->
+    let data = Dr_source.Data_source.create ~k:inst.Problem.k inst.Problem.x in
+    ( (Dr_source.Data_source.read_range [@alert "-metered"]) data,
+      fun () -> Dr_source.Data_source.check_reads data )
+
+let config_with inst opts source =
   {
     (Dr_engine.Sim.default_config ~k:inst.Problem.k ~query_bit:(fun ~peer:_ _ -> false)) with
     source;
@@ -54,6 +57,8 @@ let build_config inst opts =
     arbiter = opts.arbiter;
     observer = opts.observer;
   }
+
+let build_config inst opts = config_with inst opts (fst (source_of inst opts))
 
 let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
   let honest = Problem.honest inst in
@@ -93,4 +98,7 @@ let finish ~protocol inst (outcome : Bitarray.t Dr_engine.Sim.outcome) =
 let run_core ?(opts = default) (module C : Transport.CORE) inst =
   let module ST = Sim_transport.Make (C.Msg) in
   let module P = C.Process (ST) in
-  finish ~protocol:C.name inst (ST.run_sim (build_config inst opts) (P.run inst))
+  let source, check_reads = source_of inst opts in
+  let outcome = ST.run_sim (config_with inst opts source) (P.run inst) in
+  check_reads ();
+  finish ~protocol:C.name inst outcome

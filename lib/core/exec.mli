@@ -60,7 +60,8 @@ val without_trace : opts -> opts
 val build_config : Problem.instance -> opts -> Dr_engine.Sim.config
 (** Simulator configuration for the instance: a fresh counting data source
     serving [X] (or the override), plus the adversarial environment from
-    [opts]. *)
+    [opts]. A caller that runs it itself does without {!run_core}'s check
+    that no read was written to. *)
 
 val finish :
   protocol:string ->
@@ -76,4 +77,8 @@ val run_core : ?opts:opts -> (module Transport.CORE) -> Problem.instance -> Prob
 (** Run a protocol core on the simulator: instantiate {!Sim_transport} for
     its message type, execute every peer's [Process.run] under
     {!build_config}, and {!finish} the outcome under the core's [name]. The
-    registry's [run] field is this applied to the entry's [core]. *)
+    registry's [run] field is this applied to the entry's [core]. After
+    the run it checks that no peer wrote to the bytes a range read
+    returned: [Dr_source.Data_source.check_reads] raises
+    [Dr_source.Data_source.Read_mutated] if one did (not under a
+    [query_override]). *)

@@ -1,7 +1,8 @@
 (* The simulator transport: a thin renaming of Dr_engine.Sim.Make to the
    Transport.S vocabulary. Every function but [query_range] is a direct
-   alias; [query_range] has the simulator read straight into the returned
-   Bitarray's bytes, so a range read copies its bits once.
+   alias; [query_range] wraps the bytes the simulator's source returned in
+   a Bitarray without copying them, so the honest readers of one segment
+   share one packed copy of it (the default source keeps one per range).
    Protocol cores instantiated over it execute the exact same effect
    sequence as the pre-transport code — the golden determinism tests pin
    this bit-exactly. *)
@@ -18,8 +19,7 @@ module Make (M : Transport.MSG) = struct
   let await = S.await
   let query = S.query
 
-  let query_range ~pos ~len =
-    Dr_source.Bitarray.init_bytes len (S.query_range ~pos ~len)
+  let query_range ~pos ~len = Dr_source.Bitarray.of_packed len (S.query_range ~pos ~len)
 
   let rng = S.rng
   let die = S.die

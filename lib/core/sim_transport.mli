@@ -2,8 +2,9 @@
 
     [Make (Msg)] instantiates one simulator ({!Dr_engine.Sim.Make}) and
     exposes its process-side API under the transport names ([query_range]
-    reads the range into a fresh buffer that becomes the returned
-    {!Dr_source.Bitarray.t}). [run_sim] drives an execution: the process
+    returns the bytes the source answered with as a
+    {!Dr_source.Bitarray.t}, shared, not copied: read-only, as
+    {!Transport.S.query_range} says). [run_sim] drives an execution: the process
     passed to it must perform its transport calls through {e this}
     instance (each [Make] application owns its own effect constructors). *)
 

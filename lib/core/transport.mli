@@ -67,7 +67,14 @@ module type S = sig
       in cost and outcome from the loop
       [Bitarray.init len (fun r -> query (pos + r))]. Use it for
       non-adaptive contiguous reads; a read whose next index depends on
-      earlier answers ([Decision_tree.determine]) stays on {!query}. *)
+      earlier answers ([Decision_tree.determine]) stays on {!query}.
+
+      The result is read-only, on both runtimes. The simulator does not
+      copy it: every read of one range, by any peer, gets the same packed
+      bytes, so a write into it would change what the other readers hold.
+      [Bitarray.copy] it before calling [Bitarray.set] or using it as a
+      [Bitarray.blit] destination; [Exec.run_core] fails a run in which a
+      read was written to ([Dr_source.Data_source.Read_mutated]). *)
 
   val rng : unit -> Dr_engine.Prng.t
   (** This peer's private random stream. Transports derive it from the

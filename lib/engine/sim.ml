@@ -42,7 +42,7 @@ type obs = { obs_kind : obs_kind; obs_peer : int; obs_tag : string; obs_step : i
 type config = {
   k : int;
   seed : int64;
-  source : peer:int -> pos:int -> len:int -> Bytes.t -> unit;
+  source : peer:int -> pos:int -> len:int -> Bytes.t;
   latency : src:int -> dst:int -> size_bits:int -> float;
   link_rate : float;
   crash : int -> crash_spec;
@@ -52,15 +52,21 @@ type config = {
   observer : (obs -> unit) option;
 }
 
-(* Bit [r] of a range buffer is bit [r land 7] of byte [r lsr 3]: the
-   [Bitarray] packing. *)
-let bit_source query_bit ~peer ~pos ~len buf =
-  for r = 0 to len - 1 do
-    let q = r lsr 3 and mask = 1 lsl (r land 7) in
-    let byte = Char.code (Bytes.get buf q) in
-    let byte = if query_bit ~peer (pos + r) then byte lor mask else byte land lnot mask in
-    Bytes.set buf q (Char.unsafe_chr byte)
-  done
+(* Bit [r] of a range's bytes is bit [r land 7] of byte [r lsr 3]: the
+   [Bitarray] packing. A one-bit read returns one of two bytes made once
+   per adapter, so it allocates nothing. *)
+let bit_source query_bit =
+  let zero = Bytes.make 1 '\000' and one = Bytes.make 1 '\001' in
+  fun ~peer ~pos ~len ->
+    if len = 1 then if query_bit ~peer pos then one else zero
+    else begin
+      let bytes = Bytes.make ((len + 7) / 8) '\000' in
+      for r = 0 to len - 1 do
+        if query_bit ~peer (pos + r) then
+          Bytes.set_uint8 bytes (r lsr 3) (Bytes.get_uint8 bytes (r lsr 3) lor (1 lsl (r land 7)))
+      done;
+      bytes
+    end
 
 let default_config ~k ~query_bit =
   {
@@ -96,7 +102,7 @@ module Make (M : MESSAGE) = struct
     | E_broadcast : M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
     | E_await : (unit -> bool) * (int -> M.t -> unit) -> unit Effect.t
-    | E_query_range : int * int * Bytes.t -> unit Effect.t
+    | E_query_range : int * int -> Bytes.t Effect.t
     | E_query : int -> bool Effect.t
     | E_k : int Effect.t
     | E_rng : Prng.t Effect.t
@@ -106,10 +112,13 @@ module Make (M : MESSAGE) = struct
   let broadcast msg = Effect.perform (E_broadcast msg)
   let receive () = Effect.perform E_receive
   let await ~ready ~on = if not (ready ()) then Effect.perform (E_await (ready, on))
-  let query_range ~pos ~len buf = Effect.perform (E_query_range (pos, len, buf))
+  let query_range ~pos ~len = Effect.perform (E_query_range (pos, len))
   let query i = Effect.perform (E_query i)
   let rng () = Effect.perform E_rng
   let die () = raise Halted
+
+  (* A one-bit read's answer: bit 0 of the bytes the source returned. *)
+  let bit0 bytes = Bytes.get_uint8 bytes 0 land 1 <> 0
 
   (* A blocked peer: parked in [receive], or in [await] with the predicate
      and handler that each delivery runs on the scheduler's stack. *)
@@ -125,7 +134,6 @@ module Make (M : MESSAGE) = struct
     mailbox : (int * M.t) Ring.t;
     mutable wait : wait;
     prng : Prng.t;
-    scratch : Bytes.t;  (** the one byte a [query] reads into *)
     mutable query_at : int;  (** the bit the pending [query] asks for *)
   }
 
@@ -222,7 +230,6 @@ module Make (M : MESSAGE) = struct
             mailbox = Ring.create ();
             wait = Idle;
             prng = Prng.split master;
-            scratch = Bytes.make 1 '\000';
             query_at = 0;
           })
     in
@@ -288,21 +295,27 @@ module Make (M : MESSAGE) = struct
     (* Read a range within the event that issued it: the only place a
        source query is charged. The [m] bits the crash rule grants are
        charged in one add and read in one [source] call; the trace still
-       gets one record per bit. Returns whether [p] survives the read. *)
-    let query_range_from p pos len buf =
+       gets one record per bit. Resumes [k] with [answer] of the bytes the
+       source returned, or crashes [p] if the read reached its crash
+       point. *)
+    let read_from p pos len k answer =
       let spec = Array.unsafe_get crash_spec p.id in
       let queried = Metrics.queries metrics p.id in
       let m = queries_granted spec ~queried ~len in
-      if m > 0 then begin
-        Metrics.on_query metrics p.id ~bits:m;
-        cfg.source ~peer:p.id ~pos ~len:m buf
-      end;
+      let bytes =
+        if m = 0 then Bytes.empty
+        else begin
+          Metrics.on_query metrics p.id ~bits:m;
+          cfg.source ~peer:p.id ~pos ~len:m
+        end
+      in
       if trace_on then
         for r = 0 to m - 1 do
-          let value = Char.code (Bytes.get buf (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
+          let value = Char.code (Bytes.get bytes (r lsr 3)) land (1 lsl (r land 7)) <> 0 in
           tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = pos + r; value })
         done;
-      not (crashes_after_queries spec ~queried ~granted:m)
+      if crashes_after_queries spec ~queried ~granted:m then crash_in p k
+      else Effect.Deep.continue k (answer bytes)
     in
     (* A send effect's one charge: none when it made no send. *)
     let charge p ~count ~size_bits =
@@ -401,13 +414,7 @@ module Make (M : MESSAGE) = struct
             if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
             else p.wait <- On_receive k)
       in
-      let on_query =
-        Some
-          (fun k ->
-            if query_range_from p p.query_at 1 p.scratch then
-              continue k (Char.code (Bytes.unsafe_get p.scratch 0) land 1 <> 0)
-            else crash_in p k)
-      in
+      let on_query = Some (fun k -> read_from p p.query_at 1 k bit0) in
       let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
         | E_k -> on_k
         | E_rng -> on_rng
@@ -415,14 +422,11 @@ module Make (M : MESSAGE) = struct
         | E_await (ready, on) -> Some (fun k -> await_from p k ready on)
         | E_send (dst, msg) -> Some (fun k -> send_from p dst msg k)
         | E_broadcast msg -> Some (fun k -> broadcast_from p msg k)
-        | E_query_range (pos, len, buf) ->
+        | E_query_range (pos, len) ->
           Some
             (fun k ->
               if len < 0 then discontinue k (Invalid_argument "Sim.query_range: negative length")
-              else if len > 8 * Bytes.length buf then
-                discontinue k (Invalid_argument "Sim.query_range: buffer too short")
-              else if query_range_from p pos len buf then continue k ()
-              else crash_in p k)
+              else read_from p pos len k Fun.id)
         | E_query i ->
           p.query_at <- i;
           on_query

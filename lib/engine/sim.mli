@@ -116,14 +116,17 @@ type obs = {
 type config = {
   k : int;  (** number of peers *)
   seed : int64;
-  source : peer:int -> pos:int -> len:int -> Bytes.t -> unit;
-      (** the external source: [source ~peer ~pos ~len b] writes bits
-          [pos .. pos+len-1] into [b] from bit 0, bit [r] as bit [r land 7]
-          of byte [r lsr 3] (the [Bitarray] packing), leaving later bits of
-          [b] alone. Called at most once per range read, with [len >= 1]: the
-          bits the reader gets before its [After_queries] crash. Per-peer
-          so that lower-bound adversaries can hand corrupted peers a
-          different (simulated) input array. *)
+  source : peer:int -> pos:int -> len:int -> Bytes.t;
+      (** the external source: [source ~peer ~pos ~len] is bits
+          [pos .. pos+len-1] packed from bit 0 in [(len + 7) / 8] bytes, bit
+          [r] as bit [r land 7] of byte [r lsr 3] (the [Bitarray] packing),
+          padding zero. Called at most once per range read, with
+          [len >= 1]: the bits the reader gets before its [After_queries]
+          crash. The engine hands the bytes to the reader as they are, so a
+          source may return the same bytes to several reads (the default
+          [Data_source.read_range] does); readers must not write to them.
+          Per-peer so that lower-bound adversaries can hand corrupted peers
+          a different (simulated) input array. *)
   latency : src:int -> dst:int -> size_bits:int -> float;
       (** adversarial propagation delay; must be finite and [>= 0.] *)
   link_rate : float;
@@ -142,9 +145,11 @@ type config = {
           rendered. *)
 }
 
-val bit_source : (peer:int -> int -> bool) -> peer:int -> pos:int -> len:int -> Bytes.t -> unit
+val bit_source : (peer:int -> int -> bool) -> peer:int -> pos:int -> len:int -> Bytes.t
 (** [bit_source query_bit] is a [config.source] that asks [query_bit] for
-    each bit of the range in order, setting or clearing it in the buffer. *)
+    each bit of the range in order. A longer range gets fresh bytes; a
+    one-bit read gets one of two constant bytes that [bit_source query_bit]
+    made, so it allocates nothing. *)
 
 val default_config : k:int -> query_bit:(peer:int -> int -> bool) -> config
 (** Source [bit_source query_bit], unit latency on every link, unbounded
@@ -190,20 +195,22 @@ module Make (M : MESSAGE) : sig
       in the peer. An exception from [on] or [ready] ([die ()] among them)
       ends the peer as if raised by the loop body. *)
 
-  val query_range : pos:int -> len:int -> Bytes.t -> unit
-  (** [query_range ~pos ~len b] reads bits [pos .. pos+len-1] into [b] from
-      bit 0, in [config.source]'s packing. This one effect is the
-      simulator's only source read. Each bit still costs one Q unit and one
-      [Trace.Queried] record, but the bits a peer gets before its crash
-      point ({!queries_granted}) are charged in one step and read in one
-      [source] call. The whole range is answered within the event that
-      issued it, so the run is indistinguishable from a loop of one-bit
-      reads. Raises [Invalid_argument] on a negative [len] or a [b] shorter
-      than [(len + 7) / 8] bytes. *)
+  val query_range : pos:int -> len:int -> Bytes.t
+  (** [query_range ~pos ~len] is bits [pos .. pos+len-1], as the bytes
+      [config.source] returned for them ([Bytes.empty] when [len = 0]).
+      They are read-only: the source may hand the same bytes to other
+      reads, of this peer or another, so copy them before writing. This
+      one effect is the simulator's only source read. Each bit still costs
+      one Q unit and one [Trace.Queried] record, but the bits a peer gets
+      before its crash point ({!queries_granted}) are charged in one step
+      and read in one [source] call. The whole range is answered within
+      the event that issued it, so the run is indistinguishable from a
+      loop of one-bit reads. Raises [Invalid_argument] on a negative
+      [len]. *)
 
   val query : int -> bool
-  (** [query i] reads bit [i] (counted in Q): a one-bit range read into the
-      peer's own scratch byte, charged by the same path as [query_range]. *)
+  (** [query i] reads bit [i] (counted in Q): bit 0 of a one-bit range
+      read, charged by the same path as [query_range]. *)
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)

@@ -26,7 +26,7 @@ let create ?(addr = Unix.inet_addr_loopback) ?(port = 0) ~k x =
     | _ -> assert false
   in
   {
-    source = Data_source.create ~k x;
+    source = Data_source.create ~share:false ~k x;
     k;
     lsock;
     port;
@@ -56,7 +56,7 @@ let query_range t ~peer ~pos ~len : Source_proto.response =
   if pos < 0 || len < 0 || pos > n - len then
     Err (Printf.sprintf "range (pos %d, len %d) outside the %d-bit input" pos len n)
   else Bits
-      (Dr_source.Bitarray.init_bytes len
+      (Dr_source.Bitarray.of_packed len
          ((Data_source.read_range [@alert "-metered"]) t.source ~peer ~pos ~len))
 
 (* Answer one [Query_range] under the lock: either replay the cached

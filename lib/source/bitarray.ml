@@ -72,47 +72,40 @@ let write8 dst at w v =
   merge dst q (mask land 0xff) (v land 0xff);
   if sh + w > 8 then merge dst (q + 1) (mask lsr 8) (v lsr 8)
 
-let low56 = 0xFF_FFFF_FFFF_FFFF
-
 (* Copy bits [src_pos, src_pos+len) of [src] to bits [dst_pos..] of [dst],
-   touching no other bit of [dst] (its zero padding included). When both
-   ends are byte-aligned the whole bytes are one [Bytes.blit]. Otherwise 56
-   bits move per step while both 8-byte windows fit: one little-endian
-   64-bit load holds the 56 source bits after a shift of at most 7, and one
-   masked 64-bit read-modify-write stores them. The rest goes a byte at a
-   time, and only a trailing partial byte is merged under a narrower mask. *)
+   touching no other bit of [dst] (its zero padding included). A head of
+   at most 7 bits byte-aligns the destination. If the source is then
+   aligned too, the whole bytes are one [Bytes.blit]. Otherwise each step
+   stores a whole 64-bit destination word, built from one unaligned
+   little-endian load of the source shifted right by [sh] and the low [sh]
+   bits of the byte after it; every byte it reads or writes lies inside
+   the range. The rest goes a byte at a time, and a trailing partial byte
+   is merged under a narrower mask. *)
 let blit_bits ~src ~src_pos ~dst ~dst_pos ~len =
+  let head = Int.min len ((8 - (dst_pos land 7)) land 7) in
+  if head > 0 then write8 dst dst_pos head (read8 src src_pos head);
+  let s = src_pos + head and d = (dst_pos + head) lsr 3 and rest = len - head in
+  let sh = s land 7 in
   let r = ref 0 in
-  if src_pos land 7 = 0 && dst_pos land 7 = 0 then begin
-    Bytes.blit src (src_pos lsr 3) dst (dst_pos lsr 3) (len lsr 3);
-    r := len land lnot 7
+  if sh = 0 then begin
+    Bytes.blit src (s lsr 3) dst d (rest lsr 3);
+    r := rest land lnot 7
   end
   else begin
-    let src_end = Bytes.length src - 8 and dst_end = Bytes.length dst - 8 in
-    while
-      len - !r >= 56 && (src_pos + !r) lsr 3 <= src_end && (dst_pos + !r) lsr 3 <= dst_end
-    do
-      let s = src_pos + !r and d = dst_pos + !r in
-      let v = (Int64.to_int (Bytes.get_int64_le src (s lsr 3)) lsr (s land 7)) land low56 in
-      let sh = d land 7 in
-      let mask = Int64.shift_left (Int64.of_int low56) sh in
-      let old = Bytes.get_int64_le dst (d lsr 3) in
-      Bytes.set_int64_le dst (d lsr 3)
-        (Int64.logor (Int64.logand old (Int64.lognot mask)) (Int64.shift_left (Int64.of_int v) sh));
-      r := !r + 56
+    while rest - !r >= 64 do
+      let q = (s + !r) lsr 3 in
+      let lo = Int64.shift_right_logical (Bytes.get_int64_le src q) sh in
+      let hi = Int64.shift_left (Int64.of_int (Bytes.get_uint8 src (q + 8))) (64 - sh) in
+      Bytes.set_int64_le dst (d + (!r lsr 3)) (Int64.logor lo hi);
+      r := !r + 64
     done;
-    while len - !r >= 8 do
-      write8 dst (dst_pos + !r) 8 (read8 src (src_pos + !r) 8);
+    while rest - !r >= 8 do
+      Bytes.set_uint8 dst (d + (!r lsr 3)) (read8 src (s + !r) 8);
       r := !r + 8
     done
   end;
-  let w = len - !r in
-  if w > 0 then write8 dst (dst_pos + !r) w (read8 src (src_pos + !r) w)
-
-let blit_to_bytes ~src ~pos ~len dst =
-  if pos < 0 || len < 0 || pos > src.len - len || len > 8 * Bytes.length dst then
-    invalid_arg "Bitarray.blit_to_bytes";
-  blit_bits ~src:src.data ~src_pos:pos ~dst ~dst_pos:0 ~len
+  let w = rest - !r in
+  if w > 0 then write8 dst ((d lsl 3) + !r) w (read8 src (s + !r) w)
 
 let clear_padding t =
   let w = t.len land 7 in
@@ -120,12 +113,6 @@ let clear_padding t =
     let q = t.len lsr 3 in
     Bytes.set t.data q (Char.unsafe_chr (Char.code (Bytes.get t.data q) land ((1 lsl w) - 1)))
   end
-
-let init_bytes len fill =
-  let t = create len in
-  fill t.data;
-  clear_padding t;
-  t
 
 let lognot t =
   let r = { t with data = Bytes.map (fun c -> Char.unsafe_chr (lnot (Char.code c) land 0xff)) t.data } in
@@ -137,6 +124,16 @@ let sub t ~pos ~len =
   let r = create len in
   blit_bits ~src:t.data ~src_pos:pos ~dst:r.data ~dst_pos:0 ~len;
   r
+
+let sub_bytes t ~pos ~len = (sub t ~pos ~len).data
+
+let of_packed len data =
+  if
+    len < 0
+    || Bytes.length data <> bytes_for len
+    || (len land 7 <> 0 && Bytes.get_uint8 data (len lsr 3) lsr (len land 7) <> 0)
+  then invalid_arg "Bitarray.of_packed";
+  { len; data }
 
 let blit ~src ~dst ~pos =
   if pos < 0 || pos > dst.len - src.len then invalid_arg "Bitarray.blit";

@@ -131,8 +131,8 @@ let prop_prng_fill_bits_is_bool_loop =
           let nbytes = (len + 7) / 8 in
           let buf = Bytes.make (nbytes + 1) '\xff' in
           Prng.fill_bits g buf len;
-          let got = Bitarray.init_bytes len (fun b -> Bytes.blit buf 0 b 0 nbytes) in
           let padding_zero = len land 7 = 0 || Char.code (Bytes.get buf (len lsr 3)) lsr (len land 7) = 0 in
+          let got = Bitarray.of_packed len (Bytes.sub buf 0 nbytes) in
           let same_next = Int64.equal (Prng.next64 g) (Prng.next64 g') in
           let h = Prng.create seed and h' = Prng.create seed in
           let random = Bitarray.random h len in
@@ -1249,6 +1249,66 @@ let prop_signature_matches_int64 =
       probe.Dr_engine.Explore.observer o;
       probe.Dr_engine.Explore.hits () = [ reference_signature ?bucket o ])
 
+(* [Data_source.read_range] packs a range as [Bitarray.sub] does (empty,
+   one-bit and unaligned ranges included), answers a repeated read with the
+   same bytes and charges it again, and never lets two different ranges
+   share bytes, except that every one-bit read of a value gets that value's
+   constant byte. A [~share:false] source answers a repeat of a range of
+   two or more bits with equal, fresh bytes. *)
+let prop_read_range_memo =
+  QCheck.Test.make ~name:"data source: read_range memo" ~count:100 QCheck.int64
+    (fun seed ->
+      let g = Prng.create seed in
+      let n = 1 + Prng.int g 700 in
+      let x = Bitarray.random g n in
+      let data = Dr_source.Data_source.create ~k:2 x in
+      let read peer (pos, len) =
+        let before = Dr_source.Data_source.queries_by data peer in
+        let bytes = Dr_source.Data_source.read_range data ~peer ~pos ~len in
+        (bytes, Dr_source.Data_source.queries_by data peer - before)
+      in
+      let random_range () =
+        let len = Prng.int g (n + 1) in
+        (Prng.int g (n - len + 1), len)
+      in
+      let ranges =
+        [ (0, 0); (n, 0); (0, 1); (n - 1, 1); (Prng.int g n, 1); (1, Int.min 9 (n - 1)) ]
+        @ List.init 20 (fun _ -> random_range ())
+      in
+      let first = List.map (fun r -> (r, read 0 r)) ranges in
+      let packed_as_sub =
+        List.for_all
+          (fun ((pos, len), (bytes, charged)) ->
+            charged = len && Bitarray.equal (Bitarray.of_packed len bytes) (Bitarray.sub x ~pos ~len))
+          first
+      in
+      let repeat_shares =
+        List.for_all
+          (fun (r, (bytes, _)) ->
+            let again, charged = read 1 r in
+            again == bytes && charged = snd r)
+          first
+      in
+      let never_alias =
+        List.for_all
+          (fun ((p, l), (b, _)) ->
+            List.for_all
+              (fun ((p', l'), (b', _)) ->
+                (p = p' && l = l') || b != b' || (l = 1 && l' = 1 && Bytes.equal b b'))
+              first)
+          first
+      in
+      let fresh = Dr_source.Data_source.create ~share:false ~k:1 x in
+      let unshared =
+        List.for_all
+          (fun ((pos, len), (bytes, _)) ->
+            let a = Dr_source.Data_source.read_range fresh ~peer:0 ~pos ~len in
+            let b = Dr_source.Data_source.read_range fresh ~peer:0 ~pos ~len in
+            Bytes.equal a bytes && Bytes.equal b bytes && (len < 2 || a != b))
+          first
+      in
+      packed_as_sub && repeat_shares && never_alias && unshared)
+
 let suite =
   (* A fixed QCheck random state keeps the generated cases identical from
      run to run: the whole test suite stays deterministic (the randomized
@@ -1301,4 +1361,5 @@ let suite =
         prop_signature_matches_int64;
         prop_warm_run_matches_cold;
         prop_committee_rank_matches_list;
+        prop_read_range_memo;
       ]

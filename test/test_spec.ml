@@ -191,6 +191,48 @@ let test_range_reads_charge_per_bit () =
         e.Registry.attacks)
     Registry.all
 
+(* A seeded bug: a core whose peers write into the bits a range read
+   returned. The simulator's source shares those bytes with every other
+   read of the range, so [Exec.run_core] refuses the run with
+   [Read_mutated], for a segment and for a one-bit range; the same core
+   copying before it writes is fine. *)
+let scribbler ~copy ~len : (module Transport.CORE) =
+  (module struct
+    let name = "scribbler"
+    let supports _ = Ok ()
+
+    module Msg = struct
+      type t = unit
+
+      let size_bits () = 1
+      let tag () = ""
+    end
+
+    module Process (T : Transport.S with type msg = Msg.t) = struct
+      let run inst _i =
+        let read = T.query_range ~pos:2 ~len in
+        let mine = if copy then Dr_source.Bitarray.copy read else read in
+        Dr_source.Bitarray.set mine 0 (not (Dr_source.Bitarray.get inst.Problem.x 2));
+        T.query_range ~pos:0 ~len:(Problem.n inst)
+    end
+  end)
+
+let test_mutated_read_caught () =
+  let inst = Problem.random_instance ~seed:5L ~k:4 ~n:64 ~t:0 () in
+  let module D = Dr_source.Data_source in
+  List.iter
+    (fun (len, answer) ->
+      let what = Printf.sprintf "%d-bit read" len in
+      (match Exec.run_core (scribbler ~copy:false ~len) inst with
+      | _ -> Alcotest.fail (what ^ ": a write into a shared read went unnoticed")
+      | exception D.Read_mutated got -> checkb (what ^ ": the mutated answer") true (got = answer));
+      checkb (what ^ ": a copy may be written") true
+        (Exec.run_core (scribbler ~copy:true ~len) inst).Problem.ok)
+    [
+      (10, D.Range { pos = 2; len = 10 });
+      (1, D.One_bit (Dr_source.Bitarray.get inst.Problem.x 2));
+    ]
+
 let suite =
   [
     ("spec covers the registry", `Quick, test_spec_covers_registry);
@@ -202,4 +244,5 @@ let suite =
     ("2cycle bound holds live", `Quick, test_bounds_hold_2cycle);
     ("bounds are not vacuous", `Quick, test_bound_is_not_vacuous);
     ("range reads charge Q per bit", `Quick, test_range_reads_charge_per_bit);
+    ("a write into a shared read is caught", `Quick, test_mutated_read_caught);
   ]
