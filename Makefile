@@ -8,10 +8,12 @@ build:
 test:
 	dune runtest
 
-# Whole-program domain-safety analysis: dr_race's R1-R2 rules against the
-# zone map in dr-race.zones, plus a regenerate-and-diff of the committed
-# census (RACE_INVENTORY.json), over the typed trees @check writes. After
-# changing module-level mutable state, take the regenerated census with
+# Whole-program census of module-level mutable values: dr_race's R1-R2
+# rules (every exported one is declared init-only in dr-race.zones and
+# never written after initialization), plus a regenerate-and-diff of the
+# committed census (RACE_INVENTORY.json), over the typed trees @check
+# writes. After changing module-level mutable state, take the regenerated
+# census with
 #   dune build @race; dune promote RACE_INVENTORY.json
 race:
 	dune build @race

@@ -82,7 +82,7 @@ let two_cycle_whp () =
   let s, rho = Byz_2cycle.plan ~k ~n ~t in
   let runs = 200 in
   let outcomes =
-    Dr_stats.Par.map
+    List.map
       (fun seed ->
         let inst = byz_inst ~seed ~k ~n ~t () in
         let opts = Exec.with_latency (jitter seed) Exec.default in
@@ -90,11 +90,11 @@ let two_cycle_whp () =
            (Byz_2cycle.core ~attack:Byz_2cycle.Consistent_lie ()) inst).Problem.ok)
       (List.init runs (fun i -> Int64.of_int (i + 1)))
   in
-  let failures = ref (List.length (List.filter not outcomes)) in
+  let failures = List.length (List.filter not outcomes) in
   let predicted = Chernoff.coverage_failure ~honest:(k - (2 * t)) ~segments:s ~rho in
   note "k=%d t=%d n=%d: s=%d rho=%d\n" k t n s rho;
-  note "measured failures: %d / %d runs (rate %.4f)\n" !failures runs
-    (float_of_int !failures /. float_of_int runs);
+  note "measured failures: %d / %d runs (rate %.4f)\n" failures runs
+    (float_of_int failures /. float_of_int runs);
   note "Chernoff/union budget for the coverage event: %.2e\n" predicted
 
 let multicycle_vs_two_cycle () =

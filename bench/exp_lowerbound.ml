@@ -37,7 +37,7 @@ let randomized () =
   in
   let n = 512 in
   let rows =
-    Dr_stats.Par.map
+    List.map
       (fun s ->
         let run ?opts inst =
           Exec.run_core ?opts

@@ -123,7 +123,7 @@ let pp_outcomes outcomes =
              (fun i o -> Printf.sprintf "%d:%s" i (Dr_net.Runner.outcome_to_string o))
              outcomes)))
 
-let run protocol k n t model seed msg_bits latency crash attack segments trace_flag trace_out
+let run protocol k n t model seed msg_bits policy crash attack segments trace_flag trace_out
     explore transport source net_timeout chaos net_retries request_timeout =
   if t >= k then `Error (false, "need t < k")
   else if n < k then `Error (false, "need n >= k")
@@ -146,7 +146,7 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
       | Some plan -> plan
       | None -> if model = Problem.Byzantine then "none" else "midcast:1"
     in
-    match (resolved, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
+    match (resolved, Cli_args.latency_fn policy, Cli_args.crash_plan crash) with
     | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
     | Ok entry, Ok latency, Ok crash ->
     match transport with
@@ -155,6 +155,8 @@ let run protocol k n t model seed msg_bits latency crash attack segments trace_f
         `Error (false, "--trace/--trace-out record simulator events; not available with --transport net")
       else if explore <> None then
         `Error (false, "--explore drives the simulator's schedule arbiter; not available with --transport net")
+      else if not (String.equal policy "unit") then
+        `Error (false, "--latency " ^ policy ^ " delays simulated messages; not available with --transport net")
       else begin
         match
           run_net ~entry ~attack ~segments ~crash ~source ~timeout:net_timeout ~chaos

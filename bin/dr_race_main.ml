@@ -1,15 +1,15 @@
-(* dr_race: whole-program mutable-state inventory and domain-safety
-   analysis — the machine-checked gate in front of any move to share a
-   simulation across domains (deferred in ROADMAP).
+(* dr_race: whole-program census of module-level mutable values, and the
+   check that each one a unit exports is init-only: written during setup,
+   read-only afterward.
 
    Examples:
      dr_race                         # R1-R2 over lib/ bin/ bench/
-     dr_race --inventory             # dr-race/2 JSON census to stdout
+     dr_race --inventory             # dr-race/3 JSON census to stdout
      dr_race --rules                 # print the rule catalogue
 
-   Zones are declared in dr-race.zones (see --zones) and nowhere else: a
-   finding is cleared by fixing the code or by a zones-file entry. See
-   DESIGN.md "Domain-safety zones" for the syntax.
+   Init-only values are declared in dr-race.zones (see --zones) and nowhere
+   else: a finding is cleared by fixing the code or by a zones-file entry.
+   See DESIGN.md "Init-only state" for the syntax.
 
    dr_race reads the typed trees (.cmt/.cmti) the compiler writes, so
    build first (`dune build @check`); it refuses a PATH with fewer typed
@@ -30,7 +30,7 @@ let paths_arg =
 let inventory_arg =
   Arg.(
     value & flag
-    & info [ "inventory" ] ~doc:"Print the mutable-state census as dr-race/2 JSON and exit.")
+    & info [ "inventory" ] ~doc:"Print the mutable-state census as dr-race/3 JSON and exit.")
 
 let zones_arg =
   Arg.(
@@ -38,18 +38,17 @@ let zones_arg =
     & opt (some string) None
     & info [ "zones" ] ~docv:"FILE"
         ~doc:
-          "Zone declarations file (default: dr-race.zones when it exists). Pass an explicit \
-           path to require it.")
+          "Init-only declarations file (default: dr-race.zones when it exists). Pass an \
+           explicit path to require it.")
 
 let rules_arg =
   Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
 
 let print_rules () =
   print_endline
-    "R1  domain zones: every escaping mutable cell/type carries a dr-race.zones declaration";
-  print_endline
-    "R2  cross-zone access: engine-shared via Domain_safe only; per-domain stays in its subtree; \
-     init-only is never written post-init"
+    "R1  declared: every escaping module-level mutable value is declared init-only in \
+     dr-race.zones";
+  print_endline "R2  init-only: a declared value is never written after initialization"
 
 let default_zones = "dr-race.zones"
 
@@ -88,7 +87,7 @@ let run paths inventory zones rules =
       2
 
 let cmd =
-  let doc = "whole-program mutable-state inventory & domain-safety analysis (rules R1-R2)" in
+  let doc = "whole-program census of module-level mutable values & init-only check (rules R1-R2)" in
   Cmd.v
     (Cmd.info "dr_race" ~doc)
     Term.(const run $ paths_arg $ inventory_arg $ zones_arg $ rules_arg)

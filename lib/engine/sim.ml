@@ -90,11 +90,10 @@ type 'r outcome = {
   events : int;
 }
 
-(* The queue and slot codes the last run in this domain returned with;
-   [None] while a run holds them, so a nested run builds its own. *)
-type store = { heap : Heap.t; codes : int array }
-
-let store : store option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* The queue and slot codes the last run returned with; [None] while a run
+   holds them, so a nested run builds its own. *)
+let store : (Heap.t * int array) option ref = ref None
+let drop_store () = store := None
 
 module Make (M : MESSAGE) = struct
   type _ Effect.t +=
@@ -236,10 +235,10 @@ module Make (M : MESSAGE) = struct
     (* A warm run starts from the last one's storage, emptied: the zeroed
        codes chain their slots exactly as a cold pool's growth does. *)
     let heap, codes =
-      match Domain.DLS.get store with
+      match !store with
       | None -> (Heap.create (), [||])
-      | Some { heap; codes } ->
-        Domain.DLS.set store None;
+      | Some (heap, codes) ->
+        store := None;
         Heap.clear heap;
         Array.fill codes 0 (Array.length codes) 0;
         (heap, codes)
@@ -560,7 +559,7 @@ module Make (M : MESSAGE) = struct
       end
     in
     loop ();
-    Domain.DLS.set store (Some { heap; codes = slots.codes });
+    store := Some (heap, slots.codes);
     {
       outputs;
       metrics;

@@ -167,6 +167,9 @@ type 'r outcome = {
   events : int;  (** total events processed — the bench harness's work unit *)
 }
 
+val drop_store : unit -> unit
+(** (for tests) Forget the last run's event queue, so the next run starts cold. *)
+
 module Make (M : MESSAGE) : sig
   (** {2 Process-side API}
 
@@ -227,8 +230,7 @@ module Make (M : MESSAGE) : sig
       negative or not finite. Exceptions escaping a process (other than
       crash/halt control flow) propagate to the caller.
 
-      A run reuses, emptied, the event queue and slot codes the last run in
-      its domain returned with (its message arrays are its own), and keeps
-      a cold run's schedule. A nested run, or one in another domain,
-      allocates its own; a run that raises drops its storage. *)
+      A run reuses, emptied, the last run's event queue and slot codes (its
+      message arrays are its own) and keeps a cold run's schedule; a nested
+      run allocates its own, and a run that raises drops them. *)
 end

@@ -3,8 +3,8 @@
    functor state is per-application) counts by the head of its type: a
    mutable stdlib container, a table type a [Hashtbl]/[Weak]/[Ephemeron]
    [Make] made, or a record type with a mutable field; so does a closure over
-   such a cell (the memo-table idiom). A type declaration counts when it has
-   a mutable field or mentions a container or table type anywhere. *)
+   such a cell (the memo-table idiom). Types are not counted: each instance
+   belongs to whoever built it. *)
 
 open Typedtree
 
@@ -17,16 +17,9 @@ let kind_name = function
   | Buffer_t -> "buffer" | Array_t -> "array" | Bytes_t -> "bytes"
   | Mutable_record -> "mutable-record" | Atomic_t -> "atomic" | Mutex_t -> "mutex"
 
-let guarded = function Atomic_t | Mutex_t -> true | _ -> false
-
-type sort = Value | Type
-
-let sort_name = function Value -> "value" | Type -> "type"
-let same_sort a b = match (a, b) with Value, Value | Type, Type -> true | _ -> false
-
 type item = {
   unit_name : string; path : string; modpath : string list; ident : string;
-  sort : sort; kind : kind; line : int; col : int; escaping : bool;
+  kind : kind; line : int; col : int; escaping : bool;
 }
 
 let key it = String.concat "." ((it.unit_name :: it.modpath) @ [ it.ident ])
@@ -72,11 +65,10 @@ let mutable_record = function
     List.exists (fun ld -> match ld.ld_mutable with Mutable -> true | _ -> false) lds
   | _ -> false
 
-(* The values and types of a signature, as ["value M.x"], ["type M.t"]. *)
+(* The values of a signature, as ["M.x"], ["M.N.y"]. *)
 let rec exports prefix sg =
   let export : Types.signature_item -> string list = function
-    | Sig_value (id, _, _) -> [ "value " ^ prefix ^ Ident.name id ]
-    | Sig_type (id, _, _, _) -> [ "type " ^ prefix ^ Ident.name id ]
+    | Sig_value (id, _, _) -> [ prefix ^ Ident.name id ]
     | Sig_module (id, _, { md_type = Mty_signature s; _ }, _, _) ->
       exports (prefix ^ Ident.name id ^ ".") s
     | _ -> []
@@ -174,51 +166,24 @@ let load roots =
     | _, Tconstr (p, _, _) -> kind_of u p
     | _ -> None
   in
-  (* A declaration's mention of another mutable record does not count. *)
-  let type_kind u td =
-    let found = ref [] and default = Tast_iterator.default_iterator in
-    let typ (sub : Tast_iterator.iterator) ct =
-      (match ct.ctyp_desc with
-      | Ttyp_constr (p, _, _) -> (
-        match kind_of u p with
-        | Some Mutable_record | None -> ()
-        | Some k -> found := kind_name k :: !found)
-      | _ -> ());
-      default.typ sub ct
-    in
-    let iter = { default with typ } in
-    iter.type_declaration iter td;
-    (* Guarded wrappers first: a record of {queue; mutex; condition} is a
-       guarded structure, not a bare queue. *)
-    if mutable_record td.typ_kind then Some Mutable_record
-    else
-      List.find_opt
-        (fun k -> List.exists (String.equal (kind_name k)) !found)
-        [ Atomic_t; Mutex_t; Hashtbl_t; Queue_t; Stack_t; Buffer_t; Array_t; Bytes_t; Ref ]
-  in
   let census (u, sg) =
     let items = ref [] and exported = exports (u.name ^ ".") sg in
-    let add modpath sort ident (loc : Location.t) =
+    let add modpath ident (loc : Location.t) =
       let key = String.concat "." ((u.name :: modpath) @ [ ident ]) in
-      let escaping = List.exists (String.equal (sort_name sort ^ " " ^ key)) exported in
+      let escaping = List.exists (String.equal key) exported in
       let line = loc.loc_start.pos_lnum and col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
       let item kind =
-        { unit_name = u.name; path = u.path; modpath; ident; sort; kind; line; col; escaping }
+        { unit_name = u.name; path = u.path; modpath; ident; kind; line; col; escaping }
       in
       Option.iter (fun kind -> items := item kind :: !items)
     in
-    let item mp it =
-      match it.str_desc with
-      | Tstr_value (_, vbs) ->
-        let value vb =
-          match let_bound_idents_full [ vb ] with
-          | [ (id, { loc; _ }, _) ] -> add mp Value (Ident.name id) loc (value_kind u vb.vb_expr)
-          | _ -> ()
-        in
-        List.iter value vbs
-      | Tstr_type (_, tds) ->
-        List.iter (fun td -> add mp Type td.typ_name.txt td.typ_name.loc (type_kind u td)) tds
+    let value mp vb =
+      match let_bound_idents_full [ vb ] with
+      | [ (id, { loc; _ }, _) ] -> add mp (Ident.name id) loc (value_kind u vb.vb_expr)
       | _ -> ()
+    in
+    let item mp it =
+      match it.str_desc with Tstr_value (_, vbs) -> List.iter (value mp) vbs | _ -> ()
     in
     walk item [] u.str;
     !items

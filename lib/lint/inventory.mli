@@ -1,6 +1,6 @@
 (** The mutable-state census, read off every unit's typed tree: module-level
-    mutable values and mutable type declarations. The R1-R2 rules in
-    {!Race_rules} enforce discipline over it. *)
+    mutable values. The R1-R2 rules in {!Race_rules} enforce discipline over
+    it. *)
 
 type kind =
   | Ref | Hashtbl_t | Queue_t | Stack_t | Buffer_t | Array_t | Bytes_t | Mutable_record | Atomic_t
@@ -8,22 +8,14 @@ type kind =
 
 val kind_name : kind -> string
 
-val guarded : kind -> bool
-(** Atomic/Mutex-bearing state: already domain-safe by construction. *)
-
-type sort = Value | Type
-
-val sort_name : sort -> string
-val same_sort : sort -> sort -> bool
-
 type item = {
   unit_name : string; path : string; modpath : string list; ident : string;
-  sort : sort; kind : kind; line : int; col : int;
+  kind : kind; line : int; col : int;
   escaping : bool;  (** in the unit's .mli, or the unit has none *)
 }
 
 val key : item -> string
-(** ["Metrics.t"], ["Wire.Crc32.table"]: the name a zone declaration binds to. *)
+(** ["Wire.Crc32.table"]: the name a zone declaration binds to. *)
 
 type unit_info = {
   path : string;  (** the source file its .cmt records *)

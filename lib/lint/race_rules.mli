@@ -1,6 +1,6 @@
-(** The R1-R2 domain-safety rules (see DESIGN.md "Domain-safety zones"):
-    census the tree, check it and every access to it against the zones,
-    and emit the machine-readable census. *)
+(** The R1-R2 rules (see DESIGN.md "Init-only state"): census the tree's
+    module-level mutable values, check them and every write to them
+    against the zones file, and emit the machine-readable census. *)
 
 type rule = R1 | R2
 
@@ -15,9 +15,6 @@ type analysis = {
   findings : finding list;  (** sorted by file, line, column and rule *)
 }
 
-val path_under : owner:string -> string -> bool
-(** (for tests) Is [path] in the [owner] subtree? ["."] and [".."] are ignored. *)
-
 val init_like : string option -> bool
 (** (for tests) Is a write in this module-level binding ([None]: module init) an init? *)
 
@@ -29,4 +26,4 @@ val pp_report : Format.formatter -> analysis -> unit
 (** Findings as [file:line:col [RULE] message] lines, then a summary. *)
 
 val inventory_json : analysis -> string
-(** The census as deterministic [dr-race/2] JSON with no source positions. *)
+(** The census as deterministic [dr-race/3] JSON with no source positions. *)

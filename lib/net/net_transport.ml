@@ -7,32 +7,25 @@ exception Crashed
 exception Link_lost
 
 (* A simple blocking queue: receiver threads push raw frames, the protocol
-   thread pops them in [receive]. *)
+   thread pops them in [receive], each with the mutex held. *)
 module Bqueue = struct
   type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
 
   let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
 
   let push t v =
-    Mutex.lock t.m;
-    Queue.push v t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
+    Mutex.protect t.m (fun () ->
+        Queue.push v t.q;
+        Condition.signal t.c)
 
   let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let v = Queue.pop t.q in
-    Mutex.unlock t.m;
-    v
+    Mutex.protect t.m (fun () ->
+        while Queue.is_empty t.q do
+          Condition.wait t.c t.m
+        done;
+        Queue.pop t.q)
 
-  let try_pop t =
-    Mutex.lock t.m;
-    let v = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Mutex.unlock t.m;
-    v
+  let try_pop t = Mutex.protect t.m (fun () -> Queue.take_opt t.q)
 end
 
 type inbox_item = Msg of int * bytes | Link_down of int

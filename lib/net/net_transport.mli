@@ -39,7 +39,7 @@ exception Link_lost
 
 module Bqueue : sig
   type 'a t
-  (** The blocking inbox queue the receiver threads feed. *)
+  (** The inbox the receiver threads feed; every access holds its mutex. *)
 end
 
 type inbox_item = Msg of int * bytes | Link_down of int

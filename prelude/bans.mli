@@ -19,6 +19,7 @@
     - [l1_lib] the wall clock and representation hashing: an error in lib/.
     - [l3] the process's stdout and stderr: an error in lib/.
     - [l5] exiting and blocking reads: an error in lib/core and lib/engine.
+    - [l6] a second domain ([Domain]): an error in lib/, bin/ and bench/.
 
     Alert [l2] sits on the polymorphic comparisons of the shadowed Stdlib
     ({!Stdlib_bans}), on {!List_bans}' equality searches ([List.mem],
@@ -29,6 +30,7 @@
 
 module Random = Stdlib.Random
 [@@alert l1 "ambient Random breaks bit-exact replay; use the seeded Dr_engine.Prng"]
+module Domain = Stdlib.Domain [@@alert l6 "one domain: Sim's store and Runner's fork rely on it"]
 
 module Sys = Sys_bans
 module Hashtbl = Hashtbl_bans

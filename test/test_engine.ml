@@ -1595,8 +1595,8 @@ let test_await_storm_allocation_budget () =
 (* A warm run reuses the last run's event queue and slot pool, measured on
    the deterministic counter of words allocated straight into the major
    heap (major minus promoted) by one k=128 jittered [await] round, the
-   shape of a sim-wide report cycle. A cold run is the first in a fresh
-   domain, whose domain-local store is empty. *)
+   shape of a sim-wide report cycle. A cold run is the first after
+   [Sim.drop_store], which empties the store. *)
 let direct_major_words k =
   let cfg =
     {
@@ -1616,11 +1616,14 @@ let direct_major_words k =
   major1 -. major0 -. (promoted1 -. promoted0)
 
 let test_warm_run_allocation_gate () =
-  let in_fresh_domain f = Domain.join (Domain.spawn f) in
-  let cold_big = in_fresh_domain (fun () -> direct_major_words 128)
-  and cold_small = in_fresh_domain (fun () -> direct_major_words 8) in
+  let from_cold f =
+    Sim.drop_store ();
+    f ()
+  in
+  let cold_big = from_cold (fun () -> direct_major_words 128)
+  and cold_small = from_cold (fun () -> direct_major_words 8) in
   let warm_big, warm_small =
-    in_fresh_domain (fun () ->
+    from_cold (fun () ->
         ignore (direct_major_words 128);
         let big = direct_major_words 128 in
         (big, direct_major_words 8))

@@ -1,5 +1,5 @@
 (* The static rules the compiler enforces, as compile checks: the name
-   bans (L1, L3, L4, L5), which are alerts declared in the prelude, and
+   bans (L1, L3, L4, L5, L6), which are alerts declared in the prelude, and
    L2, lib/'s int-only comparisons (prelude/mono_compare.mli), and the
    pinned waivers.
 
@@ -195,6 +195,17 @@ let l4 =
 let l5 =
   check_cases ~zone:Fiber "bad_l5.ml"
     [ (2, "Error (alert l5): Dr_prelude.exit"); (3, "Error (alert l5): Dr_prelude.input_line") ]
+
+(* L6: the program runs in one domain (the simulator's run store is a plain
+   ref, and the socket runner forks), so spawning another is an error in
+   lib/, bin/ and bench/, through the prelude and through its Stdlib. *)
+let l6 () =
+  let expected =
+    [ (2, "Error (alert l6): module Dr_prelude.Domain");
+      (3, "Error (alert l6): module Dr_prelude.Stdlib.Domain") ]
+  in
+  check_cases ~zone:Lib "bad_l6.ml" expected ();
+  check_cases ~zone:Main "bad_l6.ml" expected ()
 
 (* The shapes a syntactic matcher misses: the alert is on the declaration,
    so every path to it is caught. *)
@@ -417,6 +428,7 @@ let suite =
     Alcotest.test_case "fixture: L3 direct stdout" `Quick l3;
     Alcotest.test_case "fixture: L4 query confinement" `Quick l4;
     Alcotest.test_case "fixture: L5 fiber safety" `Quick l5;
+    Alcotest.test_case "fixture: L6 one domain" `Quick l6;
     Alcotest.test_case "fixture: aliases, opens and Stdlib" `Quick aliases;
     Alcotest.test_case "zone scoping" `Quick zone_scoping;
     Alcotest.test_case "files_under is sorted, deduped, fixture-free" `Quick

@@ -839,10 +839,10 @@ let warm_execute r =
   in
   (result, Option.map Dr_engine.Trace.events trace, List.rev !seen)
 
-(* Random sequences of 2-6 runs in one domain, where each run after the
-   first starts warm from the storage the one before left (or cold, after
-   an aborted run): each must equal the same run done first in a fresh
-   domain. A queue or slot pool that kept state from an earlier run, above
+(* Random sequences of 2-6 runs, where each run after the first starts
+   warm from the storage the one before left (or cold, after an aborted
+   run): each must equal the same run done cold, after [Sim.drop_store]. A
+   queue or slot pool that kept state from an earlier run, above
    all one stopped at its event limit with events pending, shows up as a
    different schedule. *)
 let prop_warm_run_matches_cold =
@@ -891,9 +891,12 @@ let prop_warm_run_matches_cold =
   QCheck.Test.make ~name:"sim: a warm run equals a cold run" ~count:100
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) run_gen))
     (fun runs ->
-      let in_fresh_domain f = Domain.join (Domain.spawn f) in
-      let warm = in_fresh_domain (fun () -> List.map warm_execute runs) in
-      let cold = List.map (fun r -> in_fresh_domain (fun () -> warm_execute r)) runs in
+      let from_cold f =
+        Sim.drop_store ();
+        f ()
+      in
+      let warm = from_cold (fun () -> List.map warm_execute runs) in
+      let cold = List.map (fun r -> from_cold (fun () -> warm_execute r)) runs in
       warm = cold)
 
 (* ------------------------------------------------------------------ *)

@@ -107,30 +107,6 @@ let test_table_cells () =
   checks "bool no" "no" (Table.cell_bool false)
 
 (* ------------------------------------------------------------------ *)
-(* Par                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_par_matches_sequential () =
-  let xs = List.init 57 Fun.id in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "ordered results" (List.map f xs) (Par.map ~domains:3 f xs);
-  Alcotest.(check (list int)) "singleton" [ 2 ] (Par.map ~domains:4 f [ 1 ]);
-  Alcotest.(check (list int)) "empty" [] (Par.map f [])
-
-let test_par_runs_simulations () =
-  (* Whole simulations in worker domains: same reports as sequential. *)
-  let open Dr_core in
-  let job seed =
-    let inst = Problem.random_instance ~seed ~k:5 ~n:40 ~t:1 () in
-    let r = Exec.run_core (Crash_general.core ()) inst in
-    (r.Problem.ok, r.Problem.q_max)
-  in
-  let seeds = List.init 12 (fun i -> Int64.of_int (i + 1)) in
-  Alcotest.(check (list (pair bool int)))
-    "parallel = sequential" (List.map job seeds)
-    (Par.map ~domains:3 job seeds)
-
-(* ------------------------------------------------------------------ *)
 (* Select (protocol dispatch)                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,8 +243,6 @@ let suite =
     ("table: short row padded", `Quick, test_table_short_row_padded);
     ("table: long row rejected", `Quick, test_table_long_row_rejected);
     ("table: cell formatters", `Quick, test_table_cells);
-    ("par: matches sequential", `Quick, test_par_matches_sequential);
-    ("par: runs simulations", `Quick, test_par_runs_simulations);
     ("select: regimes", `Quick, test_select_regimes);
     ("select: by name", `Quick, test_select_by_name);
     ("bench_io: quantiles", `Quick, test_quartiles);
