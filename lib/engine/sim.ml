@@ -136,23 +136,29 @@ module Make (M : MESSAGE) = struct
     mutable query_at : int;  (** the bit the pending [query] asks for *)
   }
 
-  (* A pending event is an int slot: packed code [codes.(s)] (kind in bits
-     0-1, the peer it applies to in bits 2-31, a delivery's source from bit
-     32) and, for a delivery, message [msgs.(s)] and, when a trace or an
-     observer is installed, its tag [tags.(s)], rendered once at the send.
-     Free slots chain from [free], each holding the distance to the next
-     minus one, so the zeros a growth adds link up; past the end, [alloc]
-     grows the pool. [msgs] and [tags] grow only in [set_msg] and
-     [set_tag], seeded with the value stored: no dummy. *)
-  type slots = {
-    mutable codes : int array;
+  (* A pool of int cells. Free cells chain from [free], each holding the
+     distance to the next minus one, so the zeros a growth adds link up;
+     past the end, [alloc] grows the pool. A pending event is a cell of
+     the event pool holding its packed code (kind in bits 0-1, the peer it
+     applies to in bits 2-31, a delivery's send-table entry from bit 32). *)
+  type slots = { mutable codes : int array; mutable free : int }
+
+  (* The send table: one entry per send effect, shared by every delivery
+     it scheduled. Entry [e] is a cell of [pending] holding the number of
+     those deliveries still queued, with the message [msgs.(e)], the
+     sender [srcs.(e)] and, when a trace or an observer is installed, the
+     tag [tags.(e)], rendered once at the send. [live] entries are open.
+     The table is per run. *)
+  type sends = {
+    pending : slots;
     mutable msgs : M.t array;
     mutable tags : string array;
-    mutable free : int;
+    mutable srcs : int array;
+    mutable live : int;
   }
 
   let start_code i = i lsl 2
-  let deliver_code ~src ~dst = 1 lor (dst lsl 2) lor (src lsl 32)
+  let deliver_code ~entry ~dst = 1 lor (dst lsl 2) lor (entry lsl 32)
   let crash_code i = 2 lor (i lsl 2)
   let code_peer code = (code lsr 2) land 0x3fff_ffff
 
@@ -171,25 +177,39 @@ module Make (M : MESSAGE) = struct
     Array.unsafe_set slots.codes s code;
     s
 
-  (* [a] grown past index [s] by doubling (not to a bigger run's [codes]),
-     padded with [x]. Past 256 slots a young [a.(0)] forces a minor GC, as
-     [Array.init] seeds the array with it; [Array.append a a] avoids that
-     but raised sim-deep's heap peak from 0.80 to 1.18 MB. *)
-  let grown a s x =
-    let n = Array.length a in
-    Array.init (Int.max (s + 1) (Int.max 16 (2 * n))) (fun i -> if i < n then a.(i) else x)
-
-  let set_msg slots s msg =
-    if s >= Array.length slots.msgs then slots.msgs <- grown slots.msgs s msg;
-    Array.unsafe_set slots.msgs s msg
-
-  let set_tag slots s tag =
-    if s >= Array.length slots.tags then slots.tags <- grown slots.tags s tag;
-    Array.unsafe_set slots.tags s tag
-
   let release slots s =
     Array.unsafe_set slots.codes s (slots.free - s - 1);
     slots.free <- s
+
+  (* [a] doubled, or 16 copies of [x] if empty, the sizes [alloc] grows a
+     pool to. [Array.append] forces no minor collection, where
+     [Array.make] past 256 entries seeded with a young [x] would. *)
+  let doubled a x = if Array.length a = 0 then Array.make 16 x else Array.append a a
+
+  (* A new entry for [msg] from [src], with no delivery queued yet. *)
+  let open_entry t ~tags_on ~src msg tag =
+    let e = alloc t.pending 0 in
+    if e = Array.length t.srcs then begin
+      t.msgs <- doubled t.msgs msg;
+      if tags_on then t.tags <- doubled t.tags tag;
+      t.srcs <- grow_ints t.srcs (Array.length t.msgs)
+    end;
+    Array.unsafe_set t.msgs e msg;
+    if tags_on then Array.unsafe_set t.tags e tag;
+    Array.unsafe_set t.srcs e src;
+    t.live <- t.live + 1;
+    e
+
+  let close_entry t e =
+    release t.pending e;
+    t.live <- t.live - 1
+
+  let queued t e = t.pending.codes.(e) <- t.pending.codes.(e) + 1
+
+  (* One delivery of entry [e] fired; the last closes it. *)
+  let delivered t e =
+    let n = t.pending.codes.(e) - 1 in
+    if n = 0 then close_entry t e else t.pending.codes.(e) <- n
 
   (* The arbiter's pending pool: a growable array holding slots in the
      order they were drained from the heap. Removal keeps the others'
@@ -243,7 +263,10 @@ module Make (M : MESSAGE) = struct
         Array.fill codes 0 (Array.length codes) 0;
         (heap, codes)
     in
-    let slots = { codes; msgs = [||]; tags = [||]; free = 0 } in
+    let slots = { codes; free = 0 } in
+    let table =
+      { pending = { codes = [||]; free = 0 }; msgs = [||]; tags = [||]; srcs = [||]; live = 0 }
+    in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. [link_free.(src
@@ -265,8 +288,8 @@ module Make (M : MESSAGE) = struct
     let trace_on = Option.is_some cfg.trace in
     let tr f = match cfg.trace with None -> () | Some t -> Trace.record t (f ()) in
     (* A message's tag is rendered once per send effect, and only when a
-       trace or an observer will read it; every destination's slot shares
-       the string. *)
+       trace or an observer will read it; every delivery of the effect
+       reads it from the send-table entry. *)
     let tags_on = trace_on || Option.is_some cfg.observer in
     let render msg = if tags_on then M.tag msg else "" in
     (* Killing a peer: mark dead and unwind its blocked fiber if any. *)
@@ -316,19 +339,21 @@ module Make (M : MESSAGE) = struct
       if crashes_after_queries spec ~queried ~granted:m then crash_in p k
       else Effect.Deep.continue k (answer bytes)
     in
-    (* A send effect's one charge: none when it made no send. *)
-    let charge p ~count ~size_bits =
+    (* A send effect's end: its one charge, or, when it made no send, its
+       entry closed at once. *)
+    let settle p e ~count ~size_bits =
       if count > 0 then Metrics.on_send metrics p.id ~count ~size_bits
+      else close_entry table e
     in
-    (* One send from [p] to [dst] of [msg] ([size_bits] bits, rendered tag
-       [tag]) that the crash rule allows: the body shared by [E_send] and
-       each destination of [E_broadcast]. On a negative or non-finite
-       latency it charges the effect's [sent] earlier sends, discontinues
+    (* One send from [p] to [dst] of entry [e] ([size_bits] bits, rendered
+       tag [tag]) that the crash rule allows: the body shared by [E_send]
+       and each destination of [E_broadcast]. On a negative or non-finite
+       latency it settles the effect's [sent] earlier sends, discontinues
        [k] and returns [false]. *)
-    let send_one p dst msg ~size_bits tag ~sent k =
+    let send_one p dst e ~size_bits tag ~sent k =
       let delay = cfg.latency ~src:p.id ~dst ~size_bits in
       if not Fl.(delay >= 0. && delay < infinity) then begin
-        charge p ~count:sent ~size_bits;
+        settle p e ~count:sent ~size_bits;
         Effect.Deep.discontinue k
           (Invalid_argument
              (if Fl.(delay < 0.) then "Sim.run: negative latency"
@@ -347,10 +372,8 @@ module Make (M : MESSAGE) = struct
           link_free.(link) <- departure +. transmission;
           at.(0) <- departure +. transmission +. delay
         end;
-        let s = alloc slots (deliver_code ~src:p.id ~dst) in
-        set_msg slots s msg;
-        if tags_on then set_tag slots s tag;
-        Heap.push heap ~time:at s;
+        queued table e;
+        Heap.push heap ~time:at (alloc slots (deliver_code ~entry:e ~dst));
         true
       end
     in
@@ -365,8 +388,9 @@ module Make (M : MESSAGE) = struct
         if sends_left p = 0 then crash_in p k
         else
           let size_bits = M.size_bits msg in
-          if send_one p dst msg ~size_bits tag ~sent:0 k then (
-            charge p ~count:1 ~size_bits;
+          let e = open_entry table ~tags_on ~src:p.id msg tag in
+          if send_one p dst e ~size_bits tag ~sent:0 k then (
+            settle p e ~count:1 ~size_bits;
             Effect.Deep.continue k ())
     in
     (* Exactly the sends of a loop over ascending [dst], self skipped, in
@@ -375,11 +399,12 @@ module Make (M : MESSAGE) = struct
        [Metrics] update paid once. *)
     let broadcast_from p msg k =
       let tag = render msg and size_bits = M.size_bits msg and left = sends_left p in
+      let e = open_entry table ~tags_on ~src:p.id msg tag in
       let rec go dst sent =
-        if dst >= cfg.k then (charge p ~count:sent ~size_bits; Effect.Deep.continue k ())
+        if dst >= cfg.k then (settle p e ~count:sent ~size_bits; Effect.Deep.continue k ())
         else if dst = p.id then go (dst + 1) sent
-        else if sent = left then (charge p ~count:sent ~size_bits; crash_in p k)
-        else if send_one p dst msg ~size_bits tag ~sent k then go (dst + 1) (sent + 1)
+        else if sent = left then (settle p e ~count:sent ~size_bits; crash_in p k)
+        else if send_one p dst e ~size_bits tag ~sent k then go (dst + 1) (sent + 1)
       in
       go 0 0
     in
@@ -465,8 +490,8 @@ module Make (M : MESSAGE) = struct
       peers;
     let status = ref Completed in
     (* Coverage observation must cost nothing when off, exactly like the
-       trace guard: one boolean test per event. A delivery's tag is the one
-       its send stored. *)
+       trace guard: one boolean test per event. A delivery's tag is its
+       send-table entry's. *)
     let obs_on = Option.is_some cfg.observer in
     let notify s =
       match cfg.observer with
@@ -478,24 +503,26 @@ module Make (M : MESSAGE) = struct
           {
             obs_kind = (match kind with 0 -> Obs_start | 1 -> Obs_deliver | _ -> Obs_crash);
             obs_peer = code_peer code;
-            obs_tag = (if kind = 1 then Array.unsafe_get slots.tags s else "");
+            obs_tag = (if kind = 1 then Array.unsafe_get table.tags (code lsr 32) else "");
             obs_step = !events_done - 1;
           }
     in
-    (* The slot is released before the event runs, which may schedule
-       more; [release] relinks only [codes], so the slot's tag stays
-       readable until the event schedules something. *)
+    (* The slot, and the entry after its last delivery, are released
+       before the event runs, which may schedule more: a delivery reads
+       its entry first. *)
     let handle s =
       let code = slots.codes.(s) in
       let p = Array.unsafe_get peers (code_peer code) in
       match code land 3 with
       | 1 ->
-        let msg = slots.msgs.(s) and src = code lsr 32 in
+        let e = code lsr 32 in
+        let msg = table.msgs.(e) and src = Array.unsafe_get table.srcs e in
+        let tag = if tags_on then Array.unsafe_get table.tags e else "" in
         release slots s;
+        delivered table e;
         if p.alive && not p.finished then begin
           if trace_on then
-            tr (fun () ->
-                Trace.Delivered { time = clock.(0); src; dst = p.id; tag = slots.tags.(s) });
+            tr (fun () -> Trace.Delivered { time = clock.(0); src; dst = p.id; tag });
           match p.wait with
           | On_receive k ->
             p.wait <- Idle;
@@ -543,7 +570,11 @@ module Make (M : MESSAGE) = struct
         | Some p ->
           drain heap p ~time:at;
           p.len = 0
-      then deadlock_check ()
+      then begin
+        (* Every delivery has fired, so every entry is free. *)
+        if table.live <> 0 then failwith "Sim: a send-table entry outlived its deliveries";
+        deadlock_check ()
+      end
       else begin
         let s =
           match pool with

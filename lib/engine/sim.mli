@@ -230,7 +230,9 @@ module Make (M : MESSAGE) : sig
       negative or not finite. Exceptions escaping a process (other than
       crash/halt control flow) propagate to the caller.
 
-      A run reuses, emptied, the last run's event queue and slot codes (its
-      message arrays are its own) and keeps a cold run's schedule; a nested
-      run allocates its own, and a run that raises drops them. *)
+      A run reuses, emptied, the last run's event queue and slot codes and
+      keeps a cold run's schedule; a nested run allocates its own, and a
+      run that raises drops them. Its send table is its own: one entry per
+      send effect holds the message, sender and tag once for all the
+      deliveries it scheduled, and is freed after the last of them. *)
 end

@@ -1637,6 +1637,15 @@ let test_warm_run_allocation_gate () =
        cold_small)
     true (warm_small <= cold_small)
 
+(* A warm k=128 round stores each broadcast once, in a send table that
+   stays in the minor heap, not once per destination in a per-slot array
+   of the major heap: what is left is the run's own per-peer state. *)
+let test_warm_storm_direct_major_words () =
+  Sim.drop_store ();
+  ignore (direct_major_words 128);
+  let warm = direct_major_words 128 in
+  checkb (Printf.sprintf "warm k=128: %.0f direct major words <= 1024" warm) true (warm <= 1024.)
+
 (* ------------------------------------------------------------------ *)
 (* Link serialization                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1801,4 +1810,5 @@ let suite =
     ("engine: link FIFO serialization", `Quick, test_link_serialization_fifo);
     ("engine: links independent", `Quick, test_link_serialization_links_independent);
     ("engine: infinite rate default", `Quick, test_link_rate_infinite_is_default);
+    ("warm storm direct major words", `Quick, test_warm_storm_direct_major_words);
   ]

@@ -774,9 +774,11 @@ let prop_sim_matches_reference_scheduler =
    [await] for half the others, a send to the next peer and a [receive],
    under the given scheduling, links, crashes and instrumentation. [stop]
    ends it early: at an event limit, or with a negative latency on the
-   n-th send. *)
+   n-th send. A [hang]ing round then waits for messages forever, so the
+   run ends in a deadlock or at its event limit. *)
 type warm_run = {
   wk : int;
+  hang : bool;
   arbitrated : bool;
   traced : bool;
   observed : bool;
@@ -786,13 +788,14 @@ type warm_run = {
   wseed : int;
 }
 
-let warm_round k i =
+let warm_round ~hang k i =
   let a = Vsim.query i and b = Vsim.query (i + 1) in
   Vsim.broadcast (Vmsg.V (if a then i else -i));
   let heard = ref 0 in
   Vsim.await ~ready:(fun () -> !heard >= (k - 1) / 2) ~on:(fun _ _ -> incr heard);
   Vsim.send ((i + 1) mod k) (Vmsg.V (if b then 1 else 0));
   let src, Vmsg.V v = Vsim.receive () in
+  if hang then Vsim.await ~ready:(fun () -> false) ~on:(fun _ _ -> ());
   (!heard, src, v)
 
 (* Everything a run shows: its outcome (or the error it raised), its trace
@@ -827,7 +830,7 @@ let warm_execute r =
     }
   in
   let result =
-    match Vsim.run cfg (warm_round k) with
+    match Vsim.run cfg (warm_round ~hang:r.hang k) with
     | o ->
       Ok
         ( o.Sim.outputs,
@@ -839,6 +842,60 @@ let warm_execute r =
   in
   (result, Option.map Dr_engine.Trace.events trace, List.rev !seen)
 
+let warm_run_gen =
+  QCheck.Gen.(
+    int_range 2 40 >>= fun wk ->
+    let crash =
+      frequency
+        [
+          (8, return Sim.Never);
+          (1, map (fun t -> Sim.At_time t) (float_bound_inclusive 3.));
+          (1, map (fun j -> Sim.After_sends j) (int_range 0 wk));
+          (1, map (fun j -> Sim.After_queries j) (int_range 0 2));
+        ]
+    in
+    let stop =
+      frequency
+        [
+          (4, return `Done);
+          (1, map (fun n -> `Limit n) (int_range 1 (wk * wk)));
+          (1, map (fun n -> `Abort n) (int_range 1 (wk * wk)));
+        ]
+    in
+    map
+      (fun ((arbitrated, traced, observed), crashes, (link, stop, wseed)) ->
+        { wk; hang = false; arbitrated; traced; observed; crashes; link; stop; wseed })
+      (triple (triple bool bool bool) (array_repeat wk crash)
+         (triple (oneofl [ `Unit; `Jittered; `Serialized ]) stop (int_range 0 1_000_000))))
+
+let print_warm_runs runs =
+  String.concat "; "
+    (List.map
+       (fun r ->
+         Printf.sprintf "k=%d%s%s%s%s %s %s seed=%d" r.wk
+           (if r.hang then " hang" else "")
+           (if r.arbitrated then " arbiter" else "")
+           (if r.traced then " trace" else "")
+           (if r.observed then " observer" else "")
+           (match r.link with `Unit -> "unit" | `Jittered -> "jitter" | `Serialized -> "serial")
+           (match r.stop with
+           | `Done -> "done"
+           | `Limit n -> Printf.sprintf "limit=%d" n
+           | `Abort n -> Printf.sprintf "abort=%d" n)
+           r.wseed)
+       runs)
+
+(* [runs] done in sequence, each warm from the storage the one before left
+   (or cold, after an aborted run), and each done cold, after
+   [Sim.drop_store]. *)
+let warm_and_cold runs =
+  let from_cold f =
+    Sim.drop_store ();
+    f ()
+  in
+  let warm = from_cold (fun () -> List.map warm_execute runs) in
+  (warm, List.map (fun r -> from_cold (fun () -> warm_execute r)) runs)
+
 (* Random sequences of 2-6 runs, where each run after the first starts
    warm from the storage the one before left (or cold, after an aborted
    run): each must equal the same run done cold, after [Sim.drop_store]. A
@@ -846,58 +903,129 @@ let warm_execute r =
    all one stopped at its event limit with events pending, shows up as a
    different schedule. *)
 let prop_warm_run_matches_cold =
-  let run_gen =
+  QCheck.Test.make ~name:"sim: a warm run equals a cold run" ~count:100
+    (QCheck.make ~print:print_warm_runs QCheck.Gen.(list_size (int_range 2 6) warm_run_gen))
+    (fun runs ->
+      let warm, cold = warm_and_cold runs in
+      warm = cold)
+
+(* A run stopped short leaves its storage to the next: a hanging round
+   that ends in a deadlock, every live peer blocked, or at an event limit
+   with deliveries still queued (traced, so the queued ones are counted:
+   no peer crashes or finishes, so every send not yet delivered is).
+   1-3 random runs after it must each equal the same run done cold. *)
+let prop_warm_after_stall_matches_cold =
+  let stalled =
     QCheck.Gen.(
       int_range 2 40 >>= fun wk ->
+      map
+        (fun ((arbitrated, observed), (link, wseed), limit) ->
+          let stop = match limit with None -> `Done | Some n -> `Limit n in
+          { wk; hang = true; arbitrated; traced = true; observed;
+            crashes = Array.make wk Sim.Never; link; stop; wseed })
+        (triple (pair bool bool)
+           (pair (oneofl [ `Unit; `Jittered; `Serialized ]) (int_range 0 1_000_000))
+           (opt (int_range 1 (wk * wk)))))
+  in
+  let queued = function
+    | Some events ->
+      List.fold_left
+        (fun n -> function
+          | Dr_engine.Trace.Sent _ -> n + 1
+          | Dr_engine.Trace.Delivered _ -> n - 1
+          | _ -> n)
+        0 events
+    | None -> 0
+  in
+  QCheck.Test.make ~name:"sim: a warm run after a stalled one equals a cold run" ~count:60
+    (QCheck.make ~print:print_warm_runs
+       QCheck.Gen.(map2 List.cons stalled (list_size (int_range 1 3) warm_run_gen)))
+    (fun runs ->
+      let warm, cold = warm_and_cold runs in
+      let stalled_right =
+        match List.hd cold with
+        | Ok (_, Sim.Deadlock _, _, _, _), _, _ -> true
+        | Ok (_, Sim.Event_limit_reached, _, _, _), trace, _ -> queued trace > 0
+        | _ -> false
+      in
+      stalled_right && warm = cold)
+
+(* Random mixes of sends and broadcasts at small k, under crashes that
+   stop a broadcast part-way or kill a peer with deliveries queued,
+   jittered links and both scheduling modes: every traced delivery
+   carries the sender and tag of an earlier send to its destination. A
+   send-table entry freed before its last delivery hands that delivery
+   a later send's sender and tag; one never freed is left over when the
+   run ends, which [run] refuses. Every peer ends waiting for messages,
+   so no delivery goes untraced for want of a receiver. *)
+let prop_send_table_entries =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 5 >>= fun k ->
+      let action =
+        frequency
+          [ (3, map (fun dst -> `Send dst) (int_range 0 (k - 1))); (2, return `Broadcast);
+            (3, return `Recv) ]
+      in
       let crash =
         frequency
           [
-            (8, return Sim.Never);
+            (3, return Sim.Never);
             (1, map (fun t -> Sim.At_time t) (float_bound_inclusive 3.));
-            (1, map (fun j -> Sim.After_sends j) (int_range 0 wk));
-            (1, map (fun j -> Sim.After_queries j) (int_range 0 2));
+            (2, map (fun j -> Sim.After_sends j) (int_range 0 (2 * k)));
           ]
       in
-      let stop =
-        frequency
-          [
-            (4, return `Done);
-            (1, map (fun n -> `Limit n) (int_range 1 (wk * wk)));
-            (1, map (fun n -> `Abort n) (int_range 1 (wk * wk)));
-          ]
-      in
-      map
-        (fun ((arbitrated, traced, observed), crashes, (link, stop, wseed)) ->
-          { wk; arbitrated; traced; observed; crashes; link; stop; wseed })
-        (triple (triple bool bool bool) (array_repeat wk crash)
-           (triple (oneofl [ `Unit; `Jittered; `Serialized ]) stop (int_range 0 1_000_000))))
+      triple
+        (array_repeat k (list_size (int_range 0 10) action))
+        (array_repeat k crash)
+        (triple bool (oneofl [ `Unit; `Jittered ]) (int_range 0 1_000_000)))
   in
-  let print runs =
-    String.concat "; "
-      (List.map
-         (fun r ->
-           Printf.sprintf "k=%d%s%s%s %s %s seed=%d" r.wk
-             (if r.arbitrated then " arbiter" else "")
-             (if r.traced then " trace" else "")
-             (if r.observed then " observer" else "")
-             (match r.link with `Unit -> "unit" | `Jittered -> "jitter" | `Serialized -> "serial")
-             (match r.stop with
-             | `Done -> "done"
-             | `Limit n -> Printf.sprintf "limit=%d" n
-             | `Abort n -> Printf.sprintf "abort=%d" n)
-             r.wseed)
-         runs)
+  let print (programs, _, (arbitrated, _, seed)) =
+    Printf.sprintf "k=%d actions=%d arbiter=%b seed=%d" (Array.length programs)
+      (Array.fold_left (fun n l -> n + List.length l) 0 programs)
+      arbitrated seed
   in
-  QCheck.Test.make ~name:"sim: a warm run equals a cold run" ~count:100
-    (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) run_gen))
-    (fun runs ->
-      let from_cold f =
-        Sim.drop_store ();
-        f ()
+  QCheck.Test.make ~name:"sim: a delivery carries its send's sender and tag" ~count:300
+    (QCheck.make ~print gen)
+    (fun (programs, crashes, (arbitrated, link, seed)) ->
+      let k = Array.length programs in
+      let trace = Dr_engine.Trace.create () in
+      let jitter = Latency.jittered (Prng.create (Int64.of_int seed)) in
+      let choices = Prng.create (Int64.of_int (seed + 1)) in
+      let cfg =
+        {
+          (Sim.default_config ~k ~query_bit:(fun ~peer:_ _ -> false)) with
+          latency =
+            (fun ~src ~dst ~size_bits ->
+              match link with `Unit -> 1. | `Jittered -> jitter ~src ~dst ~size_bits);
+          crash = (fun i -> crashes.(i));
+          trace = Some trace;
+          arbiter = (if arbitrated then Some (fun count -> Prng.int choices count) else None);
+        }
       in
-      let warm = from_cold (fun () -> List.map warm_execute runs) in
-      let cold = List.map (fun r -> from_cold (fun () -> warm_execute r)) runs in
-      warm = cold)
+      (* Value [100 p + j] is peer [p]'s [j]-th action: every send's tag is
+         its own. *)
+      ignore
+        (Vsim.run cfg (fun p ->
+             List.iteri
+               (fun j -> function
+                 | `Send dst -> Vsim.send dst (Vmsg.V ((100 * p) + j))
+                 | `Broadcast -> Vsim.broadcast (Vmsg.V ((100 * p) + j))
+                 | `Recv -> ignore (Vsim.receive ()))
+               programs.(p);
+             Vsim.await ~ready:(fun () -> false) ~on:(fun _ _ -> ())));
+      let sent = Hashtbl.create 64 in
+      List.for_all
+        (function
+          | Dr_engine.Trace.Sent { src; dst; tag; _ } ->
+            Hashtbl.add sent (src, dst, tag) ();
+            true
+          | Dr_engine.Trace.Delivered { src; dst; tag; _ } ->
+            Hashtbl.mem sent (src, dst, tag)
+            && (Hashtbl.remove sent (src, dst, tag);
+                true)
+          | _ -> true)
+        (Dr_engine.Trace.events trace))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-protocol properties                                           *)
@@ -1365,4 +1493,6 @@ let suite =
         prop_warm_run_matches_cold;
         prop_committee_rank_matches_list;
         prop_read_range_memo;
+        prop_warm_after_stall_matches_cold;
+        prop_send_table_entries;
       ]
