@@ -93,6 +93,74 @@ let test_determinism_crash_general () =
   in
   checkb "identical reports" true (run () = run ())
 
+(* Event-stream goldens: the digest of the whole saved [Trace] of every
+   registry protocol on a small admitted instance, under unit and jittered
+   latencies, each with the latency-ordered heap and a random arbiter. The
+   crash-model entries run without crashes and with every faulty peer dying
+   after its first send; the Byzantine entries run their default and
+   adaptive attacks. A change that reorders, adds or drops one event, or
+   moves one time, changes a line. Regenerate with DR_CHECK_BLESS=1. *)
+let trace_digest ?opts:(base = Exec.default) e ~attack inst =
+  let trace = Dr_engine.Trace.create () in
+  ignore (e.Registry.run ~opts:(Exec.with_trace trace base) ~attack inst);
+  let path = Filename.temp_file "dr_trace_digest" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dr_engine.Trace.save trace path;
+      Digest.to_hex (Digest.file path))
+
+let trace_digest_lines () =
+  List.concat_map
+    (fun e ->
+      let byz = e.Registry.model = Problem.Byzantine in
+      let inst =
+        List.find
+          (fun inst -> Registry.admits e inst = Ok ())
+          (List.map
+             (fun t ->
+               if byz then
+                 Problem.random_instance ~seed:21L ~model:Problem.Byzantine ~k:24 ~n:48 ~t ()
+               else Problem.random_instance ~seed:21L ~k:6 ~n:96 ~t ())
+             [ 2; 1; 0 ])
+      in
+      let runs =
+        if byz then
+          List.map
+            (fun a -> (a, Crash_plan.none))
+            (List.filter
+               (fun a -> String.equal a "default" || List.exists (String.equal a) e.Registry.attacks)
+               [ "default"; "adaptive" ])
+        else
+          [
+            ("none", Crash_plan.none);
+            ("mid_broadcast:1", Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:1);
+          ]
+      in
+      List.concat_map
+        (fun (what, crash) ->
+          List.concat_map
+            (fun (lname, latency) ->
+              List.map
+                (fun (sname, arbiter) ->
+                  let opts =
+                    Exec.make_opts ~latency:(latency ()) ~crash ?arbiter:(arbiter ()) ()
+                  in
+                  let attack = if byz then what else "default" in
+                  Printf.sprintf "%s %s %s %s %s\n" (Registry.name e) what lname sname
+                    (trace_digest ~opts e ~attack inst))
+                [
+                  ("heap", fun () -> None);
+                  ("random", fun () -> Some (Dr_engine.Explore.random (Prng.create 5L)));
+                ])
+            [ ("unit", fun () -> Latency.unit_delay); ("jitter", fun () -> Latency.jittered (Prng.create 3L)) ])
+        runs)
+    Registry.all
+
+let test_trace_digests () =
+  Test_check.bless_or_compare ~path:"trace_digests.golden" ~label:"trace digests"
+    (String.concat "" (trace_digest_lines ()))
+
 let suite =
   [
     ("golden: naive", `Quick, test_naive);
@@ -104,4 +172,5 @@ let suite =
     ("golden: byz-multicycle", `Quick, test_multicycle);
     ("determinism: byz-2cycle full report", `Quick, test_determinism_2cycle);
     ("determinism: crash-general full report", `Quick, test_determinism_crash_general);
+    ("golden: trace digests", `Quick, test_trace_digests);
   ]
