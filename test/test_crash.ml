@@ -200,6 +200,49 @@ let test_crash_single_supports () =
     | Ok () -> true
     | Error _ -> false)
 
+(* Counter gate for the crash cores, which no benchmark workload runs: one
+   warm-up, then 20 runs through [Exec.build_config] + [run_sim] under
+   jittered delays and a crash of every faulty peer after its first send.
+   The events of the 20 runs are pinned (8,485.45 and 26,465 per run on
+   average); minor words per event are bounded. *)
+let crash_counters (core : (module Transport.CORE)) ~k ~n ~t =
+  let (module C) = core in
+  let module ST = Sim_transport.Make (C.Msg) in
+  let module P = C.Process (ST) in
+  let inst = Problem.random_instance ~seed:7L ~k ~n ~t () in
+  let opts =
+    Exec.make_opts ~latency:(jitter 3L)
+      ~crash:(Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:1)
+      ()
+  in
+  let run () = ST.run_sim (Exec.build_config inst opts) (P.run inst) in
+  ignore (run ());
+  let runs = 20 in
+  let events = ref 0 and completed = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    let outcome = run () in
+    if outcome.Dr_engine.Sim.status = Dr_engine.Sim.Completed then incr completed;
+    events := !events + outcome.Dr_engine.Sim.events
+  done;
+  let words = Gc.minor_words () -. before in
+  checki "runs completed" runs !completed;
+  (!events, words /. float_of_int !events)
+
+let test_crash_counter_gate () =
+  List.iter
+    (fun (core, k, n, t, want_events, max_words) ->
+      let (module C : Transport.CORE) = core in
+      let events, per_event = crash_counters core ~k ~n ~t in
+      checki (C.name ^ ": events in 20 runs") want_events events;
+      checkb
+        (Printf.sprintf "%s: %.2f minor words per event <= %g" C.name per_event max_words)
+        true (per_event <= max_words))
+    [
+      (Crash_single.core (), 32, 4096, 1, 169_709, 20.);
+      (Crash_general.core (), 32, 4096, 8, 529_300, 440.);
+    ]
+
 let suite =
   [
     ("naive correct", `Quick, test_naive_correct);
@@ -224,4 +267,5 @@ let suite =
     ("crash-single: slow not crashed", `Quick, test_crash_single_slow_victim_not_crashed);
     ("crash-single: k=2", `Quick, test_crash_single_two_peers);
     ("crash-single: supports", `Quick, test_crash_single_supports);
+    ("crash cores: counter gate", `Quick, test_crash_counter_gate);
   ]
