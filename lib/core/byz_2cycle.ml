@@ -143,7 +143,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
           (* Corrupt observed traffic: echo whatever report the schedule
              delivers first. If nobody ever sends (everyone faulty and
              silent) the peer just blocks — faulty peers may do that. *)
-          let _src, { seg; bits } = T.receive () in
+          let first = ref None in
+          T.await ~ready:(fun () -> Option.is_some !first) ~on:(fun _src m -> first := Some m);
+          let { seg; bits } = Option.get !first in
           echo plan inst ~me:i ~seg bits
         | _ -> forge attack inst ~me:i ~prng:(T.rng ()) ~query:T.query_range spec
       in

@@ -136,7 +136,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         let cycle, sends =
           match attack with
           | Adaptive plan ->
-            let _src, { cycle; seg; bits } = T.receive () in
+            let next = ref None in
+            T.await ~ready:(fun () -> Option.is_some !next) ~on:(fun _src m -> next := Some m);
+            let { cycle; seg; bits } = Option.get !next in
             (cycle, Byz_2cycle.echo plan inst ~me:i ~seg bits)
           | _ -> (r, Byz_2cycle.forge attack inst ~me:i ~prng ~query:T.query_range specs.(r - 1))
         in

@@ -126,8 +126,10 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let resp2_answered : unit Int_table.t = Int_table.create 64 in
     (* (phase, responder, about): the responder's full answer arrived *)
     let full_asm : Wire.Assembly.t Int_table.t = Int_table.create 8 in
-    let pending_req1 : (int * msg) list ref = ref [] in
-    let pending_req2 : (int * msg) list ref = ref [] in
+    (* Requests, newest first, answered by the fiber once my own progress
+       allows; [due] is set when one arrives answerable. *)
+    let pending : (int * msg) list ref = ref [] in
+    let due = ref false in
     let bump table key =
       let v = match Int_table.find_opt table key with Some v -> v | None -> 0 in
       Int_table.replace table key (v + 1);
@@ -141,20 +143,26 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         ignore (bump heard_count phase)
       end
     in
-    (* Send a (idx, vals) batch under the message bound. *)
-    let send_batched dst mk idx_all vals_of =
+    (* Send the indices [idx_all] in parts under the message bound. *)
+    let send_batched dst idx_all mk =
       let total = Array.length idx_all in
       let parts = max 1 ((total + cap - 1) / cap) in
       for part = 0 to parts - 1 do
         let lo = part * cap in
-        let len = min cap (total - lo) in
-        let len = max len 0 in
-        let idx = Array.sub idx_all lo len in
-        let vals = Bitarray.init len (fun r -> vals_of idx.(r)) in
-        T.send dst (mk ~idx ~vals ~part ~parts)
+        let len = max 0 (min cap (total - lo)) in
+        T.send dst (mk ~idx:(Array.sub idx_all lo len) ~part ~parts)
       done
     in
-    let answer_req1 src = function
+    (* A request for phase p is answerable once my own stage 1 (Request1)
+       or stage 2 (Request2) of p is done: the paper's "q waits until it is
+       at least in stage 2 of phase p". *)
+    let answerable = function
+      | Request1 { phase; _ } -> phase < !my_phase || (phase = !my_phase && !my_stage >= 2)
+      | Request2 { phase; _ } -> phase < !my_phase || (phase = !my_phase && !my_stage >= 3)
+      | Reply1 _ | Reply2 _ | Full _ -> false
+    in
+    let answer (src, m) =
+      match m with
       | Request1 { phase; idx; part; parts } ->
         (* Reply with my values for exactly the requested indices. By
            Claim 1 I know all of them once I finished stage 1 of [phase];
@@ -170,9 +178,6 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
               Bitarray.get y b)
         in
         T.send src (Reply1 { phase; idx; vals; part; parts })
-      | Reply1 _ | Request2 _ | Reply2 _ | Full _ -> assert false
-    in
-    let answer_req2 src = function
       | Request2 { phase; missing } ->
         (* Short "me neither" answers go out first so that on a serialized
            link they are not stuck behind a long bit-carrying answer. *)
@@ -186,85 +191,53 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
           missing;
         Array.iter
           (fun u ->
-            if in_heard phase u then begin
-              let idx =
-                match Int_table.find_opt requests_sent (pair phase u) with
-                | Some a -> a
-                | None -> [||]
-              in
+            if in_heard phase u then
               send_batched src
-                (fun ~idx ~vals ~part ~parts ->
-                  Reply2 { phase; about = u; known = true; idx; vals; part; parts })
-                idx
-                (fun b -> Bitarray.get y b)
-            end)
+                (match Int_table.find_opt requests_sent (pair phase u) with
+                | Some a -> a
+                | None -> [||])
+                (fun ~idx ~part ~parts ->
+                  let vals = Bitarray.init (Array.length idx) (fun r -> Bitarray.get y idx.(r)) in
+                  Reply2 { phase; about = u; known = true; idx; vals; part; parts }))
           missing
-      | Request1 _ | Reply1 _ | Reply2 _ | Full _ -> assert false
+      | Reply1 _ | Reply2 _ | Full _ -> assert false
     in
-    let handle (src, m) =
+    let drain_pending () =
+      let ready, later = List.partition (fun (_, m) -> answerable m) !pending in
+      pending := later;
+      due := false;
+      List.iter answer (List.rev ready)
+    in
+    let handle src m =
       match m with
-      | Request1 { phase; _ } ->
-        (* Answerable only once my own stage 1 of that phase is done (the
-           paper's "q waits until it is at least in stage 2 of phase p"). *)
-        if phase < !my_phase || (phase = !my_phase && !my_stage >= 2) then answer_req1 src m
-        else pending_req1 := (src, m) :: !pending_req1
+      | Request1 _ | Request2 _ ->
+        pending := (src, m) :: !pending;
+        if answerable m then due := true
       | Reply1 { phase; idx; vals; parts; _ } ->
         learn_pairs idx vals;
         let got = bump reply1_recv (pair phase src) in
         if got >= parts then mark_heard phase src
-      | Request2 { phase; _ } ->
-        if phase < !my_phase || (phase = !my_phase && !my_stage >= 3) then answer_req2 src m
-        else pending_req2 := (src, m) :: !pending_req2
       | Reply2 { phase; about; known; idx; vals; parts; _ } ->
         if known then learn_pairs idx vals;
         let got = bump resp2_have (triple phase src about) in
         if got = parts then Int_table.replace resp2_answered (triple phase src about) ()
-      | Full { part; bits } ->
-        let asm =
-          match Int_table.find_opt full_asm src with
-          | Some a -> a
-          | None ->
-            let a = Wire.Assembly.create ~len:n ~b:full_payload in
-            Int_table.add full_asm src a;
-            a
-        in
-        if not (Wire.Assembly.complete asm) then begin
-          Wire.Assembly.add asm ~part bits;
-          if Wire.Assembly.complete asm then begin
-            got_full := true;
-            let full = Wire.Assembly.get asm in
-            for b = 0 to n - 1 do
-              learn b (Bitarray.get full b)
-            done
-          end
-        end
+      | Full { part; bits } -> (
+        match Wire.Assembly.feed full_asm src ~len:n ~b:full_payload ~part bits with
+        | Some full ->
+          got_full := true;
+          for b = 0 to n - 1 do
+            learn b (Bitarray.get full b)
+          done
+        | None -> ())
     in
-    let wait_until cond =
-      while not (cond ()) do
-        handle (T.receive ())
-      done
-    in
-    let drain_pending () =
-      let ready1, later1 =
-        List.partition
-          (fun (_, m) ->
-            match m with
-            | Request1 { phase; _ } -> phase < !my_phase || (phase = !my_phase && !my_stage >= 2)
-            | _ -> false)
-          !pending_req1
-      in
-      pending_req1 := later1;
-      List.iter (fun (src, m) -> answer_req1 src m) (List.rev ready1);
-      let ready2, later2 =
-        List.partition
-          (fun (_, m) ->
-            match m with
-            | Request2 { phase; _ } -> phase < !my_phase || (phase = !my_phase && !my_stage >= 3)
-            | _ -> false)
-          !pending_req2
-      in
-      pending_req2 := later2;
-      List.iter (fun (src, m) -> answer_req2 src m) (List.rev ready2)
+    (* Wait until [cond], answering each request the moment it is
+       answerable. *)
+    let rec wait_until cond =
+      T.await ~ready:(fun () -> !due || cond ()) ~on:handle;
+      if !due then begin
+        drain_pending ();
+        wait_until cond
+      end
     in
     let finish () =
       for b = 0 to n - 1 do
@@ -294,13 +267,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
           if q <> me then begin
             let idx = Array.of_list wants.(q) in
             Int_table.replace requests_sent (pair p q) idx;
-            let total = Array.length idx in
-            let parts = max 1 ((total + cap - 1) / cap) in
-            for part = 0 to parts - 1 do
-              let lo = part * cap in
-              let len = max 0 (min cap (total - lo)) in
-              T.send q (Request1 { phase = p; idx = Array.sub idx lo len; part; parts })
-            done
+            send_batched q idx (fun ~idx ~part ~parts -> Request1 { phase = p; idx; part; parts })
           end
         done;
         my_stage := 2;
@@ -320,10 +287,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
             (* Heard everyone: nothing to ask. *)
             my_stage := 3;
             drain_pending ();
-            my_phase := p + 1;
-            my_stage := 1;
-            drain_pending ();
-            phase_loop ()
+            next_phase p
           end
           else begin
             T.broadcast (Request2 { phase = p; missing });
@@ -360,14 +324,17 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
               for b = 0 to n - 1 do
                 if not know.(b) then assign.(b) <- reassign_rule ~k ~phase:p b
               done;
-              my_phase := p + 1;
-              my_stage := 1;
-              drain_pending ();
-              phase_loop ()
+              next_phase p
             end
           end
         end
       end
+    (* Every request of phase p or earlier was answered by stage 3 of p,
+       so entering phase p+1 leaves nothing to answer. *)
+    and next_phase p =
+      my_phase := p + 1;
+      my_stage := 1;
+      phase_loop ()
     in
     phase_loop ()
 end

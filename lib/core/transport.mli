@@ -4,11 +4,11 @@
     messages to other peers and [Query(i)] calls to the external source.
     {!S} captures exactly that interface — plus a private random stream,
     the [die] hook the Byzantine strategies use, and [await], the "wait
-    until …" loop over messages whose body only updates local state — so a
-    protocol core written against it is oblivious to {e where} it runs.
-    [await]'s [on] and [ready] must not call the transport: the simulator
-    runs them inside the delivering event. Like the model's peers, a core
-    has no clock. Two implementations exist:
+    until …" loop every core waits with — so a protocol core written
+    against it is oblivious to {e where} it runs. [await]'s [on] and
+    [ready] must not call the transport: the simulator runs them inside the
+    delivering event. Like the model's peers, a core has no clock. Two
+    implementations exist:
 
     - {!Sim_transport}: the deterministic discrete-event simulator
       ({!Dr_engine.Sim}), bit-exact with the pre-refactor behaviour;
@@ -40,17 +40,19 @@ module type S = sig
 
   val receive : unit -> int * msg
   (** Next delivered message as [(sender, message)]; blocks until one
-      arrives. *)
+      arrives. No protocol core calls it: cores wait with {!await}. *)
 
   val await : ready:(unit -> bool) -> on:(int -> msg -> unit) -> unit
-  (** [await ~ready ~on] means exactly
-      [while not (ready ()) do let src, m = receive () in on src m done]:
-      the paper's "wait until …" over messages that only update local
-      state. [on] and [ready] must not call the transport (no send,
-      query or [rng]); a loop whose body replies or queries stays on
-      {!receive}. The simulator runs [on] and [ready] inside the
-      delivering event, so a message costs no fiber switch; the socket
-      transport runs the loop itself. *)
+  (** [await ~ready ~on] means exactly: while [ready ()] is false, take
+      the next message [(src, m)] from {!receive} and run [on src m]. It
+      is the paper's "wait until …". [on] and [ready] must not call the
+      transport (no send, query or [rng]): a loop that replies buffers
+      the request in [on], makes [ready] hold while a buffered request is
+      answerable, and sends after [await] returns. The simulator runs [on]
+      and [ready] inside the delivering event, and resumes the fiber in
+      that event once [ready] holds, so those sends happen where a reply
+      sent from inside [on] would; the socket transport runs the loop
+      itself. *)
 
   val query : int -> bool
   (** The model's [Query(i)]: read one bit from the external source. Both
