@@ -129,7 +129,9 @@ end) : Transport.S with type msg = M.t = struct
       end;
       Frame.send_bytes fd payload
 
+  (* The simulator's order: destination check, crash rule, charge, send. *)
   let send dst m =
+    if dst < 0 || dst >= e.k then invalid_arg "Net_transport.send: bad destination";
     if Sim.send_forbidden e.crash ~sent:(Metrics.msgs_sent e.meter e.me) then raise Crashed;
     Metrics.on_send e.meter e.me ~count:1 ~size_bits:(M.size_bits m);
     match e.links.(dst) with
@@ -139,7 +141,7 @@ end) : Transport.S with type msg = M.t = struct
          a successful (lost) send. *)
       try transmit fd (Marshal.to_bytes m [])
       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
-    | None -> invalid_arg "Net_transport.send: bad destination"
+    | None -> (* dst = me *) Bqueue.push e.inbox (Msg (dst, Marshal.to_bytes m []))
 
   let broadcast m =
     for dst = 0 to e.k - 1 do

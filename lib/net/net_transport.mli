@@ -11,9 +11,11 @@
     every send and source read is charged to the peer's [env.meter] at
     [me] through the same {!Dr_engine.Metrics} calls the simulator makes,
     and the event-counted crash plans stop the peer where
-    {!Dr_engine.Sim}'s crash rule says, by raising {!Crashed}. [At_time] is
-    rejected upstream by {!Runner} — wall-clock crash times are not
-    meaningful in an asynchronous run.
+    {!Dr_engine.Sim}'s crash rule says, by raising {!Crashed}. As there, a
+    send outside [[0, k)] raises [Invalid_argument] before the crash rule
+    and the charge, and a send to itself reaches the peer's own inbox.
+    [At_time] is rejected upstream by {!Runner} — wall-clock crash times
+    are not meaningful in an asynchronous run.
 
     Fault injection ({!Faultnet}) sits below the reliability the protocols
     assume: a send may stall, be dropped (and silently retransmitted after a
