@@ -28,26 +28,39 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let spec = Segment.make ~n ~s:(min inst.Problem.k n) in
     let y = Bitarray.create n in
     let have = Array.make spec.Segment.s false in
+    (* Query my own segment and announce it. *)
     let pos, len = Segment.bounds spec i in
     Bitarray.blit ~src:(T.query_range ~pos ~len) ~dst:y ~pos;
     have.(i) <- true;
     T.broadcast (Want { seg = (i + 1) mod spec.Segment.s });
     let missing = ref (spec.Segment.s - 1) in
-    while !missing > 0 do
-      match T.receive () with
-      | src, Want { seg } ->
-        if have.(seg) then T.send src (Have { seg; bits = Segment.extract spec y seg })
-      | _, Have { seg; bits } ->
+    (* [on] only records what to send, newest first: a reply to [Some dst],
+       or a broadcast ([None]). The loop body sends it. *)
+    let outbox = ref [] in
+    let on src = function
+      | Want { seg } ->
+        if have.(seg) then
+          outbox := (Some src, Have { seg; bits = Segment.extract spec y seg }) :: !outbox
+      | Have { seg; bits } ->
         if not have.(seg) then begin
           have.(seg) <- true;
           decr missing;
           Bitarray.blit ~src:bits ~dst:y ~pos:(Segment.start spec seg);
-          T.broadcast (Want { seg = (seg + 1) mod spec.Segment.s })
+          outbox := (None, Want { seg = (seg + 1) mod spec.Segment.s }) :: !outbox
         end
+    in
+    while !missing > 0 do
+      T.await ~ready:(fun () -> (not (List.is_empty !outbox)) || !missing = 0) ~on;
+      List.iter
+        (function Some dst, m -> T.send dst m | None, m -> T.broadcast m)
+        (List.rev !outbox);
+      outbox := []
     done;
-    (* Termination flood (the Claim 2 move): a peer that stops serving pull
-       requests would starve any late requester, so push everything once
-       before exiting. *)
+    (* Termination flood: without this, a peer that finishes early stops
+       serving pull requests and a late requester starves — the simulator's
+       deadlock detector catches it immediately (try deleting these lines
+       and running the schedule explorer below). The paper's protocols end
+       the same way (Claim 2). *)
     for seg = 0 to spec.Segment.s - 1 do
       T.broadcast (Have { seg; bits = Segment.extract spec y seg })
     done;
