@@ -39,23 +39,17 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       List.iter (fun (part, bits) -> T.broadcast { seg = i; part; bits }) (Wire.split ~b mine)
     | None -> ());
     (* Collect every other segment. *)
-    let assemblies =
-      Array.init spec.Segment.s (fun seg -> Wire.Assembly.create ~len:(Segment.len spec seg) ~b)
-    in
+    let assemblies = Dr_engine.Int_table.create 8 in
     let missing = ref (if i < spec.Segment.s then spec.Segment.s - 1 else spec.Segment.s) in
     T.await
       ~ready:(fun () -> !missing <= 0)
       ~on:(fun _src { seg; part; bits } ->
-        if seg >= 0 && seg < spec.Segment.s && seg <> i then begin
-          let a = assemblies.(seg) in
-          if not (Wire.Assembly.complete a) then begin
-            Wire.Assembly.add a ~part bits;
-            if Wire.Assembly.complete a then begin
-              Bitarray.blit ~src:(Wire.Assembly.get a) ~dst:y ~pos:(Segment.start spec seg);
-              decr missing
-            end
-          end
-        end);
+        if seg >= 0 && seg < spec.Segment.s && seg <> i then
+          match Wire.Assembly.feed assemblies seg ~len:(Segment.len spec seg) ~b ~part bits with
+          | Some full ->
+            Bitarray.blit ~src:full ~dst:y ~pos:(Segment.start spec seg);
+            decr missing
+          | None -> ());
     y
 end
 

@@ -234,9 +234,15 @@ let prop_wire_roundtrip =
       let parts = Wire.split ~b bits in
       let arr = Array.of_list parts in
       Prng.shuffle (Prng.create (Int64.of_int shuffle_seed)) arr;
-      let asm = Wire.Assembly.create ~len:(Bitarray.length bits) ~b in
-      Array.iter (fun (part, payload) -> Wire.Assembly.add asm ~part payload) arr;
-      Wire.Assembly.complete asm && Bitarray.equal (Wire.Assembly.get asm) bits)
+      let table = Dr_engine.Int_table.create 1 in
+      let len = Bitarray.length bits in
+      match
+        List.filter_map
+          (fun (part, payload) -> Wire.Assembly.feed table 0 ~len ~b ~part payload)
+          (Array.to_list arr)
+      with
+      | [ got ] -> Bitarray.equal got bits
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Decision trees                                                      *)

@@ -226,55 +226,53 @@ let test_wire_split_sizes () =
       checkb "size bound" true (Bitarray.length payload <= 8))
     parts
 
+(* Feed [parts] in order into one assembly; what each part returns. *)
+let feed_all ~len ~b parts =
+  let table = Dr_engine.Int_table.create 1 in
+  List.map (fun (part, payload) -> Dr_core.Wire.Assembly.feed table 0 ~len ~b ~part payload) parts
+
+let completed results = List.filter_map Fun.id results
+
 let test_wire_roundtrip () =
   List.iter
     (fun (len, b) ->
       let bits = Bitarray.random (Dr_engine.Prng.create 21L) len in
-      let asm = Dr_core.Wire.Assembly.create ~len ~b in
       (* Deliver parts in reverse order; reassembly must not care. *)
-      List.iter
-        (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload)
-        (List.rev (Dr_core.Wire.split ~b bits));
-      checkb "complete" true (Dr_core.Wire.Assembly.complete asm);
-      checkb "identical" true (Bitarray.equal bits (Dr_core.Wire.Assembly.get asm)))
+      match completed (feed_all ~len ~b (List.rev (Dr_core.Wire.split ~b bits))) with
+      | [ got ] -> checkb "identical" true (Bitarray.equal bits got)
+      | l -> Alcotest.failf "completed %d times" (List.length l))
     [ (1, 1); (10, 3); (64, 64); (65, 64); (100, 7) ]
 
 let test_wire_empty () =
-  let asm = Dr_core.Wire.Assembly.create ~len:0 ~b:4 in
-  checkb "incomplete before part" false (Dr_core.Wire.Assembly.complete asm);
-  List.iter
-    (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload)
-    (Dr_core.Wire.split ~b:4 (Bitarray.create 0));
-  checkb "complete after empty part" true (Dr_core.Wire.Assembly.complete asm);
-  checki "empty result" 0 (Bitarray.length (Dr_core.Wire.Assembly.get asm))
+  match feed_all ~len:0 ~b:4 (Dr_core.Wire.split ~b:4 (Bitarray.create 0)) with
+  | [ Some got ] -> checki "empty result" 0 (Bitarray.length got)
+  | _ -> Alcotest.fail "the one empty part must complete the assembly"
 
 let test_wire_duplicate_parts_ignored () =
   let bits = Bitarray.of_string "110011" in
-  let asm = Dr_core.Wire.Assembly.create ~len:6 ~b:3 in
   let parts = Dr_core.Wire.split ~b:3 bits in
-  let part0, payload0 = List.hd parts in
-  Dr_core.Wire.Assembly.add asm ~part:part0 payload0;
-  Dr_core.Wire.Assembly.add asm ~part:part0 payload0;
-  checkb "received counted once" false (Dr_core.Wire.Assembly.complete asm);
-  List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
-  List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
-  checkb "still correct" true (Bitarray.equal bits (Dr_core.Wire.Assembly.get asm))
+  let first = List.hd parts in
+  match feed_all ~len:6 ~b:3 ((first :: first :: parts) @ parts) with
+  | [ None; None; None; Some got; None; None ] ->
+    checkb "still correct" true (Bitarray.equal bits got)
+  | _ -> Alcotest.fail "a duplicate part counted, or a part after completion returned"
 
 let test_wire_conflicting_duplicate_raises () =
   (* A duplicate of part 0 whose payload differs from the first copy must be
      rejected, not silently dropped: under a Byzantine sender the first-write
      -wins policy would otherwise hide an equivocation. *)
   let bits = Bitarray.of_string "110011" in
-  let asm = Dr_core.Wire.Assembly.create ~len:6 ~b:3 in
+  let table = Dr_engine.Int_table.create 1 in
+  let feed (part, payload) = Dr_core.Wire.Assembly.feed table 0 ~len:6 ~b:3 ~part payload in
   let parts = Dr_core.Wire.split ~b:3 bits in
-  List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
-  let conflicting = Bitarray.of_string "000" in
+  checkb "part 0 alone" true (Option.is_none (feed (List.hd parts)));
   Alcotest.check_raises "conflicting duplicate"
     (Invalid_argument "Wire.Assembly.add: duplicate part with conflicting payload")
-    (fun () -> Dr_core.Wire.Assembly.add asm ~part:0 conflicting);
+    (fun () -> ignore (feed (0, Bitarray.of_string "000")));
   (* Identical duplicates are still fine and the payload is untouched. *)
-  List.iter (fun (part, payload) -> Dr_core.Wire.Assembly.add asm ~part payload) parts;
-  checkb "payload intact" true (Bitarray.equal bits (Dr_core.Wire.Assembly.get asm))
+  match completed (List.map feed parts) with
+  | [ got ] -> checkb "payload intact" true (Bitarray.equal bits got)
+  | _ -> Alcotest.fail "expected one completion"
 
 let test_wire_frame_header_roundtrip () =
   let module F = Dr_core.Wire.Frame in
@@ -323,15 +321,17 @@ let test_wire_crc32_known_vectors () =
   let c2 = crc "framed payloae" in
   checkb "bit flip changes crc" false (c1 = c2)
 
-let test_wire_incomplete_get_raises () =
-  let asm = Dr_core.Wire.Assembly.create ~len:10 ~b:4 in
-  Alcotest.check_raises "incomplete get" (Invalid_argument "Wire.Assembly.get: incomplete")
-    (fun () -> ignore (Dr_core.Wire.Assembly.get asm))
+(* An incomplete assembly yields nothing: every part but the last one of
+   a 10-bit string returns [None]. *)
+let test_wire_incomplete_yields_nothing () =
+  let parts = Dr_core.Wire.split ~b:4 (Bitarray.random (Dr_engine.Prng.create 4L) 10) in
+  match feed_all ~len:10 ~b:4 parts with
+  | [ None; None; Some _ ] -> ()
+  | _ -> Alcotest.fail "an incomplete assembly returned a string"
 
 let test_wire_size_mismatch_raises () =
-  let asm = Dr_core.Wire.Assembly.create ~len:10 ~b:4 in
   Alcotest.check_raises "bad size" (Invalid_argument "Wire.Assembly.add: payload size mismatch")
-    (fun () -> Dr_core.Wire.Assembly.add asm ~part:0 (Bitarray.create 3))
+    (fun () -> ignore (feed_all ~len:10 ~b:4 [ (0, Bitarray.create 3) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Byte kernels                                                       *)
@@ -430,7 +430,7 @@ let suite =
     ("wire frame header", `Quick, test_wire_frame_header_roundtrip);
     ("wire frame header rejects garbage", `Quick, test_wire_frame_header_rejects_garbage);
     ("wire crc32 known vectors", `Quick, test_wire_crc32_known_vectors);
-    ("wire incomplete get", `Quick, test_wire_incomplete_get_raises);
+    ("wire incomplete get", `Quick, test_wire_incomplete_yields_nothing);
     ("wire size mismatch", `Quick, test_wire_size_mismatch_raises);
     ("bitarray byte kernels match per-bit reference", `Quick, test_bits_kernels_match_reference);
     ("bitarray unaligned blit allocates nothing", `Quick, test_bits_unaligned_blit_allocation_free);
