@@ -106,14 +106,18 @@ let client_config ~net_retries ~request_timeout =
         request_timeout = Option.value request_timeout ~default:d.request_timeout;
       }
 
+(* The flags are parsed before the regime check, so a malformed flag is
+   reported first; an instance outside the entry's regime is a usage error
+   before any peer process is forked. *)
 let run_net ~entry ~attack ~segments ~crash ~source ~timeout ~chaos ~net_retries
     ~request_timeout inst =
+  let client_cfg = client_config ~net_retries ~request_timeout in
+  let chaos = parse_chaos chaos in
+  let source = parse_source source in
+  (match Registry.admits entry inst with Ok () -> () | Error msg -> failwith msg);
   let core = entry.Registry.core ~attack ?segments inst in
   let crash = crash ~fault:inst.Problem.fault in
-  Dr_net.Runner.run_counted ~timeout ?source:(parse_source source)
-    ?chaos:(parse_chaos chaos)
-    ?client_cfg:(client_config ~net_retries ~request_timeout)
-    ~crash core inst
+  Dr_net.Runner.run_counted ~timeout ?source ?chaos ?client_cfg ~crash core inst
 
 let pp_outcomes outcomes =
   Printf.printf "peers: %s\n"

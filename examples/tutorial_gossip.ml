@@ -71,9 +71,6 @@ let core () : (module Transport.CORE) =
   (module struct
     let name = "lazy-gossip"
 
-    let supports inst =
-      if Problem.t inst = 0 then Ok () else Error "lazy gossip tolerates no faults"
-
     module Msg = Msg
     module Process = Process
   end)

@@ -17,8 +17,8 @@
 
     The protocol modules ([Byz_2cycle], [Byz_multicycle]) dispatch on the
     plan; this module owns the policy parameters so every protocol corrupts
-    identically. Registered in the {!Dr_core.Registry} attack catalogs as
-    ["adaptive"] and ["splitcast"]. *)
+    identically. Both plans are registered in the {!Dr_core.Registry}
+    attack catalogs. *)
 
 type plan = Echo_corrupt | Split_brain
 

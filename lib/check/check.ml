@@ -22,21 +22,15 @@ type target = {
     Problem.report;
 }
 
-let default_pool entry model =
-  let candidates =
-    List.concat_map
-      (fun (k, n) -> List.init k (fun t -> (k, n, t)))
-      [ (2, 4); (3, 5); (4, 8); (5, 10) ]
-  in
-  List.filter
-    (fun (k, n, t) ->
-      let inst = Problem.random_instance ~seed:1L ~model ~k ~n ~t () in
-      Result.is_ok (Registry.admits entry inst))
-    candidates
+let default_pool entry =
+  List.concat_map
+    (fun (k, n) -> List.init k (fun t -> (k, n, t)))
+    [ (2, 4); (3, 5); (4, 8); (5, 10) ]
+  |> List.filter (fun (k, _, t) -> entry.Registry.spec.Spec.resilience ~k ~t)
 
 let of_registry ?pool entry =
   let model = entry.Registry.model in
-  let pool = match pool with Some p -> p | None -> default_pool entry model in
+  let pool = match pool with Some p -> p | None -> default_pool entry in
   {
     name = Registry.name entry;
     attacks = Registry.attacks entry;

@@ -43,7 +43,7 @@ type target = {
 
 val of_registry : ?pool:(int * int * int) list -> Dr_core.Registry.entry -> target
 (** Check a registry protocol. The default pool crosses k ∈ 2..5 with small
-    n and every fault count the entry's [supports] precondition admits. *)
+    n and every fault count in the entry's regime ([spec.resilience]). *)
 
 (** {2 Running one scenario} *)
 

@@ -16,10 +16,12 @@ let protocol_opt_arg ?(extra = "") () =
   let doc = if String.equal extra "" then protocol_doc else protocol_doc ^ " " ^ extra in
   Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
+(* Every catalog's names, each once, in first-seen order. *)
 let attack_doc =
-  "Byzantine attack name from the protocol's registry catalog \
-   (default, silent, flip, equivocate, collude, nearmiss, lie, flood); \
-   protocols without an attack surface ignore it."
+  let add seen a = if List.exists (String.equal a) seen then seen else a :: seen in
+  let names = List.rev (List.fold_left add [] (List.concat_map Registry.attacks Registry.all)) in
+  "Byzantine attack name from the protocol's registry catalog (" ^ String.concat ", " names
+  ^ "); protocols without an attack surface ignore it."
 
 let attack_arg =
   Arg.(value & opt string "default" & info [ "attack" ] ~docv:"ATTACK" ~doc:attack_doc)

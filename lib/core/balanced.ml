@@ -13,9 +13,6 @@ end
 
 let name = "balanced"
 
-let supports inst =
-  if Problem.t inst = 0 then Ok () else Error "balanced tolerates no faults (beta = 0)"
-
 module Process (T : Transport.S with type msg = Msg.t) = struct
   let run inst i =
     let n = Problem.n inst in
@@ -56,7 +53,6 @@ end
 let core () : (module Transport.CORE) =
   (module struct
     let name = name
-    let supports = supports
 
     module Msg = Msg
     module Process = Process

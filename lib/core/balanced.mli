@@ -6,5 +6,7 @@
     peer corrupts every honest output. It exists as the β = 0 baseline and
     as the failure demo motivating everything else. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

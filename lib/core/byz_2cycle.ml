@@ -15,14 +15,6 @@ end
 
 let name = "byz-2cycle"
 
-let supports inst =
-  match inst.Problem.model with
-  | Problem.Crash -> Error "byz-2cycle targets Byzantine faults"
-  | Problem.Byzantine ->
-    if inst.Problem.k - (2 * Problem.t inst) < 1 then
-      Error "byz-2cycle needs k - 2t >= 1 (beta < 1/2)"
-    else Ok ()
-
 type attack =
   | Silent
   | Near_miss
@@ -165,7 +157,6 @@ end
 let core ?attack ?segments ?rho () : (module Transport.CORE) =
   (module struct
     let name = name
-    let supports = supports
 
     module Msg = Msg
 

@@ -19,6 +19,8 @@
     assumption for this protocol); the instance's B bound is not used to
     packetize. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 type attack =
   | Silent  (** faulty peers send nothing (coverage attack) *)
   | Near_miss
@@ -37,9 +39,8 @@ type attack =
   | Adaptive of Dr_adversary.Adaptive.plan
       (** choose the corruption online from observed traffic: receive first,
           then echo the observed report with one bit flipped — to everyone
-          ({!Dr_adversary.Adaptive.Echo_corrupt}, registry name
-          ["adaptive"]) or to only half the peers
-          ({!Dr_adversary.Adaptive.Split_brain}, ["splitcast"]) *)
+          ({!Dr_adversary.Adaptive.Echo_corrupt}) or to only half the peers
+          ({!Dr_adversary.Adaptive.Split_brain}) *)
   | Mirror
       (** faulty peers execute the honest protocol faithfully; the deviation
           comes entirely from the simulated source the lower-bound adversary

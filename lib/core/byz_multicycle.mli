@@ -16,6 +16,8 @@
     query bound Õ(n/(γk)). Correct w.h.p. for β < 1/2. Message size grows to
     Θ(n): the largest report is cycle R−1's, n/2 + 64 bits. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 type attack = Byz_2cycle.attack =
   | Silent
   | Near_miss

@@ -13,14 +13,6 @@ end
 
 let name = "byz-committee"
 
-let supports inst =
-  match inst.Problem.model with
-  | Problem.Crash -> Error "byz-committee targets Byzantine faults"
-  | Problem.Byzantine ->
-    if (2 * Problem.t inst) + 1 > inst.Problem.k then
-      Error "byz-committee needs 2t+1 <= k (beta < 1/2)"
-    else Ok ()
-
 type attack = Honest_but_silent | Flip | Equivocate | Collude | Mirror
 
 let committee ~k ~size j =
@@ -129,7 +121,6 @@ end
 let core ?attack ?committee_size ?threshold () : (module Transport.CORE) =
   (module struct
     let name = name
-    let supports = supports
 
     module Msg = Msg
 

@@ -16,6 +16,8 @@
     demonstration (Theorem 3.1) can run the protocol {e outside} its safe
     region β < 1/2 and exhibit the forced failure. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 type attack =
   | Honest_but_silent  (** faulty peers never send (pure omission) *)
   | Flip  (** members broadcast their block with every bit flipped *)

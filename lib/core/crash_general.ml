@@ -52,13 +52,6 @@ end
 
 let name = "crash-general"
 
-let supports inst =
-  match inst.Problem.model with
-  | Problem.Byzantine -> Error "crash-general handles crash faults only"
-  | Problem.Crash ->
-    if Problem.t inst >= inst.Problem.k then Error "crash-general needs at least one honest peer"
-    else Ok ()
-
 let phases_upper_bound ~k ~t =
   if t = 0 then 2
   else begin
@@ -342,7 +335,6 @@ end
 let core ?(fast_path = true) ?monitor () : (module Transport.CORE) =
   (module struct
     let name = if fast_path then name else name ^ "-nofp"
-    let supports = supports
 
     module Msg = Msg
 

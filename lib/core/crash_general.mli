@@ -26,6 +26,8 @@
     re-assignment the surviving index sets are stride-periodic and any
     affine rule would collapse them onto one peer. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 val core :
   ?fast_path:bool ->
   ?monitor:(peer:int -> phase:int -> assign:int array -> know:bool array -> unit) ->

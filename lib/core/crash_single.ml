@@ -34,14 +34,6 @@ end
 
 let name = "crash-single"
 
-let supports inst =
-  match inst.Problem.model with
-  | Problem.Byzantine -> Error "crash-single handles crash faults only"
-  | Problem.Crash ->
-    if Problem.t inst > 1 then Error "crash-single tolerates at most one crash"
-    else if inst.Problem.k < 2 then Error "crash-single needs at least 2 peers"
-    else Ok ()
-
 (* Reassignment of the missing peer's segment among the k-1 remaining peers:
    the r-th bit of the segment goes to the peer of rank (r mod (k-1)) in
    ID order, skipping [u]. The rule depends only on (bit, u), so all peers
@@ -229,7 +221,6 @@ end
 let core () : (module Transport.CORE) =
   (module struct
     let name = name
-    let supports = supports
 
     module Msg = Msg
     module Process = Process

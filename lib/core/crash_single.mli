@@ -11,5 +11,7 @@
 
     Q = ⌈n/k⌉ + ⌈n/(k(k−1))⌉ + O(1); tolerates exactly t ≤ 1 crash. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

@@ -6,7 +6,6 @@ module Msg = struct
 end
 
 let name = "naive"
-let supports _ = Ok ()
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
   let run inst _i = T.query_range ~pos:0 ~len:(Problem.n inst)
@@ -15,7 +14,6 @@ end
 let core () : (module Transport.CORE) =
   (module struct
     let name = name
-    let supports = supports
 
     module Msg = Msg
     module Process = Process

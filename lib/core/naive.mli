@@ -5,5 +5,7 @@
     deterministic option once half the peers can be Byzantine. It is the
     baseline every other protocol is compared against. *)
 
+val name : string  (** The registry name, [Spec.bounds.protocol]. *)
+
 val core : unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}). *)

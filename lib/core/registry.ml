@@ -1,6 +1,5 @@
 type entry = {
   model : Problem.fault_model;
-  beta_sup : float;
   spec : Spec.bounds;
   attacks : string list;
   run :
@@ -30,73 +29,67 @@ let () =
       Some (attack_error ~protocol ~attack ~known)
     | _ -> None)
 
-let committee_attacks = [ "equivocate"; "silent"; "flip"; "collude" ]
-let cycle_attacks = [ "nearmiss"; "silent"; "lie"; "equivocate"; "flood"; "adaptive"; "splitcast" ]
+(* One list per Byzantine attack vocabulary, each name once with the strategy
+   it stands for; ["default"] is the first name. The catalog, the parser and
+   {!validate_attack} all read these lists. A cycle strategy is built from
+   the instance's t (flood sends [max 1 t] groups). *)
+let committee_attacks =
+  Committee.
+    [ ("equivocate", Equivocate); ("silent", Honest_but_silent); ("flip", Flip); ("collude", Collude) ]
 
-let unknown ~protocol ~known attack =
-  raise (Unknown_attack { protocol; attack; known = "default" :: known })
+let cycle_attacks =
+  Byz_2cycle.
+    [
+      ("nearmiss", fun _ -> Near_miss);
+      ("silent", fun _ -> Silent);
+      ("lie", fun _ -> Consistent_lie);
+      ("equivocate", fun _ -> Equivocate);
+      ("flood", fun t -> Flood (max 1 t));
+      ("adaptive", fun _ -> Adaptive Dr_adversary.Adaptive.Echo_corrupt);
+      ("splitcast", fun _ -> Adaptive Dr_adversary.Adaptive.Split_brain);
+    ]
 
-(* One parser per Byzantine attack vocabulary, used by the entry's [core]
-   constructor (and so by the [run] derived from it). An out-of-catalog name
-   raises {!Unknown_attack} — a structured error the CLIs turn into a clean
-   usage message — never a bare [Failure]. *)
-let committee_attack = function
-  | "default" | "equivocate" -> Committee.Equivocate
-  | "silent" -> Committee.Honest_but_silent
-  | "flip" -> Committee.Flip
-  | "collude" -> Committee.Collude
-  | other -> unknown ~protocol:"byz-committee" ~known:committee_attacks other
-
-let cycle_attack ~protocol ~t = function
-  | "default" | "nearmiss" -> Byz_2cycle.Near_miss
-  | "silent" -> Byz_2cycle.Silent
-  | "lie" -> Byz_2cycle.Consistent_lie
-  | "equivocate" -> Byz_2cycle.Equivocate
-  | "flood" -> Byz_2cycle.Flood (max 1 t)
-  | "adaptive" -> Byz_2cycle.Adaptive Dr_adversary.Adaptive.Echo_corrupt
-  | "splitcast" -> Byz_2cycle.Adaptive Dr_adversary.Adaptive.Split_brain
-  | other -> unknown ~protocol ~known:cycle_attacks other
+(* An out-of-catalog name raises {!Unknown_attack} — a structured error the
+   CLIs turn into a clean usage message — never a bare [Failure]. *)
+let parse_attack ~protocol vocab attack =
+  let wanted =
+    match vocab with (first, _) :: _ when String.equal attack "default" -> first | _ -> attack
+  in
+  match List.find_opt (fun (n, _) -> String.equal n wanted) vocab with
+  | Some (_, strategy) -> strategy
+  | None -> raise (Unknown_attack { protocol; attack; known = "default" :: List.map fst vocab })
 
 (* The one entry constructor: [run] is always [core] executed on the
    simulator, so the two faces cannot drift. *)
-let entry ~model ~beta_sup ~spec ~attacks core =
-  {
-    model;
-    beta_sup;
-    spec;
-    attacks;
-    run =
-      (fun ?opts ?attack ?segments ?rho inst ->
-        Exec.run_core ?opts (core ?attack ?segments ?rho inst) inst);
-    core;
-  }
+let entry ~model ~spec ~attacks core =
+  let run ?opts ?attack ?segments ?rho inst =
+    Exec.run_core ?opts (core ?attack ?segments ?rho inst) inst
+  in
+  { model; spec; attacks; run; core }
 
-(* Protocols without an attack surface accept (and ignore) any attack name,
-   matching the CLI's historical behavior of only routing --attack to the
-   Byzantine protocols. *)
-let plain core ~model ~beta_sup ~spec =
-  entry ~model ~beta_sup ~spec ~attacks:[ "default" ]
-    (fun ?attack:_ ?segments:_ ?rho:_ _inst -> core ())
+(* The crash-model protocols have no attack surface: they accept (and
+   ignore) any attack name, as the CLI has always done. *)
+let plain core ~spec =
+  entry ~model:Problem.Crash ~spec ~attacks:[ "default" ] (fun ?attack:_ ?segments:_ ?rho:_ _ ->
+      core ())
+
+let byzantine vocab ~spec core =
+  entry ~model:Problem.Byzantine ~spec ~attacks:(List.map fst vocab)
+    (fun ?(attack = "default") ?segments ?rho inst ->
+      core (parse_attack ~protocol:spec.Spec.protocol vocab attack) ~segments ~rho inst)
 
 let all =
   [
-    plain Naive.core ~model:Problem.Crash ~beta_sup:1. ~spec:Spec.naive;
-    plain Balanced.core ~model:Problem.Crash ~beta_sup:0. ~spec:Spec.balanced;
-    plain Crash_single.core ~model:Problem.Crash ~beta_sup:0. ~spec:Spec.crash_single;
-    plain
-      (fun () -> Crash_general.core ())
-      ~model:Problem.Crash ~beta_sup:1. ~spec:Spec.crash_general;
-    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.committee ~attacks:committee_attacks
-      (fun ?(attack = "default") ?segments:_ ?rho:_ _inst ->
-        Committee.core ~attack:(committee_attack attack) ());
-    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_2cycle ~attacks:cycle_attacks
-      (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = cycle_attack ~protocol:"byz-2cycle" ~t:(Problem.t inst) attack in
-        Byz_2cycle.core ~attack ?segments ?rho ());
-    entry ~model:Problem.Byzantine ~beta_sup:0.5 ~spec:Spec.byz_multicycle ~attacks:cycle_attacks
-      (fun ?(attack = "default") ?segments ?rho inst ->
-        let attack = cycle_attack ~protocol:"byz-multicycle" ~t:(Problem.t inst) attack in
-        Byz_multicycle.core ~attack ?segments ?rho ());
+    plain Naive.core ~spec:Spec.naive;
+    plain Balanced.core ~spec:Spec.balanced;
+    plain Crash_single.core ~spec:Spec.crash_single;
+    plain Crash_general.core ~spec:Spec.crash_general;
+    byzantine committee_attacks ~spec:Spec.committee (fun attack ~segments:_ ~rho:_ _inst ->
+        Committee.core ~attack ());
+    byzantine cycle_attacks ~spec:Spec.byz_2cycle (fun attack ~segments ~rho inst ->
+        Byz_2cycle.core ~attack:(attack (Problem.t inst)) ?segments ?rho ());
+    byzantine cycle_attacks ~spec:Spec.byz_multicycle (fun attack ~segments ~rho inst ->
+        Byz_multicycle.core ~attack:(attack (Problem.t inst)) ?segments ?rho ());
   ]
 
 let name e = e.spec.Spec.protocol
@@ -115,8 +108,11 @@ let validate_attack e attack =
     else Error (attack_error ~protocol:(name e) ~attack ~known:("default" :: known))
 
 let admits e inst =
-  let (module C : Transport.CORE) = e.core inst in
-  C.supports inst
+  let k = inst.Problem.k and t = Problem.t inst in
+  if e.spec.Spec.resilience ~k ~t then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s: k=%d t=%d is outside its regime (%s)" (name e) k t e.spec.Spec.theorem)
 
 let names = List.map name all
 let spec_of n = Option.map (fun e -> e.spec) (find n)

@@ -2,9 +2,10 @@
 
     Single source of truth for the set of protocols in the library. Each
     entry bundles the protocol's transport-generic core constructor with its
-    fault model, fault-fraction supremum, paper bounds ({!Spec.bounds}) and
-    a simulator runner derived from the core; both parse the CLI attack
-    vocabulary for the protocols that take an adversary strategy. Anything that needs "all protocols" — selection, CLIs, sweeps,
+    fault model, paper bounds ({!Spec.bounds}, whose [resilience] is the
+    protocol's regime) and a simulator runner derived from the core; both
+    parse the CLI attack vocabulary for the protocols that take an adversary
+    strategy. Anything that needs "all protocols" — selection, CLIs, sweeps,
     the experiment harness, the spec tests — goes through this table; no
     other hand-maintained protocol list exists. *)
 
@@ -12,12 +13,9 @@ type entry = {
   model : Problem.fault_model;
       (** the fault model the protocol is designed against (the model a
           sweep should instantiate when running it) *)
-  beta_sup : float;
-      (** asymptotic supremum of the tolerated fault fraction t/k: 1 for
-          naive and the general crash protocol, 1/2 for the Byzantine
-          protocols, 0 for the fault-free/single-crash baselines. The exact
-          finite-[k] precondition is [spec.resilience] / [supports]. *)
-  spec : Spec.bounds;  (** the paper's bound record for this protocol *)
+  spec : Spec.bounds;
+      (** the paper's bound record for this protocol; its [resilience] is
+          the protocol's only statement of its regime (see {!admits}) *)
   attacks : string list;
       (** the entry's full attack-name catalog, every name accepted by [run]
           (["default"] excluded for the Byzantine entries — it aliases the
@@ -32,13 +30,11 @@ type entry = {
     Problem.instance ->
     Problem.report;
       (** run the protocol on the simulator: [Exec.run_core ?opts (core ?attack
-          ?segments ?rho inst) inst]. [attack] is the CLI attack name ("default",
-          "silent", "flip", "equivocate", "collude", "nearmiss", "lie",
-          "flood", "adaptive", "splitcast") — protocols without an attack
-          surface ignore it, the Byzantine ones raise {!Unknown_attack} on a
-          name outside their catalog (validate first with {!validate_attack}
-          for a [result]). [segments] and [rho] apply to the randomized
-          protocols only. *)
+          ?segments ?rho inst) inst]. [attack] is a name from [attacks] or
+          ["default"] — protocols without an attack surface ignore it, the
+          Byzantine ones raise {!Unknown_attack} on a name outside their
+          catalog (validate first with {!validate_attack} for a [result]).
+          [segments] and [rho] apply to the randomized protocols only. *)
   core :
     ?attack:string ->
     ?segments:int ->
@@ -85,7 +81,9 @@ val attacks : entry -> string list
 (** The [attacks] catalog field. *)
 
 val admits : entry -> Problem.instance -> (unit, string) result
-(** The protocol's own [supports] precondition (from its default core). *)
+(** [Ok ()] iff [spec.resilience ~k ~t] holds for the instance; the [Error]
+    names the theorem whose regime the instance is outside. The fault model
+    is not consulted: an entry admits an instance of either model. *)
 
 val names : string list
 

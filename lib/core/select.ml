@@ -1,21 +1,15 @@
 type preference = Deterministic | Randomized
 
-(* Every protocol reference goes through the registry: this file holds the
-   regime case analysis only, not a protocol list. *)
-let entry = Registry.find_exn
-
+(* The paper's order of preference per fault model; each protocol's regime
+   is its [Spec.bounds.resilience], read through [Registry.admits]. *)
 let for_instance ?(prefer = Randomized) inst =
-  let t = Problem.t inst in
-  match inst.Problem.model with
-  | Problem.Crash ->
-    if t = 0 then entry "balanced"
-    else if t = 1 then entry "crash-single"
-    else entry "crash-general"
-  | Problem.Byzantine ->
-    if t = 0 then entry "balanced"
-    else if 2 * t < inst.Problem.k then begin
-      match prefer with
-      | Deterministic -> entry "byz-committee"
-      | Randomized -> entry "byz-2cycle"
-    end
-    else entry "naive"
+  let minority = match prefer with Deterministic -> Committee.name | Randomized -> Byz_2cycle.name in
+  let preferred, fallback =
+    match inst.Problem.model with
+    | Problem.Crash -> ([ Balanced.name; Crash_single.name ], Crash_general.name)
+    | Problem.Byzantine -> ([ Balanced.name; minority ], Naive.name)
+  in
+  let admitted e = Result.is_ok (Registry.admits e inst) in
+  match List.find_opt admitted (List.map Registry.find_exn preferred) with
+  | Some e -> e
+  | None -> Registry.find_exn fallback

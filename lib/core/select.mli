@@ -9,7 +9,7 @@
 type preference = Deterministic | Randomized
 
 val for_instance : ?prefer:preference -> Problem.instance -> Registry.entry
-(** The registry entry whose protocol accepts the instance and whose query
-    complexity is the best the paper offers for the regime.
+(** The first entry that {!Registry.admits} the instance, in the order of
+    preference above, or the order's last entry if none does.
     [prefer] breaks the deterministic/randomized tie for β < 1/2 Byzantine
     instances (default [Randomized], the asymptotically better choice). *)

@@ -12,7 +12,7 @@ let per_peer_share ~k ~n = ceil (float_of_int n /. float_of_int k)
 
 let naive =
   {
-    protocol = "naive";
+    protocol = Naive.name;
     theorem = "folklore";
     resilience = (fun ~k:_ ~t:_ -> true);
     q_bound = (fun ~k:_ ~n ~t:_ ~b:_ -> float_of_int n);
@@ -21,7 +21,7 @@ let naive =
 
 let balanced =
   {
-    protocol = "balanced";
+    protocol = Balanced.name;
     theorem = "fault-free baseline";
     resilience = (fun ~k:_ ~t -> t = 0);
     q_bound = (fun ~k ~n ~t:_ ~b:_ -> per_peer_share ~k ~n);
@@ -30,7 +30,7 @@ let balanced =
 
 let crash_single =
   {
-    protocol = "crash-single";
+    protocol = Crash_single.name;
     theorem = "Theorem 2.3";
     resilience = (fun ~k ~t -> t <= 1 && k >= 2);
     q_bound =
@@ -45,7 +45,7 @@ let crash_single =
 
 let crash_general =
   {
-    protocol = "crash-general";
+    protocol = Crash_general.name;
     theorem = "Theorem 2.13";
     resilience = (fun ~k ~t -> t < k);
     q_bound =
@@ -61,7 +61,7 @@ let crash_general =
 
 let committee =
   {
-    protocol = "byz-committee";
+    protocol = Committee.name;
     theorem = "Theorem 3.4";
     resilience = (fun ~k ~t -> (2 * t) + 1 <= k);
     q_bound =
@@ -79,7 +79,7 @@ let committee =
 
 let byz_2cycle =
   {
-    protocol = "byz-2cycle";
+    protocol = Byz_2cycle.name;
     theorem = "Theorem 3.7";
     resilience = (fun ~k ~t -> k - (2 * t) >= 1);
     q_bound =
@@ -93,7 +93,7 @@ let byz_2cycle =
 
 let byz_multicycle =
   {
-    protocol = "byz-multicycle";
+    protocol = Byz_multicycle.name;
     theorem = "Theorem 3.12";
     resilience = (fun ~k ~t -> k - (2 * t) >= 1);
     q_bound =

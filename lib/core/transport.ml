@@ -21,7 +21,6 @@ end
 
 module type CORE = sig
   val name : string
-  val supports : Problem.instance -> (unit, string) result
 
   module Msg : MSG
 

@@ -94,14 +94,11 @@ end
     that can be instantiated over any {!S}. Obtain values of this type from
     {!Registry.entry.core} — the constructor closes over the protocol's
     attack/segment parameters so [Process(T).run] needs only the instance
-    and the peer id. *)
+    and the peer id. A core is code only: the regime it is proved in is
+    {!Spec.bounds.resilience}, checked by {!Registry.admits}. *)
 module type CORE = sig
   val name : string
   (** The protocol name reported in {!Problem.report} (the registry name). *)
-
-  val supports : Problem.instance -> (unit, string) result
-  (** Whether the protocol's resilience precondition holds for the
-      instance (e.g. the committee protocol needs [2t + 1 <= k]). *)
 
   module Msg : MSG
 

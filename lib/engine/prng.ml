@@ -41,6 +41,14 @@ let[@inline] next64 g =
 
 let split g = create (next64 g)
 
+(* The first [i] splits only advance the master: a split draws one word. *)
+let for_peer seed i =
+  let master = create seed in
+  for _ = 1 to i do
+    ignore (next64 master)
+  done;
+  split master
+
 let int g bound =
   assert (bound > 0);
   Int64.to_int (Int64.unsigned_rem (next64 g) (Int64.of_int bound))

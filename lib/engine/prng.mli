@@ -17,6 +17,11 @@ val split : t -> t
     each peer its own stream so that protocol randomness does not depend on
     scheduling order. *)
 
+val for_peer : int64 -> int -> t
+(** [for_peer seed i] is peer [i]'s stream as [Sim.run] assigns it: the
+    [(i+1)]-th split of [create seed]. The net runtime draws each process's
+    coin flips and fault schedule from it, so they match the simulator's. *)
+
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -150,19 +150,14 @@ type t = {
   mutable tripped : bool;  (** the [disconnect] clause has fired, not yet consumed *)
 }
 
-(* The (peer+1)-th split of the chaos master, mirroring [Runner.peer_prng]'s
-   per-peer stream assignment: every peer draws its fault schedule from its
-   own stream, so schedules do not depend on scheduling order across
-   processes. Two sub-splits keep link decisions and source decisions
-   independent of each other. *)
+(* Every peer draws its fault schedule from its own stream of the chaos
+   seed, so schedules do not depend on scheduling order across processes.
+   Two sub-splits keep link decisions and source decisions independent of
+   each other. *)
 let make ~seed ~peer plan =
-  let master = Prng.create seed in
-  let base = ref (Prng.split master) in
-  for _ = 1 to peer do
-    base := Prng.split master
-  done;
-  let link_rng = Prng.split !base in
-  let source_rng = Prng.split !base in
+  let base = Prng.for_peer seed peer in
+  let link_rng = Prng.split base in
+  let source_rng = Prng.split base in
   { plan; peer; link_rng; source_rng; ops = 0; queries = 0; tripped = false }
 
 let bernoulli rng p = Fl.(p > 0. && Prng.float rng 1.0 < p)

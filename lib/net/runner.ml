@@ -52,17 +52,6 @@ let classify = function
    noise from k children; a stray signal must not abort supervision). *)
 let rec eintr f = match f () with v -> v | exception Unix.Unix_error (Unix.EINTR, _, _) -> eintr f
 
-(* The peer's private random stream: the (me+1)-th split of the master —
-   identical to the simulator's per-peer assignment, so randomized protocol
-   cores draw the same coin flips on both transports. *)
-let peer_prng ~seed me =
-  let master = Prng.create seed in
-  let prng = ref (Prng.split master) in
-  for _ = 1 to me do
-    prng := Prng.split master
-  done;
-  !prng
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let listener () =
@@ -114,7 +103,7 @@ let child_main (module C : Transport.CORE) ~inst ~me ~host ~source_port ~listene
   let links = build_mesh ~me ~k ~listeners ~ports in
   let env =
     Net_transport.make_env ~me ~k ~links ~source
-      ~prng:(peer_prng ~seed:inst.Problem.seed me)
+      ~prng:(Prng.for_peer inst.Problem.seed me)
       ~crash:crash_spec ?chaos:injector ()
   in
   Net_transport.start_receivers env;
@@ -193,9 +182,6 @@ type fault_counters = {
 
 let run_counted ?(timeout = 60.) ?source ?(crash = Dr_adversary.Crash_plan.none) ?chaos
     ?(client_cfg = Source_client.default_config) (module C : Transport.CORE) inst =
-  (match C.supports inst with
-  | Ok () -> ()
-  | Error e -> failwith (C.name ^ ": " ^ e));
   let k = inst.Problem.k in
   let crash_specs =
     Array.init k (fun i ->

@@ -60,10 +60,11 @@ val run :
     {!Source_server} spawned in-process for the instance's array (pass an
     address to use an external [dr_source_server], whose query counters are
     then read as deltas); [crash] — no crashes; [chaos] — no injected
-    faults; [client_cfg] — {!Source_client.default_config}. Raises
-    [Failure] when the core rejects the instance ([supports]) or the crash
-    plan contains an [At_time] spec (wall-clock crash instants are not
-    meaningful here — use the event-counted specs), and
+    faults; [client_cfg] — {!Source_client.default_config}. Runs any core on
+    any instance, as {!Dr_core.Exec.run_core} does ({!Dr_core.Registry.admits}
+    checks the regime). Raises [Failure] when the crash plan contains an
+    [At_time] spec (wall-clock crash instants are not meaningful here — use
+    the event-counted specs), and
     {!Source_client.Unreachable} when an external source cannot be reached
     at all. *)
 

@@ -545,6 +545,21 @@ let test_sim_rng_isolated_from_schedule () =
      peers; peer 0's stream is the first split either way. *)
   checki "k-independent" (draw 2) (draw 5)
 
+let test_prng_for_peer_is_sim_stream () =
+  (* [Prng.for_peer] gives peer i the stream [Sim.run] hands it, so the net
+     runtime's coin flips agree with the simulator's. *)
+  let seed = 42L and k = 5 in
+  let draws g = List.init 3 (fun _ -> Prng.next64 g) in
+  let outcome = S.run { (Sim.default_config ~k ~query_bit) with seed } (fun _ -> draws (S.rng ())) in
+  Array.iteri
+    (fun i out ->
+      check
+        Alcotest.(option (list int64))
+        (Printf.sprintf "peer %d" i)
+        (Some (draws (Prng.for_peer seed i)))
+        (Option.map snd out))
+    outcome.Sim.outputs
+
 let test_sim_trace_records () =
   let trace = Trace.create () in
   let cfg = { (Sim.default_config ~k:2 ~query_bit) with trace = Some trace } in
@@ -1811,4 +1826,5 @@ let suite =
     ("engine: links independent", `Quick, test_link_serialization_links_independent);
     ("engine: infinite rate default", `Quick, test_link_rate_infinite_is_default);
     ("warm storm direct major words", `Quick, test_warm_storm_direct_major_words);
+    ("prng: for_peer is the simulator's peer stream", `Quick, test_prng_for_peer_is_sim_stream);
   ]

@@ -1291,8 +1291,8 @@ let prop_naive_unconditional =
 (* Registry matrix: every protocol x every catalog attack              *)
 (* ------------------------------------------------------------------ *)
 
-(* The smallest admitted instance with as many faults as the protocol's own
-   [supports] precondition allows: faults make the attacks actually fire. For
+(* The smallest admitted instance with as many faults as the protocol's
+   regime ([Registry.admits]) allows: faults make the attacks actually fire. For
    the randomized protocols we additionally keep k >= 4t + 4 (the same safe
    margin the QCheck generators use) so the w.h.p. coverage guarantee is
    essentially certain and the matrix stays deterministic-green. *)

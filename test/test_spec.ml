@@ -33,13 +33,12 @@ let test_registry_entries () =
   let two = Registry.find_exn "byz-2cycle" in
   checkb "2cycle is Byzantine" true (two.Registry.model = Problem.Byzantine);
   checkb "2cycle randomized" true two.Registry.spec.Spec.randomized;
-  checkb "2cycle beta sup 1/2" true (two.Registry.beta_sup = 0.5);
   let cg = Registry.find_exn "crash-general" in
   checkb "crash-general is Crash" true (cg.Registry.model = Problem.Crash);
   checkb "crash-general deterministic" false cg.Registry.spec.Spec.randomized;
   checkb "unknown name" true (Registry.find "nope" = None);
   let inst = Problem.random_instance ~seed:2L ~k:8 ~n:128 ~t:2 () in
-  checkb "admits delegates to supports" true (Registry.admits cg inst = Ok ())
+  checkb "admits reads the regime" true (Registry.admits cg inst = Ok ())
 
 let test_registry_attack_dispatch () =
   let byz = Problem.random_instance ~seed:9L ~model:Problem.Byzantine ~k:9 ~n:256 ~t:2 () in
@@ -59,30 +58,6 @@ let test_registry_attack_dispatch () =
   let crash = Problem.random_instance ~seed:9L ~k:8 ~n:256 ~t:2 () in
   checkb "crash-general ignores attack" true
     ((Registry.find_exn "crash-general").Registry.run ~attack:"flip" crash).Problem.ok
-
-let test_resilience_matches_supports () =
-  (* Spec.resilience and the core's supports must agree across a grid. *)
-  List.iter
-    (fun name ->
-      let e = Registry.find_exn name in
-      let b = e.Registry.spec in
-      for k = 2 to 10 do
-        for t = 0 to k - 1 do
-          let model =
-            if name = "naive" || String.length name >= 3 && String.sub name 0 3 = "byz" then
-              Problem.Byzantine
-            else Problem.Crash
-          in
-          let inst = Problem.random_instance ~k ~n:32 ~t ~model () in
-          let supported = Registry.admits e inst = Ok () in
-          let spec_ok = b.Spec.resilience ~k ~t in
-          (* supports may be stricter about the model; where both are in
-             their model, the resilience conditions must coincide. *)
-          if supported <> spec_ok then
-            Alcotest.failf "%s: supports=%b spec=%b at k=%d t=%d" name supported spec_ok k t
-        done
-      done)
-    [ "naive"; "crash-general"; "byz-committee" ]
 
 let test_bounds_hold_on_live_runs () =
   (* Crash protocols under silent crashes: measured Q <= bound. *)
@@ -199,7 +174,6 @@ let test_range_reads_charge_per_bit () =
 let scribbler ~copy ~len : (module Transport.CORE) =
   (module struct
     let name = "scribbler"
-    let supports _ = Ok ()
 
     module Msg = struct
       type t = unit
@@ -233,16 +207,35 @@ let test_mutated_read_caught () =
       (1, D.One_bit (Dr_source.Bitarray.get inst.Problem.x 2));
     ]
 
+(* Admission is the regime: for every entry, k in 2..10, t < k and either
+   fault model, [Registry.admits] holds exactly where [spec.resilience] does. *)
+let test_admission_is_the_regime () =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun model ->
+          for k = 2 to 10 do
+            for t = 0 to k - 1 do
+              let inst = Problem.random_instance ~model ~k ~n:32 ~t () in
+              checkb
+                (Printf.sprintf "%s k=%d t=%d" (Registry.name e) k t)
+                (e.Registry.spec.Spec.resilience ~k ~t)
+                (Registry.admits e inst = Ok ())
+            done
+          done)
+        [ Problem.Crash; Problem.Byzantine ])
+    Registry.all
+
 let suite =
   [
     ("spec covers the registry", `Quick, test_spec_covers_registry);
     ("registry entries are coherent", `Quick, test_registry_entries);
     ("registry attack dispatch", `Quick, test_registry_attack_dispatch);
-    ("resilience matches supports", `Quick, test_resilience_matches_supports);
     ("crash-general bound holds live", `Quick, test_bounds_hold_on_live_runs);
     ("committee bound holds live", `Quick, test_bounds_hold_committee);
     ("2cycle bound holds live", `Quick, test_bounds_hold_2cycle);
     ("bounds are not vacuous", `Quick, test_bound_is_not_vacuous);
     ("range reads charge Q per bit", `Quick, test_range_reads_charge_per_bit);
     ("a write into a shared read is caught", `Quick, test_mutated_read_caught);
+    ("admission is the regime", `Quick, test_admission_is_the_regime);
   ]

@@ -259,7 +259,6 @@ let test_no_core_receives () =
 let send_core ~bad : (module Dr_core.Transport.CORE) =
   (module struct
     let name = if bad then "bad-send" else "self-send"
-    let supports _ = Ok ()
 
     module Msg = struct
       type t = int
