@@ -6,12 +6,20 @@
     counted — the paper's accounting "each peer sends no more than one string
     overall" is enforced here, so a Byzantine flooder cannot inflate R_j.
 
-    Cost model. Each segment remembers its leader, a string with the largest
-    count, and the map cell that holds that count. A report equal to the
-    leader, physically or byte for byte, costs O(1): one comparison and one
-    increment, no map lookup. Any other report costs O(log d) for the d
-    distinct strings of its segment, so a flood of distinct forgeries costs
-    no more than before, and the honest string costs O(1) once it leads. *)
+    Each segment keeps a flat tally: its leader, a string with the largest
+    count, and that count in two fields; its other distinct strings and
+    their counts in two arrays that grow by doubling. The leader changes
+    only when another string's count strictly exceeds the leader's.
+
+    Cost model, for the d distinct strings of a segment. A report equal to
+    the leader, physically or byte for byte, costs one comparison and one
+    increment and allocates nothing. Any other report costs O(d) equality
+    tests (a linear scan of the other strings), plus an amortised O(1)
+    append when the string is new. Since each peer counts once, d is at
+    most the number of peers that reported the segment: a flood of
+    distinct forgeries makes d at most t + 1, and the honest string costs
+    O(1) once it leads. [frequent] costs O(d) plus a sort of the strings it
+    returns. *)
 
 type t
 
@@ -26,13 +34,10 @@ val add : t -> seg:int -> peer:int -> Dr_source.Bitarray.t -> bool
 val reporters : t -> int
 (** (for tests) Number of distinct peers that have reported. *)
 
-val total_for : t -> seg:int -> int
-(** (for tests) R_j: reports received for segment [j], including
-    duplicates. *)
-
 val strings_for : t -> seg:int -> (Dr_source.Bitarray.t * int) list
 (** (for tests) Distinct strings with their reporter counts, in decreasing
-    {!Dr_source.Bitarray.compare} order. *)
+    {!Dr_source.Bitarray.compare} order. Their counts sum to R_j, the
+    reports counted for segment [j]. *)
 
 val frequent : t -> seg:int -> rho:int -> Dr_source.Bitarray.t list
 (** Strings reported by ≥ rho distinct peers, in decreasing

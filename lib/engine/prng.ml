@@ -49,9 +49,18 @@ let for_peer seed i =
   done;
   split master
 
+(* The draw [x] read unsigned, mod [bound], with one signed division and
+   nothing boxed: [x = 2h + bit] with [h = x lsr 1 >= 0], so [x mod bound]
+   is [(2 (h mod bound) + bit) mod bound], and [2 (h mod bound) + bit] is
+   below [2 bound]: at most one subtraction, done as [q - gap] so that no
+   step leaves [0 .. bound]. *)
 let int g bound =
   assert (bound > 0);
-  Int64.to_int (Int64.unsigned_rem (next64 g) (Int64.of_int bound))
+  let x = next64 g in
+  let q = Int64.to_int (Int64.rem (Int64.shift_right_logical x 1) (Int64.of_int bound)) in
+  let bit = Int64.to_int x land 1 in
+  let gap = bound - q - bit in
+  if q >= gap then q - gap else q + q + bit
 
 let float g bound =
   let mantissa = Int64.shift_right_logical (next64 g) 11 in

@@ -26,7 +26,9 @@ val next64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int g bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+(** [int g bound] is uniform in [\[0, bound)]. [bound] must be positive. It
+    is [Int64.unsigned_rem (next64 g) (Int64.of_int bound)], computed with
+    one division and without allocating. *)
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)

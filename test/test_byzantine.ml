@@ -122,7 +122,7 @@ let test_frequent_one_report_per_peer () =
   checkb "first accepted" true (Frequent.add st ~seg:0 ~peer:7 (ba "1"));
   checkb "second rejected" false (Frequent.add st ~seg:0 ~peer:7 (ba "1"));
   checkb "other segment rejected too" false (Frequent.add st ~seg:1 ~peer:7 (ba "0"));
-  checki "R_0 = 1" 1 (Frequent.total_for st ~seg:0);
+  checki "R_0 = 1" 1 (List.fold_left (fun n (_, c) -> n + c) 0 (Frequent.strings_for st ~seg:0));
   checki "one reporter" 1 (Frequent.reporters st)
 
 let test_frequent_rejects_negative_ids () =
@@ -166,6 +166,31 @@ let test_frequent_covered_allocation_free () =
   let words = Gc.minor_words () -. before in
   check Alcotest.(float 0.) "minor words for 2000 readiness checks" 0. words;
   checkb "some ready, some not" true (!ready > 0 && !ready < 2000)
+
+(* A report equal to its segment's leader, the same physical value or a
+   byte-equal copy, bumps one count: measured once the store has seen its
+   largest peer id and segment 3's honest string has overtaken a forgery. *)
+let test_frequent_leader_allocation_free () =
+  let st = Frequent.create () in
+  let honest = ba "0110" and copy = ba "0110" in
+  ignore (Frequent.add st ~seg:3 ~peer:1023 (ba "1001"));
+  for peer = 0 to 7 do
+    ignore (Frequent.add st ~seg:(peer mod 4) ~peer honest)
+  done;
+  let accepted = ref 0 in
+  let before = Gc.minor_words () in
+  for peer = 8 to 1022 do
+    if Frequent.add st ~seg:(peer mod 4) ~peer (if peer land 1 = 0 then honest else copy) then
+      incr accepted
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(float 0.) "minor words for 1015 leader reports" 0. words;
+  checki "all accepted" 1015 !accepted;
+  check
+    Alcotest.(list (pair string int))
+    "segment 3"
+    [ ("1001", 1); ("0110", 255) ]
+    (List.map (fun (s, c) -> (Bitarray.to_string s, c)) (Frequent.strings_for st ~seg:3))
 
 (* ------------------------------------------------------------------ *)
 (* Committee protocol                                                  *)
@@ -424,6 +449,24 @@ let test_multicycle_last_cycle_silent () =
       checki (attack ^ ": honest M") (2 * 88 * 95) r.Problem.msgs)
     (Registry.attacks e)
 
+(* A warm byz-multicycle Download at sim-wide's shape (k=128, n=256,
+   t=16, near-miss forgeries, jittered delays) on the deterministic
+   minor-heap counter: 276,616 words when each segment's counts were a
+   string map of int refs. *)
+let test_multicycle_warm_download_allocation () =
+  let e = Registry.find_exn "byz-multicycle" in
+  let inst = byz_instance ~seed:1L ~k:128 ~n:256 ~t:16 () in
+  let run () =
+    let opts = Exec.(default |> with_latency (jitter 3L)) in
+    e.Registry.run ~opts ~attack:"nearmiss" inst
+  in
+  assert_ok "cold" (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  assert_ok "warm" r;
+  checkb (Printf.sprintf "%.0f minor words per warm Download <= 200,000" words) true (words <= 200_000.)
+
 (* Two sim-deep Downloads of perfbench (seed 1 input 0, seed 42 input 4),
    with their coin flips and delays pinned: the second misses Theorem
    3.7's coverage event, so every honest peer deadlocks. A change that
@@ -541,4 +584,6 @@ let suite =
     ("frequent: negative ids rejected", `Quick, test_frequent_rejects_negative_ids);
     ("frequent: covered allocates nothing", `Quick, test_frequent_covered_allocation_free);
     ("multicycle: last cycle sends nothing", `Quick, test_multicycle_last_cycle_silent);
+    ("frequent: a leader report allocates nothing", `Quick, test_frequent_leader_allocation_free);
+    ("multicycle: warm Download allocation budget", `Quick, test_multicycle_warm_download_allocation);
   ]

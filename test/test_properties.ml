@@ -118,6 +118,24 @@ let bits_by_set len f =
 
 let fill_lengths = List.init 131 Fun.id @ [ 16_384 ]
 
+(* [Prng.int] against [Int64.unsigned_rem] of a twin generator's raw draw,
+   for bound 1, every power of two, max_int and random bounds. About half
+   the draws have the top bit set, where the raw draw read as a signed
+   int64 is negative. *)
+let prop_prng_int_is_unsigned_rem =
+  let fixed = (1 :: List.init 62 (fun e -> 1 lsl e)) @ [ max_int; max_int - 1; 3; 1_000_003 ] in
+  QCheck.Test.make ~name:"prng: int is next64's unsigned remainder" ~count:200
+    QCheck.(pair int64 (small_list pos_int))
+    (fun (seed, extra) ->
+      let g = Prng.create seed and g' = Prng.create seed in
+      let top = ref 0 in
+      let agree bound =
+        let x = Prng.next64 g' in
+        if Int64.compare x 0L < 0 then incr top;
+        Prng.int g bound = Int64.to_int (Int64.unsigned_rem x (Int64.of_int bound))
+      in
+      List.for_all agree (fixed @ List.map (Int.max 1) extra) && !top > 0)
+
 (* [Prng.fill_bits] against [len] calls of [Prng.bool] on a twin generator:
    the same bits, zero padding, no byte past [(len + 7) / 8] touched, and
    the same [next64] afterwards. [Bitarray.random] is checked the same way. *)
@@ -437,7 +455,8 @@ let prop_frequent_matches_model =
       for seg = 0 to 6 do
         ok :=
           !ok
-          && Frequent.total_for st ~seg = List.length (List.filter (fun (g, _, _) -> g = seg) accepted)
+          && List.fold_left (fun n (_, c) -> n + c) 0 (Frequent.strings_for st ~seg)
+             = List.length (List.filter (fun (g, _, _) -> g = seg) accepted)
           && store_strings seg = model_strings seg;
         for rho = 1 to 3 do
           ok :=
@@ -549,6 +568,75 @@ let prop_frequent_leader_matches_model =
         (fun (seg, peer, idx, copy) ->
           let fresh = not (List.exists (fun (_, p, _) -> p = peer) !accepted) in
           if fresh then accepted := (seg, peer, pool.(idx)) :: !accepted;
+          let s = if copy then Bitarray.of_string pool.(idx) else shared.(idx) in
+          Frequent.add st ~seg ~peer s = fresh && agree ())
+        reports)
+
+(* The store against a model of per-segment counts with up to 45 distinct
+   strings in a segment, checked after every report. Each stream opens
+   with mostly one-off strings, which grow a segment's arrays past several
+   doublings, then repeats a few strings late in the pool, so leads change
+   hands after growth. A report is the pool's physical value or an equal
+   copy, and the pool mixes two lengths. *)
+let prop_frequent_many_strings_match_model =
+  let pool =
+    Array.init 45 (fun i ->
+        String.init (6 + (i land 1)) (fun b -> if (i lsr b) land 1 = 1 then '1' else '0'))
+  in
+  let shared = Array.map Bitarray.of_string pool in
+  let report str_gen = QCheck.Gen.(quad (int_range 0 1) (int_range 0 400) str_gen bool) in
+  let gen =
+    QCheck.Gen.(
+      map2 ( @ )
+        (list_size (int_range 0 90) (report (int_range 0 44)))
+        (list_size (int_range 0 80)
+           (report (frequency [ (3, int_range 30 33); (1, int_range 0 44) ]))))
+  in
+  let print reports =
+    String.concat " "
+      (List.map
+         (fun (seg, peer, idx, copy) ->
+           Printf.sprintf "%d:%d:%s%s" seg peer pool.(idx) (if copy then "'" else ""))
+         reports)
+  in
+  let decreasing (a, _) (b, _) = Bitarray.compare (Bitarray.of_string b) (Bitarray.of_string a) in
+  QCheck.Test.make ~name:"frequent: many distinct strings match a counts model" ~count:100
+    (QCheck.make ~print gen)
+    (fun reports ->
+      let st = Frequent.create () in
+      let peers = Hashtbl.create 64 in
+      (* counts.(seg): each reported string of [seg] with its reporter count. *)
+      let counts = Array.make 3 [] in
+      let agree () =
+        Frequent.reporters st = Hashtbl.length peers
+        && List.for_all
+             (fun seg ->
+               let model = List.sort decreasing counts.(seg) in
+               let model_frequent rho =
+                 List.filter_map (fun (s, c) -> if c >= rho then Some s else None) model
+               in
+               List.map (fun (b, c) -> (Bitarray.to_string b, c)) (Frequent.strings_for st ~seg)
+               = model
+               && List.for_all
+                    (fun rho ->
+                      List.map Bitarray.to_string (Frequent.frequent st ~seg ~rho) = model_frequent rho
+                      && Frequent.has_frequent st ~seg ~rho = (model_frequent rho <> [])
+                      && Frequent.covered st ~segments:(seg + 1) ~rho
+                         = List.for_all
+                             (fun g -> List.exists (fun (_, c) -> c >= rho) counts.(g))
+                             (List.init (seg + 1) Fun.id))
+                    (List.init 6 Fun.id))
+             [ 0; 1; 2 ]
+      in
+      List.for_all
+        (fun (seg, peer, idx, copy) ->
+          let fresh = not (Hashtbl.mem peers peer) in
+          if fresh then begin
+            Hashtbl.replace peers peer ();
+            let str = pool.(idx) in
+            let c = Option.value ~default:0 (List.assoc_opt str counts.(seg)) in
+            counts.(seg) <- (str, c + 1) :: List.remove_assoc str counts.(seg)
+          end;
           let s = if copy then Bitarray.of_string pool.(idx) else shared.(idx) in
           Frequent.add st ~seg ~peer s = fresh && agree ())
         reports)
@@ -1501,4 +1589,6 @@ let suite =
         prop_read_range_memo;
         prop_warm_after_stall_matches_cold;
         prop_send_table_entries;
+        prop_frequent_many_strings_match_model;
+        prop_prng_int_is_unsigned_rem;
       ]
