@@ -2,10 +2,6 @@ module Bitarray = Dr_source.Bitarray
 
 type t = Leaf of Bitarray.t | Node of { index : int; zero : t; one : t }
 
-let dedupe strings =
-  let sorted = List.sort_uniq Bitarray.compare strings in
-  sorted
-
 let rec build_sorted = function
   | [] -> invalid_arg "Decision_tree.build: empty candidate set"
   | [ s ] -> Leaf s
@@ -19,14 +15,17 @@ let rec build_sorted = function
       (* Both sides are non-empty: [first] and [second] differ at [index]. *)
       Node { index; zero = build_sorted zero_set; one = build_sorted one_set })
 
+(* One candidate is its own leaf, built without sorting or a length check
+   (each allocates). *)
 let build strings =
-  (match strings with
+  match strings with
   | [] -> invalid_arg "Decision_tree.build: empty candidate set"
+  | [ s ] -> Leaf s
   | s :: rest ->
     let len = Bitarray.length s in
     if List.exists (fun s' -> Bitarray.length s' <> len) rest then
-      invalid_arg "Decision_tree.build: candidates must have equal length");
-  build_sorted (dedupe strings)
+      invalid_arg "Decision_tree.build: candidates must have equal length";
+    build_sorted (List.sort_uniq Bitarray.compare strings)
 
 let rec internal_nodes = function
   | Leaf _ -> 0

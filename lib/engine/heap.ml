@@ -1,10 +1,15 @@
 (* An epoch maps time [t] to window [trunc ((t - base) * scale)], monotone
-   in [t]: equal times share a container and a lower window holds only
-   earlier times, so a window loaded into the empty heap with fresh
-   sequence numbers pops in (time, insertion) order. The heap holds window
-   [cur] and every push below it. A far list loaded whole leaves [base] at
-   its largest time, [scale] 1 and no window. Times are read from arrays,
-   never passed to a function that is not inlined: that would box them. *)
+   in [t]: equal times share a window and a lower window holds only
+   earlier times. The far array and the windows are chunked: entry [j]
+   sits at offset [j land mask] of chunk [j lsr bits]; chunk 0 doubles up
+   to [chunk] entries and later chunks are never copied, so growth leaves
+   no garbage past the first chunk. The window being popped is the run
+   (sorted, when small) merged with the heap, which holds the rest of that
+   window with fresh sequence numbers and every push below it; a run entry
+   wins a tie, having been pushed before any heap entry. A far array loaded
+   whole leaves [base] at its largest time, [scale] 1 and no window. Times
+   are read from arrays, never passed to a function that is not inlined:
+   that would box them. *)
 
 type t = {
   mutable times : float array;  (** the heap, struct-of-arrays: no write barrier *)
@@ -12,37 +17,114 @@ type t = {
   mutable values : int array;
   mutable len : int;
   mutable next_seq : int;
-  mutable at : float array;  (** a value's time, at the value's index *)
-  mutable next : int array;  (** a queued value's successor; -1 ends a list *)
-  mutable lists : int array;  (** head, tail: far list at 0, 1, window [w] at 2w+2, 2w+3 *)
+  run_times : float array;  (** the current window, sorted by (time, push order) *)
+  run_values : int array;
+  mutable run_pos : int;
+  mutable run_len : int;
+  mutable far_times : float array array;  (** the far array, in push order *)
+  mutable far_values : int array array;
+  mutable far_len : int;
+  mutable capacity : int;  (** of the far array and of the windows alike *)
+  mutable win_times : float array array;  (** the epoch's windows, one after another *)
+  mutable win_values : int array array;
+  mutable ends : int array;  (** where each window ends *)
+  mutable tails : int array;  (** the last of each window's overflow, or -1 *)
+  mutable ov_times : float array;  (** the epoch's overflow, in push order *)
+  mutable ov_values : int array;
+  mutable ov_next : int array;  (** circular per window: a tail's successor is its head *)
+  mutable ov_len : int;
+  mutable from : int;  (** where the next window starts *)
   mutable cur : int;
   mutable nwin : int;
-  mutable far_len : int;
   mutable count : int;
   f : float array;  (** indexed by the constants below *)
 }
 
-(* The window map, then the far list's least time, greatest time and
+(* The window map, then the far array's least time, greatest time and
    greatest finite time. *)
 let base = 0 and scale = 1 and lo = 2 and hi = 3 and fmax = 4
 
-(* Far lists of at most this many entries go whole into the heap. *)
+(* Far arrays of at most this many entries go whole into the heap. *)
 let short = 64
 
+(* Windows of at most this many entries are sorted into the run; larger
+   ones go into the heap. *)
+let run_max = 32
+
+(* Entries per chunk. *)
+let bits = 10
+let chunk = 1 lsl bits
+let mask = chunk - 1
+
 let create () =
-  { times = [||]; seqs = [||]; values = [||]; len = 0; next_seq = 0; at = [||]; next = [||];
-    lists = [| -1; -1 |]; cur = -1; nwin = 0; far_len = 0; count = 0;
+  { times = [||]; seqs = [||]; values = [||]; len = 0; next_seq = 0;
+    run_times = Array.make run_max 0.; run_values = Array.make run_max 0; run_pos = 0;
+    run_len = 0; far_times = [||]; far_values = [||]; far_len = 0; capacity = 0;
+    win_times = [||]; win_values = [||]; ends = [||]; tails = [||]; ov_times = [||];
+    ov_values = [||]; ov_next = [||]; ov_len = 0; from = 0; cur = -1; nwin = 0; count = 0;
     f = [| neg_infinity; 1.; infinity; neg_infinity; neg_infinity |] }
 
 let clear h =
-  h.len <- 0; h.next_seq <- 0; h.cur <- -1; h.nwin <- 0; h.far_len <- 0; h.count <- 0;
-  Array.fill h.lists 0 (Array.length h.lists) (-1);
-  Array.blit (create ()).f 0 h.f 0 (Array.length h.f)
+  h.len <- 0; h.next_seq <- 0; h.run_pos <- 0; h.run_len <- 0; h.far_len <- 0; h.ov_len <- 0;
+  h.cur <- -1; h.nwin <- 0; h.count <- 0;
+  let f = h.f in
+  f.(base) <- neg_infinity; f.(scale) <- 1.; f.(lo) <- infinity; f.(hi) <- neg_infinity;
+  f.(fmax) <- neg_infinity
 
 let extend a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
+
+(* Room for one more far entry, and as much in the windows: chunk 0
+   doubles until it is whole, then a chunk is added. *)
+let grow h =
+  let n = h.capacity in
+  if n < chunk then begin
+    let m = Int.max short (2 * n) in
+    if n = 0 then begin
+      h.far_times <- [| [||] |]; h.far_values <- [| [||] |];
+      h.win_times <- [| [||] |]; h.win_values <- [| [||] |]
+    end;
+    h.far_times.(0) <- extend h.far_times.(0) m 0.;
+    h.far_values.(0) <- extend h.far_values.(0) m 0;
+    h.win_times.(0) <- extend h.win_times.(0) m 0.;
+    h.win_values.(0) <- extend h.win_values.(0) m 0;
+    h.capacity <- m
+  end
+  else begin
+    let k = n lsr bits in
+    if k = Array.length h.far_times then begin
+      h.far_times <- extend h.far_times (2 * k) [||];
+      h.far_values <- extend h.far_values (2 * k) [||];
+      h.win_times <- extend h.win_times (2 * k) [||];
+      h.win_values <- extend h.win_values (2 * k) [||]
+    end;
+    h.far_times.(k) <- Array.make chunk 0.;
+    h.far_values.(k) <- Array.make chunk 0;
+    h.win_times.(k) <- Array.make chunk 0.;
+    h.win_values.(k) <- Array.make chunk 0;
+    h.capacity <- n + chunk
+  end;
+  (* Bounds for as many windows as a spread of [capacity] entries makes. *)
+  let w = (h.capacity / 4) + 2 in
+  if Array.length h.ends < w then begin
+    let m = Int.max w (2 * Array.length h.ends) in
+    h.ends <- extend h.ends m 0;
+    h.tails <- extend h.tails m (-1)
+  end
+
+(* Entry [j] of a chunked array, read and written by inlined functions, so
+   a time is never boxed. *)
+let[@inline] time_at (c : float array array) j =
+  Array.unsafe_get (Array.unsafe_get c (j lsr bits)) (j land mask)
+
+let[@inline] value_at (c : int array array) j =
+  Array.unsafe_get (Array.unsafe_get c (j lsr bits)) (j land mask)
+
+let[@inline] set_entry (times : float array array) (values : int array array) j t v =
+  Array.unsafe_set (Array.unsafe_get times (j lsr bits)) (j land mask) t;
+  Array.unsafe_set (Array.unsafe_get values (j lsr bits)) (j land mask) v
 
 (* Inlined, so its float argument is never boxed. *)
 let[@inline] set h i ~time ~seq value =
@@ -63,10 +145,11 @@ let grow_heap h =
 (* Hole-based sifts: the moving element's key stays in locals and each
    visited slot is written once, instead of swapping. *)
 
-(* Into the heap with a fresh sequence number, sifted up from the end. *)
-let insert h v =
+(* [v] at [src.(i)] into the heap with a fresh sequence number, sifted up
+   from the end. *)
+let insert h src i v =
   if h.len = Array.length h.values then grow_heap h;
-  let time = Array.unsafe_get h.at v and seq = h.next_seq in
+  let time = Array.unsafe_get src i and seq = h.next_seq in
   let i = ref h.len in
   h.len <- h.len + 1;
   h.next_seq <- seq + 1;
@@ -114,86 +197,188 @@ let sift_down h src =
   done;
   set h !i ~time ~seq value
 
-(* Append [v] to the list whose head is at [h.lists.(i)]. *)
-let append h i v =
-  Array.unsafe_set h.next v (-1);
-  if h.lists.(i) < 0 then h.lists.(i) <- v else Array.unsafe_set h.next h.lists.(i + 1) v;
-  h.lists.(i + 1) <- v
-
-(* Queue [v] at [h.at.(v)]: into the heap, a window list or the far list. *)
-let place h v =
-  let t = Array.unsafe_get h.at v and f = h.f in
-  let x = (t -. Array.unsafe_get f base) *. Array.unsafe_get f scale in
-  if Fl.(x < float_of_int (h.cur + 1)) then insert h v
-  else if Fl.(x < float_of_int h.nwin) then append h ((2 * int_of_float x) + 2) v
-  else begin
-    append h 0 v;
-    h.far_len <- h.far_len + 1;
-    (* Room for the next epoch's windows: only a push lengthens the far
-       list past the one it was spread from. *)
-    let n = Array.length h.lists in
-    if n < (h.far_len / 2) + 6 then h.lists <- extend h.lists (Int.max 16 (2 * n)) (-1);
-    if Fl.(t < f.(lo)) then f.(lo) <- t;
-    if Fl.(t > f.(hi)) then f.(hi) <- t;
-    if Fl.(t > f.(fmax) && t < infinity) then f.(fmax) <- t
-  end
-
-(* Empty the list whose head is at [h.lists.(i)] into [into], in order. *)
-let take h i into =
-  let v = ref h.lists.(i) in
-  h.lists.(i) <- -1;
-  while !v >= 0 do
-    let u = !v in
-    v := Array.unsafe_get h.next u;
-    into h u
+(* Entries [first] to [last - 1] of a chunked array into the heap, in
+   order. *)
+let insert_entries h times values first last =
+  for j = first to last - 1 do
+    insert h (Array.unsafe_get times (j lsr bits)) (j land mask) (value_at values j)
   done
 
-(* Start an epoch from the far list. Spread, the least time maps to 0,
-   into the heap, and the greatest finite one to about [windows]. *)
+let push_far h time v =
+  let n = h.far_len and f = h.f in
+  if n = h.capacity then grow h;
+  let t = time.(0) in
+  set_entry h.far_times h.far_values n t v;
+  h.far_len <- n + 1;
+  if Fl.(t < Array.unsafe_get f lo) then Array.unsafe_set f lo t;
+  if Fl.(t > Array.unsafe_get f hi) then Array.unsafe_set f hi t;
+  if Fl.(t > Array.unsafe_get f fmax && t < infinity) then Array.unsafe_set f fmax t
+
+(* Append [v] to window [w]'s overflow. *)
+let push_overflow h w time v =
+  let o = h.ov_len in
+  if o = Array.length h.ov_times then begin
+    let m = Int.max 16 (2 * o) in
+    h.ov_times <- extend h.ov_times m 0.;
+    h.ov_values <- extend h.ov_values m 0;
+    h.ov_next <- extend h.ov_next m 0
+  end;
+  Array.unsafe_set h.ov_times o time.(0);
+  Array.unsafe_set h.ov_values o v;
+  h.ov_len <- o + 1;
+  let tail = h.tails.(w) in
+  if tail < 0 then Array.unsafe_set h.ov_next o o
+  else begin
+    Array.unsafe_set h.ov_next o (Array.unsafe_get h.ov_next tail);
+    Array.unsafe_set h.ov_next tail o
+  end;
+  h.tails.(w) <- o
+
+(* Window [w] into the empty run and heap: its spread entries sorted into
+   the run by insertion (stable, so equal times keep push order) if they
+   are few, else into the heap; then its overflow into the heap. *)
+let load h w =
+  let first = h.from and last = h.ends.(w) in
+  h.from <- last;
+  if last - first <= run_max then begin
+    let rt = h.run_times and rv = h.run_values in
+    for j = first to last - 1 do
+      let t = time_at h.win_times j and v = value_at h.win_values j in
+      let i = ref (j - first) in
+      while !i > 0 && Fl.(Array.unsafe_get rt (!i - 1) > t) do
+        Array.unsafe_set rt !i (Array.unsafe_get rt (!i - 1));
+        Array.unsafe_set rv !i (Array.unsafe_get rv (!i - 1));
+        decr i
+      done;
+      Array.unsafe_set rt !i t;
+      Array.unsafe_set rv !i v
+    done;
+    h.run_pos <- 0;
+    h.run_len <- last - first
+  end
+  else insert_entries h h.win_times h.win_values first last;
+  let tail = h.tails.(w) in
+  if tail >= 0 then begin
+    let o = ref tail in
+    let continue = ref true in
+    while !continue do
+      o := Array.unsafe_get h.ov_next !o;
+      insert h h.ov_times !o (Array.unsafe_get h.ov_values !o);
+      continue := !o <> tail
+    done
+  end
+
+(* Spread the [n] far entries over [nwin] windows by the map in [f]: a
+   stable counting sort puts each window's entries, in push order, one
+   window after another; the entries past every window (+inf ones) stay
+   in the far array, in order. *)
+let spread h n nwin =
+  let f = h.f and ends = h.ends in
+  let least = f.(base) and s = f.(scale) and limit = float_of_int nwin in
+  (* Window sizes, then their starts. *)
+  Array.fill ends 0 nwin 0;
+  for i = 0 to n - 1 do
+    let x = (time_at h.far_times i -. least) *. s in
+    if Fl.(x < limit) then begin
+      let w = int_of_float x in
+      ends.(w) <- ends.(w) + 1
+    end
+  done;
+  let total = ref 0 in
+  for w = 0 to nwin - 1 do
+    let size = ends.(w) in
+    ends.(w) <- !total;
+    total := !total + size
+  done;
+  Array.fill h.tails 0 nwin (-1);
+  h.from <- 0;
+  h.cur <- -1;
+  h.nwin <- nwin;
+  (* Scatter; each start advances to its window's end. *)
+  for i = 0 to n - 1 do
+    let t = time_at h.far_times i and v = value_at h.far_values i in
+    let x = (t -. least) *. s in
+    if Fl.(x < limit) then begin
+      let w = int_of_float x in
+      let j = ends.(w) in
+      set_entry h.win_times h.win_values j t v;
+      ends.(w) <- j + 1
+    end
+    else begin
+      set_entry h.far_times h.far_values h.far_len t v;
+      h.far_len <- h.far_len + 1;
+      if Fl.(t < f.(lo)) then f.(lo) <- t;
+      if Fl.(t > f.(hi)) then f.(hi) <- t;
+      if Fl.(t > f.(fmax) && t < infinity) then f.(fmax) <- t
+    end
+  done
+
+(* Start an epoch from the far array: spread over windows of about four
+   entries if it is longer than [short] and its finite times spread,
+   otherwise whole into the heap. *)
 let rebuild h =
   let n = h.far_len and f = h.f in
-  if n = 0 then failwith "Heap: entries pending outside every list";
+  if n = 0 then failwith "Heap: entries pending outside every window";
   let windows = (n / 4) + 1 and least = f.(lo) and most = f.(hi) in
-  (* Neither 0 nor infinite only if finite times spread and none is -inf. *)
+  (* Neither 0 nor infinite only if finite times spread and none is -inf:
+     the greatest finite time maps to about [windows]. *)
   let s = float_of_int windows /. (f.(fmax) -. least) in
-  let spread = n > short && Fl.(s > 0. && s < infinity) in
-  if spread then (f.(base) <- least; f.(scale) <- s; h.cur <- 0; h.nwin <- windows + 1)
-  else (f.(base) <- most; f.(scale) <- 1.; h.cur <- -1; h.nwin <- 0);
   f.(lo) <- infinity;
   f.(hi) <- neg_infinity;
   f.(fmax) <- neg_infinity;
   h.far_len <- 0;
-  take h 0 (if spread then place else insert)
+  h.ov_len <- 0;
+  if n > short && Fl.(s > 0. && s < infinity) then begin
+    f.(base) <- least;
+    f.(scale) <- s;
+    spread h n (windows + 1)
+  end
+  else begin
+    f.(base) <- most;
+    f.(scale) <- 1.;
+    h.cur <- -1;
+    h.nwin <- 0;
+    insert_entries h h.far_times h.far_values 0 n
+  end
 
 let push h ~time v =
   let t = time.(0) in
   if Float.is_nan t then invalid_arg "Heap.push: NaN time";
-  if v >= Array.length h.at then begin
-    let n = Int.max (v + 1) (Int.max 16 (2 * Array.length h.at)) in
-    h.at <- extend h.at n 0.;
-    h.next <- extend h.next n (-1)
-  end;
   if Array.length h.times = 0 then grow_heap h;
-  h.at.(v) <- t;
   h.count <- h.count + 1;
-  place h v
+  let f = h.f in
+  let x = (t -. Array.unsafe_get f base) *. Array.unsafe_get f scale in
+  if Fl.(x < float_of_int (h.cur + 1)) then insert h time 0 v
+  else if Fl.(x < float_of_int h.nwin) then push_overflow h (int_of_float x) time v
+  else push_far h time v
 
 let is_empty h = h.count = 0
 
 let pop_min h ~time =
   if h.count = 0 then invalid_arg "Heap.pop_min: empty";
-  (* Load the next window, or rebuild, until the heap has entries. *)
-  while h.len = 0 do
+  (* Load the next window, or rebuild, until the run or the heap has
+     entries. *)
+  while h.len = 0 && h.run_pos = h.run_len do
     if h.cur + 1 < h.nwin then begin
       h.cur <- h.cur + 1;
-      take h ((2 * h.cur) + 2) insert
+      load h h.cur
     end
     else rebuild h
   done;
   h.count <- h.count - 1;
-  time.(0) <- Array.unsafe_get h.times 0;
-  let v = Array.unsafe_get h.values 0 in
-  let last = h.len - 1 in
-  h.len <- last;
-  if last > 0 then sift_down h last;
-  v
+  let p = h.run_pos in
+  if p < h.run_len
+     && (h.len = 0 || Fl.(Array.unsafe_get h.run_times p <= Array.unsafe_get h.times 0))
+  then begin
+    time.(0) <- Array.unsafe_get h.run_times p;
+    h.run_pos <- p + 1;
+    Array.unsafe_get h.run_values p
+  end
+  else begin
+    time.(0) <- Array.unsafe_get h.times 0;
+    let v = Array.unsafe_get h.values 0 in
+    let last = h.len - 1 in
+    h.len <- last;
+    if last > 0 then sift_down h last;
+    v
+  end

@@ -1,27 +1,36 @@
-(** The simulator's event queue: [int] values (its pending-event slots)
-    keyed by [(time, insertion order)], exact for every non-NaN time with
-    no monotonicity assumed: a push may be earlier than the last pop.
+(** The simulator's event queue: [int] values keyed by
+    [(time, insertion order)], exact for every non-NaN time with no
+    monotonicity assumed: a push may be earlier than the last pop. Values
+    index nothing, so they need not be distinct or non-negative; each is
+    held beside its time.
 
-    Two levels: only the current time window is ordered, in a
-    struct-of-arrays 4-ary heap. Later windows wait unsorted in FIFO lists
-    and later times in a far list, spread over fresh windows of about four
-    entries when the heap and the windows run dry; a far list of at most 64
-    entries, or whose finite times do not spread, goes whole into the heap.
+    Two levels: only the window being popped is ordered, as a run sorted
+    by insertion when it has at most 32 entries, merged with a
+    struct-of-arrays 4-ary heap that holds a larger window, the window's
+    overflow and every push below it. Later times wait in a far array, in
+    push order; when the run and the heap run dry past the last window, a
+    stable counting sort spreads it over contiguous windows of about four
+    entries, and a push into a later window of the live epoch joins that
+    window's overflow. A far array of at most 64 entries, or
+    whose finite times do not spread, goes whole into the heap.
 
-    Values are non-negative and distinct while pending: each value's time
-    and list link sit at its index, two words per value up to the largest,
-    plus two per window and a heap grown only to the largest window seen.
-    Times cross the module boundary only in one-slot float cells, so none
-    is boxed under [-opaque]. Arrays grow in [push]; [pop_min] allocates
-    nothing once the heap has held the largest window it will see. *)
+    Memory: two words per entry of the far array's capacity and two in
+    the windows', a quarter word each for a window's end and overflow
+    tail, three words per overflow entry and per heap slot. Capacity grows
+    in [push] by chunks of 1024 entries (doubling up to the first), never
+    copied, so growth leaves little garbage. Times cross the module
+    boundary only in one-slot float cells, so none is boxed under
+    [-opaque]. [pop_min] allocates nothing once the heap has held the
+    largest window, or the largest whole far array, it will see. *)
 
 type t
 
 val create : unit -> t
 
 val clear : t -> unit
-(** Drop every entry, keeping the arrays: a cleared queue pops exactly as
-    a fresh one and allocates only past the largest size it has held. *)
+(** Drop every entry, keeping the arrays, without allocating: a cleared
+    queue pops exactly as a fresh one and grows only past the largest size
+    it has held. *)
 
 val push : t -> time:float array -> int -> unit
 (** [push h ~time v] schedules [v] at [time.(0)]. Raises [Invalid_argument]

@@ -90,9 +90,9 @@ type 'r outcome = {
   events : int;
 }
 
-(* The queue and slot codes the last run returned with; [None] while a run
-   holds them, so a nested run builds its own. *)
-let store : (Heap.t * int array) option ref = ref None
+(* The event queue the last run returned with; [None] while a run holds
+   it, so a nested run builds its own. *)
+let store : Heap.t option ref = ref None
 let drop_store () = store := None
 
 module Make (M : MESSAGE) = struct
@@ -136,27 +136,26 @@ module Make (M : MESSAGE) = struct
     mutable query_at : int;  (** the bit the pending [query] asks for *)
   }
 
-  (* A pool of int cells. Free cells chain from [free], each holding the
-     distance to the next minus one, so the zeros a growth adds link up;
-     past the end, [alloc] grows the pool. A pending event is a cell of
-     the event pool holding its packed code (kind in bits 0-1, the peer it
-     applies to in bits 2-31, a delivery's send-table entry from bit 32). *)
-  type slots = { mutable codes : int array; mutable free : int }
-
   (* The send table: one entry per send effect, shared by every delivery
-     it scheduled. Entry [e] is a cell of [pending] holding the number of
-     those deliveries still queued, with the message [msgs.(e)], the
-     sender [srcs.(e)] and, when a trace or an observer is installed, the
-     tag [tags.(e)], rendered once at the send. [live] entries are open.
-     The table is per run. *)
+     it scheduled. Entry [e] holds the number of those deliveries still
+     queued in [pending.(e)], the message [msgs.(e)], the sender
+     [srcs.(e)] and, when a trace or an observer is installed, the tag
+     [tags.(e)], rendered once at the send. Free entries chain from
+     [free], each holding in [pending] the distance to the next minus one,
+     so the zeros a growth adds link up. [live] entries are open. The
+     table is per run. *)
   type sends = {
-    pending : slots;
+    mutable pending : int array;
+    mutable free : int;
     mutable msgs : M.t array;
     mutable tags : string array;
     mutable srcs : int array;
     mutable live : int;
   }
 
+  (* A pending event is its packed code, queued as the heap's value: kind
+     in bits 0-1, the peer it applies to in bits 2-31, a delivery's
+     send-table entry from bit 32. *)
   let start_code i = i lsl 2
   let deliver_code ~entry ~dst = 1 lor (dst lsl 2) lor (entry lsl 32)
   let crash_code i = 2 lor (i lsl 2)
@@ -167,33 +166,22 @@ module Make (M : MESSAGE) = struct
     Array.blit a 0 b 0 (Array.length a);
     b
 
-  (* A checked read: a stale code in a reused pool must fail, not send
-     [free] out of bounds. *)
-  let alloc slots code =
-    if slots.free >= Array.length slots.codes then
-      slots.codes <- grow_ints slots.codes (Int.max 16 (2 * Array.length slots.codes));
-    let s = slots.free in
-    slots.free <- s + 1 + slots.codes.(s);
-    Array.unsafe_set slots.codes s code;
-    s
-
-  let release slots s =
-    Array.unsafe_set slots.codes s (slots.free - s - 1);
-    slots.free <- s
-
-  (* [a] doubled, or 16 copies of [x] if empty, the sizes [alloc] grows a
-     pool to. [Array.append] forces no minor collection, where
+  (* [a] doubled, or 16 copies of [x] if empty, the sizes [pending]
+     grows to. [Array.append] forces no minor collection, where
      [Array.make] past 256 entries seeded with a young [x] would. *)
   let doubled a x = if Array.length a = 0 then Array.make 16 x else Array.append a a
 
   (* A new entry for [msg] from [src], with no delivery queued yet. *)
   let open_entry t ~tags_on ~src msg tag =
-    let e = alloc t.pending 0 in
-    if e = Array.length t.srcs then begin
+    let e = t.free in
+    if e = Array.length t.pending then begin
+      t.pending <- grow_ints t.pending (Int.max 16 (2 * e));
       t.msgs <- doubled t.msgs msg;
       if tags_on then t.tags <- doubled t.tags tag;
       t.srcs <- grow_ints t.srcs (Array.length t.msgs)
     end;
+    t.free <- e + 1 + t.pending.(e);
+    Array.unsafe_set t.pending e 0;
     Array.unsafe_set t.msgs e msg;
     if tags_on then Array.unsafe_set t.tags e tag;
     Array.unsafe_set t.srcs e src;
@@ -201,17 +189,18 @@ module Make (M : MESSAGE) = struct
     e
 
   let close_entry t e =
-    release t.pending e;
+    Array.unsafe_set t.pending e (t.free - e - 1);
+    t.free <- e;
     t.live <- t.live - 1
 
-  let queued t e = t.pending.codes.(e) <- t.pending.codes.(e) + 1
+  let queued t e = t.pending.(e) <- t.pending.(e) + 1
 
   (* One delivery of entry [e] fired; the last closes it. *)
   let delivered t e =
-    let n = t.pending.codes.(e) - 1 in
-    if n = 0 then close_entry t e else t.pending.codes.(e) <- n
+    let n = t.pending.(e) - 1 in
+    if n = 0 then close_entry t e else t.pending.(e) <- n
 
-  (* The arbiter's pending pool: a growable array holding slots in the
+  (* The arbiter's pending pool: a growable array holding event codes in the
      order they were drained from the heap. Removal keeps the others'
      relative order, so the arbiter sees the same indices the committed
      repro scripts were recorded against. *)
@@ -252,21 +241,16 @@ module Make (M : MESSAGE) = struct
             query_at = 0;
           })
     in
-    (* A warm run starts from the last one's storage, emptied: the zeroed
-       codes chain their slots exactly as a cold pool's growth does. *)
-    let heap, codes =
+    (* A warm run starts from the last one's queue, emptied. *)
+    let heap =
       match !store with
-      | None -> (Heap.create (), [||])
-      | Some (heap, codes) ->
+      | None -> Heap.create ()
+      | Some heap ->
         store := None;
         Heap.clear heap;
-        Array.fill codes 0 (Array.length codes) 0;
-        (heap, codes)
+        heap
     in
-    let slots = { codes; free = 0 } in
-    let table =
-      { pending = { codes = [||]; free = 0 }; msgs = [||]; tags = [||]; srcs = [||]; live = 0 }
-    in
+    let table = { pending = [||]; free = 0; msgs = [||]; tags = [||]; srcs = [||]; live = 0 } in
     (* Store-and-forward link serialization: each ordered link transmits at
        [link_rate] bits per time unit, one message at a time, in FIFO order.
        [infinity] (the default) models unbounded bandwidth. [link_free.(src
@@ -373,7 +357,7 @@ module Make (M : MESSAGE) = struct
           at.(0) <- departure +. transmission +. delay
         end;
         queued table e;
-        Heap.push heap ~time:at (alloc slots (deliver_code ~entry:e ~dst));
+        Heap.push heap ~time:at (deliver_code ~entry:e ~dst);
         true
       end
     in
@@ -478,7 +462,7 @@ module Make (M : MESSAGE) = struct
        their instants. *)
     let schedule time code =
       at.(0) <- time;
-      Heap.push heap ~time:at (alloc slots code)
+      Heap.push heap ~time:at code
     in
     Array.iter
       (fun p ->
@@ -493,11 +477,10 @@ module Make (M : MESSAGE) = struct
        trace guard: one boolean test per event. A delivery's tag is its
        send-table entry's. *)
     let obs_on = Option.is_some cfg.observer in
-    let notify s =
+    let notify code =
       match cfg.observer with
       | None -> ()
       | Some f ->
-        let code = slots.codes.(s) in
         let kind = code land 3 in
         f
           {
@@ -507,18 +490,15 @@ module Make (M : MESSAGE) = struct
             obs_step = !events_done - 1;
           }
     in
-    (* The slot, and the entry after its last delivery, are released
-       before the event runs, which may schedule more: a delivery reads
-       its entry first. *)
-    let handle s =
-      let code = slots.codes.(s) in
+    (* The entry is released after its last delivery, before the event
+       runs, which may schedule more: a delivery reads its entry first. *)
+    let handle code =
       let p = Array.unsafe_get peers (code_peer code) in
       match code land 3 with
       | 1 ->
         let e = code lsr 32 in
         let msg = table.msgs.(e) and src = Array.unsafe_get table.srcs e in
         let tag = if tags_on then Array.unsafe_get table.tags e else "" in
-        release slots s;
         delivered table e;
         if p.alive && not p.finished then begin
           if trace_on then
@@ -542,7 +522,6 @@ module Make (M : MESSAGE) = struct
           | Idle -> Ring.push p.mailbox (src, msg)
         end
       | kind ->
-        release slots s;
         if kind = 2 then kill p else if p.alive then start_fiber p
     in
     let deadlock_check () =
@@ -576,7 +555,7 @@ module Make (M : MESSAGE) = struct
         deadlock_check ()
       end
       else begin
-        let s =
+        let code =
           match pool with
           | None -> Heap.pop_min heap ~time:clock
           | Some p ->
@@ -584,13 +563,13 @@ module Make (M : MESSAGE) = struct
             take p
         in
         incr events_done;
-        if obs_on then notify s;
-        handle s;
+        if obs_on then notify code;
+        handle code;
         loop ()
       end
     in
     loop ();
-    store := Some (heap, slots.codes);
+    store := Some heap;
     {
       outputs;
       metrics;

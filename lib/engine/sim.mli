@@ -230,9 +230,10 @@ module Make (M : MESSAGE) : sig
       negative or not finite. Exceptions escaping a process (other than
       crash/halt control flow) propagate to the caller.
 
-      A run reuses, emptied, the last run's event queue and slot codes and
-      keeps a cold run's schedule; a nested run allocates its own, and a
-      run that raises drops them. Its send table is its own: one entry per
-      send effect holds the message, sender and tag once for all the
-      deliveries it scheduled, and is freed after the last of them. *)
+      A pending event is its packed code, queued as the event queue's
+      value. A run reuses, emptied, the last run's event queue and keeps a
+      cold run's schedule; a nested run allocates its own, and a run that
+      raises drops it. Its send table is its own: one entry per send
+      effect holds the message, sender and tag once for all the deliveries
+      it scheduled, and is freed after the last of them. *)
 end

@@ -36,6 +36,16 @@ let test_tree_single_leaf () =
   checki "no queries" 0 spent;
   checks "the leaf" "1010" (Bitarray.to_string v)
 
+(* A one-candidate build allocates its leaf (two words) and nothing else:
+   no sort, no length-check closure. *)
+let test_tree_single_leaf_allocation () =
+  let candidates = [ ba "1010" ] in
+  let before = Gc.minor_words () in
+  let tree = Decision_tree.build candidates in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(float 0.) "minor words for a one-candidate build" 2. words;
+  checki "a leaf" 0 (Decision_tree.internal_nodes tree)
+
 let test_tree_duplicates_merge () =
   let tree = Decision_tree.build [ ba "11"; ba "11"; ba "11" ] in
   checki "merged" 0 (Decision_tree.internal_nodes tree);
@@ -586,4 +596,5 @@ let suite =
     ("multicycle: last cycle sends nothing", `Quick, test_multicycle_last_cycle_silent);
     ("frequent: a leader report allocates nothing", `Quick, test_frequent_leader_allocation_free);
     ("multicycle: warm Download allocation budget", `Quick, test_multicycle_warm_download_allocation);
+    ("tree: a single candidate allocates only its leaf", `Quick, test_tree_single_leaf_allocation);
   ]

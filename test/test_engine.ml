@@ -1747,6 +1747,32 @@ let test_link_rate_infinite_is_default () =
   | Some (t, ()) -> Alcotest.(check (float 0.001)) "no serialization" 1. t
   | None -> Alcotest.fail "no output"
 
+(* Clearing keeps every array: a queue grown past a chunk, mid-epoch with
+   entries in its heap, windows, overflow and far array, clears without
+   allocating, minor or major. *)
+let test_heap_clear_allocation_free () =
+  let h = Heap.create () and time = cell 0. in
+  for i = 0 to 4999 do
+    time.(0) <- float_of_int (i * 7919 mod 5003);
+    Heap.push h ~time i
+  done;
+  for _ = 1 to 100 do
+    ignore (Heap.pop_min h ~time)
+  done;
+  for i = 0 to 99 do
+    time.(0) <- float_of_int ((i * 31 mod 5003) + (i mod 2 * 6000));
+    Heap.push h ~time i
+  done;
+  checkb "pending" false (Heap.is_empty h);
+  let _, promoted0, major0 = Gc.counters () in
+  let before = Gc.minor_words () in
+  Heap.clear h;
+  let minor = Gc.minor_words () -. before in
+  let _, promoted1, major1 = Gc.counters () in
+  check Alcotest.(float 0.) "minor words" 0. minor;
+  check Alcotest.(float 0.) "direct major words" 0. (major1 -. promoted1 -. (major0 -. promoted0));
+  checkb "empty after clear" true (Heap.is_empty h)
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -1827,4 +1853,5 @@ let suite =
     ("engine: infinite rate default", `Quick, test_link_rate_infinite_is_default);
     ("warm storm direct major words", `Quick, test_warm_storm_direct_major_words);
     ("prng: for_peer is the simulator's peer stream", `Quick, test_prng_for_peer_is_sim_stream);
+    ("heap clear allocates nothing", `Quick, test_heap_clear_allocation_free);
   ]

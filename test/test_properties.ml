@@ -407,6 +407,97 @@ let prop_heap_matches_reference =
       done;
       !ok && Heap.is_empty h)
 
+(* The queue against a set ordered by (time, push number), with values
+   that repeat and go negative, so nothing but the order of the pushes can
+   break a tie. Each step pushes 65-200 entries, enough for a far array to
+   spread over windows, then pops fewer than it pushed: the epoch a pop
+   spreads is still live when the next step pushes into its later
+   windows, and +inf entries stay in the far array across epochs. Some
+   steps end with a clear, after which the queue is reused. *)
+type queue_op = Q_push of heap_time * int | Q_pop | Q_clear
+
+module Pending = Set.Make (struct
+  type t = float * int * int
+
+  let compare (t, n, _) (t', n', _) =
+    match Float.compare t t' with 0 -> Int.compare n n' | c -> c
+end)
+
+let prop_heap_values_and_clear =
+  let module Heap = Dr_engine.Heap in
+  let gen =
+    QCheck.Gen.(
+      triple (oneofl [ 0; 4 ]) (oneofl [ 0; 1 ]) (oneofl [ 0; 0; 1 ])
+      >>= fun (tied, inf, neg_inf) ->
+      let time =
+        frequency
+          [
+            (tied, map (fun i -> Tied i) (int_range 0 4));
+            (16, map (fun x -> After x) (float_bound_exclusive 1.));
+            (inf, return (Fixed infinity));
+            (neg_inf, return (Fixed neg_infinity));
+            (2, map (fun x -> Fixed (-.x)) (float_bound_inclusive 100.));
+            (2, map (fun x -> Below x) (float_bound_inclusive 1.));
+          ]
+      in
+      let value = frequency [ (8, int_range (-3) 3); (1, oneofl [ min_int; max_int ]) ] in
+      let push = map2 (fun t v -> Q_push (t, v)) time value in
+      let step =
+        let clear = frequency [ (7, return []); (1, return [ Q_clear ]) ] in
+        triple (int_range 65 200) (int_range 1 64) clear >>= fun (pushes, pops, clear) ->
+        map (fun ps -> ps @ List.init pops (fun _ -> Q_pop) @ clear) (list_repeat pushes push)
+      in
+      map List.concat (list_size (int_range 6 12) step))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | Q_pop -> "pop"
+           | Q_clear -> "clear"
+           | Q_push (t, v) -> Printf.sprintf "%s:%d" (print_heap_op (Push (t, false))) v)
+         ops)
+  in
+  QCheck.Test.make ~name:"heap: values repeat, clear empties" ~count:200 (QCheck.make ~print gen)
+    (fun ops ->
+      let h = Heap.create () and cell = [| nan |] in
+      let pending = ref Pending.empty and pushed = ref 0 and last = ref 0. and ok = ref true in
+      let pop_both () =
+        match Pending.min_elt_opt !pending with
+        | None -> ok := !ok && Heap.is_empty h
+        | Some ((time, _, value) as e) ->
+          pending := Pending.remove e !pending;
+          let v = Heap.pop_min h ~time:cell in
+          let same_time = Int64.equal (Int64.bits_of_float cell.(0)) (Int64.bits_of_float time) in
+          ok := !ok && same_time && v = value;
+          if Float.is_finite time then last := time
+      in
+      List.iter
+        (function
+          | Q_push (t, value) ->
+            let time =
+              match t with
+              | Tied i -> float_of_int i
+              | After x -> !last +. x
+              | Below x -> !last -. x
+              | Outlier t | Fixed t -> t
+            in
+            cell.(0) <- time;
+            Heap.push h ~time:cell value;
+            pending := Pending.add (time, !pushed, value) !pending;
+            incr pushed
+          | Q_pop -> pop_both ()
+          | Q_clear ->
+            Heap.clear h;
+            pending := Pending.empty;
+            last := 0.;
+            ok := !ok && Heap.is_empty h)
+        ops;
+      while not (Pending.is_empty !pending) do
+        pop_both ()
+      done;
+      !ok && Heap.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Frequent                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1591,4 +1682,5 @@ let suite =
         prop_send_table_entries;
         prop_frequent_many_strings_match_model;
         prop_prng_int_is_unsigned_rem;
+        prop_heap_values_and_clear;
       ]
