@@ -92,8 +92,9 @@ let fast_path () =
   let fault = Fault.choose ~k (Fault.Explicit [ 0; 7 ]) in
   let x = Dr_source.Bitarray.random (Dr_engine.Prng.create 77L) 8192 in
   let inst = Problem.make ~k ~x fault in
-  let latency ~src ~dst ~size_bits:_ =
-    if src = 0 && dst = 1 then 3.0 else 0.5
+  let latency =
+    Dr_adversary.Latency.per_message (fun ~src ~dst ~size_bits:_ ->
+        if src = 0 && dst = 1 then 3.0 else 0.5)
   in
   let crash i = if i = 7 then Dr_engine.Sim.After_sends 0 else Dr_engine.Sim.Never in
   let opts =

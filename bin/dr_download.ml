@@ -131,7 +131,11 @@ let run protocol k n t model seed msg_bits policy crash attack segments trace_fl
     explore transport source net_timeout chaos net_retries request_timeout =
   if t >= k then `Error (false, "need t < k")
   else if n < k then `Error (false, "need n >= k")
-  else begin
+  else if t < 0 then `Error (false, Printf.sprintf "need t >= 0, got %d" t)
+  else
+    match msg_bits with
+    | Some b when b < 1 -> `Error (false, Printf.sprintf "need --msg-bits >= 1, got %d" b)
+    | _ -> begin
     let inst = Problem.random_instance ~seed ?b:msg_bits ~model ~k ~n ~t () in
     (* Resolve the protocol once ("auto" picks by regime) and validate the
        attack against that entry, so the simulator, --explore and the net

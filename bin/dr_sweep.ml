@@ -39,29 +39,65 @@ let crash_arg =
               Byzantine protocols run without crashes."
 let latency_arg = Cli_args.latency_arg ~default:"jitter"
 
+let ( let* ) = Result.bind
+
+(* One sweep point's (k, n, t, B), or a usage error naming the bad value:
+   checked for every value before the first run. *)
+let point axis ~k ~n ~beta ~t ~b value =
+  let int () =
+    match int_of_string_opt value with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "--values: %S is not an integer" value)
+  in
+  let* k, n, beta, b =
+    match axis with
+    | Vary_n -> Result.map (fun n -> (k, n, beta, b)) (int ())
+    | Vary_k -> Result.map (fun k -> (k, n, beta, b)) (int ())
+    | Vary_b -> Result.map (fun b -> (k, n, beta, Some b)) (int ())
+    | Vary_beta -> (
+      match float_of_string_opt value with
+      | Some beta -> Ok (k, n, beta, b)
+      | None -> Error (Printf.sprintf "--values: %S is not a number" value))
+  in
+  let* t =
+    match (axis, t) with
+    | Vary_beta, _ | _, None ->
+      if Float.is_finite beta && beta >= 0. then
+        Ok (min (k - 1) (int_of_float (Float.round (beta *. float_of_int k))))
+      else Error (Printf.sprintf "need a finite beta >= 0, got %g" beta)
+    | _, Some t -> Ok t
+  in
+  if k < 1 then Error (Printf.sprintf "need k >= 1, got %d" k)
+  else if n < 1 then Error (Printf.sprintf "need n >= 1, got %d" n)
+  else if t < 0 || t >= k then Error (Printf.sprintf "need 0 <= t < k, got t=%d with k=%d" t k)
+  else
+    match b with
+    | Some b when b < 1 -> Error (Printf.sprintf "need B >= 1, got %d" b)
+    | _ -> Ok (k, n, t, b)
+
+let rec points axis ~k ~n ~beta ~t ~b = function
+  | [] -> Ok []
+  | value :: rest ->
+    let* p = point axis ~k ~n ~beta ~t ~b value in
+    let* ps = points axis ~k ~n ~beta ~t ~b rest in
+    Ok (p :: ps)
+
 let run axis values protocol k n beta t b seeds crash latency =
   let entry = try Ok (Cli_args.resolve_protocol protocol) with Failure msg -> Error msg in
   let crash = Option.value crash ~default:"silent" in
-  match (entry, Cli_args.latency_fn latency, Cli_args.crash_plan crash) with
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
-  | Ok entry, Ok latency, Ok crash ->
+  match
+    ( entry,
+      Cli_args.latency_fn latency,
+      Cli_args.crash_plan crash,
+      points axis ~k ~n ~beta ~t ~b values )
+  with
+  | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
+    `Error (false, msg)
+  | Ok entry, Ok latency, Ok crash, Ok points ->
   let name = Registry.name entry in
   print_endline "protocol,k,n,t,beta,B,seed,ok,q_max,q_mean,q_total,time,msgs,bits,max_msg";
   List.iter
-    (fun value ->
-      let k, n, beta, b =
-        match axis with
-        | Vary_n -> (k, int_of_string value, beta, b)
-        | Vary_k -> (int_of_string value, n, beta, b)
-        | Vary_beta -> (k, n, float_of_string value, b)
-        | Vary_b -> (k, n, beta, Some (int_of_string value))
-      in
-      let t =
-        match (axis, t) with
-        | Vary_beta, _ | _, None ->
-          min (k - 1) (int_of_float (Float.round (beta *. float_of_int k)))
-        | _, Some t -> t
-      in
+    (fun (k, n, t, b) ->
       for s = 1 to seeds do
         let seed = Int64.of_int ((s * 7919) + 13) in
         let model = entry.Registry.model in
@@ -77,7 +113,7 @@ let run axis values protocol k n beta t b seeds crash latency =
           inst.Problem.b seed r.Problem.ok r.Problem.q_max r.Problem.q_mean r.Problem.q_total
           r.Problem.time r.Problem.msgs r.Problem.bits_sent r.Problem.max_msg_bits
       done)
-    values;
+    points;
   `Ok ()
 
 let cmd =

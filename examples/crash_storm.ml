@@ -42,8 +42,8 @@ let () =
       ~x:(Dr_source.Bitarray.random (Dr_engine.Prng.create 77L) 8192)
       (Dr_adversary.Fault.choose ~k:8 (Dr_adversary.Fault.Explicit [ 0; 7 ]))
   in
-  let latency ~src ~dst ~size_bits:_ =
-    if src = 0 && dst = 1 then 3.0 else 0.5
+  let latency =
+    Latency.per_message (fun ~src ~dst ~size_bits:_ -> if src = 0 && dst = 1 then 3.0 else 0.5)
   in
   let crash i = if i = 7 then Dr_engine.Sim.After_sends 0 else Dr_engine.Sim.Never in
   let opts =

@@ -1,14 +1,30 @@
-type fn = src:int -> dst:int -> size_bits:int -> float
+type fn = Dr_engine.Sim.latency
 
-let unit_delay ~src:_ ~dst:_ ~size_bits:_ = 1.
+(* Stops after the first delay the engine rejects, so [f] is called once
+   per send the engine attempts. *)
+let per_message f ~src ~size_bits ~dsts n delays =
+  let rec go i =
+    if i < n then begin
+      let d = f ~src ~dst:dsts.(i) ~size_bits in
+      delays.(i) <- d;
+      if Fl.(d >= 0. && d < infinity) then go (i + 1)
+    end
+  in
+  go 0
 
-let targeted ~slow ~delay ~src ~dst:_ ~size_bits:_ = if slow src then delay else 1.
+let unit_delay ~src:_ ~size_bits:_ ~dsts:_ n delays = Array.fill delays 0 n 1.
 
-let rushing ~fast ~eps ~src ~dst:_ ~size_bits:_ = if fast src then eps else 1.
+let targeted ~slow ~delay ~src ~size_bits:_ ~dsts:_ n delays =
+  Array.fill delays 0 n (if slow src then delay else 1.)
 
-let jittered prng ~src:_ ~dst:_ ~size_bits:_ =
-  let x = Dr_engine.Prng.float prng 1. in
-  if Fl.(x <= 0.) then 1e-9 else x
+let rushing ~fast ~eps ~src ~size_bits:_ ~dsts:_ n delays =
+  Array.fill delays 0 n (if fast src then eps else 1.)
 
-let size_proportional ~per_bit ~floor ~src:_ ~dst:_ ~size_bits =
-  floor +. (per_bit *. float_of_int size_bits)
+let jittered prng ~src:_ ~size_bits:_ ~dsts:_ n delays =
+  Dr_engine.Prng.fill_floats prng delays n;
+  for i = 0 to n - 1 do
+    if Fl.(delays.(i) <= 0.) then delays.(i) <- 1e-9
+  done
+
+let size_proportional ~per_bit ~floor ~src:_ ~size_bits ~dsts:_ n delays =
+  Array.fill delays 0 n (floor +. (per_bit *. float_of_int size_bits))

@@ -214,8 +214,8 @@ let push_far h time v =
   if Fl.(t > Array.unsafe_get f hi) then Array.unsafe_set f hi t;
   if Fl.(t > Array.unsafe_get f fmax && t < infinity) then Array.unsafe_set f fmax t
 
-(* Append [v] to window [w]'s overflow. *)
-let push_overflow h w time v =
+(* Append [v], at [times.(i)], to window [w]'s overflow. *)
+let push_overflow h w times i v =
   let o = h.ov_len in
   if o = Array.length h.ov_times then begin
     let m = Int.max 16 (2 * o) in
@@ -223,7 +223,7 @@ let push_overflow h w time v =
     h.ov_values <- extend h.ov_values m 0;
     h.ov_next <- extend h.ov_next m 0
   end;
-  Array.unsafe_set h.ov_times o time.(0);
+  Array.unsafe_set h.ov_times o (Array.unsafe_get times i);
   Array.unsafe_set h.ov_values o v;
   h.ov_len <- o + 1;
   let tail = h.tails.(w) in
@@ -349,8 +349,43 @@ let push h ~time v =
   let f = h.f in
   let x = (t -. Array.unsafe_get f base) *. Array.unsafe_get f scale in
   if Fl.(x < float_of_int (h.cur + 1)) then insert h time 0 v
-  else if Fl.(x < float_of_int h.nwin) then push_overflow h (int_of_float x) time v
+  else if Fl.(x < float_of_int h.nwin) then push_overflow h (int_of_float x) time 0 v
   else push_far h time v
+
+(* Each entry goes where its own [push] would. Placing one moves no
+   window and reads none of the far array's bounds, so the window map is
+   read once and the bounds are kept in locals, stored back at the end;
+   a far entry, most of a batch, is appended here as [push_far] would. *)
+let push_many h ~times values n =
+  if n < 0 || n > Array.length times || n > Array.length values then
+    invalid_arg "Heap.push_many: count out of range";
+  for i = 0 to n - 1 do
+    if Float.is_nan (Array.unsafe_get times i) then invalid_arg "Heap.push_many: NaN time"
+  done;
+  if Array.length h.times = 0 then grow_heap h;
+  h.count <- h.count + n;
+  let f = h.f in
+  let least = f.(base) and s = f.(scale) in
+  let heap_end = float_of_int (h.cur + 1) and windows_end = float_of_int h.nwin in
+  let far_lo = ref f.(lo) and far_hi = ref f.(hi) and far_max = ref f.(fmax) in
+  for i = 0 to n - 1 do
+    let t = Array.unsafe_get times i and v = Array.unsafe_get values i in
+    let x = (t -. least) *. s in
+    if Fl.(x < heap_end) then insert h times i v
+    else if Fl.(x < windows_end) then push_overflow h (int_of_float x) times i v
+    else begin
+      let j = h.far_len in
+      if j = h.capacity then grow h;
+      set_entry h.far_times h.far_values j t v;
+      h.far_len <- j + 1;
+      if Fl.(t < !far_lo) then far_lo := t;
+      if Fl.(t > !far_hi) then far_hi := t;
+      if Fl.(t > !far_max && t < infinity) then far_max := t
+    end
+  done;
+  f.(lo) <- !far_lo;
+  f.(hi) <- !far_hi;
+  f.(fmax) <- !far_max
 
 let is_empty h = h.count = 0
 

@@ -19,9 +19,10 @@
     tail, three words per overflow entry and per heap slot. Capacity grows
     in [push] by chunks of 1024 entries (doubling up to the first), never
     copied, so growth leaves little garbage. Times cross the module
-    boundary only in one-slot float cells, so none is boxed under
-    [-opaque]. [pop_min] allocates nothing once the heap has held the
-    largest window, or the largest whole far array, it will see. *)
+    boundary only in float arrays, a one-slot cell or a batch, so none is
+    boxed under [-opaque]. [pop_min] allocates nothing once the heap has
+    held the largest window, or the largest whole far array, it will
+    see. *)
 
 type t
 
@@ -35,6 +36,13 @@ val clear : t -> unit
 val push : t -> time:float array -> int -> unit
 (** [push h ~time v] schedules [v] at [time.(0)]. Raises [Invalid_argument]
     on a NaN time, leaving [h] unchanged. *)
+
+val push_many : t -> times:float array -> int array -> int -> unit
+(** [push_many h ~times values n] schedules [values.(i)] at [times.(i)] for
+    [i = 0 .. n - 1]: exactly the pushes of those entries one at a time, in
+    index order, in one call. Raises [Invalid_argument], leaving [h]
+    unchanged, on a NaN time or on an [n] that is negative or exceeds
+    either array's length. *)
 
 val pop_min : t -> time:float array -> int
 (** Remove the earliest entry, write its time into [time.(0)] and return

@@ -62,9 +62,35 @@ let int g bound =
   let gap = bound - q - bit in
   if q >= gap then q - gap else q + q + bit
 
-let float g bound =
-  let mantissa = Int64.shift_right_logical (next64 g) 11 in
-  Int64.to_float mantissa *. (1.0 /. 9007199254740992.0) *. bound
+(* The top 53 bits of a draw, scaled into [0, 1). They fit an [int], and
+   [float_of_int] is one instruction where [Int64.to_float] is a C call. *)
+let[@inline] unit_float_of x =
+  float_of_int (Int64.to_int (Int64.shift_right_logical x 11)) *. (1.0 /. 9007199254740992.0)
+
+let float g bound = unit_float_of (next64 g) *. bound
+
+(* Here, not in a caller's loop: [-opaque] inlines [next64] only within
+   this module. As in [fill_bits], the state words are held in locals and
+   stored back once, so the loop draws and stores without boxing. *)
+let fill_floats g a n =
+  if n < 0 || n > Array.length a then invalid_arg "Prng.fill_floats";
+  let s0 = ref (Bytes.get_int64_le g 0) and s1 = ref (Bytes.get_int64_le g 8) in
+  let s2 = ref (Bytes.get_int64_le g 16) and s3 = ref (Bytes.get_int64_le g 24) in
+  for i = 0 to n - 1 do
+    let result = Int64.mul (rotl (Int64.mul !s1 5L) 7) 9L in
+    Array.unsafe_set a i (unit_float_of result);
+    let t = Int64.shift_left !s1 17 in
+    let x2 = Int64.logxor !s2 !s0 in
+    let x3 = Int64.logxor !s3 !s1 in
+    s1 := Int64.logxor !s1 x2;
+    s0 := Int64.logxor !s0 x3;
+    s2 := Int64.logxor x2 t;
+    s3 := rotl x3 45
+  done;
+  Bytes.set_int64_le g 0 !s0;
+  Bytes.set_int64_le g 8 !s1;
+  Bytes.set_int64_le g 16 !s2;
+  Bytes.set_int64_le g 24 !s3
 
 let bool g = Int64.to_int (next64 g) land 1 = 1
 

@@ -33,6 +33,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
+val fill_floats : t -> float array -> int -> unit
+(** [fill_floats g a n] writes into [a.(0) .. a.(n - 1)], in order, the
+    values of [n] calls of [float g 1.], bit for bit, and leaves [g] as
+    they would; it allocates nothing. Raises [Invalid_argument] on a
+    negative [n] or an [a] shorter than [n]. *)
+
 val bool : t -> bool
 (** Bit 0 of {!next64}. *)
 

@@ -39,11 +39,13 @@ type obs_kind = Obs_start | Obs_deliver | Obs_crash | Obs_query_reply | Obs_wake
 
 type obs = { obs_kind : obs_kind; obs_peer : int; obs_tag : string; obs_step : int }
 
+type latency = src:int -> size_bits:int -> dsts:int array -> int -> float array -> unit
+
 type config = {
   k : int;
   seed : int64;
   source : peer:int -> pos:int -> len:int -> Bytes.t;
-  latency : src:int -> dst:int -> size_bits:int -> float;
+  latency : latency;
   link_rate : float;
   crash : int -> crash_spec;
   trace : Trace.t option;
@@ -73,7 +75,7 @@ let default_config ~k ~query_bit =
     k;
     seed = 1L;
     source = bit_source query_bit;
-    latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 1.);
+    latency = (fun ~src:_ ~size_bits:_ ~dsts:_ n delays -> Array.fill delays 0 n 1.);
     link_rate = infinity;
     crash = (fun _ -> Never);
     trace = None;
@@ -192,8 +194,6 @@ module Make (M : MESSAGE) = struct
     Array.unsafe_set t.pending e (t.free - e - 1);
     t.free <- e;
     t.live <- t.live - 1
-
-  let queued t e = t.pending.(e) <- t.pending.(e) + 1
 
   (* One delivery of entry [e] fired; the last closes it. *)
   let delivered t e =
@@ -323,74 +323,73 @@ module Make (M : MESSAGE) = struct
       if crashes_after_queries spec ~queried ~granted:m then crash_in p k
       else Effect.Deep.continue k (answer bytes)
     in
-    (* A send effect's end: its one charge, or, when it made no send, its
-       entry closed at once. *)
-    let settle p e ~count ~size_bits =
-      if count > 0 then Metrics.on_send metrics p.id ~count ~size_bits
-      else close_entry table e
-    in
-    (* One send from [p] to [dst] of entry [e] ([size_bits] bits, rendered
-       tag [tag]) that the crash rule allows: the body shared by [E_send]
-       and each destination of [E_broadcast]. On a negative or non-finite
-       latency it settles the effect's [sent] earlier sends, discontinues
-       [k] and returns [false]. *)
-    let send_one p dst e ~size_bits tag ~sent k =
-      let delay = cfg.latency ~src:p.id ~dst ~size_bits in
-      if not Fl.(delay >= 0. && delay < infinity) then begin
-        settle p e ~count:sent ~size_bits;
-        Effect.Deep.discontinue k
-          (Invalid_argument
-             (if Fl.(delay < 0.) then "Sim.run: negative latency"
-              else "Sim.run: non-finite latency"));
-        false
-      end
-      else begin
-        if trace_on then
-          tr (fun () -> Trace.Sent { time = clock.(0); src = p.id; dst; size_bits; tag });
-        if not serialized then at.(0) <- clock.(0) +. delay
-        else begin
-          let link = (p.id * cfg.k) + dst in
-          let free = link_free.(link) in
-          let departure = if Fl.(free > clock.(0)) then free else clock.(0) in
-          let transmission = float_of_int size_bits /. cfg.link_rate in
-          link_free.(link) <- departure +. transmission;
-          at.(0) <- departure +. transmission +. delay
-        end;
-        queued table e;
-        Heap.push heap ~time:at (deliver_code ~entry:e ~dst);
-        true
-      end
-    in
+    (* One send effect's scratch: its destinations, their delays, then
+       their delivery times, and their event codes. *)
+    let dsts = Array.make cfg.k 0 and times = Array.make cfg.k 0. in
+    let codes = Array.make cfg.k 0 in
     let sends_left p =
       sends_granted (Array.unsafe_get crash_spec p.id) ~sent:(Metrics.msgs_sent metrics p.id)
     in
+    (* The one send path: [msg] from [p] to the [count] destinations in
+       [dsts], in order, as one batch. The crash rule lets [n] of them go;
+       the latency policy fills their delays in one call, the heap takes
+       the deliveries in one push, and the effect is charged once. The
+       sends before a negative or non-finite delay are queued and charged
+       and [k] is discontinued; a forbidden send crashes [p] after the
+       allowed ones; otherwise [p] resumes. An effect that sends nothing
+       frees its entry at once. *)
+    let send_effect p msg count k =
+      let tag = render msg and size_bits = M.size_bits msg in
+      let n = Int.min (sends_left p) count in
+      let e = open_entry table ~tags_on ~src:p.id msg tag in
+      if n > 0 then cfg.latency ~src:p.id ~size_bits ~dsts n times;
+      let sent = ref 0 and now = clock.(0) in
+      while !sent < n && Fl.(times.(!sent) >= 0. && times.(!sent) < infinity) do
+        let i = !sent in
+        let dst = Array.unsafe_get dsts i and delay = Array.unsafe_get times i in
+        if trace_on then tr (fun () -> Trace.Sent { time = now; src = p.id; dst; size_bits; tag });
+        if not serialized then Array.unsafe_set times i (now +. delay)
+        else begin
+          let link = (p.id * cfg.k) + dst in
+          let free = link_free.(link) in
+          let departure = if Fl.(free > now) then free else now in
+          let transmission = float_of_int size_bits /. cfg.link_rate in
+          link_free.(link) <- departure +. transmission;
+          Array.unsafe_set times i (departure +. transmission +. delay)
+        end;
+        Array.unsafe_set codes i (deliver_code ~entry:e ~dst);
+        sent := i + 1
+      done;
+      let sent = !sent in
+      table.pending.(e) <- sent;
+      Heap.push_many heap ~times codes sent;
+      if sent > 0 then Metrics.on_send metrics p.id ~count:sent ~size_bits
+      else close_entry table e;
+      if sent < n then
+        Effect.Deep.discontinue k
+          (Invalid_argument
+             (if Fl.(times.(sent) < 0.) then "Sim.run: negative latency"
+              else "Sim.run: non-finite latency"))
+      else if n < count then crash_in p k
+      else Effect.Deep.continue k ()
+    in
+    (* A unicast is a batch of one. *)
     let send_from p dst msg k =
       if dst < 0 || dst >= cfg.k then
         Effect.Deep.discontinue k (Invalid_argument "Sim.send: bad destination")
-      else
-        let tag = render msg in
-        if sends_left p = 0 then crash_in p k
-        else
-          let size_bits = M.size_bits msg in
-          let e = open_entry table ~tags_on ~src:p.id msg tag in
-          if send_one p dst e ~size_bits tag ~sent:0 k then (
-            settle p e ~count:1 ~size_bits;
-            Effect.Deep.continue k ())
+      else begin
+        dsts.(0) <- dst;
+        send_effect p msg 1 k
+      end
     in
-    (* Exactly the sends of a loop over ascending [dst], self skipped, in
-       one effect: the same crash point, latency draws, trace records, heap
-       order and charge, with the size, the crash allowance and the
-       [Metrics] update paid once. *)
+    (* Every other peer, ascending: the sends of a loop over [dst] with
+       self skipped, the same crash point, latency draws, trace records and
+       heap order, in one effect. *)
     let broadcast_from p msg k =
-      let tag = render msg and size_bits = M.size_bits msg and left = sends_left p in
-      let e = open_entry table ~tags_on ~src:p.id msg tag in
-      let rec go dst sent =
-        if dst >= cfg.k then (settle p e ~count:sent ~size_bits; Effect.Deep.continue k ())
-        else if dst = p.id then go (dst + 1) sent
-        else if sent = left then (settle p e ~count:sent ~size_bits; crash_in p k)
-        else if send_one p dst e ~size_bits tag ~sent k then go (dst + 1) (sent + 1)
-      in
-      go 0 0
+      for i = 0 to cfg.k - 2 do
+        Array.unsafe_set dsts i (if i < p.id then i else i + 1)
+      done;
+      send_effect p msg (cfg.k - 1) k
     in
     (* [await]'s loop body, run on the scheduler's stack over what [p]'s
        mailbox holds: the fiber resumes once [ready] holds, parks when the

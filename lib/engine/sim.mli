@@ -113,6 +113,27 @@ type obs = {
     coverage sink hashing them stays deterministic under replay. See
     {!Explore.probe}. *)
 
+type latency = src:int -> size_bits:int -> dsts:int array -> int -> float array -> unit
+(** The adversary's delays, one call per send effect: [latency ~src
+    ~size_bits ~dsts n delays] writes into [delays.(i)] the delay of the
+    [size_bits]-bit message from [src] to [dsts.(i)], for [i = 0 .. n - 1].
+    Both arrays belong to the engine and are valid only during the call;
+    [n >= 1].
+
+    Draw count: a {!Make.send} asks for its one destination and a
+    {!Make.broadcast} for the first [min (sends left, k - 1)] other peers in
+    ascending order, where sends left is what the crash rule still allows
+    ({!send_forbidden}). A send the crash rule forbids is never asked for,
+    so a policy that draws one value per destination from a {!Prng} draws
+    exactly once per send the crash rule allows.
+
+    A delay must be finite and [>= 0.]. The engine reads the delays in
+    order up to the first that is not: the sends before it are queued,
+    traced and charged, then the sending peer's effect raises
+    [Invalid_argument "Sim.run: negative latency"] (or ["... non-finite
+    latency"]) and the later destinations are not sent to. A policy may
+    leave the delays after such a one unwritten. *)
+
 type config = {
   k : int;  (** number of peers *)
   seed : int64;
@@ -127,8 +148,7 @@ type config = {
           [Data_source.read_range] does); readers must not write to them.
           Per-peer so that lower-bound adversaries can hand corrupted peers
           a different (simulated) input array. *)
-  latency : src:int -> dst:int -> size_bits:int -> float;
-      (** adversarial propagation delay; must be finite and [>= 0.] *)
+  latency : latency;  (** adversarial propagation delays, per send effect *)
   link_rate : float;
       (** bits per time unit on each ordered link, transmitted one message
           at a time in FIFO order — the paper's "a message of L bits takes

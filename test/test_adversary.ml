@@ -58,17 +58,23 @@ let test_fault_rejects_bad () =
 (* Latency                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* One message's delay under a policy: a send effect of one destination. *)
+let delay (fn : Latency.fn) ~src ~dst ~size_bits =
+  let delays = [| nan |] in
+  fn ~src ~size_bits ~dsts:[| dst |] 1 delays;
+  delays.(0)
+
 let test_latency_unit_and_constant () =
-  checkf "unit" 1. (Latency.unit_delay ~src:0 ~dst:1 ~size_bits:100);
+  checkf "unit" 1. (delay Latency.unit_delay ~src:0 ~dst:1 ~size_bits:100);
   checkf "constant" 2.5
-    (Latency.size_proportional ~per_bit:0. ~floor:2.5 ~src:3 ~dst:4 ~size_bits:1)
+    (delay (Latency.size_proportional ~per_bit:0. ~floor:2.5) ~src:3 ~dst:4 ~size_bits:1)
 
 (* [jittered] is the uniform policy: (0, 1], and both halves get hit. *)
 let test_latency_uniform_range () =
   let fn = Latency.jittered (Prng.create 2L) in
   let low = ref 0 in
   for _ = 1 to 500 do
-    let d = fn ~src:0 ~dst:1 ~size_bits:8 in
+    let d = delay fn ~src:0 ~dst:1 ~size_bits:8 in
     checkb "in (0,1]" true (d > 0. && d <= 1.);
     if d <= 0.5 then incr low
   done;
@@ -76,30 +82,54 @@ let test_latency_uniform_range () =
 
 let test_latency_targeted () =
   let fn = Latency.targeted ~slow:(fun i -> i = 7) ~delay:99. in
-  checkf "slow src" 99. (fn ~src:7 ~dst:0 ~size_bits:1);
-  checkf "fast src" 1. (fn ~src:0 ~dst:7 ~size_bits:1)
+  checkf "slow src" 99. (delay fn ~src:7 ~dst:0 ~size_bits:1);
+  checkf "fast src" 1. (delay fn ~src:0 ~dst:7 ~size_bits:1)
 
 let test_latency_targeted_links () =
   let fn = Latency.targeted ~slow:(fun src -> src = 1) ~delay:50. in
-  checkf "slow link" 50. (fn ~src:1 ~dst:2 ~size_bits:1);
-  checkf "reverse fast" 1. (fn ~src:2 ~dst:1 ~size_bits:1)
+  checkf "slow link" 50. (delay fn ~src:1 ~dst:2 ~size_bits:1);
+  checkf "reverse fast" 1. (delay fn ~src:2 ~dst:1 ~size_bits:1)
 
 let test_latency_rushing () =
   let fn = Latency.rushing ~fast:(fun i -> i < 2) ~eps:0.01 in
-  checkf "byz fast" 0.01 (fn ~src:1 ~dst:5 ~size_bits:1);
-  checkf "honest slow" 1. (fn ~src:5 ~dst:1 ~size_bits:1)
+  checkf "byz fast" 0.01 (delay fn ~src:1 ~dst:5 ~size_bits:1);
+  checkf "honest slow" 1. (delay fn ~src:5 ~dst:1 ~size_bits:1)
 
+(* In (0, 1], and a batch of destinations gets the draws of one call per
+   destination. *)
 let test_latency_jittered_positive () =
   let fn = Latency.jittered (Prng.create 3L) in
   for _ = 1 to 500 do
-    let d = fn ~src:0 ~dst:1 ~size_bits:1 in
+    let d = delay fn ~src:0 ~dst:1 ~size_bits:1 in
     checkb "in (0,1]" true (d > 0. && d <= 1.)
-  done
+  done;
+  let one = Latency.jittered (Prng.create 4L) and batch = Latency.jittered (Prng.create 4L) in
+  let dsts = Array.init 9 succ in
+  let delays = Array.make 9 nan in
+  batch ~src:0 ~size_bits:1 ~dsts 9 delays;
+  Array.iteri
+    (fun i dst -> checkb "batch = one at a time" true (delays.(i) = delay one ~src:0 ~dst ~size_bits:1))
+    dsts
+
+(* The adapter asks for each destination in order and stops after a delay
+   the engine rejects. *)
+let test_latency_per_message () =
+  let asked = ref [] in
+  let fn =
+    Latency.per_message (fun ~src ~dst ~size_bits ->
+        asked := dst :: !asked;
+        if dst = 4 then -1. else float_of_int ((10 * src) + dst + size_bits))
+  in
+  let delays = Array.make 6 0. in
+  fn ~src:1 ~size_bits:100 ~dsts:[| 0; 2; 3; 4; 5 |] 5 delays;
+  checkb "asked in order, up to the bad one" true (List.rev !asked = [ 0; 2; 3; 4 ]);
+  checkb "delays written up to the bad one" true
+    (Array.sub delays 0 4 = [| 110.; 112.; 113.; -1. |] && delays.(4) = 0.)
 
 let test_latency_size_proportional () =
   let fn = Latency.size_proportional ~per_bit:0.01 ~floor:0.5 in
-  checkf "scales" 1.5 (fn ~src:0 ~dst:1 ~size_bits:100);
-  checkf "floor" 0.5 (fn ~src:0 ~dst:1 ~size_bits:0)
+  checkf "scales" 1.5 (delay fn ~src:0 ~dst:1 ~size_bits:100);
+  checkf "floor" 0.5 (delay fn ~src:0 ~dst:1 ~size_bits:0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash plans                                                         *)
@@ -165,6 +195,7 @@ let suite =
     ("latency: rushing", `Quick, test_latency_rushing);
     ("latency: jittered positive", `Quick, test_latency_jittered_positive);
     ("latency: size proportional", `Quick, test_latency_size_proportional);
+    ("latency: per-message adapter", `Quick, test_latency_per_message);
     ("crash: none", `Quick, test_crash_none);
     ("crash: at times", `Quick, test_crash_at_times);
     ("crash: all at", `Quick, test_crash_all_at);

@@ -2,6 +2,7 @@
    event loop. *)
 
 open Dr_engine
+module Latency = Dr_adversary.Latency
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -451,7 +452,7 @@ let test_sim_latency_order () =
     {
       (Sim.default_config ~k:3 ~query_bit) with
       latency =
-        (fun ~src ~dst:_ ~size_bits:_ -> if src = 1 then 5.0 else 1.0);
+        Latency.per_message (fun ~src ~dst:_ ~size_bits:_ -> if src = 1 then 5.0 else 1.0);
     }
   in
   let outcome =
@@ -652,7 +653,7 @@ let test_sim_negative_latency_rejected () =
   let cfg =
     {
       (Sim.default_config ~k:2 ~query_bit) with
-      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
+      latency = Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
     }
   in
   Alcotest.check_raises "negative latency" (Invalid_argument "Sim.run: negative latency")
@@ -1017,8 +1018,10 @@ let test_query_range_matches_loop () =
   checkb "crashed peer has no output" true (inside.outcome.Sim.outputs.(1) = None)
 
 (* [broadcast] is one effect whose handler runs the sends of the loop it
-   replaced: ascending destinations, self skipped. Under jittered latency
-   (one draw per send) the two must give the same trace, the same metrics
+   replaced: ascending destinations, self skipped. Under a jittered
+   latency lifted by [Latency.per_message] (one draw per send attempted,
+   so a broadcast's one policy call draws what the loop's sends draw) the
+   two must give the same trace, the same metrics
    (charged once per broadcast, and not at all when no send went out) and
    the same outcome, also when the sender dies partway through. A negative
    or non-finite latency at one destination of peer 0's first round fails
@@ -1029,12 +1032,13 @@ let broadcast_k = 6
 let broadcast_scenario ?bad ~explicit ~crash ~arbiter () =
   let k = broadcast_k in
   let trace = Trace.create () in
-  let jitter = Dr_adversary.Latency.jittered (Prng.create 5L) in
-  let latency ~src ~dst ~size_bits =
-    let d = jitter ~src ~dst ~size_bits in
-    match bad with
-    | Some (at, value) when src = 0 && dst = at && size_bits = 32 -> value
-    | _ -> d
+  let jitter = Prng.create 5L in
+  let latency =
+    Latency.per_message (fun ~src ~dst ~size_bits ->
+        let d = Prng.float jitter 1. in
+        match bad with
+        | Some (at, value) when src = 0 && dst = at && size_bits = 32 -> value
+        | _ -> d)
   in
   let cfg =
     { (Sim.default_config ~k ~query_bit) with latency; crash; trace = Some trace; arbiter }
@@ -1112,11 +1116,42 @@ let test_sim_broadcast_is_send_loop () =
   let negative =
     {
       (Sim.default_config ~k:3 ~query_bit) with
-      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
+      latency = Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ -> -1.);
     }
   in
   Alcotest.check_raises "negative latency" (Invalid_argument "Sim.run: negative latency")
     (fun () -> ignore (S.run negative (fun _ -> S.broadcast (Smsg.Ping 1))))
+
+(* The latency policy is asked once per send effect, for the destinations
+   the crash rule lets it reach, in ascending order: peer 2's second
+   broadcast, with two sends left, asks for two, and peer 4's send, which
+   [After_sends 0] forbids, asks for none. *)
+let test_sim_latency_asked_per_effect () =
+  let calls = ref [] in
+  let latency ~src ~size_bits ~dsts n delays =
+    calls := (src, size_bits, Array.to_list (Array.sub dsts 0 n)) :: !calls;
+    Array.fill delays 0 n 1.
+  in
+  let crash = function 2 -> Sim.After_sends 6 | 4 -> Sim.After_sends 0 | _ -> Sim.Never in
+  let cfg = { (Sim.default_config ~k:5 ~query_bit) with latency; crash } in
+  let outcome =
+    S.run cfg (fun i ->
+        if i = 0 then begin
+          S.send 3 (Smsg.Value true);
+          S.broadcast (Smsg.Ping 0)
+        end
+        else if i = 2 then begin
+          S.broadcast (Smsg.Ping 2);
+          S.broadcast (Smsg.Ping 2)
+        end
+        else if i = 4 then S.send 0 (Smsg.Ping 4))
+  in
+  checkb "calls" true
+    (List.rev !calls
+    = [ (0, 1, [ 3 ]); (0, 32, [ 1; 2; 3; 4 ]); (2, 32, [ 0; 1; 3; 4 ]); (2, 32, [ 0; 1 ]) ]);
+  checkb "peers 2 and 4 crashed" true
+    (outcome.Sim.outputs.(2) = None && outcome.Sim.outputs.(4) = None);
+  checki "peer 2 sent six" 6 (Metrics.peer outcome.Sim.metrics 2).Metrics.msgs_sent
 
 (* The engine's allocation budget, on the deterministic counter: one
    all-to-all round at k=128 under jittered delays, the storm that
@@ -1126,7 +1161,7 @@ let storm_words_per_event ~wait ~link_rate =
   let cfg =
     {
       (Sim.default_config ~k ~query_bit) with
-      latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+      latency = Latency.jittered (Prng.create 3L);
       link_rate;
     }
   in
@@ -1151,6 +1186,38 @@ let storm_words_per_event ~wait ~link_rate =
 let test_sim_storm_allocation_budget () =
   let per_event = storm_words_per_event ~wait:`Receive ~link_rate:infinity in
   checkb (Printf.sprintf "%.1f minor words per event <= 12" per_event) true (per_event <= 12.)
+
+(* A send effect is one batch: the jittered policy fills the delays in
+   one call and the heap takes the deliveries in one push, so a warm
+   broadcast allocates as much at k=128 as at k=3, nothing per
+   destination. Peer 0 measures its second broadcast, after the first
+   has grown the send table. *)
+let test_broadcast_allocates_nothing_per_destination () =
+  let broadcast_words k =
+    let measured = ref nan in
+    let run () =
+      let cfg =
+        { (Sim.default_config ~k ~query_bit) with latency = Latency.jittered (Prng.create 3L) }
+      in
+      ignore
+        (S.run cfg (fun i ->
+             if i = 0 then begin
+               S.broadcast (Smsg.Ping 0);
+               let before = Gc.minor_words () in
+               S.broadcast (Smsg.Ping 0);
+               measured := Gc.minor_words () -. before
+             end))
+    in
+    run ();
+    run ();
+    !measured
+  in
+  let small = broadcast_words 3 and large = broadcast_words 128 in
+  let per_destination = (large -. small) /. 125. in
+  checkb
+    (Printf.sprintf "%.2f minor words per destination (k=3: %.0f, k=128: %.0f) = 0"
+       per_destination small large)
+    true (per_destination = 0.)
 
 (* A range read charges each bit without allocating on the minor heap: a
    k=1 peer reads 65,536 bits from a [Data_source] in one [query_range],
@@ -1285,7 +1352,7 @@ let test_serialized_storm_allocation_budget () =
 let test_sim_non_finite_latency_rejected () =
   List.iter
     (fun delay ->
-      let latency ~src:_ ~dst:_ ~size_bits:_ = delay in
+      let latency = Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ -> delay) in
       let cfg = { (Sim.default_config ~k:3 ~query_bit) with latency } in
       Alcotest.check_raises (Printf.sprintf "latency %g" delay)
         (Invalid_argument "Sim.run: non-finite latency") (fun () ->
@@ -1368,7 +1435,7 @@ let test_tag_rendered_once_per_send () =
     let cfg =
       {
         (Sim.default_config ~k ~query_bit) with
-        latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+        latency = Latency.jittered (Prng.create 3L);
         trace;
         observer;
       }
@@ -1479,7 +1546,7 @@ let await_scenario ?(fail = fun ~me:_ ~heard:_ -> ()) ~inline ~crash ~arbiter ()
   let cfg =
     {
       (Sim.default_config ~k ~query_bit) with
-      latency = Dr_adversary.Latency.jittered (Prng.create 9L);
+      latency = Latency.jittered (Prng.create 9L);
       crash;
       trace = Some trace;
       observer = Some observer;
@@ -1616,7 +1683,7 @@ let direct_major_words k =
   let cfg =
     {
       (Sim.default_config ~k ~query_bit) with
-      latency = Dr_adversary.Latency.jittered (Prng.create 3L);
+      latency = Latency.jittered (Prng.create 3L);
     }
   in
   let _, promoted0, major0 = Gc.counters () in
@@ -1683,7 +1750,7 @@ let test_link_serialization_fifo () =
     {
       (Sim.default_config ~k:2 ~query_bit:(fun ~peer:_ _ -> false)) with
       link_rate = 100.;
-      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.5);
+      latency = Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.5);
       trace = Some trace;
     }
   in
@@ -1712,7 +1779,7 @@ let test_link_serialization_links_independent () =
     {
       (Sim.default_config ~k:3 ~query_bit:(fun ~peer:_ _ -> false)) with
       link_rate = 100.;
-      latency = (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.);
+      latency = Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ -> 0.);
     }
   in
   let outcome =
@@ -1828,6 +1895,8 @@ let suite =
     ("query_range is the per-bit loop", `Quick, test_query_range_matches_loop);
     ("broadcast is the send loop", `Quick, test_sim_broadcast_is_send_loop);
     ("storm allocation budget", `Quick, test_sim_storm_allocation_budget);
+    ("broadcast allocates nothing per destination", `Quick,
+      test_broadcast_allocates_nothing_per_destination);
     ("prng golden stream", `Quick, test_prng_golden_stream);
     ("heap pop_min allocates nothing", `Quick, test_heap_pop_min_allocation_free);
     ("range read allocates nothing per charged bit", `Quick, test_range_read_allocation_free);
@@ -1838,6 +1907,7 @@ let suite =
     ("one-bit query allocation budget", `Quick, test_one_bit_query_allocation);
     ("serialized storm allocation budget", `Quick, test_serialized_storm_allocation_budget);
     ("sim non-finite latency", `Quick, test_sim_non_finite_latency_rejected);
+    ("latency asked once per effect", `Quick, test_sim_latency_asked_per_effect);
     ("sim NaN crash time", `Quick, test_sim_nan_crash_time_rejected);
     ("sim link_rate must be > 0", `Quick, test_sim_link_rate_must_be_positive);
     ("heap NaN push raises", `Quick, test_heap_nan_push_rejected);

@@ -67,7 +67,9 @@ let test_verdict_missing_output_is_wrong () =
 let test_time_is_last_honest_termination () =
   let inst = instance ~k:3 ~t:0 () in
   (* Peer i waits for a message to itself that takes 2i time units. *)
-  let latency ~src ~dst:_ ~size_bits:_ = float_of_int src *. 2. in
+  let latency =
+    Dr_adversary.Latency.per_message (fun ~src ~dst:_ ~size_bits:_ -> float_of_int src *. 2.)
+  in
   let r =
     run_with_process ~opts:(Exec.make_opts ~latency ()) inst (fun i ->
         S.send i ();

@@ -860,7 +860,7 @@ let engine_run ~k ~programs ~crash ~latency ~arbiter =
   let cfg =
     {
       (Sim.default_config ~k ~query_bit:(fun ~peer:_ _ -> false)) with
-      latency = (fun ~src ~dst ~size_bits:_ -> latency src dst);
+      latency = Latency.per_message (fun ~src ~dst ~size_bits:_ -> latency src dst);
       crash = (fun i -> crash.(i));
       trace = Some trace;
       arbiter;
@@ -990,14 +990,15 @@ let warm_execute r =
   let trace = if r.traced then Some (Dr_engine.Trace.create ()) else None in
   let seen = ref [] in
   let observer = if r.observed then Some (fun o -> seen := o :: !seen) else None in
-  let jitter = Latency.jittered (Prng.create (Int64.of_int r.wseed)) in
+  let jitter = Prng.create (Int64.of_int r.wseed) in
   let sends = ref 0 in
-  let latency ~src ~dst ~size_bits =
-    incr sends;
-    match (r.stop, r.link) with
-    | `Abort n, _ when !sends = n -> -1.
-    | _, `Unit -> 1.
-    | _, (`Jittered | `Serialized) -> jitter ~src ~dst ~size_bits
+  let latency =
+    Latency.per_message (fun ~src:_ ~dst:_ ~size_bits:_ ->
+        incr sends;
+        match (r.stop, r.link) with
+        | `Abort n, _ when !sends = n -> -1.
+        | _, `Unit -> 1.
+        | _, (`Jittered | `Serialized) -> Prng.float jitter 1.)
   in
   let choices = Prng.create (Int64.of_int (r.wseed + 1)) in
   let base = Sim.default_config ~k ~query_bit:(fun ~peer:_ i -> i mod 3 = 0) in
@@ -1176,13 +1177,12 @@ let prop_send_table_entries =
       let k = Array.length programs in
       let trace = Dr_engine.Trace.create () in
       let jitter = Latency.jittered (Prng.create (Int64.of_int seed)) in
+      let latency = match link with `Unit -> Latency.unit_delay | `Jittered -> jitter in
       let choices = Prng.create (Int64.of_int (seed + 1)) in
       let cfg =
         {
           (Sim.default_config ~k ~query_bit:(fun ~peer:_ _ -> false)) with
-          latency =
-            (fun ~src ~dst ~size_bits ->
-              match link with `Unit -> 1. | `Jittered -> jitter ~src ~dst ~size_bits);
+          latency;
           crash = (fun i -> crashes.(i));
           trace = Some trace;
           arbiter = (if arbitrated then Some (fun count -> Prng.int choices count) else None);
@@ -1363,13 +1363,13 @@ let prop_crash_single_always_correct =
 let heterogeneous_links seed =
   let g = Prng.create seed in
   let table = Hashtbl.create 64 in
-  fun ~src ~dst ~size_bits:_ ->
-    match Hashtbl.find_opt table (src, dst) with
-    | Some d -> d
-    | None ->
-      let d = 0.05 +. Prng.float g 0.95 in
-      Hashtbl.add table (src, dst) d;
-      d
+  Latency.per_message (fun ~src ~dst ~size_bits:_ ->
+      match Hashtbl.find_opt table (src, dst) with
+      | Some d -> d
+      | None ->
+        let d = 0.05 +. Prng.float g 0.95 in
+        Hashtbl.add table (src, dst) d;
+        d)
 
 let prop_crash_general_heterogeneous_wan =
   QCheck.Test.make ~name:"crash-general: correct on heterogeneous per-link delays" ~count:40
@@ -1625,6 +1625,124 @@ let prop_read_range_memo =
       in
       packed_as_sub && repeat_shares && never_alias && unshared)
 
+(* [Heap.push_many] against the same entries pushed one at a time into a
+   twin queue: every pop gives the same time, bit for bit, and the same
+   value. Each step pushes 65-200 entries in batches of 1-40, enough for a
+   far array to spread over windows, then pops fewer than it pushed, so
+   the next step's batches land in the heap (below the window being
+   popped), in later windows' overflow and in the far array; times tie,
+   go negative and reach +-inf, values repeat, and some steps end with a
+   clear of both queues. Every other batch goes into the batched queue
+   one push at a time too, so the two kinds of push share epochs. A
+   batch's arrays are longer than its count and hold a NaN past it, which
+   must not be read; a batch with a NaN inside its count raises and
+   leaves the queue unchanged. *)
+let prop_heap_push_many_is_push_loop =
+  let module Heap = Dr_engine.Heap in
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 0; 4 ]) (oneofl [ 0; 1 ]) >>= fun (tied, special) ->
+      let entry = pair (heap_time_gen ~tied ~special) (int_range (-3) 3) in
+      let step =
+        let batches = list_size (int_range 3 10) (list_size (int_range 1 40) entry) in
+        triple batches (int_range 1 64) (frequency [ (7, return false); (1, return true) ])
+      in
+      list_size (int_range 6 12) step)
+  in
+  let print steps =
+    String.concat " | "
+      (List.map
+         (fun (batches, pops, clear) ->
+           Printf.sprintf "%s pop*%d%s"
+             (String.concat " "
+                (List.map
+                   (fun b ->
+                     "["
+                     ^ String.concat ";"
+                         (List.map
+                            (fun (t, v) -> Printf.sprintf "%s:%d" (print_heap_op (Push (t, false))) v)
+                            b)
+                     ^ "]")
+                   batches))
+             pops
+             (if clear then " clear" else ""))
+         steps)
+  in
+  QCheck.Test.make ~name:"heap: push_many is a push loop" ~count:200 (QCheck.make ~print gen)
+    (fun steps ->
+      let one = Heap.create () and many = Heap.create () in
+      let cell = [| nan |] and cell' = [| nan |] in
+      let last = ref 0. and ok = ref true in
+      let pop_both () =
+        match (Heap.is_empty one, Heap.is_empty many) with
+        | true, true -> ()
+        | false, false ->
+          let v = Heap.pop_min one ~time:cell and v' = Heap.pop_min many ~time:cell' in
+          ok :=
+            !ok && v = v' && Int64.equal (Int64.bits_of_float cell.(0)) (Int64.bits_of_float cell'.(0));
+          if Float.is_finite cell.(0) then last := cell.(0)
+        | _ -> ok := false
+      in
+      let resolve = function
+        | Tied i -> float_of_int i
+        | After x -> !last +. x
+        | Below x -> !last -. x
+        | Outlier t | Fixed t -> t
+      in
+      List.iter
+        (fun (batches, pops, clear) ->
+          List.iteri
+            (fun b batch ->
+              let n = List.length batch in
+              let times = Array.make (n + 1) nan and values = Array.make (n + 1) min_int in
+              List.iteri
+                (fun i (t, v) ->
+                  times.(i) <- resolve t;
+                  values.(i) <- v;
+                  cell.(0) <- times.(i);
+                  Heap.push one ~time:cell v)
+                batch;
+              let poisoned = Array.copy times in
+              poisoned.(n / 2) <- nan;
+              (match Heap.push_many many ~times:poisoned values n with
+              | () -> failwith "a batch with a NaN time was queued"
+              | exception Invalid_argument _ -> ());
+              if b mod 2 = 0 then Heap.push_many many ~times values n
+              else
+                for i = 0 to n - 1 do
+                  Heap.push many ~time:(Array.sub times i 1) values.(i)
+                done)
+            batches;
+          for _ = 1 to pops do
+            pop_both ()
+          done;
+          if clear then begin
+            Heap.clear one;
+            Heap.clear many;
+            last := 0.
+          end)
+        steps;
+      while not (Heap.is_empty one && Heap.is_empty many) do
+        pop_both ()
+      done;
+      !ok)
+
+(* [Prng.fill_floats] against a twin generator's [Prng.float g 1.] loop:
+   the same floats, bit for bit, nothing written past the count, and the
+   same [next64] afterwards. *)
+let prop_prng_fill_floats_is_float_loop =
+  QCheck.Test.make ~name:"prng: fill_floats is a float loop" ~count:200 QCheck.int64 (fun seed ->
+      List.for_all
+        (fun n ->
+          let g = Prng.create seed and g' = Prng.create seed in
+          let a = Array.make (n + 1) nan in
+          Prng.fill_floats g a n;
+          let same i = Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float (Prng.float g' 1.)) in
+          List.for_all same (List.init n Fun.id)
+          && Float.is_nan a.(n)
+          && Int64.equal (Prng.next64 g) (Prng.next64 g'))
+        fill_lengths)
+
 let suite =
   (* A fixed QCheck random state keeps the generated cases identical from
      run to run: the whole test suite stays deterministic (the randomized
@@ -1683,4 +1801,6 @@ let suite =
         prop_frequent_many_strings_match_model;
         prop_prng_int_is_unsigned_rem;
         prop_heap_values_and_clear;
+        prop_heap_push_many_is_push_loop;
+        prop_prng_fill_floats_is_float_loop;
       ]
